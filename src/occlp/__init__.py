@@ -14,8 +14,8 @@ from .oracle import LevelTable, OracleResult, frozen_value, level_set_ordering, 
 from .programs import (DualCertificate, LpInstance, LpSolution, MembershipResidual,
                        build_discounted_lp, build_ergodic_lp, build_nonergodic_lp,
                        build_perturbed_lp, certificate_is_valid, certificate_slacks,
-                       export_lp_text, extract_dual_certificate, membership_residual,
-                       solve, verify_weak_duality)
+                       extract_dual_certificate, membership_residual, solve,
+                       verify_weak_duality)
 from .simulate import (AbelValue, ConstantPolicy, FeedbackPolicy, Policy, SchedulePolicy,
                        SteerThenHoldPolicy, Trajectory, abel_value, cesaro_value,
                        empirical_discounted_measure, empirical_occupational_measure,

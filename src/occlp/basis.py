@@ -78,15 +78,20 @@ def basis_for_region(region: StateRegion, d: int) -> BasisSpec:
     return enumerate_basis(region.dim, d, lower=lo, upper=hi)
 
 
-def phi_matrix(basis: BasisSpec, ys: np.ndarray) -> np.ndarray:
-    """Values of every basis element at row-stacked points, shape (count, n)."""
+def _power_table(basis: BasisSpec, ys: np.ndarray) -> np.ndarray:
+    """Scaled powers s[:, j] ** e for e = 0..d by repeated products, shape (dim, d + 1, n)."""
     s = basis.scale(ys)  # (n, m)
-    n = s.shape[0]
-    # s[:, j] ** e for e = 0..d, per axis
-    powers = np.ones((basis.dim, basis.max_degree + 1, n))
+    powers = np.ones((basis.dim, basis.max_degree + 1, s.shape[0]))
     for j in range(basis.dim):
         for e in range(1, basis.max_degree + 1):
             powers[j, e] = powers[j, e - 1] * s[:, j]
+    return powers
+
+
+def phi_matrix(basis: BasisSpec, ys: np.ndarray) -> np.ndarray:
+    """Values of every basis element at row-stacked points, shape (count, n)."""
+    powers = _power_table(basis, ys)
+    n = powers.shape[2]
     out = np.empty((basis.count, n))
     for b, alpha in enumerate(basis.exponents):
         acc = np.ones(n)
@@ -99,12 +104,8 @@ def phi_matrix(basis: BasisSpec, ys: np.ndarray) -> np.ndarray:
 
 def grad_matrix(basis: BasisSpec, ys: np.ndarray) -> np.ndarray:
     """Gradients w.r.t. unscaled coordinates, shape (count, n, m)."""
-    s = basis.scale(ys)
-    n = s.shape[0]
-    powers = np.ones((basis.dim, basis.max_degree + 1, n))
-    for j in range(basis.dim):
-        for e in range(1, basis.max_degree + 1):
-            powers[j, e] = powers[j, e - 1] * s[:, j]
+    powers = _power_table(basis, ys)
+    n = powers.shape[2]
     half = np.asarray(basis.scale_half)
     out = np.zeros((basis.count, n, basis.dim))
     for b, alpha in enumerate(basis.exponents):

@@ -31,7 +31,7 @@ from .metrics import make_test_function_set, rho_hat
 from .oracle import frozen_value, level_set_ordering, rotation_level_value
 from .programs import (build_discounted_lp, build_ergodic_lp, build_nonergodic_lp,
                        build_perturbed_lp, certificate_offgrid_report,
-                       certificate_slacks, export_lp_text, extract_dual_certificate,
+                       certificate_slacks, extract_dual_certificate,
                        membership_residual, solve, verify_weak_duality)
 from .simulate import (Trajectory, abel_value, cesaro_value,
                        empirical_occupational_measure, integrate,
@@ -297,7 +297,7 @@ def _simulate_section(bundle, spec, grid, basis, cfg: StudyConfig, solve_results
                       f"cesaro {final:.4f} >= mu {mu:.4f} - 0.05")
 
 
-def _sweep_section(bundle, spec, grid, basis, cfg: StudyConfig, solve_results, jobs: int):
+def _sweep_section(bundle, spec, grid, basis, cfg: StudyConfig, solve_results):
     prog = cfg.program
     y0 = np.asarray(prog.y0, dtype=float)
     if prog.discount_rates:
@@ -342,9 +342,9 @@ def _convergence_section(bundle, spec, grid, basis, cfg: StudyConfig):
 
     degree_rows = []
     for degree in range(2, cfg.basis.degree + 1):
-        b = basis_for_region(spec.region, degree)
-        sol = solve(build_nonergodic_lp(grid, b, spec, y0,
-                                        xi_mass_cap=cfg.program.xi_mass_cap))
+        sol = base if degree == cfg.basis.degree else solve(build_nonergodic_lp(
+            grid, basis_for_region(spec.region, degree), spec, y0,
+            xi_mass_cap=cfg.program.xi_mass_cap))
         if sol.status == "optimal":
             degree_rows.append([degree, sol.value])
     bundle.tables["degree_sweep"] = {"columns": ["degree", "value"], "rows": degree_rows}
@@ -416,7 +416,7 @@ def run_study(config: StudyConfig, sections=_ALL_SECTIONS, jobs: int = 1) -> Rep
     if "simulate" in sections:
         _simulate_section(bundle, spec, grid, basis, config, solve_results)
     if "sweep" in sections:
-        _sweep_section(bundle, spec, grid, basis, config, solve_results, jobs)
+        _sweep_section(bundle, spec, grid, basis, config, solve_results)
     if "convergence" in sections:
         _convergence_section(bundle, spec, grid, basis, config)
     if "certify" in sections:

@@ -180,31 +180,19 @@ def integrate_measure(measure: DiscreteMeasure, q_values: np.ndarray) -> float:
     return float(measure.weights @ q)
 
 
-def nearest_state_index(grid: Grid, ys: np.ndarray, chunk: int = 16384) -> np.ndarray:
-    """Index of the Euclidean-nearest state grid point for each row of ys."""
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    pts = grid.state_points
-    out = np.empty(ys.shape[0], dtype=np.int64)
-    for start in range(0, ys.shape[0], chunk):
-        block = ys[start:start + chunk]
-        d2 = ((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        out[start:start + chunk] = np.argmin(d2, axis=1)
-    return out
-
-
-def nearest_control_index(grid: Grid, us: np.ndarray, chunk: int = 16384) -> np.ndarray:
-    us = np.atleast_2d(np.asarray(us, dtype=float))
-    pts = grid.control_points
-    out = np.empty(us.shape[0], dtype=np.int64)
-    for start in range(0, us.shape[0], chunk):
-        block = us[start:start + chunk]
-        d2 = ((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+def nearest_index(points: np.ndarray, queries, chunk: int = 16384) -> np.ndarray:
+    """Row of ``points`` Euclidean-nearest to each query row; ties go to the lowest row."""
+    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    out = np.empty(queries.shape[0], dtype=np.int64)
+    for start in range(0, queries.shape[0], chunk):
+        block = queries[start:start + chunk]
+        d2 = ((block[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
         out[start:start + chunk] = np.argmin(d2, axis=1)
     return out
 
 
 def nearest_atom_index(grid: Grid, ys: np.ndarray, us: np.ndarray) -> np.ndarray:
     """Nearest atom for joint points; separable because atoms form a product set."""
-    si = nearest_state_index(grid, ys)
-    ci = nearest_control_index(grid, us)
+    si = nearest_index(grid.state_points, ys)
+    ci = nearest_index(grid.control_points, us)
     return si * grid.control_points.shape[0] + ci

@@ -1,6 +1,7 @@
 """Finite linear programs over discrete occupation measures, with dual certificates.
 
-Four program variants share one assembly path.  Writing B for the flow matrix,
+Four program variants share one assembly path: each stacks its row blocks
+over the same normalization row.  Writing B for the flow matrix,
 C for the initial-coupling matrix of a start point y0, c for the atom costs and
 1 for the all-ones row:
 
@@ -29,7 +30,6 @@ counterpart is not.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,8 +37,7 @@ from scipy.optimize import linprog
 
 from .basis import BasisSpec, grad_matrix, phi_matrix
 from .grid import (DiscreteMeasure, Grid, assemble_cost_vector,
-                   assemble_flow_matrix, assemble_initial_matrix,
-                   nearest_state_index)
+                   assemble_flow_matrix, assemble_initial_matrix, nearest_index)
 from .system import SystemSpec, cost_batch, dynamics_batch
 
 
@@ -120,40 +119,50 @@ class LpSolution:
 
 def snap_to_state_grid(grid: Grid, y0) -> tuple[int, np.ndarray]:
     """Nearest state grid point to y0 (the representative the coupled rows use)."""
-    idx = int(nearest_state_index(grid, np.asarray(y0, dtype=float)[None, :])[0])
+    idx = int(nearest_index(grid.state_points, y0)[0])
     return idx, grid.state_points[idx].copy()
 
 
-def _normalization_row(n: int) -> np.ndarray:
-    return np.ones((1, n))
+def _stack(grid: Grid, basis: BasisSpec, cost: np.ndarray, blocks, provenance: dict,
+           xi_cost: np.ndarray | None = None,
+           xi_mass_cap: float | None = None) -> LpInstance:
+    """Stack row blocks ``(kind, gamma coefficients, xi coefficients or None)``
+    over the normalization row; the xi block exists iff ``xi_cost`` is given."""
+    n = grid.atom_count
+    eq_gamma = np.vstack([g for _, g, _ in blocks] + [np.ones((1, n))])
+    eq_xi = None
+    if xi_cost is not None:
+        eq_xi = np.vstack([np.zeros_like(g) if x is None else x for _, g, x in blocks]
+                          + [np.zeros((1, n))])
+    rhs = np.concatenate([np.zeros(eq_gamma.shape[0] - 1), [1.0]])
+    meta = (tuple(RowMeta(kind, b) for kind, g, _ in blocks for b in range(g.shape[0]))
+            + (RowMeta("normalization", None),))
+    return LpInstance(grid=grid, basis=basis, objective_gamma=cost, objective_xi=xi_cost,
+                      eq_gamma=eq_gamma, eq_xi=eq_xi, eq_rhs=rhs, row_meta=meta,
+                      xi_mass_cap=xi_mass_cap, provenance=provenance)
+
+
+def _initial_rows(grid: Grid, basis: BasisSpec, y0) -> tuple[np.ndarray, dict]:
+    """Initial-coupling rows at y0 snapped to the state grid, and both points."""
+    _, y0_snapped = snap_to_state_grid(grid, y0)
+    return (assemble_initial_matrix(grid, basis, y0_snapped),
+            {"y0_requested": tuple(np.asarray(y0, float).tolist()),
+             "y0": tuple(y0_snapped.tolist())})
+
+
+def _coupled_lp(grid: Grid, basis: BasisSpec, y0, cost: np.ndarray, xi_cost: np.ndarray,
+                xi_mass_cap: float, provenance: dict) -> LpInstance:
+    """Flow rows B g = 0 and initial rows C g + B x = 0 over a gamma and an xi block."""
+    flow = assemble_flow_matrix(grid, basis)
+    initial, start = _initial_rows(grid, basis, y0)
+    return _stack(grid, basis, cost, [("flow", flow, None), ("initial", initial, flow)],
+                  {**provenance, **start}, xi_cost, xi_mass_cap)
 
 
 def build_ergodic_lp(grid: Grid, basis: BasisSpec, spec: SystemSpec) -> LpInstance:
     """Long-run program with flow rows only; its value ignores the start point."""
-    flow = assemble_flow_matrix(grid, basis)
-    cost = assemble_cost_vector(grid, spec)
-    rows = np.vstack([flow, _normalization_row(grid.atom_count)])
-    rhs = np.concatenate([np.zeros(basis.count), [1.0]])
-    meta = tuple(RowMeta("flow", b) for b in range(basis.count)) + (RowMeta("normalization", None),)
-    return LpInstance(grid=grid, basis=basis, objective_gamma=cost, objective_xi=None,
-                      eq_gamma=rows, eq_xi=None, eq_rhs=rhs, row_meta=meta,
-                      xi_mass_cap=None, provenance={"variant": "ergodic"})
-
-
-def _coupled_rows(grid: Grid, basis: BasisSpec, spec: SystemSpec, y0,
-                  xi_mass_cap: float):
-    flow = assemble_flow_matrix(grid, basis)
-    _, y0_snapped = snap_to_state_grid(grid, np.asarray(y0, dtype=float))
-    initial = assemble_initial_matrix(grid, basis, y0_snapped)
-    n = grid.atom_count
-    zeros = np.zeros_like(flow)
-    eq_gamma = np.vstack([flow, initial, _normalization_row(n)])
-    eq_xi = np.vstack([zeros, flow, np.zeros((1, n))])
-    rhs = np.concatenate([np.zeros(2 * basis.count), [1.0]])
-    meta = (tuple(RowMeta("flow", b) for b in range(basis.count))
-            + tuple(RowMeta("initial", b) for b in range(basis.count))
-            + (RowMeta("normalization", None),))
-    return eq_gamma, eq_xi, rhs, meta, y0_snapped
+    return _stack(grid, basis, assemble_cost_vector(grid, spec),
+                  [("flow", assemble_flow_matrix(grid, basis), None)], {"variant": "ergodic"})
 
 
 def build_nonergodic_lp(grid: Grid, basis: BasisSpec, spec: SystemSpec, y0,
@@ -163,15 +172,8 @@ def build_nonergodic_lp(grid: Grid, basis: BasisSpec, spec: SystemSpec, y0,
     Infeasibility (possible when no admissible motion connects the feasible
     long-run measures back to y0 on the grid) surfaces as solution status.
     """
-    eq_gamma, eq_xi, rhs, meta, y0s = _coupled_rows(grid, basis, spec, y0, xi_mass_cap)
-    cost = assemble_cost_vector(grid, spec)
-    return LpInstance(grid=grid, basis=basis, objective_gamma=cost,
-                      objective_xi=np.zeros(grid.atom_count),
-                      eq_gamma=eq_gamma, eq_xi=eq_xi, eq_rhs=rhs, row_meta=meta,
-                      xi_mass_cap=xi_mass_cap,
-                      provenance={"variant": "nonergodic",
-                                  "y0_requested": tuple(np.asarray(y0, float).tolist()),
-                                  "y0": tuple(y0s.tolist())})
+    return _coupled_lp(grid, basis, y0, assemble_cost_vector(grid, spec),
+                       np.zeros(grid.atom_count), xi_mass_cap, {"variant": "nonergodic"})
 
 
 def build_discounted_lp(grid: Grid, basis: BasisSpec, spec: SystemSpec, y0,
@@ -180,19 +182,10 @@ def build_discounted_lp(grid: Grid, basis: BasisSpec, spec: SystemSpec, y0,
     if discount_rate <= 0:
         raise ProgramError("discount rate must be positive")
     flow = assemble_flow_matrix(grid, basis)
-    _, y0_snapped = snap_to_state_grid(grid, np.asarray(y0, dtype=float))
-    initial = assemble_initial_matrix(grid, basis, y0_snapped)
-    rows = np.vstack([flow + discount_rate * initial, _normalization_row(grid.atom_count)])
-    rhs = np.concatenate([np.zeros(basis.count), [1.0]])
-    meta = (tuple(RowMeta("discounted", b) for b in range(basis.count))
-            + (RowMeta("normalization", None),))
-    return LpInstance(grid=grid, basis=basis,
-                      objective_gamma=assemble_cost_vector(grid, spec), objective_xi=None,
-                      eq_gamma=rows, eq_xi=None, eq_rhs=rhs, row_meta=meta,
-                      xi_mass_cap=None,
-                      provenance={"variant": "discounted", "rate": discount_rate,
-                                  "y0_requested": tuple(np.asarray(y0, float).tolist()),
-                                  "y0": tuple(y0_snapped.tolist())})
+    initial, start = _initial_rows(grid, basis, y0)
+    return _stack(grid, basis, assemble_cost_vector(grid, spec),
+                  [("discounted", flow + discount_rate * initial, None)],
+                  {"variant": "discounted", "rate": discount_rate, **start})
 
 
 def build_perturbed_lp(grid: Grid, basis: BasisSpec, spec: SystemSpec, y0,
@@ -201,21 +194,17 @@ def build_perturbed_lp(grid: Grid, basis: BasisSpec, spec: SystemSpec, y0,
     """Regularised coupled program; epsilon = 0 reduces exactly to the unperturbed one."""
     if epsilon < 0:
         raise ProgramError("epsilon must be nonnegative")
-    eq_gamma, eq_xi, rhs, meta, y0s = _coupled_rows(grid, basis, spec, y0, xi_mass_cap)
-    cost = assemble_cost_vector(grid, spec) + 2.0 * epsilon
-    xi_cost = np.full(grid.atom_count, spec.bound_f * epsilon)
-    return LpInstance(grid=grid, basis=basis, objective_gamma=cost, objective_xi=xi_cost,
-                      eq_gamma=eq_gamma, eq_xi=eq_xi, eq_rhs=rhs, row_meta=meta,
-                      xi_mass_cap=xi_mass_cap,
-                      provenance={"variant": "perturbed", "epsilon": epsilon,
-                                  "f_bound": spec.bound_f,
-                                  "y0_requested": tuple(np.asarray(y0, float).tolist()),
-                                  "y0": tuple(y0s.tolist())})
+    return _coupled_lp(grid, basis, y0, assemble_cost_vector(grid, spec) + 2.0 * epsilon,
+                       np.full(grid.atom_count, spec.bound_f * epsilon), xi_mass_cap,
+                       {"variant": "perturbed", "epsilon": epsilon, "f_bound": spec.bound_f})
 
 
 def _minimal_mass_refinement(instance: LpInstance, a_eq: np.ndarray,
                              objective: np.ndarray, value: float):
-    """Re-solve for minimal xi mass over the (near-)optimal face."""
+    """Re-solve for minimal xi mass over the (near-)optimal face.
+
+    Returns None unless that solve succeeds with a point inside the primal
+    residual tolerance."""
     n_g, n_x = instance.n_gamma, instance.n_xi
     mass_obj = np.concatenate([np.zeros(n_g), np.ones(n_x)])
     rows_ub = [objective]  # keep the original objective at its optimum
@@ -228,7 +217,9 @@ def _minimal_mass_refinement(instance: LpInstance, a_eq: np.ndarray,
                      bounds=(0, None), method="highs")
     if result.status != 0:
         return None
-    x = np.asarray(result.x)
+    x = np.maximum(np.asarray(result.x), 0.0)
+    if np.max(np.abs(a_eq @ x - instance.eq_rhs)) > PRIMAL_RESIDUAL_TOL:
+        return None  # the caller keeps the unrefined vertex
     return (DiscreteMeasure(instance.grid, np.maximum(x[:n_g], 0.0)),
             DiscreteMeasure(instance.grid, np.maximum(x[n_g:], 0.0)))
 
@@ -273,15 +264,18 @@ def solve(instance: LpInstance) -> LpSolution:
     # solver may park at an arbitrary vertex (including the cap).  A secondary
     # mass-minimising solve over the optimal face yields a canonical pair, and
     # only then does a binding cap signal anything structural.
+    xi_mass_canonical = instance.has_xi
     if instance.has_xi and not np.any(instance.objective_xi):
         refined = _minimal_mass_refinement(instance, a_eq, objective, float(result.fun))
+        xi_mass_canonical = refined is not None
         if refined is not None:
             gamma, xi = refined
     # binding = the cap influences the value (nonzero shadow price) or even the
     # minimal-mass xi needs the whole budget
     cap_binding = bool(instance.has_xi and instance.xi_mass_cap is not None
                        and (cap_dual < -1e-9
-                            or xi.total_mass >= instance.xi_mass_cap * (1.0 - 1e-9)))
+                            or (xi_mass_canonical
+                                and xi.total_mass >= instance.xi_mass_cap * (1.0 - 1e-9))))
 
     primal_residual = float(np.max(np.abs(a_eq @ x - instance.eq_rhs)))
     reduced = objective - a_eq.T @ row_duals
@@ -454,8 +448,7 @@ def membership_residual(measure: DiscreteMeasure, grid: Grid, basis: BasisSpec,
     flow = assemble_flow_matrix(grid, basis)
     w_residual = float(np.max(np.abs(flow @ measure.weights)))
 
-    _, y0s = snap_to_state_grid(grid, np.asarray(y0, dtype=float))
-    initial = assemble_initial_matrix(grid, basis, y0s)
+    initial, _ = _initial_rows(grid, basis, y0)
     target = initial @ measure.weights  # (count,)
     n = grid.atom_count
     # variables: xi (n) then t (1)
@@ -468,72 +461,3 @@ def membership_residual(measure: DiscreteMeasure, grid: Grid, basis: BasisSpec,
     if result.status != 0:
         raise ProgramError(f"membership auxiliary program failed: {result.message}")
     return MembershipResidual(w_residual=w_residual, omega_residual=float(result.fun))
-
-
-# ---------------------------------------------------------------------------
-# plain-text export (documented interchange format)
-
-_LP_TEXT_HEADER = "occlp-lp 1"
-
-
-def export_lp_text(instance: LpInstance) -> str:
-    """Serialise an instance to the line-oriented interchange format.
-
-    Layout (fixed field order, decimal notation, newline-delimited)::
-
-        occlp-lp 1
-        vars <n_gamma> <n_xi>
-        minimize
-        <objective coefficients, gamma block then xi block>
-        row <kind> <basis_index or -> <rhs>
-        <row coefficients, gamma block then xi block>
-        ...
-        cap <xi mass cap or ->
-        bounds nonneg
-        end
-    """
-    out = io.StringIO()
-    out.write(f"{_LP_TEXT_HEADER}\n")
-    out.write(f"vars {instance.n_gamma} {instance.n_xi}\n")
-    out.write("minimize\n")
-    objective = (np.concatenate([instance.objective_gamma, instance.objective_xi])
-                 if instance.has_xi else instance.objective_gamma)
-    out.write(" ".join(repr(float(v)) for v in objective) + "\n")
-    for i, meta in enumerate(instance.row_meta):
-        bi = "-" if meta.basis_index is None else str(meta.basis_index)
-        out.write(f"row {meta.kind} {bi} {repr(float(instance.eq_rhs[i]))}\n")
-        row = (np.concatenate([instance.eq_gamma[i], instance.eq_xi[i]])
-               if instance.has_xi else instance.eq_gamma[i])
-        out.write(" ".join(repr(float(v)) for v in row) + "\n")
-    cap = "-" if (not instance.has_xi or instance.xi_mass_cap is None) \
-        else repr(float(instance.xi_mass_cap))
-    out.write(f"cap {cap}\n")
-    out.write("bounds nonneg\n")
-    out.write("end\n")
-    return out.getvalue()
-
-
-def parse_lp_text(text: str) -> dict:
-    """Re-read the interchange format (round-trip checks, external cross-validation)."""
-    lines = text.splitlines()
-    if not lines or lines[0] != _LP_TEXT_HEADER:
-        raise ProgramError("not an occlp-lp document")
-    _, n_gamma, n_xi = lines[1].split()
-    n_gamma, n_xi = int(n_gamma), int(n_xi)
-    if lines[2] != "minimize":
-        raise ProgramError("expected 'minimize'")
-    objective = np.array([float(v) for v in lines[3].split()])
-    rows, meta, rhs = [], [], []
-    i = 4
-    while lines[i].startswith("row "):
-        _, kind, bi, rv = lines[i].split()
-        meta.append((kind, None if bi == "-" else int(bi)))
-        rhs.append(float(rv))
-        rows.append(np.array([float(v) for v in lines[i + 1].split()]))
-        i += 2
-    cap_field = lines[i].split()[1]
-    cap = None if cap_field == "-" else float(cap_field)
-    if lines[i + 1] != "bounds nonneg" or lines[i + 2] != "end":
-        raise ProgramError("malformed trailer")
-    return {"n_gamma": n_gamma, "n_xi": n_xi, "objective": objective,
-            "rows": np.array(rows), "rhs": np.array(rhs), "meta": meta, "cap": cap}

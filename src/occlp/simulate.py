@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec
-from .grid import DiscreteMeasure, Grid, nearest_atom_index
+from .grid import DiscreteMeasure, Grid, nearest_atom_index, nearest_index
 from .programs import MembershipResidual, membership_residual
 from .system import SystemSpec, cost_batch, dynamics_fn
 
@@ -103,13 +103,7 @@ def feedback_table_policy(grid: Grid, table: np.ndarray) -> FeedbackPolicy:
     table = np.atleast_2d(np.asarray(table, dtype=float))
     if table.shape[0] != grid.state_points.shape[0]:
         raise SimulationError("feedback table must give one control per state point")
-    pts = grid.state_points
-
-    def lookup(y):
-        d2 = ((pts - np.asarray(y)) ** 2).sum(axis=1)
-        return table[int(np.argmin(d2))]
-
-    return FeedbackPolicy(lookup)
+    return FeedbackPolicy(lambda y: table[int(nearest_index(grid.state_points, y)[0])])
 
 
 class SteerThenHoldPolicy(Policy):
@@ -348,39 +342,29 @@ def periodic_value_search(spec: SystemSpec, y0, candidates,
                                 rows=tuple(rows))
 
 
-def rotation_delta_family(spec: SystemSpec, y0, deltas,
-                          quadrature_points: int = 200_001) -> list[PeriodicCandidate]:
+def rotation_delta_family(spec: SystemSpec, y0, deltas) -> list[PeriodicCandidate]:
     """Angle-feedback loops for the planar rotation system.
 
     The control law u(theta) = (delta + (1 - delta)(1 + cos theta) / 2)^2 keeps
     every loop inside [0, 1], slows down near theta = pi as delta shrinks (so
     loop time concentrates where the first state coordinate is most negative),
-    and stays positive, so every candidate closes.  The loop period is computed
-    by quadrature of the reciprocal angular speed.
+    and stays positive, so every candidate closes.  Writing u = (a + b cos
+    theta)^2 with a = (1 + delta)/2, b = (1 - delta)/2 and a^2 - b^2 = delta,
+    the loop period is the integral of 1/u over one turn, 2 pi a / delta^(3/2).
     """
-    y0 = np.asarray(y0, dtype=float)
     cx, cy = spec.region.center if spec.region.kind == "annulus" else (0.0, 0.0)
-
-    def make_speed(delta):
-        def speed(theta):
-            return (delta + (1.0 - delta) * (1.0 + np.cos(theta)) / 2.0) ** 2
-        return speed
-
     candidates = []
-    thetas = np.linspace(0.0, 2.0 * np.pi, quadrature_points)
     for delta in deltas:
         if not 0.0 < delta <= 1.0:
             raise SimulationError("delta must lie in (0, 1]")
-        speed = make_speed(delta)
-        period = float(np.trapezoid(1.0 / speed(thetas), thetas))
 
-        def feedback(y, _speed=speed):
+        def feedback(y, delta=delta):
             theta = math.atan2(y[1] - cy, y[0] - cx)
-            return (_speed(theta),)
+            return ((delta + (1.0 - delta) * (1.0 + np.cos(theta)) / 2.0) ** 2,)
 
         candidates.append(PeriodicCandidate(label=f"delta={delta}",
                                             policy=FeedbackPolicy(feedback),
-                                            period=period))
+                                            period=math.pi * (1.0 + delta) / delta ** 1.5))
     return candidates
 
 

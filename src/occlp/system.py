@@ -4,9 +4,10 @@ A :class:`SystemSpec` bundles a control system ``y' = f(y, u)`` with a running
 cost ``k(y, u)``, a compact state region, a compact control region, optional
 first integrals (functions conserved along every admissible motion) and a
 priori bounds on ``sup ||f||`` and ``sup |k|``.  Dynamics and costs are
-referenced by identifier; identifiers resolve either to a registered built-in
-or directly to an expression in the grammar of :mod:`occlp.exprs`, so custom
-systems are declared as data rather than loaded as code.
+referenced by identifier: a dynamics id names one of the built-in dynamics
+or lists expressions in the grammar of :mod:`occlp.exprs`, and a cost id is
+such an expression, so custom systems are declared as data rather than loaded
+as code.
 
 Specs are immutable after construction and every evaluator is a pure function,
 safe to call from concurrent workers.
@@ -15,8 +16,9 @@ safe to call from concurrent workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -206,44 +208,21 @@ class ControlRegion:
 
 
 # ---------------------------------------------------------------------------
-# evaluator registry
+# built-in dynamics ids
 
-_DYNAMICS: dict[str, tuple[str, ...]] = {
+_BUILTIN_DYNAMICS = MappingProxyType({
     "rotation": ("u1*y2", "-u1*y1"),
     "frozen": ("0", "0"),
     "scalar-drift": ("-y1 + u1",),
-}
-
-_COSTS: dict[str, str] = {
-    "y1": "y1",
-}
-
-
-def register_dynamics(dyn_id: str, expressions: tuple[str, ...] | list[str]):
-    _DYNAMICS[dyn_id] = tuple(expressions)
-
-
-def register_cost(cost_id: str, expression: str):
-    _COSTS[cost_id] = expression
-
-
-def _dynamics_expressions(dyn_id: str) -> tuple[str, ...]:
-    if dyn_id in _DYNAMICS:
-        return _DYNAMICS[dyn_id]
-    # otherwise the id is a semicolon-separated expression list; garbage ids
-    # surface as UnknownEvaluatorError when the expressions fail to parse
-    return tuple(part.strip() for part in dyn_id.split(";"))
-
-
-def _cost_expression(cost_id: str) -> str:
-    if cost_id in _COSTS:
-        return _COSTS[cost_id]
-    return cost_id  # treated as an expression; parse errors surface below
+})
 
 
 @lru_cache(maxsize=None)
 def _parsed_dynamics(dyn_id: str, m: int, p: int) -> tuple[exprs.Node, ...]:
-    expressions = _dynamics_expressions(dyn_id)
+    # any other id is a semicolon-separated expression list; garbage ids
+    # surface as UnknownEvaluatorError when the expressions fail to parse
+    expressions = _BUILTIN_DYNAMICS.get(dyn_id) or tuple(
+        part.strip() for part in dyn_id.split(";"))
     if len(expressions) != m:
         raise DimensionMismatchError(
             f"dynamics_id {dyn_id!r} has {len(expressions)} components, state dim {m}")
@@ -256,7 +235,7 @@ def _parsed_dynamics(dyn_id: str, m: int, p: int) -> tuple[exprs.Node, ...]:
 @lru_cache(maxsize=None)
 def _parsed_cost(cost_id: str, m: int, p: int) -> exprs.Node:
     try:
-        return exprs.parse_expr(_cost_expression(cost_id), m, p)
+        return exprs.parse_expr(cost_id, m, p)
     except exprs.ExpressionError as err:
         raise UnknownEvaluatorError(f"unknown cost_id {cost_id!r}: {err}") from err
 
@@ -488,6 +467,13 @@ def validate_bounds(spec: SystemSpec, state_resolution: int = 25,
 # built-in systems
 
 
+def _with_bound_k(spec: SystemSpec, bound_k: float | None) -> SystemSpec:
+    """The spec with bound_k set; by default the sampled max |k| of validate_bounds."""
+    if bound_k is None:
+        bound_k = validate_bounds(spec).max_cost_abs
+    return replace(spec, bound_k=bound_k)
+
+
 def make_rotation(inner: float = 0.5, outer: float = 1.5, cost_id: str = "y1",
                   bound_k: float | None = None) -> SystemSpec:
     """Planar rotation at angular speed |u| <= 1 on an annulus.
@@ -495,17 +481,11 @@ def make_rotation(inner: float = 0.5, outer: float = 1.5, cost_id: str = "y1",
     Every circle about the origin is invariant (the squared radius is a first
     integral), so long-run values genuinely depend on the starting circle.
     """
-    region = StateRegion(kind="annulus", inner=inner, outer=outer)
-    control = ControlRegion(kind="box", lower=(-1.0,), upper=(1.0,))
-    spec = SystemSpec(name="rotation", dynamics_id="rotation", cost_id=cost_id,
-                      region=region, control=control,
-                      first_integrals=("y1^2 + y2^2",),
-                      bound_f=outer, bound_k=0.0)
-    if bound_k is None:
-        bound_k = validate_bounds(spec).max_cost_abs
-    return SystemSpec(name=spec.name, dynamics_id=spec.dynamics_id, cost_id=spec.cost_id,
-                      region=region, control=control, first_integrals=spec.first_integrals,
-                      bound_f=outer, bound_k=bound_k)
+    return _with_bound_k(SystemSpec(
+        name="rotation", dynamics_id="rotation", cost_id=cost_id,
+        region=StateRegion(kind="annulus", inner=inner, outer=outer),
+        control=ControlRegion(kind="box", lower=(-1.0,), upper=(1.0,)),
+        first_integrals=("y1^2 + y2^2",), bound_f=outer), bound_k)
 
 
 def make_frozen(lower=(-1.0, -1.0), upper=(1.0, 1.0), cost_id: str = "y1 + u1^2",
@@ -513,24 +493,15 @@ def make_frozen(lower=(-1.0, -1.0), upper=(1.0, 1.0), cost_id: str = "y1 + u1^2"
     """Degenerate system with identically zero dynamics on a box."""
     lower = tuple(float(v) for v in lower)
     upper = tuple(float(v) for v in upper)
-    region = StateRegion(kind="box", lower=lower, upper=upper)
-    control = ControlRegion(kind="box", lower=(-1.0,), upper=(1.0,))
-    dyn_id = "frozen" if len(lower) == 2 else ";".join(["0"] * len(lower))
-    spec = SystemSpec(name="frozen", dynamics_id=dyn_id, cost_id=cost_id,
-                      region=region, control=control, bound_f=0.0, bound_k=0.0)
-    if bound_k is None:
-        bound_k = validate_bounds(spec).max_cost_abs
-    return SystemSpec(name="frozen", dynamics_id=dyn_id, cost_id=cost_id,
-                      region=region, control=control, bound_f=0.0, bound_k=bound_k)
+    return _with_bound_k(SystemSpec(
+        name="frozen", dynamics_id="frozen" if len(lower) == 2 else ";".join(["0"] * len(lower)),
+        cost_id=cost_id, region=StateRegion(kind="box", lower=lower, upper=upper),
+        control=ControlRegion(kind="box", lower=(-1.0,), upper=(1.0,)), bound_f=0.0), bound_k)
 
 
 def make_scalar_drift(cost_id: str = "y1^2", bound_k: float | None = None) -> SystemSpec:
     """Ergodic contrast system y' = -y + u on [-1, 1] with u in [-1, 1]."""
-    region = StateRegion(kind="box", lower=(-1.0,), upper=(1.0,))
-    control = ControlRegion(kind="box", lower=(-1.0,), upper=(1.0,))
-    spec = SystemSpec(name="scalar-drift", dynamics_id="scalar-drift", cost_id=cost_id,
-                      region=region, control=control, bound_f=2.0, bound_k=0.0)
-    if bound_k is None:
-        bound_k = validate_bounds(spec).max_cost_abs
-    return SystemSpec(name="scalar-drift", dynamics_id="scalar-drift", cost_id=cost_id,
-                      region=region, control=control, bound_f=2.0, bound_k=bound_k)
+    return _with_bound_k(SystemSpec(
+        name="scalar-drift", dynamics_id="scalar-drift", cost_id=cost_id,
+        region=StateRegion(kind="box", lower=(-1.0,), upper=(1.0,)),
+        control=ControlRegion(kind="box", lower=(-1.0,), upper=(1.0,)), bound_f=2.0), bound_k)

@@ -4,13 +4,12 @@ import pytest
 from occlp import oracle, system
 from occlp.basis import basis_for_region, phi_matrix
 from occlp.grid import DiscreteMeasure, build_grid
-from occlp.programs import (DEFAULT_XI_MASS_CAP, LpInstance, ProgramError, RowMeta,
+from occlp.programs import (PRIMAL_RESIDUAL_TOL, LpInstance, ProgramError, RowMeta,
                             build_discounted_lp, build_ergodic_lp,
                             build_nonergodic_lp, build_perturbed_lp,
                             certificate_is_valid, certificate_offgrid_report,
-                            certificate_slacks, export_lp_text,
-                            extract_dual_certificate, membership_residual,
-                            parse_lp_text, snap_to_state_grid, solve,
+                            certificate_slacks, extract_dual_certificate,
+                            membership_residual, snap_to_state_grid, solve,
                             verify_weak_duality)
 
 
@@ -94,6 +93,21 @@ def test_solver_duality_gap_contract(rotation_solved):
     assert abs(solution.value - solution.dual_objective) <= 1e-8 * max(1.0, abs(solution.value))
     assert solution.primal_residual <= 1e-7
     assert solution.complementarity_residual <= 1e-6
+
+
+def test_returned_point_meets_residual_contract():
+    # at this size the minimal-mass refinement lands outside the primal
+    # residual tolerance; solve must return a point that meets it
+    spec = system.make_rotation()
+    g = build_grid(spec, (5, 128), 9)
+    b = basis_for_region(spec.region, 6)
+    instance = build_nonergodic_lp(g, b, spec, (1.0, 0.0))
+    solution = solve(instance)
+    assert solution.status == "optimal"
+    x = np.concatenate([solution.gamma.weights, solution.xi.weights])
+    a_eq = np.hstack([instance.eq_gamma, instance.eq_xi])
+    assert np.max(np.abs(a_eq @ x - instance.eq_rhs)) <= PRIMAL_RESIDUAL_TOL
+    membership_residual(solution.gamma, g, b, (1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +391,7 @@ def test_omega_residual_shrinks_under_grid_refinement():
 
 
 # ---------------------------------------------------------------------------
-# mass cap and text export
+# mass cap
 
 
 def test_xi_mass_is_canonical_minimum(rotation_solved):
@@ -396,19 +410,3 @@ def test_tiny_cap_binds_and_is_flagged(rotation_setup):
         assert solution.cap_binding
     else:
         assert solution.status == "infeasible"
-
-
-def test_lp_text_round_trip(rotation_setup):
-    spec, g, b = rotation_setup
-    instance = build_nonergodic_lp(g, b, spec, (1.0, 0.0))
-    text = export_lp_text(instance)
-    parsed = parse_lp_text(text)
-    assert parsed["n_gamma"] == instance.n_gamma
-    assert parsed["n_xi"] == instance.n_xi
-    assert parsed["cap"] == DEFAULT_XI_MASS_CAP
-    full_obj = np.concatenate([instance.objective_gamma, instance.objective_xi])
-    assert np.array_equal(parsed["objective"], full_obj)
-    full_rows = np.hstack([instance.eq_gamma, instance.eq_xi])
-    assert np.array_equal(parsed["rows"], full_rows)
-    assert np.array_equal(parsed["rhs"], instance.eq_rhs)
-    assert parsed["meta"] == [(m.kind, m.basis_index) for m in instance.row_meta]

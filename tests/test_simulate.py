@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad as integrate_quad
 
 from occlp import simulate, system
 from occlp.basis import basis_for_region, phi_matrix
@@ -244,6 +245,12 @@ def test_periodic_family_values_match_closed_form(rotation):
     assert values[0] > values[1] > values[2]
     assert all(row.closure_error <= 1e-3 for row in result.rows)
     assert result.best_value == min(values)
+    # the closed-form period is the integral of 1/u(theta) over one turn
+    for delta, cand in zip(deltas, candidates):
+        period, _ = integrate_quad(
+            lambda t: (delta + (1 - delta) * (1 + math.cos(t)) / 2) ** -2,
+            0.0, 2 * math.pi, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert cand.period == pytest.approx(period, rel=1e-12)
 
 
 def test_periodic_unit_speed_loop_is_zero_mean(rotation):
