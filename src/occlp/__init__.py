@@ -17,10 +17,9 @@ from .programs import (DualCertificate, LpInstance, LpSolution, MembershipResidu
                        extract_dual_certificate, membership_residual, solve,
                        verify_weak_duality)
 from .simulate import (AbelValue, ConstantPolicy, FeedbackPolicy, Policy, SchedulePolicy,
-                       SteerThenHoldPolicy, Trajectory, abel_value, cesaro_value,
-                       empirical_discounted_measure, empirical_occupational_measure,
-                       integrate, periodic_value_search, residual_decay_study,
-                       rotation_delta_family)
+                       Trajectory, abel_value, cesaro_value, empirical_discounted_measure,
+                       empirical_occupational_measure, horizon_study, integrate,
+                       periodic_value_search, rotation_delta_family)
 from .system import (ControlRegion, StateRegion, SystemSpec, check_first_integrals,
                      check_forward_invariance, eval_cost, eval_dynamics, make_frozen,
                      make_rotation, make_scalar_drift, validate_bounds)

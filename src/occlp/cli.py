@@ -33,8 +33,7 @@ from .programs import (build_discounted_lp, build_ergodic_lp, build_nonergodic_l
                        build_perturbed_lp, certificate_offgrid_report,
                        certificate_slacks, extract_dual_certificate,
                        membership_residual, solve, verify_weak_duality)
-from .simulate import (Trajectory, abel_value, cesaro_value,
-                       empirical_occupational_measure, integrate,
+from .simulate import (Trajectory, abel_value, cesaro_value, horizon_study,
                        periodic_value_search, rotation_delta_family)
 
 log = logging.getLogger("occlp")
@@ -182,6 +181,10 @@ def _solve_section(bundle, spec, grid, basis, cfg: StudyConfig, jobs: int):
                 bundle.warnings.append(
                     f"{name}: xi mass cap binding (coupled feasible set may be "
                     f"far from closed at this discretisation)")
+            if not solution.xi_canonical:
+                bundle.warnings.append(
+                    f"{name}: minimal-mass refinement rejected; xi is an arbitrary "
+                    f"optimal transport")
 
     if "ergodic" in prog.variants and "nonergodic" in prog.variants:
         erg = results["ergodic"][1]
@@ -231,18 +234,14 @@ def _simulate_section(bundle, spec, grid, basis, cfg: StudyConfig, solve_results
     y0 = np.asarray(cfg.program.y0, dtype=float)
     policy = build_policy(sim.policy, spec, y0)
 
-    # one trajectory per horizon, reused for average values, empirical
-    # measures, residual decay and the weak-* distance trend
-    horizons = sorted(sim.horizons)
-    trajectories = {h: integrate(spec, y0, policy, h, sim.dt) for h in horizons}
-    empirical = {h: empirical_occupational_measure(trajectories[h], grid)
-                 for h in horizons}
-
+    # windows of one run, reused for average values, empirical measures,
+    # residual decay and the weak-* distance trend
+    study = horizon_study(spec, y0, policy, sim.horizons, grid, basis, sim.dt)
     horizon_rows = []
-    for horizon in horizons:
-        value = cesaro_value(trajectories[horizon], spec)
-        horizon_rows.append([horizon, value])
-        bundle.values[f"cesaro[T={horizon:g}]"] = value
+    for row in study:
+        value = cesaro_value(row.trajectory, spec)
+        horizon_rows.append([row.horizon, value])
+        bundle.values[f"cesaro[T={row.horizon:g}]"] = value
     bundle.tables["cesaro_by_horizon"] = {"columns": ["horizon", "cesaro_value"],
                                           "rows": horizon_rows}
 
@@ -258,10 +257,8 @@ def _simulate_section(bundle, spec, grid, basis, cfg: StudyConfig, solve_results
                           lp_value <= result.value + 0.05,
                           f"LP {lp_value:.4f} <= abel {result.value:.4f} + 0.05")
 
-    decay_rows = []
-    for horizon in horizons:
-        res = membership_residual(empirical[horizon], grid, basis, y0)
-        decay_rows.append([horizon, res.w_residual, res.omega_residual])
+    decay_rows = [[row.horizon, row.residual.w_residual, row.residual.omega_residual]
+                  for row in study]
     bundle.tables["residual_decay"] = {
         "columns": ["horizon", "w_residual", "omega_residual"], "rows": decay_rows}
     floor = min(row[1] for row in decay_rows)
@@ -274,7 +271,7 @@ def _simulate_section(bundle, spec, grid, basis, cfg: StudyConfig, solve_results
     non = solve_results.get("nonergodic")
     if non is not None and non[1].status == "optimal":
         tf = make_test_function_set(basis, spec.region)
-        rows = [[h, rho_hat(empirical[h], non[1].gamma, tf)] for h in horizons]
+        rows = [[row.horizon, rho_hat(row.measure, non[1].gamma, tf)] for row in study]
         bundle.tables["empirical_to_optimal_distance"] = {
             "columns": ["horizon", "rho_hat"], "rows": rows}
 
@@ -304,13 +301,10 @@ def _sweep_section(bundle, spec, grid, basis, cfg: StudyConfig, solve_results):
         rows = []
         for rate in sorted(prog.discount_rates):
             name = f"discounted[rate={rate:g}]"
-            if name in solve_results and solve_results[name][1].status == "optimal":
-                rows.append([rate, solve_results[name][1].value])
-            else:
-                instance = build_discounted_lp(grid, basis, spec, y0, rate)
-                solution = solve(instance)
-                if solution.status == "optimal":
-                    rows.append([rate, solution.value])
+            pair = solve_results.get(name)
+            solution = pair[1] if pair else solve(build_discounted_lp(grid, basis, spec, y0, rate))
+            if solution.status == "optimal":
+                rows.append([rate, solution.value])
         if rows:
             bundle.tables["discount_sweep"] = {"columns": ["rate", "lp_value"], "rows": rows}
 

@@ -39,13 +39,13 @@ Top-level keys (before any section) apply to the whole study::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
-from .simulate import (ConstantPolicy, Policy, SchedulePolicy, SteerThenHoldPolicy,
+from .simulate import (ConstantPolicy, Policy, SchedulePolicy, SimulationError,
                        rotation_delta_family)
-from .system import (ControlRegion, StateRegion, SystemSpec, make_frozen,
+from .system import (ControlRegion, StateRegion, SystemSpec, SystemSpecError, make_frozen,
                      make_rotation, make_scalar_drift, validate_bounds)
 
 
@@ -58,13 +58,15 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# schema
+# schema: each field declares one key, and its type picks the key's coercer
+
+Expr = str  # an expression; a bare number is read as one too
 
 
 @dataclass
 class SystemConfig:
     name: str = "rotation"
-    cost: str = "y1"
+    cost: Expr = "y1"
     inner_radius: float = 0.5
     outer_radius: float = 1.5
     lower: tuple[float, ...] = (-1.0, -1.0)
@@ -241,133 +243,87 @@ def _want_str_tuple(value, line: int, key: str) -> tuple[str, ...]:
     raise ConfigError(f"{key} must be an array of names, got {value!r}", line)
 
 
-_SECTION_KEYS = {
-    "": {"seed"},
-    "system": {"name", "cost", "inner_radius", "outer_radius", "lower", "upper",
-               "region", "dynamics", "first_integrals", "control_lower",
-               "control_upper", "bound_f", "bound_k"},
-    "grid": {"state_resolution", "control_resolution"},
-    "basis": {"degree"},
-    "program": {"variants", "y0", "discount_rates", "epsilons", "xi_mass_cap"},
-    "simulate": {"policy", "horizons", "dt", "abel_rates", "abel_horizon",
-                 "abel_dt", "periodic_deltas", "periodic_dt"},
-    "output": {"dir", "formats"},
-}
+_COERCERS = {"str": _want_str, "Expr": _want_expr, "int": _want_int, "float": _want_float,
+             "float | None": _want_float, "tuple[int, ...]": _want_int_tuple,
+             "tuple[float, ...]": _want_float_tuple, "tuple[str, ...]": _want_str_tuple}
+
+# section name -> the fields declaring its keys; "" holds the top-level keys
+_SECTIONS = {f.name: f.default_factory for f in fields(StudyConfig)
+             if f.default_factory is not MISSING}
+_SCHEMA = {"": tuple(f for f in fields(StudyConfig) if f.name not in _SECTIONS),
+           **{name: fields(cls) for name, cls in _SECTIONS.items()}}
 
 
 def parse_config(text: str) -> StudyConfig:
     """Parse and fully validate a study configuration."""
     sections = _read_items(text)
     for section, items in sections.items():
-        if section not in _SECTION_KEYS:
+        if section not in _SCHEMA:
             line = min(line for _, line in items.values()) if items else None
             raise ConfigError(f"unknown section [{section}]", line)
+        known = {f.name for f in _SCHEMA[section]}
         for key, (_value, line) in items.items():
-            if key not in _SECTION_KEYS[section]:
+            if key not in known:
                 where = f"[{section}]" if section else "top level"
                 raise ConfigError(f"unknown key {key!r} in {where}", line)
 
-    cfg = StudyConfig()
+    def line_of(section: str, key: str) -> int | None:
+        return sections.get(section, {}).get(key, (None, None))[1]
 
-    top = sections.get("", {})
-    if "seed" in top:
-        cfg.seed = _want_int(*top["seed"], key="seed")
+    def build(section: str, cls):
+        items = sections.get(section, {})
+        return cls(**{f.name: _COERCERS[f.type](*items[f.name], f.name)
+                      for f in _SCHEMA[section] if f.name in items})
 
-    sys_items = sections.get("system", {})
-
-    def get(section_items, key, coerce, default):
-        if key not in section_items:
-            return default
-        value, line = section_items[key]
-        return coerce(value, line, key)
-
-    cfg.system = SystemConfig(
-        name=get(sys_items, "name", _want_str, "rotation"),
-        cost=get(sys_items, "cost", _want_expr, "y1"),
-        inner_radius=get(sys_items, "inner_radius", _want_float, 0.5),
-        outer_radius=get(sys_items, "outer_radius", _want_float, 1.5),
-        lower=get(sys_items, "lower", _want_float_tuple, (-1.0, -1.0)),
-        upper=get(sys_items, "upper", _want_float_tuple, (1.0, 1.0)),
-        region=get(sys_items, "region", _want_str, ""),
-        dynamics=get(sys_items, "dynamics", _want_str_tuple, ()),
-        first_integrals=get(sys_items, "first_integrals", _want_str_tuple, ()),
-        control_lower=get(sys_items, "control_lower", _want_float_tuple, (-1.0,)),
-        control_upper=get(sys_items, "control_upper", _want_float_tuple, (1.0,)),
-        bound_f=get(sys_items, "bound_f", _want_float, None),
-        bound_k=get(sys_items, "bound_k", _want_float, None),
-    )
-
-    grid_items = sections.get("grid", {})
-    state_res = get(grid_items, "state_resolution", _want_int_tuple, (5, 64))
-    cfg.grid = GridConfig(
-        state_resolution=state_res,
-        control_resolution=get(grid_items, "control_resolution", _want_int, 9),
-    )
-
-    basis_items = sections.get("basis", {})
-    cfg.basis = BasisConfig(degree=get(basis_items, "degree", _want_int, 4))
+    cfg = build("", StudyConfig)
+    cfg.system = build("system", SystemConfig)
+    cfg.grid = build("grid", GridConfig)
+    cfg.basis = build("basis", BasisConfig)
     if cfg.basis.degree < 1:
-        line = basis_items["degree"][1] if "degree" in basis_items else None
-        raise ConfigError("max_degree must be >= 1", line)
+        raise ConfigError("max_degree must be >= 1", line_of("basis", "degree"))
 
-    prog_items = sections.get("program", {})
-    cfg.program = ProgramConfig(
-        variants=get(prog_items, "variants", _want_str_tuple, ("ergodic", "nonergodic")),
-        y0=get(prog_items, "y0", _want_float_tuple, (1.0, 0.0)),
-        discount_rates=get(prog_items, "discount_rates", _want_float_tuple, (0.005,)),
-        epsilons=get(prog_items, "epsilons", _want_float_tuple, (0.1, 0.01, 0.001, 0.0)),
-        xi_mass_cap=get(prog_items, "xi_mass_cap", _want_float, 1e6),
-    )
+    cfg.program = build("program", ProgramConfig)
     for variant in cfg.program.variants:
         if variant not in _KNOWN_VARIANTS:
-            line = prog_items["variants"][1] if "variants" in prog_items else None
-            raise ConfigError(f"unknown program variant {variant!r}", line)
+            raise ConfigError(f"unknown program variant {variant!r}",
+                              line_of("program", "variants"))
     for rate in cfg.program.discount_rates:
         if rate <= 0:
             raise ConfigError("discount_rates must be positive",
-                              prog_items.get("discount_rates", (None, None))[1])
+                              line_of("program", "discount_rates"))
     for eps in cfg.program.epsilons:
         if eps < 0:
-            raise ConfigError("epsilons must be nonnegative",
-                              prog_items.get("epsilons", (None, None))[1])
+            raise ConfigError("epsilons must be nonnegative", line_of("program", "epsilons"))
     if cfg.program.xi_mass_cap <= 0:
-        raise ConfigError("xi_mass_cap must be positive",
-                          prog_items.get("xi_mass_cap", (None, None))[1])
+        raise ConfigError("xi_mass_cap must be positive", line_of("program", "xi_mass_cap"))
 
-    sim_items = sections.get("simulate", {})
-    cfg.simulate = SimulateConfig(
-        policy=get(sim_items, "policy", _want_str, ""),
-        horizons=get(sim_items, "horizons", _want_float_tuple, (25.0, 50.0, 100.0, 200.0)),
-        dt=get(sim_items, "dt", _want_float, 1e-3),
-        abel_rates=get(sim_items, "abel_rates", _want_float_tuple, ()),
-        abel_horizon=get(sim_items, "abel_horizon", _want_float, 1200.0),
-        abel_dt=get(sim_items, "abel_dt", _want_float, 1e-2),
-        periodic_deltas=get(sim_items, "periodic_deltas", _want_float_tuple, ()),
-        periodic_dt=get(sim_items, "periodic_dt", _want_float, 1e-2),
-    )
-    for key in ("dt", "abel_dt", "periodic_dt", "abel_horizon"):
-        if getattr(cfg.simulate, key) <= 0:
-            raise ConfigError(f"{key} must be positive", sim_items.get(key, (None, None))[1])
+    sim = cfg.simulate = build("simulate", SimulateConfig)
+    for key in ("dt", "abel_dt", "periodic_dt", "abel_horizon", "horizons", "abel_rates"):
+        if np.any(np.asarray(getattr(sim, key)) <= 0):
+            raise ConfigError(f"{key} must be positive", line_of("simulate", key))
+    if not all(0.0 < delta <= 1.0 for delta in sim.periodic_deltas):
+        raise ConfigError("periodic_deltas must lie in (0, 1]",
+                          line_of("simulate", "periodic_deltas"))
+    if sim.policy and not sim.horizons:
+        raise ConfigError("a policy needs at least one horizon", line_of("simulate", "horizons"))
 
-    out_items = sections.get("output", {})
-    cfg.output = OutputConfig(
-        dir=get(out_items, "dir", _want_str, "out"),
-        formats=get(out_items, "formats", _want_str_tuple, ("json",)),
-    )
+    cfg.output = build("output", OutputConfig)
     for fmt in cfg.output.formats:
         if fmt not in ("json", "csv-dir"):
-            raise ConfigError(f"unknown output format {fmt!r}",
-                              out_items.get("formats", (None, None))[1])
+            raise ConfigError(f"unknown output format {fmt!r}", line_of("output", "formats"))
 
-    # cross-block validation: the system must build and y0 must be inside it
+    # cross-block validation: the system must build, y0 must be inside it and
+    # the policy must build for it
     spec = build_system(cfg.system)
     y0 = np.asarray(cfg.program.y0, dtype=float)
     if y0.shape != (spec.dim_state,):
         raise ConfigError(f"y0 has dimension {y0.shape[0]}, system expects {spec.dim_state}",
-                          prog_items.get("y0", (None, None))[1])
+                          line_of("program", "y0"))
     if not spec.region.contains(y0):
         raise ConfigError(f"y0 {cfg.program.y0} lies outside the state region",
-                          prog_items.get("y0", (None, None))[1])
+                          line_of("program", "y0"))
+    if sim.policy:
+        build_policy(sim.policy, spec, y0)
     return cfg
 
 
@@ -376,6 +332,13 @@ def parse_config(text: str) -> StudyConfig:
 
 
 def build_system(cfg: SystemConfig) -> SystemSpec:
+    try:
+        return _build_system(cfg)
+    except SystemSpecError as err:
+        raise ConfigError(str(err)) from err
+
+
+def _build_system(cfg: SystemConfig) -> SystemSpec:
     if cfg.name == "rotation":
         if not 0 < cfg.inner_radius <= cfg.outer_radius:
             raise ConfigError("rotation needs 0 < inner_radius <= outer_radius")
@@ -428,10 +391,9 @@ def build_policy(text: str, spec: SystemSpec, y0) -> Policy:
     try:
         if kind == "constant":
             return ConstantPolicy([float(v) for v in rest.split(":")])
-        if kind == "steer_hold":
+        if kind == "steer_hold":  # a two-piece schedule
             u1, t_switch, u2 = rest.split(":")
-            return SteerThenHoldPolicy(ConstantPolicy(float(u1)), float(t_switch),
-                                       ConstantPolicy(float(u2)))
+            return SchedulePolicy([0.0, float(t_switch)], [float(u1), float(u2)])
         if kind == "schedule":
             body, _, period = rest.partition("@")
             times, values = [], []
@@ -444,7 +406,7 @@ def build_policy(text: str, spec: SystemSpec, y0) -> Policy:
         if kind == "rotation_delta":
             candidates = rotation_delta_family(spec, y0, [float(rest)])
             return candidates[0].policy
-    except (ValueError, IndexError) as err:
+    except (ValueError, IndexError, SimulationError) as err:
         raise ConfigError(f"malformed policy {text!r}: {err}") from err
     raise ConfigError(f"unknown policy kind {kind!r}")
 

@@ -110,6 +110,7 @@ class LpSolution:
     row_duals: np.ndarray | None
     cap_dual: float
     cap_binding: bool
+    xi_canonical: bool  # xi has minimal mass on the optimal face (or its mass is priced)
     dual_objective: float | None
     primal_residual: float
     complementarity_residual: float
@@ -244,14 +245,9 @@ def solve(instance: LpInstance) -> LpSolution:
                      A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
 
     iterations = int(getattr(result, "nit", 0) or 0)
-    if result.status == 2:
-        return LpSolution("infeasible", None, None, None, None, 0.0, False, None,
-                          np.inf, np.inf, iterations, result.message)
-    if result.status == 3:
-        return LpSolution("unbounded", None, None, None, None, 0.0, False, None,
-                          np.inf, np.inf, iterations, result.message)
     if result.status != 0:
-        return LpSolution("tolerance-failure", None, None, None, None, 0.0, False, None,
+        status = {2: "infeasible", 3: "unbounded"}.get(result.status, "tolerance-failure")
+        return LpSolution(status, None, None, None, None, 0.0, False, False, None,
                           np.inf, np.inf, iterations, result.message)
 
     x = np.asarray(result.x)
@@ -298,7 +294,8 @@ def solve(instance: LpInstance) -> LpSolution:
         message = f"duality gap {value - dual_objective:.3e} exceeds tolerance"
 
     return LpSolution(status, value, gamma, xi, row_duals, cap_dual, cap_binding,
-                      dual_objective, primal_residual, complementarity, iterations, message)
+                      xi_mass_canonical, dual_objective, primal_residual, complementarity,
+                      iterations, message)
 
 
 # ---------------------------------------------------------------------------

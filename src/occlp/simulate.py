@@ -10,7 +10,8 @@ bit-for-bit.  On top of the integrator:
   binning, which keeps them exactly nonnegative and exactly massed,
 * a periodic-policy family search giving certified upper bounds plus a trend
   table, and
-* a horizon sweep of the membership residuals of empirical measures.
+* a horizon study: windows of one run, their empirical measures and
+  membership residuals.
 """
 
 from __future__ import annotations
@@ -106,18 +107,6 @@ def feedback_table_policy(grid: Grid, table: np.ndarray) -> FeedbackPolicy:
     return FeedbackPolicy(lambda y: table[int(nearest_index(grid.state_points, y)[0])])
 
 
-class SteerThenHoldPolicy(Policy):
-    """Follow one policy up to a switch time, another afterwards."""
-
-    def __init__(self, steer: Policy, switch_time: float, hold: Policy):
-        self.steer = steer
-        self.switch_time = float(switch_time)
-        self.hold = hold
-
-    def control(self, t, y):
-        return self.steer.control(t, y) if t < self.switch_time else self.hold.control(t, y)
-
-
 # ---------------------------------------------------------------------------
 # integration
 
@@ -141,6 +130,11 @@ class Trajectory:
 
     def final_state(self) -> np.ndarray:
         return self.states[-1].copy()
+
+    def prefix(self, steps: int) -> Trajectory:
+        """The first ``steps`` steps, as views into this trajectory."""
+        return Trajectory(self.spec, self.dt, self.times[:steps + 1], self.states[:steps + 1],
+                          self.controls[:steps], self.in_region[:steps + 1])
 
 
 def rk4_step(f, y: tuple, u: tuple, dt: float) -> tuple:
@@ -376,31 +370,37 @@ def constant_policy_family(spec: SystemSpec, us, period: float = 1.0):
 
 
 # ---------------------------------------------------------------------------
-# residual decay study
+# horizon study
 
 
 @dataclass(frozen=True)
-class ResidualDecayRow:
+class HorizonRow:
     horizon: float
-    w_residual: float
-    omega_residual: float
+    trajectory: Trajectory  # the window [0, horizon] of the longest run
+    measure: DiscreteMeasure
+    residual: MembershipResidual
 
 
-def residual_decay_study(spec: SystemSpec, y0, policy: Policy, horizons,
-                         grid: Grid, basis: BasisSpec,
-                         dt: float = 1e-3) -> list[ResidualDecayRow]:
-    """Membership residuals of empirical measures across increasing horizons.
+def horizon_study(spec: SystemSpec, y0, policy: Policy, horizons,
+                  grid: Grid, basis: BasisSpec, dt: float = 1e-3) -> list[HorizonRow]:
+    """Empirical measures and their membership residuals over growing windows.
 
-    The flow residual of an empirical measure decays like the boundary term
-    (phi(y(T)) - phi(y0)) / T plus a binning floor, so across horizon doublings
-    it should be non-increasing up to that floor.
+    One trajectory is integrated to the longest horizon; horizon T is its
+    first ceil(T / dt) steps, which is bitwise the run ``integrate`` returns
+    for T whenever T / ceil(T / dt) equals the long run's step, and otherwise
+    ends within one step of T.  The flow residual of an empirical measure
+    decays like the boundary term (phi(y(T)) - phi(y0)) / T plus a binning
+    floor, so across horizon doublings it should be non-increasing up to that
+    floor.
     """
     horizons = sorted(float(t) for t in horizons)
+    if not horizons or horizons[0] <= 0:
+        raise SimulationError("horizons must be a nonempty list of positive times")
+    run = integrate(spec, y0, policy, horizons[-1], dt)
     rows = []
     for horizon in horizons:
-        traj = integrate(spec, y0, policy, horizon, dt)
-        measure = empirical_occupational_measure(traj, grid)
-        res: MembershipResidual = membership_residual(measure, grid, basis, y0)
-        rows.append(ResidualDecayRow(horizon=horizon, w_residual=res.w_residual,
-                                     omega_residual=res.omega_residual))
+        window = run.prefix(math.ceil(horizon / dt))
+        measure = empirical_occupational_measure(window, grid)
+        rows.append(HorizonRow(horizon, window, measure,
+                               membership_residual(measure, grid, basis, y0)))
     return rows

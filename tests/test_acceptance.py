@@ -19,7 +19,7 @@ from occlp.programs import (build_discounted_lp, build_ergodic_lp,
                             build_nonergodic_lp, build_perturbed_lp,
                             certificate_slacks, extract_dual_certificate,
                             membership_residual, solve, verify_weak_duality)
-from occlp.simulate import (ConstantPolicy, SteerThenHoldPolicy, abel_value,
+from occlp.simulate import (ConstantPolicy, SchedulePolicy, abel_value,
                             cesaro_value, empirical_occupational_measure,
                             integrate, periodic_value_search,
                             rotation_delta_family)
@@ -81,7 +81,7 @@ def perturbed_solutions(rotation, setup):
 @pytest.fixture(scope="module")
 def steer_hold_policy():
     switch = round(math.pi / 1e-3) * 1e-3  # land the switch on a step boundary
-    return SteerThenHoldPolicy(ConstantPolicy(1.0), switch, ConstantPolicy(0.0))
+    return SchedulePolicy([0.0, switch], [1.0, 0.0])
 
 
 @pytest.fixture(scope="module")

@@ -63,8 +63,8 @@ def test_minimal_config_fills_defaults():
 
 
 def test_default_config_text_parses():
-    cfg = parse_config(default_config_text())
-    assert isinstance(cfg, StudyConfig)
+    # the dataclass defaults and the documented defaults must not drift
+    assert parse_config(default_config_text()) == StudyConfig()
 
 
 @pytest.mark.parametrize("snippet,needle", [
@@ -78,6 +78,15 @@ def test_default_config_text_parses():
     ("just some words\n", "expected 'key = value'"),
     ("[program]\nvariants = [ergodic, bogus]\n", "unknown program variant"),
     ("[output]\nformats = [yaml]\n", "unknown output format"),
+    ("[system]\ncost = fast\n", "unknown cost_id 'fast'"),
+    ("[system]\nname = custom\nregion = box\nlower = [-1.0]\nupper = [1.0]\n"
+     "dynamics = [y1 +* u1]\n", "dynamics_id"),
+    ("[simulate]\npolicy = constant:1.0\nhorizons = []\n", "at least one horizon"),
+    ("[simulate]\npolicy = constant:1.0\nhorizons = 0\n", "horizons must be positive"),
+    ("[simulate]\nabel_rates = -1.0\n", "abel_rates must be positive"),
+    ("[simulate]\nperiodic_deltas = 0\n", "periodic_deltas must lie in (0, 1]"),
+    ("[simulate]\npolicy = schedule:1:0.5\n", "malformed policy"),
+    ("[simulate]\npolicy = steer_hold:1.0:0.0:0.0\n", "strictly increasing"),
 ])
 def test_config_errors_name_the_problem(snippet, needle):
     with pytest.raises(ConfigError) as err:

@@ -114,8 +114,8 @@ def test_hausdorff_empirical_sweep_shrinks_towards_optimum():
 
     from occlp.basis import basis_for_region
     from occlp.programs import build_nonergodic_lp, solve
-    from occlp.simulate import (ConstantPolicy, SteerThenHoldPolicy,
-                                empirical_occupational_measure, integrate)
+    from occlp.simulate import (SchedulePolicy, empirical_occupational_measure,
+                                integrate)
 
     spec = system.make_rotation()
     g = build_grid(spec, (5, 32), 5)
@@ -123,7 +123,7 @@ def test_hausdorff_empirical_sweep_shrinks_towards_optimum():
     tf = make_test_function_set(b, spec.region)
     solution = solve(build_nonergodic_lp(g, b, spec, (1.0, 0.0)))
     assert solution.status == "optimal"
-    policy = SteerThenHoldPolicy(ConstantPolicy(1.0), math.pi, ConstantPolicy(0.0))
+    policy = SchedulePolicy([0.0, math.pi], [1.0, 0.0])
     distances = []
     for horizon in (10.0, 20.0, 40.0):
         traj = integrate(spec, (1.0, 0.0), policy, horizon, 1e-2)

@@ -108,6 +108,8 @@ def test_returned_point_meets_residual_contract():
     a_eq = np.hstack([instance.eq_gamma, instance.eq_xi])
     assert np.max(np.abs(a_eq @ x - instance.eq_rhs)) <= PRIMAL_RESIDUAL_TOL
     membership_residual(solution.gamma, g, b, (1.0, 0.0))
+    # the rejected refinement is flagged: xi is an arbitrary optimal transport
+    assert not solution.xi_canonical
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +402,7 @@ def test_xi_mass_is_canonical_minimum(rotation_solved):
     # loop of unit-speed time; far below the cap, and certainly not at it
     assert 0.0 < solution.xi.total_mass < 10.0
     assert not solution.cap_binding
+    assert solution.xi_canonical
 
 
 def test_tiny_cap_binds_and_is_flagged(rotation_setup):

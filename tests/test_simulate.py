@@ -10,11 +10,10 @@ from occlp.grid import build_grid, integrate_measure
 from occlp.metrics import make_test_function_set, rho_hat
 from occlp.simulate import (ConstantPolicy, FeedbackPolicy, InsufficientHorizonError,
                             PeriodicCandidate, SchedulePolicy, SimulationError,
-                            StateConstraintError, SteerThenHoldPolicy, abel_value,
-                            cesaro_value, constant_policy_family,
-                            empirical_discounted_measure,
+                            StateConstraintError, abel_value, cesaro_value,
+                            constant_policy_family, empirical_discounted_measure,
                             empirical_occupational_measure, feedback_table_policy,
-                            integrate, periodic_value_search, residual_decay_study,
+                            horizon_study, integrate, periodic_value_search,
                             rk4_step, rotation_delta_family)
 from occlp.system import dynamics_fn
 
@@ -81,7 +80,7 @@ def test_cesaro_steer_then_hold_transient_bound(rotation):
     # steer half a turn at unit speed, then park at the angle of minimal cost;
     # the average is exactly -(T - pi)/T plus the vanishing cosine integral
     horizon = 60.0
-    policy = SteerThenHoldPolicy(ConstantPolicy(1.0), math.pi, ConstantPolicy(0.0))
+    policy = SchedulePolicy([0.0, math.pi], [1.0, 0.0])
     traj = integrate(rotation, (1.0, 0.0), policy, horizon, 1e-3)
     assert cesaro_value(traj, rotation) == pytest.approx(-(horizon - math.pi) / horizon,
                                                          abs=1e-3)
@@ -115,7 +114,7 @@ def test_abel_frozen(frozen):
 def test_abel_cesaro_consistency_at_matched_scales(rotation):
     # matched scales: discount rate ~ 1 / averaging horizon
     horizon = 60.0
-    policy = SteerThenHoldPolicy(ConstantPolicy(1.0), math.pi, ConstantPolicy(0.0))
+    policy = SchedulePolicy([0.0, math.pi], [1.0, 0.0])
     traj = integrate(rotation, (1.0, 0.0), policy, horizon, 1e-2)
     cesaro = cesaro_value(traj, rotation)
     abel = abel_value(rotation, (1.0, 0.0), policy, rate=1.0 / horizon, horizon=450.0,
@@ -157,7 +156,7 @@ def test_empirical_measure_equidistributes(rotation):
 def test_measure_trajectory_duality(rotation):
     g = build_grid(rotation, (5, 64), 9)
     b = basis_for_region(rotation.region, 4)
-    policy = SteerThenHoldPolicy(ConstantPolicy(1.0), 1.0, ConstantPolicy(0.25))
+    policy = SchedulePolicy([0.0, 1.0], [1.0, 0.25])
     traj = integrate(rotation, (1.0, 0.0), policy, 30.0, 1e-3)
     measure = empirical_occupational_measure(traj, g)
     phis_atoms = phi_matrix(b, g.atom_states)
@@ -284,32 +283,51 @@ def test_delta_family_validates_parameters(rotation):
 def test_residual_decay_rotation(rotation):
     g = build_grid(rotation, (5, 64), 9)
     b = basis_for_region(rotation.region, 4)
-    policy = SteerThenHoldPolicy(ConstantPolicy(1.0), math.pi, ConstantPolicy(0.0))
-    rows = residual_decay_study(rotation, (1.0, 0.0), policy, (10.0, 20.0, 40.0),
-                                g, b, dt=1e-2)
-    w = [row.w_residual for row in rows]
+    policy = SchedulePolicy([0.0, math.pi], [1.0, 0.0])
+    rows = horizon_study(rotation, (1.0, 0.0), policy, (10.0, 20.0, 40.0),
+                         g, b, dt=1e-2)
+    w = [row.residual.w_residual for row in rows]
     assert w[0] >= w[1] >= w[2] - 1e-12
-    assert rows[-1].omega_residual <= 0.02
+    assert rows[-1].residual.omega_residual <= 0.02
 
 
 def test_residual_decay_frozen_floor(frozen):
     g = build_grid(frozen, 2, 3)
     b = basis_for_region(frozen.region, 4)
-    rows = residual_decay_study(frozen, (0.25, 0.25), ConstantPolicy(0.0),
-                                (1.0, 2.0, 4.0), g, b, dt=1e-2)
+    rows = horizon_study(frozen, (0.25, 0.25), ConstantPolicy(0.0),
+                         (1.0, 2.0, 4.0), g, b, dt=1e-2)
     for row in rows:
-        assert row.w_residual <= 1e-12
-        assert row.omega_residual <= 1e-9
+        assert row.residual.w_residual <= 1e-12
+        assert row.residual.omega_residual <= 1e-9
 
 
 def test_residual_decay_integer_periods_at_floor(rotation):
     g = build_grid(rotation, (5, 64), 3)
     b = basis_for_region(rotation.region, 4)
-    rows = residual_decay_study(rotation, (1.0, 0.0), ConstantPolicy(1.0),
-                                (2 * math.pi, 4 * math.pi), g, b, dt=1e-3)
+    rows = horizon_study(rotation, (1.0, 0.0), ConstantPolicy(1.0),
+                         (2 * math.pi, 4 * math.pi), g, b, dt=1e-3)
     # whole numbers of loops average exactly; the floor does not grow with T
-    assert all(row.w_residual <= 1e-3 for row in rows)
-    assert abs(rows[0].w_residual - rows[1].w_residual) <= 1e-3
+    w = [row.residual.w_residual for row in rows]
+    assert all(v <= 1e-3 for v in w)
+    assert abs(w[0] - w[1]) <= 1e-3
+
+
+def test_horizon_study_windows_are_separate_runs(rotation):
+    # at dt = 1e-3 the horizons 25 and 50 are exact prefixes of the 100 run
+    g = build_grid(rotation, (5, 16), 3)
+    b = basis_for_region(rotation.region, 2)
+    policy = SchedulePolicy([0.0, math.pi], [1.0, 0.0])
+    rows = horizon_study(rotation, (1.0, 0.0), policy, (50.0, 25.0, 100.0), g, b, dt=1e-3)
+    assert [row.horizon for row in rows] == [25.0, 50.0, 100.0]
+    for row in rows[:2]:
+        alone = integrate(rotation, (1.0, 0.0), policy, row.horizon, 1e-3)
+        assert row.trajectory.dt == alone.dt
+        for name in ("times", "states", "controls", "in_region"):
+            assert np.array_equal(getattr(row.trajectory, name), getattr(alone, name))
+        measure = empirical_occupational_measure(alone, g)
+        assert np.array_equal(row.measure.weights, measure.weights)
+    with pytest.raises(SimulationError):
+        horizon_study(rotation, (1.0, 0.0), policy, (0.0, 1.0), g, b)
 
 
 def test_policies():
