@@ -17,7 +17,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy
@@ -26,15 +26,15 @@ from . import __version__
 from .basis import basis_for_region
 from .config import (ConfigError, StudyConfig, build_policy, build_system,
                      default_config_text, parse_config)
-from .grid import DiscreteMeasure, build_grid
-from .metrics import make_test_function_set, rho_hat
-from .oracle import frozen_value, level_set_ordering, rotation_level_value
-from .programs import (build_discounted_lp, build_ergodic_lp, build_nonergodic_lp,
-                       build_perturbed_lp, certificate_offgrid_report,
+from .grid import DiscreteMeasure, GridError, build_grid
+from .metrics import MetricError, make_test_function_set, rho_hat
+from .oracle import OracleError, frozen_value, level_set_ordering, rotation_level_value
+from .programs import (ProgramError, build_discounted_lp, build_ergodic_lp,
+                       build_nonergodic_lp, build_perturbed_lp, certificate_offgrid_report,
                        certificate_slacks, extract_dual_certificate,
                        membership_residual, solve, verify_weak_duality)
-from .simulate import (Trajectory, abel_value, cesaro_value, horizon_study,
-                       periodic_value_search, rotation_delta_family)
+from .simulate import (SimulationError, Trajectory, abel_value, cesaro_value,
+                       horizon_study, periodic_value_search, rotation_delta_family)
 
 log = logging.getLogger("occlp")
 
@@ -64,18 +64,7 @@ class ReportBundle:
         return all(entry["passed"] for entry in self.invariants)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "config": self.config,
-            "values": self.values,
-            "tables": self.tables,
-            "duals": self.duals,
-            "certificates": self.certificates,
-            "measures": self.measures,
-            "invariants": self.invariants,
-            "warnings": self.warnings,
-            "environment": self.environment,
-        }
+        return {"schema_version": 1, **asdict(self)}
 
 
 def _environment_stamp() -> dict:
@@ -112,24 +101,21 @@ def _pool_map(fn, items, jobs: int):
 def _solve_section(bundle, spec, grid, basis, cfg: StudyConfig, jobs: int):
     prog = cfg.program
     y0 = np.asarray(prog.y0, dtype=float)
-    builders = []
+    instances = []
     if "ergodic" in prog.variants:
-        builders.append(("ergodic", lambda: build_ergodic_lp(grid, basis, spec)))
+        instances.append(("ergodic", build_ergodic_lp(grid, basis, spec)))
     if "nonergodic" in prog.variants:
-        builders.append(("nonergodic",
-                         lambda: build_nonergodic_lp(grid, basis, spec, y0,
-                                                     xi_mass_cap=prog.xi_mass_cap)))
+        instances.append(("nonergodic", build_nonergodic_lp(grid, basis, spec, y0,
+                                                            xi_mass_cap=prog.xi_mass_cap)))
     if "discounted" in prog.variants:
         for rate in prog.discount_rates:
-            builders.append((f"discounted[rate={rate:g}]",
-                             lambda rate=rate: build_discounted_lp(grid, basis, spec, y0, rate)))
+            instances.append((f"discounted[rate={rate:g}]",
+                              build_discounted_lp(grid, basis, spec, y0, rate)))
     if "perturbed" in prog.variants:
         for eps in prog.epsilons:
-            builders.append((f"perturbed[eps={eps:g}]",
-                             lambda eps=eps: build_perturbed_lp(grid, basis, spec, y0, eps,
-                                                                xi_mass_cap=prog.xi_mass_cap)))
-
-    instances = [(name, make()) for name, make in builders]
+            instances.append((f"perturbed[eps={eps:g}]",
+                              build_perturbed_lp(grid, basis, spec, y0, eps,
+                                                 xi_mass_cap=prog.xi_mass_cap)))
     solutions = _pool_map(lambda pair: solve(pair[1]), instances, jobs)
 
     results = {}
@@ -403,21 +389,34 @@ def run_study(config: StudyConfig, sections=_ALL_SECTIONS, jobs: int = 1) -> Rep
     bundle.values["grid.atom_count"] = grid.atom_count
     bundle.values["basis.count"] = basis.count
 
+    study = (spec, grid, basis, config)
     solve_results = {}
-    if "solve" in sections or "sweep" in sections or "certify" in sections \
-            or "simulate" in sections:
-        solve_results = _solve_section(bundle, spec, grid, basis, config, jobs)
+    if {"solve", "sweep", "certify", "simulate"} & set(sections):
+        solve_results = _run_section(bundle, "solve", _solve_section, *study, jobs) or {}
     if "simulate" in sections:
-        _simulate_section(bundle, spec, grid, basis, config, solve_results)
+        _run_section(bundle, "simulate", _simulate_section, *study, solve_results)
     if "sweep" in sections:
-        _sweep_section(bundle, spec, grid, basis, config, solve_results)
+        _run_section(bundle, "sweep", _sweep_section, *study, solve_results)
     if "convergence" in sections:
-        _convergence_section(bundle, spec, grid, basis, config)
+        _run_section(bundle, "convergence", _convergence_section, *study)
     if "certify" in sections:
-        _certify_section(bundle, spec, grid, basis, config, solve_results)
+        _run_section(bundle, "certify", _certify_section, *study, solve_results)
     if "oracle" in sections:
-        _oracle_section(bundle, spec, config)
+        _run_section(bundle, "oracle", _oracle_section, spec, config)
     return bundle
+
+
+# the library's own errors; anything else is a bug and keeps its traceback
+_LIBRARY_ERRORS = (GridError, MetricError, OracleError, ProgramError, SimulationError)
+
+
+def _run_section(bundle: ReportBundle, name: str, section, *args):
+    """Run one study section; a library error fails ``<name>.completed``."""
+    try:
+        return section(bundle, *args)
+    except _LIBRARY_ERRORS as err:
+        bundle.record(f"{name}.completed", False, f"{type(err).__name__}: {err}")
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -72,8 +72,8 @@ class SystemConfig:
     lower: tuple[float, ...] = (-1.0, -1.0)
     upper: tuple[float, ...] = (1.0, 1.0)
     region: str = ""  # for custom systems: box | annulus
-    dynamics: tuple[str, ...] = ()
-    first_integrals: tuple[str, ...] = ()
+    dynamics: tuple[Expr, ...] = ()
+    first_integrals: tuple[Expr, ...] = ()
     control_lower: tuple[float, ...] = (-1.0,)
     control_upper: tuple[float, ...] = (1.0,)
     bound_f: float | None = None
@@ -243,9 +243,15 @@ def _want_str_tuple(value, line: int, key: str) -> tuple[str, ...]:
     raise ConfigError(f"{key} must be an array of names, got {value!r}", line)
 
 
+def _want_expr_tuple(value, line: int, key: str) -> tuple[str, ...]:
+    items = value if isinstance(value, tuple) else (value,)
+    return tuple(_want_expr(v, line, key) for v in items)
+
+
 _COERCERS = {"str": _want_str, "Expr": _want_expr, "int": _want_int, "float": _want_float,
              "float | None": _want_float, "tuple[int, ...]": _want_int_tuple,
-             "tuple[float, ...]": _want_float_tuple, "tuple[str, ...]": _want_str_tuple}
+             "tuple[float, ...]": _want_float_tuple, "tuple[str, ...]": _want_str_tuple,
+             "tuple[Expr, ...]": _want_expr_tuple}
 
 # section name -> the fields declaring its keys; "" holds the top-level keys
 _SECTIONS = {f.name: f.default_factory for f in fields(StudyConfig)

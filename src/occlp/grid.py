@@ -114,10 +114,6 @@ def build_grid(spec: SystemSpec, state_resolution, control_resolution: int) -> G
         if min(res) < 2:
             raise GridError("state resolution must be >= 2 per axis")
         lo, hi = region.bounding_box()
-        axes = [lo[j] + (np.arange(res[j]) + 0.5) * (hi[j] - lo[j]) / res[j]
-                for j in range(region.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        state_points = np.stack([m.ravel() for m in mesh], axis=1)
         provenance = {"state_kind": "box", "state_resolution": tuple(res),
                       "state_spacing": tuple(((hi - lo) / np.asarray(res)).tolist())}
     else:
@@ -127,24 +123,19 @@ def build_grid(spec: SystemSpec, state_resolution, control_resolution: int) -> G
         degenerate = region.inner == region.outer
         if (n_r < 2 and not degenerate) or n_r < 1 or n_theta < 2:
             raise GridError("annulus resolutions must be >= 2 (radial >= 1 only for a circle)")
-        radii = (np.array([region.inner]) if degenerate
-                 else np.linspace(region.inner, region.outer, n_r))
-        angles = 2.0 * np.pi * np.arange(n_theta) / n_theta
-        rr, tt = np.meshgrid(radii, angles, indexing="ij")
-        c = np.asarray(region.center)
-        state_points = np.stack([c[0] + rr.ravel() * np.cos(tt.ravel()),
-                                 c[1] + rr.ravel() * np.sin(tt.ravel())], axis=1)
+        radii = region.axes(res)[0]
         spacing = 0.0 if degenerate else float(radii[1] - radii[0])
         provenance = {"state_kind": "annulus", "radial_count": n_r,
                       "angle_count": n_theta, "radial_spacing": spacing,
                       "radii": tuple(radii.tolist()), "outer": region.outer}
 
+    state_points = region.lattice(res)
     control_points = spec.control.grid(control_resolution)
     provenance["control_resolution"] = control_resolution
 
-    for y in state_points:
-        if not region.contains(y):
-            raise GridError(f"internal: atom state {y} escaped the region")
+    outside = ~region.contains(state_points)
+    if outside.any():
+        raise GridError(f"internal: atom state {state_points[outside][0]} escaped the region")
     return Grid(spec=spec, state_points=state_points,
                 control_points=control_points, provenance=provenance)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .system import SystemSpec, cost_batch
+from .system import SystemSpec, cost_batch, product_rows
 
 
 class OracleError(ValueError):
@@ -50,8 +50,7 @@ def _cost_on_circle(spec: SystemSpec, radius: float, angles: np.ndarray,
     """Cost values on the (angle x control) product of one circle, shape (A, U)."""
     cx, cy = spec.region.center
     ys = np.stack([cx + radius * np.cos(angles), cy + radius * np.sin(angles)], axis=1)
-    ys_full = np.repeat(ys, controls.shape[0], axis=0)
-    us_full = np.tile(controls, (angles.shape[0], 1))
+    ys_full, us_full = product_rows(ys, controls)
     k = cost_batch(spec)(ys_full, us_full)
     return k.reshape(angles.shape[0], controls.shape[0])
 
@@ -72,7 +71,7 @@ def rotation_level_value(spec: SystemSpec, z: float,
         raise OracleError(f"level {z} outside [{a2}, {b2}]")
     radius = math.sqrt(z)
     angles = 2.0 * np.pi * np.arange(angle_resolution) / angle_resolution
-    controls = spec.control.grid(control_resolution if spec.control.kind == "box" else 1)
+    controls = spec.control.grid(control_resolution)
     costs = _cost_on_circle(spec, radius, angles, controls)
 
     # family (i): park at any angle with zero control (requires 0 in the scan)
@@ -99,7 +98,7 @@ def rotation_level_value(spec: SystemSpec, z: float,
 def frozen_value(spec: SystemSpec, y0, control_resolution: int = 201) -> OracleResult:
     """Exhaustive control scan of k(y0, .) for systems with zero dynamics."""
     y0 = np.asarray(y0, dtype=float)
-    controls = spec.control.grid(control_resolution if spec.control.kind == "box" else 1)
+    controls = spec.control.grid(control_resolution)
     ys = np.tile(y0, (controls.shape[0], 1))
     values = cost_batch(spec)(ys, controls)
     best = int(np.argmin(values))

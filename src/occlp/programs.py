@@ -38,7 +38,7 @@ from scipy.optimize import linprog
 from .basis import BasisSpec, grad_matrix, phi_matrix
 from .grid import (DiscreteMeasure, Grid, assemble_cost_vector,
                    assemble_flow_matrix, assemble_initial_matrix, nearest_index)
-from .system import SystemSpec, cost_batch, dynamics_batch
+from .system import SystemSpec, cost_batch, dynamics_batch, lattice, product_rows
 
 
 class ProgramError(ValueError):
@@ -392,24 +392,13 @@ def certificate_offgrid_report(cert: DualCertificate, grid: Grid, basis: BasisSp
     the grid; the report quantifies how far off it is."""
     prov = grid.provenance
     if prov.get("state_kind") == "annulus":
-        n_r = max(2, prov["radial_count"] * density_factor)
-        region = spec.region
-        radii = np.linspace(region.inner, region.outer, n_r)
-        angles = 2.0 * np.pi * np.arange(prov["angle_count"] * density_factor) \
-            / (prov["angle_count"] * density_factor)
-        rr, tt = np.meshgrid(radii, angles, indexing="ij")
-        c = np.asarray(region.center)
-        ys = np.stack([c[0] + rr.ravel() * np.cos(tt.ravel()),
-                       c[1] + rr.ravel() * np.sin(tt.ravel())], axis=1)
+        ys = spec.region.lattice((max(2, prov["radial_count"] * density_factor),
+                                  prov["angle_count"] * density_factor))
     else:
-        res = [r * density_factor for r in prov["state_resolution"]]
         lo, hi = spec.region.bounding_box()
-        axes = [np.linspace(lo[j], hi[j], res[j]) for j in range(spec.region.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        ys = np.stack([m.ravel() for m in mesh], axis=1)
-    us_axis = grid.control_points
-    ys_full = np.repeat(ys, us_axis.shape[0], axis=0)
-    us_full = np.tile(us_axis, (ys.shape[0], 1))
+        ys = lattice([np.linspace(lo[j], hi[j], r * density_factor)
+                      for j, r in enumerate(prov["state_resolution"])])
+    ys_full, us_full = product_rows(ys, grid.control_points)
     f1, f2 = certificate_slacks(cert, grid, basis, spec, ys_full, us_full)
     return {"min_lower_bound_slack": float(np.min(f1)),
             "min_monotonicity_slack": float(np.min(f2)),

@@ -177,16 +177,8 @@ def integrate(spec: SystemSpec, y0, policy: Policy, horizon: float,
         if not all(math.isfinite(v) for v in y):
             raise SimulationError(f"non-finite state at t={t + dt}: {y}")
         states[i + 1] = y
-    times = dt * np.arange(n_steps + 1)
-    tol = spec.region.tolerance
-    if spec.region.kind == "annulus":
-        r = np.hypot(states[:, 0] - spec.region.center[0], states[:, 1] - spec.region.center[1])
-        dist = np.maximum(spec.region.inner - r, r - spec.region.outer)
-    else:
-        lo, hi = spec.region.bounding_box()
-        dist = np.max(np.maximum(lo - states, states - hi), axis=1)
-    return Trajectory(spec=spec, dt=dt, times=times, states=states,
-                      controls=controls, in_region=dist <= tol)
+    return Trajectory(spec=spec, dt=dt, times=dt * np.arange(n_steps + 1), states=states,
+                      controls=controls, in_region=spec.region.contains(states))
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +237,20 @@ def abel_value(spec: SystemSpec, y0, policy: Policy, rate: float,
 # empirical measures
 
 
-def empirical_occupational_measure(traj: Trajectory, grid: Grid) -> DiscreteMeasure:
-    """Bin each step's (state, control) to its nearest atom with mass dt / T."""
+def _occupation(traj: Trajectory, grid: Grid, atoms: np.ndarray,
+                step_mass) -> DiscreteMeasure:
+    """The measure putting each step's mass on that step's atom."""
     if not traj.fully_in_region:
         raise StateConstraintError("trajectory leaves the region")
-    idx = nearest_atom_index(grid, traj.states[:-1], traj.controls)
     weights = np.zeros(grid.atom_count)
-    np.add.at(weights, idx, traj.dt / traj.horizon)
+    np.add.at(weights, atoms, step_mass)
     return DiscreteMeasure(grid, weights)
+
+
+def empirical_occupational_measure(traj: Trajectory, grid: Grid) -> DiscreteMeasure:
+    """Bin each step's (state, control) to its nearest atom with mass dt / T."""
+    atoms = nearest_atom_index(grid, traj.states[:-1], traj.controls)
+    return _occupation(traj, grid, atoms, traj.dt / traj.horizon)
 
 
 @dataclass(frozen=True)
@@ -272,14 +270,10 @@ def empirical_discounted_measure(traj: Trajectory, rate: float, grid: Grid,
     if tail > tail_tolerance:
         raise InsufficientHorizonError(
             f"horizon {traj.horizon} leaves tail mass {tail:.3e} > {tail_tolerance:.3e}")
-    if not traj.fully_in_region:
-        raise StateConstraintError("trajectory leaves the region")
-    idx = nearest_atom_index(grid, traj.states[:-1], traj.controls)
     decay = np.exp(-rate * traj.times)
-    step_mass = decay[:-1] - decay[1:]
-    weights = np.zeros(grid.atom_count)
-    np.add.at(weights, idx, step_mass)
-    return DiscountedEmpirical(DiscreteMeasure(grid, weights), tail_mass=tail)
+    atoms = nearest_atom_index(grid, traj.states[:-1], traj.controls)
+    return DiscountedEmpirical(_occupation(traj, grid, atoms, decay[:-1] - decay[1:]),
+                               tail_mass=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +391,12 @@ def horizon_study(spec: SystemSpec, y0, policy: Policy, horizons,
     if not horizons or horizons[0] <= 0:
         raise SimulationError("horizons must be a nonempty list of positive times")
     run = integrate(spec, y0, policy, horizons[-1], dt)
+    atoms = nearest_atom_index(grid, run.states[:-1], run.controls)
     rows = []
     for horizon in horizons:
-        window = run.prefix(math.ceil(horizon / dt))
-        measure = empirical_occupational_measure(window, grid)
+        steps = math.ceil(horizon / dt)
+        window = run.prefix(steps)
+        measure = _occupation(window, grid, atoms[:steps], window.dt / window.horizon)
         rows.append(HorizonRow(horizon, window, measure,
                                membership_residual(measure, grid, basis, y0)))
     return rows

@@ -15,7 +15,6 @@ safe to call from concurrent workers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from types import MappingProxyType
@@ -43,6 +42,17 @@ class RegionError(SystemSpecError):
 
 # ---------------------------------------------------------------------------
 # regions
+
+
+def lattice(axes) -> np.ndarray:
+    """Row-stacked product of 1-D axes, first axis slowest: shape (prod len, len(axes))."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def product_rows(ys: np.ndarray, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (state, control) pair as two row-aligned arrays, state-major."""
+    return np.repeat(ys, us.shape[0], axis=0), np.tile(us, (ys.shape[0], 1))
 
 
 @dataclass(frozen=True)
@@ -79,18 +89,18 @@ class StateRegion:
     def dim(self) -> int:
         return len(self.lower) if self.kind == "box" else 2
 
-    def signed_boundary_distance(self, y) -> float:
+    def signed_boundary_distance(self, y):
+        """Distance of one point ``(dim,)``, or of each row of ``(n, dim)``."""
         y = np.asarray(y, dtype=float)
-        if y.shape != (self.dim,):
+        if y.ndim not in (1, 2) or y.shape[-1] != self.dim:
             raise DimensionMismatchError(f"state has shape {y.shape}, region dim {self.dim}")
         if self.kind == "box":
-            lo = np.asarray(self.lower)
-            hi = np.asarray(self.upper)
-            return float(np.max(np.maximum(lo - y, y - hi)))
-        r = math.hypot(y[0] - self.center[0], y[1] - self.center[1])
-        return max(self.inner - r, r - self.outer)
+            lo, hi = self.bounding_box()
+            return np.max(np.maximum(lo - y, y - hi), axis=-1)
+        r = np.hypot(y[..., 0] - self.center[0], y[..., 1] - self.center[1])
+        return np.maximum(self.inner - r, r - self.outer)
 
-    def contains(self, y, tol: float | None = None) -> bool:
+    def contains(self, y, tol: float | None = None):
         tol = self.tolerance if tol is None else tol
         return self.signed_boundary_distance(y) <= tol
 
@@ -100,21 +110,33 @@ class StateRegion:
         c = np.asarray(self.center, dtype=float)
         return c - self.outer, c + self.outer
 
+    def axes(self, resolution) -> list[np.ndarray]:
+        """The 1-D axes of :meth:`lattice`: a box's cell centres, one count per
+        axis; an annulus's endpoint-inclusive radii (one radius for a circle)
+        and ``n_theta`` angles from 0, for ``resolution = (n_r, n_theta)``."""
+        if self.kind == "box":
+            lo, hi = self.bounding_box()
+            return [lo[j] + (np.arange(n) + 0.5) * (hi[j] - lo[j]) / n
+                    for j, n in enumerate(resolution)]
+        n_r, n_theta = resolution
+        radii = (np.linspace(self.inner, self.outer, n_r)
+                 if self.outer > self.inner else np.array([self.inner]))
+        return [radii, 2.0 * np.pi * np.arange(n_theta) / n_theta]
+
+    def lattice(self, resolution) -> np.ndarray:
+        """Points of the region's product lattice, shape (K, dim), first axis slowest."""
+        points = lattice(self.axes(resolution))
+        if self.kind == "box":
+            return points
+        r, theta = points[:, 0], points[:, 1]
+        return np.stack([self.center[0] + r * np.cos(theta),
+                         self.center[1] + r * np.sin(theta)], axis=1)
+
     def sample(self, resolution: int) -> np.ndarray:
         """Deterministic quasi-uniform sample of the region, shape (K, dim)."""
         if self.kind == "box":
-            lo, hi = self.bounding_box()
-            axes = [lo[j] + (np.arange(resolution) + 0.5) * (hi[j] - lo[j]) / resolution
-                    for j in range(self.dim)]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            return np.stack([m.ravel() for m in mesh], axis=1)
-        radii = (np.linspace(self.inner, self.outer, resolution)
-                 if self.outer > self.inner else np.array([self.inner]))
-        angles = 2.0 * np.pi * np.arange(4 * resolution) / (4 * resolution)
-        rr, tt = np.meshgrid(radii, angles, indexing="ij")
-        c = np.asarray(self.center)
-        return np.stack([c[0] + rr.ravel() * np.cos(tt.ravel()),
-                         c[1] + rr.ravel() * np.sin(tt.ravel())], axis=1)
+            return self.lattice([resolution] * self.dim)
+        return self.lattice((resolution, 4 * resolution))
 
     def boundary_sample(self, resolution: int) -> tuple[np.ndarray, np.ndarray]:
         """Boundary points and unit outward normals, each of shape (K, dim)."""
@@ -126,30 +148,15 @@ class StateRegion:
             normals = [ring, -ring]
             return np.concatenate(points), np.concatenate(normals)
         lo, hi = self.bounding_box()
-        axis_mids = [lo[j] + (np.arange(resolution) + 0.5) * (hi[j] - lo[j]) / resolution
-                     for j in range(self.dim)]
+        axes = self.axes([resolution] * self.dim)
         points, normals = [], []
         for j in range(self.dim):
-            others = [axis_mids[i] for i in range(self.dim) if i != j]
-            if others:
-                mesh = np.meshgrid(*others, indexing="ij")
-                flat = [m.ravel() for m in mesh]
-                count = flat[0].shape[0]
-            else:
-                flat, count = [], 1
             for value, sign in ((hi[j], 1.0), (lo[j], -1.0)):
-                pts = np.empty((count, self.dim))
-                col = 0
-                for i in range(self.dim):
-                    if i == j:
-                        pts[:, i] = value
-                    else:
-                        pts[:, i] = flat[col]
-                        col += 1
-                nrm = np.zeros((count, self.dim))
-                nrm[:, j] = sign
-                points.append(pts)
-                normals.append(nrm)
+                face = lattice(axes[:j] + [np.array([value])] + axes[j + 1:])
+                normal = np.zeros_like(face)
+                normal[:, j] = sign
+                points.append(face)
+                normals.append(normal)
         return np.concatenate(points), np.concatenate(normals)
 
 
@@ -201,10 +208,8 @@ class ControlRegion:
             return np.asarray(self.points, dtype=float)
         if resolution < 2:
             raise RegionError("control resolution must be >= 2 for box controls")
-        axes = [np.linspace(self.lower[j], self.upper[j], resolution)
-                for j in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return lattice([np.linspace(lo, hi, resolution)
+                        for lo, hi in zip(self.lower, self.upper)])
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +406,8 @@ def check_first_integrals(spec: SystemSpec, sample_count: int = 20,
     if not spec.first_integrals:
         raise SystemSpecError("system declares no first integrals")
     ys = spec.region.sample(sample_count)
-    us = spec.control.grid(min(sample_count, 9) if spec.control.kind == "box" else 1)
-    ys_full = np.repeat(ys, us.shape[0], axis=0)
-    us_full = np.tile(us, (ys.shape[0], 1))
+    us = spec.control.grid(min(sample_count, 9))
+    ys_full, us_full = product_rows(ys, us)
     per = []
     worst = 0.0
     for text, _values, rates in first_integral_values_and_rates(spec, ys_full, us_full):
@@ -426,20 +430,15 @@ def check_forward_invariance(spec: SystemSpec, boundary_sample_count: int = 64,
                              tolerance: float = 1e-8) -> InvarianceReport:
     """Max outward-normal component of f over sampled boundary points and controls."""
     points, normals = spec.region.boundary_sample(boundary_sample_count)
-    us = spec.control.grid(control_resolution if spec.control.kind == "box" else 1)
-    worst = -math.inf
-    worst_pt = points[0]
-    worst_u = us[0]
-    batch = dynamics_batch(spec)
-    for u in us:
-        f_vals = batch(points, np.tile(u, (points.shape[0], 1)))
-        outward = np.einsum("ij,ij->i", f_vals, normals)
-        i = int(np.argmax(outward))
-        if outward[i] > worst:
-            worst = float(outward[i])
-            worst_pt, worst_u = points[i], u
+    us = spec.control.grid(control_resolution)
+    # control-major, so ties go to the first control, then the first point
+    us_full, ys_full = product_rows(us, points)
+    outward = np.einsum("ij,ij->i", dynamics_batch(spec)(ys_full, us_full),
+                        product_rows(us, normals)[1])
+    i = int(np.argmax(outward))
+    worst = float(outward[i])
     return InvarianceReport(worst, worst <= tolerance,
-                            tuple(worst_pt.tolist()), tuple(np.atleast_1d(worst_u).tolist()))
+                            tuple(ys_full[i].tolist()), tuple(us_full[i].tolist()))
 
 
 @dataclass(frozen=True)
@@ -454,9 +453,8 @@ def validate_bounds(spec: SystemSpec, state_resolution: int = 25,
                     control_resolution: int = 9) -> BoundReport:
     """Dense-sampling check that bound_f and bound_k dominate f and k."""
     ys = spec.region.sample(state_resolution)
-    us = spec.control.grid(control_resolution if spec.control.kind == "box" else 1)
-    ys_full = np.repeat(ys, us.shape[0], axis=0)
-    us_full = np.tile(us, (ys.shape[0], 1))
+    us = spec.control.grid(control_resolution)
+    ys_full, us_full = product_rows(ys, us)
     f_norm = float(np.max(np.linalg.norm(dynamics_batch(spec)(ys_full, us_full), axis=1)))
     k_abs = float(np.max(np.abs(cost_batch(spec)(ys_full, us_full))))
     return BoundReport(f_norm, k_abs, f_norm <= spec.bound_f + 1e-12,

@@ -141,6 +141,20 @@ y0 = [0.5]
     assert system.eval_dynamics(spec, (0.5,), (0.25,))[0] == pytest.approx(-0.25)
     assert spec.bound_f >= 2.0  # sampled bound with headroom
 
+    # a bare number is an expression too
+    cfg = parse_config("""
+[system]
+name = custom
+region = box
+dynamics = [0, -y1]
+first_integrals = [2]
+cost = 1
+""")
+    assert cfg.system.dynamics == ("0.0", "-y1")
+    assert cfg.system.first_integrals == ("2.0",)
+    spec = build_system(cfg.system)
+    assert system.eval_dynamics(spec, (0.5, 0.0), (0.0,)).tolist() == [0.0, -0.5]
+
 
 def test_frozen_study_all_variants_match_oracle(tmp_path):
     cfg = parse_config(FROZEN_STUDY)
@@ -290,6 +304,35 @@ def test_cli_main_paths(tmp_path, capsys, monkeypatch):
 
     assert main(["--print-defaults", "solve"]) == 0
     assert "[system]" in capsys.readouterr().out
+
+
+def test_library_error_in_a_section_is_a_failed_invariant(tmp_path, capsys):
+    # y1 drifts right from the boundary point y0 = (1, 0), so the run leaves the box
+    config_path = tmp_path / "leave.conf"
+    config_path.write_text("""
+[system]
+name = custom
+region = box
+dynamics = [1 + 0*y1, 0*y2]
+[grid]
+state_resolution = [4, 4]
+control_resolution = 3
+[basis]
+degree = 2
+[program]
+variants = [ergodic]
+[simulate]
+policy = constant:0
+horizons = [1.0, 5.0]
+""")
+    out_dir = tmp_path / "o"
+    assert main(["simulate", "--config", str(config_path), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "FAILED: simulate.completed: StateConstraintError: trajectory leaves" in err
+    assert "Traceback" not in err
+    invariants = json.loads((out_dir / "report.json").read_text())["invariants"]
+    assert {"name": "simulate.completed", "passed": False,
+            "detail": "StateConstraintError: trajectory leaves the region"} in invariants
 
 
 def test_cli_failure_exit_enumerates(tmp_path, capsys, monkeypatch):

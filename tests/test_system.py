@@ -143,6 +143,30 @@ def test_region_membership_and_signed_distance():
     assert ring.signed_boundary_distance((2.0, 0.0)) == 0.5
     assert ring.signed_boundary_distance((0.25, 0.0)) == 0.25
 
+    # rows give the per-point results
+    for region, rows, inside in (
+            (box, [(0.5, 1.0), (1.0 + 5e-10, 1.0), (1.1, 1.0), (1.5, 1.0)],
+             [True, True, False, False]),
+            (ring, [(1.0, 0.0), (0.2, 0.0), (2.0, 0.0), (0.0, 1.5 + 5e-10)],
+             [True, False, False, True])):
+        assert region.contains(np.array(rows)).tolist() == inside
+        assert np.array_equal(region.signed_boundary_distance(rows),
+                              [region.signed_boundary_distance(y) for y in rows])
+        with pytest.raises(DimensionMismatchError):
+            region.contains(np.zeros((2, 3)))
+
+
+def test_box_boundary_sample_lies_on_faces():
+    box = StateRegion(kind="box", lower=(0.0, -1.0), upper=(1.0, 2.0))
+    points, normals = box.boundary_sample(5)
+    assert points.shape == normals.shape == (20, 2)
+    lo, hi = box.bounding_box()
+    for y, normal in zip(points, normals):
+        (j,) = np.flatnonzero(normal)
+        assert abs(normal[j]) == 1.0
+        assert y[j] == (hi[j] if normal[j] > 0 else lo[j])
+        assert lo[1 - j] < y[1 - j] < hi[1 - j]
+
 
 def test_region_construction_errors():
     with pytest.raises(RegionError):
