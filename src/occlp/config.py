@@ -43,10 +43,11 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
+from .grid import GridError, check_state_resolution
 from .simulate import (ConstantPolicy, Policy, SchedulePolicy, SimulationError,
                        rotation_delta_family)
-from .system import (ControlRegion, StateRegion, SystemSpec, SystemSpecError, make_frozen,
-                     make_rotation, make_scalar_drift, validate_bounds)
+from .system import (ControlRegion, RegionError, StateRegion, SystemSpec, SystemSpecError,
+                     make_frozen, make_rotation, make_scalar_drift, validate_bounds)
 
 
 class ConfigError(ValueError):
@@ -318,9 +319,17 @@ def parse_config(text: str) -> StudyConfig:
         if fmt not in ("json", "csv-dir"):
             raise ConfigError(f"unknown output format {fmt!r}", line_of("output", "formats"))
 
-    # cross-block validation: the system must build, y0 must be inside it and
-    # the policy must build for it
+    # cross-block validation: the system must build, its grid must build, y0
+    # must be inside it and the policy must build for it
     spec = build_system(cfg.system)
+    try:
+        check_state_resolution(spec.region, cfg.grid.state_resolution)
+    except GridError as err:
+        raise ConfigError(str(err), line_of("grid", "state_resolution")) from err
+    try:
+        spec.control.grid(cfg.grid.control_resolution)
+    except RegionError as err:
+        raise ConfigError(str(err), line_of("grid", "control_resolution")) from err
     y0 = np.asarray(cfg.program.y0, dtype=float)
     if y0.shape != (spec.dim_state,):
         raise ConfigError(f"y0 has dimension {y0.shape[0]}, system expects {spec.dim_state}",

@@ -6,8 +6,9 @@ constant exponent) and the functions ``sin cos exp sqrt abs``.  Parsed
 expressions support exact symbolic differentiation with respect to state
 variables, which is what the first-integral checks rely on.
 
-Two compilation targets are provided: a scalar form operating on plain float
-tuples (used inside the fixed-step integrator loop, where numpy's per-call
+Three compilation targets are provided: a scalar form operating on plain
+float tuples, a whole Runge-Kutta step on plain floats with the expressions
+inlined (used inside the fixed-step integrator loop, where numpy's per-call
 overhead dominates) and a batched numpy form used for whole-grid assembly.
 """
 
@@ -249,36 +250,70 @@ def diff(node: Node, index: int) -> Node:
     raise ExpressionError(f"cannot differentiate node {node!r}")
 
 
-def _emit(node: Node, fns: str) -> str:
+def _emit(node: Node, var) -> str:
+    """Python source for ``node``; ``var(v)`` is the source naming variable ``v``."""
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Var):
-        return f"{node.kind}[{node.index}]"
+        return var(node)
     if isinstance(node, Unary):
-        return f"(-{_emit(node.arg, fns)})"
+        return f"(-{_emit(node.arg, var)})"
     if isinstance(node, Binary):
-        return f"({_emit(node.left, fns)} {node.op} {_emit(node.right, fns)})"
+        return f"({_emit(node.left, var)} {node.op} {_emit(node.right, var)})"
     if isinstance(node, Power):
-        return f"({_emit(node.base, fns)} ** {repr(node.exponent)})"
+        return f"({_emit(node.base, var)} ** {repr(node.exponent)})"
     if isinstance(node, Call):
-        return f"{fns}_{node.func}({_emit(node.arg, fns)})"
+        return f"_{node.func}({_emit(node.arg, var)})"
     raise ExpressionError(f"cannot compile node {node!r}")
 
 
-def _compile(nodes: tuple[Node, ...], numpy_mode: bool):
-    fns = "_np" if numpy_mode else "_sc"
-    namespace: dict[str, object] = {}
-    for name, (scalar_fn, numpy_fn) in _FUNCTIONS.items():
-        namespace[f"{fns}_{name}"] = numpy_fn if numpy_mode else scalar_fn
-    body = ", ".join(_emit(node, fns) for node in nodes)
-    source = f"def _f(y, u):\n    return ({body},)\n"
-    exec(compile(source, "<occlp-expr>", "exec"), namespace)
+def _subscript(v: Var) -> str:
+    return f"{v.kind}[{v.index}]"
+
+
+def _define(lines: list[str], numpy_mode: bool = False):
+    """Execute the source of one function ``_f`` with the grammar's functions in scope."""
+    namespace = {f"_{name}": numpy_fn if numpy_mode else scalar_fn
+                 for name, (scalar_fn, numpy_fn) in _FUNCTIONS.items()}
+    exec(compile("\n".join(lines) + "\n", "<occlp-expr>", "exec"), namespace)
     return namespace["_f"]
+
+
+def _compile(nodes: tuple[Node, ...], numpy_mode: bool):
+    body = ", ".join(_emit(node, _subscript) for node in nodes)
+    return _define(["def _f(y, u):", f"    return ({body},)"], numpy_mode)
 
 
 def compile_scalar(nodes: tuple[Node, ...]):
     """Compile to ``f(y_tuple, u_tuple) -> tuple[float, ...]`` on plain floats."""
     return _compile(nodes, numpy_mode=False)
+
+
+# the state each Runge-Kutta stage evaluates at: its variable prefix, and the
+# multiple of the previous stage's slope that is added to y
+_RK4_STAGES = (("y", ""), ("a", "0.5 * dt"), ("b", "0.5 * dt"), ("c", "dt"))
+
+
+def compile_rk4_step(nodes: tuple[Node, ...]):
+    """Compile one classical Runge-Kutta step ``step(y, u, dt) -> tuple`` of
+    ``y' = nodes(y, u)`` on plain floats, with the dynamics inlined per stage.
+
+    Every float operation is one that ``simulate.rk4_step`` performs with
+    ``compile_scalar(nodes)``, in the same order, so the states agree bitwise.
+    """
+    m = len(nodes)
+    lines = ["def _f(y, u, dt):", "    " + "".join(f"y{j}, " for j in range(m)) + "= y"]
+    for s, (z, scale) in enumerate(_RK4_STAGES, start=1):
+        if s > 1:
+            lines += [f"    {z}{j} = y{j} + {scale} * k{s - 1}_{j}" for j in range(m)]
+
+        def var(v: Var, z=z) -> str:
+            return f"{z}{v.index}" if v.kind == "y" else _subscript(v)
+        lines += [f"    k{s}_{j} = {_emit(node, var)}" for j, node in enumerate(nodes)]
+    combined = "".join(f"y{j} + dt * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j}) / 6.0, "
+                       for j in range(m))
+    lines.append(f"    return ({combined})")
+    return _define(lines)
 
 
 def compile_batch(nodes: tuple[Node, ...]):

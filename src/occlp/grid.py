@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisSpec, grad_matrix, phi_matrix
-from .system import RegionError, SystemSpec, cost_batch, dynamics_batch
+from .system import RegionError, StateRegion, SystemSpec, cost_batch, dynamics_batch
 
 
 class GridError(ValueError):
@@ -96,37 +96,44 @@ class DiscreteMeasure:
         return abs(self.total_mass - 1.0) <= tol
 
 
-def build_grid(spec: SystemSpec, state_resolution, control_resolution: int) -> Grid:
-    """Discretise the state and control regions.
+def check_state_resolution(region: StateRegion, state_resolution) -> list[int]:
+    """The per-axis counts of a state grid over ``region``, or a GridError.
 
     ``state_resolution`` is an int applied per axis, or a per-axis sequence;
     for an annulus the two entries are (radial count, angle count).
     """
-    region = spec.region
     if isinstance(state_resolution, int):
         res = [state_resolution] * (2 if region.kind == "annulus" else region.dim)
     else:
         res = [int(r) for r in state_resolution]
-
     if region.kind == "box":
         if len(res) != region.dim:
             raise GridError(f"expected {region.dim} state resolutions, got {len(res)}")
         if min(res) < 2:
             raise GridError("state resolution must be >= 2 per axis")
-        lo, hi = region.bounding_box()
-        provenance = {"state_kind": "box", "state_resolution": tuple(res),
-                      "state_spacing": tuple(((hi - lo) / np.asarray(res)).tolist())}
     else:
         if len(res) != 2:
             raise GridError("annulus grids take (radial count, angle count)")
         n_r, n_theta = res
-        degenerate = region.inner == region.outer
-        if (n_r < 2 and not degenerate) or n_r < 1 or n_theta < 2:
+        if (n_r < 2 and region.inner != region.outer) or n_r < 1 or n_theta < 2:
             raise GridError("annulus resolutions must be >= 2 (radial >= 1 only for a circle)")
+    return res
+
+
+def build_grid(spec: SystemSpec, state_resolution, control_resolution: int) -> Grid:
+    """Discretise the state and control regions (see :func:`check_state_resolution`)."""
+    region = spec.region
+    res = check_state_resolution(region, state_resolution)
+    if region.kind == "box":
+        lo, hi = region.bounding_box()
+        provenance = {"state_kind": "box", "state_resolution": tuple(res),
+                      "state_spacing": tuple(((hi - lo) / np.asarray(res)).tolist())}
+    else:
+        n_r, n_theta = res
         radii = region.axes(res)[0]
-        spacing = 0.0 if degenerate else float(radii[1] - radii[0])
-        provenance = {"state_kind": "annulus", "radial_count": n_r,
-                      "angle_count": n_theta, "radial_spacing": spacing,
+        spacing = float(radii[1] - radii[0]) if len(radii) > 1 else 0.0
+        provenance = {"state_kind": "annulus", "state_resolution": tuple(res),
+                      "radial_count": n_r, "angle_count": n_theta, "radial_spacing": spacing,
                       "radii": tuple(radii.tolist()), "outer": region.outer}
 
     state_points = region.lattice(res)
@@ -182,8 +189,27 @@ def nearest_index(points: np.ndarray, queries, chunk: int = 16384) -> np.ndarray
     return out
 
 
+def nearest_state_index(grid: Grid, ys, chunk: int = 16384) -> np.ndarray:
+    """``nearest_index(grid.state_points, ys)`` for queries inside the region.
+
+    Only the candidates of the region's stencil are compared, with the same
+    squared distances and the same lowest-row tie rule, so for any query inside
+    the region (within its tolerance) the answer is the brute-force one.
+    """
+    ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    region, resolution = grid.spec.region, grid.provenance["state_resolution"]
+    out = np.empty(ys.shape[0], dtype=np.int64)
+    for start in range(0, ys.shape[0], chunk):
+        block = ys[start:start + chunk]
+        candidates = np.sort(region.stencil(resolution, block), axis=1)
+        d2 = ((block[:, None, :] - grid.state_points[candidates]) ** 2).sum(axis=2)
+        out[start:start + chunk] = np.take_along_axis(
+            candidates, np.argmin(d2, axis=1)[:, None], axis=1)[:, 0]
+    return out
+
+
 def nearest_atom_index(grid: Grid, ys: np.ndarray, us: np.ndarray) -> np.ndarray:
     """Nearest atom for joint points; separable because atoms form a product set."""
-    si = nearest_index(grid.state_points, ys)
+    si = nearest_state_index(grid, ys)
     ci = nearest_index(grid.control_points, us)
     return si * grid.control_points.shape[0] + ci

@@ -37,8 +37,8 @@ from scipy.optimize import linprog
 
 from .basis import BasisSpec, grad_matrix, phi_matrix
 from .grid import (DiscreteMeasure, Grid, assemble_cost_vector,
-                   assemble_flow_matrix, assemble_initial_matrix, nearest_index)
-from .system import SystemSpec, cost_batch, dynamics_batch, lattice, product_rows
+                   assemble_flow_matrix, assemble_initial_matrix, nearest_state_index)
+from .system import RegionError, SystemSpec, cost_batch, dynamics_batch, lattice, product_rows
 
 
 class ProgramError(ValueError):
@@ -120,7 +120,10 @@ class LpSolution:
 
 def snap_to_state_grid(grid: Grid, y0) -> tuple[int, np.ndarray]:
     """Nearest state grid point to y0 (the representative the coupled rows use)."""
-    idx = int(nearest_index(grid.state_points, y0)[0])
+    y0 = np.asarray(y0, dtype=float)
+    if not grid.spec.region.contains(y0):
+        raise RegionError(f"y0 {y0.tolist()} outside the state region")
+    idx = int(nearest_state_index(grid, y0)[0])
     return idx, grid.state_points[idx].copy()
 
 

@@ -17,14 +17,15 @@ bit-for-bit.  On top of the integrator:
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import BasisSpec
-from .grid import DiscreteMeasure, Grid, nearest_atom_index, nearest_index
+from .grid import DiscreteMeasure, Grid, nearest_atom_index, nearest_state_index
 from .programs import MembershipResidual, membership_residual
-from .system import SystemSpec, cost_batch, dynamics_fn
+from .system import SystemSpec, cost_batch, rk4_step_fn
 
 
 class SimulationError(RuntimeError):
@@ -100,11 +101,12 @@ class FeedbackPolicy(Policy):
 
 
 def feedback_table_policy(grid: Grid, table: np.ndarray) -> FeedbackPolicy:
-    """Feedback defined cellwise on a grid's state points (nearest-cell lookup)."""
+    """Feedback defined cellwise on a grid's state points (nearest-cell lookup;
+    a state outside the region gets the control of a cell near it)."""
     table = np.atleast_2d(np.asarray(table, dtype=float))
     if table.shape[0] != grid.state_points.shape[0]:
         raise SimulationError("feedback table must give one control per state point")
-    return FeedbackPolicy(lambda y: table[int(nearest_index(grid.state_points, y)[0])])
+    return FeedbackPolicy(lambda y: table[int(nearest_state_index(grid, y)[0])])
 
 
 # ---------------------------------------------------------------------------
@@ -160,25 +162,27 @@ def integrate(spec: SystemSpec, y0, policy: Policy, horizon: float,
     # that the final time is the requested one (loop-closure checks need this)
     dt = horizon / n_steps
     m, p = spec.dim_state, spec.dim_control
-    f = dynamics_fn(spec)
-    states = np.empty((n_steps + 1, m))
-    controls = np.empty((n_steps, p))
+    step = rk4_step_fn(spec)
+    admits = spec.control.admission()
+    # rows are appended as C doubles and reshaped once at the end
     y = tuple(y0.tolist())
-    states[0] = y
+    state_rows, control_rows = array("d", y), array("d")
     for i in range(n_steps):
         t = i * dt
         u = policy.control(t, y)
         if len(u) != p:
             raise SimulationError(f"policy produced control of length {len(u)}, expected {p}")
-        if not spec.control.contains(np.asarray(u)):
+        if not admits(u):
             raise SimulationError(f"policy control {u} escapes the control region at t={t}")
-        controls[i] = u
-        y = rk4_step(f, y, u, dt)
-        if not all(math.isfinite(v) for v in y):
+        control_rows.extend(u)
+        y = step(y, u, dt)
+        if not all(map(math.isfinite, y)):
             raise SimulationError(f"non-finite state at t={t + dt}: {y}")
-        states[i + 1] = y
+        state_rows.extend(y)
+    states = np.frombuffer(state_rows).reshape(n_steps + 1, m)
     return Trajectory(spec=spec, dt=dt, times=dt * np.arange(n_steps + 1), states=states,
-                      controls=controls, in_region=spec.region.contains(states))
+                      controls=np.frombuffer(control_rows).reshape(n_steps, p),
+                      in_region=spec.region.contains(states))
 
 
 # ---------------------------------------------------------------------------

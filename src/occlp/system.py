@@ -15,6 +15,7 @@ safe to call from concurrent workers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from types import MappingProxyType
@@ -132,6 +133,47 @@ class StateRegion:
         return np.stack([self.center[0] + r * np.cos(theta),
                          self.center[1] + r * np.sin(theta)], axis=1)
 
+    def stencil(self, resolution, ys) -> np.ndarray:
+        """Indices into :meth:`lattice` around the analytic cell of each row of
+        ``ys``, shape (n, C), first axis slowest like the lattice.
+
+        A box takes the cell ``floor((y - lo) / h)`` and its neighbours on each
+        axis (3^dim candidates).  An annulus takes the radial bracket
+        ``searchsorted(radii, rho) - 1`` and the angular sector ``floor(theta /
+        dtheta)``, each from one below to two above (angles wrap, radii are
+        clipped): 16 candidates, or more radii below when coarse angles sit next
+        to fine radii.  For a finite query inside the region, within its
+        tolerance, the candidates hold every lattice point at least as near as
+        any other, with one cell to spare for rounding in the cell index.
+        Indices of queries farther out are clipped to the lattice.
+        """
+        ys = np.asarray(ys, dtype=float)
+        if self.kind == "box":
+            lo, hi = self.bounding_box()
+            sizes = np.asarray(resolution)
+            cell = np.clip(np.floor((ys - lo) * sizes / (hi - lo)), -1, sizes).astype(np.int64)
+            per_axis = [np.clip(cell[:, j, None] + np.arange(-1, 2), 0, n - 1)
+                        for j, n in enumerate(sizes)]
+        else:
+            radii, angles = self.axes(resolution)
+            sizes = (len(radii), len(angles))
+            dx, dy = ys[:, 0] - self.center[0], ys[:, 1] - self.center[1]
+            ring = np.searchsorted(radii, np.hypot(dx, dy)) - 1
+            # the nearest radius to a query at radius rho is the one nearest to
+            # rho cos(dtheta) at the nearest angle, so coarse angles next to fine
+            # radii reach further in
+            below = 1
+            if len(radii) > 1:
+                sag = (self.outer + self.tolerance) * (1.0 - np.cos(np.pi / len(angles)))
+                below += min(len(radii), int(np.floor(sag / np.min(np.diff(radii)) + 0.5)))
+            sector = np.floor(np.arctan2(dy, dx) * (len(angles) / (2.0 * np.pi))).astype(np.int64)
+            per_axis = [np.clip(ring[:, None] + np.arange(-below, 3), 0, len(radii) - 1),
+                        (sector[:, None] + np.arange(-1, 3)) % len(angles)]
+        flat = per_axis[0]
+        for idx, n in zip(per_axis[1:], sizes[1:]):
+            flat = (flat[:, :, None] * n + idx[:, None, :]).reshape(ys.shape[0], -1)
+        return flat
+
     def sample(self, resolution: int) -> np.ndarray:
         """Deterministic quasi-uniform sample of the region, shape (K, dim)."""
         if self.kind == "box":
@@ -187,16 +229,23 @@ class ControlRegion:
         return len(self.lower) if self.kind == "box" else len(self.points[0])
 
     def contains(self, u, tol: float | None = None) -> bool:
-        tol = self.tolerance if tol is None else tol
         u = np.asarray(u, dtype=float)
         if u.shape != (self.dim,):
             raise DimensionMismatchError(f"control has shape {u.shape}, expected ({self.dim},)")
+        return self.admission(tol)(u.tolist())
+
+    def admission(self, tol: float | None = None):
+        """Membership test of one control given as ``dim`` plain floats (its length
+        is not checked): ``lo - tol <= v <= hi + tol`` per axis of a box, which
+        rejects NaN; distance ``<= tol`` to the nearest point of a finite set."""
+        tol = self.tolerance if tol is None else tol
         if self.kind == "box":
-            lo = np.asarray(self.lower)
-            hi = np.asarray(self.upper)
-            return bool(np.all(u >= lo - tol) and np.all(u <= hi + tol))
-        pts = np.asarray(self.points)
-        return bool(np.min(np.linalg.norm(pts - u, axis=1)) <= tol)
+            lows = [lo - tol for lo in self.lower]
+            highs = [hi + tol for hi in self.upper]
+            return lambda u: all(map(operator.le, lows, u)) and all(map(operator.le, u, highs))
+        pts = np.asarray(self.points, dtype=float)
+        return lambda u: bool(np.min(np.linalg.norm(pts - np.asarray(u, dtype=float), axis=1))
+                              <= tol)
 
     def grid(self, resolution: int) -> np.ndarray:
         """Deterministic control grid of shape (K, dim).
@@ -303,6 +352,11 @@ def _dynamics_scalar(dyn_id: str, m: int, p: int):
 
 
 @lru_cache(maxsize=None)
+def _rk4_step(dyn_id: str, m: int, p: int):
+    return exprs.compile_rk4_step(_parsed_dynamics(dyn_id, m, p))
+
+
+@lru_cache(maxsize=None)
 def _dynamics_batch(dyn_id: str, m: int, p: int):
     return exprs.compile_batch(_parsed_dynamics(dyn_id, m, p))
 
@@ -327,6 +381,12 @@ def _first_integral_nodes(text: str, m: int) -> tuple[exprs.Node, tuple[exprs.No
 def dynamics_fn(spec: SystemSpec):
     """Fast scalar evaluator ``f(y_tuple, u_tuple) -> tuple`` (no containment checks)."""
     return _dynamics_scalar(spec.dynamics_id, spec.dim_state, spec.dim_control)
+
+
+def rk4_step_fn(spec: SystemSpec):
+    """One Runge-Kutta step ``step(y_tuple, u_tuple, dt) -> tuple`` of the dynamics,
+    bitwise equal to ``simulate.rk4_step(dynamics_fn(spec), y, u, dt)``."""
+    return _rk4_step(spec.dynamics_id, spec.dim_state, spec.dim_control)
 
 
 def dynamics_batch(spec: SystemSpec):

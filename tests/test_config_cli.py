@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from occlp import cli, system
 from occlp.cli import ReportBundle, emit_report, export_measure_csv, \
@@ -87,6 +89,8 @@ def test_default_config_text_parses():
     ("[simulate]\nperiodic_deltas = 0\n", "periodic_deltas must lie in (0, 1]"),
     ("[simulate]\npolicy = schedule:1:0.5\n", "malformed policy"),
     ("[simulate]\npolicy = steer_hold:1.0:0.0:0.0\n", "strictly increasing"),
+    ("[grid]\nstate_resolution = [1, 64]\n", "line 2: annulus resolutions must be >= 2"),
+    ("[grid]\ncontrol_resolution = 1\n", "line 2: control resolution must be >= 2"),
 ])
 def test_config_errors_name_the_problem(snippet, needle):
     with pytest.raises(ConfigError) as err:
@@ -154,6 +158,42 @@ cost = 1
     assert cfg.system.first_integrals == ("2.0",)
     spec = build_system(cfg.system)
     assert system.eval_dynamics(spec, (0.5, 0.0), (0.0,)).tolist() == [0.0, -0.5]
+
+
+def _array(values) -> str:
+    return "[" + ", ".join(repr(v) for v in values) + "]"
+
+
+_COORDINATE = st.floats(-0.5, 2.0).map(lambda v: round(v, 3))
+
+
+@st.composite
+def _grid_configs(draw) -> str:
+    if draw(st.booleans()):
+        inner = draw(_COORDINATE)
+        outer = inner if draw(st.booleans()) else draw(_COORDINATE)
+        region = f"name = rotation\ninner_radius = {inner!r}\nouter_radius = {outer!r}"
+        y0 = ((inner + outer) / 2.0, 0.0)
+    else:
+        dim = draw(st.integers(1, 3))
+        lower = [draw(_COORDINATE) for _ in range(dim)]
+        upper = [draw(_COORDINATE) for _ in range(dim)]
+        region = f"name = frozen\nlower = {_array(lower)}\nupper = {_array(upper)}"
+        y0 = [(lo + hi) / 2.0 for lo, hi in zip(lower, upper)]
+    resolution = draw(st.lists(st.integers(-1, 8), max_size=3))
+    return (f"[system]\n{region}\n[grid]\nstate_resolution = {_array(resolution)}\n"
+            f"control_resolution = {draw(st.integers(-1, 4))}\n[basis]\ndegree = 2\n"
+            f"[program]\ny0 = {_array(y0)}\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_grid_configs())
+def test_grid_configs_are_rejected_or_run(text):
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    assert isinstance(run_study(cfg, sections=("oracle",)), ReportBundle)
 
 
 def test_frozen_study_all_variants_match_oracle(tmp_path):
@@ -301,6 +341,10 @@ def test_cli_main_paths(tmp_path, capsys, monkeypatch):
     bad.write_text("[basis]\ndegree = 0\n")
     assert main(["solve", "--config", str(bad)]) == 2
     assert "max_degree" in capsys.readouterr().err
+
+    bad.write_text("[grid]\nstate_resolution = [1, 64]\n")
+    assert main(["solve", "--config", str(bad)]) == 2
+    assert "line 2: annulus resolutions" in capsys.readouterr().err
 
     assert main(["--print-defaults", "solve"]) == 0
     assert "[system]" in capsys.readouterr().out

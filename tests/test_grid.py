@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from occlp import basis as basis_mod
 from occlp import grid as grid_mod
@@ -7,8 +9,9 @@ from occlp import system
 from occlp.basis import basis_for_region, enumerate_basis
 from occlp.grid import (DiscreteMeasure, GridError, assemble_cost_vector,
                         assemble_flow_matrix, assemble_initial_matrix, build_grid,
-                        integrate_measure, nearest_atom_index)
-from occlp.system import RegionError
+                        integrate_measure, nearest_atom_index, nearest_index,
+                        nearest_state_index)
+from occlp.system import ControlRegion, RegionError, StateRegion
 
 
 @pytest.fixture(scope="module")
@@ -212,4 +215,55 @@ def test_nearest_atom_matches_joint_brute_force(rotation_grid):
     atoms_u = rotation_grid.atom_controls
     for i in range(30):
         d2 = ((atoms_y - ys[i]) ** 2).sum(axis=1) + ((atoms_u - us[i]) ** 2).sum(axis=1)
-        assert d2[got[i]] == pytest.approx(float(np.min(d2)), abs=1e-15)
+        assert got[i] == np.argmin(d2)
+
+
+def _neighbour_midpoints(points: np.ndarray, strides) -> np.ndarray:
+    return np.concatenate([(points[:-k] + points[k:]) / 2.0 for k in strides if k < len(points)])
+
+
+@st.composite
+def _region_and_resolution(draw):
+    if draw(st.booleans()):
+        inner = draw(st.floats(0.1, 2.0))
+        outer = inner if draw(st.booleans()) else inner + draw(st.floats(1e-3, 3.0))
+        center = (draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+        region = StateRegion(kind="annulus", inner=inner, outer=outer, center=center)
+        return region, (1 if inner == outer else draw(st.integers(2, 30)),
+                        draw(st.integers(2, 40)))
+    dim = draw(st.integers(1, 3))
+    lower = tuple(draw(st.floats(-3.0, 3.0)) for _ in range(dim))
+    upper = tuple(lo + draw(st.floats(1e-2, 5.0)) for lo in lower)
+    return (StateRegion(kind="box", lower=lower, upper=upper),
+            tuple(draw(st.integers(2, 8)) for _ in range(dim)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_region_and_resolution(), st.integers(0, 2**32 - 1))
+# coarse angles next to fine radii: the nearest radius lies rings inside the query's
+@example((StateRegion(kind="annulus", inner=0.5, outer=1.5, center=(0.3, -0.2)), (30, 3)), 0)
+def test_nearest_state_index_is_brute_force(setup, seed):
+    region, resolution = setup
+    dynamics = ";".join(["0"] * region.dim)
+    spec = system.SystemSpec(name="probe", dynamics_id=dynamics, cost_id="y1", region=region,
+                             control=ControlRegion(kind="box", lower=(-1.0,), upper=(1.0,)))
+    grid = build_grid(spec, resolution, 2)
+    points = grid.state_points
+    boundary, normals = region.boundary_sample(7)
+    lo, hi = region.bounding_box()
+    queries = np.concatenate([
+        points,
+        # ties between neighbours along the last axis, the first axis and a diagonal
+        _neighbour_midpoints(points, (1, resolution[-1], resolution[-1] + 1)),
+        boundary,
+        boundary + 0.5 * region.tolerance * normals,  # just outside, within tolerance
+        np.random.default_rng(seed).uniform(lo, hi, size=(500, region.dim)),
+    ])
+    queries = queries[region.contains(queries)]
+    assert np.array_equal(nearest_state_index(grid, queries),
+                          nearest_index(points, queries))
+    # far outside: no brute-force promise, but valid rows and no warning
+    far = np.concatenate([np.full((1, region.dim), 1e12), np.full((1, region.dim), -1e12),
+                          np.asarray(region.bounding_box()).mean(axis=0)[None, :]])
+    got = nearest_state_index(grid, far)
+    assert np.all((got >= 0) & (got < points.shape[0]))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -49,12 +50,40 @@ def test_scalar_drift_exponential():
     assert traj.final_state()[0] == pytest.approx(math.exp(-1.0), abs=1e-6)
 
 
+def _custom(dynamics: str, dim: int, control=None) -> system.SystemSpec:
+    return system.SystemSpec(
+        name="custom", dynamics_id=dynamics, cost_id="y1",
+        region=system.StateRegion(kind="box", lower=(-2.0,) * dim, upper=(2.0,) * dim),
+        control=control or system.ControlRegion(kind="box", lower=(-1.0,), upper=(1.0,)))
+
+
 def test_states_satisfy_recomputable_update(rotation):
-    traj = integrate(rotation, (1.0, 0.0), ConstantPolicy(0.7), 0.05, 1e-3)
-    f = dynamics_fn(rotation)
-    for i in range(len(traj.controls)):
-        expected = rk4_step(f, tuple(traj.states[i]), tuple(traj.controls[i]), traj.dt)
-        assert np.asarray(expected).tobytes() == traj.states[i + 1].tobytes()
+    for spec, y0 in [(rotation, (1.0, 0.0)),
+                     (system.make_scalar_drift(), (0.6,)),
+                     (_custom("-y1 + u1; -y2 + y1", 2), (0.5, -0.5)),
+                     (_custom("sin(y2)*u1^2; -exp(y1)*u1", 2), (0.3, -0.7))]:
+        traj = integrate(spec, y0, SchedulePolicy([0.0, 0.02], [0.7, -0.4]), 0.05, 1e-3)
+        f = dynamics_fn(spec)
+        for i in range(len(traj.controls)):
+            expected = rk4_step(f, tuple(traj.states[i]), tuple(traj.controls[i]), traj.dt)
+            assert np.asarray(expected).tobytes() == traj.states[i + 1].tobytes()
+
+
+@pytest.mark.parametrize("control,bad", [
+    (system.ControlRegion(kind="box", lower=(-1.0,), upper=(1.0,)), 2.0),
+    (system.ControlRegion(kind="finite", points=((-1.0,), (0.0,), (1.0,))), 0.5),
+    (system.ControlRegion(kind="box", lower=(-1.0,), upper=(1.0,)), math.nan),
+], ids=["box", "finite", "nan"])
+def test_escaping_control_is_reported_at_its_step(control, bad):
+    spec = _custom("-y1 + u1", 1, control)
+    k = 7
+    # y decreases under u = 0, so the feedback first leaves the control set at step k
+    free = integrate(spec, (1.0,), ConstantPolicy(0.0), 0.02, 1e-3)
+    threshold = free.states[k, 0]
+    policy = FeedbackPolicy(lambda y: (0.0,) if y[0] > threshold else (bad,))
+    message = f"escapes the control region at t={k * free.dt}"
+    with pytest.raises(SimulationError, match=re.escape(message) + "$"):
+        integrate(spec, (1.0,), policy, 0.02, 1e-3)
 
 
 def test_integrate_validation(rotation):
