@@ -31,7 +31,7 @@ from .metrics import MetricError, make_test_function_set, rho_hat
 from .oracle import OracleError, frozen_value, level_set_ordering, rotation_level_value
 from .programs import (ProgramError, build_discounted_lp, build_ergodic_lp,
                        build_nonergodic_lp, build_perturbed_lp, certificate_offgrid_report,
-                       certificate_slacks, extract_dual_certificate,
+                       certificate_slacks, extract_dual_certificate, lp_name,
                        membership_residual, solve, verify_weak_duality)
 from .simulate import (SimulationError, Trajectory, abel_value, cesaro_value,
                        horizon_study, periodic_value_search, rotation_delta_family)
@@ -98,28 +98,37 @@ def _pool_map(fn, items, jobs: int):
 # study sections
 
 
-def _solve_section(bundle, spec, grid, basis, cfg: StudyConfig, jobs: int):
+# the program variants whose LPs each section reads; the solve section of a
+# study builds and solves only the configured variants its sections read
+_SECTION_READS = {
+    "solve": ("ergodic", "nonergodic", "discounted", "perturbed"),
+    "simulate": ("nonergodic", "discounted"),
+    "sweep": ("discounted", "perturbed"),
+    "certify": ("nonergodic",),
+}
+
+
+def _solve_section(bundle, spec, grid, basis, cfg: StudyConfig, variants, jobs: int):
     prog = cfg.program
     y0 = np.asarray(prog.y0, dtype=float)
     instances = []
-    if "ergodic" in prog.variants:
-        instances.append(("ergodic", build_ergodic_lp(grid, basis, spec)))
-    if "nonergodic" in prog.variants:
-        instances.append(("nonergodic", build_nonergodic_lp(grid, basis, spec, y0,
-                                                            xi_mass_cap=prog.xi_mass_cap)))
-    if "discounted" in prog.variants:
+    if "ergodic" in variants:
+        instances.append(build_ergodic_lp(grid, basis, spec))
+    if "nonergodic" in variants:
+        instances.append(build_nonergodic_lp(grid, basis, spec, y0,
+                                             xi_mass_cap=prog.xi_mass_cap))
+    if "discounted" in variants:
         for rate in prog.discount_rates:
-            instances.append((f"discounted[rate={rate:g}]",
-                              build_discounted_lp(grid, basis, spec, y0, rate)))
-    if "perturbed" in prog.variants:
+            instances.append(build_discounted_lp(grid, basis, spec, y0, rate))
+    if "perturbed" in variants:
         for eps in prog.epsilons:
-            instances.append((f"perturbed[eps={eps:g}]",
-                              build_perturbed_lp(grid, basis, spec, y0, eps,
-                                                 xi_mass_cap=prog.xi_mass_cap)))
-    solutions = _pool_map(lambda pair: solve(pair[1]), instances, jobs)
+            instances.append(build_perturbed_lp(grid, basis, spec, y0, eps,
+                                                xi_mass_cap=prog.xi_mass_cap))
+    solutions = _pool_map(solve, instances, jobs)
 
     results = {}
-    for (name, instance), solution in zip(instances, solutions):
+    for instance, solution in zip(instances, solutions):
+        name = lp_name(instance)
         results[name] = (instance, solution)
         bundle.values[f"{name}.status"] = solution.status
         if solution.status != "optimal":
@@ -172,7 +181,7 @@ def _solve_section(bundle, spec, grid, basis, cfg: StudyConfig, jobs: int):
                     f"{name}: minimal-mass refinement rejected; xi is an arbitrary "
                     f"optimal transport")
 
-    if "ergodic" in prog.variants and "nonergodic" in prog.variants:
+    if "ergodic" in variants and "nonergodic" in variants:
         erg = results["ergodic"][1]
         non = results["nonergodic"][1]
         if erg.status == "optimal" and non.status == "optimal":
@@ -180,7 +189,7 @@ def _solve_section(bundle, spec, grid, basis, cfg: StudyConfig, jobs: int):
                           erg.value <= non.value + 1e-7,
                           f"{erg.value:.9f} <= {non.value:.9f} + 1e-7")
 
-    if "perturbed" in prog.variants and len(prog.epsilons) >= 2:
+    if "perturbed" in variants and len(prog.epsilons) >= 2:
         eps_sorted = sorted(prog.epsilons)
         rows, ok_monotone = [], True
         values_by_eps = {}
@@ -390,9 +399,12 @@ def run_study(config: StudyConfig, sections=_ALL_SECTIONS, jobs: int = 1) -> Rep
     bundle.values["basis.count"] = basis.count
 
     study = (spec, grid, basis, config)
+    reads = {variant for section in sections for variant in _SECTION_READS.get(section, ())}
+    variants = tuple(v for v in config.program.variants if v in reads)
     solve_results = {}
-    if {"solve", "sweep", "certify", "simulate"} & set(sections):
-        solve_results = _run_section(bundle, "solve", _solve_section, *study, jobs) or {}
+    if variants:
+        solve_results = _run_section(bundle, "solve", _solve_section, *study,
+                                     variants, jobs) or {}
     if "simulate" in sections:
         _run_section(bundle, "simulate", _simulate_section, *study, solve_results)
     if "sweep" in sections:

@@ -30,6 +30,7 @@ counterpart is not.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,9 @@ from .basis import BasisSpec, grad_matrix, phi_matrix
 from .grid import (DiscreteMeasure, Grid, assemble_cost_vector,
                    assemble_flow_matrix, assemble_initial_matrix, nearest_state_index)
 from .system import RegionError, SystemSpec, cost_batch, dynamics_batch, lattice, product_rows
+
+
+log = logging.getLogger(__name__)
 
 
 class ProgramError(ValueError):
@@ -116,6 +120,17 @@ class LpSolution:
     complementarity_residual: float
     iterations: int
     message: str
+
+
+def lp_name(instance: LpInstance) -> str:
+    """The report's name of an LP: its variant, with the rate or epsilon if it has one."""
+    prov = instance.provenance
+    variant = prov.get("variant", "unnamed")
+    if "rate" in prov:
+        return f"{variant}[rate={prov['rate']:g}]"
+    if "epsilon" in prov:
+        return f"{variant}[eps={prov['epsilon']:g}]"
+    return variant
 
 
 def snap_to_state_grid(grid: Grid, y0) -> tuple[int, np.ndarray]:
@@ -228,6 +243,14 @@ def _minimal_mass_refinement(instance: LpInstance, a_eq: np.ndarray,
             DiscreteMeasure(instance.grid, np.maximum(x[n_g:], 0.0)))
 
 
+def _logged(instance: LpInstance, solution: LpSolution) -> LpSolution:
+    log.info("%s: %d rows, %d columns, %d iterations, status %s, xi_canonical %s, "
+             "cap_dual %.6g", lp_name(instance), len(instance.row_meta),
+             instance.n_gamma + instance.n_xi, solution.iterations, solution.status,
+             solution.xi_canonical, solution.cap_dual)
+    return solution
+
+
 def solve(instance: LpInstance) -> LpSolution:
     """Solve with HiGHS; optimality is demoted to tolerance-failure when the
     returned point violates the residual or duality-gap contracts."""
@@ -250,8 +273,9 @@ def solve(instance: LpInstance) -> LpSolution:
     iterations = int(getattr(result, "nit", 0) or 0)
     if result.status != 0:
         status = {2: "infeasible", 3: "unbounded"}.get(result.status, "tolerance-failure")
-        return LpSolution(status, None, None, None, None, 0.0, False, False, None,
-                          np.inf, np.inf, iterations, result.message)
+        return _logged(instance, LpSolution(status, None, None, None, None, 0.0, False,
+                                            False, None, np.inf, np.inf, iterations,
+                                            result.message))
 
     x = np.asarray(result.x)
     gamma = DiscreteMeasure(instance.grid, np.maximum(x[:n_g], 0.0))
@@ -296,9 +320,10 @@ def solve(instance: LpInstance) -> LpSolution:
         status = "tolerance-failure"
         message = f"duality gap {value - dual_objective:.3e} exceeds tolerance"
 
-    return LpSolution(status, value, gamma, xi, row_duals, cap_dual, cap_binding,
-                      xi_mass_canonical, dual_objective, primal_residual, complementarity,
-                      iterations, message)
+    return _logged(instance, LpSolution(status, value, gamma, xi, row_duals, cap_dual,
+                                        cap_binding, xi_mass_canonical, dual_objective,
+                                        primal_residual, complementarity, iterations,
+                                        message))
 
 
 # ---------------------------------------------------------------------------
@@ -355,23 +380,25 @@ def extract_dual_certificate(solution: LpSolution, instance: LpInstance,
 
 
 def certificate_slacks(cert: DualCertificate, grid: Grid, basis: BasisSpec,
-                       spec: SystemSpec,
-                       ys: np.ndarray | None = None,
-                       us: np.ndarray | None = None):
+                       spec: SystemSpec, ys: np.ndarray | None = None):
     """Pointwise slacks of the two certificate inequality families.
 
-    Defaults to the grid atoms; pass denser (ys, us) for an off-grid report.
-    Returns (lower-bound family slacks, monotonicity family slacks).
+    The slacks are taken at every pair of a state in ``ys`` (default: the
+    grid's state points, which gives the grid atoms) and a grid control, in
+    state-major atom order.  psi, grad psi and grad eta are evaluated once per
+    state and repeated over the controls; the dynamics and the cost once per
+    pair.  Returns (lower-bound family slacks, monotonicity family slacks).
     """
     if ys is None:
-        ys, us = grid.atom_states, grid.atom_controls
-    f_vals = dynamics_batch(spec)(ys, us)
-    cost = cost_batch(spec)(ys, us)
-    phis = phi_matrix(basis, ys)
+        ys = grid.state_points
+    n_controls = grid.control_points.shape[0]
+    ys_full, us_full = product_rows(ys, grid.control_points)
+    f_vals = dynamics_batch(spec)(ys_full, us_full)
+    cost = cost_batch(spec)(ys_full, us_full)
     grads = grad_matrix(basis, ys)
-    psi_vals = cert.psi_coeffs @ phis
-    grad_eta = np.einsum("b,bnm->nm", cert.eta_coeffs, grads)
-    grad_psi = np.einsum("b,bnm->nm", cert.psi_coeffs, grads)
+    psi_vals = np.repeat(cert.psi_coeffs @ phi_matrix(basis, ys), n_controls)
+    grad_eta = np.repeat(np.einsum("b,bnm->nm", cert.eta_coeffs, grads), n_controls, axis=0)
+    grad_psi = np.repeat(np.einsum("b,bnm->nm", cert.psi_coeffs, grads), n_controls, axis=0)
     psi_at_y0 = (float(cert.psi_coeffs @ phi_matrix(basis, cert.y0[None, :])[:, 0])
                  if cert.y0 is not None else 0.0)
     family1 = (cost + (psi_at_y0 - psi_vals)
@@ -401,11 +428,10 @@ def certificate_offgrid_report(cert: DualCertificate, grid: Grid, basis: BasisSp
         lo, hi = spec.region.bounding_box()
         ys = lattice([np.linspace(lo[j], hi[j], r * density_factor)
                       for j, r in enumerate(prov["state_resolution"])])
-    ys_full, us_full = product_rows(ys, grid.control_points)
-    f1, f2 = certificate_slacks(cert, grid, basis, spec, ys_full, us_full)
+    f1, f2 = certificate_slacks(cert, grid, basis, spec, ys)
     return {"min_lower_bound_slack": float(np.min(f1)),
             "min_monotonicity_slack": float(np.min(f2)),
-            "sample_count": int(ys_full.shape[0])}
+            "sample_count": int(f1.shape[0])}
 
 
 def verify_weak_duality(primal_value: float, dual_mu: float,

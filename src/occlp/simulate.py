@@ -97,7 +97,10 @@ class FeedbackPolicy(Policy):
         self.fn = fn
 
     def control(self, t, y):
-        return tuple(np.atleast_1d(np.asarray(self.fn(y), dtype=float)).tolist())
+        out = self.fn(y)
+        if isinstance(out, (tuple, list)):
+            return tuple(float(v) for v in out)
+        return tuple(np.atleast_1d(np.asarray(out, dtype=float)).tolist())
 
 
 def feedback_table_policy(grid: Grid, table: np.ndarray) -> FeedbackPolicy:
@@ -352,7 +355,7 @@ def rotation_delta_family(spec: SystemSpec, y0, deltas) -> list[PeriodicCandidat
 
         def feedback(y, delta=delta):
             theta = math.atan2(y[1] - cy, y[0] - cx)
-            return ((delta + (1.0 - delta) * (1.0 + np.cos(theta)) / 2.0) ** 2,)
+            return ((delta + (1.0 - delta) * (1.0 + math.cos(theta)) / 2.0) ** 2,)
 
         candidates.append(PeriodicCandidate(label=f"delta={delta}",
                                             policy=FeedbackPolicy(feedback),

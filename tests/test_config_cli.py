@@ -1,5 +1,9 @@
+import dataclasses
 import json
+import logging
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,10 +297,11 @@ def test_worker_pool_does_not_change_results():
     assert serial.invariants == pooled.invariants
 
 
+ACCEPTANCE_CONFIG = Path(__file__).parent.parent / "configs" / "rotation_acceptance.conf"
+
+
 def test_rotation_acceptance_config_study_passes():
-    from pathlib import Path
-    config_path = Path(__file__).parent.parent / "configs" / "rotation_acceptance.conf"
-    cfg = parse_config(config_path.read_text())
+    cfg = parse_config(ACCEPTANCE_CONFIG.read_text())
     bundle = run_study(cfg, sections=("solve", "sweep"), jobs=2)
     assert bundle.all_passed()
     assert bundle.values["nonergodic.value"] == pytest.approx(-1.0, abs=0.05)
@@ -306,6 +311,81 @@ def test_rotation_acceptance_config_study_passes():
     eps_rows = bundle.tables["epsilon_sweep"]["rows"]
     assert [row[0] for row in eps_rows] == sorted(cfg.program.epsilons)
     assert all(row[2] for row in eps_rows)
+
+
+# the program variants each command reads, and checks of its own that read them
+READS = {"simulate": {"nonergodic", "discounted"},
+         "sweep": {"discounted", "perturbed"},
+         "certify": {"nonergodic"}}
+CHECKS = {"simulate": ("discounted_lp_below_abel[rate=0.005]", "cesaro_above_dual_bound"),
+          "sweep": ("perturbed_monotone_in_epsilon", "perturbed_small_eps_convergence"),
+          "certify": ("certify.optimal_gamma_feasible",)}
+
+
+@pytest.fixture(scope="module")
+def acceptance_bundles():
+    cfg = parse_config(ACCEPTANCE_CONFIG.read_text())
+    return cfg, {cmd: run_study(cfg, sections=(cmd,), jobs=2) for cmd in ("solve", *READS)}
+
+
+def _solved(bundle) -> list[str]:
+    """The variant of every LP the bundle reports a status for."""
+    return [key.partition("[")[0].removesuffix(".status")
+            for key in bundle.values if key.endswith(".status")]
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_each_command_solves_only_the_lps_it_reads(acceptance_bundles, command):
+    cfg, bundles = acceptance_bundles
+    bundle, full = bundles[command], bundles["solve"]
+    assert bundle.all_passed()
+    assert set(_solved(bundle)) == READS[command] & set(cfg.program.variants)
+    checked = {entry["name"] for entry in bundle.invariants}
+    assert set(CHECKS[command]) <= checked
+    # whatever it shares with the solve report is the same
+    for section in ("values", "certificates", "measures", "tables"):
+        ours, theirs = getattr(bundle, section), getattr(full, section)
+        assert all(ours[key] == theirs[key] for key in ours.keys() & theirs.keys())
+    assert all(row in full.duals for row in bundle.duals)
+    full_invariants = {entry["name"]: entry for entry in full.invariants}
+    assert all(entry == full_invariants[entry["name"]] for entry in bundle.invariants
+               if entry["name"] in full_invariants)
+
+
+def test_solve_solves_every_configured_lp(acceptance_bundles):
+    cfg, bundles = acceptance_bundles
+    no_policy = dataclasses.replace(cfg, simulate=dataclasses.replace(cfg.simulate, policy=""))
+    for bundle in (bundles["solve"], run_study(no_policy, sections=("solve", "simulate"))):
+        assert len(_solved(bundle)) == 7
+        assert set(_solved(bundle)) == set(cfg.program.variants)
+
+
+def test_certify_solves_its_own_lp_when_nonergodic_is_not_configured(acceptance_bundles):
+    cfg, bundles = acceptance_bundles
+    ergodic_only = dataclasses.replace(
+        cfg, program=dataclasses.replace(cfg.program, variants=("ergodic",)))
+    bundle = run_study(ergodic_only, sections=("certify",))
+    assert bundle.all_passed()
+    assert _solved(bundle) == []
+
+    def certify_values(b):
+        return {k: v for k, v in b.values.items() if k.startswith("certify.")}
+    assert certify_values(bundle) == certify_values(bundles["certify"])
+
+
+def test_info_log_has_one_line_per_lp(caplog):
+    cfg = parse_config(FROZEN_STUDY)
+    with caplog.at_level(logging.INFO, logger="occlp"):
+        bundle = run_study(cfg, sections=("solve",))
+    lines = [r.getMessage() for r in caplog.records if r.name == "occlp.programs"]
+    names = [key.removesuffix(".status") for key in bundle.values if key.endswith(".status")]
+    assert [line.partition(": ")[0] for line in lines] == names
+    pattern = (r"\S+: \d+ rows, \d+ columns, \d+ iterations, status optimal, "
+               r"xi_canonical (True|False), cap_dual \S+")
+    assert all(re.fullmatch(pattern, line) for line in lines)
+    [nonergodic] = [line for line in lines if line.startswith("nonergodic:")]
+    assert f"{2 * bundle.values['grid.atom_count']} columns" in nonergodic
+    assert "xi_canonical True" in nonergodic
 
 
 def test_interchange_exports(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from occlp import oracle, system
-from occlp.basis import basis_for_region, phi_matrix
+from occlp.basis import basis_for_region, grad_matrix, phi_matrix
 from occlp.grid import DiscreteMeasure, build_grid
 from occlp.programs import (PRIMAL_RESIDUAL_TOL, LpInstance, ProgramError, RowMeta,
                             build_discounted_lp, build_ergodic_lp,
@@ -11,6 +11,8 @@ from occlp.programs import (PRIMAL_RESIDUAL_TOL, LpInstance, ProgramError, RowMe
                             certificate_slacks, extract_dual_certificate,
                             membership_residual, snap_to_state_grid, solve,
                             verify_weak_duality)
+from occlp.system import (ControlRegion, StateRegion, SystemSpec, cost_batch,
+                          dynamics_batch, lattice, product_rows)
 
 
 @pytest.fixture(scope="module")
@@ -317,6 +319,58 @@ def test_certificate_perturbed_families_use_epsilon_slack(rotation_setup):
     assert cert.f_bound == spec.bound_f
     assert certificate_is_valid(cert, g, b, spec)
     assert cert.mu == pytest.approx(solution.value, abs=1e-6)
+
+
+def _reference_slacks(cert, basis, spec, ys, us):
+    """Both slack families with the basis evaluated at every atom row (ys, us)."""
+    f_vals = dynamics_batch(spec)(ys, us)
+    grads = grad_matrix(basis, ys)
+    grad_eta = np.einsum("b,bnm->nm", cert.eta_coeffs, grads)
+    grad_psi = np.einsum("b,bnm->nm", cert.psi_coeffs, grads)
+    psi_at_y0 = (float(cert.psi_coeffs @ phi_matrix(basis, cert.y0[None, :])[:, 0])
+                 if cert.y0 is not None else 0.0)
+    family1 = (cost_batch(spec)(ys, us) + (psi_at_y0 - cert.psi_coeffs @ phi_matrix(basis, ys))
+               + np.einsum("nm,nm->n", grad_eta, f_vals) - cert.mu + 2.0 * cert.epsilon)
+    family2 = np.einsum("nm,nm->n", grad_psi, f_vals) + cert.f_bound * cert.epsilon
+    return family1, family2
+
+
+@pytest.fixture(scope="module")
+def box_drift_setup():
+    spec = SystemSpec(name="custom", dynamics_id="-y1 + u1;-y2 + y1",
+                      cost_id="y2^2 + 0.5*u1^2",
+                      region=StateRegion(kind="box", lower=(-1.0, -1.0), upper=(1.0, 1.0)),
+                      control=ControlRegion(kind="box", lower=(-1.0,), upper=(1.0,)),
+                      bound_f=3.0, bound_k=1.5)
+    g = build_grid(spec, (6, 6), 5)
+    b = basis_for_region(spec.region, 4)
+    return spec, g, b
+
+
+@pytest.mark.parametrize("setup,y0", [("rotation_setup", (1.0, 0.0)),
+                                      ("box_drift_setup", (0.5, -0.5))])
+@pytest.mark.parametrize("epsilon", [None, 0.1])
+def test_certificate_slacks_evaluate_the_basis_once_per_state(request, setup, y0, epsilon):
+    spec, g, b = request.getfixturevalue(setup)
+    instance = (build_nonergodic_lp(g, b, spec, y0) if epsilon is None
+                else build_perturbed_lp(g, b, spec, y0, epsilon))
+    solution = solve(instance)
+    cert = extract_dual_certificate(solution, instance, b)
+    assert cert.y0 is not None and cert.epsilon == (epsilon or 0.0)
+    f1, f2 = certificate_slacks(cert, g, b, spec)
+    r1, r2 = _reference_slacks(cert, b, spec, g.atom_states, g.atom_controls)
+    assert np.array_equal(f1, r1) and np.array_equal(f2, r2)
+
+    report = certificate_offgrid_report(cert, g, b, spec, density_factor=4)
+    prov = g.provenance
+    if prov["state_kind"] == "annulus":
+        ys = spec.region.lattice((prov["radial_count"] * 4, prov["angle_count"] * 4))
+    else:
+        ys = lattice([np.linspace(-1.0, 1.0, r * 4) for r in prov["state_resolution"]])
+    r1, r2 = _reference_slacks(cert, b, spec, *product_rows(ys, g.control_points))
+    assert report == {"min_lower_bound_slack": float(np.min(r1)),
+                      "min_monotonicity_slack": float(np.min(r2)),
+                      "sample_count": r1.shape[0]}
 
 
 def test_certificate_requires_optimal(frozen_setup):
