@@ -1,10 +1,13 @@
 """Finite polynomial test-function family with exact gradients.
 
 Constraint sets that quantify over all continuously differentiable test
-functions are truncated to the span of multivariate monomials of total degree
-1..d, evaluated in affinely prescaled coordinates (the region's bounding box
-mapped onto [-1, 1]^m) for conditioning.  The constant function is excluded:
-its flow and initial-coupling rows are identically zero.
+functions are truncated to the polynomials of total degree 1..d in affinely
+prescaled coordinates s (the region's bounding box mapped onto [-1, 1]^m).
+The family spanning them is the tensor products P_alpha(s) = prod_j P_{alpha_j}(s_j)
+of Legendre polynomials (normalised by P_k(1) = 1) with 1 <= |alpha| <= d:
+the same span as the monomials s^alpha, but with far better conditioned LP
+rows at high degree.  The constant function is excluded: its flow and
+initial-coupling rows are identically zero.
 """
 
 from __future__ import annotations
@@ -24,7 +27,11 @@ class BasisError(ValueError):
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """Monomial family in scaled coordinates s = (y - center) / halfwidth."""
+    """Tensor Legendre family in scaled coordinates s = (y - center) / halfwidth.
+
+    Element b is prod_j P_{exponents[b][j]}(s_j); ``exponents`` holds the
+    multi-indices alpha (per-coordinate Legendre degrees).
+    """
 
     dim: int
     max_degree: int
@@ -49,7 +56,7 @@ def _graded_lex_exponents(m: int, d: int) -> tuple[tuple[int, ...], ...]:
 
 
 def enumerate_basis(m: int, d: int, lower=None, upper=None) -> BasisSpec:
-    """All monomial exponents with 1 <= |alpha| <= d in graded-lex order.
+    """All multi-indices with 1 <= |alpha| <= d in graded-lex order.
 
     Without a bounding box the scaling is the identity.  The family size is
     C(m + d, d) - 1.
@@ -78,46 +85,53 @@ def basis_for_region(region: StateRegion, d: int) -> BasisSpec:
     return enumerate_basis(region.dim, d, lower=lo, upper=hi)
 
 
-def _power_table(basis: BasisSpec, ys: np.ndarray) -> np.ndarray:
-    """Scaled powers s[:, j] ** e for e = 0..d by repeated products, shape (dim, d + 1, n)."""
-    s = basis.scale(ys)  # (n, m)
-    powers = np.ones((basis.dim, basis.max_degree + 1, s.shape[0]))
-    for j in range(basis.dim):
-        for e in range(1, basis.max_degree + 1):
-            powers[j, e] = powers[j, e - 1] * s[:, j]
-    return powers
+def _legendre_tables(basis: BasisSpec, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_k(s[:, j]) and P_k'(s[:, j]) for k = 0..d, each of shape (dim, d + 1, n).
+
+    Values follow (k + 1) P_{k+1} = (2k + 1) s P_k - k P_{k-1} and derivatives
+    P'_{k+1} = P'_{k-1} + (2k + 1) P_k, from P_0 = 1 and P_1 = s.
+    """
+    s = basis.scale(ys).T  # (m, n)
+    d = basis.max_degree
+    values = np.empty((basis.dim, d + 1, s.shape[1]))
+    derivs = np.zeros_like(values)
+    values[:, 0] = 1.0
+    values[:, 1] = s
+    derivs[:, 1] = 1.0
+    for k in range(1, d):
+        values[:, k + 1] = ((2 * k + 1) * s * values[:, k] - k * values[:, k - 1]) / (k + 1)
+        derivs[:, k + 1] = derivs[:, k - 1] + (2 * k + 1) * values[:, k]
+    return values, derivs
 
 
 def phi_matrix(basis: BasisSpec, ys: np.ndarray) -> np.ndarray:
     """Values of every basis element at row-stacked points, shape (count, n)."""
-    powers = _power_table(basis, ys)
-    n = powers.shape[2]
+    values, _ = _legendre_tables(basis, ys)
+    n = values.shape[2]
     out = np.empty((basis.count, n))
     for b, alpha in enumerate(basis.exponents):
         acc = np.ones(n)
         for j, e in enumerate(alpha):
             if e:
-                acc = acc * powers[j, e]
+                acc = acc * values[j, e]
         out[b] = acc
     return out
 
 
 def grad_matrix(basis: BasisSpec, ys: np.ndarray) -> np.ndarray:
     """Gradients w.r.t. unscaled coordinates, shape (count, n, m)."""
-    powers = _power_table(basis, ys)
-    n = powers.shape[2]
+    values, derivs = _legendre_tables(basis, ys)
+    n = values.shape[2]
     half = np.asarray(basis.scale_half)
     out = np.zeros((basis.count, n, basis.dim))
     for b, alpha in enumerate(basis.exponents):
         for j, e in enumerate(alpha):
             if e == 0:
                 continue
-            acc = np.full(n, e / half[j])  # chain-rule factor of the prescaling
+            acc = derivs[j, e] / half[j]  # chain-rule factor of the prescaling
             for i, ei in enumerate(alpha):
-                if i == j:
-                    acc = acc * powers[i, ei - 1]
-                elif ei:
-                    acc = acc * powers[i, ei]
+                if i != j and ei:
+                    acc = acc * values[i, ei]
             out[b, :, j] = acc
     return out
 

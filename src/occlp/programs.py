@@ -22,6 +22,11 @@ and mu equal to the optimal value (finite LP strong duality).  mu is always a
 certified lower bound for the primal value (weak duality), which is asserted
 for every solve.
 
+Every LP here, including the membership LP, is one HiGHS model built through
+scipy's bundled binding and solved by dual simplex with presolve off.  A
+coupled program whose xi block carries no cost is re-run from its optimal
+basis for the minimal xi mass on its optimal face, in the same model.
+
 Start points are snapped to the nearest state grid point when building the
 coupled rows: the rows are exact equalities, so an off-grid start point would
 generically make the finite program infeasible even though its continuum
@@ -34,7 +39,8 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, MatrixFormat, _Highs
+from scipy.sparse import csc_array
 
 from .basis import BasisSpec, grad_matrix, phi_matrix
 from .grid import (DiscreteMeasure, Grid, assemble_cost_vector,
@@ -118,8 +124,9 @@ class LpSolution:
     dual_objective: float | None
     primal_residual: float
     complementarity_residual: float
-    iterations: int
+    iterations: int  # of the main solve
     message: str
+    refine_iterations: int | None = None  # None when no minimal-mass refinement ran
 
 
 def lp_name(instance: LpInstance) -> str:
@@ -218,42 +225,92 @@ def build_perturbed_lp(grid: Grid, basis: BasisSpec, spec: SystemSpec, y0,
                        {"variant": "perturbed", "epsilon": epsilon, "f_bound": spec.bound_f})
 
 
-def _minimal_mass_refinement(instance: LpInstance, a_eq: np.ndarray,
-                             objective: np.ndarray, value: float):
-    """Re-solve for minimal xi mass over the (near-)optimal face.
+# HiGHS model status -> solution status; any other is a tolerance-failure.  A
+# model error counts as infeasible, as scipy's linprog reports it.
+_STATUS = {HighsModelStatus.kOptimal: "optimal",
+           HighsModelStatus.kInfeasible: "infeasible",
+           HighsModelStatus.kModelError: "infeasible",
+           HighsModelStatus.kUnbounded: "unbounded"}
 
-    Returns None unless that solve succeeds with a point inside the primal
-    residual tolerance."""
+
+def _highs_run(cost: np.ndarray, a: np.ndarray, row_lower: np.ndarray,
+               row_upper: np.ndarray) -> tuple[_Highs, str, int]:
+    """Build and run one owned HiGHS model of  min cost.x  s.t.
+    row_lower <= a x <= row_upper, x >= 0, with dual simplex and presolve off.
+
+    Returns the model (for a warm re-run), its status and simplex iterations.
+    """
+    highs = _Highs()
+    for option, setting in (("output_flag", False), ("presolve", "off"),
+                            ("simplex_strategy", 1)):  # 1: dual simplex
+        highs.setOptionValue(option, setting)
+    matrix = csc_array(a)
+    lp = HighsLp()
+    lp.num_row_, lp.num_col_ = a.shape
+    lp.col_cost_ = cost
+    lp.col_lower_ = np.zeros(a.shape[1])
+    lp.col_upper_ = np.full(a.shape[1], np.inf)
+    lp.row_lower_ = row_lower
+    lp.row_upper_ = row_upper
+    lp.a_matrix_.format_ = MatrixFormat.kColwise
+    lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = a.shape
+    lp.a_matrix_.start_ = matrix.indptr
+    lp.a_matrix_.index_ = matrix.indices
+    lp.a_matrix_.value_ = matrix.data
+    highs.passModel(lp)
+    return (highs, *_rerun(highs))
+
+
+def _rerun(highs: _Highs) -> tuple[str, int]:
+    """Run the model from its current basis; its status and simplex iterations."""
+    highs.run()
+    return (_STATUS.get(highs.getModelStatus(), "tolerance-failure"),
+            int(highs.getInfo().simplex_iteration_count))
+
+
+def _minimal_mass_refinement(instance: LpInstance, highs: _Highs, a_eq: np.ndarray,
+                             objective: np.ndarray, value: float):
+    """Re-solve the solved model for minimal xi mass over the (near-)optimal face.
+
+    The objective becomes a row capped just above its optimum, the cost
+    becomes the xi mass (whose cap row is already in the model), and the run
+    starts from the optimal basis.  Returns the simplex iterations and the
+    refined (gamma, xi), or None unless that run succeeds with a point inside
+    the primal residual tolerance."""
     n_g, n_x = instance.n_gamma, instance.n_xi
-    mass_obj = np.concatenate([np.zeros(n_g), np.ones(n_x)])
-    rows_ub = [objective]  # keep the original objective at its optimum
-    rhs_ub = [value + 1e-9 * (1.0 + abs(value))]
-    if instance.xi_mass_cap is not None:
-        rows_ub.append(mass_obj)
-        rhs_ub.append(instance.xi_mass_cap)
-    result = linprog(mass_obj, A_eq=a_eq, b_eq=instance.eq_rhs,
-                     A_ub=np.vstack(rows_ub), b_ub=np.array(rhs_ub),
-                     bounds=(0, None), method="highs")
-    if result.status != 0:
-        return None
-    x = np.maximum(np.asarray(result.x), 0.0)
+    support = np.flatnonzero(objective).astype(np.int32)
+    highs.addRow(-np.inf, value + 1e-9 * (1.0 + abs(value)), len(support), support,
+                 objective[support])
+    columns = np.arange(n_g + n_x, dtype=np.int32)
+    highs.changeColsCost(len(columns), columns, np.concatenate([np.zeros(n_g), np.ones(n_x)]))
+    highs.setOptionValue("primal_feasibility_tolerance", 1e-9)
+    status, iterations = _rerun(highs)
+    if status != "optimal":
+        return iterations, None
+    x = np.maximum(np.asarray(highs.getSolution().col_value), 0.0)
     if np.max(np.abs(a_eq @ x - instance.eq_rhs)) > PRIMAL_RESIDUAL_TOL:
-        return None  # the caller keeps the unrefined vertex
-    return (DiscreteMeasure(instance.grid, np.maximum(x[:n_g], 0.0)),
-            DiscreteMeasure(instance.grid, np.maximum(x[n_g:], 0.0)))
+        return iterations, None  # the caller keeps the unrefined vertex
+    return iterations, (DiscreteMeasure(instance.grid, x[:n_g]),
+                        DiscreteMeasure(instance.grid, x[n_g:]))
 
 
 def _logged(instance: LpInstance, solution: LpSolution) -> LpSolution:
+    refinement = ("not run" if solution.refine_iterations is None
+                  else f"{solution.refine_iterations} iterations")
     log.info("%s: %d rows, %d columns, %d iterations, status %s, xi_canonical %s, "
-             "cap_dual %.6g", lp_name(instance), len(instance.row_meta),
+             "cap_dual %.6g, refinement %s", lp_name(instance), len(instance.row_meta),
              instance.n_gamma + instance.n_xi, solution.iterations, solution.status,
-             solution.xi_canonical, solution.cap_dual)
+             solution.xi_canonical, solution.cap_dual, refinement)
     return solution
 
 
 def solve(instance: LpInstance) -> LpSolution:
-    """Solve with HiGHS; optimality is demoted to tolerance-failure when the
-    returned point violates the residual or duality-gap contracts."""
+    """Solve with one owned HiGHS model (dual simplex, presolve off).
+
+    When the xi block carries no cost, the same model is re-run warm from its
+    optimal basis for the minimal-mass xi on the optimal face.  Optimality is
+    demoted to tolerance-failure when the returned point violates the residual
+    or duality-gap contracts."""
     n_g, n_x = instance.n_gamma, instance.n_xi
     if instance.has_xi:
         objective = np.concatenate([instance.objective_gamma, instance.objective_xi])
@@ -262,56 +319,59 @@ def solve(instance: LpInstance) -> LpSolution:
         objective = instance.objective_gamma
         a_eq = instance.eq_gamma
 
-    a_ub = b_ub = None
-    if instance.has_xi and instance.xi_mass_cap is not None:
-        cap_row = np.concatenate([np.zeros(n_g), np.ones(n_x)])[None, :]
-        a_ub, b_ub = cap_row, np.array([instance.xi_mass_cap])
+    a, lower, upper = a_eq, instance.eq_rhs, instance.eq_rhs
+    has_cap = instance.has_xi and instance.xi_mass_cap is not None
+    if has_cap:  # the last row: xi mass <= cap
+        cap_row = np.concatenate([np.zeros(n_g), np.ones(n_x)])
+        a = np.vstack([a_eq, cap_row])
+        lower = np.append(lower, -np.inf)
+        upper = np.append(upper, instance.xi_mass_cap)
 
-    result = linprog(objective, A_eq=a_eq, b_eq=instance.eq_rhs,
-                     A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
-
-    iterations = int(getattr(result, "nit", 0) or 0)
-    if result.status != 0:
-        status = {2: "infeasible", 3: "unbounded"}.get(result.status, "tolerance-failure")
+    highs, status, iterations = _highs_run(objective, a, lower, upper)
+    message = highs.modelStatusToString(highs.getModelStatus())
+    if status != "optimal":
         return _logged(instance, LpSolution(status, None, None, None, None, 0.0, False,
                                             False, None, np.inf, np.inf, iterations,
-                                            result.message))
+                                            message))
 
-    x = np.asarray(result.x)
+    found = highs.getSolution()  # a copy: the refinement below re-runs the model
+    x = np.asarray(found.col_value)
+    duals = np.asarray(found.row_dual)
+    value = float(highs.getInfo().objective_function_value)
     gamma = DiscreteMeasure(instance.grid, np.maximum(x[:n_g], 0.0))
     xi = DiscreteMeasure(instance.grid, np.maximum(x[n_g:], 0.0)) if instance.has_xi else None
-    row_duals = np.asarray(result.eqlin.marginals)
-    cap_dual = float(result.ineqlin.marginals[0]) if a_ub is not None else 0.0
+    row_duals = duals[:a_eq.shape[0]]
+    cap_dual = float(duals[-1]) if has_cap else 0.0
 
     # With a weightless xi block its mass is a free degree of freedom and the
     # solver may park at an arbitrary vertex (including the cap).  A secondary
     # mass-minimising solve over the optimal face yields a canonical pair, and
     # only then does a binding cap signal anything structural.
     xi_mass_canonical = instance.has_xi
+    refine_iterations = None
     if instance.has_xi and not np.any(instance.objective_xi):
-        refined = _minimal_mass_refinement(instance, a_eq, objective, float(result.fun))
+        refine_iterations, refined = _minimal_mass_refinement(instance, highs, a_eq,
+                                                              objective, value)
         xi_mass_canonical = refined is not None
         if refined is not None:
             gamma, xi = refined
     # binding = the cap influences the value (nonzero shadow price) or even the
     # minimal-mass xi needs the whole budget
-    cap_binding = bool(instance.has_xi and instance.xi_mass_cap is not None
+    cap_binding = bool(has_cap
                        and (cap_dual < -1e-9
                             or (xi_mass_canonical
                                 and xi.total_mass >= instance.xi_mass_cap * (1.0 - 1e-9))))
 
     primal_residual = float(np.max(np.abs(a_eq @ x - instance.eq_rhs)))
     reduced = objective - a_eq.T @ row_duals
-    if a_ub is not None:
-        reduced = reduced - a_ub.T[:, 0] * cap_dual
+    if has_cap:
+        reduced = reduced - cap_row * cap_dual
     complementarity = float(np.max(np.abs(x * reduced)))
     dual_objective = float(instance.eq_rhs @ row_duals)
-    if a_ub is not None:
-        dual_objective += float(b_ub[0] * cap_dual)
+    if has_cap:
+        dual_objective += float(instance.xi_mass_cap * cap_dual)
 
-    value = float(result.fun)
     status = "optimal"
-    message = result.message
     if primal_residual > PRIMAL_RESIDUAL_TOL or complementarity > COMPLEMENTARITY_TOL:
         status = "tolerance-failure"
         message = (f"residuals out of tolerance: primal {primal_residual:.3e}, "
@@ -323,7 +383,7 @@ def solve(instance: LpInstance) -> LpSolution:
     return _logged(instance, LpSolution(status, value, gamma, xi, row_duals, cap_dual,
                                         cap_binding, xi_mass_canonical, dual_objective,
                                         primal_residual, complementarity, iterations,
-                                        message))
+                                        message, refine_iterations))
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +532,9 @@ def membership_residual(measure: DiscreteMeasure, grid: Grid, basis: BasisSpec,
                       np.hstack([-flow, -ones])])
     b_ub = np.concatenate([-target, target])
     objective = np.concatenate([np.zeros(n), [1.0]])
-    result = linprog(objective, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
-    if result.status != 0:
-        raise ProgramError(f"membership auxiliary program failed: {result.message}")
-    return MembershipResidual(w_residual=w_residual, omega_residual=float(result.fun))
+    highs, status, _ = _highs_run(objective, a_ub, np.full(len(b_ub), -np.inf), b_ub)
+    if status != "optimal":
+        raise ProgramError("membership auxiliary program failed: "
+                           + highs.modelStatusToString(highs.getModelStatus()))
+    return MembershipResidual(w_residual=w_residual,
+                              omega_residual=float(highs.getInfo().objective_function_value))

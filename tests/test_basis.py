@@ -49,13 +49,14 @@ def test_eval_identity_scaling_examples():
     assert eval_phi(b, idx, (1.0, 2.0)) == 2.0
     assert np.allclose(eval_grad_phi(b, idx, (1.0, 2.0)), (2.0, 1.0))
 
+    # P2(s) = (3 s^2 - 1) / 2, P2'(s) = 3 s
     idx = b.exponents.index((2, 0))
-    assert eval_phi(b, idx, (0.0, 5.0)) == 0.0
+    assert eval_phi(b, idx, (0.0, 5.0)) == -0.5
     assert np.allclose(eval_grad_phi(b, idx, (0.0, 5.0)), (0.0, 0.0))
 
     idx = b.exponents.index((2, 1))
-    assert eval_phi(b, idx, (2.0, 3.0)) == 12.0
-    assert np.allclose(eval_grad_phi(b, idx, (2.0, 3.0)), (12.0, 4.0))
+    assert eval_phi(b, idx, (2.0, 3.0)) == 16.5  # P2(2) * P1(3) = 5.5 * 3
+    assert np.allclose(eval_grad_phi(b, idx, (2.0, 3.0)), (18.0, 5.5))
 
 
 def test_index_out_of_range():
@@ -123,3 +124,34 @@ def test_combination_coefficients_reconstruct_radial_polynomial():
     values = coeffs @ phi_matrix(b, probe) + const
     expected = [target(y) for y in probe]
     assert np.allclose(values, expected, atol=1e-10)
+
+
+def test_values_and_gradients_match_numpy_legendre():
+    region = StateRegion(kind="box", lower=(0.0, -2.0), upper=(4.0, 2.0))
+    b = basis_for_region(region, 6)
+    points = np.random.default_rng(3).uniform((0.0, -2.0), (4.0, 2.0), size=(50, 2))
+    s = b.scale(points)
+    legendre = np.polynomial.legendre.Legendre.basis
+    values = np.array([legendre(a0)(s[:, 0]) * legendre(a1)(s[:, 1])
+                       for a0, a1 in b.exponents])
+    grads = np.stack([np.array([legendre(a0).deriv()(s[:, 0]) * legendre(a1)(s[:, 1]) / 2.0
+                                for a0, a1 in b.exponents]),
+                      np.array([legendre(a0)(s[:, 0]) * legendre(a1).deriv()(s[:, 1]) / 2.0
+                                for a0, a1 in b.exponents])], axis=2)
+    assert np.allclose(phi_matrix(b, points), values, rtol=0, atol=1e-12)
+    assert np.allclose(grad_matrix(b, points), grads, rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("lower,upper", [((0.0, -2.0), (4.0, 2.0)),
+                                         ((-1.0, 0.5, 2.0), (1.0, 3.0, 2.5))])
+def test_legendre_family_spans_the_monomials(lower, upper):
+    # every scaled monomial s^alpha of degree <= 6 lies in the span of the
+    # constant and the family, so the LP rows span the same space as before
+    b = enumerate_basis(len(lower), 6, lower=lower, upper=upper)
+    points = np.random.default_rng(2).uniform(lower, upper, size=(400, len(lower)))
+    design = np.vstack([np.ones((1, len(points))), phi_matrix(b, points)]).T
+    s = b.scale(points)
+    for alpha in b.exponents:
+        monomial = np.prod(s ** np.asarray(alpha), axis=1)
+        coeffs, *_ = np.linalg.lstsq(design, monomial, rcond=None)
+        assert np.max(np.abs(design @ coeffs - monomial)) <= 1e-10

@@ -381,11 +381,16 @@ def test_info_log_has_one_line_per_lp(caplog):
     names = [key.removesuffix(".status") for key in bundle.values if key.endswith(".status")]
     assert [line.partition(": ")[0] for line in lines] == names
     pattern = (r"\S+: \d+ rows, \d+ columns, \d+ iterations, status optimal, "
-               r"xi_canonical (True|False), cap_dual \S+")
+               r"xi_canonical (True|False), cap_dual \S+, "
+               r"refinement (not run|\d+ iterations)")
     assert all(re.fullmatch(pattern, line) for line in lines)
     [nonergodic] = [line for line in lines if line.startswith("nonergodic:")]
     assert f"{2 * bundle.values['grid.atom_count']} columns" in nonergodic
     assert "xi_canonical True" in nonergodic
+    # only a coupled program whose xi block is weightless gets refined
+    assert re.search(r"refinement \d+ iterations$", nonergodic)
+    assert all(line.endswith("refinement not run") for line in lines
+               if line.startswith(("ergodic:", "discounted")))
 
 
 def test_interchange_exports(tmp_path):

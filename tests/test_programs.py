@@ -1,7 +1,11 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from occlp import oracle, system
+from occlp import oracle, programs, system
 from occlp.basis import basis_for_region, grad_matrix, phi_matrix
 from occlp.grid import DiscreteMeasure, build_grid
 from occlp.programs import (PRIMAL_RESIDUAL_TOL, LpInstance, ProgramError, RowMeta,
@@ -89,6 +93,15 @@ def test_instance_validation(frozen_setup):
                    row_meta=(RowMeta("bogus", None),), xi_mass_cap=None)
 
 
+def test_highs_binding_has_every_method_programs_calls():
+    # the solver is scipy's private HiGHS binding; the declared scipy floor
+    # must ship every method programs.py calls on it
+    from scipy.optimize._highspy._core import _Highs
+    called = set(re.findall(r"\bhighs\.(\w+)\(", Path(programs.__file__).read_text()))
+    assert {"passModel", "run", "addRow", "changeColsCost", "setOptionValue"} <= called
+    assert not [name for name in called if not callable(getattr(_Highs, name, None))]
+
+
 def test_solver_duality_gap_contract(rotation_solved):
     _instance, solution = rotation_solved
     assert solution.status == "optimal"
@@ -98,8 +111,8 @@ def test_solver_duality_gap_contract(rotation_solved):
 
 
 def test_returned_point_meets_residual_contract():
-    # at this size the minimal-mass refinement lands outside the primal
-    # residual tolerance; solve must return a point that meets it
+    # at this size and degree the refined point must still meet the primal
+    # residual tolerance, and it does: the refinement is accepted
     spec = system.make_rotation()
     g = build_grid(spec, (5, 128), 9)
     b = basis_for_region(spec.region, 6)
@@ -110,8 +123,42 @@ def test_returned_point_meets_residual_contract():
     a_eq = np.hstack([instance.eq_gamma, instance.eq_xi])
     assert np.max(np.abs(a_eq @ x - instance.eq_rhs)) <= PRIMAL_RESIDUAL_TOL
     membership_residual(solution.gamma, g, b, (1.0, 0.0))
-    # the rejected refinement is flagged: xi is an arbitrary optimal transport
-    assert not solution.xi_canonical
+    assert solution.xi_canonical
+
+
+@pytest.fixture(scope="module")
+def rotation_m_setup():
+    spec = system.make_rotation()
+    return {res: (spec, build_grid(spec, res, 9), basis_for_region(spec.region, 6))
+            for res in ((5, 128), (9, 128))}
+
+
+@pytest.mark.parametrize("res,y0", [((5, 128), (1.0, 0.0)), ((5, 128), (0.0, 1.0)),
+                                    ((5, 128), (-1.0, 0.0)), ((5, 128), (0.0, -1.0)),
+                                    ((9, 128), (1.0, 0.0))],
+                         ids=["5x128-east", "5x128-north", "5x128-west", "5x128-south",
+                              "9x128-east"])
+def test_degree_six_start_points_solve_with_canonical_xi(rotation_m_setup, res, y0):
+    spec, g, b = rotation_m_setup[res]
+    instance = build_nonergodic_lp(g, b, spec, y0)
+    solution = solve(instance)
+    assert solution.status == "optimal" and solution.xi_canonical
+    x = np.concatenate([solution.gamma.weights, solution.xi.weights])
+    a_eq = np.hstack([instance.eq_gamma, instance.eq_xi])
+    assert np.max(np.abs(a_eq @ x - instance.eq_rhs)) <= PRIMAL_RESIDUAL_TOL
+    reference = oracle.rotation_level_value(spec, float(np.dot(y0, y0)))
+    assert solution.value == pytest.approx(reference.value, abs=1e-6)
+    # an independent cold solve of the same minimal-mass LP over the optimal face
+    n = g.atom_count
+    mass = np.concatenate([np.zeros(n), np.ones(n)])
+    objective = np.concatenate([instance.objective_gamma, instance.objective_xi])
+    cold = linprog(mass, A_eq=a_eq, b_eq=instance.eq_rhs,
+                   A_ub=np.vstack([objective, mass]),
+                   b_ub=[solution.value + 1e-9 * (1.0 + abs(solution.value)),
+                         instance.xi_mass_cap],
+                   bounds=(0, None), method="highs")
+    assert cold.status == 0
+    assert solution.xi.total_mass == pytest.approx(cold.fun, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
