@@ -545,11 +545,16 @@ def main(argv=None) -> int:
         return 0
     if not args.config:
         parser.error("--config is required (or use --print-defaults)")
+    if args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = parse_config(fh.read())
     except FileNotFoundError:
         print(f"error: config file not found: {args.config}", file=sys.stderr)
+        return 2
+    except (OSError, UnicodeDecodeError) as err:
+        print(f"error: cannot read config {args.config}: {err}", file=sys.stderr)
         return 2
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -557,7 +562,11 @@ def main(argv=None) -> int:
 
     bundle = run_study(config, sections=(args.command,), jobs=args.jobs)
     out_dir = args.out or config.output.dir
-    written = emit_report(bundle, out_dir, config.output.formats)
+    try:
+        written = emit_report(bundle, out_dir, config.output.formats)
+    except OSError as err:
+        print(f"error: cannot write report to {out_dir}: {err}", file=sys.stderr)
+        return 2
     for path in written:
         log.info("wrote %s", path)
     for warning in bundle.warnings:

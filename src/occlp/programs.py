@@ -25,7 +25,11 @@ for every solve.
 Every LP here, including the membership LP, is one HiGHS model built through
 scipy's bundled binding and solved by dual simplex with presolve off.  A
 coupled program whose xi block carries no cost is re-run from its optimal
-basis for the minimal xi mass on its optimal face, in the same model.
+basis for the minimal xi mass on its optimal face, in the same model.  The
+binding's extension module is loaded straight from its file under
+``scipy/optimize/_highspy``: importing it by its dotted name would first run
+``scipy.optimize``'s package import, about 0.6 s in every command process,
+for nothing used here.
 
 Start points are snapped to the nearest state grid point when building the
 coupled rows: the rows are exact equalities, so an off-grid start point would
@@ -35,12 +39,14 @@ counterpart is not.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import logging
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, MatrixFormat, _Highs
-from scipy.sparse import csc_array
+import scipy
 
 from .basis import BasisSpec, grad_matrix, phi_matrix
 from .grid import (DiscreteMeasure, Grid, assemble_cost_vector,
@@ -49,6 +55,29 @@ from .system import RegionError, SystemSpec, cost_batch, dynamics_batch, lattice
 
 
 log = logging.getLogger(__name__)
+
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+def _load_highs_core(search_dir: str):
+    """Load scipy's HiGHS extension module ``_core`` from its file in search_dir.
+
+    The module is not entered in ``sys.modules``: the interpreter keeps the
+    one instance of the extension, so a later ``import scipy.optimize`` binds
+    the same module and the same ``_Highs`` type, and sets the
+    ``scipy.optimize._highspy._core`` attribute itself."""
+    spec = importlib.machinery.PathFinder.find_spec(_HIGHS_CORE, [search_dir])
+    if spec is None:
+        raise ImportError(f"no HiGHS extension {_HIGHS_CORE} in {search_dir}; "
+                          "occlp needs scipy>=1.15")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_core = _load_highs_core(os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy"))
+HighsLp, HighsModelStatus, MatrixFormat, _Highs = (
+    _core.HighsLp, _core.HighsModelStatus, _core.MatrixFormat, _core._Highs)
 
 
 class ProgramError(ValueError):
@@ -244,7 +273,7 @@ def _highs_run(cost: np.ndarray, a: np.ndarray, row_lower: np.ndarray,
     for option, setting in (("output_flag", False), ("presolve", "off"),
                             ("simplex_strategy", 1)):  # 1: dual simplex
         highs.setOptionValue(option, setting)
-    matrix = csc_array(a)
+    start, index, value = _csc_triple(a)
     lp = HighsLp()
     lp.num_row_, lp.num_col_ = a.shape
     lp.col_cost_ = cost
@@ -254,11 +283,21 @@ def _highs_run(cost: np.ndarray, a: np.ndarray, row_lower: np.ndarray,
     lp.row_upper_ = row_upper
     lp.a_matrix_.format_ = MatrixFormat.kColwise
     lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = a.shape
-    lp.a_matrix_.start_ = matrix.indptr
-    lp.a_matrix_.index_ = matrix.indices
-    lp.a_matrix_.value_ = matrix.data
+    lp.a_matrix_.start_ = start
+    lp.a_matrix_.index_ = index
+    lp.a_matrix_.value_ = value
     highs.passModel(lp)
     return (highs, *_rerun(highs))
+
+
+def _csc_triple(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column-wise (start, index, value) of the nonzeros of a dense matrix, in
+    column then row order with int32 indices, as ``scipy.sparse.csc_array``
+    stores them."""
+    columns, rows = np.nonzero(a.T)
+    start = np.zeros(a.shape[1] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(columns, minlength=a.shape[1]), out=start[1:])
+    return start, rows.astype(np.int32), a[rows, columns]
 
 
 def _rerun(highs: _Highs) -> tuple[str, int]:

@@ -435,6 +435,34 @@ def test_cli_main_paths(tmp_path, capsys, monkeypatch):
     assert "[system]" in capsys.readouterr().out
 
 
+def test_unreadable_config_is_an_error_not_a_traceback(tmp_path, capsys):
+    assert main(["oracle", "--config", str(tmp_path)]) == 2  # a directory
+    assert f"error: cannot read config {tmp_path}" in capsys.readouterr().err
+
+    latin1 = tmp_path / "latin1.conf"
+    latin1.write_bytes("# café\n[system]\nname = rotation\n".encode("latin-1"))
+    assert main(["oracle", "--config", str(latin1)]) == 2
+    assert f"error: cannot read config {latin1}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["file", "file/report"])
+def test_unwritable_report_path_is_an_error_not_a_traceback(tmp_path, capsys, out):
+    config_path = tmp_path / "study.conf"
+    config_path.write_text(FROZEN_STUDY)
+    (tmp_path / "file").write_text("a regular file\n")
+    out_dir = str(tmp_path / out)
+    assert main(["solve", "--config", str(config_path), "--out", out_dir, "--jobs", "1"]) == 2
+    assert f"error: cannot write report to {out_dir}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_rejected(tmp_path, capsys, jobs):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["solve", "--config", str(tmp_path / "unused.conf"), "--jobs", jobs])
+    assert exit_info.value.code == 2
+    assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+
+
 def test_library_error_in_a_section_is_a_failed_invariant(tmp_path, capsys):
     # y1 drifts right from the boundary point y0 = (1, 0), so the run leaves the box
     config_path = tmp_path / "leave.conf"

@@ -1,9 +1,16 @@
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.sparse import csc_array
 
 from occlp import oracle, programs, system
 from occlp.basis import basis_for_region, grad_matrix, phi_matrix
@@ -100,6 +107,91 @@ def test_highs_binding_has_every_method_programs_calls():
     called = set(re.findall(r"\bhighs\.(\w+)\(", Path(programs.__file__).read_text()))
     assert {"passModel", "run", "addRow", "changeColsCost", "setOptionValue"} <= called
     assert not [name for name in called if not callable(getattr(_Highs, name, None))]
+
+
+def _run_python(code: str, *args: str) -> str:
+    """Run code in a fresh interpreter that imports occlp from this tree; its stdout."""
+    src = str(Path(programs.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *args],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+SMALL_ROTATION = """
+[system]
+name = rotation
+[grid]
+state_resolution = [3, 16]
+control_resolution = 5
+[basis]
+degree = 3
+[program]
+variants = [ergodic, nonergodic, discounted, perturbed]
+epsilons = [0.1, 0.0]
+"""
+
+
+def test_a_solve_imports_neither_scipy_optimize_nor_scipy_sparse(tmp_path):
+    # the HiGHS extension is loaded from its file, so a command process never
+    # pays for the package import of scipy.optimize (about 0.6 s)
+    config_path = tmp_path / "study.conf"
+    config_path.write_text(SMALL_ROTATION)
+    out = _run_python("""
+        import sys
+        from occlp.cli import run_study
+        from occlp.config import parse_config
+        with open(sys.argv[1], encoding="utf-8") as fh:
+            bundle = run_study(parse_config(fh.read()), sections=("solve",))
+        assert bundle.all_passed(), bundle.invariants
+        print(*sys.modules)
+    """, str(config_path))
+    loaded = out.split()
+    assert "occlp.programs" in loaded
+    assert not [name for name in loaded
+                if name.startswith(("scipy.optimize", "scipy.sparse"))
+                and not name.startswith("scipy.optimize._highspy._core.")]
+
+
+@pytest.mark.parametrize("first", ["occlp.programs", "scipy.optimize"])
+def test_highs_binding_is_the_one_scipy_optimize_uses(first):
+    out = _run_python(f"""
+        import {first}
+        import occlp.programs
+        import scipy.optimize
+        assert occlp.programs._Highs is scipy.optimize._highspy._core._Highs
+        print(scipy.optimize.linprog([1, 1], A_eq=[[1, 1]], b_eq=[1]).status)
+    """)
+    assert out.split() == ["0"]
+
+
+def test_missing_highs_extension_names_the_scipy_floor(tmp_path):
+    with pytest.raises(ImportError, match=r"scipy>=1\.15"):
+        programs._load_highs_core(str(tmp_path))
+
+
+@st.composite
+def _dense_matrices(draw):
+    rows, columns = draw(st.integers(1, 60)), draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(rows, columns))
+    a[rng.random((rows, columns)) < draw(st.sampled_from([0.0, 0.5, 0.95, 1.0]))] = 0.0
+    a[draw(st.lists(st.integers(0, rows - 1), max_size=rows)), :] = 0.0
+    a[:, draw(st.lists(st.integers(0, columns - 1), max_size=columns))] = 0.0
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dense_matrices())
+def test_csc_triple_matches_scipy_sparse(a):
+    start, index, value = programs._csc_triple(a)
+    reference = csc_array(a)
+    assert start.dtype == index.dtype == np.int32
+    np.testing.assert_array_equal(start, reference.indptr)
+    np.testing.assert_array_equal(index, reference.indices)
+    np.testing.assert_array_equal(value, reference.data)
 
 
 def test_solver_duality_gap_contract(rotation_solved):
