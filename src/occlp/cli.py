@@ -17,7 +17,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import scipy
@@ -31,8 +31,9 @@ from .metrics import MetricError, make_test_function_set, rho_hat
 from .oracle import OracleError, frozen_value, level_set_ordering, rotation_level_value
 from .programs import (ProgramError, build_discounted_lp, build_ergodic_lp,
                        build_nonergodic_lp, build_perturbed_lp, certificate_offgrid_report,
-                       certificate_slacks, extract_dual_certificate, lp_name,
-                       membership_residual, solve, verify_weak_duality)
+                       certificate_slacks, extract_dual_certificate, log_solution, lp_name,
+                       membership_residual, needs_refinement, solve, solve_chain,
+                       verify_weak_duality)
 from .simulate import (SimulationError, Trajectory, abel_value, cesaro_value,
                        horizon_study, periodic_value_search, rotation_delta_family)
 
@@ -98,6 +99,40 @@ def _pool_map(fn, items, jobs: int):
 # study sections
 
 
+def _solve_all(instances, jobs: int):
+    """Solutions of the study's LPs, in their order.
+
+    The perturbed LPs whose xi block is priced differ only in their costs, so
+    they are one chain, in decreasing epsilon, and one task of the pool; every
+    other LP is a task of its own.  perturbed[eps=0] is the nonergodic LP
+    exactly, so when both are configured it takes the nonergodic solution."""
+    names = [lp_name(instance) for instance in instances]
+    shared = {k: names.index("nonergodic") for k, name in enumerate(names)
+              if name == "perturbed[eps=0]" and "nonergodic" in names}
+    chain = sorted((k for k, instance in enumerate(instances)
+                    if instance.provenance["variant"] == "perturbed" and k not in shared
+                    and not needs_refinement(instance)),
+                   key=lambda k: -instances[k].provenance["epsilon"])
+    tasks = [[k] for k in range(len(instances)) if k not in shared and k not in chain]
+    if chain:
+        tasks.append(chain)
+    solved = _pool_map(lambda task: solve_chain([instances[k] for k in task]), tasks, jobs)
+    solutions = [None] * len(instances)
+    for task, task_solutions in zip(tasks, solved):
+        for k, solution in zip(task, task_solutions):
+            solutions[k] = solution
+    for k, j in shared.items():
+        solutions[k] = replace(solutions[j], start=f"same LP as {names[j]}")
+    return solutions
+
+
+def _solve(instance):
+    """Solve one LP cold and log its line."""
+    solution = solve(instance)
+    log_solution(instance, solution)
+    return solution
+
+
 # the program variants whose LPs each section reads; the solve section of a
 # study builds and solves only the configured variants its sections read
 _SECTION_READS = {
@@ -124,12 +159,13 @@ def _solve_section(bundle, spec, grid, basis, cfg: StudyConfig, variants, jobs: 
         for eps in prog.epsilons:
             instances.append(build_perturbed_lp(grid, basis, spec, y0, eps,
                                                 xi_mass_cap=prog.xi_mass_cap))
-    solutions = _pool_map(solve, instances, jobs)
+    solutions = _solve_all(instances, jobs)
 
     results = {}
     for instance, solution in zip(instances, solutions):
         name = lp_name(instance)
         results[name] = (instance, solution)
+        log_solution(instance, solution)
         bundle.values[f"{name}.status"] = solution.status
         if solution.status != "optimal":
             bundle.record(f"{name}.solved", False, solution.message)
@@ -297,7 +333,8 @@ def _sweep_section(bundle, spec, grid, basis, cfg: StudyConfig, solve_results):
         for rate in sorted(prog.discount_rates):
             name = f"discounted[rate={rate:g}]"
             pair = solve_results.get(name)
-            solution = pair[1] if pair else solve(build_discounted_lp(grid, basis, spec, y0, rate))
+            solution = (pair[1] if pair
+                        else _solve(build_discounted_lp(grid, basis, spec, y0, rate)))
             if solution.status == "optimal":
                 rows.append([rate, solution.value])
         if rows:
@@ -307,8 +344,8 @@ def _sweep_section(bundle, spec, grid, basis, cfg: StudyConfig, solve_results):
 def _convergence_section(bundle, spec, grid, basis, cfg: StudyConfig):
     """Refinement study: value stability under angular doubling and degree bump."""
     y0 = np.asarray(cfg.program.y0, dtype=float)
-    base = solve(build_nonergodic_lp(grid, basis, spec, y0,
-                                     xi_mass_cap=cfg.program.xi_mass_cap))
+    base = _solve(build_nonergodic_lp(grid, basis, spec, y0,
+                                      xi_mass_cap=cfg.program.xi_mass_cap))
     if base.status != "optimal":
         bundle.record("convergence.base_solved", False, base.message)
         return
@@ -317,8 +354,8 @@ def _convergence_section(bundle, spec, grid, basis, cfg: StudyConfig):
     refined_res = state_res[:-1] + [state_res[-1] * 2]
     fine_grid = build_grid(spec, tuple(refined_res), cfg.grid.control_resolution)
     fine_basis = basis_for_region(spec.region, cfg.basis.degree + 2)
-    fine = solve(build_nonergodic_lp(fine_grid, fine_basis, spec, y0,
-                                     xi_mass_cap=cfg.program.xi_mass_cap))
+    fine = _solve(build_nonergodic_lp(fine_grid, fine_basis, spec, y0,
+                                      xi_mass_cap=cfg.program.xi_mass_cap))
     if fine.status != "optimal":
         bundle.record("convergence.refined_solved", False, fine.message)
         return
@@ -331,7 +368,7 @@ def _convergence_section(bundle, spec, grid, basis, cfg: StudyConfig):
 
     degree_rows = []
     for degree in range(2, cfg.basis.degree + 1):
-        sol = base if degree == cfg.basis.degree else solve(build_nonergodic_lp(
+        sol = base if degree == cfg.basis.degree else _solve(build_nonergodic_lp(
             grid, basis_for_region(spec.region, degree), spec, y0,
             xi_mass_cap=cfg.program.xi_mass_cap))
         if sol.status == "optimal":
@@ -345,7 +382,7 @@ def _certify_section(bundle, spec, grid, basis, cfg: StudyConfig, solve_results)
     if pair is None:
         instance = build_nonergodic_lp(grid, basis, spec, y0,
                                        xi_mass_cap=cfg.program.xi_mass_cap)
-        solution = solve(instance)
+        solution = _solve(instance)
     else:
         instance, solution = pair
     if solution.status != "optimal":

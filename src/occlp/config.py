@@ -303,6 +303,8 @@ def parse_config(text: str) -> StudyConfig:
             raise ConfigError("epsilons must be nonnegative", line_of("program", "epsilons"))
     if cfg.program.xi_mass_cap <= 0:
         raise ConfigError("xi_mass_cap must be positive", line_of("program", "xi_mass_cap"))
+    for key in ("discount_rates", "epsilons"):
+        _check_report_names(getattr(cfg.program, key), key, line_of("program", key))
 
     sim = cfg.simulate = build("simulate", SimulateConfig)
     for key in ("dt", "abel_dt", "periodic_dt", "abel_horizon", "horizons", "abel_rates"):
@@ -313,6 +315,8 @@ def parse_config(text: str) -> StudyConfig:
                           line_of("simulate", "periodic_deltas"))
     if sim.policy and not sim.horizons:
         raise ConfigError("a policy needs at least one horizon", line_of("simulate", "horizons"))
+    for key in ("horizons", "abel_rates"):
+        _check_report_names(getattr(sim, key), key, line_of("simulate", key))
 
     cfg.output = build("output", OutputConfig)
     for fmt in cfg.output.formats:
@@ -340,6 +344,18 @@ def parse_config(text: str) -> StudyConfig:
     if sim.policy:
         build_policy(sim.policy, spec, y0)
     return cfg
+
+
+def _check_report_names(values, key: str, line: int | None):
+    """Each entry names its report entries by its ``:g`` form (``perturbed[eps=0.1]``,
+    ``cesaro[T=25]``...), so two entries with the same form would overwrite each other."""
+    seen = {}
+    for value in values:
+        name = f"{value:g}"
+        if name in seen:
+            raise ConfigError(f"{key} entries {seen[name]!r} and {value!r} share the report "
+                              f"name {name}", line)
+        seen[name] = value
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,15 @@ and mu equal to the optimal value (finite LP strong duality).  mu is always a
 certified lower bound for the primal value (weak duality), which is asserted
 for every solve.
 
-Every LP here, including the membership LP, is one HiGHS model built through
-scipy's bundled binding and solved by dual simplex with presolve off.  A
+Every LP here, including the membership LP, is solved on a HiGHS model built
+through scipy's bundled binding, by dual simplex with presolve off.  A
 coupled program whose xi block carries no cost is re-run from its optimal
-basis for the minimal xi mass on its optimal face, in the same model.  The
-binding's extension module is loaded straight from its file under
+basis for the minimal xi mass on its optimal face, in the same model.  An
+epsilon sweep is one model too: the perturbed programs share every row and
+differ only in their costs, so :func:`solve_chain` solves the first cold and
+each later one by changing the column costs and re-running from the previous
+optimal basis; any other LP gets a model of its own.  The binding's
+extension module is loaded straight from its file under
 ``scipy/optimize/_highspy``: importing it by its dotted name would first run
 ``scipy.optimize``'s package import, about 0.6 s in every command process,
 for nothing used here.
@@ -156,6 +160,7 @@ class LpSolution:
     iterations: int  # of the main solve
     message: str
     refine_iterations: int | None = None  # None when no minimal-mass refinement ran
+    start: str = "cold"  # or "warm from <LP>", or "same LP as <LP>" for a shared solution
 
 
 def lp_name(instance: LpInstance) -> str:
@@ -333,18 +338,53 @@ def _minimal_mass_refinement(instance: LpInstance, highs: _Highs, a_eq: np.ndarr
                         DiscreteMeasure(instance.grid, x[n_g:]))
 
 
-def _logged(instance: LpInstance, solution: LpSolution) -> LpSolution:
+def log_solution(instance: LpInstance, solution: LpSolution) -> None:
+    """One INFO line with the LP's size, how it was started and how it ended."""
     refinement = ("not run" if solution.refine_iterations is None
                   else f"{solution.refine_iterations} iterations")
-    log.info("%s: %d rows, %d columns, %d iterations, status %s, xi_canonical %s, "
-             "cap_dual %.6g, refinement %s", lp_name(instance), len(instance.row_meta),
-             instance.n_gamma + instance.n_xi, solution.iterations, solution.status,
-             solution.xi_canonical, solution.cap_dual, refinement)
-    return solution
+    log.info("%s: %d rows, %d columns, start %s, %d iterations, status %s, "
+             "xi_canonical %s, cap_dual %.6g, refinement %s", lp_name(instance),
+             len(instance.row_meta), instance.n_gamma + instance.n_xi, solution.start,
+             solution.iterations, solution.status, solution.xi_canonical,
+             solution.cap_dual, refinement)
 
 
-def solve(instance: LpInstance) -> LpSolution:
-    """Solve with one owned HiGHS model (dual simplex, presolve off).
+def needs_refinement(instance: LpInstance) -> bool:
+    """Whether the LP's xi block carries no cost, so its xi gets the minimal-mass
+    refinement (which changes the model: it cannot be handed on)."""
+    return instance.has_xi and not np.any(instance.objective_xi)
+
+
+def _same_rows(a: LpInstance, b: LpInstance) -> bool:
+    return (a.row_meta == b.row_meta and a.has_xi == b.has_xi
+            and a.xi_mass_cap == b.xi_mass_cap
+            and np.array_equal(a.eq_gamma, b.eq_gamma) and np.array_equal(a.eq_rhs, b.eq_rhs)
+            and (not a.has_xi or np.array_equal(a.eq_xi, b.eq_xi)))
+
+
+@dataclass
+class _Chain:
+    """The HiGHS model a chain of LPs hands on, and the LP whose optimal basis it holds."""
+
+    highs: _Highs | None = None
+    holder: LpInstance | None = None
+
+
+def solve_chain(instances) -> list[LpSolution]:
+    """Solve LPs in turn, handing one HiGHS model from each to the next.
+
+    An LP that shares every row with the LP before it, where that one ended
+    optimal, only changes the column costs and re-runs from its optimal
+    basis; so in a sweep over costs alone, such as the epsilon sweep, only the
+    first LP is solved cold.  An LP whose xi gets the minimal-mass refinement
+    is solved cold and hands nothing on.  A chain of one is one cold solve."""
+    chain = _Chain()
+    return [solve(instance, chain) for instance in instances]
+
+
+def solve(instance: LpInstance, chain: _Chain | None = None) -> LpSolution:
+    """Solve one LP (dual simplex, presolve off): cold on a model of its own, or
+    warm on the model of a :func:`solve_chain` when that allows it.
 
     When the xi block carries no cost, the same model is re-run warm from its
     optimal basis for the minimal-mass xi on the optimal face.  Optimality is
@@ -366,12 +406,23 @@ def solve(instance: LpInstance) -> LpSolution:
         lower = np.append(lower, -np.inf)
         upper = np.append(upper, instance.xi_mass_cap)
 
-    highs, status, iterations = _highs_run(objective, a, lower, upper)
+    refine = needs_refinement(instance)
+    if chain is not None and chain.highs is not None and not refine \
+            and _same_rows(chain.holder, instance):
+        highs, start = chain.highs, f"warm from {lp_name(chain.holder)}"
+        columns = np.arange(len(objective), dtype=np.int32)
+        highs.changeColsCost(len(columns), columns, objective)
+        status, iterations = _rerun(highs)
+    else:
+        start = "cold"
+        highs, status, iterations = _highs_run(objective, a, lower, upper)
+    if chain is not None:
+        keep = status == "optimal" and not refine
+        chain.highs, chain.holder = (highs, instance) if keep else (None, None)
     message = highs.modelStatusToString(highs.getModelStatus())
     if status != "optimal":
-        return _logged(instance, LpSolution(status, None, None, None, None, 0.0, False,
-                                            False, None, np.inf, np.inf, iterations,
-                                            message))
+        return LpSolution(status, None, None, None, None, 0.0, False, False, None,
+                          np.inf, np.inf, iterations, message, start=start)
 
     found = highs.getSolution()  # a copy: the refinement below re-runs the model
     x = np.asarray(found.col_value)
@@ -388,7 +439,7 @@ def solve(instance: LpInstance) -> LpSolution:
     # only then does a binding cap signal anything structural.
     xi_mass_canonical = instance.has_xi
     refine_iterations = None
-    if instance.has_xi and not np.any(instance.objective_xi):
+    if refine:
         refine_iterations, refined = _minimal_mass_refinement(instance, highs, a_eq,
                                                               objective, value)
         xi_mass_canonical = refined is not None
@@ -419,10 +470,9 @@ def solve(instance: LpInstance) -> LpSolution:
         status = "tolerance-failure"
         message = f"duality gap {value - dual_objective:.3e} exceeds tolerance"
 
-    return _logged(instance, LpSolution(status, value, gamma, xi, row_duals, cap_dual,
-                                        cap_binding, xi_mass_canonical, dual_objective,
-                                        primal_residual, complementarity, iterations,
-                                        message, refine_iterations))
+    return LpSolution(status, value, gamma, xi, row_duals, cap_dual, cap_binding,
+                      xi_mass_canonical, dual_objective, primal_residual, complementarity,
+                      iterations, message, refine_iterations, start)
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,20 @@ def test_config_errors_carry_line_numbers():
     assert "line 5" in str(err.value)
 
 
+@pytest.mark.parametrize("section,key,values", [
+    ("program", "epsilons", "[0.1, 0.1000001, 0.0]"),
+    ("program", "discount_rates", "[0.005, 0.005]"),
+    ("simulate", "abel_rates", "[0.01, 0.0100000001]"),
+    ("simulate", "horizons", "[25.0, 50.0, 25.0]"),
+])
+def test_entries_sharing_a_report_name_are_rejected(section, key, values):
+    # the entries name report entries by their :g form, e.g. perturbed[eps=0.1],
+    # so two that format alike would overwrite each other's results
+    text = f"seed = 0\n\n[{section}]\n{key} = {values}\n"
+    with pytest.raises(ConfigError, match=rf"^line 4: {key} entries .* share the report name"):
+        parse_config(text)
+
+
 def test_build_policy_kinds():
     spec = system.make_rotation()
     p = build_policy("constant:0.5", spec, (1.0, 0.0))
@@ -380,10 +394,14 @@ def test_info_log_has_one_line_per_lp(caplog):
     lines = [r.getMessage() for r in caplog.records if r.name == "occlp.programs"]
     names = [key.removesuffix(".status") for key in bundle.values if key.endswith(".status")]
     assert [line.partition(": ")[0] for line in lines] == names
-    pattern = (r"\S+: \d+ rows, \d+ columns, \d+ iterations, status optimal, "
+    pattern = (r"\S+: \d+ rows, \d+ columns, "
+               r"start (cold|warm from \S+|same LP as \S+), \d+ iterations, status optimal, "
                r"xi_canonical (True|False), cap_dual \S+, "
                r"refinement (not run|\d+ iterations)")
     assert all(re.fullmatch(pattern, line) for line in lines)
+    # perturbed[eps=0] is the nonergodic LP: it logs its line without a solve
+    [shared] = [line for line in lines if line.startswith("perturbed[eps=0]:")]
+    assert ", start same LP as nonergodic, " in shared
     [nonergodic] = [line for line in lines if line.startswith("nonergodic:")]
     assert f"{2 * bundle.values['grid.atom_count']} columns" in nonergodic
     assert "xi_canonical True" in nonergodic
@@ -391,6 +409,47 @@ def test_info_log_has_one_line_per_lp(caplog):
     assert re.search(r"refinement \d+ iterations$", nonergodic)
     assert all(line.endswith("refinement not run") for line in lines
                if line.startswith(("ergodic:", "discounted")))
+
+
+def test_info_log_names_how_each_lp_started(caplog):
+    # report order differs from the chain's order of decreasing epsilon
+    cfg = parse_config("[program]\nvariants = [ergodic, nonergodic, perturbed]\n"
+                       "epsilons = [0.001, 0.0, 0.1, 0.01]\n")
+    with caplog.at_level(logging.INFO, logger="occlp"):
+        run_study(cfg, sections=("solve",), jobs=2)
+    starts = [re.search(r"^(\S+): .*, start (.+?), \d+ iterations", r.getMessage()).groups()
+              for r in caplog.records if r.name == "occlp.programs"]
+    assert starts == [("ergodic", "cold"), ("nonergodic", "cold"),
+                      ("perturbed[eps=0.001]", "warm from perturbed[eps=0.01]"),
+                      ("perturbed[eps=0]", "same LP as nonergodic"),
+                      ("perturbed[eps=0.1]", "cold"),
+                      ("perturbed[eps=0.01]", "warm from perturbed[eps=0.1]")]
+
+
+def test_shared_zero_epsilon_entries_match_its_own_solve():
+    # with nonergodic configured, perturbed[eps=0] takes its solution; every
+    # report entry must be what solving perturbed[eps=0] itself gives
+    def entries(variants):
+        cfg = parse_config(SMALL_ROTATION_PERTURBED.format(variants=variants))
+        data = run_study(cfg, sections=("solve",)).to_dict()
+        name = "perturbed[eps=0]"
+        return ({k: v for k, v in data["values"].items() if k.startswith(name + ".")},
+                {k: v for k, v in data["measures"].items() if k.startswith(name + ".")},
+                data["certificates"][name], [row for row in data["duals"] if row[0] == name])
+
+    assert entries("[nonergodic, perturbed]") == entries("[perturbed]")
+
+
+SMALL_ROTATION_PERTURBED = """
+[grid]
+state_resolution = [3, 16]
+control_resolution = 5
+[basis]
+degree = 3
+[program]
+variants = {variants}
+epsilons = [0.1, 0.0]
+"""
 
 
 def test_interchange_exports(tmp_path):

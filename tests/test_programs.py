@@ -12,15 +12,16 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
-from occlp import oracle, programs, system
+from occlp import cli, oracle, programs, system
 from occlp.basis import basis_for_region, grad_matrix, phi_matrix
+from occlp.config import parse_config
 from occlp.grid import DiscreteMeasure, build_grid
 from occlp.programs import (PRIMAL_RESIDUAL_TOL, LpInstance, ProgramError, RowMeta,
                             build_discounted_lp, build_ergodic_lp,
                             build_nonergodic_lp, build_perturbed_lp,
                             certificate_is_valid, certificate_offgrid_report,
-                            certificate_slacks, extract_dual_certificate,
-                            membership_residual, snap_to_state_grid, solve,
+                            certificate_slacks, extract_dual_certificate, lp_name,
+                            membership_residual, snap_to_state_grid, solve, solve_chain,
                             verify_weak_duality)
 from occlp.system import (ControlRegion, StateRegion, SystemSpec, cost_batch,
                           dynamics_batch, lattice, product_rows)
@@ -397,6 +398,97 @@ def test_perturbed_sweep_monotone_and_convergent(rotation_setup):
     assert values[0.01] <= values[0.1] + 1e-7
     assert all(v >= values[0.0] - 1e-7 for v in values.values())
     assert abs(values[0.001] - values[0.0]) <= 1e-2
+
+
+# ---------------------------------------------------------------------------
+# the epsilon sweep on one model
+
+SWEEP_EPSILONS = (0.1, 0.03, 0.01, 0.001, 0.0)
+
+
+@pytest.fixture(scope="module")
+def cold_perturbed(rotation_setup):
+    spec, g, b = rotation_setup
+    return {eps: solve(build_perturbed_lp(g, b, spec, (1.0, 0.0), eps))
+            for eps in SWEEP_EPSILONS}
+
+
+def _solve_section(text: str, setup, variants=("nonergodic", "perturbed")):
+    """The study's solve section on a parsed config and a prebuilt (spec, grid, basis)."""
+    spec, g, b = setup
+    bundle = cli.ReportBundle(config={})
+    results = cli._solve_section(bundle, spec, g, b, parse_config(text), variants, 1)
+    return bundle, results
+
+
+def _assert_member_matches(instance, solution, cold, setup):
+    spec, g, b = setup
+    assert solution.status == "optimal"
+    assert solution.value == pytest.approx(cold.value, abs=1e-9)
+    assert certificate_is_valid(extract_dual_certificate(solution, instance, b), g, b, spec)
+    x = np.concatenate([solution.gamma.weights, solution.xi.weights])
+    a_eq = np.hstack([instance.eq_gamma, instance.eq_xi])
+    assert np.max(np.abs(a_eq @ x - instance.eq_rhs)) <= PRIMAL_RESIDUAL_TOL
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.sampled_from(SWEEP_EPSILONS), min_size=1, max_size=5, unique=True))
+def test_warm_sweep_matches_cold_solves(rotation_setup, cold_perturbed, epsilons):
+    spec, g, b = rotation_setup
+    # a chain in the drawn order: each member with a priced xi block re-runs
+    # the model of the one before it; eps = 0 is refined, so it runs cold and
+    # hands nothing on
+    instances = [build_perturbed_lp(g, b, spec, (1.0, 0.0), eps) for eps in epsilons]
+    previous = None
+    for instance, eps, solution in zip(instances, epsilons, solve_chain(instances)):
+        _assert_member_matches(instance, solution, cold_perturbed[eps], rotation_setup)
+        warm = previous is not None and previous != 0.0 and eps != 0.0
+        assert solution.start == (f"warm from perturbed[eps={previous:g}]" if warm else "cold")
+        previous = eps
+
+    # the study: one chain in decreasing epsilon, entries in report order
+    text = f"[program]\nvariants = [nonergodic, perturbed]\nepsilons = {list(epsilons)}\n"
+    bundle, results = _solve_section(text, rotation_setup)
+    names = [f"perturbed[eps={eps:g}]" for eps in epsilons]
+    assert list(results) == ["nonergodic", *names]
+    for eps, name in zip(epsilons, names):
+        _assert_member_matches(*results[name], cold_perturbed[eps], rotation_setup)
+    assert bundle.all_passed(), [e for e in bundle.invariants if not e["passed"]]
+    if len(epsilons) >= 2:
+        rows = bundle.tables["epsilon_sweep"]["rows"]
+        assert [row[:2] for row in rows] == [[eps, results[f"perturbed[eps={eps:g}]"][1].value]
+                                             for eps in sorted(epsilons)]
+
+
+def test_weightless_xi_members_are_solved_cold(frozen_setup):
+    # bound_f = 0: every perturbed xi block is weightless and gets the
+    # minimal-mass refinement, whose objective-cap row a warm successor would
+    # read as its cap dual
+    spec, g, b = frozen_setup
+    assert spec.bound_f == 0.0
+    epsilons = (0.1, 0.01, 0.001)
+    instances = [build_perturbed_lp(g, b, spec, (0.25, 0.25), eps) for eps in epsilons]
+    text = ("[system]\nname = frozen\ncost = y1 + u1^2\nlower = [0.0, 0.0]\n"
+            "upper = [1.0, 1.0]\n[grid]\nstate_resolution = [2, 2]\n[program]\n"
+            "variants = [perturbed]\ny0 = [0.25, 0.25]\nepsilons = [0.1, 0.01, 0.001]\n")
+    _, results = _solve_section(text, frozen_setup, ("perturbed",))
+    for chained in (solve_chain(instances), [results[lp_name(i)][1] for i in instances]):
+        for instance, solution in zip(instances, chained):
+            cold = solve(instance)
+            assert solution.start == "cold" and solution.refine_iterations is not None
+            assert solution.value == cold.value
+            assert solution.cap_dual == cold.cap_dual
+            assert solution.xi_canonical == cold.xi_canonical
+            assert solution.xi.total_mass == cold.xi.total_mass
+
+
+def test_chain_with_other_rows_starts_cold(rotation_setup):
+    spec, g, b = rotation_setup
+    instances = [build_perturbed_lp(g, b, spec, (1.0, 0.0), 0.1),
+                 build_perturbed_lp(g, b, spec, (0.0, 1.0), 0.01)]
+    chained = solve_chain(instances)
+    assert [solution.start for solution in chained] == ["cold", "cold"]
+    assert chained[1].value == solve(instances[1]).value
 
 
 def test_perturbed_constant_cost_shift(frozen_setup):
