@@ -7,9 +7,10 @@ expressions support exact symbolic differentiation with respect to state
 variables, which is what the first-integral checks rely on.
 
 Three compilation targets are provided: a scalar form operating on plain
-float tuples, a whole Runge-Kutta step on plain floats with the expressions
-inlined (used inside the fixed-step integrator loop, where numpy's per-call
-overhead dominates) and a batched numpy form used for whole-grid assembly.
+float tuples, a run of Runge-Kutta steps at one held control on plain floats
+with the expressions inlined (the fixed-step integrator's inner loop, where
+numpy's per-call overhead would dominate) and a batched numpy form used for
+whole-grid assembly.
 """
 
 from __future__ import annotations
@@ -275,6 +276,7 @@ def _define(lines: list[str], numpy_mode: bool = False):
     """Execute the source of one function ``_f`` with the grammar's functions in scope."""
     namespace = {f"_{name}": numpy_fn if numpy_mode else scalar_fn
                  for name, (scalar_fn, numpy_fn) in _FUNCTIONS.items()}
+    namespace["_isfinite"] = math.isfinite
     exec(compile("\n".join(lines) + "\n", "<occlp-expr>", "exec"), namespace)
     return namespace["_f"]
 
@@ -290,29 +292,52 @@ def compile_scalar(nodes: tuple[Node, ...]):
 
 
 # the state each Runge-Kutta stage evaluates at: its variable prefix, and the
-# multiple of the previous stage's slope that is added to y
-_RK4_STAGES = (("y", ""), ("a", "0.5 * dt"), ("b", "0.5 * dt"), ("c", "dt"))
+# multiple of the previous stage's slope that is added to y.  Python groups
+# ``0.5 * dt * k`` as ``(0.5 * dt) * k``, so ``half_dt * k`` is the same float
+# operation with the product taken once per run.
+_RK4_STAGES = (("y", ""), ("a", "half_dt"), ("b", "half_dt"), ("c", "dt"))
 
 
-def compile_rk4_step(nodes: tuple[Node, ...]):
-    """Compile one classical Runge-Kutta step ``step(y, u, dt) -> tuple`` of
-    ``y' = nodes(y, u)`` on plain floats, with the dynamics inlined per stage.
+def compile_rk4_run(nodes: tuple[Node, ...]):
+    """Compile a run of classical Runge-Kutta steps of ``y' = nodes(y, u)`` at one
+    held control, on plain floats with the dynamics inlined per stage.
 
-    Every float operation is one that ``simulate.rk4_step`` performs with
-    ``compile_scalar(nodes)``, in the same order, so the states agree bitwise.
+    ``run(y, u, dt, n, rows) -> (done, state)`` takes up to ``n`` steps from the
+    state tuple ``y`` at the control tuple ``u``, keeping the state in local
+    floats, and appends each new state's components to ``rows``.  It stops at
+    the first non-finite state, which it returns without appending, with
+    ``done`` the number of steps before it; otherwise ``done == n`` and the
+    state is the last one.  An arithmetic error in the dynamics (an overflowing
+    ``**`` or ``exp``, a division by zero) propagates, with the states before it
+    appended.
+
+    Every float operation of a step is one that ``simulate.rk4_step`` performs
+    with ``compile_scalar(nodes)``, in the same order, so the states agree
+    bitwise.
     """
     m = len(nodes)
-    lines = ["def _f(y, u, dt):", "    " + "".join(f"y{j}, " for j in range(m)) + "= y"]
+    controls = set()  # the control components the dynamics read
+    body = []
     for s, (z, scale) in enumerate(_RK4_STAGES, start=1):
         if s > 1:
-            lines += [f"    {z}{j} = y{j} + {scale} * k{s - 1}_{j}" for j in range(m)]
+            body += [f"{z}{j} = y{j} + {scale} * k{s - 1}_{j}" for j in range(m)]
 
         def var(v: Var, z=z) -> str:
-            return f"{z}{v.index}" if v.kind == "y" else _subscript(v)
-        lines += [f"    k{s}_{j} = {_emit(node, var)}" for j, node in enumerate(nodes)]
-    combined = "".join(f"y{j} + dt * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j}) / 6.0, "
-                       for j in range(m))
-    lines.append(f"    return ({combined})")
+            if v.kind == "u":
+                controls.add(v.index)
+            return f"{z}{v.index}" if v.kind == "y" else f"u{v.index}"
+        body += [f"k{s}_{j} = {_emit(node, var)}" for j, node in enumerate(nodes)]
+    body += [f"y{j} = y{j} + dt * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j}) / 6.0"
+             for j in range(m)]
+    state = "(" + "".join(f"y{j}, " for j in range(m)) + ")"
+    finite = " and ".join(f"_isfinite(y{j})" for j in range(m))
+    body += [f"if not ({finite}):", f"    return i, {state}"]
+    body += [f"put(y{j})" for j in range(m)]
+    lines = ["def _f(y, u, dt, n, rows):", f"    {state} = y",
+             *(f"    u{i} = u[{i}]" for i in sorted(controls)),
+             "    half_dt = 0.5 * dt", "    put = rows.append", "    for i in range(n):",
+             *("        " + line for line in body),
+             f"    return n, {state}"]
     return _define(lines)
 
 

@@ -2,7 +2,9 @@
 
 Fixed-step fourth-order Runge-Kutta with the control held at its value from
 the left endpoint of each step; no adaptivity, so runs are reproducible
-bit-for-bit.  On top of the integrator:
+bit-for-bit.  Steps are taken in held-control runs: a stretch of steps with
+one control is one call of a generated function, so an open-loop schedule
+costs one call per piece it visits.  On top of the integrator:
 
 * finite-horizon average values (per-step trapezoidal quadrature),
 * discounted values with a certified truncation-tail interval,
@@ -16,16 +18,22 @@ bit-for-bit.  On top of the integrator:
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain, pairwise
 
 import numpy as np
 
 from .basis import BasisSpec
 from .grid import DiscreteMeasure, Grid, nearest_atom_index, nearest_state_index
 from .programs import MembershipResidual, membership_residual
-from .system import SystemSpec, cost_batch, rk4_step_fn
+from .system import SystemSpec, cost_batch, rk4_run_fn
+
+log = logging.getLogger(__name__)
 
 
 class SimulationError(RuntimeError):
@@ -51,20 +59,13 @@ class Policy:
         raise NotImplementedError
 
 
-class ConstantPolicy(Policy):
-    def __init__(self, u):
-        self.u = tuple(np.atleast_1d(np.asarray(u, dtype=float)).tolist())
-
-    def control(self, t, y):
-        return self.u
-
-
 class SchedulePolicy(Policy):
     """Piecewise-constant open-loop schedule; optionally periodic.
 
-    ``times`` are the left endpoints of the pieces (first must be 0) and
-    ``values`` the controls held on them.  With ``period`` set, the schedule
-    wraps around modulo the period.
+    ``times`` are the left endpoints of the pieces (first must be 0, all finite
+    and strictly increasing) and ``values`` the controls held on them.  With
+    ``period`` set, the schedule wraps around modulo the period, which must be
+    finite and greater than the last switch time so that every piece is held.
     """
 
     def __init__(self, times, values, period: float | None = None):
@@ -73,21 +74,40 @@ class SchedulePolicy(Policy):
                        for v in values]
         if len(self.times) != len(self.values) or not self.times or self.times[0] != 0.0:
             raise SimulationError("schedule needs matching times/values starting at t=0")
+        if not all(map(math.isfinite, self.times)):
+            raise SimulationError("schedule times must be finite")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise SimulationError("schedule times must be strictly increasing")
+        if period is not None:
+            period = float(period)
+            if not (math.isfinite(period) and period > self.times[-1]):
+                raise SimulationError(f"schedule period {period} must be finite and greater "
+                                      f"than the last switch time {self.times[-1]}")
         self.period = period
+
+    def step_pieces(self, dt: float, n: int) -> np.ndarray:
+        """Index of the piece held at each step time ``i * dt``, ``0 <= i < n``:
+        ``control``'s rule for all steps at once, with the same float operations."""
+        # in place: a long run has one step time and one index per step
+        t = np.arange(n, dtype=float)
+        t *= dt
+        if self.period is not None:
+            np.remainder(t, self.period, out=t)
+        pieces = np.searchsorted(self.times, t, "right")
+        pieces -= 1
+        return pieces
 
     def control(self, t, y):
         if self.period is not None:
             t = t % self.period
-        # linear scan; schedules are short
-        u = self.values[0]
-        for start, value in zip(self.times, self.values):
-            if t >= start:
-                u = value
-            else:
-                break
-        return u
+        return self.values[bisect_right(self.times, t) - 1]
+
+
+class ConstantPolicy(SchedulePolicy):
+    """One control held for all time: a one-piece schedule."""
+
+    def __init__(self, u):
+        super().__init__([0.0], [u])
 
 
 class FeedbackPolicy(Policy):
@@ -154,34 +174,55 @@ def rk4_step(f, y: tuple, u: tuple, dt: float) -> tuple:
 
 def integrate(spec: SystemSpec, y0, policy: Policy, horizon: float,
               dt: float = 1e-3) -> Trajectory:
-    """Integrate from y0 for ceil(horizon / dt) fixed steps."""
+    """Integrate from y0 for ceil(horizon / dt) fixed steps.
+
+    The steps are taken in held-control runs, each one call of the generated
+    ``system.rk4_run_fn``.  A ``SchedulePolicy``'s runs are its pieces, found
+    for all steps at once by ``step_pieces`` (``Policy.control`` is not called);
+    any other policy is asked for a control at every step, and each step is a
+    run of its own.  Each run's control is checked once against the control
+    set, and a failure is reported at the time of its first step.
+    """
     if horizon <= 0 or dt <= 0:
         raise SimulationError("horizon and dt must be positive")
     y0 = np.asarray(y0, dtype=float)
     if not spec.region.contains(y0):
         raise StateConstraintError(f"y0 {y0.tolist()} outside the state region")
+    started = time.perf_counter()
     n_steps = math.ceil(horizon / dt)
     # dt is a target step size; the actual step divides the horizon exactly so
     # that the final time is the requested one (loop-closure checks need this)
     dt = horizon / n_steps
     m, p = spec.dim_state, spec.dim_control
-    step = rk4_step_fn(spec)
+    run = rk4_run_fn(spec)
     admits = spec.control.admission()
+    if isinstance(policy, SchedulePolicy):
+        pieces = policy.step_pieces(dt, n_steps)
+        starts = [0, *(np.flatnonzero(pieces[1:] != pieces[:-1]) + 1).tolist()]
+        held = [policy.values[k] for k in pieces[starts].tolist()]
+    else:
+        starts, held = range(n_steps), None
     # rows are appended as C doubles and reshaped once at the end
     y = tuple(y0.tolist())
     state_rows, control_rows = array("d", y), array("d")
-    for i in range(n_steps):
+    for r, (i, end) in enumerate(pairwise(chain(starts, (n_steps,)))):
         t = i * dt
-        u = policy.control(t, y)
+        u = policy.control(t, y) if held is None else held[r]
         if len(u) != p:
             raise SimulationError(f"policy produced control of length {len(u)}, expected {p}")
         if not admits(u):
             raise SimulationError(f"policy control {u} escapes the control region at t={t}")
-        control_rows.extend(u)
-        y = step(y, u, dt)
-        if not all(map(math.isfinite, y)):
-            raise SimulationError(f"non-finite state at t={t + dt}: {y}")
-        state_rows.extend(y)
+        count = end - i
+        control_rows.extend(u * count)
+        try:
+            done, y = run(y, u, dt, count, state_rows)
+        except ArithmeticError as err:  # ``**`` or ``exp`` overflowed, or a division by 0
+            done, y = len(state_rows) // m - 1 - i, repr(err)
+        if done < count:
+            raise SimulationError(f"non-finite state at t={(i + done) * dt + dt}: {y}")
+    log.info("integrate: %d steps, %s, %.3f s", n_steps,
+             "feedback" if held is None else f"{len(held)} held-control runs",
+             time.perf_counter() - started)
     states = np.frombuffer(state_rows).reshape(n_steps + 1, m)
     return Trajectory(spec=spec, dt=dt, times=dt * np.arange(n_steps + 1), states=states,
                       controls=np.frombuffer(control_rows).reshape(n_steps, p),

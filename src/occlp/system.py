@@ -352,8 +352,8 @@ def _dynamics_scalar(dyn_id: str, m: int, p: int):
 
 
 @lru_cache(maxsize=None)
-def _rk4_step(dyn_id: str, m: int, p: int):
-    return exprs.compile_rk4_step(_parsed_dynamics(dyn_id, m, p))
+def _rk4_run(dyn_id: str, m: int, p: int):
+    return exprs.compile_rk4_run(_parsed_dynamics(dyn_id, m, p))
 
 
 @lru_cache(maxsize=None)
@@ -383,10 +383,11 @@ def dynamics_fn(spec: SystemSpec):
     return _dynamics_scalar(spec.dynamics_id, spec.dim_state, spec.dim_control)
 
 
-def rk4_step_fn(spec: SystemSpec):
-    """One Runge-Kutta step ``step(y_tuple, u_tuple, dt) -> tuple`` of the dynamics,
-    bitwise equal to ``simulate.rk4_step(dynamics_fn(spec), y, u, dt)``."""
-    return _rk4_step(spec.dynamics_id, spec.dim_state, spec.dim_control)
+def rk4_run_fn(spec: SystemSpec):
+    """Runge-Kutta steps at one held control, ``run(y_tuple, u_tuple, dt, n, rows)
+    -> (done, state)`` (see ``exprs.compile_rk4_run``); each state is bitwise
+    ``simulate.rk4_step(dynamics_fn(spec), y, u, dt)`` of the one before."""
+    return _rk4_run(spec.dynamics_id, spec.dim_state, spec.dim_control)
 
 
 def dynamics_batch(spec: SystemSpec):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occlp import cli, system
+from occlp import cli, simulate, system
 from occlp.cli import ReportBundle, emit_report, export_measure_csv, \
     export_trajectory_csv, main, run_study
 from occlp.config import (ConfigError, StudyConfig, build_policy, build_system,
@@ -93,6 +93,11 @@ def test_default_config_text_parses():
     ("[simulate]\nperiodic_deltas = 0\n", "periodic_deltas must lie in (0, 1]"),
     ("[simulate]\npolicy = schedule:1:0.5\n", "malformed policy"),
     ("[simulate]\npolicy = steer_hold:1.0:0.0:0.0\n", "strictly increasing"),
+    ("[simulate]\npolicy = schedule:0:1,2:-1@0\n", "period 0.0 must be finite and greater"),
+    ("[simulate]\npolicy = schedule:0:1,2:-1@-4\n", "period -4.0 must be finite and greater"),
+    ("[simulate]\npolicy = schedule:0:1,2:-1@nan\n", "period nan must be finite and greater"),
+    ("[simulate]\npolicy = schedule:0:1,5:-1@4\n", "than the last switch time 5.0"),
+    ("[simulate]\npolicy = schedule:0:1,nan:-1\n", "schedule times must be finite"),
     ("[grid]\nstate_resolution = [1, 64]\n", "line 2: annulus resolutions must be >= 2"),
     ("[grid]\ncontrol_resolution = 1\n", "line 2: control resolution must be >= 2"),
 ])
@@ -411,6 +416,45 @@ def test_info_log_has_one_line_per_lp(caplog):
                if line.startswith(("ergodic:", "discounted")))
 
 
+def test_info_log_has_one_line_per_integration(caplog, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return integrate(*args, **kwargs)
+    monkeypatch.setattr(simulate, "integrate", counted)
+    cfg = parse_config("""
+[system]
+name = rotation
+[grid]
+state_resolution = [3, 8]
+control_resolution = 3
+[basis]
+degree = 2
+[program]
+variants = [nonergodic]
+[simulate]
+policy = schedule:0:1,0.5:0@2
+horizons = [3.0]
+dt = 0.001
+abel_rates = [1.0]
+abel_horizon = 25.0
+abel_dt = 0.01
+periodic_deltas = [0.5]
+periodic_dt = 0.01
+""")
+    with caplog.at_level(logging.INFO, logger="occlp"):
+        run_study(cfg, sections=("simulate",))
+    lines = [r.getMessage() for r in caplog.records if r.name == "occlp.simulate"]
+    # the horizon run, the Abel run and the periodic candidate, in that order
+    assert len(lines) == len(calls) == 3
+    pattern = r"integrate: (\d+) steps, (\d+ held-control runs|feedback), \d+\.\d{3} s"
+    found = [re.fullmatch(pattern, line).groups() for line in lines]
+    # two pieces per period of 2, over T = 3 and T = 25
+    assert found[:2] == [("3000", "4 held-control runs"), ("2500", "26 held-control runs")]
+    assert found[2][1] == "feedback"
+
+
 def test_info_log_names_how_each_lp_started(caplog):
     # report order differs from the chain's order of decreasing epsilon
     cfg = parse_config("[program]\nvariants = [ergodic, nonergodic, perturbed]\n"
@@ -549,6 +593,36 @@ horizons = [1.0, 5.0]
     invariants = json.loads((out_dir / "report.json").read_text())["invariants"]
     assert {"name": "simulate.completed", "passed": False,
             "detail": "StateConstraintError: trajectory leaves the region"} in invariants
+
+
+@pytest.mark.parametrize("blowup", ["y1^2 + u1", "y1*y1 + u1", "exp(3*y1) + u1"])
+def test_overflowing_trajectory_is_a_failed_invariant(blowup):
+    # y1' > y1^2 blows up in finite time; Python's ** and exp raise OverflowError
+    # where y1*y1 gives inf, and all three are one non-finite state
+    cfg = parse_config(f"""
+[system]
+name = custom
+region = box
+lower = [-1.0, -1.0]
+upper = [1.0, 1.0]
+dynamics = [{blowup}, -y2 + y1]
+cost = y2^2 + 0.5*u1^2
+[grid]
+state_resolution = [4, 4]
+control_resolution = 3
+[basis]
+degree = 2
+[program]
+variants = [nonergodic]
+y0 = [0.5, -0.5]
+[simulate]
+policy = constant:1
+horizons = [5.0]
+""")
+    bundle = run_study(cfg, sections=("simulate",))
+    [failed] = [entry for entry in bundle.invariants if not entry["passed"]]
+    assert failed["name"] == "simulate.completed"
+    assert re.fullmatch(r"SimulationError: non-finite state at t=[\d.]+: .+", failed["detail"])
 
 
 def test_cli_failure_exit_enumerates(tmp_path, capsys, monkeypatch):

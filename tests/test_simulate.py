@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad as integrate_quad
 
 from occlp import simulate, system
@@ -57,16 +59,72 @@ def _custom(dynamics: str, dim: int, control=None) -> system.SystemSpec:
         control=control or system.ControlRegion(kind="box", lower=(-1.0,), upper=(1.0,)))
 
 
-def test_states_satisfy_recomputable_update(rotation):
-    for spec, y0 in [(rotation, (1.0, 0.0)),
-                     (system.make_scalar_drift(), (0.6,)),
-                     (_custom("-y1 + u1; -y2 + y1", 2), (0.5, -0.5)),
-                     (_custom("sin(y2)*u1^2; -exp(y1)*u1", 2), (0.3, -0.7))]:
+# systems with their start points: built-in and expression-compiled dynamics
+_SYSTEMS = [(system.make_rotation(), (1.0, 0.0)),
+            (system.make_scalar_drift(), (0.6,)),
+            (_custom("-y1 + u1; -y2 + y1", 2), (0.5, -0.5)),
+            (_custom("sin(y2)*u1^2; -exp(y1)*u1", 2), (0.3, -0.7))]
+
+
+def test_states_satisfy_recomputable_update():
+    for spec, y0 in _SYSTEMS:
         traj = integrate(spec, y0, SchedulePolicy([0.0, 0.02], [0.7, -0.4]), 0.05, 1e-3)
         f = dynamics_fn(spec)
         for i in range(len(traj.controls)):
             expected = rk4_step(f, tuple(traj.states[i]), tuple(traj.controls[i]), traj.dt)
             assert np.asarray(expected).tobytes() == traj.states[i + 1].tobytes()
+
+
+def _step_by_step(spec, y0, policy, horizon, dt):
+    """The reference loop: ask the policy at every step, then one ``rk4_step``."""
+    n = math.ceil(horizon / dt)
+    dt = horizon / n
+    f = dynamics_fn(spec)
+    y, states, controls = tuple(y0), [tuple(y0)], []
+    for i in range(n):
+        u = policy.control(i * dt, y)
+        y = rk4_step(f, y, u, dt)
+        controls.append(u)
+        states.append(y)
+    return np.array(states), np.array(controls)
+
+
+_CONTROLS = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _schedules(draw):
+    # piece lengths from far below to a few times the step (dt is at most 0.02),
+    # so switch times fall off the step grid and some pieces hold for no step
+    lengths = draw(st.lists(st.floats(1e-4, 0.06), min_size=0, max_size=5))
+    times = [0.0]
+    for length in lengths:
+        times.append(times[-1] + length)
+    values = draw(st.lists(_CONTROLS, min_size=len(times), max_size=len(times)))
+    tail = draw(st.none() | st.floats(1e-4, 0.06))
+    return SchedulePolicy(times, values, None if tail is None else times[-1] + tail)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(range(len(_SYSTEMS))),
+       policy=_schedules() | _CONTROLS.map(ConstantPolicy),
+       horizon=st.floats(0.01, 0.3), dt=st.sampled_from([1e-3, 3e-3, 0.01, 0.02]))
+def test_held_control_runs_match_step_by_step_integration(case, policy, horizon, dt):
+    spec, y0 = _SYSTEMS[case]
+    traj = integrate(spec, y0, policy, horizon, dt)
+    states, controls = _step_by_step(spec, y0, policy, horizon, dt)
+    assert traj.controls.tobytes() == controls.tobytes()
+    assert traj.states.tobytes() == states.tobytes()
+
+
+def test_schedule_runs_never_ask_the_policy(monkeypatch, rotation):
+    # a schedule's pieces are looked up for all steps at once; a lost fast path
+    # would fall back to one control call per step without failing anything else
+    calls = []
+    monkeypatch.setattr(SchedulePolicy, "control", lambda self, t, y: calls.append(t))
+    for policy in (SchedulePolicy([0.0, 0.5], [1.0, -1.0], period=1.0), ConstantPolicy(0.5)):
+        integrate(rotation, (1.0, 0.0), policy, 3.0, 1e-3)
+    assert calls == []
 
 
 @pytest.mark.parametrize("control,bad", [
@@ -84,6 +142,18 @@ def test_escaping_control_is_reported_at_its_step(control, bad):
     message = f"escapes the control region at t={k * free.dt}"
     with pytest.raises(SimulationError, match=re.escape(message) + "$"):
         integrate(spec, (1.0,), policy, 0.02, 1e-3)
+
+
+@pytest.mark.parametrize("period", [None, 0.05])
+def test_escaping_schedule_piece_is_reported_at_its_first_step(period):
+    spec = _custom("-y1 + u1", 1)
+    switch = 0.0123  # off the step grid: the piece is first held at step 13
+    free = integrate(spec, (0.5,), ConstantPolicy(0.0), 0.02, 1e-3)
+    k = next(i for i in range(len(free.controls)) if i * free.dt >= switch)
+    policy = SchedulePolicy([0.0, switch], [0.5, 2.0], period)
+    message = f"policy control (2.0,) escapes the control region at t={k * free.dt}"
+    with pytest.raises(SimulationError, match=re.escape(message) + "$"):
+        integrate(spec, (0.5,), policy, 0.02, 1e-3)
 
 
 def test_integrate_validation(rotation):
