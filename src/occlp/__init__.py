@@ -16,8 +16,8 @@ from .programs import (DualCertificate, LpInstance, LpSolution, MembershipResidu
                        build_perturbed_lp, certificate_is_valid, certificate_slacks,
                        extract_dual_certificate, membership_residual, solve,
                        verify_weak_duality)
-from .simulate import (AbelValue, ConstantPolicy, FeedbackPolicy, Policy, SchedulePolicy,
-                       Trajectory, abel_value, cesaro_value, empirical_discounted_measure,
+from .simulate import (AbelValue, ConstantPolicy, FeedbackPolicy, LawPolicy, Policy,
+                       SchedulePolicy, Trajectory, abel_value, cesaro_value,
                        empirical_occupational_measure, horizon_study, integrate,
                        periodic_value_search, rotation_delta_family)
 from .system import (ControlRegion, StateRegion, SystemSpec, check_first_integrals,

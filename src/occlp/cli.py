@@ -34,7 +34,7 @@ from .programs import (ProgramError, build_discounted_lp, build_ergodic_lp,
                        certificate_slacks, extract_dual_certificate, log_solution, lp_name,
                        membership_residual, needs_refinement, solve, solve_chain,
                        verify_weak_duality)
-from .simulate import (SimulationError, Trajectory, abel_value, cesaro_value,
+from .simulate import (SimulationError, abel_value, cesaro_value,
                        horizon_study, periodic_value_search, rotation_delta_family)
 
 log = logging.getLogger("occlp")
@@ -524,33 +524,6 @@ def emit_report(bundle: ReportBundle, out_dir: str, formats=("json",)) -> list[s
                 _write_csv(path, table["columns"], table["rows"])
                 written.append(path)
     return written
-
-
-def export_trajectory_csv(traj: Trajectory, path: str):
-    """Trajectory interchange: t, state components, control components, inY."""
-    m, p = traj.states.shape[1], traj.controls.shape[1]
-    columns = (["t"] + [f"y{i+1}" for i in range(m)]
-               + [f"u{i+1}" for i in range(p)] + ["inY"])
-    rows = []
-    for i, t in enumerate(traj.times):
-        u = traj.controls[min(i, len(traj.controls) - 1)]
-        rows.append([float(t)] + [float(v) for v in traj.states[i]]
-                    + [float(v) for v in u] + [int(traj.in_region[i])])
-    _write_csv(path, columns, rows)
-
-
-def export_measure_csv(measure: DiscreteMeasure, path: str):
-    """Measure interchange: atom index, state components, control components, weight."""
-    grid = measure.grid
-    m, p = grid.state_points.shape[1], grid.control_points.shape[1]
-    columns = (["atom_index"] + [f"y{i+1}" for i in range(m)]
-               + [f"u{i+1}" for i in range(p)] + ["weight"])
-    rows = []
-    for a in np.flatnonzero(measure.weights > 0):
-        y, u = grid.atom(int(a))
-        rows.append([int(a)] + [float(v) for v in y] + [float(v) for v in u]
-                    + [float(measure.weights[a])])
-    _write_csv(path, columns, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -401,7 +401,13 @@ def _build_custom_system(cfg: SystemConfig) -> SystemSpec:
                        bound_f=math.inf, bound_k=math.inf)
     bound_f, bound_k = cfg.bound_f, cfg.bound_k
     if bound_f is None or bound_k is None:
-        report = validate_bounds(probe)
+        with np.errstate(all="ignore"):  # a NaN or inf sample is the error below
+            report = validate_bounds(probe)
+        for key, sampled in (("dynamics", report.max_dynamics_norm),
+                             ("cost", report.max_cost_abs)):
+            if not math.isfinite(sampled):
+                raise ConfigError(f"{key} is not finite on the sampled state region "
+                                  f"(sampled maximum {sampled})")
         # sampled maxima with headroom; declared bounds are preferred
         if bound_f is None:
             bound_f = 1.1 * report.max_dynamics_norm

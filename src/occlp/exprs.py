@@ -2,30 +2,36 @@
 
 Expressions are built from state variables ``y1..ym``, control variables
 ``u1..up``, decimal numbers, ``pi``, the operators ``+ - * / ^`` (``^`` takes a
-constant exponent) and the functions ``sin cos exp sqrt abs``.  Parsed
+constant exponent), the functions ``sin cos exp sqrt abs`` and the
+two-argument ``atan2(a, b)``, the angle of the point ``(b, a)``.  Parsed
 expressions support exact symbolic differentiation with respect to state
 variables, which is what the first-integral checks rely on.
 
 Three compilation targets are provided: a scalar form operating on plain
-float tuples, a run of Runge-Kutta steps at one held control on plain floats
-with the expressions inlined (the fixed-step integrator's inner loop, where
-numpy's per-call overhead would dominate) and a batched numpy form used for
-whole-grid assembly.
+float tuples, a run of Runge-Kutta steps on plain floats with the expressions
+inlined (the fixed-step integrator's inner loop, where numpy's per-call
+overhead would dominate), at one held control or under a feedback law, and a
+batched numpy form used for whole-grid assembly.  The scalar forms raise
+``ValueError`` where a function leaves its domain (``sqrt`` or ``^`` of a
+negative number); the numpy form gives NaN.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+# name -> (scalar function, numpy function, number of arguments)
 _FUNCTIONS = {
-    "sin": (math.sin, np.sin),
-    "cos": (math.cos, np.cos),
-    "exp": (math.exp, np.exp),
-    "sqrt": (math.sqrt, np.sqrt),
-    "abs": (abs, np.abs),
+    "sin": (math.sin, np.sin, 1),
+    "cos": (math.cos, np.cos, 1),
+    "exp": (math.exp, np.exp, 1),
+    "sqrt": (math.sqrt, np.sqrt, 1),
+    "abs": (abs, np.abs, 1),
+    "atan2": (math.atan2, np.arctan2, 2),
 }
 
 
@@ -71,7 +77,7 @@ class Power:
 @dataclass(frozen=True)
 class Call:
     func: str
-    arg: "Node"
+    args: tuple["Node", ...]
 
 
 Node = Num | Var | Unary | Binary | Power | Call
@@ -190,14 +196,20 @@ class _Parser:
         if name == "pi":
             return Num(math.pi)
         if name in _FUNCTIONS:
+            arity = _FUNCTIONS[name][2]
             if self.peek() != "(":
-                self.fail(f"function {name!r} needs an argument")
+                self.fail(f"function {name!r} needs {arity} argument(s)")
             self.pos += 1
-            arg = self.parse_sum()
+            args = [self.parse_sum()]
+            while self.peek() == ",":
+                self.pos += 1
+                args.append(self.parse_sum())
             if self.peek() != ")":
                 self.fail("expected ')'")
+            if len(args) != arity:
+                self.fail(f"function {name!r} takes {arity} argument(s), got {len(args)}")
             self.pos += 1
-            return Call(name, arg)
+            return Call(name, tuple(args))
         if name[0] in "yu" and name[1:].isdigit():
             index = int(name[1:]) - 1
             dim = self.m if name[0] == "y" else self.p
@@ -236,15 +248,21 @@ def diff(node: Node, index: int) -> Node:
         scaled = Binary("*", Num(node.exponent), Power(node.base, node.exponent - 1.0))
         return Binary("*", scaled, inner)
     if isinstance(node, Call):
-        inner = diff(node.arg, index)
+        if node.func == "atan2":
+            # d atan2(a, b) = (b da - a db) / (a^2 + b^2)
+            a, b = node.args
+            num = Binary("-", Binary("*", b, diff(a, index)), Binary("*", a, diff(b, index)))
+            return Binary("/", num, Binary("+", Power(a, 2.0), Power(b, 2.0)))
+        (arg,) = node.args
+        inner = diff(arg, index)
         if node.func == "sin":
-            outer: Node = Call("cos", node.arg)
+            outer: Node = Call("cos", node.args)
         elif node.func == "cos":
-            outer = Unary("neg", Call("sin", node.arg))
+            outer = Unary("neg", Call("sin", node.args))
         elif node.func == "exp":
-            outer = Call("exp", node.arg)
+            outer = Call("exp", node.args)
         elif node.func == "sqrt":
-            outer = Binary("/", Num(0.5), Call("sqrt", node.arg))
+            outer = Binary("/", Num(0.5), Call("sqrt", node.args))
         else:
             raise ExpressionError(f"function {node.func!r} is not differentiable here")
         return Binary("*", outer, inner)
@@ -262,9 +280,9 @@ def _emit(node: Node, var) -> str:
     if isinstance(node, Binary):
         return f"({_emit(node.left, var)} {node.op} {_emit(node.right, var)})"
     if isinstance(node, Power):
-        return f"({_emit(node.base, var)} ** {repr(node.exponent)})"
+        return f"_pow({_emit(node.base, var)}, {repr(node.exponent)})"
     if isinstance(node, Call):
-        return f"_{node.func}({_emit(node.arg, var)})"
+        return f"_{node.func}({', '.join(_emit(arg, var) for arg in node.args)})"
     raise ExpressionError(f"cannot compile node {node!r}")
 
 
@@ -273,9 +291,15 @@ def _subscript(v: Var) -> str:
 
 
 def _define(lines: list[str], numpy_mode: bool = False):
-    """Execute the source of one function ``_f`` with the grammar's functions in scope."""
+    """Execute the source of one function ``_f`` with the grammar's functions in scope.
+
+    ``^`` is ``math.pow`` on floats: bitwise Python's ``**``, except that it
+    raises ``ValueError`` where ``**`` would return a complex number.  On
+    arrays it is ``**``, which keeps numpy's fast paths for squares and roots.
+    """
     namespace = {f"_{name}": numpy_fn if numpy_mode else scalar_fn
-                 for name, (scalar_fn, numpy_fn) in _FUNCTIONS.items()}
+                 for name, (scalar_fn, numpy_fn, _) in _FUNCTIONS.items()}
+    namespace["_pow"] = operator.pow if numpy_mode else math.pow
     namespace["_isfinite"] = math.isfinite
     exec(compile("\n".join(lines) + "\n", "<occlp-expr>", "exec"), namespace)
     return namespace["_f"]
@@ -298,26 +322,46 @@ def compile_scalar(nodes: tuple[Node, ...]):
 _RK4_STAGES = (("y", ""), ("a", "half_dt"), ("b", "half_dt"), ("c", "dt"))
 
 
-def compile_rk4_run(nodes: tuple[Node, ...]):
-    """Compile a run of classical Runge-Kutta steps of ``y' = nodes(y, u)`` at one
-    held control, on plain floats with the dynamics inlined per stage.
+def compile_rk4_run(nodes: tuple[Node, ...], law: tuple[Node, ...] | None = None):
+    """Compile a run of classical Runge-Kutta steps of ``y' = nodes(y, u)``, on
+    plain floats with the dynamics inlined per stage.
 
-    ``run(y, u, dt, n, rows) -> (done, state)`` takes up to ``n`` steps from the
-    state tuple ``y`` at the control tuple ``u``, keeping the state in local
-    floats, and appends each new state's components to ``rows``.  It stops at
-    the first non-finite state, which it returns without appending, with
-    ``done`` the number of steps before it; otherwise ``done == n`` and the
-    state is the last one.  An arithmetic error in the dynamics (an overflowing
-    ``**`` or ``exp``, a division by zero) propagates, with the states before it
-    appended.
+    Without a law the control is held: ``run(y, u, dt, n, rows) -> (done,
+    state)`` takes up to ``n`` steps from the state tuple ``y`` at the control
+    tuple ``u``, keeping the state in local floats, and appends each new
+    state's components to ``rows``.  It stops at the first non-finite state,
+    which it returns without appending, with ``done`` the number of steps
+    before it; otherwise ``done == n`` and the state is the last one.
 
-    Every float operation of a step is one that ``simulate.rk4_step`` performs
-    with ``compile_scalar(nodes)``, in the same order, so the states agree
+    With a law, one expression over the state per control component, the loop
+    is closed: ``run(y, lows, highs, dt, n, rows, controls) -> (done, state,
+    escaped)`` evaluates ``u = law(y)`` at the left endpoint of every step.  A
+    ``u`` outside the box ``lows <= u <= highs`` (a NaN component is outside)
+    stops the run before that step, with ``escaped`` the tuple ``u`` and the
+    state the finite one it was evaluated at; otherwise ``u`` is appended to
+    ``controls`` and the step is taken as above, and ``escaped`` is None.
+
+    An arithmetic or domain error (an overflowing ``^`` or ``exp``, a division
+    by zero, ``sqrt`` of a negative number) propagates, with the states and
+    controls before it appended.  Every float operation of a step is one that
+    ``simulate.rk4_step`` performs with ``compile_scalar(nodes)`` at the control
+    ``compile_scalar(law)(y, ())``, in the same order, so the states agree
     bitwise.
     """
     m = len(nodes)
     controls = set()  # the control components the dynamics read
     body = []
+    if law is not None:
+        def state_var(v: Var) -> str:
+            if v.kind == "u":
+                raise ExpressionError("a feedback law must read the state only")
+            return f"y{v.index}"
+        us = range(len(law))
+        body += [f"u{c} = {_emit(node, state_var)}" for c, node in enumerate(law)]
+        inside = " and ".join(f"lo{c} <= u{c} <= hi{c}" for c in us)
+        body += [f"if not ({inside}):",
+                 "    return i, " + _tuple("y", range(m)) + ", " + _tuple("u", us)]
+        body += [f"put_u(u{c})" for c in us]
     for s, (z, scale) in enumerate(_RK4_STAGES, start=1):
         if s > 1:
             body += [f"{z}{j} = y{j} + {scale} * k{s - 1}_{j}" for j in range(m)]
@@ -329,16 +373,26 @@ def compile_rk4_run(nodes: tuple[Node, ...]):
         body += [f"k{s}_{j} = {_emit(node, var)}" for j, node in enumerate(nodes)]
     body += [f"y{j} = y{j} + dt * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j}) / 6.0"
              for j in range(m)]
-    state = "(" + "".join(f"y{j}, " for j in range(m)) + ")"
+    state = _tuple("y", range(m))
     finite = " and ".join(f"_isfinite(y{j})" for j in range(m))
-    body += [f"if not ({finite}):", f"    return i, {state}"]
+    body += [f"if not ({finite}):", f"    return i, {state}" + ("" if law is None else ", None")]
     body += [f"put(y{j})" for j in range(m)]
-    lines = ["def _f(y, u, dt, n, rows):", f"    {state} = y",
-             *(f"    u{i} = u[{i}]" for i in sorted(controls)),
-             "    half_dt = 0.5 * dt", "    put = rows.append", "    for i in range(n):",
-             *("        " + line for line in body),
-             f"    return n, {state}"]
+    if law is None:
+        head = ["def _f(y, u, dt, n, rows):",
+                *(f"    u{i} = u[{i}]" for i in sorted(controls))]
+    else:
+        head = ["def _f(y, lows, highs, dt, n, rows, controls):",
+                f"    {_tuple('lo', us)} = lows", f"    {_tuple('hi', us)} = highs",
+                "    put_u = controls.append"]
+    lines = [*head, f"    {state} = y", "    half_dt = 0.5 * dt", "    put = rows.append",
+             "    for i in range(n):", *("        " + line for line in body),
+             f"    return n, {state}" + ("" if law is None else ", None")]
     return _define(lines)
+
+
+def _tuple(prefix: str, indices) -> str:
+    """Source of the tuple of the locals ``prefix0, prefix1, ...``."""
+    return "(" + "".join(f"{prefix}{i}, " for i in indices) + ")"
 
 
 def compile_batch(nodes: tuple[Node, ...]):

@@ -2,14 +2,15 @@
 
 Fixed-step fourth-order Runge-Kutta with the control held at its value from
 the left endpoint of each step; no adaptivity, so runs are reproducible
-bit-for-bit.  Steps are taken in held-control runs: a stretch of steps with
-one control is one call of a generated function, so an open-loop schedule
-costs one call per piece it visits.  On top of the integrator:
+bit-for-bit.  Steps are taken in generated runs: a stretch of steps with one
+control is one call, so an open-loop schedule costs one call per piece it
+visits, and a feedback law given as expressions is evaluated inside the loop,
+so a closed-loop trajectory is one call.  On top of the integrator:
 
 * finite-horizon average values (per-step trapezoidal quadrature),
 * discounted values with a certified truncation-tail interval,
-* empirical (and discounted-empirical) measures on a grid, by nearest-atom
-  binning, which keeps them exactly nonnegative and exactly massed,
+* empirical measures on a grid, by nearest-atom binning, which keeps them
+  exactly nonnegative and exactly massed,
 * a periodic-policy family search giving certified upper bounds plus a trend
   table, and
 * a horizon study: windows of one run, their empirical measures and
@@ -28,6 +29,7 @@ from itertools import chain, pairwise
 
 import numpy as np
 
+from . import exprs
 from .basis import BasisSpec
 from .grid import DiscreteMeasure, Grid, nearest_atom_index, nearest_state_index
 from .programs import MembershipResidual, membership_residual
@@ -123,6 +125,18 @@ class FeedbackPolicy(Policy):
         return tuple(np.atleast_1d(np.asarray(out, dtype=float)).tolist())
 
 
+class LawPolicy(FeedbackPolicy):
+    """Stationary feedback given as a law: one ``exprs`` expression over the
+    state per control component.  ``integrate`` evaluates the law inside its
+    generated Runge-Kutta loop; ``control`` evaluates its scalar compilation,
+    with the same float operations."""
+
+    def __init__(self, law):
+        self.law = tuple(law)
+        scalar = exprs.compile_scalar(self.law)
+        super().__init__(lambda y: scalar(y, ()))
+
+
 def feedback_table_policy(grid: Grid, table: np.ndarray) -> FeedbackPolicy:
     """Feedback defined cellwise on a grid's state points (nearest-cell lookup;
     a state outside the region gets the control of a cell near it)."""
@@ -176,12 +190,16 @@ def integrate(spec: SystemSpec, y0, policy: Policy, horizon: float,
               dt: float = 1e-3) -> Trajectory:
     """Integrate from y0 for ceil(horizon / dt) fixed steps.
 
-    The steps are taken in held-control runs, each one call of the generated
-    ``system.rk4_run_fn``.  A ``SchedulePolicy``'s runs are its pieces, found
-    for all steps at once by ``step_pieces`` (``Policy.control`` is not called);
-    any other policy is asked for a control at every step, and each step is a
-    run of its own.  Each run's control is checked once against the control
-    set, and a failure is reported at the time of its first step.
+    The steps are taken in runs of the generated ``system.rk4_run_fn``.  A
+    ``LawPolicy`` on a box control set is one closed-loop run for the whole
+    horizon, with its law evaluated and checked against the box inside the
+    loop.  A ``SchedulePolicy``'s runs are its pieces, found for all steps at
+    once by ``step_pieces``, and each run's control is checked once.  Neither
+    calls ``Policy.control``.  Any other policy is asked for a control at
+    every step, and each step is a run of its own.  A control outside the
+    control set is reported at the time of the first step that holds it; a
+    non-finite state, or an arithmetic or domain error in the dynamics, at the
+    end of its step.
     """
     if horizon <= 0 or dt <= 0:
         raise SimulationError("horizon and dt must be positive")
@@ -194,35 +212,55 @@ def integrate(spec: SystemSpec, y0, policy: Policy, horizon: float,
     # that the final time is the requested one (loop-closure checks need this)
     dt = horizon / n_steps
     m, p = spec.dim_state, spec.dim_control
-    run = rk4_run_fn(spec)
-    admits = spec.control.admission()
-    if isinstance(policy, SchedulePolicy):
-        pieces = policy.step_pieces(dt, n_steps)
-        starts = [0, *(np.flatnonzero(pieces[1:] != pieces[:-1]) + 1).tolist()]
-        held = [policy.values[k] for k in pieces[starts].tolist()]
-    else:
-        starts, held = range(n_steps), None
     # rows are appended as C doubles and reshaped once at the end
     y = tuple(y0.tolist())
     state_rows, control_rows = array("d", y), array("d")
-    for r, (i, end) in enumerate(pairwise(chain(starts, (n_steps,)))):
-        t = i * dt
-        u = policy.control(t, y) if held is None else held[r]
-        if len(u) != p:
-            raise SimulationError(f"policy produced control of length {len(u)}, expected {p}")
-        if not admits(u):
-            raise SimulationError(f"policy control {u} escapes the control region at t={t}")
-        count = end - i
-        control_rows.extend(u * count)
+
+    if isinstance(policy, LawPolicy) and spec.control.kind == "box":
+        if len(policy.law) != p:
+            raise SimulationError(f"policy produced control of length {len(policy.law)}, "
+                                  f"expected {p}")
+        run = rk4_run_fn(spec, policy.law)
         try:
-            done, y = run(y, u, dt, count, state_rows)
-        except ArithmeticError as err:  # ``**`` or ``exp`` overflowed, or a division by 0
-            done, y = len(state_rows) // m - 1 - i, repr(err)
-        if done < count:
-            raise SimulationError(f"non-finite state at t={(i + done) * dt + dt}: {y}")
-    log.info("integrate: %d steps, %s, %.3f s", n_steps,
-             "feedback" if held is None else f"{len(held)} held-control runs",
-             time.perf_counter() - started)
+            done, y, escaped = run(y, *spec.control.limits(), dt, n_steps,
+                                   state_rows, control_rows)
+        except (ArithmeticError, ValueError) as err:
+            # ``^`` or ``exp`` overflowed, a division by 0, or ``sqrt`` or ``^``
+            # left its domain; the run appended the states before the error
+            done, y, escaped = len(state_rows) // m - 1, repr(err), None
+        if escaped is not None:
+            raise SimulationError(f"policy control {escaped} escapes the control region "
+                                  f"at t={done * dt}")
+        if done < n_steps:
+            raise SimulationError(f"non-finite state at t={done * dt + dt}: {y}")
+        path = "closed-loop law"
+    else:
+        run = rk4_run_fn(spec)
+        admits = spec.control.admission()
+        if isinstance(policy, SchedulePolicy):
+            pieces = policy.step_pieces(dt, n_steps)
+            starts = [0, *(np.flatnonzero(pieces[1:] != pieces[:-1]) + 1).tolist()]
+            held = [policy.values[k] for k in pieces[starts].tolist()]
+            path = f"{len(held)} held-control runs"
+        else:
+            starts, held, path = range(n_steps), None, "feedback"
+        for r, (i, end) in enumerate(pairwise(chain(starts, (n_steps,)))):
+            t = i * dt
+            u = policy.control(t, y) if held is None else held[r]
+            if len(u) != p:
+                raise SimulationError(f"policy produced control of length {len(u)}, "
+                                      f"expected {p}")
+            if not admits(u):
+                raise SimulationError(f"policy control {u} escapes the control region at t={t}")
+            count = end - i
+            control_rows.extend(u * count)
+            try:
+                done, y = run(y, u, dt, count, state_rows)
+            except (ArithmeticError, ValueError) as err:  # as for a law run
+                done, y = len(state_rows) // m - 1 - i, repr(err)
+            if done < count:
+                raise SimulationError(f"non-finite state at t={(i + done) * dt + dt}: {y}")
+    log.info("integrate: %d steps, %s, %.3f s", n_steps, path, time.perf_counter() - started)
     states = np.frombuffer(state_rows).reshape(n_steps + 1, m)
     return Trajectory(spec=spec, dt=dt, times=dt * np.arange(n_steps + 1), states=states,
                       controls=np.frombuffer(control_rows).reshape(n_steps, p),
@@ -301,29 +339,6 @@ def empirical_occupational_measure(traj: Trajectory, grid: Grid) -> DiscreteMeas
     return _occupation(traj, grid, atoms, traj.dt / traj.horizon)
 
 
-@dataclass(frozen=True)
-class DiscountedEmpirical:
-    measure: DiscreteMeasure
-    tail_mass: float  # mass of the truncated tail, exp(-rate * horizon)
-
-
-def empirical_discounted_measure(traj: Trajectory, rate: float, grid: Grid,
-                                 tail_tolerance: float = 1e-2) -> DiscountedEmpirical:
-    """Exponentially weighted binning; each step carries its exact weight
-    integral exp(-rate t_i) - exp(-rate t_{i+1}), so the truncated total mass
-    is exactly 1 - exp(-rate * horizon)."""
-    if rate <= 0:
-        raise SimulationError("discount rate must be positive")
-    tail = math.exp(-rate * traj.horizon)
-    if tail > tail_tolerance:
-        raise InsufficientHorizonError(
-            f"horizon {traj.horizon} leaves tail mass {tail:.3e} > {tail_tolerance:.3e}")
-    decay = np.exp(-rate * traj.times)
-    atoms = nearest_atom_index(grid, traj.states[:-1], traj.controls)
-    return DiscountedEmpirical(_occupation(traj, grid, atoms, decay[:-1] - decay[1:]),
-                               tail_mass=tail)
-
-
 # ---------------------------------------------------------------------------
 # periodic search
 
@@ -387,28 +402,22 @@ def rotation_delta_family(spec: SystemSpec, y0, deltas) -> list[PeriodicCandidat
     and stays positive, so every candidate closes.  Writing u = (a + b cos
     theta)^2 with a = (1 + delta)/2, b = (1 - delta)/2 and a^2 - b^2 = delta,
     the loop period is the integral of 1/u over one turn, 2 pi a / delta^(3/2).
+    Each law is an expression, theta being the angle about the annulus centre,
+    so ``integrate`` runs the whole loop in one closed-loop call.
     """
     cx, cy = spec.region.center if spec.region.kind == "annulus" else (0.0, 0.0)
     candidates = []
     for delta in deltas:
         if not 0.0 < delta <= 1.0:
             raise SimulationError("delta must lie in (0, 1]")
-
-        def feedback(y, delta=delta):
-            theta = math.atan2(y[1] - cy, y[0] - cx)
-            return ((delta + (1.0 - delta) * (1.0 + math.cos(theta)) / 2.0) ** 2,)
-
-        candidates.append(PeriodicCandidate(label=f"delta={delta}",
-                                            policy=FeedbackPolicy(feedback),
-                                            period=math.pi * (1.0 + delta) / delta ** 1.5))
+        d = float(delta)
+        law = (f"({d!r} + (1.0 - {d!r}) * (1.0 + cos(atan2(y2 - {float(cy)!r}, "
+               f"y1 - {float(cx)!r}))) / 2.0) ^ 2")
+        candidates.append(PeriodicCandidate(
+            label=f"delta={delta}",
+            policy=LawPolicy([exprs.parse_expr(law, spec.dim_state, 0)]),
+            period=math.pi * (1.0 + delta) / delta ** 1.5))
     return candidates
-
-
-def constant_policy_family(spec: SystemSpec, us, period: float = 1.0):
-    """Constant policies as trivial periodic candidates (for frozen dynamics)."""
-    return [PeriodicCandidate(label=f"u={np.atleast_1d(u)[0]}",
-                              policy=ConstantPolicy(u), period=period)
-            for u in us]
 
 
 # ---------------------------------------------------------------------------

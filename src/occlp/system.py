@@ -238,14 +238,18 @@ class ControlRegion:
         """Membership test of one control given as ``dim`` plain floats (its length
         is not checked): ``lo - tol <= v <= hi + tol`` per axis of a box, which
         rejects NaN; distance ``<= tol`` to the nearest point of a finite set."""
-        tol = self.tolerance if tol is None else tol
         if self.kind == "box":
-            lows = [lo - tol for lo in self.lower]
-            highs = [hi + tol for hi in self.upper]
+            lows, highs = self.limits(tol)
             return lambda u: all(map(operator.le, lows, u)) and all(map(operator.le, u, highs))
+        tol = self.tolerance if tol is None else tol
         pts = np.asarray(self.points, dtype=float)
         return lambda u: bool(np.min(np.linalg.norm(pts - np.asarray(u, dtype=float), axis=1))
                               <= tol)
+
+    def limits(self, tol: float | None = None) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """A box's admission limits ``(lo - tol per axis, hi + tol per axis)``."""
+        tol = self.tolerance if tol is None else tol
+        return (tuple(lo - tol for lo in self.lower), tuple(hi + tol for hi in self.upper))
 
     def grid(self, resolution: int) -> np.ndarray:
         """Deterministic control grid of shape (K, dim).
@@ -339,7 +343,7 @@ def _uses_control(node: exprs.Node) -> bool:
     if isinstance(node, exprs.Power):
         return _uses_control(node.base)
     if isinstance(node, exprs.Call):
-        return _uses_control(node.arg)
+        return any(map(_uses_control, node.args))
     return False
 
 
@@ -352,8 +356,8 @@ def _dynamics_scalar(dyn_id: str, m: int, p: int):
 
 
 @lru_cache(maxsize=None)
-def _rk4_run(dyn_id: str, m: int, p: int):
-    return exprs.compile_rk4_run(_parsed_dynamics(dyn_id, m, p))
+def _rk4_run(dyn_id: str, m: int, p: int, law: tuple[exprs.Node, ...] | None):
+    return exprs.compile_rk4_run(_parsed_dynamics(dyn_id, m, p), law)
 
 
 @lru_cache(maxsize=None)
@@ -383,11 +387,13 @@ def dynamics_fn(spec: SystemSpec):
     return _dynamics_scalar(spec.dynamics_id, spec.dim_state, spec.dim_control)
 
 
-def rk4_run_fn(spec: SystemSpec):
+def rk4_run_fn(spec: SystemSpec, law: tuple[exprs.Node, ...] | None = None):
     """Runge-Kutta steps at one held control, ``run(y_tuple, u_tuple, dt, n, rows)
-    -> (done, state)`` (see ``exprs.compile_rk4_run``); each state is bitwise
+    -> (done, state)``, or closed by a feedback law over the state, ``run(y_tuple,
+    lows, highs, dt, n, rows, controls) -> (done, state, escaped)`` (see
+    ``exprs.compile_rk4_run``); each state is bitwise
     ``simulate.rk4_step(dynamics_fn(spec), y, u, dt)`` of the one before."""
-    return _rk4_run(spec.dynamics_id, spec.dim_state, spec.dim_control)
+    return _rk4_run(spec.dynamics_id, spec.dim_state, spec.dim_control, law)
 
 
 def dynamics_batch(spec: SystemSpec):

@@ -5,19 +5,16 @@ import os
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occlp import cli, simulate, system
-from occlp.cli import ReportBundle, emit_report, export_measure_csv, \
-    export_trajectory_csv, main, run_study
+from occlp.cli import ReportBundle, emit_report, main, run_study
 from occlp.config import (ConfigError, StudyConfig, build_policy, build_system,
                           default_config_text, parse_config)
-from occlp.grid import DiscreteMeasure, build_grid
 from occlp.oracle import frozen_value
-from occlp.simulate import ConstantPolicy, integrate
+from occlp.simulate import integrate
 
 MINIMAL_ROTATION = """
 [system]
@@ -448,11 +445,17 @@ periodic_dt = 0.01
     lines = [r.getMessage() for r in caplog.records if r.name == "occlp.simulate"]
     # the horizon run, the Abel run and the periodic candidate, in that order
     assert len(lines) == len(calls) == 3
-    pattern = r"integrate: (\d+) steps, (\d+ held-control runs|feedback), \d+\.\d{3} s"
+    pattern = (r"integrate: (\d+) steps, (\d+ held-control runs|closed-loop law|feedback), "
+               r"\d+\.\d{3} s")
     found = [re.fullmatch(pattern, line).groups() for line in lines]
     # two pieces per period of 2, over T = 3 and T = 25
     assert found[:2] == [("3000", "4 held-control runs"), ("2500", "26 held-control runs")]
-    assert found[2][1] == "feedback"
+    assert found[2][1] == "closed-loop law"
+    # a policy with no law of expressions is asked step by step
+    with caplog.at_level(logging.INFO, logger="occlp"):
+        integrate(system.make_rotation(), (1.0, 0.0),
+                  simulate.FeedbackPolicy(lambda y: (0.5,)), 0.05, 0.01)
+    assert caplog.records[-1].getMessage().startswith("integrate: 5 steps, feedback, ")
 
 
 def test_info_log_names_how_each_lp_started(caplog):
@@ -494,25 +497,6 @@ degree = 3
 variants = {variants}
 epsilons = [0.1, 0.0]
 """
-
-
-def test_interchange_exports(tmp_path):
-    spec = system.make_frozen(lower=(0.0, 0.0), upper=(1.0, 1.0), cost_id="y1")
-    traj = integrate(spec, (0.25, 0.75), ConstantPolicy(0.5), 0.05, 1e-2)
-    tpath = tmp_path / "traj.csv"
-    export_trajectory_csv(traj, str(tpath))
-    lines = tpath.read_text().strip().splitlines()
-    assert lines[0] == "t,y1,y2,u1,inY"
-    assert len(lines) == len(traj.times) + 1
-
-    g = build_grid(spec, 2, 3)
-    w = np.zeros(g.atom_count)
-    w[3] = 1.0
-    mpath = tmp_path / "measure.csv"
-    export_measure_csv(DiscreteMeasure(g, w), str(mpath))
-    lines = mpath.read_text().strip().splitlines()
-    assert lines[0] == "atom_index,y1,y2,u1,weight"
-    assert len(lines) == 2
 
 
 def test_cli_main_paths(tmp_path, capsys, monkeypatch):
@@ -623,6 +607,67 @@ horizons = [5.0]
     [failed] = [entry for entry in bundle.invariants if not entry["passed"]]
     assert failed["name"] == "simulate.completed"
     assert re.fullmatch(r"SimulationError: non-finite state at t=[\d.]+: .+", failed["detail"])
+
+
+# y1 falls from y0 = 0.5 out of the box and below 0, where sqrt and ^0.5 leave
+# their domain; the sampled region y1 >= 0 keeps the system well defined
+DOMAIN_LAYOUT = """
+[system]
+name = custom
+region = box
+lower = [0.0, -1.0]
+upper = [1.0, 1.0]
+dynamics = [{dynamics}, -y2]
+cost = y2^2 + 0.5*u1^2
+[grid]
+state_resolution = [4, 4]
+control_resolution = 3
+[basis]
+degree = 2
+[program]
+variants = [ergodic]
+y0 = [0.5, -0.5]
+[simulate]
+policy = constant:0
+horizons = [5.0]
+"""
+
+
+@pytest.mark.parametrize("dynamics", ["sqrt(y1) - 1 + u1", "y1^0.5 - 1 + u1"])
+def test_domain_error_in_a_trajectory_is_a_failed_invariant(tmp_path, capsys, dynamics):
+    text = DOMAIN_LAYOUT.format(dynamics=dynamics)
+    bundle = run_study(parse_config(text), sections=("simulate",))
+    [failed] = [entry for entry in bundle.invariants if not entry["passed"]]
+    assert failed["name"] == "simulate.completed"
+    assert re.fullmatch(r"SimulationError: non-finite state at t=[\d.]+: "
+                        r"ValueError\('math domain error'\)", failed["detail"])
+
+    config_path = tmp_path / "domain.conf"
+    config_path.write_text(text)
+    out_dir = tmp_path / "o"
+    assert main(["simulate", "--config", str(config_path), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert f"FAILED: simulate.completed: {failed['detail']}" in err
+    assert "Traceback" not in err
+    invariants = json.loads((out_dir / "report.json").read_text())["invariants"]
+    assert failed in invariants
+
+
+@pytest.mark.parametrize("key,dynamics,cost", [
+    ("dynamics", "sqrt(y1) - 1 + u1", "y2^2"),
+    ("dynamics", "y1^0.5 - 1 + u1", "y2^2"),
+    ("dynamics", "exp(1000 * y1) + u1", "y2^2"),
+    ("cost", "-y1 + u1", "sqrt(y2)"),
+])
+def test_custom_system_that_is_not_finite_on_its_region_is_rejected(key, dynamics, cost):
+    # on the box [-1, 1]^2 these leave their domain or overflow at sampled points
+    text = (f"[system]\nname = custom\nregion = box\nlower = [-1.0, -1.0]\n"
+            f"upper = [1.0, 1.0]\ndynamics = [{dynamics}, -y2]\ncost = {cost}\n"
+            f"[program]\ny0 = [0.5, -0.5]\n")
+    with pytest.raises(ConfigError, match=f"^{key} is not finite on the sampled state region"):
+        parse_config(text)
+    # declared bounds are not sampled, so such a system still parses
+    parse_config(text.replace("[program]", "bound_f = 10.0\nbound_k = 10.0\n[program]"))
 
 
 def test_cli_failure_exit_enumerates(tmp_path, capsys, monkeypatch):

@@ -29,10 +29,22 @@ def test_functions():
     assert scalar("sqrt(y1^2)", y=(-3.0,)) == pytest.approx(3.0)
     assert scalar("exp(0)", m=1, p=0, y=(0.0,)) == 1.0
     assert scalar("abs(-2*y1)", y=(1.5,)) == 3.0
+    assert scalar("atan2(y2, y1)", y=(-1.0, 1.0)) == math.atan2(1.0, -1.0)
+    assert scalar("atan2(1, u1 - y1)", y=(2.0,), u=(2.0,)) == math.pi / 2
+
+
+def test_powers_and_roots_leave_their_domain_as_value_errors():
+    # the scalar forms raise where Python's ** would return a complex number
+    for text in ("y1^0.5", "sqrt(y1)", "y1^-1.5"):
+        with pytest.raises(ValueError):
+            scalar(text, y=(-0.25,))
+    assert scalar("y1^3", y=(-0.5,)) == -0.125
+    assert scalar("y1^2", y=(-0.1,)) == (-0.1) ** 2
 
 
 @pytest.mark.parametrize("bad", [
     "y3", "u2 + 1", "1 +", "(y1", "sin", "q1", "y1 ^ u1", "2 ** 3", "y1 y2",
+    "atan2(y1)", "atan2(y1, y2, u1)", "sin(y1, y2)", "atan2(y1 y2)", "atan2(y1,",
 ])
 def test_parse_errors(bad):
     with pytest.raises(exprs.ExpressionError):
@@ -44,6 +56,8 @@ def test_parse_errors(bad):
     "sin(y1)*cos(y2)",
     "exp(y1/4) + sqrt(y2 + 3)",
     "(y1 + y2)^4 / (2 + y1^2)",
+    "atan2(y2 + 2, y1)",  # y2 + 2 > 0 keeps the points off the branch cut
+    "cos(atan2(y1 * y2 + 1, y1 - y2)) * y1",
 ])
 def test_derivative_matches_finite_differences(text):
     node = exprs.parse_expr(text, 2, 0)
@@ -79,3 +93,20 @@ def test_batch_compilation_matches_scalar():
     out = batch(ys, us)[:, 0]
     expected = [scalar_fn(tuple(y), tuple(u))[0] for y, u in zip(ys, us)]
     assert np.allclose(out, expected, rtol=1e-14, atol=0)
+
+
+def test_atan2_scalar_and_numpy_forms_agree():
+    node = exprs.parse_expr("atan2(y2 - u1, y1) + cos(atan2(y1, -y2))", 2, 1)
+    rng = np.random.default_rng(5)
+    ys = rng.normal(size=(60, 2))
+    us = rng.normal(size=(60, 1))
+    scalar_fn = exprs.compile_scalar((node,))
+    expected = [scalar_fn(tuple(y), tuple(u))[0] for y, u in zip(ys, us)]
+    assert np.allclose(exprs.compile_batch((node,))(ys, us)[:, 0], expected,
+                       rtol=1e-14, atol=1e-15)
+
+
+def test_feedback_law_reads_the_state_only():
+    dynamics = (exprs.parse_expr("u1 * y1", 1, 1),)
+    with pytest.raises(exprs.ExpressionError, match="state only"):
+        exprs.compile_rk4_run(dynamics, law=(exprs.parse_expr("u1 + y1", 1, 1),))

@@ -7,14 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as integrate_quad
 
-from occlp import simulate, system
+from occlp import exprs, simulate, system
 from occlp.basis import basis_for_region, phi_matrix
 from occlp.grid import build_grid, integrate_measure
-from occlp.metrics import make_test_function_set, rho_hat
 from occlp.simulate import (ConstantPolicy, FeedbackPolicy, InsufficientHorizonError,
-                            PeriodicCandidate, SchedulePolicy, SimulationError,
+                            LawPolicy, PeriodicCandidate, SchedulePolicy, SimulationError,
                             StateConstraintError, abel_value, cesaro_value,
-                            constant_policy_family, empirical_discounted_measure,
                             empirical_occupational_measure, feedback_table_policy,
                             horizon_study, integrate, periodic_value_search,
                             rk4_step, rotation_delta_family)
@@ -156,6 +154,90 @@ def test_escaping_schedule_piece_is_reported_at_its_first_step(period):
         integrate(spec, (0.5,), policy, 0.02, 1e-3)
 
 
+def _rotation_about(center) -> system.SystemSpec:
+    return system.SystemSpec(
+        name="rotation", dynamics_id="rotation", cost_id="y1",
+        region=system.StateRegion(kind="annulus", inner=0.5, outer=1.5, center=center),
+        control=system.ControlRegion(kind="box", lower=(0.0,), upper=(1.0,)))
+
+
+def _delta_closure(delta, cx, cy):
+    """The angle-feedback law of ``rotation_delta_family`` as plain Python."""
+    def feedback(y):
+        theta = math.atan2(y[1] - cy, y[0] - cx)
+        return ((delta + (1.0 - delta) * (1.0 + math.cos(theta)) / 2.0) ** 2,)
+    return feedback
+
+
+@settings(max_examples=60, deadline=None)
+@given(delta=st.floats(1e-3, 1.0), radius=st.floats(0.5, 1.5),
+       angle=st.floats(-math.pi, math.pi), center=st.sampled_from([(0.0, 0.0), (0.25, -0.5)]),
+       horizon=st.floats(0.01, 1.0), dt=st.sampled_from([1e-3, 3e-3, 0.01, 0.02]))
+def test_closed_loop_law_runs_match_step_by_step_integration(delta, radius, angle, center,
+                                                             horizon, dt):
+    spec = _rotation_about(center)
+    y0 = (center[0] + radius * math.cos(angle), center[1] + radius * math.sin(angle))
+    policy = rotation_delta_family(spec, y0, [delta])[0].policy
+    assert isinstance(policy, LawPolicy)
+    traj = integrate(spec, y0, policy, horizon, dt)
+    states, controls = _step_by_step(spec, y0, policy, horizon, dt)
+    assert traj.controls.tobytes() == controls.tobytes()
+    assert traj.states.tobytes() == states.tobytes()
+    # the law is the closed-form feedback, float operation for float operation
+    closure = _delta_closure(delta, *center)
+    expected = np.array([closure(tuple(y)) for y in traj.states[:-1]])
+    assert traj.controls.tobytes() == expected.tobytes()
+
+
+def test_closed_loop_runs_never_ask_the_policy(monkeypatch, rotation):
+    calls = []
+    monkeypatch.setattr(FeedbackPolicy, "control", lambda self, t, y: calls.append(t))
+    for cand in rotation_delta_family(rotation, (1.0, 0.0), [0.5, 0.1]):
+        integrate(rotation, (1.0, 0.0), cand.policy, cand.period, 1e-2)
+    assert calls == []
+
+
+# 0 while y1 >= 0.8 and 0.8 - y1 once below: a switch that needs no comparison
+_BELOW = "((0.8 - y1) + abs(0.8 - y1))"
+
+
+@pytest.mark.parametrize("control,law", [
+    (system.ControlRegion(kind="box", lower=(-1.0,), upper=(1.0,)), f"{_BELOW} * 1e12"),
+    (system.ControlRegion(kind="finite", points=((-1.0,), (0.0,), (1.0,))), f"{_BELOW} * 1e12"),
+    # finite times 1e308 twice is inf for any positive switch, and inf * 0 is NaN
+    (system.ControlRegion(kind="box", lower=(-1.0,), upper=(1.0,)),
+     f"{_BELOW} * 1e308 * 1e308 * 0"),
+], ids=["box", "finite", "nan"])
+def test_escaping_law_is_reported_like_step_by_step(control, law):
+    spec = _custom("-y1 + u1", 1, control)
+    policy = LawPolicy([exprs.parse_expr(law, 1, 0)])
+    # y decreases under u = 0, so the law first leaves the control set at step k
+    free = integrate(spec, (1.0,), ConstantPolicy(0.0), 0.3, 1e-3)
+    k = int(np.argmax(free.states[:, 0] < 0.8))
+    message = f"escapes the control region at t={k * free.dt}"
+    with pytest.raises(SimulationError, match=re.escape(message) + "$") as closed:
+        integrate(spec, (1.0,), policy, 0.3, 1e-3)
+    with pytest.raises(SimulationError) as stepwise:
+        integrate(spec, (1.0,), FeedbackPolicy(policy.fn), 0.3, 1e-3)
+    assert str(closed.value) == str(stepwise.value)
+
+
+@pytest.mark.parametrize("dynamics", ["sqrt(y1) - 1 + u1", "y1^0.5 - 1 + u1",
+                                      "0 / y1 - 1 + u1"])
+def test_failing_closed_loop_run_is_reported_like_step_by_step(dynamics):
+    # y1 falls through 0 (exactly, for the last one): a domain error or a division by 0
+    spec = system.SystemSpec(
+        name="custom", dynamics_id=dynamics, cost_id="y1",
+        region=system.StateRegion(kind="box", lower=(-2.0,), upper=(2.0,)),
+        control=system.ControlRegion(kind="box", lower=(-1.0,), upper=(1.0,)))
+    policy = LawPolicy([exprs.parse_expr("0 * y1", 1, 0)])
+    with pytest.raises(SimulationError, match=r"^non-finite state at t=\S+: \w+Error") as closed:
+        integrate(spec, (0.75,), policy, 10.0, 0.25)
+    with pytest.raises(SimulationError) as stepwise:
+        integrate(spec, (0.75,), FeedbackPolicy(policy.fn), 10.0, 0.25)
+    assert str(closed.value) == str(stepwise.value)
+
+
 def test_integrate_validation(rotation):
     with pytest.raises(StateConstraintError):
         integrate(rotation, (0.1, 0.0), ConstantPolicy(0.0), 1.0)
@@ -285,52 +367,6 @@ def test_empirical_measure_integral_identity(rotation):
     assert abs(lhs - rhs) <= g.max_state_cell_diameter() + 1e-6
 
 
-def test_discounted_measure_constant_trajectory(frozen):
-    g = build_grid(frozen, 2, 3)
-    rate, horizon = 0.5, 20.0
-    traj = integrate(frozen, (0.25, 0.25), ConstantPolicy(0.0), horizon, 1e-2)
-    result = empirical_discounted_measure(traj, rate, g)
-    assert np.count_nonzero(result.measure.weights) == 1
-    assert result.measure.total_mass == pytest.approx(1.0 - math.exp(-rate * horizon),
-                                                      abs=1e-12)
-    assert result.tail_mass == pytest.approx(math.exp(-rate * horizon))
-
-
-def test_discounted_measure_approaches_period_average(rotation):
-    g = build_grid(rotation, (5, 32), 3)
-    tf = make_test_function_set(basis_for_region(rotation.region, 4), rotation.region)
-    loop = integrate(rotation, (1.0, 0.0), ConstantPolicy(1.0), 2 * math.pi, 1e-2)
-    reference = empirical_occupational_measure(loop, g)
-    distances = []
-    for rate in (0.5, 0.2, 0.1):
-        horizon = math.log(1.0 / 1e-3) / rate
-        traj = integrate(rotation, (1.0, 0.0), ConstantPolicy(1.0), horizon, 1e-2)
-        result = empirical_discounted_measure(traj, rate, g, tail_tolerance=2e-3)
-        normalised = type(reference)(g, result.measure.weights / result.measure.total_mass)
-        distances.append(rho_hat(normalised, reference, tf))
-    assert distances[0] >= distances[1] >= distances[2] - 1e-12
-
-
-def test_discounted_measure_frozen_satisfies_discounted_rows(frozen):
-    g = build_grid(frozen, 2, 3)
-    b = basis_for_region(frozen.region, 4)
-    rate, horizon = 1.0, 25.0
-    traj = integrate(frozen, (0.25, 0.25), ConstantPolicy(0.0), horizon, 1e-2)
-    result = empirical_discounted_measure(traj, rate, g, tail_tolerance=1e-6)
-    from occlp.grid import assemble_flow_matrix, assemble_initial_matrix
-    rows = (assemble_flow_matrix(g, b)
-            + rate * assemble_initial_matrix(g, b, (0.25, 0.25)))
-    residual = np.max(np.abs(rows @ (result.measure.weights / result.measure.total_mass)))
-    assert residual <= 1e-9  # the binned point mass sits exactly at the start
-
-
-def test_discounted_measure_horizon_check(rotation):
-    g = build_grid(rotation, (5, 16), 3)
-    traj = integrate(rotation, (1.0, 0.0), ConstantPolicy(1.0), 5.0, 1e-2)
-    with pytest.raises(InsufficientHorizonError):
-        empirical_discounted_measure(traj, 0.01, g)
-
-
 def test_periodic_family_values_match_closed_form(rotation):
     # the slowdown family has the closed-form loop average -(1-d)/(1+d) for
     # the first-coordinate cost on the unit circle
@@ -358,9 +394,8 @@ def test_periodic_unit_speed_loop_is_zero_mean(rotation):
 
 
 def test_periodic_frozen_constant_policies(frozen):
-    result = periodic_value_search(frozen, (0.25, 0.25),
-                                   constant_policy_family(frozen, [-1.0, 0.0, 0.5]),
-                                   dt=1e-2)
+    candidates = [PeriodicCandidate(f"u={u}", ConstantPolicy(u), 1.0) for u in (-1.0, 0.0, 0.5)]
+    result = periodic_value_search(frozen, (0.25, 0.25), candidates, dt=1e-2)
     by_label = {row.label: row.value for row in result.rows}
     assert by_label["u=0.0"] == pytest.approx(0.25)
     assert by_label["u=0.5"] == pytest.approx(0.5)
