@@ -136,33 +136,6 @@ def grad_matrix(basis: BasisSpec, ys: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_phi(basis: BasisSpec, index: int, y) -> float:
-    if not 0 <= index < basis.count:
-        raise BasisError(f"basis index {index} out of range [0, {basis.count})")
-    return float(phi_matrix(basis, np.atleast_2d(y))[index, 0])
-
-
-def eval_grad_phi(basis: BasisSpec, index: int, y) -> np.ndarray:
-    if not 0 <= index < basis.count:
-        raise BasisError(f"basis index {index} out of range [0, {basis.count})")
-    return grad_matrix(basis, np.atleast_2d(y))[index, 0]
-
-
 def sup_norms(basis: BasisSpec, sample_points: np.ndarray) -> np.ndarray:
     """Per-element sup |phi| over the given sample, used for normalisation."""
     return np.max(np.abs(phi_matrix(basis, sample_points)), axis=1)
-
-
-def combination_coefficients(basis: BasisSpec, target_fn, sample_points: np.ndarray):
-    """Least-squares coefficients c (and constant) with sum c_b phi_b + const ~= target.
-
-    Exact (residual at rounding level) whenever the target lies in the span of
-    the basis plus constants; used to express distinguished polynomials, e.g.
-    powers of a first integral, as row combinations.
-    """
-    values = phi_matrix(basis, sample_points)  # (count, n)
-    design = np.vstack([values, np.ones((1, values.shape[1]))]).T
-    target = np.asarray([target_fn(y) for y in np.atleast_2d(sample_points)], dtype=float)
-    coeffs, *_ = np.linalg.lstsq(design, target, rcond=None)
-    residual = float(np.max(np.abs(design @ coeffs - target)))
-    return coeffs[:-1], float(coeffs[-1]), residual

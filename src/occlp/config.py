@@ -39,7 +39,7 @@ Top-level keys (before any section) apply to the whole study::
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -399,24 +399,17 @@ def _build_custom_system(cfg: SystemConfig) -> SystemSpec:
                        region=region, control=control,
                        first_integrals=tuple(cfg.first_integrals),
                        bound_f=math.inf, bound_k=math.inf)
-    bound_f, bound_k = cfg.bound_f, cfg.bound_k
-    if bound_f is None or bound_k is None:
-        with np.errstate(all="ignore"):  # a NaN or inf sample is the error below
-            report = validate_bounds(probe)
-        for key, sampled in (("dynamics", report.max_dynamics_norm),
-                             ("cost", report.max_cost_abs)):
-            if not math.isfinite(sampled):
-                raise ConfigError(f"{key} is not finite on the sampled state region "
-                                  f"(sampled maximum {sampled})")
-        # sampled maxima with headroom; declared bounds are preferred
-        if bound_f is None:
-            bound_f = 1.1 * report.max_dynamics_norm
-        if bound_k is None:
-            bound_k = 1.1 * report.max_cost_abs
-    return SystemSpec(name="custom", dynamics_id=dynamics_id, cost_id=cfg.cost,
-                      region=region, control=control,
-                      first_integrals=tuple(cfg.first_integrals),
-                      bound_f=bound_f, bound_k=bound_k)
+    with np.errstate(all="ignore"):  # a NaN or inf sample is the error below
+        report = validate_bounds(probe)
+    for key, sampled in (("dynamics", report.max_dynamics_norm),
+                         ("cost", report.max_cost_abs)):
+        if not math.isfinite(sampled):
+            raise ConfigError(f"{key} is not finite on the sampled state region "
+                              f"(sampled maximum {sampled})")
+    # declared bounds are preferred to the sampled maxima with headroom
+    return replace(probe,
+                   bound_f=1.1 * report.max_dynamics_norm if cfg.bound_f is None else cfg.bound_f,
+                   bound_k=1.1 * report.max_cost_abs if cfg.bound_k is None else cfg.bound_k)
 
 
 def build_policy(text: str, spec: SystemSpec, y0) -> Policy:

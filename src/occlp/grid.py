@@ -17,7 +17,7 @@ The assembled matrices are shared by every program variant:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,7 @@ class Grid:
     spec: SystemSpec
     state_points: np.ndarray  # (S, m)
     control_points: np.ndarray  # (K, p)
-    provenance: dict = field(default_factory=dict)
+    resolution: tuple[int, ...]  # per state axis, as check_state_resolution returns it
 
     @property
     def atom_count(self) -> int:
@@ -53,24 +53,6 @@ class Grid:
     def atom(self, a: int) -> tuple[np.ndarray, np.ndarray]:
         k = self.control_points.shape[0]
         return self.state_points[a // k], self.control_points[a % k]
-
-    def atom_index(self, state_index: int, control_index: int) -> int:
-        return state_index * self.control_points.shape[0] + control_index
-
-    def max_state_cell_diameter(self) -> float:
-        """Upper bound on the distance from any region point to its nearest atom state."""
-        pts = self.state_points
-        if pts.shape[0] == 1:
-            lo, hi = self.spec.region.bounding_box()
-            return float(np.linalg.norm(hi - lo))
-        prov = self.provenance
-        if prov.get("state_kind") == "annulus":
-            dr = prov["radial_spacing"]
-            dth = 2.0 * np.pi / prov["angle_count"]
-            rmax = prov["outer"]
-            return float(np.hypot(dr / 2.0, rmax * dth / 2.0) * 2.0)
-        spacing = np.asarray(prov["state_spacing"])
-        return float(np.linalg.norm(spacing))
 
 
 @dataclass
@@ -96,7 +78,7 @@ class DiscreteMeasure:
         return abs(self.total_mass - 1.0) <= tol
 
 
-def check_state_resolution(region: StateRegion, state_resolution) -> list[int]:
+def check_state_resolution(region: StateRegion, state_resolution) -> tuple[int, ...]:
     """The per-axis counts of a state grid over ``region``, or a GridError.
 
     ``state_resolution`` is an int applied per axis, or a per-axis sequence;
@@ -117,34 +99,21 @@ def check_state_resolution(region: StateRegion, state_resolution) -> list[int]:
         n_r, n_theta = res
         if (n_r < 2 and region.inner != region.outer) or n_r < 1 or n_theta < 2:
             raise GridError("annulus resolutions must be >= 2 (radial >= 1 only for a circle)")
-    return res
+    return tuple(res)
 
 
 def build_grid(spec: SystemSpec, state_resolution, control_resolution: int) -> Grid:
     """Discretise the state and control regions (see :func:`check_state_resolution`)."""
     region = spec.region
     res = check_state_resolution(region, state_resolution)
-    if region.kind == "box":
-        lo, hi = region.bounding_box()
-        provenance = {"state_kind": "box", "state_resolution": tuple(res),
-                      "state_spacing": tuple(((hi - lo) / np.asarray(res)).tolist())}
-    else:
-        n_r, n_theta = res
-        radii = region.axes(res)[0]
-        spacing = float(radii[1] - radii[0]) if len(radii) > 1 else 0.0
-        provenance = {"state_kind": "annulus", "state_resolution": tuple(res),
-                      "radial_count": n_r, "angle_count": n_theta, "radial_spacing": spacing,
-                      "radii": tuple(radii.tolist()), "outer": region.outer}
-
     state_points = region.lattice(res)
     control_points = spec.control.grid(control_resolution)
-    provenance["control_resolution"] = control_resolution
 
     outside = ~region.contains(state_points)
     if outside.any():
         raise GridError(f"internal: atom state {state_points[outside][0]} escaped the region")
-    return Grid(spec=spec, state_points=state_points,
-                control_points=control_points, provenance=provenance)
+    return Grid(spec=spec, state_points=state_points, control_points=control_points,
+                resolution=res)
 
 
 def assemble_flow_matrix(grid: Grid, basis: BasisSpec) -> np.ndarray:
@@ -170,14 +139,6 @@ def assemble_cost_vector(grid: Grid, spec: SystemSpec) -> np.ndarray:
     return cost_batch(spec)(grid.atom_states, grid.atom_controls)
 
 
-def integrate_measure(measure: DiscreteMeasure, q_values: np.ndarray) -> float:
-    """Integral of the atomwise values against the measure (plain dot product)."""
-    q = np.asarray(q_values, dtype=float)
-    if q.shape != measure.weights.shape:
-        raise GridError(f"length mismatch: {q.shape} vs {measure.weights.shape}")
-    return float(measure.weights @ q)
-
-
 def nearest_index(points: np.ndarray, queries, chunk: int = 16384) -> np.ndarray:
     """Row of ``points`` Euclidean-nearest to each query row; ties go to the lowest row."""
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
@@ -197,11 +158,10 @@ def nearest_state_index(grid: Grid, ys, chunk: int = 16384) -> np.ndarray:
     the region (within its tolerance) the answer is the brute-force one.
     """
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    region, resolution = grid.spec.region, grid.provenance["state_resolution"]
     out = np.empty(ys.shape[0], dtype=np.int64)
     for start in range(0, ys.shape[0], chunk):
         block = ys[start:start + chunk]
-        candidates = np.sort(region.stencil(resolution, block), axis=1)
+        candidates = np.sort(grid.spec.region.stencil(grid.resolution, block), axis=1)
         d2 = ((block[:, None, :] - grid.state_points[candidates]) ** 2).sum(axis=2)
         out[start:start + chunk] = np.take_along_axis(
             candidates, np.argmin(d2, axis=1)[:, None], axis=1)[:, 0]

@@ -1,4 +1,4 @@
-"""Moment-proxy distance between discrete measures, and its Hausdorff lift.
+"""Moment-proxy distance between discrete measures.
 
 The distance is the maximum disagreement of integrals over a fixed finite set
 of test functions (the polynomial basis plus the constant, each normalised to
@@ -53,15 +53,3 @@ def rho_hat(g1: DiscreteMeasure, g2: DiscreteMeasure, tf: TestFunctionSet) -> fl
         raise MetricError("measures live on different grids")
     values = tf.values_on_grid(g1.grid)
     return float(np.max(np.abs(values @ (g1.weights - g2.weights))))
-
-
-def rho_hausdorff(set_a, set_b, tf: TestFunctionSet) -> float:
-    """Hausdorff lift of rho_hat to finite sets of measures."""
-    set_a, set_b = list(set_a), list(set_b)
-    if not set_a or not set_b:
-        raise MetricError("measure sets must be nonempty")
-
-    def directed(src, dst):
-        return max(min(rho_hat(a, b, tf) for b in dst) for a in src)
-
-    return max(directed(set_a, set_b), directed(set_b, set_a))

@@ -558,25 +558,18 @@ def certificate_slacks(cert: DualCertificate, grid: Grid, basis: BasisSpec,
     return family1, family2
 
 
-def certificate_is_valid(cert: DualCertificate, grid: Grid, basis: BasisSpec,
-                         spec: SystemSpec, tol: float = CERTIFICATE_TOL) -> bool:
-    f1, f2 = certificate_slacks(cert, grid, basis, spec)
-    return bool(np.min(f1) >= -tol and np.min(f2) >= -tol)
-
-
 def certificate_offgrid_report(cert: DualCertificate, grid: Grid, basis: BasisSpec,
                                spec: SystemSpec, density_factor: int = 10):
     """Diagnostic only: worst slacks on a sample ~density_factor times denser
     than the grid.  The finite certificate is not expected to be feasible off
     the grid; the report quantifies how far off it is."""
-    prov = grid.provenance
-    if prov.get("state_kind") == "annulus":
-        ys = spec.region.lattice((max(2, prov["radial_count"] * density_factor),
-                                  prov["angle_count"] * density_factor))
+    if spec.region.kind == "annulus":
+        n_r, n_theta = grid.resolution
+        ys = spec.region.lattice((max(2, n_r * density_factor), n_theta * density_factor))
     else:
         lo, hi = spec.region.bounding_box()
         ys = lattice([np.linspace(lo[j], hi[j], r * density_factor)
-                      for j, r in enumerate(prov["state_resolution"])])
+                      for j, r in enumerate(grid.resolution)])
     f1, f2 = certificate_slacks(cert, grid, basis, spec, ys)
     return {"min_lower_bound_slack": float(np.min(f1)),
             "min_monotonicity_slack": float(np.min(f2)),

@@ -228,12 +228,6 @@ class ControlRegion:
     def dim(self) -> int:
         return len(self.lower) if self.kind == "box" else len(self.points[0])
 
-    def contains(self, u, tol: float | None = None) -> bool:
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.dim,):
-            raise DimensionMismatchError(f"control has shape {u.shape}, expected ({self.dim},)")
-        return self.admission(tol)(u.tolist())
-
     def admission(self, tol: float | None = None):
         """Membership test of one control given as ``dim`` plain floats (its length
         is not checked): ``lo - tol <= v <= hi + tol`` per axis of a box, which
@@ -298,6 +292,15 @@ def _parsed_cost(cost_id: str, m: int, p: int) -> exprs.Node:
         raise UnknownEvaluatorError(f"unknown cost_id {cost_id!r}: {err}") from err
 
 
+@lru_cache(maxsize=None)
+def _parsed_first_integral(text: str, m: int) -> exprs.Node:
+    # over the state only: a control in a first integral is out of range
+    try:
+        return exprs.parse_expr(text, m, 0)
+    except exprs.ExpressionError as err:
+        raise UnknownEvaluatorError(f"first integral {text!r}: {err}") from err
+
+
 # ---------------------------------------------------------------------------
 # the system description
 
@@ -328,23 +331,7 @@ class SystemSpec:
         _parsed_dynamics(self.dynamics_id, self.dim_state, self.dim_control)
         _parsed_cost(self.cost_id, self.dim_state, self.dim_control)
         for text in self.first_integrals:
-            node = exprs.parse_expr(text, self.dim_state, self.dim_control)
-            if _uses_control(node):
-                raise SystemSpecError(f"first integral {text!r} must not depend on controls")
-
-
-def _uses_control(node: exprs.Node) -> bool:
-    if isinstance(node, exprs.Var):
-        return node.kind == "u"
-    if isinstance(node, exprs.Unary):
-        return _uses_control(node.arg)
-    if isinstance(node, exprs.Binary):
-        return _uses_control(node.left) or _uses_control(node.right)
-    if isinstance(node, exprs.Power):
-        return _uses_control(node.base)
-    if isinstance(node, exprs.Call):
-        return any(map(_uses_control, node.args))
-    return False
+            _parsed_first_integral(text, self.dim_state)
 
 
 # compiled-evaluator caches keyed by (id, dims); all artifacts are pure
@@ -366,18 +353,13 @@ def _dynamics_batch(dyn_id: str, m: int, p: int):
 
 
 @lru_cache(maxsize=None)
-def _cost_scalar(cost_id: str, m: int, p: int):
-    return exprs.compile_scalar((_parsed_cost(cost_id, m, p),))
-
-
-@lru_cache(maxsize=None)
 def _cost_batch(cost_id: str, m: int, p: int):
     return exprs.compile_batch((_parsed_cost(cost_id, m, p),))
 
 
 @lru_cache(maxsize=None)
 def _first_integral_nodes(text: str, m: int) -> tuple[exprs.Node, tuple[exprs.Node, ...]]:
-    node = exprs.parse_expr(text, m, 0)
+    node = _parsed_first_integral(text, m)
     grads = tuple(exprs.diff(node, j) for j in range(m))
     return node, grads
 
@@ -401,43 +383,9 @@ def dynamics_batch(spec: SystemSpec):
     return _dynamics_batch(spec.dynamics_id, spec.dim_state, spec.dim_control)
 
 
-def cost_fn(spec: SystemSpec):
-    scalar = _cost_scalar(spec.cost_id, spec.dim_state, spec.dim_control)
-    return lambda y, u: scalar(y, u)[0]
-
 def cost_batch(spec: SystemSpec):
     raw = _cost_batch(spec.cost_id, spec.dim_state, spec.dim_control)
     return lambda ys, us: raw(ys, us)[:, 0]
-
-
-_EVAL_GUARD_TOL = 1e-6  # loose containment guard for the public evaluators
-
-
-def _check_point(spec: SystemSpec, y, u) -> tuple[tuple, tuple]:
-    y = np.asarray(y, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if y.shape != (spec.dim_state,):
-        raise DimensionMismatchError(f"state shape {y.shape} != ({spec.dim_state},)")
-    if u.shape != (spec.dim_control,):
-        raise DimensionMismatchError(f"control shape {u.shape} != ({spec.dim_control},)")
-    guard = max(spec.region.tolerance, _EVAL_GUARD_TOL)
-    if not spec.region.contains(y, tol=guard):
-        raise RegionError(f"state {y.tolist()} outside region {spec.region.kind}")
-    if not spec.control.contains(u, tol=max(spec.control.tolerance, _EVAL_GUARD_TOL)):
-        raise RegionError(f"control {u.tolist()} outside control region")
-    return tuple(y.tolist()), tuple(u.tolist())
-
-
-def eval_dynamics(spec: SystemSpec, y, u) -> np.ndarray:
-    """Evaluate ``f(y, u)`` with containment and dimension checks."""
-    yt, ut = _check_point(spec, y, u)
-    return np.array(dynamics_fn(spec)(yt, ut), dtype=float)
-
-
-def eval_cost(spec: SystemSpec, y, u) -> float:
-    """Evaluate the running cost ``k(y, u)``."""
-    yt, ut = _check_point(spec, y, u)
-    return float(cost_fn(spec)(yt, ut))
 
 
 def first_integral_values_and_rates(spec: SystemSpec, ys: np.ndarray, us: np.ndarray):

@@ -5,6 +5,7 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -162,7 +163,8 @@ y0 = [0.5]
 """)
     spec = build_system(cfg.system)
     assert spec.dim_state == 1
-    assert system.eval_dynamics(spec, (0.5,), (0.25,))[0] == pytest.approx(-0.25)
+    assert system.dynamics_batch(spec)(np.array([[0.5]]), np.array([[0.25]]))[0, 0] == \
+        pytest.approx(-0.25)
     assert spec.bound_f >= 2.0  # sampled bound with headroom
 
     # a bare number is an expression too
@@ -177,7 +179,8 @@ cost = 1
     assert cfg.system.dynamics == ("0.0", "-y1")
     assert cfg.system.first_integrals == ("2.0",)
     spec = build_system(cfg.system)
-    assert system.eval_dynamics(spec, (0.5, 0.0), (0.0,)).tolist() == [0.0, -0.5]
+    assert system.dynamics_batch(spec)(np.array([[0.5, 0.0]]), np.array([[0.0]])).tolist() == \
+        [[0.0, -0.5]]
 
 
 def _array(values) -> str:
@@ -314,6 +317,20 @@ def test_worker_pool_does_not_change_results():
 
 
 ACCEPTANCE_CONFIG = Path(__file__).parent.parent / "configs" / "rotation_acceptance.conf"
+FROZEN_CONFIG = ACCEPTANCE_CONFIG.with_name("frozen.conf")
+
+
+def test_frozen_config_passes_every_command_and_matches_the_control_scan():
+    cfg = parse_config(FROZEN_CONFIG.read_text())
+    bundles = {cmd: run_study(cfg, sections=(cmd,)) for cmd in cli._ALL_SECTIONS}
+    for cmd, bundle in bundles.items():
+        assert bundle.all_passed(), (cmd, [e for e in bundle.invariants if not e["passed"]])
+    scan = bundles["oracle"].values["oracle.frozen_value"]
+    assert scan == 0.25
+    values = {k: v for k, v in bundles["solve"].values.items() if k.endswith(".value")}
+    assert sorted(values) == ["discounted[rate=1].value", "ergodic.value",
+                              "nonergodic.value", "perturbed[eps=0].value"]
+    assert values == pytest.approx(dict.fromkeys(values, scan), abs=1e-9)
 
 
 def test_rotation_acceptance_config_study_passes():
@@ -664,10 +681,34 @@ def test_custom_system_that_is_not_finite_on_its_region_is_rejected(key, dynamic
     text = (f"[system]\nname = custom\nregion = box\nlower = [-1.0, -1.0]\n"
             f"upper = [1.0, 1.0]\ndynamics = [{dynamics}, -y2]\ncost = {cost}\n"
             f"[program]\ny0 = [0.5, -0.5]\n")
-    with pytest.raises(ConfigError, match=f"^{key} is not finite on the sampled state region"):
-        parse_config(text)
-    # declared bounds are not sampled, so such a system still parses
-    parse_config(text.replace("[program]", "bound_f = 10.0\nbound_k = 10.0\n[program]"))
+    # declaring both bounds does not skip the sample
+    for declared in ("", "bound_f = 10.0\nbound_k = 10.0\n"):
+        with pytest.raises(ConfigError,
+                           match=f"^{key} is not finite on the sampled state region"):
+            parse_config(text.replace("[program]", declared + "[program]"))
+
+
+def test_declared_bounds_are_kept_and_do_not_skip_the_finiteness_check(tmp_path, capsys):
+    text = ("[system]\nname = custom\nregion = box\nlower = [-1.0, -1.0]\nupper = [1.0, 1.0]\n"
+            "dynamics = [-y1 + u1, -y2]\ncost = y2^2\nbound_f = 3.0\nbound_k = 2.0\n"
+            "[program]\ny0 = [0.5, -0.5]\n")
+    spec = build_system(parse_config(text).system)
+    assert (spec.bound_f, spec.bound_k) == (3.0, 2.0)
+
+    config_path = tmp_path / "nan.conf"
+    config_path.write_text(text.replace("-y1 + u1", "sqrt(y1) - 1 + u1"))
+    assert main(["solve", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+    assert "error: dynamics is not finite on the sampled state region" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", ["y1 + * 2", "y3", "y1 + u1"])
+def test_malformed_first_integral_is_a_config_error(tmp_path, capsys, entry):
+    config_path = tmp_path / "fi.conf"
+    config_path.write_text("[system]\nname = custom\nregion = box\ndynamics = [0, -y1]\n"
+                           f"first_integrals = [{entry}]\ncost = 1\n"
+                           "[program]\ny0 = [0.5, -0.5]\n")
+    assert main(["solve", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+    assert f"error: first integral {entry!r}: " in capsys.readouterr().err
 
 
 def test_cli_failure_exit_enumerates(tmp_path, capsys, monkeypatch):

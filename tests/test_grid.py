@@ -3,13 +3,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from occlp import basis as basis_mod
 from occlp import grid as grid_mod
 from occlp import system
-from occlp.basis import basis_for_region, enumerate_basis
+from occlp.basis import basis_for_region, enumerate_basis, phi_matrix
 from occlp.grid import (DiscreteMeasure, GridError, assemble_cost_vector,
                         assemble_flow_matrix, assemble_initial_matrix, build_grid,
-                        integrate_measure, nearest_atom_index, nearest_index,
+                        nearest_atom_index, nearest_index,
                         nearest_state_index)
 from occlp.system import ControlRegion, RegionError, StateRegion
 
@@ -43,7 +42,10 @@ def test_box_cell_centers():
 def test_annulus_radii_include_invariant_boundary_circles(rotation_grid):
     # endpoint-inclusive radial subdivision: start circles through the inner
     # and outer radius are exactly representable on the grid
-    assert rotation_grid.provenance["radii"] == (0.5, 0.75, 1.0, 1.25, 1.5)
+    radii = rotation_grid.spec.region.axes(rotation_grid.resolution)[0]
+    assert radii.tolist() == [0.5, 0.75, 1.0, 1.25, 1.5]
+    atom_radii = np.hypot(*rotation_grid.state_points.T)
+    assert np.allclose(np.unique(atom_radii.round(12)), radii, rtol=0, atol=1e-12)
 
 
 def test_resolution_validation(rotation):
@@ -86,12 +88,13 @@ def test_flow_rows_vanish_for_first_integral_combinations(rotation, rotation_gri
     b = basis_for_region(rotation.region, 4)
     flow = assemble_flow_matrix(rotation_grid, b)
     sample = rotation.region.sample(10)
-    for target in (lambda y: y[0] ** 2 + y[1] ** 2,
-                   lambda y: (y[0] ** 2 + y[1] ** 2) ** 2,
-                   lambda y: (y[0] ** 2 + y[1] ** 2 - 1.0) ** 2):
-        coeffs, _const, residual = basis_mod.combination_coefficients(b, target, sample)
-        assert residual <= 1e-9
-        assert np.max(np.abs(coeffs @ flow)) <= 1e-9
+    # least squares over the basis plus a constant column
+    design = np.vstack([phi_matrix(b, sample), np.ones(len(sample))]).T
+    z = sample[:, 0] ** 2 + sample[:, 1] ** 2
+    for target in (z, z ** 2, (z - 1.0) ** 2):
+        coeffs, *_ = np.linalg.lstsq(design, target, rcond=None)
+        assert np.max(np.abs(design @ coeffs - target)) <= 1e-9
+        assert np.max(np.abs(coeffs[:-1] @ flow)) <= 1e-9
 
 
 def test_initial_matrix(rotation, rotation_grid):
@@ -141,29 +144,6 @@ def test_cost_vectors(rotation_grid):
         y, u = g2.atom(a)
         if np.allclose(y, (0.0, 1.0), atol=1e-12) and u[0] == -1.0:
             assert c[a] == pytest.approx(1.0, rel=1e-12)
-
-
-def test_integrate_measure(rotation_grid):
-    g = rotation_grid
-    w = np.zeros(g.atom_count)
-    w[:4] = 0.25
-    measure = DiscreteMeasure(g, w)
-    q = np.zeros(g.atom_count)
-    q[:4] = [1.0, 2.0, 3.0, 4.0]
-    assert integrate_measure(measure, q) == pytest.approx(2.5)
-
-    dirac = np.zeros(g.atom_count)
-    dirac[2] = 1.0
-    assert integrate_measure(DiscreteMeasure(g, dirac), q) == 3.0
-
-    w2 = np.zeros(g.atom_count)
-    w2[0], w2[1] = 0.25, 0.75
-    q2 = np.zeros(g.atom_count)
-    q2[1] = 4.0
-    assert integrate_measure(DiscreteMeasure(g, w2), q2) == 3.0
-
-    with pytest.raises(GridError):
-        integrate_measure(measure, q[:-1])
 
 
 def test_uniform_circle_measure_annihilates_flow_rows(rotation):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from occlp import system
 from occlp.basis import basis_for_region
 from occlp.grid import DiscreteMeasure, build_grid
-from occlp.metrics import MetricError, make_test_function_set, rho_hat, rho_hausdorff
+from occlp.metrics import MetricError, make_test_function_set, rho_hat
 
 
 @pytest.fixture(scope="module")
@@ -97,18 +97,6 @@ def test_pseudometric_properties(setup, data):
     assert dab <= rho_hat(a, c, tf) + rho_hat(c, b, tf) + 1e-12  # triangle
 
 
-def test_hausdorff(setup):
-    _spec, g, tf = setup
-    d1 = dirac_at_state(g, (1.0, 0.0))
-    d2 = dirac_at_state(g, (-1.0, 0.0))
-    assert rho_hausdorff([d1, d2], [d1, d2], tf) == 0.0
-    assert rho_hausdorff([d1], [d2], tf) == pytest.approx(rho_hat(d1, d2, tf))
-    # subset-closure: equal multisets at zero even when listed differently
-    assert rho_hausdorff([d1, d1], [d1], tf) == 0.0
-    with pytest.raises(MetricError):
-        rho_hausdorff([], [d1], tf)
-
-
 def test_hausdorff_empirical_sweep_shrinks_towards_optimum():
     import math
 
@@ -128,5 +116,5 @@ def test_hausdorff_empirical_sweep_shrinks_towards_optimum():
     for horizon in (10.0, 20.0, 40.0):
         traj = integrate(spec, (1.0, 0.0), policy, horizon, 1e-2)
         emp = empirical_occupational_measure(traj, g)
-        distances.append(rho_hausdorff([emp], [solution.gamma], tf))
+        distances.append(rho_hat(emp, solution.gamma, tf))
     assert distances[0] >= distances[1] >= distances[2] - 1e-9

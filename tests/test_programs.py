@@ -16,10 +16,9 @@ from occlp import cli, oracle, programs, system
 from occlp.basis import basis_for_region, grad_matrix, phi_matrix
 from occlp.config import parse_config
 from occlp.grid import DiscreteMeasure, build_grid
-from occlp.programs import (PRIMAL_RESIDUAL_TOL, LpInstance, ProgramError, RowMeta,
-                            build_discounted_lp, build_ergodic_lp,
-                            build_nonergodic_lp, build_perturbed_lp,
-                            certificate_is_valid, certificate_offgrid_report,
+from occlp.programs import (CERTIFICATE_TOL, PRIMAL_RESIDUAL_TOL, LpInstance, ProgramError,
+                            RowMeta, build_discounted_lp, build_ergodic_lp,
+                            build_nonergodic_lp, build_perturbed_lp, certificate_offgrid_report,
                             certificate_slacks, extract_dual_certificate, lp_name,
                             membership_residual, snap_to_state_grid, solve, solve_chain,
                             verify_weak_duality)
@@ -51,8 +50,12 @@ def rotation_solved(rotation_setup):
 
 
 def brute_force_atom_minimum(grid, spec):
-    costs = [system.eval_cost(spec, *grid.atom(a)) for a in range(grid.atom_count)]
-    return min(costs)
+    return float(np.min(cost_batch(spec)(grid.atom_states, grid.atom_controls)))
+
+
+def certificate_holds(cert, grid, basis, spec):
+    """Both slack families at every grid atom are at least -CERTIFICATE_TOL."""
+    return min(map(np.min, certificate_slacks(cert, grid, basis, spec))) >= -CERTIFICATE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +70,7 @@ def test_ergodic_frozen_equals_exhaustive_scan(frozen_setup):
     # zero dynamics leave only the simplex: optimum sits on the cheapest atom
     best = int(np.argmax(solution.gamma.weights))
     y, u = g.atom(best)
-    assert system.eval_cost(spec, y, u) == pytest.approx(solution.value, abs=1e-9)
+    assert cost_batch(spec)(y[None], u[None])[0] == pytest.approx(solution.value, abs=1e-9)
 
 
 def test_ergodic_constant_cost(frozen_setup):
@@ -347,7 +350,7 @@ def test_discounted_large_rate_concentrates_at_start():
     g = build_grid(spec, 9, 9)
     b = basis_for_region(spec.region, 4)
     y0 = (g.state_points[6, 0],)  # a grid state away from the cost minimum
-    start_cost = min(system.eval_cost(spec, y0, (u,)) for u in g.control_points[:, 0])
+    start_cost = np.min(cost_batch(spec)(*product_rows(np.array([y0]), g.control_points)))
     gaps = []
     for rate in (1.0, 10.0, 100.0):
         solution = solve(build_discounted_lp(g, b, spec, y0, rate))
@@ -425,7 +428,7 @@ def _assert_member_matches(instance, solution, cold, setup):
     spec, g, b = setup
     assert solution.status == "optimal"
     assert solution.value == pytest.approx(cold.value, abs=1e-9)
-    assert certificate_is_valid(extract_dual_certificate(solution, instance, b), g, b, spec)
+    assert certificate_holds(extract_dual_certificate(solution, instance, b), g, b, spec)
     x = np.concatenate([solution.gamma.weights, solution.xi.weights])
     a_eq = np.hstack([instance.eq_gamma, instance.eq_xi])
     assert np.max(np.abs(a_eq @ x - instance.eq_rhs)) <= PRIMAL_RESIDUAL_TOL
@@ -516,7 +519,7 @@ def test_certificate_constant_cost(frozen_setup):
     solution = solve(instance)
     cert = extract_dual_certificate(solution, instance, b)
     assert cert.mu == pytest.approx(3.0, abs=1e-8)
-    assert certificate_is_valid(cert, g, b, const)
+    assert certificate_holds(cert, g, b, const)
 
 
 def test_certificate_rotation(rotation_setup, rotation_solved):
@@ -548,7 +551,7 @@ def test_certificate_perturbed_families_use_epsilon_slack(rotation_setup):
     cert = extract_dual_certificate(solution, instance, b)
     assert cert.epsilon == 0.01
     assert cert.f_bound == spec.bound_f
-    assert certificate_is_valid(cert, g, b, spec)
+    assert certificate_holds(cert, g, b, spec)
     assert cert.mu == pytest.approx(solution.value, abs=1e-6)
 
 
@@ -593,11 +596,11 @@ def test_certificate_slacks_evaluate_the_basis_once_per_state(request, setup, y0
     assert np.array_equal(f1, r1) and np.array_equal(f2, r2)
 
     report = certificate_offgrid_report(cert, g, b, spec, density_factor=4)
-    prov = g.provenance
-    if prov["state_kind"] == "annulus":
-        ys = spec.region.lattice((prov["radial_count"] * 4, prov["angle_count"] * 4))
+    if spec.region.kind == "annulus":
+        n_r, n_theta = g.resolution
+        ys = spec.region.lattice((n_r * 4, n_theta * 4))
     else:
-        ys = lattice([np.linspace(-1.0, 1.0, r * 4) for r in prov["state_resolution"]])
+        ys = lattice([np.linspace(-1.0, 1.0, r * 4) for r in g.resolution])
     r1, r2 = _reference_slacks(cert, b, spec, *product_rows(ys, g.control_points))
     assert report == {"min_lower_bound_slack": float(np.min(r1)),
                       "min_monotonicity_slack": float(np.min(r2)),

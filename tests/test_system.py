@@ -16,30 +16,40 @@ def frozen():
     return system.make_frozen()
 
 
+def f_at(spec, y, u):
+    """f(y, u) at one point, through the batch evaluator."""
+    return system.dynamics_batch(spec)(np.array([y], dtype=float), np.array([u], dtype=float))[0]
+
+
+def k_at(spec, y, u):
+    """k(y, u) at one point, through the batch evaluator."""
+    return system.cost_batch(spec)(np.array([y], dtype=float), np.array([u], dtype=float))[0]
+
+
 def test_rotation_dynamics_reference_point(rotation):
     # clockwise rotation: the first component follows the second
-    assert np.allclose(system.eval_dynamics(rotation, (1.0, 0.0), (1.0,)), (0.0, -1.0))
+    assert np.allclose(f_at(rotation, (1.0, 0.0), (1.0,)), (0.0, -1.0))
 
 
 def test_rotation_dynamics_substitution():
     # wide annulus so that (0, 2) is admissible; f = (u*y2, -u*y1)
     spec = system.make_rotation(inner=0.5, outer=2.0)
-    assert np.allclose(system.eval_dynamics(spec, (0.0, 2.0), (-0.5,)), (-1.0, 0.0))
+    assert np.allclose(f_at(spec, (0.0, 2.0), (-0.5,)), (-1.0, 0.0))
 
 
 def test_frozen_dynamics_vanish(frozen):
     for y in [(-1.0, -1.0), (0.3, -0.7), (1.0, 1.0)]:
         for u in [(-1.0,), (0.0,), (1.0,)]:
-            assert np.all(system.eval_dynamics(frozen, y, u) == 0.0)
+            assert np.all(f_at(frozen, y, u) == 0.0)
 
 
 def test_costs():
     spec = system.make_rotation(cost_id="y1")
-    assert system.eval_cost(spec, (-1.0, 0.0), (0.0,)) == -1.0
+    assert k_at(spec, (-1.0, 0.0), (0.0,)) == -1.0
     const = system.make_rotation(cost_id="3")
-    assert system.eval_cost(const, (0.7, 0.7), (0.5,)) == 3.0
+    assert k_at(const, (0.7, 0.7), (0.5,)) == 3.0
     mixed = system.make_frozen(cost_id="y1 + u1^2")
-    assert system.eval_cost(mixed, (0.5, 0.0), (1.0,)) == 1.5
+    assert k_at(mixed, (0.5, 0.0), (1.0,)) == 1.5
 
 
 def test_unknown_ids_rejected():
@@ -53,21 +63,12 @@ def test_unknown_ids_rejected():
                    region=region, control=control, bound_f=2.0, bound_k=1.0)
 
 
-def test_dimension_checks(rotation):
-    with pytest.raises(DimensionMismatchError):
-        system.eval_dynamics(rotation, (1.0,), (0.0,))
-    with pytest.raises(DimensionMismatchError):
-        system.eval_dynamics(rotation, (1.0, 0.0), (0.0, 0.0))
-    with pytest.raises(RegionError):
-        system.eval_dynamics(rotation, (0.0, 0.0), (0.0,))  # inside the hole
-
-
 def test_evaluators_are_pure(rotation):
-    a = system.eval_dynamics(rotation, (0.6, 0.8), (0.37,))
-    b = system.eval_dynamics(rotation, (0.6, 0.8), (0.37,))
+    a = f_at(rotation, (0.6, 0.8), (0.37,))
+    b = f_at(rotation, (0.6, 0.8), (0.37,))
     assert a.tobytes() == b.tobytes()
-    assert system.eval_cost(rotation, (0.6, 0.8), (0.37,)) == \
-        system.eval_cost(rotation, (0.6, 0.8), (0.37,))
+    assert k_at(rotation, (0.6, 0.8), (0.37,)) == \
+        k_at(rotation, (0.6, 0.8), (0.37,))
 
 
 def test_rotation_speed_identity_and_bound(rotation):
@@ -78,7 +79,7 @@ def test_rotation_speed_identity_and_bound(rotation):
         theta = rng.uniform(0, 2 * np.pi)
         u = rng.uniform(-1, 1)
         y = (r * np.cos(theta), r * np.sin(theta))
-        f = system.eval_dynamics(rotation, y, (u,))
+        f = f_at(rotation, y, (u,))
         assert np.linalg.norm(f) == pytest.approx(abs(u) * r, rel=1e-12)
     report = system.validate_bounds(rotation)
     assert report.bound_f_ok and report.bound_k_ok
@@ -181,8 +182,9 @@ def test_region_construction_errors():
 
 def test_finite_control_set():
     control = ControlRegion(kind="finite", points=((-1.0,), (0.0,), (1.0,)))
-    assert control.contains((0.0,))
-    assert not control.contains((0.5,))
+    admits = control.admission()
+    assert admits((0.0,))
+    assert not admits((0.5,))
     assert control.grid(99).shape == (3, 1)
 
 
