@@ -24,9 +24,10 @@ for every solve.
 
 Every LP here, including the membership LP, is solved on a HiGHS model built
 through scipy's bundled binding, by dual simplex with presolve off.  A
-coupled program whose xi block carries no cost is re-run from its optimal
-basis for the minimal xi mass on its optimal face, in the same model.  An
-epsilon sweep is one model too: the perturbed programs share every row and
+coupled program whose xi block carries no cost then gets its minimal xi mass
+on its optimal face from a cold solve of a model of its own, over the columns
+whose reduced cost is zero; the main model is left as solved.  An epsilon
+sweep is one model too: the perturbed programs share every row and
 differ only in their costs, so :func:`solve_chain` solves the first cold and
 each later one by changing the column costs and re-running from the previous
 optimal basis; any other LP gets a model of its own.  The binding's
@@ -80,8 +81,7 @@ def _load_highs_core(search_dir: str):
 
 
 _core = _load_highs_core(os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy"))
-HighsLp, HighsModelStatus, MatrixFormat, _Highs = (
-    _core.HighsLp, _core.HighsModelStatus, _core.MatrixFormat, _core._Highs)
+HighsModelStatus, _Highs = _core.HighsModelStatus, _core._Highs
 
 
 class ProgramError(ValueError):
@@ -95,6 +95,7 @@ PRIMAL_RESIDUAL_TOL = 1e-7
 COMPLEMENTARITY_TOL = 1e-6
 DUALITY_GAP_TOL = 1e-8
 CERTIFICATE_TOL = 1e-6
+FACE_TOL = 1e-9  # reduced cost on the optimal face; the refinement's feasibility tolerance
 
 
 @dataclass(frozen=True)
@@ -268,30 +269,24 @@ _STATUS = {HighsModelStatus.kOptimal: "optimal",
 
 
 def _highs_run(cost: np.ndarray, a: np.ndarray, row_lower: np.ndarray,
-               row_upper: np.ndarray) -> tuple[_Highs, str, int]:
+               row_upper: np.ndarray, **options) -> tuple[_Highs, str, int]:
     """Build and run one owned HiGHS model of  min cost.x  s.t.
-    row_lower <= a x <= row_upper, x >= 0, with dual simplex and presolve off.
+    row_lower <= a x <= row_upper, x >= 0, with dual simplex, presolve off and
+    any further HiGHS ``options``.  The rows go in empty and the columns then
+    carry the nonzeros, both as numpy arrays.
 
     Returns the model (for a warm re-run), its status and simplex iterations.
     """
     highs = _Highs()
-    for option, setting in (("output_flag", False), ("presolve", "off"),
-                            ("simplex_strategy", 1)):  # 1: dual simplex
+    for option, setting in {"output_flag": False, "presolve": "off",
+                            "simplex_strategy": 1, **options}.items():  # 1: dual simplex
         highs.setOptionValue(option, setting)
+    n_row, n_col = a.shape
     start, index, value = _csc_triple(a)
-    lp = HighsLp()
-    lp.num_row_, lp.num_col_ = a.shape
-    lp.col_cost_ = cost
-    lp.col_lower_ = np.zeros(a.shape[1])
-    lp.col_upper_ = np.full(a.shape[1], np.inf)
-    lp.row_lower_ = row_lower
-    lp.row_upper_ = row_upper
-    lp.a_matrix_.format_ = MatrixFormat.kColwise
-    lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = a.shape
-    lp.a_matrix_.start_ = start
-    lp.a_matrix_.index_ = index
-    lp.a_matrix_.value_ = value
-    highs.passModel(lp)
+    no_entries = np.zeros(0, dtype=np.int32)
+    highs.addRows(n_row, row_lower, row_upper, 0, no_entries, no_entries, np.zeros(0))
+    highs.addCols(n_col, cost, np.zeros(n_col), np.full(n_col, np.inf), len(index),
+                  start[:-1], index, value)
     return (highs, *_rerun(highs))
 
 
@@ -312,27 +307,33 @@ def _rerun(highs: _Highs) -> tuple[str, int]:
             int(highs.getInfo().simplex_iteration_count))
 
 
-def _minimal_mass_refinement(instance: LpInstance, highs: _Highs, a_eq: np.ndarray,
-                             objective: np.ndarray, value: float):
-    """Re-solve the solved model for minimal xi mass over the (near-)optimal face.
+def _minimal_mass_refinement(instance: LpInstance, a_eq: np.ndarray, objective: np.ndarray,
+                             reduced: np.ndarray, value: float, cap_dual: float):
+    """Minimal xi mass over the optimal face, solved cold in a model of its own.
 
-    The objective becomes a row capped just above its optimum, the cost
-    becomes the xi mass (whose cap row is already in the model), and the run
-    starts from the optimal basis.  Returns the simplex iterations and the
-    refined (gamma, xi), or None unless that run succeeds with a point inside
-    the primal residual tolerance."""
-    n_g, n_x = instance.n_gamma, instance.n_xi
-    support = np.flatnonzero(objective).astype(np.int32)
-    highs.addRow(-np.inf, value + 1e-9 * (1.0 + abs(value)), len(support), support,
-                 objective[support])
-    columns = np.arange(n_g + n_x, dtype=np.int32)
-    highs.changeColsCost(len(columns), columns, np.concatenate([np.zeros(n_g), np.ones(n_x)]))
-    highs.setOptionValue("primal_feasibility_tolerance", 1e-9)
-    status, iterations = _rerun(highs)
+    The face is the columns whose reduced cost against the main solve's duals
+    is zero (at most FACE_TOL relative to their cost).  By complementary
+    slackness every feasible point on those columns is optimal, provided a
+    cap row with a nonzero dual stays tight, so such a row enters as an
+    equality.  Returns the simplex iterations and the refined (gamma, xi), or
+    None unless that run ends optimal at a point that meets the main point's
+    contract: its primal residual, its complementarity against the main duals
+    and the gap between its objective and ``value``."""
+    n_g = instance.n_gamma
+    face = np.flatnonzero(reduced <= FACE_TOL * (1.0 + np.abs(objective)))
+    mass = (face >= n_g).astype(float)
+    a, rhs = a_eq[:, face], instance.eq_rhs
+    if cap_dual < -FACE_TOL:
+        a, rhs = np.vstack([a, mass]), np.append(rhs, instance.xi_mass_cap)
+    highs, status, iterations = _highs_run(mass, a, rhs, rhs,
+                                           primal_feasibility_tolerance=FACE_TOL)
     if status != "optimal":
         return iterations, None
-    x = np.maximum(np.asarray(highs.getSolution().col_value), 0.0)
-    if np.max(np.abs(a_eq @ x - instance.eq_rhs)) > PRIMAL_RESIDUAL_TOL:
+    x = np.zeros(len(objective))
+    x[face] = np.maximum(highs.getSolution().col_value, 0.0)
+    if (np.max(np.abs(a_eq @ x - instance.eq_rhs)) > PRIMAL_RESIDUAL_TOL
+            or np.max(np.abs(x * reduced)) > COMPLEMENTARITY_TOL
+            or abs(objective @ x - value) > DUALITY_GAP_TOL * max(1.0, abs(value))):
         return iterations, None  # the caller keeps the unrefined vertex
     return iterations, (DiscreteMeasure(instance.grid, x[:n_g]),
                         DiscreteMeasure(instance.grid, x[n_g:]))
@@ -351,7 +352,7 @@ def log_solution(instance: LpInstance, solution: LpSolution) -> None:
 
 def needs_refinement(instance: LpInstance) -> bool:
     """Whether the LP's xi block carries no cost, so its xi gets the minimal-mass
-    refinement (which changes the model: it cannot be handed on)."""
+    refinement (and a chain solves it cold and hands nothing on from it)."""
     return instance.has_xi and not np.any(instance.objective_xi)
 
 
@@ -377,7 +378,8 @@ def solve_chain(instances) -> list[LpSolution]:
     optimal, only changes the column costs and re-runs from its optimal
     basis; so in a sweep over costs alone, such as the epsilon sweep, only the
     first LP is solved cold.  An LP whose xi gets the minimal-mass refinement
-    is solved cold and hands nothing on.  A chain of one is one cold solve."""
+    is solved cold and hands nothing on; the refinement itself runs in a model
+    of its own.  A chain of one is one cold solve."""
     chain = _Chain()
     return [solve(instance, chain) for instance in instances]
 
@@ -386,8 +388,9 @@ def solve(instance: LpInstance, chain: _Chain | None = None) -> LpSolution:
     """Solve one LP (dual simplex, presolve off): cold on a model of its own, or
     warm on the model of a :func:`solve_chain` when that allows it.
 
-    When the xi block carries no cost, the same model is re-run warm from its
-    optimal basis for the minimal-mass xi on the optimal face.  Optimality is
+    When the xi block carries no cost, the minimal-mass xi on the optimal face
+    comes from :func:`_minimal_mass_refinement`, in a model of its own; the
+    value, the duals and the cap dual stay those of the main solve.  Optimality is
     demoted to tolerance-failure when the returned point violates the residual
     or duality-gap contracts."""
     n_g, n_x = instance.n_gamma, instance.n_xi
@@ -424,7 +427,7 @@ def solve(instance: LpInstance, chain: _Chain | None = None) -> LpSolution:
         return LpSolution(status, None, None, None, None, 0.0, False, False, None,
                           np.inf, np.inf, iterations, message, start=start)
 
-    found = highs.getSolution()  # a copy: the refinement below re-runs the model
+    found = highs.getSolution()
     x = np.asarray(found.col_value)
     duals = np.asarray(found.row_dual)
     value = float(highs.getInfo().objective_function_value)
@@ -432,25 +435,6 @@ def solve(instance: LpInstance, chain: _Chain | None = None) -> LpSolution:
     xi = DiscreteMeasure(instance.grid, np.maximum(x[n_g:], 0.0)) if instance.has_xi else None
     row_duals = duals[:a_eq.shape[0]]
     cap_dual = float(duals[-1]) if has_cap else 0.0
-
-    # With a weightless xi block its mass is a free degree of freedom and the
-    # solver may park at an arbitrary vertex (including the cap).  A secondary
-    # mass-minimising solve over the optimal face yields a canonical pair, and
-    # only then does a binding cap signal anything structural.
-    xi_mass_canonical = instance.has_xi
-    refine_iterations = None
-    if refine:
-        refine_iterations, refined = _minimal_mass_refinement(instance, highs, a_eq,
-                                                              objective, value)
-        xi_mass_canonical = refined is not None
-        if refined is not None:
-            gamma, xi = refined
-    # binding = the cap influences the value (nonzero shadow price) or even the
-    # minimal-mass xi needs the whole budget
-    cap_binding = bool(has_cap
-                       and (cap_dual < -1e-9
-                            or (xi_mass_canonical
-                                and xi.total_mass >= instance.xi_mass_cap * (1.0 - 1e-9))))
 
     primal_residual = float(np.max(np.abs(a_eq @ x - instance.eq_rhs)))
     reduced = objective - a_eq.T @ row_duals
@@ -460,6 +444,25 @@ def solve(instance: LpInstance, chain: _Chain | None = None) -> LpSolution:
     dual_objective = float(instance.eq_rhs @ row_duals)
     if has_cap:
         dual_objective += float(instance.xi_mass_cap * cap_dual)
+
+    # With a weightless xi block its mass is a free degree of freedom and the
+    # solver may park at an arbitrary vertex (including the cap).  A secondary
+    # mass-minimising solve over the optimal face yields a canonical pair, and
+    # only then does a binding cap signal anything structural.
+    xi_mass_canonical = instance.has_xi
+    refine_iterations = None
+    if refine:
+        refine_iterations, refined = _minimal_mass_refinement(instance, a_eq, objective,
+                                                              reduced, value, cap_dual)
+        xi_mass_canonical = refined is not None
+        if refined is not None:
+            gamma, xi = refined
+    # binding = the cap influences the value (nonzero shadow price) or even the
+    # minimal-mass xi needs the whole budget
+    cap_binding = bool(has_cap
+                       and (cap_dual < -1e-9
+                            or (xi_mass_canonical
+                                and xi.total_mass >= instance.xi_mass_cap * (1.0 - 1e-9))))
 
     status = "optimal"
     if primal_residual > PRIMAL_RESIDUAL_TOL or complementarity > COMPLEMENTARITY_TOL:

@@ -292,15 +292,6 @@ def _parsed_cost(cost_id: str, m: int, p: int) -> exprs.Node:
         raise UnknownEvaluatorError(f"unknown cost_id {cost_id!r}: {err}") from err
 
 
-@lru_cache(maxsize=None)
-def _parsed_first_integral(text: str, m: int) -> exprs.Node:
-    # over the state only: a control in a first integral is out of range
-    try:
-        return exprs.parse_expr(text, m, 0)
-    except exprs.ExpressionError as err:
-        raise UnknownEvaluatorError(f"first integral {text!r}: {err}") from err
-
-
 # ---------------------------------------------------------------------------
 # the system description
 
@@ -331,7 +322,7 @@ class SystemSpec:
         _parsed_dynamics(self.dynamics_id, self.dim_state, self.dim_control)
         _parsed_cost(self.cost_id, self.dim_state, self.dim_control)
         for text in self.first_integrals:
-            _parsed_first_integral(text, self.dim_state)
+            _first_integral_nodes(text, self.dim_state)
 
 
 # compiled-evaluator caches keyed by (id, dims); all artifacts are pure
@@ -359,9 +350,12 @@ def _cost_batch(cost_id: str, m: int, p: int):
 
 @lru_cache(maxsize=None)
 def _first_integral_nodes(text: str, m: int) -> tuple[exprs.Node, tuple[exprs.Node, ...]]:
-    node = _parsed_first_integral(text, m)
-    grads = tuple(exprs.diff(node, j) for j in range(m))
-    return node, grads
+    # over the state only: a control in a first integral is out of range
+    try:
+        node = exprs.parse_expr(text, m, 0)
+        return node, tuple(exprs.diff(node, j) for j in range(m))
+    except exprs.ExpressionError as err:
+        raise UnknownEvaluatorError(f"first integral {text!r}: {err}") from err
 
 
 def dynamics_fn(spec: SystemSpec):

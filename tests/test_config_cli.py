@@ -701,7 +701,7 @@ def test_declared_bounds_are_kept_and_do_not_skip_the_finiteness_check(tmp_path,
     assert "error: dynamics is not finite on the sampled state region" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("entry", ["y1 + * 2", "y3", "y1 + u1"])
+@pytest.mark.parametrize("entry", ["y1 + * 2", "y3", "y1 + u1", "abs(y1)"])
 def test_malformed_first_integral_is_a_config_error(tmp_path, capsys, entry):
     config_path = tmp_path / "fi.conf"
     config_path.write_text("[system]\nname = custom\nregion = box\ndynamics = [0, -y1]\n"

@@ -14,7 +14,7 @@ from scipy.sparse import csc_array
 
 from occlp import cli, oracle, programs, system
 from occlp.basis import basis_for_region, grad_matrix, phi_matrix
-from occlp.config import parse_config
+from occlp.config import build_system, parse_config
 from occlp.grid import DiscreteMeasure, build_grid
 from occlp.programs import (CERTIFICATE_TOL, PRIMAL_RESIDUAL_TOL, LpInstance, ProgramError,
                             RowMeta, build_discounted_lp, build_ergodic_lp,
@@ -109,7 +109,7 @@ def test_highs_binding_has_every_method_programs_calls():
     # must ship every method programs.py calls on it
     from scipy.optimize._highspy._core import _Highs
     called = set(re.findall(r"\bhighs\.(\w+)\(", Path(programs.__file__).read_text()))
-    assert {"passModel", "run", "addRow", "changeColsCost", "setOptionValue"} <= called
+    assert {"addRows", "addCols", "run", "changeColsCost", "setOptionValue"} <= called
     assert not [name for name in called if not callable(getattr(_Highs, name, None))]
 
 
@@ -146,7 +146,7 @@ def test_a_solve_imports_neither_scipy_optimize_nor_scipy_sparse(tmp_path):
     out = _run_python("""
         import sys
         from occlp.cli import run_study
-        from occlp.config import parse_config
+        from occlp.config import build_system, parse_config
         with open(sys.argv[1], encoding="utf-8") as fh:
             bundle = run_study(parse_config(fh.read()), sections=("solve",))
         assert bundle.all_passed(), bundle.invariants
@@ -222,36 +222,55 @@ def test_returned_point_meets_residual_contract():
     assert solution.xi_canonical
 
 
+BOX_CUSTOM = """
+[system]
+name = custom
+region = box
+lower = [-1.0, -1.0]
+upper = [1.0, 1.0]
+dynamics = [-y1 + u1, -y2 + y1]
+cost = y2^2 + 0.5*u1^2
+"""
+
+
 @pytest.fixture(scope="module")
-def rotation_m_setup():
-    spec = system.make_rotation()
-    return {res: (spec, build_grid(spec, res, 9), basis_for_region(spec.region, 6))
-            for res in ((5, 128), (9, 128))}
+def degree_six_setups():
+    rotation = system.make_rotation()
+    box = build_system(parse_config(BOX_CUSTOM).system)
+    setups = {f"{n_r}x128": (rotation, (n_r, 128)) for n_r in (5, 9)}
+    setups["box"] = (box, (16, 16))
+    return {name: (spec, build_grid(spec, res, 9), basis_for_region(spec.region, 6))
+            for name, (spec, res) in setups.items()}
 
 
-@pytest.mark.parametrize("res,y0", [((5, 128), (1.0, 0.0)), ((5, 128), (0.0, 1.0)),
-                                    ((5, 128), (-1.0, 0.0)), ((5, 128), (0.0, -1.0)),
-                                    ((9, 128), (1.0, 0.0))],
-                         ids=["5x128-east", "5x128-north", "5x128-west", "5x128-south",
-                              "9x128-east"])
-def test_degree_six_start_points_solve_with_canonical_xi(rotation_m_setup, res, y0):
-    spec, g, b = rotation_m_setup[res]
+DEGREE_SIX_CASES = {"5x128-east": ("5x128", (1.0, 0.0)), "5x128-north": ("5x128", (0.0, 1.0)),
+                    "5x128-west": ("5x128", (-1.0, 0.0)), "5x128-south": ("5x128", (0.0, -1.0)),
+                    "9x128-east": ("9x128", (1.0, 0.0)),
+                    **{f"box-{y1:g},{y2:g}": ("box", (y1, y2))
+                       for y1, y2 in ((0.5, -0.5), (-0.5, 0.5), (0.25, 0.75), (-0.75, -0.25),
+                                      (0.0, 0.0))}}
+
+
+@pytest.mark.parametrize("setup,y0", DEGREE_SIX_CASES.values(), ids=DEGREE_SIX_CASES.keys())
+def test_degree_six_start_points_solve_with_canonical_xi(degree_six_setups, setup, y0):
+    spec, g, b = degree_six_setups[setup]
     instance = build_nonergodic_lp(g, b, spec, y0)
     solution = solve(instance)
     assert solution.status == "optimal" and solution.xi_canonical
     x = np.concatenate([solution.gamma.weights, solution.xi.weights])
     a_eq = np.hstack([instance.eq_gamma, instance.eq_xi])
     assert np.max(np.abs(a_eq @ x - instance.eq_rhs)) <= PRIMAL_RESIDUAL_TOL
-    reference = oracle.rotation_level_value(spec, float(np.dot(y0, y0)))
-    assert solution.value == pytest.approx(reference.value, abs=1e-6)
-    # an independent cold solve of the same minimal-mass LP over the optimal face
+    if spec.name == "rotation":
+        reference = oracle.rotation_level_value(spec, float(np.dot(y0, y0)))
+        assert solution.value == pytest.approx(reference.value, abs=1e-6)
+    # an independent cold solve of the same minimal-mass LP over the exact
+    # optimal face: the objective row is capped at the optimal value itself
     n = g.atom_count
     mass = np.concatenate([np.zeros(n), np.ones(n)])
     objective = np.concatenate([instance.objective_gamma, instance.objective_xi])
     cold = linprog(mass, A_eq=a_eq, b_eq=instance.eq_rhs,
                    A_ub=np.vstack([objective, mass]),
-                   b_ub=[solution.value + 1e-9 * (1.0 + abs(solution.value)),
-                         instance.xi_mass_cap],
+                   b_ub=[solution.value, instance.xi_mass_cap],
                    bounds=(0, None), method="highs")
     assert cold.status == 0
     assert solution.xi.total_mass == pytest.approx(cold.fun, abs=1e-8)
@@ -465,8 +484,7 @@ def test_warm_sweep_matches_cold_solves(rotation_setup, cold_perturbed, epsilons
 
 def test_weightless_xi_members_are_solved_cold(frozen_setup):
     # bound_f = 0: every perturbed xi block is weightless and gets the
-    # minimal-mass refinement, whose objective-cap row a warm successor would
-    # read as its cap dual
+    # minimal-mass refinement, so each is solved cold and hands nothing on
     spec, g, b = frozen_setup
     assert spec.bound_f == 0.0
     epsilons = (0.1, 0.01, 0.001)
@@ -701,3 +719,18 @@ def test_tiny_cap_binds_and_is_flagged(rotation_setup):
         assert solution.cap_binding
     else:
         assert solution.status == "infeasible"
+
+
+@pytest.mark.parametrize("cap", [1.0, 2.0, 2.4])
+def test_binding_cap_keeps_the_refined_point_optimal(rotation_setup, cap):
+    # a tight cap row has a nonzero dual, so every optimal point spends the
+    # whole budget: the refined point must too, at the optimal value
+    spec, g, b = rotation_setup
+    instance = build_nonergodic_lp(g, b, spec, (1.0, 0.0), xi_mass_cap=cap)
+    solution = solve(instance)
+    assert solution.status == "optimal" and solution.xi_canonical
+    assert solution.cap_dual < 0.0 and solution.cap_binding
+    assert solution.xi.total_mass == pytest.approx(cap, abs=1e-8)
+    objective = np.concatenate([instance.objective_gamma, instance.objective_xi])
+    x = np.concatenate([solution.gamma.weights, solution.xi.weights])
+    assert objective @ x == pytest.approx(solution.value, abs=programs.DUALITY_GAP_TOL)
