@@ -29,7 +29,9 @@ from .config import (ConfigError, StudyConfig, build_policy, build_system,
 from .grid import DiscreteMeasure, GridError, build_grid
 from .metrics import MetricError, make_test_function_set, rho_hat
 from .oracle import OracleError, frozen_value, level_set_ordering, rotation_level_value
-from .programs import (ProgramError, build_discounted_lp, build_ergodic_lp,
+from .programs import (CERTIFICATE_TOL, MEMBERSHIP_TOL, MU_VALUE_TOL, ORDERING_TOL,
+                       REFINEMENT_TOL, REPORT_GAP_TOL, SIMULATION_TOL, SMALL_EPS_TOL,
+                       ProgramError, build_discounted_lp, build_ergodic_lp,
                        build_nonergodic_lp, build_perturbed_lp, certificate_offgrid_report,
                        certificate_slacks, extract_dual_certificate, log_solution, lp_name,
                        membership_residual, needs_refinement, solve, solve_chain,
@@ -86,6 +88,11 @@ def _measure_payload(measure: DiscreteMeasure, keep: int = 20000) -> dict:
     return {"atom_index": [int(i) for i in idx],
             "weight": [float(measure.weights[i]) for i in idx],
             "total_mass": measure.total_mass}
+
+
+def _bound_text(bound: float) -> str:
+    """A bound as invariant details write it: ``1e-7``, ``0.05``."""
+    return f"{bound:g}".replace("e-0", "e-")
 
 
 def _pool_map(fn, items, jobs: int):
@@ -173,7 +180,7 @@ def _solve_section(bundle, spec, grid, basis, cfg: StudyConfig, variants, jobs: 
         bundle.record(f"{name}.solved", True)
         bundle.values[f"{name}.value"] = solution.value
         gap = abs(solution.value - solution.dual_objective)
-        bundle.record(f"{name}.duality_gap", gap <= 1e-6 * max(1.0, abs(solution.value)),
+        bundle.record(f"{name}.duality_gap", gap <= REPORT_GAP_TOL * max(1.0, abs(solution.value)),
                       f"gap {gap:.3e}")
         for i, meta in enumerate(instance.row_meta):
             bundle.duals.append([name, meta.kind,
@@ -195,13 +202,13 @@ def _solve_section(bundle, spec, grid, basis, cfg: StudyConfig, variants, jobs: 
                           verify_weak_duality(solution.value, cert.mu),
                           f"value {solution.value:.9f} vs mu {cert.mu:.9f}")
             bundle.record(f"{name}.mu_matches_value",
-                          abs(solution.value - cert.mu) <= 1e-6,
+                          abs(solution.value - cert.mu) <= MU_VALUE_TOL,
                           f"|value - mu| = {abs(solution.value - cert.mu):.3e}")
             f1, f2 = certificate_slacks(cert, grid, basis, spec)
             bundle.values[f"{name}.certificate_min_slack_lower_bound"] = float(np.min(f1))
             bundle.values[f"{name}.certificate_min_slack_monotonicity"] = float(np.min(f2))
             bundle.record(f"{name}.certificate_feasible",
-                          min(np.min(f1), np.min(f2)) >= -1e-6,
+                          min(np.min(f1), np.min(f2)) >= -CERTIFICATE_TOL,
                           f"min slacks {np.min(f1):.3e}, {np.min(f2):.3e}")
         if solution.gamma is not None:
             bundle.measures[f"{name}.gamma"] = _measure_payload(solution.gamma)
@@ -222,8 +229,8 @@ def _solve_section(bundle, spec, grid, basis, cfg: StudyConfig, variants, jobs: 
         non = results["nonergodic"][1]
         if erg.status == "optimal" and non.status == "optimal":
             bundle.record("ergodic_below_nonergodic",
-                          erg.value <= non.value + 1e-7,
-                          f"{erg.value:.9f} <= {non.value:.9f} + 1e-7")
+                          erg.value <= non.value + ORDERING_TOL,
+                          f"{erg.value:.9f} <= {non.value:.9f} + {_bound_text(ORDERING_TOL)}")
 
     if "perturbed" in variants and len(prog.epsilons) >= 2:
         eps_sorted = sorted(prog.epsilons)
@@ -238,7 +245,7 @@ def _solve_section(bundle, spec, grid, basis, cfg: StudyConfig, variants, jobs: 
             if eps not in values_by_eps:
                 continue
             value = values_by_eps[eps]
-            monotone = prev is None or value >= prev - 1e-7
+            monotone = prev is None or value >= prev - ORDERING_TOL
             ok_monotone &= monotone
             rows.append([eps, value, monotone])
             prev = value
@@ -249,10 +256,10 @@ def _solve_section(bundle, spec, grid, basis, cfg: StudyConfig, variants, jobs: 
         if 0.0 in values_by_eps:
             base = values_by_eps[0.0]
             bundle.record("perturbed_dominates_unperturbed",
-                          all(v >= base - 1e-7 for v in values_by_eps.values()))
+                          all(v >= base - ORDERING_TOL for v in values_by_eps.values()))
             if 0.001 in values_by_eps:
                 bundle.record("perturbed_small_eps_convergence",
-                              abs(values_by_eps[0.001] - base) <= 1e-2,
+                              abs(values_by_eps[0.001] - base) <= SMALL_EPS_TOL,
                               f"|value(0.001) - value(0)| = "
                               f"{abs(values_by_eps[0.001] - base):.3e}")
     return results
@@ -285,8 +292,9 @@ def _simulate_section(bundle, spec, grid, basis, cfg: StudyConfig, solve_results
         if name in solve_results and solve_results[name][1].status == "optimal":
             lp_value = solve_results[name][1].value
             bundle.record(f"discounted_lp_below_abel[rate={rate:g}]",
-                          lp_value <= result.value + 0.05,
-                          f"LP {lp_value:.4f} <= abel {result.value:.4f} + 0.05")
+                          lp_value <= result.value + SIMULATION_TOL,
+                          f"LP {lp_value:.4f} <= abel {result.value:.4f} + "
+                          f"{_bound_text(SIMULATION_TOL)}")
 
     decay_rows = [[row.horizon, row.residual.w_residual, row.residual.omega_residual]
                   for row in study]
@@ -321,8 +329,8 @@ def _simulate_section(bundle, spec, grid, basis, cfg: StudyConfig, solve_results
     mu = bundle.values.get("nonergodic.mu")
     if mu is not None and horizon_rows:
         final = horizon_rows[-1][1]
-        bundle.record("cesaro_above_dual_bound", final >= mu - 0.05,
-                      f"cesaro {final:.4f} >= mu {mu:.4f} - 0.05")
+        bundle.record("cesaro_above_dual_bound", final >= mu - SIMULATION_TOL,
+                      f"cesaro {final:.4f} >= mu {mu:.4f} - {_bound_text(SIMULATION_TOL)}")
 
 
 def _sweep_section(bundle, spec, grid, basis, cfg: StudyConfig, solve_results):
@@ -364,7 +372,7 @@ def _convergence_section(bundle, spec, grid, basis, cfg: StudyConfig):
         "columns": ["level", "degree", "state_resolution", "value"], "rows": rows}
     delta = abs(fine.value - base.value)
     bundle.values["refinement.delta"] = delta
-    bundle.record("refinement_stable", delta <= 0.02, f"|delta| = {delta:.4f}")
+    bundle.record("refinement_stable", delta <= REFINEMENT_TOL, f"|delta| = {delta:.4f}")
 
     degree_rows = []
     for degree in range(2, cfg.basis.degree + 1):
@@ -393,11 +401,11 @@ def _certify_section(bundle, spec, grid, basis, cfg: StudyConfig, solve_results)
     bundle.values["certify.offgrid_min_slack_lower_bound"] = report["min_lower_bound_slack"]
     bundle.values["certify.offgrid_min_slack_monotonicity"] = report["min_monotonicity_slack"]
     bundle.values["certify.offgrid_sample_count"] = report["sample_count"]
-    res = membership_residual(solution.gamma, grid, basis, y0)
+    [res] = membership_residual([solution.gamma], grid, basis, y0)
     bundle.values["certify.gamma_w_residual"] = res.w_residual
     bundle.values["certify.gamma_omega_residual"] = res.omega_residual
     bundle.record("certify.optimal_gamma_feasible",
-                  max(res.w_residual, res.omega_residual) <= 1e-7,
+                  max(res.w_residual, res.omega_residual) <= MEMBERSHIP_TOL,
                   f"residuals {res.w_residual:.2e}, {res.omega_residual:.2e}")
 
 

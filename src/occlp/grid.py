@@ -139,14 +139,33 @@ def assemble_cost_vector(grid: Grid, spec: SystemSpec) -> np.ndarray:
     return cost_batch(spec)(grid.atom_states, grid.atom_controls)
 
 
+def _nearest_rows(points: np.ndarray, queries: np.ndarray, candidates=None) -> np.ndarray:
+    """Position of the nearest candidate among ``points`` to each query row,
+    the first on ties; ``candidates`` (n, C) indexes the rows each query is
+    compared with, or None for every row.
+
+    The squared distances are built one axis at a time on contiguous
+    coordinate arrays, ``d = q_j - p_j; d *= d``, and summed in axis order:
+    the float operations of the brute-force ``((q - p) ** 2).sum(axis=-1)``
+    (which adds fewer than 8 axes in order too), without its (n, C, dim)
+    temporary.
+    """
+    total = None
+    for j in range(points.shape[1]):
+        p = np.ascontiguousarray(points[:, j])
+        d = queries[:, j, None] - (p if candidates is None else p[candidates])
+        d *= d
+        total = d if total is None else np.add(total, d, out=total)
+    return np.argmin(total, axis=1)
+
+
 def nearest_index(points: np.ndarray, queries, chunk: int = 16384) -> np.ndarray:
-    """Row of ``points`` Euclidean-nearest to each query row; ties go to the lowest row."""
+    """Row of ``points`` Euclidean-nearest to each query row; ties go to the
+    lowest row.  The distances are the brute-force ones (:func:`_nearest_rows`)."""
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     out = np.empty(queries.shape[0], dtype=np.int64)
     for start in range(0, queries.shape[0], chunk):
-        block = queries[start:start + chunk]
-        d2 = ((block[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-        out[start:start + chunk] = np.argmin(d2, axis=1)
+        out[start:start + chunk] = _nearest_rows(points, queries[start:start + chunk])
     return out
 
 
@@ -162,9 +181,9 @@ def nearest_state_index(grid: Grid, ys, chunk: int = 16384) -> np.ndarray:
     for start in range(0, ys.shape[0], chunk):
         block = ys[start:start + chunk]
         candidates = np.sort(grid.spec.region.stencil(grid.resolution, block), axis=1)
-        d2 = ((block[:, None, :] - grid.state_points[candidates]) ** 2).sum(axis=2)
         out[start:start + chunk] = np.take_along_axis(
-            candidates, np.argmin(d2, axis=1)[:, None], axis=1)[:, 0]
+            candidates, _nearest_rows(grid.state_points, block, candidates)[:, None],
+            axis=1)[:, 0]
     return out
 
 

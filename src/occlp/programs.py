@@ -96,6 +96,15 @@ COMPLEMENTARITY_TOL = 1e-6
 DUALITY_GAP_TOL = 1e-8
 CERTIFICATE_TOL = 1e-6
 FACE_TOL = 1e-9  # reduced cost on the optimal face; the refinement's feasibility tolerance
+# the bounds of the study's invariants (cli.py); CERTIFICATE_TOL bounds the
+# certificate's slacks there too
+REPORT_GAP_TOL = 1e-6  # relative duality gap of a solved LP
+MU_VALUE_TOL = 1e-6  # |value - mu|
+ORDERING_TOL = 1e-7  # ergodic <= nonergodic; perturbed values monotone in epsilon
+MEMBERSHIP_TOL = 1e-7  # w and omega residuals of the optimal gamma
+SMALL_EPS_TOL = 1e-2  # |value(eps=0.001) - value(0)|
+REFINEMENT_TOL = 0.02  # value change under angular doubling and a degree bump
+SIMULATION_TOL = 0.05  # LP value below Abel value; Cesaro value above mu
 
 
 @dataclass(frozen=True)
@@ -595,31 +604,51 @@ class MembershipResidual:
     omega_residual: float  # best sup-norm fit of the initial rows over xi >= 0
 
 
-def membership_residual(measure: DiscreteMeasure, grid: Grid, basis: BasisSpec,
-                        y0) -> MembershipResidual:
-    """How far a probability measure is from the two feasible sets.
+def membership_residual(measures, grid: Grid, basis: BasisSpec,
+                        y0) -> list[MembershipResidual]:
+    """How far each of a sequence of probability measures on ``grid`` is from
+    the two feasible sets; one result per measure, in order.
 
     ``w_residual`` needs no optimisation.  ``omega_residual`` is the optimal t
     of: minimise t subject to -t <= (C g + B x)_b <= t for every basis row,
-    x >= 0, t >= 0.
+    x >= 0, t >= 0.  These LPs share their matrix and costs and differ only in
+    the row bounds (C g), so they are one HiGHS model: the first measure's LP
+    is solved cold, and each later one changes the row bounds and re-runs
+    from the previous optimal basis, which stays dual feasible.  Every measure
+    is checked to be a probability measure before any model is built.  Each
+    run logs one INFO line.
     """
-    if not measure.is_probability(tol=1e-7):
-        raise ProgramError(f"measure mass {measure.total_mass} is not 1")
+    measures = list(measures)
+    for k, measure in enumerate(measures):
+        if not measure.is_probability(tol=1e-7):
+            raise ProgramError(f"measure {k} mass {measure.total_mass} is not 1")
     flow = assemble_flow_matrix(grid, basis)
-    w_residual = float(np.max(np.abs(flow @ measure.weights)))
-
     initial, _ = _initial_rows(grid, basis, y0)
-    target = initial @ measure.weights  # (count,)
-    n = grid.atom_count
-    # variables: xi (n) then t (1)
+    # variables: xi (n) then t (1); rows: B x - t <= -C g, then -B x - t <= C g
     ones = np.ones((basis.count, 1))
     a_ub = np.vstack([np.hstack([flow, -ones]),
                       np.hstack([-flow, -ones])])
-    b_ub = np.concatenate([-target, target])
-    objective = np.concatenate([np.zeros(n), [1.0]])
-    highs, status, _ = _highs_run(objective, a_ub, np.full(len(b_ub), -np.inf), b_ub)
-    if status != "optimal":
-        raise ProgramError("membership auxiliary program failed: "
-                           + highs.modelStatusToString(highs.getModelStatus()))
-    return MembershipResidual(w_residual=w_residual,
-                              omega_residual=float(highs.getInfo().objective_function_value))
+    objective = np.concatenate([np.zeros(grid.atom_count), [1.0]])
+    lower = np.full(a_ub.shape[0], -np.inf)
+    highs, results = None, []
+    for k, measure in enumerate(measures):
+        target = initial @ measure.weights  # (count,)
+        upper = np.concatenate([-target, target])
+        if highs is None:
+            highs, status, iterations = _highs_run(objective, a_ub, lower, upper)
+            start = "cold"
+        else:
+            for row, bound in enumerate(upper.tolist()):
+                highs.changeRowBounds(row, -np.inf, bound)
+            status, iterations = _rerun(highs)
+            start = f"warm from measure {k - 1}"
+        omega = float(highs.getInfo().objective_function_value)
+        log.info("membership of measure %d: %d rows, %d columns, start %s, %d iterations, "
+                 "status %s, omega_residual %.6g", k, a_ub.shape[0], a_ub.shape[1], start,
+                 iterations, status, omega)
+        if status != "optimal":
+            raise ProgramError("membership auxiliary program failed: "
+                               + highs.modelStatusToString(highs.getModelStatus()))
+        results.append(MembershipResidual(
+            w_residual=float(np.max(np.abs(flow @ measure.weights))), omega_residual=omega))
+    return results

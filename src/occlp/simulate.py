@@ -442,18 +442,22 @@ def horizon_study(spec: SystemSpec, y0, policy: Policy, horizons,
     ends within one step of T.  The flow residual of an empirical measure
     decays like the boundary term (phi(y(T)) - phi(y0)) / T plus a binning
     floor, so across horizon doublings it should be non-increasing up to that
-    floor.
+    floor.  The run is binned once, by per-axis squared distances
+    (:func:`~occlp.grid.nearest_atom_index`), and every window's membership
+    LP is one call of :func:`~occlp.programs.membership_residual`, which
+    solves the shortest window cold and each longer one warm from the window
+    before it.
     """
     horizons = sorted(float(t) for t in horizons)
     if not horizons or horizons[0] <= 0:
         raise SimulationError("horizons must be a nonempty list of positive times")
     run = integrate(spec, y0, policy, horizons[-1], dt)
     atoms = nearest_atom_index(grid, run.states[:-1], run.controls)
-    rows = []
+    windows, measures = [], []
     for horizon in horizons:
         steps = math.ceil(horizon / dt)
         window = run.prefix(steps)
-        measure = _occupation(window, grid, atoms[:steps], window.dt / window.horizon)
-        rows.append(HorizonRow(horizon, window, measure,
-                               membership_residual(measure, grid, basis, y0)))
-    return rows
+        windows.append(window)
+        measures.append(_occupation(window, grid, atoms[:steps], window.dt / window.horizon))
+    residuals = membership_residual(measures, grid, basis, y0)
+    return [HorizonRow(*row) for row in zip(horizons, windows, measures, residuals)]

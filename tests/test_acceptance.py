@@ -191,7 +191,7 @@ def test_criterion_6_residual_decay(rotation, setup, steer_hold_trajectories):
     rows = []
     for horizon in (25.0, 50.0, 100.0, 200.0):
         emp = empirical_occupational_measure(steer_hold_trajectories[horizon], grid)
-        res = membership_residual(emp, grid, basis, (1.0, 0.0))
+        [res] = membership_residual([emp], grid, basis, (1.0, 0.0))
         rows.append((horizon, res.w_residual, res.omega_residual))
     floor = min(w for _h, w, _o in rows)
     nonincreasing = all(b[1] <= a[1] + 2.0 * floor for a, b in zip(rows, rows[1:]))

@@ -475,6 +475,33 @@ periodic_dt = 0.01
     assert caplog.records[-1].getMessage().startswith("integrate: 5 steps, feedback, ")
 
 
+def test_info_log_has_one_line_per_membership_run(caplog):
+    # the horizon study's windows share one membership model: the shortest is
+    # solved cold and each longer one warm from the window before it
+    cfg = parse_config("""
+[system]
+name = rotation
+[grid]
+state_resolution = [3, 8]
+control_resolution = 3
+[basis]
+degree = 2
+[program]
+variants = [nonergodic]
+[simulate]
+policy = constant:1
+horizons = [1.0, 2.0, 4.0]
+dt = 0.01
+""")
+    with caplog.at_level(logging.INFO, logger="occlp"):
+        run_study(cfg, sections=("simulate",))
+    lines = [r.getMessage() for r in caplog.records if r.name == "occlp.programs"
+             and r.getMessage().startswith("membership")]
+    pattern = (r"membership of measure (\d+): 10 rows, 73 columns, start (cold|warm from "
+               r"measure \d+), \d+ iterations, status optimal, omega_residual \S+")
+    found = [re.fullmatch(pattern, line).groups() for line in lines]
+    assert found == [("0", "cold"), ("1", "warm from measure 0"), ("2", "warm from measure 1")]
+
 def test_info_log_names_how_each_lp_started(caplog):
     # report order differs from the chain's order of decreasing epsilon
     cfg = parse_config("[program]\nvariants = [ergodic, nonergodic, perturbed]\n"

@@ -198,6 +198,33 @@ def test_nearest_atom_matches_joint_brute_force(rotation_grid):
         assert got[i] == np.argmin(d2)
 
 
+def _brute_force(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Nearest row of points to each query, lowest row on ties."""
+    return np.argmin(((queries[:, None, :] - points[None]) ** 2).sum(axis=2), axis=1)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_nearest_index_is_brute_force_with_exact_ties(dim):
+    # a control lattice with exactly representable midpoints, so every
+    # midpoint query ties between two points and the lowest row must win
+    axes = [np.linspace(-1.0, 1.0, 5)] * dim
+    points = system.lattice(axes)
+    stride = 5 ** (dim - 1)
+    rng = np.random.default_rng(dim)
+    queries = np.concatenate([
+        points,
+        _neighbour_midpoints(points, (1, 5, stride, stride + 1)),
+        points[:-1] + 0.25 * (points[1:] - points[:-1]),
+        rng.uniform(-1.5, 1.5, size=(400, dim)),
+    ])
+    got = nearest_index(points, queries, chunk=97)
+    assert np.array_equal(got, _brute_force(points, queries))
+    # scrambled rows: the tie rule follows row order, not lattice order
+    order = rng.permutation(points.shape[0])
+    assert np.array_equal(nearest_index(points[order], queries),
+                          _brute_force(points[order], queries))
+
+
 def _neighbour_midpoints(points: np.ndarray, strides) -> np.ndarray:
     return np.concatenate([(points[:-k] + points[k:]) / 2.0 for k in strides if k < len(points)])
 
@@ -240,8 +267,7 @@ def test_nearest_state_index_is_brute_force(setup, seed):
         np.random.default_rng(seed).uniform(lo, hi, size=(500, region.dim)),
     ])
     queries = queries[region.contains(queries)]
-    assert np.array_equal(nearest_state_index(grid, queries),
-                          nearest_index(points, queries))
+    assert np.array_equal(nearest_state_index(grid, queries), _brute_force(points, queries))
     # far outside: no brute-force promise, but valid rows and no warning
     far = np.concatenate([np.full((1, region.dim), 1e12), np.full((1, region.dim), -1e12),
                           np.asarray(region.bounding_box()).mean(axis=0)[None, :]])

@@ -109,7 +109,8 @@ def test_highs_binding_has_every_method_programs_calls():
     # must ship every method programs.py calls on it
     from scipy.optimize._highspy._core import _Highs
     called = set(re.findall(r"\bhighs\.(\w+)\(", Path(programs.__file__).read_text()))
-    assert {"addRows", "addCols", "run", "changeColsCost", "setOptionValue"} <= called
+    assert {"addRows", "addCols", "run", "changeColsCost", "changeRowBounds",
+            "setOptionValue"} <= called
     assert not [name for name in called if not callable(getattr(_Highs, name, None))]
 
 
@@ -218,7 +219,7 @@ def test_returned_point_meets_residual_contract():
     x = np.concatenate([solution.gamma.weights, solution.xi.weights])
     a_eq = np.hstack([instance.eq_gamma, instance.eq_xi])
     assert np.max(np.abs(a_eq @ x - instance.eq_rhs)) <= PRIMAL_RESIDUAL_TOL
-    membership_residual(solution.gamma, g, b, (1.0, 0.0))
+    membership_residual([solution.gamma], g, b, (1.0, 0.0))
     assert solution.xi_canonical
 
 
@@ -659,7 +660,7 @@ def test_weak_duality_helper():
 def test_membership_of_lp_optimum(rotation_setup, rotation_solved):
     spec, g, b = rotation_setup
     _instance, solution = rotation_solved
-    res = membership_residual(solution.gamma, g, b, (1.0, 0.0))
+    [res] = membership_residual([solution.gamma], g, b, (1.0, 0.0))
     assert res.w_residual <= 1e-7
     assert res.omega_residual <= 1e-7
 
@@ -669,14 +670,14 @@ def test_membership_flags_flow_violations():
     g = build_grid(spec, 9, 5)
     b = basis_for_region(spec.region, 4)
     uniform = DiscreteMeasure(g, np.full(g.atom_count, 1.0 / g.atom_count))
-    res = membership_residual(uniform, g, b, (0.0,))
+    [res] = membership_residual([uniform], g, b, (0.0,))
     assert res.w_residual > 0.1
 
 
 def test_membership_requires_probability(rotation_setup):
     spec, g, b = rotation_setup
     with pytest.raises(ProgramError):
-        membership_residual(DiscreteMeasure(g, np.zeros(g.atom_count)), g, b, (1.0, 0.0))
+        membership_residual([DiscreteMeasure(g, np.zeros(g.atom_count))], g, b, (1.0, 0.0))
 
 
 def test_omega_residual_shrinks_under_grid_refinement():
@@ -693,9 +694,55 @@ def test_omega_residual_shrinks_under_grid_refinement():
         b = basis_for_region(spec.region, 4)
         traj = integrate(spec, (1.0, 0.0), ConstantPolicy(1.0), 2 * math.pi, 1e-3)
         emp = empirical_occupational_measure(traj, g)
-        residuals.append(membership_residual(emp, g, b, (1.0, 0.0)).omega_residual)
+        residuals.append(membership_residual([emp], g, b, (1.0, 0.0))[0].omega_residual)
     assert residuals[0] >= residuals[1] >= residuals[2] - 1e-12
     assert residuals[-1] <= 0.05
+
+
+def _loop_measures(g):
+    """Empirical measures of growing windows of unit-speed rotation from (1, 0),
+    then the uniform measure: the sequence is not monotone in anything."""
+    import math
+
+    from occlp.simulate import ConstantPolicy, empirical_occupational_measure, integrate
+
+    spec = g.spec
+    out = [empirical_occupational_measure(
+        integrate(spec, (1.0, 0.0), ConstantPolicy(1.0), turns * 2 * math.pi, 1e-3), g)
+        for turns in (0.25, 1.0, 0.5, 3.0)]
+    return out + [DiscreteMeasure(g, np.full(g.atom_count, 1.0 / g.atom_count))]
+
+
+def test_membership_of_many_measures_matches_cold_solves():
+    # one model, warm after the first measure, against a cold model per measure;
+    # the coarse angular grid leaves the whole loop a nonzero omega residual
+    spec = system.make_rotation()
+    g = build_grid(spec, (5, 8), 3)
+    b = basis_for_region(spec.region, 4)
+    measures = _loop_measures(g)
+    together = membership_residual(measures, g, b, (1.0, 0.0))
+    assert len(together) == len(measures)
+    for measure, res in zip(measures, together):
+        [cold] = membership_residual([measure], g, b, (1.0, 0.0))
+        assert res.w_residual == pytest.approx(cold.w_residual, abs=1e-12)
+        assert res.omega_residual == pytest.approx(cold.omega_residual, abs=1e-12)
+    assert together[1].omega_residual > 1e-3
+    assert membership_residual([], g, b, (1.0, 0.0)) == []
+
+
+@pytest.mark.parametrize("bad_at", [0, 2, 4])
+def test_membership_checks_every_measure_before_building(monkeypatch, bad_at):
+    spec = system.make_rotation()
+    g = build_grid(spec, (5, 8), 3)
+    b = basis_for_region(spec.region, 4)
+    measures = _loop_measures(g)
+    measures[bad_at] = DiscreteMeasure(g, 0.5 * measures[bad_at].weights)
+
+    def no_model():
+        raise AssertionError("a HiGHS model was built")
+    monkeypatch.setattr(programs, "_Highs", no_model)
+    with pytest.raises(ProgramError, match=f"measure {bad_at} mass"):
+        membership_residual(measures, g, b, (1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
