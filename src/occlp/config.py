@@ -196,9 +196,17 @@ def _read_items(text: str) -> dict[str, dict[str, tuple[object, int]]]:
 # coercion helpers
 
 
+def _finite(values: tuple[float, ...], line: int, key: str) -> tuple[float, ...]:
+    # float() reads nan, inf and 1e999, which would pass every "> 0" check
+    for v in values:
+        if not math.isfinite(v):
+            raise ConfigError(f"{key} must be finite, got {v!r}", line)
+    return values
+
+
 def _want_float(value, line: int, key: str) -> float:
     if isinstance(value, float):
-        return value
+        return _finite((value,), line, key)[0]
     raise ConfigError(f"{key} must be a number, got {value!r}", line)
 
 
@@ -223,9 +231,9 @@ def _want_expr(value, line: int, key: str) -> str:
 
 def _want_float_tuple(value, line: int, key: str) -> tuple[float, ...]:
     if isinstance(value, float):
-        return (value,)
+        value = (value,)
     if isinstance(value, tuple) and all(isinstance(v, float) for v in value):
-        return value
+        return _finite(value, line, key)
     raise ConfigError(f"{key} must be a numeric array, got {value!r}", line)
 
 

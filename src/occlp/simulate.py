@@ -3,9 +3,13 @@
 Fixed-step fourth-order Runge-Kutta with the control held at its value from
 the left endpoint of each step; no adaptivity, so runs are reproducible
 bit-for-bit.  Steps are taken in generated runs: a stretch of steps with one
-control is one call, so an open-loop schedule costs one call per piece it
+control is one run, so an open-loop schedule costs one run per piece it
 visits, and a feedback law given as expressions is evaluated inside the loop,
-so a closed-loop trajectory is one call.  On top of the integrator:
+so a closed-loop trajectory is one run.  A run is one call of the generated
+loop, or, past ``PARK_CHUNK`` steps, one call per chunk, and such a run parks
+once a step maps its state to itself byte for byte: every later step would
+too, so the rest of the run is copied, not stepped.  On top of the
+integrator:
 
 * finite-horizon average values (per-step trapezoidal quadrature),
 * discounted values with a certified truncation-tail interval,
@@ -13,8 +17,8 @@ so a closed-loop trajectory is one call.  On top of the integrator:
   exactly nonnegative and exactly massed,
 * a periodic-policy family search giving certified upper bounds plus a trend
   table, and
-* a horizon study: windows of one run, their empirical measures and
-  membership residuals.
+* a horizon study: windows of one run, their empirical measures, with a
+  parked tail binned once, and membership residuals.
 """
 
 from __future__ import annotations
@@ -149,6 +153,9 @@ def feedback_table_policy(grid: Grid, table: np.ndarray) -> FeedbackPolicy:
 # ---------------------------------------------------------------------------
 # integration
 
+# the longest chunk of steps a run that may park takes between two checks
+PARK_CHUNK = 4096
+
 
 @dataclass
 class Trajectory:
@@ -158,6 +165,9 @@ class Trajectory:
     states: np.ndarray  # (n+1, m)
     controls: np.ndarray  # (n, p), left-endpoint control of each step
     in_region: np.ndarray  # (n+1,) bool
+    # first step of a parked tail: states[parked:] and controls[parked:] each
+    # repeat one row to the end; None if the last run did not park
+    parked: int | None = None
 
     @property
     def horizon(self) -> float:
@@ -172,8 +182,9 @@ class Trajectory:
 
     def prefix(self, steps: int) -> Trajectory:
         """The first ``steps`` steps, as views into this trajectory."""
+        parked = self.parked if self.parked is not None and self.parked < steps else None
         return Trajectory(self.spec, self.dt, self.times[:steps + 1], self.states[:steps + 1],
-                          self.controls[:steps], self.in_region[:steps + 1])
+                          self.controls[:steps], self.in_region[:steps + 1], parked)
 
 
 def rk4_step(f, y: tuple, u: tuple, dt: float) -> tuple:
@@ -186,6 +197,45 @@ def rk4_step(f, y: tuple, u: tuple, dt: float) -> tuple:
                  for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
 
 
+def _run_until_parked(go, y: tuple, count: int, rows: array, m: int,
+                      controls: array | None = None, p: int = 0):
+    """Take one run of ``count`` steps with ``go(y, k)``, a generated loop of
+    ``rk4_run_fn`` bound to all but its start state and its step count.
+
+    The run's step is a pure function of its state: its control is held, or
+    its law reads the state only.  So once a step maps its state to itself
+    byte for byte, so does every later one.  The run parks there: the rest of
+    its states are appended as copies of that state, and, where the loop
+    appends ``controls`` itself, the rest of its controls as copies of the
+    last one.  Bytes are compared, not floats, since -0.0 == 0.0 and
+    ``atan2`` tells them apart.  A run longer than ``PARK_CHUNK`` steps is
+    taken in chunks of 1, 2, 4, ... steps, at most ``PARK_CHUNK``, and its
+    last two states are compared after each chunk; a shorter run is one call
+    and never parks.  Returns the last call's result with ``done`` counted
+    from the run's start, and the index in the run of the first step that
+    maps its state to itself, or None.
+    """
+    if count <= PARK_CHUNK:
+        return go(y, count), None
+    done, k = 0, 1
+    while True:
+        k = min(k, count - done)
+        out = go(y, k)
+        got, y = out[0], out[1]
+        done += got
+        if got < k or done == count:
+            return (done, *out[1:]), None
+        if rows[-2 * m:-m].tobytes() == rows[-m:].tobytes():
+            # no earlier chunk parked, so the first step that did is in this one
+            chunk = np.frombuffer(rows[-(k + 1) * m:], np.uint64).reshape(k + 1, m)
+            parked = done - k + int(np.argmax((chunk[1:] == chunk[:-1]).all(axis=1)))
+            rows.extend(array("d", y) * (count - done))
+            if controls is not None:
+                controls.extend(controls[len(controls) - p:] * (count - done))
+            return (count, *out[1:]), parked
+        k = min(2 * k, PARK_CHUNK)
+
+
 def integrate(spec: SystemSpec, y0, policy: Policy, horizon: float,
               dt: float = 1e-3) -> Trajectory:
     """Integrate from y0 for ceil(horizon / dt) fixed steps.
@@ -195,11 +245,15 @@ def integrate(spec: SystemSpec, y0, policy: Policy, horizon: float,
     horizon, with its law evaluated and checked against the box inside the
     loop.  A ``SchedulePolicy``'s runs are its pieces, found for all steps at
     once by ``step_pieces``, and each run's control is checked once.  Neither
-    calls ``Policy.control``.  Any other policy is asked for a control at
-    every step, and each step is a run of its own.  A control outside the
-    control set is reported at the time of the first step that holds it; a
-    non-finite state, or an arithmetic or domain error in the dynamics, at the
-    end of its step.
+    calls ``Policy.control``, and each of their runs stops stepping once it
+    parks, that is once a step maps its state to itself byte for byte: the
+    rest of the run repeats that state, and in a law run its control (see
+    ``_run_until_parked``).  A run that parks until the end of the horizon
+    sets the trajectory's ``parked``.  Any other policy is asked for a control
+    at every step, may read the time, and never parks; each of its steps is a
+    run of its own.  A control outside the control set is reported at the time of the
+    first step that holds it; a non-finite state, or an arithmetic or domain
+    error in the dynamics, at the end of its step.
     """
     if horizon <= 0 or dt <= 0:
         raise SimulationError("horizon and dt must be positive")
@@ -215,15 +269,18 @@ def integrate(spec: SystemSpec, y0, policy: Policy, horizon: float,
     # rows are appended as C doubles and reshaped once at the end
     y = tuple(y0.tolist())
     state_rows, control_rows = array("d", y), array("d")
+    parks = []  # the step at which each parked run parked
 
     if isinstance(policy, LawPolicy) and spec.control.kind == "box":
         if len(policy.law) != p:
             raise SimulationError(f"policy produced control of length {len(policy.law)}, "
                                   f"expected {p}")
         run = rk4_run_fn(spec, policy.law)
+        lows, highs = spec.control.limits()
         try:
-            done, y, escaped = run(y, *spec.control.limits(), dt, n_steps,
-                                   state_rows, control_rows)
+            (done, y, escaped), parked = _run_until_parked(
+                lambda y, k: run(y, lows, highs, dt, k, state_rows, control_rows),
+                y, n_steps, state_rows, m, control_rows, p)
         except (ArithmeticError, ValueError) as err:
             # ``^`` or ``exp`` overflowed, a division by 0, or ``sqrt`` or ``^``
             # left its domain; the run appended the states before the error
@@ -233,6 +290,8 @@ def integrate(spec: SystemSpec, y0, policy: Policy, horizon: float,
                                   f"at t={done * dt}")
         if done < n_steps:
             raise SimulationError(f"non-finite state at t={done * dt + dt}: {y}")
+        if parked is not None:
+            parks.append(parked)
         path = "closed-loop law"
     else:
         run = rk4_run_fn(spec)
@@ -253,18 +312,33 @@ def integrate(spec: SystemSpec, y0, policy: Policy, horizon: float,
             if not admits(u):
                 raise SimulationError(f"policy control {u} escapes the control region at t={t}")
             count = end - i
-            control_rows.extend(u * count)
             try:
-                done, y = run(y, u, dt, count, state_rows)
+                if held is None:  # one step, which may not park: the policy may read t
+                    control_rows.extend(u)
+                    (done, y), parked = run(y, u, dt, 1, state_rows), None
+                else:
+                    control_rows.extend(array("d", u) * count)
+                    (done, y), parked = _run_until_parked(
+                        lambda y, k: run(y, u, dt, k, state_rows), y, count, state_rows, m)
             except (ArithmeticError, ValueError) as err:  # as for a law run
                 done, y = len(state_rows) // m - 1 - i, repr(err)
             if done < count:
                 raise SimulationError(f"non-finite state at t={(i + done) * dt + dt}: {y}")
-    log.info("integrate: %d steps, %s, %.3f s", n_steps, path, time.perf_counter() - started)
+            if parked is not None:
+                parked += i
+                parks.append(parked)
+    if not parks:
+        parking = "not parked"
+    elif len(parks) == 1:
+        parking = f"parked at step {parks[0]}"
+    else:
+        parking = f"parked {len(parks)} times, first at step {parks[0]}"
+    log.info("integrate: %d steps, %s, %s, %.3f s", n_steps, path, parking,
+             time.perf_counter() - started)
     states = np.frombuffer(state_rows).reshape(n_steps + 1, m)
     return Trajectory(spec=spec, dt=dt, times=dt * np.arange(n_steps + 1), states=states,
                       controls=np.frombuffer(control_rows).reshape(n_steps, p),
-                      in_region=spec.region.contains(states))
+                      in_region=spec.region.contains(states), parked=parked)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +405,16 @@ def _occupation(traj: Trajectory, grid: Grid, atoms: np.ndarray,
     weights = np.zeros(grid.atom_count)
     np.add.at(weights, atoms, step_mass)
     return DiscreteMeasure(grid, weights)
+
+
+def _atoms(traj: Trajectory, grid: Grid) -> np.ndarray:
+    """The nearest atom of each step's (state, control), binning a parked tail
+    once: it repeats the pair of its first step, whose atom the rest take."""
+    if traj.parked is None:
+        return nearest_atom_index(grid, traj.states[:-1], traj.controls)
+    binned = traj.parked + 1
+    atoms = nearest_atom_index(grid, traj.states[:binned], traj.controls[:binned])
+    return np.concatenate([atoms, np.full(len(traj.controls) - binned, atoms[-1])])
 
 
 def empirical_occupational_measure(traj: Trajectory, grid: Grid) -> DiscreteMeasure:
@@ -446,13 +530,14 @@ def horizon_study(spec: SystemSpec, y0, policy: Policy, horizons,
     (:func:`~occlp.grid.nearest_atom_index`), and every window's membership
     LP is one call of :func:`~occlp.programs.membership_residual`, which
     solves the shortest window cold and each longer one warm from the window
-    before it.
+    before it.  When the run parks until its end (``Trajectory.parked``), its
+    tail repeats one (state, control) pair, which is binned once.
     """
     horizons = sorted(float(t) for t in horizons)
     if not horizons or horizons[0] <= 0:
         raise SimulationError("horizons must be a nonempty list of positive times")
     run = integrate(spec, y0, policy, horizons[-1], dt)
-    atoms = nearest_atom_index(grid, run.states[:-1], run.controls)
+    atoms = _atoms(run, grid)
     windows, measures = [], []
     for horizon in horizons:
         steps = math.ceil(horizon / dt)

@@ -333,6 +333,39 @@ def test_frozen_config_passes_every_command_and_matches_the_control_scan():
     assert values == pytest.approx(dict.fromkeys(values, scan), abs=1e-9)
 
 
+def test_info_log_says_where_the_acceptance_runs_park(caplog):
+    cfg = parse_config(ACCEPTANCE_CONFIG.read_text())
+    with caplog.at_level(logging.INFO, logger="occlp"):
+        run_study(cfg, sections=("simulate",))
+    lines = [r.getMessage() for r in caplog.records if r.name == "occlp.simulate"]
+    # steered for pi, then held at u = 0: both held-control runs park on the
+    # first held step; the periodic-family laws keep moving
+    assert lines[0].startswith("integrate: 200000 steps, 2 held-control runs, "
+                               "parked at step 3142, ")
+    assert lines[1].startswith("integrate: 120000 steps, 2 held-control runs, "
+                               "parked at step 315, ")
+    assert len(lines) == 5
+    assert all(", closed-loop law, not parked, " in line for line in lines[2:])
+
+
+@pytest.mark.parametrize("key,value", [
+    ("discount_rates", "[nan]"), ("abel_rates", "[nan]"), ("dt", "nan"), ("dt", "inf"),
+    ("horizons", "[inf]"), ("abel_horizon", "inf"), ("periodic_dt", "nan"),
+    ("epsilons", "[inf]"), ("abel_dt", "1e999"), ("inner_radius", "-inf"),
+])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, key, value):
+    # float() reads all of these, and nan and inf pass every "> 0" check
+    lines = ACCEPTANCE_CONFIG.read_text().splitlines()
+    [line] = [i for i, text in enumerate(lines, start=1) if text.startswith(f"{key} =")]
+    lines[line - 1] = f"{key} = {value}"
+    config_path = tmp_path / "study.conf"
+    config_path.write_text("\n".join(lines))
+    assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+    shown = repr(float(value.strip("[]")))
+    assert capsys.readouterr().err.strip() == (f"error: line {line}: {key} must be finite, "
+                                              f"got {shown}")
+
+
 def test_rotation_acceptance_config_study_passes():
     cfg = parse_config(ACCEPTANCE_CONFIG.read_text())
     bundle = run_study(cfg, sections=("solve", "sweep"), jobs=2)
@@ -463,7 +496,7 @@ periodic_dt = 0.01
     # the horizon run, the Abel run and the periodic candidate, in that order
     assert len(lines) == len(calls) == 3
     pattern = (r"integrate: (\d+) steps, (\d+ held-control runs|closed-loop law|feedback), "
-               r"\d+\.\d{3} s")
+               r"not parked, \d+\.\d{3} s")
     found = [re.fullmatch(pattern, line).groups() for line in lines]
     # two pieces per period of 2, over T = 3 and T = 25
     assert found[:2] == [("3000", "4 held-control runs"), ("2500", "26 held-control runs")]
@@ -472,7 +505,7 @@ periodic_dt = 0.01
     with caplog.at_level(logging.INFO, logger="occlp"):
         integrate(system.make_rotation(), (1.0, 0.0),
                   simulate.FeedbackPolicy(lambda y: (0.5,)), 0.05, 0.01)
-    assert caplog.records[-1].getMessage().startswith("integrate: 5 steps, feedback, ")
+    assert caplog.records[-1].getMessage().startswith("integrate: 5 steps, feedback, not parked, ")
 
 
 def test_info_log_has_one_line_per_membership_run(caplog):

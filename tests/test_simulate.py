@@ -9,7 +9,7 @@ from scipy.integrate import quad as integrate_quad
 
 from occlp import exprs, simulate, system
 from occlp.basis import basis_for_region, phi_matrix
-from occlp.grid import build_grid
+from occlp.grid import build_grid, nearest_atom_index
 from occlp.simulate import (ConstantPolicy, FeedbackPolicy, InsufficientHorizonError,
                             LawPolicy, PeriodicCandidate, SchedulePolicy, SimulationError,
                             StateConstraintError, abel_value, cesaro_value,
@@ -238,6 +238,53 @@ def test_failing_closed_loop_run_is_reported_like_step_by_step(dynamics):
     assert str(closed.value) == str(stepwise.value)
 
 
+# runs of thousands of steps, each parking at the step given: the rotation
+# steered half a turn and then held, the frozen system, a law that holds u = 0
+# while the state decays to a subnormal that RK4 maps to itself, and a start
+# at -0.0 that the first step maps to +0.0, so that only the second step parks
+_PARKING_RUNS = {
+    "steer-then-hold": (system.make_rotation(), (1.0, 0.0),
+                        SchedulePolicy([0.0, math.pi], [1.0, 0.0]), 20.0, 1e-3, 3142),
+    "frozen": (system.make_frozen(), (0.25, -0.75), ConstantPolicy(0.3), 50.0, 1e-2, 0),
+    "law": (_custom("-y1 + u1", 1), (0.75,), LawPolicy([exprs.parse_expr("0 * y1", 1, 0)]),
+            2500.0, 0.25, 2973),
+    "negative-zero": (system.make_frozen(), (-0.0, 0.5), ConstantPolicy(0.3), 50.0, 1e-2, 1),
+}
+
+
+@pytest.mark.parametrize("chunk", [simulate.PARK_CHUNK, 3])
+@pytest.mark.parametrize("name", list(_PARKING_RUNS))
+def test_parking_runs_match_step_by_step_integration(monkeypatch, name, chunk):
+    spec, y0, policy, horizon, dt, parked = _PARKING_RUNS[name]
+    monkeypatch.setattr(simulate, "PARK_CHUNK", chunk)
+    traj = integrate(spec, y0, policy, horizon, dt)
+    states, controls = _step_by_step(spec, y0, policy, horizon, dt)
+    assert len(traj.controls) > 4096
+    assert traj.parked == parked
+    assert traj.controls.tobytes() == controls.tobytes()
+    assert traj.states.tobytes() == states.tobytes()
+    if name == "negative-zero":
+        assert np.signbit(traj.states[:3, 0]).tolist() == [True, False, False]
+
+
+@pytest.mark.parametrize("chunk", [simulate.PARK_CHUNK, 3])
+@pytest.mark.parametrize("law", [None, "0 * y1"])
+def test_late_blow_up_is_reported_like_step_by_step(monkeypatch, law, chunk):
+    # y1' = y1^2 / 1000 from 1 blows up at t = 1000, after 10,000 steps of 0.1
+    spec = _custom("0.001 * y1 * y1 + u1", 1)
+    if law is None:
+        policy, stepwise = ConstantPolicy(0.0), FeedbackPolicy(lambda y: (0.0,))
+    else:
+        policy = LawPolicy([exprs.parse_expr(law, 1, 0)])
+        stepwise = FeedbackPolicy(policy.fn)
+    monkeypatch.setattr(simulate, "PARK_CHUNK", chunk)
+    with pytest.raises(SimulationError, match=r"^non-finite state at t=1000\.3\d*: ") as run:
+        integrate(spec, (1.0,), policy, 2000.0, 0.1)
+    with pytest.raises(SimulationError) as reference:
+        integrate(spec, (1.0,), stepwise, 2000.0, 0.1)
+    assert str(run.value) == str(reference.value)
+
+
 def test_integrate_validation(rotation):
     with pytest.raises(StateConstraintError):
         integrate(rotation, (0.1, 0.0), ConstantPolicy(0.0), 1.0)
@@ -463,12 +510,32 @@ def test_horizon_study_windows_are_separate_runs(rotation):
     for row in rows:
         alone = integrate(rotation, (1.0, 0.0), policy, row.horizon, 1e-3)
         assert row.trajectory.dt == alone.dt
-        for name in ("times", "states", "controls", "in_region"):
+        for name in ("times", "states", "controls", "in_region", "parked"):
             assert np.array_equal(getattr(row.trajectory, name), getattr(alone, name))
         measure = empirical_occupational_measure(alone, g)
         assert np.array_equal(row.measure.weights, measure.weights)
     with pytest.raises(SimulationError):
         horizon_study(rotation, (1.0, 0.0), policy, (0.0, 1.0), g, b)
+
+
+def test_parked_tail_is_binned_like_every_sample(rotation):
+    g = build_grid(rotation, (5, 16), 3)
+    b = basis_for_region(rotation.region, 2)
+    policy = SchedulePolicy([0.0, math.pi], [1.0, 0.0])
+    run = integrate(rotation, (1.0, 0.0), policy, 100.0, 1e-2)
+    assert run.parked == 315
+    every = nearest_atom_index(g, run.states[:-1], run.controls)
+    # the last steered sample (u = 1) and the parked one (u = 0) bin apart, so a
+    # tail taken to start one step early would move mass between atoms
+    assert every[run.parked - 1] != every[run.parked]
+    atoms = simulate._atoms(run, g)
+    assert atoms.dtype == every.dtype
+    assert atoms.tobytes() == every.tobytes()
+    rows = horizon_study(rotation, (1.0, 0.0), policy, (25.0, 50.0, 100.0), g, b, dt=1e-2)
+    for row in rows:
+        assert row.trajectory.parked == 315
+        measure = empirical_occupational_measure(row.trajectory, g)
+        assert row.measure.weights.tobytes() == measure.weights.tobytes()
 
 
 def test_policies():
