@@ -133,9 +133,10 @@ def _solve_all(instances, jobs: int):
     return solutions
 
 
-def _solve(instance):
-    """Solve one LP cold and log its line."""
-    solution = solve(instance)
+def _solve(instance, refine: bool = True):
+    """Solve one LP cold and log its line; ``refine=False`` for a caller that
+    reads only the value (see :func:`programs.solve`)."""
+    solution = solve(instance, refine=refine)
     log_solution(instance, solution)
     return solution
 
@@ -350,10 +351,11 @@ def _sweep_section(bundle, spec, grid, basis, cfg: StudyConfig, solve_results):
 
 
 def _convergence_section(bundle, spec, grid, basis, cfg: StudyConfig):
-    """Refinement study: value stability under angular doubling and degree bump."""
+    """Refinement study: value stability under angular doubling and degree bump.
+    It reads only LP values, so no LP here runs the minimal-mass refinement."""
     y0 = np.asarray(cfg.program.y0, dtype=float)
     base = _solve(build_nonergodic_lp(grid, basis, spec, y0,
-                                      xi_mass_cap=cfg.program.xi_mass_cap))
+                                      xi_mass_cap=cfg.program.xi_mass_cap), refine=False)
     if base.status != "optimal":
         bundle.record("convergence.base_solved", False, base.message)
         return
@@ -363,7 +365,7 @@ def _convergence_section(bundle, spec, grid, basis, cfg: StudyConfig):
     fine_grid = build_grid(spec, tuple(refined_res), cfg.grid.control_resolution)
     fine_basis = basis_for_region(spec.region, cfg.basis.degree + 2)
     fine = _solve(build_nonergodic_lp(fine_grid, fine_basis, spec, y0,
-                                      xi_mass_cap=cfg.program.xi_mass_cap))
+                                      xi_mass_cap=cfg.program.xi_mass_cap), refine=False)
     if fine.status != "optimal":
         bundle.record("convergence.refined_solved", False, fine.message)
         return
@@ -378,7 +380,7 @@ def _convergence_section(bundle, spec, grid, basis, cfg: StudyConfig):
     for degree in range(2, cfg.basis.degree + 1):
         sol = base if degree == cfg.basis.degree else _solve(build_nonergodic_lp(
             grid, basis_for_region(spec.region, degree), spec, y0,
-            xi_mass_cap=cfg.program.xi_mass_cap))
+            xi_mass_cap=cfg.program.xi_mass_cap), refine=False)
         if sol.status == "optimal":
             degree_rows.append([degree, sol.value])
     bundle.tables["degree_sweep"] = {"columns": ["degree", "value"], "rows": degree_rows}

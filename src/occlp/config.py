@@ -51,11 +51,15 @@ from .system import (ControlRegion, RegionError, StateRegion, SystemSpec, System
 
 
 class ConfigError(ValueError):
-    def __init__(self, message: str, line: int | None = None):
+    """A config error; ``key`` names the key at fault where the line is not
+    known yet (an error from :func:`build_system`)."""
+
+    def __init__(self, message: str, line: int | None = None, key: str | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+        self.key = key
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +229,7 @@ def _want_str(value, line: int, key: str) -> str:
 def _want_expr(value, line: int, key: str) -> str:
     # expressions may be bare numbers, which the tokeniser reads as floats
     if isinstance(value, float):
-        return repr(value)
+        return repr(_want_float(value, line, key))
     return _want_str(value, line, key)
 
 
@@ -333,7 +337,11 @@ def parse_config(text: str) -> StudyConfig:
 
     # cross-block validation: the system must build, its grid must build, y0
     # must be inside it and the policy must build for it
-    spec = build_system(cfg.system)
+    try:
+        spec = build_system(cfg.system)
+    except ConfigError as err:
+        text = str(err) if str(err).startswith(f"{err.key} ") else f"{err.key}: {err}"
+        raise ConfigError(text, line_of("system", err.key) or line_of("system", "name")) from err
     try:
         check_state_resolution(spec.region, cfg.grid.state_resolution)
     except GridError as err:
@@ -371,16 +379,23 @@ def _check_report_names(values, key: str, line: int | None):
 
 
 def build_system(cfg: SystemConfig) -> SystemSpec:
+    """The configured system.  It raises a ConfigError whose ``key`` names the
+    ``[system]`` key at fault."""
     try:
         return _build_system(cfg)
     except SystemSpecError as err:
-        raise ConfigError(str(err)) from err
+        annulus = cfg.name == "rotation" or (cfg.name == "custom" and cfg.region == "annulus")
+        key = {"dynamics_id": "dynamics", "cost_id": "cost",
+               "first_integrals": "first_integrals", "control": "control_lower",
+               "region": "inner_radius" if annulus else "lower"}.get(err.field, "name")
+        raise ConfigError(str(err), key=key) from err
 
 
 def _build_system(cfg: SystemConfig) -> SystemSpec:
     if cfg.name == "rotation":
         if not 0 < cfg.inner_radius <= cfg.outer_radius:
-            raise ConfigError("rotation needs 0 < inner_radius <= outer_radius")
+            raise ConfigError("rotation needs 0 < inner_radius <= outer_radius",
+                              key="inner_radius")
         return make_rotation(cfg.inner_radius, cfg.outer_radius, cost_id=cfg.cost,
                              bound_k=cfg.bound_k)
     if cfg.name == "frozen":
@@ -389,18 +404,18 @@ def _build_system(cfg: SystemConfig) -> SystemSpec:
         return make_scalar_drift(cost_id=cfg.cost, bound_k=cfg.bound_k)
     if cfg.name == "custom":
         return _build_custom_system(cfg)
-    raise ConfigError(f"unknown system name {cfg.name!r}")
+    raise ConfigError(f"unknown system name {cfg.name!r}", key="name")
 
 
 def _build_custom_system(cfg: SystemConfig) -> SystemSpec:
     if not cfg.dynamics:
-        raise ConfigError("custom systems need a dynamics array of expressions")
+        raise ConfigError("custom systems need a dynamics array of expressions", key="dynamics")
     if cfg.region == "annulus":
         region = StateRegion(kind="annulus", inner=cfg.inner_radius, outer=cfg.outer_radius)
     elif cfg.region == "box":
         region = StateRegion(kind="box", lower=cfg.lower, upper=cfg.upper)
     else:
-        raise ConfigError("custom systems need region = box or region = annulus")
+        raise ConfigError("custom systems need region = box or region = annulus", key="region")
     control = ControlRegion(kind="box", lower=cfg.control_lower, upper=cfg.control_upper)
     dynamics_id = ";".join(cfg.dynamics)
     probe = SystemSpec(name="custom", dynamics_id=dynamics_id, cost_id=cfg.cost,
@@ -413,7 +428,7 @@ def _build_custom_system(cfg: SystemConfig) -> SystemSpec:
                          ("cost", report.max_cost_abs)):
         if not math.isfinite(sampled):
             raise ConfigError(f"{key} is not finite on the sampled state region "
-                              f"(sampled maximum {sampled})")
+                              f"(sampled maximum {sampled})", key=key)
     # declared bounds are preferred to the sampled maxima with headroom
     return replace(probe,
                    bound_f=1.1 * report.max_dynamics_norm if cfg.bound_f is None else cfg.bound_f,

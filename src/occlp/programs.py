@@ -23,15 +23,23 @@ certified lower bound for the primal value (weak duality), which is asserted
 for every solve.
 
 Every LP here, including the membership LP, is solved on a HiGHS model built
-through scipy's bundled binding, by dual simplex with presolve off.  A
+through scipy's bundled binding, by dual simplex with presolve off.  The
+programs have a few dozen rows and thousands of columns, and a column's
+reduced cost is its certificate slack, so one mat-vec prices every atom: an
+LP with at least MASTER_MIN_COLUMNS_PER_ROW columns per row starts from a
+restricted master, the columns of a sub-lattice of states and of the start
+state, and grows it by the columns that price negative until none does
+(column generation); a master that does not end optimal gets every column.
+A smaller LP holds every column from the start.  The reported point, its
+residuals and the reduced costs are taken over every column either way.  A
 coupled program whose xi block carries no cost then gets its minimal xi mass
 on its optimal face from a cold solve of a model of its own, over the columns
 whose reduced cost is zero; the main model is left as solved.  An epsilon
 sweep is one model too: the perturbed programs share every row and
 differ only in their costs, so :func:`solve_chain` solves the first cold and
-each later one by changing the column costs and re-running from the previous
-optimal basis; any other LP gets a model of its own.  The binding's
-extension module is loaded straight from its file under
+each later one by changing the column costs, re-running from the previous
+optimal basis and pricing again; any other LP gets a model of its own.  The
+binding's extension module is loaded straight from its file under
 ``scipy/optimize/_highspy``: importing it by its dotted name would first run
 ``scipy.optimize``'s package import, about 0.6 s in every command process,
 for nothing used here.
@@ -96,6 +104,15 @@ COMPLEMENTARITY_TOL = 1e-6
 DUALITY_GAP_TOL = 1e-8
 CERTIFICATE_TOL = 1e-6
 FACE_TOL = 1e-9  # reduced cost on the optimal face; the refinement's feasibility tolerance
+# An LP with at least this many columns per equality row is solved on a
+# restricted master seeded with the columns of every MASTER_STATE_STRIDE-th
+# state; a smaller one holds every column from the start.  Measured on the
+# main solves of all four variants: the master took 1.3-4.2x the full LP's
+# time on degree-6 box layouts at 63-83 columns per row, 0.85x and 1.36x at
+# 105 and 130, and 0.52-0.58x from 157 to 335 (1.23x on a degree-4 box at
+# 154-159); on the annulus 0.27-0.71x at 62-208 and 1.3-1.5x at 29-49.
+MASTER_MIN_COLUMNS_PER_ROW = 128
+MASTER_STATE_STRIDE = 4
 # the bounds of the study's invariants (cli.py); CERTIFICATE_TOL bounds the
 # certificate's slacks there too
 REPORT_GAP_TOL = 1e-6  # relative duality gap of a solved LP
@@ -171,6 +188,9 @@ class LpSolution:
     message: str
     refine_iterations: int | None = None  # None when no minimal-mass refinement ran
     start: str = "cold"  # or "warm from <LP>", or "same LP as <LP>" for a shared solution
+    master_columns: int = 0  # columns in the model when it ended
+    pricing_rounds: int = 1  # runs of the main model, each followed by one pricing
+    fallback: bool = False  # a master that did not end optimal was grown to the full LP
 
 
 def lp_name(instance: LpInstance) -> str:
@@ -290,13 +310,18 @@ def _highs_run(cost: np.ndarray, a: np.ndarray, row_lower: np.ndarray,
     for option, setting in {"output_flag": False, "presolve": "off",
                             "simplex_strategy": 1, **options}.items():  # 1: dual simplex
         highs.setOptionValue(option, setting)
-    n_row, n_col = a.shape
-    start, index, value = _csc_triple(a)
     no_entries = np.zeros(0, dtype=np.int32)
-    highs.addRows(n_row, row_lower, row_upper, 0, no_entries, no_entries, np.zeros(0))
+    highs.addRows(a.shape[0], row_lower, row_upper, 0, no_entries, no_entries, np.zeros(0))
+    _add_columns(highs, cost, a)
+    return (highs, *_rerun(highs))
+
+
+def _add_columns(highs: _Highs, cost: np.ndarray, a: np.ndarray) -> None:
+    """Append the columns of ``a``, with their costs, as x >= 0 to the model."""
+    n_col = a.shape[1]
+    start, index, value = _csc_triple(a)
     highs.addCols(n_col, cost, np.zeros(n_col), np.full(n_col, np.inf), len(index),
                   start[:-1], index, value)
-    return (highs, *_rerun(highs))
 
 
 def _csc_triple(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -349,13 +374,16 @@ def _minimal_mass_refinement(instance: LpInstance, a_eq: np.ndarray, objective: 
 
 
 def log_solution(instance: LpInstance, solution: LpSolution) -> None:
-    """One INFO line with the LP's size, how it was started and how it ended."""
+    """One INFO line with the LP's size, its master, how it was started and how
+    it ended."""
     refinement = ("not run" if solution.refine_iterations is None
                   else f"{solution.refine_iterations} iterations")
-    log.info("%s: %d rows, %d columns, start %s, %d iterations, status %s, "
-             "xi_canonical %s, cap_dual %.6g, refinement %s", lp_name(instance),
-             len(instance.row_meta), instance.n_gamma + instance.n_xi, solution.start,
-             solution.iterations, solution.status, solution.xi_canonical,
+    log.info("%s: %d rows, master %d of %d columns, %d pricing rounds, fallback %s, "
+             "start %s, %d iterations, status %s, xi_canonical %s, cap_dual %.6g, "
+             "refinement %s", lp_name(instance), len(instance.row_meta),
+             solution.master_columns, instance.n_gamma + instance.n_xi,
+             solution.pricing_rounds, "ran" if solution.fallback else "not run",
+             solution.start, solution.iterations, solution.status, solution.xi_canonical,
              solution.cap_dual, refinement)
 
 
@@ -372,11 +400,68 @@ def _same_rows(a: LpInstance, b: LpInstance) -> bool:
             and (not a.has_xi or np.array_equal(a.eq_xi, b.eq_xi)))
 
 
+def _seed_columns(instance: LpInstance) -> np.ndarray:
+    """The columns a cold model starts from, in the order it holds them.
+
+    An LP with fewer than MASTER_MIN_COLUMNS_PER_ROW columns per equality row
+    starts from every column.  A larger one starts from a restricted master:
+    the gamma and xi columns of every MASTER_STATE_STRIDE-th state in lattice
+    order (on the annulus, every 4th angle of every ring) and of y0's snapped
+    state."""
+    n_g = instance.n_gamma
+    n_col = n_g + instance.n_xi
+    if n_col < MASTER_MIN_COLUMNS_PER_ROW * len(instance.row_meta):
+        return np.arange(n_col)
+    grid = instance.grid
+    seeded = np.zeros(grid.state_points.shape[0], dtype=bool)
+    seeded[::MASTER_STATE_STRIDE] = True
+    if "y0" in instance.provenance:
+        seeded[snap_to_state_grid(grid, instance.provenance["y0"])[0]] = True
+    atoms = np.flatnonzero(np.repeat(seeded, grid.control_points.shape[0]))
+    return np.concatenate([atoms, n_g + atoms]) if instance.has_xi else atoms
+
+
+def _grow_master(highs: _Highs, columns: np.ndarray, objective: np.ndarray, a: np.ndarray,
+                 status: str) -> tuple[np.ndarray, str, int, int, bool]:
+    """Grow a restricted master that has just been run until it solves the full LP.
+
+    ``columns`` maps the model's columns to the columns of ``a`` (every
+    constraint row, the cap row included) and ``objective``.  While the master
+    ends optimal, every column is priced with one mat-vec, c - A^T y over the
+    model's row duals; each column outside the master whose reduced cost is
+    below -FACE_TOL * (1 + |c|) is added, and the model is re-run warm.  A
+    master that does not end optimal gets every remaining column, which makes
+    it the full LP, and is re-run.  Columns are only ever added, so this ends.
+
+    Returns the columns, the last status, the simplex iterations of the
+    re-runs, the number of re-runs and whether the full-LP fallback ran."""
+    in_master = np.zeros(a.shape[1], dtype=bool)
+    in_master[columns] = True
+    iterations, reruns, fallback = 0, 0, False
+    while not in_master.all():
+        if status == "optimal":
+            duals = np.asarray(highs.getSolution().row_dual)
+            priced = objective - a.T @ duals < -FACE_TOL * (1.0 + np.abs(objective))
+            add = np.flatnonzero(priced & ~in_master)
+            if not len(add):
+                break
+        else:
+            add, fallback = np.flatnonzero(~in_master), True
+        _add_columns(highs, objective[add], a[:, add])
+        columns = np.concatenate([columns, add])
+        in_master[add] = True
+        status, more = _rerun(highs)
+        iterations, reruns = iterations + more, reruns + 1
+    return columns, status, iterations, reruns, fallback
+
+
 @dataclass
 class _Chain:
-    """The HiGHS model a chain of LPs hands on, and the LP whose optimal basis it holds."""
+    """The HiGHS model a chain of LPs hands on, the columns it holds and the LP
+    whose optimal basis it holds."""
 
     highs: _Highs | None = None
+    columns: np.ndarray | None = None
     holder: LpInstance | None = None
 
 
@@ -384,24 +469,38 @@ def solve_chain(instances) -> list[LpSolution]:
     """Solve LPs in turn, handing one HiGHS model from each to the next.
 
     An LP that shares every row with the LP before it, where that one ended
-    optimal, only changes the column costs and re-runs from its optimal
-    basis; so in a sweep over costs alone, such as the epsilon sweep, only the
-    first LP is solved cold.  An LP whose xi gets the minimal-mass refinement
-    is solved cold and hands nothing on; the refinement itself runs in a model
-    of its own.  A chain of one is one cold solve."""
+    optimal, only changes the costs of the columns the model holds, re-runs
+    from its optimal basis and is priced again: so in a sweep over costs
+    alone, such as the epsilon sweep, only the first LP is solved cold, and
+    the restricted master grows across the sweep.  An LP whose xi gets the
+    minimal-mass refinement is solved cold and hands nothing on; the
+    refinement itself runs in a model of its own.  A chain of one is one cold
+    solve."""
     chain = _Chain()
     return [solve(instance, chain) for instance in instances]
 
 
-def solve(instance: LpInstance, chain: _Chain | None = None) -> LpSolution:
+def solve(instance: LpInstance, chain: _Chain | None = None,
+          refine: bool = True) -> LpSolution:
     """Solve one LP (dual simplex, presolve off): cold on a model of its own, or
     warm on the model of a :func:`solve_chain` when that allows it.
 
-    When the xi block carries no cost, the minimal-mass xi on the optimal face
-    comes from :func:`_minimal_mass_refinement`, in a model of its own; the
-    value, the duals and the cap dual stay those of the main solve.  Optimality is
-    demoted to tolerance-failure when the returned point violates the residual
-    or duality-gap contracts."""
+    A cold model starts from the columns of :func:`_seed_columns`, every column
+    of a small LP or a restricted master of a large one, and
+    :func:`_grow_master` adds the columns that price negative until none does
+    (or, if a master does not end optimal, every column) before any status is
+    reported.  The point, the residuals, the complementarity and the reduced
+    costs are then taken over every column of the LP, so each column's
+    certificate slack is at least -FACE_TOL * (1 + |c|) or HiGHS's dual
+    feasibility tolerance.
+
+    When the xi block carries no cost and ``refine`` holds, the minimal-mass
+    xi on the optimal face comes from :func:`_minimal_mass_refinement`, in a
+    model of its own, over the face of the full column set; the value, the
+    duals and the cap dual stay those of the main solve.  A caller that reads
+    only the value passes ``refine=False``, and its xi is then not canonical.
+    Optimality is demoted to tolerance-failure when the returned point
+    violates the residual or duality-gap contracts."""
     n_g, n_x = instance.n_gamma, instance.n_xi
     if instance.has_xi:
         objective = np.concatenate([instance.objective_gamma, instance.objective_xi])
@@ -418,26 +517,32 @@ def solve(instance: LpInstance, chain: _Chain | None = None) -> LpSolution:
         lower = np.append(lower, -np.inf)
         upper = np.append(upper, instance.xi_mass_cap)
 
-    refine = needs_refinement(instance)
-    if chain is not None and chain.highs is not None and not refine \
+    weightless = needs_refinement(instance)
+    if chain is not None and chain.highs is not None and not weightless \
             and _same_rows(chain.holder, instance):
-        highs, start = chain.highs, f"warm from {lp_name(chain.holder)}"
-        columns = np.arange(len(objective), dtype=np.int32)
-        highs.changeColsCost(len(columns), columns, objective)
+        highs, columns, start = chain.highs, chain.columns, f"warm from {lp_name(chain.holder)}"
+        highs.changeColsCost(len(columns), np.arange(len(columns), dtype=np.int32),
+                             objective[columns])
         status, iterations = _rerun(highs)
     else:
-        start = "cold"
-        highs, status, iterations = _highs_run(objective, a, lower, upper)
+        start, columns = "cold", _seed_columns(instance)
+        highs, status, iterations = _highs_run(objective[columns], a[:, columns], lower, upper)
+    columns, status, more, reruns, fallback = _grow_master(highs, columns, objective, a,
+                                                           status)
+    iterations += more
+    master = dict(master_columns=len(columns), pricing_rounds=1 + reruns, fallback=fallback)
     if chain is not None:
-        keep = status == "optimal" and not refine
-        chain.highs, chain.holder = (highs, instance) if keep else (None, None)
+        keep = status == "optimal" and not weightless
+        chain.highs, chain.columns, chain.holder = ((highs, columns, instance) if keep
+                                                    else (None, None, None))
     message = highs.modelStatusToString(highs.getModelStatus())
     if status != "optimal":
         return LpSolution(status, None, None, None, None, 0.0, False, False, None,
-                          np.inf, np.inf, iterations, message, start=start)
+                          np.inf, np.inf, iterations, message, start=start, **master)
 
     found = highs.getSolution()
-    x = np.asarray(found.col_value)
+    x = np.zeros(len(objective))
+    x[columns] = found.col_value
     duals = np.asarray(found.row_dual)
     value = float(highs.getInfo().objective_function_value)
     gamma = DiscreteMeasure(instance.grid, np.maximum(x[:n_g], 0.0))
@@ -458,9 +563,9 @@ def solve(instance: LpInstance, chain: _Chain | None = None) -> LpSolution:
     # solver may park at an arbitrary vertex (including the cap).  A secondary
     # mass-minimising solve over the optimal face yields a canonical pair, and
     # only then does a binding cap signal anything structural.
-    xi_mass_canonical = instance.has_xi
+    xi_mass_canonical = instance.has_xi and not weightless
     refine_iterations = None
-    if refine:
+    if weightless and refine:
         refine_iterations, refined = _minimal_mass_refinement(instance, a_eq, objective,
                                                               reduced, value, cap_dual)
         xi_mass_canonical = refined is not None
@@ -484,7 +589,7 @@ def solve(instance: LpInstance, chain: _Chain | None = None) -> LpSolution:
 
     return LpSolution(status, value, gamma, xi, row_duals, cap_dual, cap_binding,
                       xi_mass_canonical, dual_objective, primal_residual, complementarity,
-                      iterations, message, refine_iterations, start)
+                      iterations, message, refine_iterations, start, **master)
 
 
 # ---------------------------------------------------------------------------

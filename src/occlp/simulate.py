@@ -180,6 +180,12 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1].copy()
 
+    @property
+    def distinct_steps(self) -> int:
+        """The steps before a parked tail and its first step: every later step
+        repeats that step's state, control and next state."""
+        return len(self.controls) if self.parked is None else self.parked + 1
+
     def prefix(self, steps: int) -> Trajectory:
         """The first ``steps`` steps, as views into this trajectory."""
         parked = self.parked if self.parked is not None and self.parked < steps else None
@@ -336,20 +342,39 @@ def integrate(spec: SystemSpec, y0, policy: Policy, horizon: float,
     log.info("integrate: %d steps, %s, %s, %.3f s", n_steps, path, parking,
              time.perf_counter() - started)
     states = np.frombuffer(state_rows).reshape(n_steps + 1, m)
+    # a parked tail repeats one state, so it is tested once
+    tested = n_steps + 1 if parked is None else parked + 1
     return Trajectory(spec=spec, dt=dt, times=dt * np.arange(n_steps + 1), states=states,
                       controls=np.frombuffer(control_rows).reshape(n_steps, p),
-                      in_region=spec.region.contains(states), parked=parked)
+                      in_region=_with_tail(spec.region.contains(states[:tested]), n_steps + 1),
+                      parked=parked)
+
+
+def _with_tail(head: np.ndarray, length: int) -> np.ndarray:
+    """``head`` extended to ``length`` entries by repeats of its last entry."""
+    if len(head) == length:
+        return head
+    return np.concatenate([head, np.full(length - len(head), head[-1])])
 
 
 # ---------------------------------------------------------------------------
 # values
 
 
+def _endpoint_costs(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """The cost at the start and at the end of each step, under the step's
+    control.  Every step of a parked tail has its first step's state at both
+    ends and its first step's control, so the tail is costed once."""
+    k = cost_batch(traj.spec)
+    n, costed = len(traj.controls), traj.distinct_steps
+    left = k(traj.states[:costed], traj.controls[:costed])
+    right = k(traj.states[1:costed + 1], traj.controls[:costed])
+    return _with_tail(left, n), _with_tail(right, n)
+
+
 def _step_costs(traj: Trajectory) -> np.ndarray:
     """Trapezoidal per-step cost integrals (control frozen within each step)."""
-    k = cost_batch(traj.spec)
-    left = k(traj.states[:-1], traj.controls)
-    right = k(traj.states[1:], traj.controls)
+    left, right = _endpoint_costs(traj)
     return 0.5 * (left + right) * traj.dt
 
 
@@ -386,9 +411,9 @@ def abel_value(spec: SystemSpec, y0, policy: Policy, rate: float,
     traj = integrate(spec, y0, policy, horizon, dt)
     if not traj.fully_in_region:
         raise StateConstraintError("trajectory leaves the region")
-    k = cost_batch(traj.spec)
-    left = k(traj.states[:-1], traj.controls) * np.exp(-rate * traj.times[:-1])
-    right = k(traj.states[1:], traj.controls) * np.exp(-rate * traj.times[1:])
+    left, right = _endpoint_costs(traj)
+    left = left * np.exp(-rate * traj.times[:-1])
+    right = right * np.exp(-rate * traj.times[1:])
     value = rate * float(np.sum(0.5 * (left + right) * traj.dt))
     return AbelValue(value=value, tail_bound=tail, horizon=traj.horizon)
 
@@ -410,11 +435,9 @@ def _occupation(traj: Trajectory, grid: Grid, atoms: np.ndarray,
 def _atoms(traj: Trajectory, grid: Grid) -> np.ndarray:
     """The nearest atom of each step's (state, control), binning a parked tail
     once: it repeats the pair of its first step, whose atom the rest take."""
-    if traj.parked is None:
-        return nearest_atom_index(grid, traj.states[:-1], traj.controls)
-    binned = traj.parked + 1
-    atoms = nearest_atom_index(grid, traj.states[:binned], traj.controls[:binned])
-    return np.concatenate([atoms, np.full(len(traj.controls) - binned, atoms[-1])])
+    binned = traj.distinct_steps
+    return _with_tail(nearest_atom_index(grid, traj.states[:binned], traj.controls[:binned]),
+                      len(traj.controls))
 
 
 def empirical_occupational_measure(traj: Trajectory, grid: Grid) -> DiscreteMeasure:

@@ -26,7 +26,13 @@ from . import exprs
 
 
 class SystemSpecError(ValueError):
-    pass
+    """An invalid system; ``field`` names the part at fault (a ``SystemSpec``
+    field: ``dynamics_id``, ``cost_id``, ``first_integrals``, ``region`` or
+    ``control``) when one is."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class UnknownEvaluatorError(SystemSpecError):
@@ -77,14 +83,14 @@ class StateRegion:
     def __post_init__(self):
         if self.kind == "box":
             if len(self.lower) != len(self.upper) or not self.lower:
-                raise RegionError("box needs matching lower/upper vectors")
+                raise RegionError("box needs matching lower/upper vectors", "region")
             if not all(lo < hi for lo, hi in zip(self.lower, self.upper)):
-                raise RegionError("box needs lower < upper componentwise")
+                raise RegionError("box needs lower < upper componentwise", "region")
         elif self.kind == "annulus":
             if not 0.0 < self.inner <= self.outer:
-                raise RegionError("annulus needs 0 < inner <= outer")
+                raise RegionError("annulus needs 0 < inner <= outer", "region")
         else:
-            raise RegionError(f"unknown region kind {self.kind!r}")
+            raise RegionError(f"unknown region kind {self.kind!r}", "region")
 
     @property
     def dim(self) -> int:
@@ -215,14 +221,14 @@ class ControlRegion:
     def __post_init__(self):
         if self.kind == "box":
             if len(self.lower) != len(self.upper) or not self.lower:
-                raise RegionError("control box needs matching lower/upper vectors")
+                raise RegionError("control box needs matching lower/upper vectors", "control")
             if not all(lo <= hi for lo, hi in zip(self.lower, self.upper)):
-                raise RegionError("control box needs lower <= upper")
+                raise RegionError("control box needs lower <= upper", "control")
         elif self.kind == "finite":
             if not self.points:
-                raise RegionError("finite control set is empty")
+                raise RegionError("finite control set is empty", "control")
         else:
-            raise RegionError(f"unknown control kind {self.kind!r}")
+            raise RegionError(f"unknown control kind {self.kind!r}", "control")
 
     @property
     def dim(self) -> int:
@@ -277,11 +283,12 @@ def _parsed_dynamics(dyn_id: str, m: int, p: int) -> tuple[exprs.Node, ...]:
         part.strip() for part in dyn_id.split(";"))
     if len(expressions) != m:
         raise DimensionMismatchError(
-            f"dynamics_id {dyn_id!r} has {len(expressions)} components, state dim {m}")
+            f"dynamics_id {dyn_id!r} has {len(expressions)} components, state dim {m}",
+            "dynamics_id")
     try:
         return tuple(exprs.parse_expr(text, m, p) for text in expressions)
     except exprs.ExpressionError as err:
-        raise UnknownEvaluatorError(f"dynamics_id {dyn_id!r}: {err}") from err
+        raise UnknownEvaluatorError(f"dynamics_id {dyn_id!r}: {err}", "dynamics_id") from err
 
 
 @lru_cache(maxsize=None)
@@ -289,7 +296,7 @@ def _parsed_cost(cost_id: str, m: int, p: int) -> exprs.Node:
     try:
         return exprs.parse_expr(cost_id, m, p)
     except exprs.ExpressionError as err:
-        raise UnknownEvaluatorError(f"unknown cost_id {cost_id!r}: {err}") from err
+        raise UnknownEvaluatorError(f"unknown cost_id {cost_id!r}: {err}", "cost_id") from err
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +362,8 @@ def _first_integral_nodes(text: str, m: int) -> tuple[exprs.Node, tuple[exprs.No
         node = exprs.parse_expr(text, m, 0)
         return node, tuple(exprs.diff(node, j) for j in range(m))
     except exprs.ExpressionError as err:
-        raise UnknownEvaluatorError(f"first integral {text!r}: {err}") from err
+        raise UnknownEvaluatorError(f"first integral {text!r}: {err}",
+                                    "first_integrals") from err
 
 
 def dynamics_fn(spec: SystemSpec):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occlp import cli, simulate, system
+from occlp import cli, programs, simulate, system
 from occlp.cli import ReportBundle, emit_report, main, run_study
 from occlp.config import (ConfigError, StudyConfig, build_policy, build_system,
                           default_config_text, parse_config)
@@ -366,6 +366,39 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, key, value):
                                               f"got {shown}")
 
 
+@pytest.mark.parametrize("edits,at,message", [
+    ({"cost": "1e999"}, "cost", "cost must be finite, got inf"),
+    ({"cost": "fast"}, "cost", "cost: unknown cost_id 'fast': unknown name 'fast'"),
+    ({"cost": "y3"}, "cost", "cost: unknown cost_id 'y3'"),
+    ({"inner_radius": "2.0"}, "inner_radius",
+     "inner_radius: rotation needs 0 < inner_radius <= outer_radius"),
+    ({"name": "spinning"}, "name", "name: unknown system name 'spinning'"),
+    ({"name": "frozen", "cost": "u2"}, "cost", "cost: unknown cost_id 'u2'"),
+    # a custom system without a dynamics key: the error takes the line of `name`
+    ({"name": "custom"}, "name", "dynamics: custom systems need a dynamics array"),
+    ({"name": "custom\nregion = annulus\ndynamics = [-y2 * u1]"}, "dynamics",
+     r"dynamics: dynamics_id '-y2 \* u1' has 1 components, state dim 2"),
+    ({"name": "custom\nregion = annulus\ndynamics = [-y2 * u1, y1 * u1]\n"
+              "first_integrals = [y1^2 + y2^2, u1]"}, "first_integrals",
+     "first_integrals: first integral 'u1'"),
+    ({"name": "custom\nregion = box\ndynamics = [-y1 + u1, -y2]\ncontrol_lower = [2.0]"},
+     "control_lower", "control_lower: control box needs lower <= upper"),
+])
+def test_system_build_errors_name_the_line_and_the_key(tmp_path, capsys, edits, at, message):
+    lines = ACCEPTANCE_CONFIG.read_text().splitlines()
+    for key, value in edits.items():
+        [i] = [i for i, text in enumerate(lines) if text.startswith(f"{key} =")]
+        lines[i] = f"{key} = {value}"
+    text = "\n".join(lines)
+    [line] = [i for i, t in enumerate(text.splitlines(), start=1) if t.startswith(f"{at} =")]
+    with pytest.raises(ConfigError, match=f"^line {line}: {message}"):
+        parse_config(text)
+    config_path = tmp_path / "study.conf"
+    config_path.write_text(text)
+    assert main(["solve", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+
+
 def test_rotation_acceptance_config_study_passes():
     cfg = parse_config(ACCEPTANCE_CONFIG.read_text())
     bundle = run_study(cfg, sections=("solve", "sweep"), jobs=2)
@@ -446,11 +479,16 @@ def test_info_log_has_one_line_per_lp(caplog):
     lines = [r.getMessage() for r in caplog.records if r.name == "occlp.programs"]
     names = [key.removesuffix(".status") for key in bundle.values if key.endswith(".status")]
     assert [line.partition(": ")[0] for line in lines] == names
-    pattern = (r"\S+: \d+ rows, \d+ columns, "
+    pattern = (r"\S+: \d+ rows, master (\d+) of (\d+) columns, \d+ pricing rounds, "
+               r"fallback (ran|not run), "
                r"start (cold|warm from \S+|same LP as \S+), \d+ iterations, status optimal, "
                r"xi_canonical (True|False), cap_dual \S+, "
                r"refinement (not run|\d+ iterations)")
-    assert all(re.fullmatch(pattern, line) for line in lines)
+    matches = [re.fullmatch(pattern, line) for line in lines]
+    assert all(matches)
+    # these LPs are below the master's crossover: each holds every column, once
+    assert all(m[1] == m[2] for m in matches)
+    assert all(", 1 pricing rounds, fallback not run, " in line for line in lines)
     # perturbed[eps=0] is the nonergodic LP: it logs its line without a solve
     [shared] = [line for line in lines if line.startswith("perturbed[eps=0]:")]
     assert ", start same LP as nonergodic, " in shared
@@ -461,6 +499,20 @@ def test_info_log_has_one_line_per_lp(caplog):
     assert re.search(r"refinement \d+ iterations$", nonergodic)
     assert all(line.endswith("refinement not run") for line in lines
                if line.startswith(("ergodic:", "discounted")))
+
+
+def test_convergence_reads_values_only_and_skips_the_refinement(monkeypatch):
+    cfg = parse_config(ACCEPTANCE_CONFIG.read_text())
+    refined = []
+    refinement = programs._minimal_mass_refinement
+    monkeypatch.setattr(programs, "_minimal_mass_refinement",
+                        lambda *args: refined.append(1) or refinement(*args))
+    skipped = run_study(cfg, sections=("convergence",)).to_dict()
+    assert refined == []
+    # the same study with every LP refined writes the same report
+    monkeypatch.setattr(cli, "solve", lambda instance, refine: programs.solve(instance))
+    assert run_study(cfg, sections=("convergence",)).to_dict() == skipped
+    assert len(refined) == 4  # base, refined, degrees 2 and 3
 
 
 def test_info_log_has_one_line_per_integration(caplog, monkeypatch):
@@ -743,8 +795,9 @@ def test_custom_system_that_is_not_finite_on_its_region_is_rejected(key, dynamic
             f"[program]\ny0 = [0.5, -0.5]\n")
     # declaring both bounds does not skip the sample
     for declared in ("", "bound_f = 10.0\nbound_k = 10.0\n"):
+        line = 6 if key == "dynamics" else 7
         with pytest.raises(ConfigError,
-                           match=f"^{key} is not finite on the sampled state region"):
+                           match=f"^line {line}: {key} is not finite on the sampled state region"):
             parse_config(text.replace("[program]", declared + "[program]"))
 
 
@@ -758,7 +811,8 @@ def test_declared_bounds_are_kept_and_do_not_skip_the_finiteness_check(tmp_path,
     config_path = tmp_path / "nan.conf"
     config_path.write_text(text.replace("-y1 + u1", "sqrt(y1) - 1 + u1"))
     assert main(["solve", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
-    assert "error: dynamics is not finite on the sampled state region" in capsys.readouterr().err
+    assert ("error: line 6: dynamics is not finite on the sampled state region"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("entry", ["y1 + * 2", "y3", "y1 + u1", "abs(y1)"])
@@ -768,7 +822,8 @@ def test_malformed_first_integral_is_a_config_error(tmp_path, capsys, entry):
                            f"first_integrals = [{entry}]\ncost = 1\n"
                            "[program]\ny0 = [0.5, -0.5]\n")
     assert main(["solve", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
-    assert f"error: first integral {entry!r}: " in capsys.readouterr().err
+    assert (f"error: line 5: first_integrals: first integral {entry!r}: "
+            in capsys.readouterr().err)
 
 
 def test_cli_failure_exit_enumerates(tmp_path, capsys, monkeypatch):

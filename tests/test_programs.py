@@ -781,3 +781,131 @@ def test_binding_cap_keeps_the_refined_point_optimal(rotation_setup, cap):
     objective = np.concatenate([instance.objective_gamma, instance.objective_xi])
     x = np.concatenate([solution.gamma.weights, solution.xi.weights])
     assert objective @ x == pytest.approx(solution.value, abs=programs.DUALITY_GAP_TOL)
+
+
+# ---------------------------------------------------------------------------
+# the restricted master
+
+def _full_model(monkeypatch):
+    """Make every LP start from all of its columns, as below the crossover."""
+    monkeypatch.setattr(programs, "MASTER_MIN_COLUMNS_PER_ROW", np.inf)
+
+
+def _priced_out(instance, solution) -> bool:
+    """Whether no column of the LP prices below -FACE_TOL * (1 + |c|) against
+    the solution's duals, c - A^T y - cap dual: the master's pricing bound,
+    which HiGHS also meets on the master's own columns here."""
+    objective, a_eq = instance.objective_gamma, instance.eq_gamma
+    if instance.has_xi:
+        objective = np.concatenate([objective, instance.objective_xi])
+        a_eq = np.hstack([a_eq, instance.eq_xi])
+    reduced = objective - a_eq.T @ solution.row_duals
+    if instance.has_xi:
+        reduced[instance.n_gamma:] -= solution.cap_dual
+    return bool(np.all(reduced >= -programs.FACE_TOL * (1.0 + np.abs(objective))))
+
+
+@pytest.fixture(scope="module")
+def master_setups():
+    """An acceptance LP grid, an M-size grid and a box above the crossover
+    (16 x 16 at degree 4: 154-159 columns per row)."""
+    rotation = system.make_rotation()
+    box = build_system(parse_config(BOX_CUSTOM).system)
+    setups = {"acceptance": (rotation, (5, 64), 4, (1.0, 0.0)),
+              "m-size": (rotation, (5, 128), 6, (0.0, 1.25)),
+              "box": (box, (16, 16), 4, (0.5, -0.5))}
+    return {name: (spec, build_grid(spec, res, 9), basis_for_region(spec.region, degree), y0)
+            for name, (spec, res, degree, y0) in setups.items()}
+
+
+def _variants(spec, g, b, y0):
+    return [build_ergodic_lp(g, b, spec), build_nonergodic_lp(g, b, spec, y0),
+            build_discounted_lp(g, b, spec, y0, 0.05), build_perturbed_lp(g, b, spec, y0, 0.1)]
+
+
+@pytest.mark.parametrize("setup", ["acceptance", "m-size", "box"])
+def test_master_matches_the_full_model(master_setups, monkeypatch, setup):
+    spec, g, b, y0 = master_setups[setup]
+    instances = _variants(spec, g, b, y0)
+    crossover = programs.MASTER_MIN_COLUMNS_PER_ROW
+    mastered = [solve(instance) for instance in instances]
+    _full_model(monkeypatch)
+    for instance, solution in zip(instances, mastered):
+        columns = instance.n_gamma + instance.n_xi
+        assert columns >= crossover * len(instance.row_meta)
+        assert solution.status == "optimal" and not solution.fallback
+        assert solution.master_columns < columns
+        full = solve(instance)
+        assert full.master_columns == columns and full.pricing_rounds == 1
+        assert solution.value == pytest.approx(full.value, rel=1e-9, abs=1e-12)
+        assert solution.xi_canonical == full.xi_canonical
+        if instance.has_xi and not np.any(instance.objective_xi):
+            assert solution.xi.total_mass == pytest.approx(full.xi.total_mass, rel=1e-6)
+        # the certificate holds on every atom of the full grid
+        assert _priced_out(instance, solution)
+        if instance.provenance["variant"] != "discounted":
+            cert = extract_dual_certificate(solution, instance, b)
+            assert certificate_holds(cert, g, b, spec)
+
+
+def test_master_seed_is_a_sub_lattice_with_the_start_state(master_setups):
+    spec, g, b, _ = master_setups["acceptance"]
+    start = 2 * 64 + 5  # the 6th angle of the 3rd ring: not on the sub-lattice
+    instance = build_nonergodic_lp(g, b, spec, g.state_points[start])
+    seed = programs._seed_columns(instance)
+    n_controls = g.control_points.shape[0]
+    states = np.unique(seed[seed < instance.n_gamma] // n_controls)
+    assert programs.MASTER_STATE_STRIDE == 4
+    assert states.tolist() == sorted([*range(0, len(g.state_points), 4), start])
+    # every control of each seeded state, in the gamma block and then the xi block
+    assert seed.tolist() == [*(gamma := [s * n_controls + k for s in states.tolist()
+                                         for k in range(n_controls)]),
+                             *(instance.n_gamma + np.array(gamma)).tolist()]
+
+
+def test_infeasible_master_falls_back_to_the_full_lp(master_setups, monkeypatch):
+    spec, g, b, y0 = master_setups["acceptance"]
+    instance = build_nonergodic_lp(g, b, spec, y0)
+    reference = solve(instance)
+    # xi columns alone cannot meet the normalization row 1.g = 1
+    monkeypatch.setattr(programs, "_seed_columns",
+                        lambda lp: np.arange(lp.n_gamma, lp.n_gamma + lp.n_xi))
+    solution = solve(instance)
+    assert solution.fallback and solution.status == "optimal"
+    assert solution.master_columns == instance.n_gamma + instance.n_xi
+    assert solution.pricing_rounds == 2
+    assert solution.value == pytest.approx(reference.value, rel=1e-9)
+    assert solution.xi_canonical
+
+
+def test_warm_chain_grows_one_master(master_setups):
+    spec, g, b, y0 = master_setups["m-size"]
+    epsilons = (0.1, 0.01, 0.001)
+    instances = [build_perturbed_lp(g, b, spec, y0, eps) for eps in epsilons]
+    chained = solve_chain(instances)
+    assert [s.start for s in chained] == ["cold", "warm from perturbed[eps=0.1]",
+                                          "warm from perturbed[eps=0.01]"]
+    sizes = [s.master_columns for s in chained]
+    assert sizes == sorted(sizes) and sizes[-1] < instances[0].n_gamma + instances[0].n_xi
+    for instance, solution in zip(instances, chained):
+        cold = solve(instance)
+        assert solution.status == "optimal"
+        assert solution.value == pytest.approx(cold.value, rel=1e-9, abs=1e-12)
+        assert _priced_out(instance, solution)
+
+
+def test_lp_below_the_crossover_is_built_once_with_every_column(frozen_setup, monkeypatch):
+    spec, g, b = frozen_setup
+    added = []
+    add_columns = programs._add_columns
+    monkeypatch.setattr(programs, "_add_columns",
+                        lambda highs, cost, a: (added.append(a.shape[1]),
+                                                add_columns(highs, cost, a)))
+    for instance in _variants(spec, g, b, (0.25, 0.25)):
+        added.clear()
+        solution = solve(instance, refine=False)  # the refinement builds a model too
+        columns = instance.n_gamma + instance.n_xi
+        assert columns < programs.MASTER_MIN_COLUMNS_PER_ROW * len(instance.row_meta)
+        assert added == [columns]
+        assert solution.master_columns == columns
+        assert solution.pricing_rounds == 1 and not solution.fallback

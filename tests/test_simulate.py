@@ -267,6 +267,33 @@ def test_parking_runs_match_step_by_step_integration(monkeypatch, name, chunk):
         assert np.signbit(traj.states[:3, 0]).tolist() == [True, False, False]
 
 
+@pytest.mark.parametrize("name", list(_PARKING_RUNS))
+def test_parked_tail_is_tested_and_costed_once(monkeypatch, name):
+    spec, y0, policy, horizon, dt, parked = _PARKING_RUNS[name]
+    evaluated = []
+    contains, cost_batch = system.StateRegion.contains, simulate.cost_batch
+    monkeypatch.setattr(system.StateRegion, "contains",
+                        lambda self, y: evaluated.append(len(y)) or contains(self, y))
+    monkeypatch.setattr(simulate, "cost_batch", lambda spec: lambda y, u: (
+        evaluated.append(len(y)), cost_batch(spec)(y, u))[1])
+    traj = integrate(spec, y0, policy, horizon, dt)
+    left, right = simulate._endpoint_costs(traj)
+    cesaro = cesaro_value(traj, spec)
+    assert max(evaluated[1:]) == parked + 1  # evaluated[0] tests y0
+    # bitwise what every sample gives
+    monkeypatch.undo()
+    k = system.cost_batch(spec)
+    every_left, every_right = k(traj.states[:-1], traj.controls), k(traj.states[1:], traj.controls)
+    assert traj.in_region.tobytes() == spec.region.contains(traj.states).tobytes()
+    assert left.tobytes() == every_left.tobytes() and right.tobytes() == every_right.tobytes()
+    assert cesaro == float(np.sum(0.5 * (every_left + every_right) * traj.dt) / traj.horizon)
+    rate = 0.01
+    discounted = (every_left * np.exp(-rate * traj.times[:-1])
+                  + every_right * np.exp(-rate * traj.times[1:]))
+    reference = rate * float(np.sum(0.5 * discounted * traj.dt))
+    assert abel_value(spec, y0, policy, rate, horizon, dt, tail_tolerance=10.0).value == reference
+
+
 @pytest.mark.parametrize("chunk", [simulate.PARK_CHUNK, 3])
 @pytest.mark.parametrize("law", [None, "0 * y1"])
 def test_late_blow_up_is_reported_like_step_by_step(monkeypatch, law, chunk):
