@@ -8,8 +8,11 @@ visits, and a feedback law given as expressions is evaluated inside the loop,
 so a closed-loop trajectory is one run.  A run is one call of the generated
 loop, or, past ``PARK_CHUNK`` steps, one call per chunk, and such a run parks
 once a step maps its state to itself byte for byte: every later step would
-too, so the rest of the run is copied, not stepped.  On top of the
-integrator:
+too, so the rest of the run is copied, not stepped.  Likewise a periodic
+schedule stops once a whole period maps its state to itself byte for byte,
+and the rest of the trajectory is that period, tiled.  Either tail, a cycle
+of one step or of one period, is tested, costed and binned once.  On top of
+the integrator:
 
 * finite-horizon average values (per-step trapezoidal quadrature),
 * discounted values with a certified truncation-tail interval,
@@ -18,7 +21,7 @@ integrator:
 * a periodic-policy family search giving certified upper bounds plus a trend
   table, and
 * a horizon study: windows of one run, their empirical measures, with a
-  parked tail binned once, and membership residuals.
+  repeating tail binned once, and membership residuals.
 """
 
 from __future__ import annotations
@@ -165,9 +168,10 @@ class Trajectory:
     states: np.ndarray  # (n+1, m)
     controls: np.ndarray  # (n, p), left-endpoint control of each step
     in_region: np.ndarray  # (n+1,) bool
-    # first step of a parked tail: states[parked:] and controls[parked:] each
-    # repeat one row to the end; None if the last run did not park
-    parked: int | None = None
+    # (start, length) of a repeating tail: from step start + length on, each
+    # state and control is the one length steps before it.  A run that parks
+    # until the end is a cycle of length 1; None if the tail does not repeat
+    cycle: tuple[int, int] | None = None
 
     @property
     def horizon(self) -> float:
@@ -182,15 +186,17 @@ class Trajectory:
 
     @property
     def distinct_steps(self) -> int:
-        """The steps before a parked tail and its first step: every later step
-        repeats that step's state, control and next state."""
-        return len(self.controls) if self.parked is None else self.parked + 1
+        """The steps up to the end of the cycle's first pass: every later step
+        repeats the state, control and next state of the step one cycle
+        before it."""
+        return len(self.controls) if self.cycle is None else sum(self.cycle)
 
     def prefix(self, steps: int) -> Trajectory:
-        """The first ``steps`` steps, as views into this trajectory."""
-        parked = self.parked if self.parked is not None and self.parked < steps else None
+        """The first ``steps`` steps, as views into this trajectory; it keeps
+        the cycle if it holds the cycle's first pass."""
+        cycle = self.cycle if self.cycle is not None and sum(self.cycle) <= steps else None
         return Trajectory(self.spec, self.dt, self.times[:steps + 1], self.states[:steps + 1],
-                          self.controls[:steps], self.in_region[:steps + 1], parked)
+                          self.controls[:steps], self.in_region[:steps + 1], cycle)
 
 
 def rk4_step(f, y: tuple, u: tuple, dt: float) -> tuple:
@@ -235,9 +241,9 @@ def _run_until_parked(go, y: tuple, count: int, rows: array, m: int,
             # no earlier chunk parked, so the first step that did is in this one
             chunk = np.frombuffer(rows[-(k + 1) * m:], np.uint64).reshape(k + 1, m)
             parked = done - k + int(np.argmax((chunk[1:] == chunk[:-1]).all(axis=1)))
-            rows.extend(array("d", y) * (count - done))
+            _repeat_rows(rows, m, 1, count - done)
             if controls is not None:
-                controls.extend(controls[len(controls) - p:] * (count - done))
+                _repeat_rows(controls, p, 1, count - done)
             return (count, *out[1:]), parked
         k = min(2 * k, PARK_CHUNK)
 
@@ -255,11 +261,24 @@ def integrate(spec: SystemSpec, y0, policy: Policy, horizon: float,
     parks, that is once a step maps its state to itself byte for byte: the
     rest of the run repeats that state, and in a law run its control (see
     ``_run_until_parked``).  A run that parks until the end of the horizon
-    sets the trajectory's ``parked``.  Any other policy is asked for a control
-    at every step, may read the time, and never parks; each of its steps is a
-    run of its own.  A control outside the control set is reported at the time of the
-    first step that holds it; a non-finite state, or an arithmetic or domain
-    error in the dynamics, at the end of its step.
+    sets the trajectory's ``cycle`` to (the step it parked at, 1).
+
+    A ``SchedulePolicy`` with a period whose pieces repeat every ``L`` steps
+    (``L`` being the period in steps, checked once on ``step_pieces``) also
+    compares, at each period start ``c * L`` that ends a run, the bytes of
+    its state with those of the state at ``(c - 1) * L``.  On a match, every
+    later step repeats the step ``L`` before it: the states and controls are
+    filled to the horizon by tiling the last period, and ``cycle`` is
+    ``((c - 1) * L, L)``.  Pieces that do not repeat exactly, as when the
+    period is not a whole number of steps and the switches drift across the
+    step grid, never take this shortcut.
+
+    Any other policy is asked for a control at every step, may read the
+    time, and never parks; each of its steps is a run of its own.  A control
+    outside the control set is reported at the time of the first step that
+    holds it; a non-finite state, or an arithmetic or domain error in the
+    dynamics, at the end of its step.  A repeating tail holds only states,
+    controls and steps already checked.
     """
     if horizon <= 0 or dt <= 0:
         raise SimulationError("horizon and dt must be positive")
@@ -276,6 +295,7 @@ def integrate(spec: SystemSpec, y0, policy: Policy, horizon: float,
     y = tuple(y0.tolist())
     state_rows, control_rows = array("d", y), array("d")
     parks = []  # the step at which each parked run parked
+    cycle = None
 
     if isinstance(policy, LawPolicy) and spec.control.kind == "box":
         if len(policy.law) != p:
@@ -298,15 +318,21 @@ def integrate(spec: SystemSpec, y0, policy: Policy, horizon: float,
             raise SimulationError(f"non-finite state at t={done * dt + dt}: {y}")
         if parked is not None:
             parks.append(parked)
+            cycle = (parked, 1)
         path = "closed-loop law"
     else:
         run = rk4_run_fn(spec)
         admits = spec.control.admission()
+        lag = None  # the steps of one period, if the pieces repeat with it
         if isinstance(policy, SchedulePolicy):
             pieces = policy.step_pieces(dt, n_steps)
             starts = [0, *(np.flatnonzero(pieces[1:] != pieces[:-1]) + 1).tolist()]
             held = [policy.values[k] for k in pieces[starts].tolist()]
             path = f"{len(held)} held-control runs"
+            if policy.period is not None:
+                lag = round(policy.period / dt)
+                if not (0 < lag <= n_steps and np.array_equal(pieces[lag:], pieces[:-lag])):
+                    lag = None
         else:
             starts, held, path = range(n_steps), None, "feedback"
         for r, (i, end) in enumerate(pairwise(chain(starts, (n_steps,)))):
@@ -330,31 +356,55 @@ def integrate(spec: SystemSpec, y0, policy: Policy, horizon: float,
                 done, y = len(state_rows) // m - 1 - i, repr(err)
             if done < count:
                 raise SimulationError(f"non-finite state at t={(i + done) * dt + dt}: {y}")
+            cycle = None
             if parked is not None:
                 parked += i
                 parks.append(parked)
-    if not parks:
-        parking = "not parked"
+                cycle = (parked, 1)
+            if lag is not None and end % lag == 0 and (
+                    state_rows[end * m:].tobytes()
+                    == state_rows[(end - lag) * m:(end - lag + 1) * m].tobytes()):
+                cycle = (end - lag, lag)
+                _repeat_rows(state_rows, m, lag, n_steps - end)
+                _repeat_rows(control_rows, p, lag, n_steps - end)
+                break
+    if cycle is not None and cycle[1] > 1:
+        tail = f"repeats a {cycle[1]}-step cycle from step {cycle[0]}"
+    elif not parks:
+        tail = "not parked"
     elif len(parks) == 1:
-        parking = f"parked at step {parks[0]}"
+        tail = f"parked at step {parks[0]}"
     else:
-        parking = f"parked {len(parks)} times, first at step {parks[0]}"
-    log.info("integrate: %d steps, %s, %s, %.3f s", n_steps, path, parking,
+        tail = f"parked {len(parks)} times, first at step {parks[0]}"
+    log.info("integrate: %d steps, %s, %s, %.3f s", n_steps, path, tail,
              time.perf_counter() - started)
     states = np.frombuffer(state_rows).reshape(n_steps + 1, m)
-    # a parked tail repeats one state, so it is tested once
-    tested = n_steps + 1 if parked is None else parked + 1
+    # a repeating tail repeats states already tested
+    tested = n_steps + 1 if cycle is None else sum(cycle)
     return Trajectory(spec=spec, dt=dt, times=dt * np.arange(n_steps + 1), states=states,
                       controls=np.frombuffer(control_rows).reshape(n_steps, p),
-                      in_region=_with_tail(spec.region.contains(states[:tested]), n_steps + 1),
-                      parked=parked)
+                      in_region=_with_tail(spec.region.contains(states[:tested]),
+                                           n_steps + 1, cycle),
+                      cycle=cycle)
 
 
-def _with_tail(head: np.ndarray, length: int) -> np.ndarray:
-    """``head`` extended to ``length`` entries by repeats of its last entry."""
-    if len(head) == length:
+def _repeat_rows(rows: array, width: int, length: int, count: int) -> None:
+    """Append ``count`` rows of ``width`` entries to ``rows``, each a copy of
+    the row ``length`` rows before it: the last ``length`` rows, tiled."""
+    block = rows[len(rows) - length * width:]
+    rows.extend(block * (count // length))
+    rows.extend(block[:count % length * width])
+
+
+def _with_tail(head: np.ndarray, total: int, cycle: tuple[int, int] | None) -> np.ndarray:
+    """``head``, one entry per row up to the end of the cycle's first pass,
+    extended to ``total`` entries by tiling its last ``cycle[1]`` entries."""
+    if len(head) == total:
         return head
-    return np.concatenate([head, np.full(length - len(head), head[-1])])
+    rest, length = total - len(head), cycle[1]
+    # np.tile, not np.resize: np.resize concatenates one array per repeat
+    tiles = np.tile(head[len(head) - length:], -(-rest // length))
+    return np.concatenate([head, tiles[:rest]])
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +413,13 @@ def _with_tail(head: np.ndarray, length: int) -> np.ndarray:
 
 def _endpoint_costs(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     """The cost at the start and at the end of each step, under the step's
-    control.  Every step of a parked tail has its first step's state at both
-    ends and its first step's control, so the tail is costed once."""
+    control.  Every step of a repeating tail has the states at both ends and
+    the control of the step one cycle before it, so the tail is costed once."""
     k = cost_batch(traj.spec)
     n, costed = len(traj.controls), traj.distinct_steps
     left = k(traj.states[:costed], traj.controls[:costed])
     right = k(traj.states[1:costed + 1], traj.controls[:costed])
-    return _with_tail(left, n), _with_tail(right, n)
+    return _with_tail(left, n, traj.cycle), _with_tail(right, n, traj.cycle)
 
 
 def _step_costs(traj: Trajectory) -> np.ndarray:
@@ -433,11 +483,12 @@ def _occupation(traj: Trajectory, grid: Grid, atoms: np.ndarray,
 
 
 def _atoms(traj: Trajectory, grid: Grid) -> np.ndarray:
-    """The nearest atom of each step's (state, control), binning a parked tail
-    once: it repeats the pair of its first step, whose atom the rest take."""
+    """The nearest atom of each step's (state, control), binning a repeating
+    tail once: each of its steps repeats the pair of the step one cycle
+    before it, whose atom it takes."""
     binned = traj.distinct_steps
     return _with_tail(nearest_atom_index(grid, traj.states[:binned], traj.controls[:binned]),
-                      len(traj.controls))
+                      len(traj.controls), traj.cycle)
 
 
 def empirical_occupational_measure(traj: Trajectory, grid: Grid) -> DiscreteMeasure:
@@ -553,8 +604,11 @@ def horizon_study(spec: SystemSpec, y0, policy: Policy, horizons,
     (:func:`~occlp.grid.nearest_atom_index`), and every window's membership
     LP is one call of :func:`~occlp.programs.membership_residual`, which
     solves the shortest window cold and each longer one warm from the window
-    before it.  When the run parks until its end (``Trajectory.parked``), its
-    tail repeats one (state, control) pair, which is binned once.
+    before it.  When the run's tail repeats (``Trajectory.cycle``: a run
+    parked until its end, or a periodic schedule whose period maps its state
+    to itself), the tail's (state, control) pairs are binned once, on the
+    cycle's first pass, and every window that holds that pass keeps the
+    cycle.
     """
     horizons = sorted(float(t) for t in horizons)
     if not horizons or horizons[0] <= 0:

@@ -558,6 +558,12 @@ periodic_dt = 0.01
         integrate(system.make_rotation(), (1.0, 0.0),
                   simulate.FeedbackPolicy(lambda y: (0.5,)), 0.05, 0.01)
     assert caplog.records[-1].getMessage().startswith("integrate: 5 steps, feedback, not parked, ")
+    # a periodic schedule whose first period already maps the state to itself
+    with caplog.at_level(logging.INFO, logger="occlp"):
+        integrate(system.make_frozen(), (0.5, 0.5),
+                  simulate.SchedulePolicy([0.0, 1.0], [1.0, -1.0], period=2.0), 5.0, 0.01)
+    assert caplog.records[-1].getMessage().startswith(
+        "integrate: 500 steps, 5 held-control runs, repeats a 200-step cycle from step 0, ")
 
 
 def test_info_log_has_one_line_per_membership_run(caplog):

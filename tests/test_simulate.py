@@ -11,8 +11,8 @@ from occlp import exprs, simulate, system
 from occlp.basis import basis_for_region, phi_matrix
 from occlp.grid import build_grid, nearest_atom_index
 from occlp.simulate import (ConstantPolicy, FeedbackPolicy, InsufficientHorizonError,
-                            LawPolicy, PeriodicCandidate, SchedulePolicy, SimulationError,
-                            StateConstraintError, abel_value, cesaro_value,
+                            LawPolicy, PeriodicCandidate, Policy, SchedulePolicy,
+                            SimulationError, StateConstraintError, abel_value, cesaro_value,
                             empirical_occupational_measure, feedback_table_policy,
                             horizon_study, integrate, periodic_value_search,
                             rk4_step, rotation_delta_family)
@@ -260,31 +260,93 @@ def test_parking_runs_match_step_by_step_integration(monkeypatch, name, chunk):
     traj = integrate(spec, y0, policy, horizon, dt)
     states, controls = _step_by_step(spec, y0, policy, horizon, dt)
     assert len(traj.controls) > 4096
-    assert traj.parked == parked
+    assert traj.cycle == (parked, 1)
     assert traj.controls.tobytes() == controls.tobytes()
     assert traj.states.tobytes() == states.tobytes()
     if name == "negative-zero":
         assert np.signbit(traj.states[:3, 0]).tolist() == [True, False, False]
 
 
-@pytest.mark.parametrize("name", list(_PARKING_RUNS))
+# box-custom: y1' = -y1 + u1, y2' = -y2 + y1 on [-1, 1]^2 under a period-4
+# schedule, whose runs repeat one period exactly from the step given on
+_BOX = system.SystemSpec(
+    name="custom", dynamics_id="-y1 + u1; -y2 + y1", cost_id="y2^2 + 0.5*u1^2",
+    region=system.StateRegion(kind="box", lower=(-1.0, -1.0), upper=(1.0, 1.0)),
+    control=system.ControlRegion(kind="box", lower=(-1.0,), upper=(1.0,)))
+_BOX_SCHEDULE = SchedulePolicy([0.0, 2.0], [1.0, -1.0], period=4.0)
+_BOX_CYCLES = {(0.5, -0.5): (44000, 4400), (-0.5, 0.5): (40000, 4400),
+               (0.25, 0.75): (44000, 4400), (-0.75, -0.25): (36000, 4000),
+               (0.0, 0.0): (44000, 4400)}  # cycle start at dt 1e-3 and at dt 1e-2
+
+# runs whose tail repeats a whole period: (spec, y0, policy, horizon, dt, cycle)
+_PERIODIC_RUNS = {
+    **{f"box-{y0[0]:g},{y0[1]:g}-dt{dt:g}":
+       (_BOX, y0, _BOX_SCHEDULE, 60.0, dt, (start, round(4.0 / dt)))
+       for y0, starts in _BOX_CYCLES.items() for dt, start in zip((1e-3, 1e-2), starts)},
+    # the switches drift off the step grid, so the pieces never repeat
+    "box-off-grid-period": (_BOX, (0.5, -0.5), SchedulePolicy([0.0, 2.0], [1.0, -1.0], 4.0005),
+                            60.0, 1e-3, None),
+    # the state never moves, so the first period already maps it to itself
+    "frozen-periodic": (system.make_frozen(), (0.25, -0.75), _BOX_SCHEDULE, 60.0, 1e-3,
+                        (0, 4000)),
+    # half a radian per period, forever
+    "rotation-turning": (system.make_rotation(), (1.0, 0.0),
+                         SchedulePolicy([0.0, 0.5], [1.0, 0.0], period=2.0), 60.0, 1e-3, None),
+}
+
+
+class _AskedSchedule(Policy):
+    """A schedule that ``integrate`` has to ask step by step."""
+
+    def __init__(self, schedule):
+        self.schedule = schedule
+
+    def control(self, t, y):
+        return self.schedule.control(t, y)
+
+
+@pytest.mark.parametrize("name", list(_PERIODIC_RUNS))
+def test_periodic_schedule_runs_match_step_by_step_integration(name):
+    spec, y0, policy, horizon, dt, cycle = _PERIODIC_RUNS[name]
+    traj = integrate(spec, y0, policy, horizon, dt)
+    reference = integrate(spec, y0, _AskedSchedule(policy), horizon, dt)
+    assert traj.cycle == cycle and reference.cycle is None
+    assert traj.controls.tobytes() == reference.controls.tobytes()
+    assert traj.states.tobytes() == reference.states.tobytes()
+    assert traj.in_region.tobytes() == reference.in_region.tobytes()
+
+
+_TAIL_RUNS = {name: (*run[:5], (run[5], 1)) for name, run in _PARKING_RUNS.items()}
+_TAIL_RUNS.update((name, _PERIODIC_RUNS[name]) for name in (
+    "box-0.5,-0.5-dt0.001", "box--0.75,-0.25-dt0.01", "frozen-periodic"))
+
+
+@pytest.mark.parametrize("name", list(_TAIL_RUNS))
 def test_parked_tail_is_tested_and_costed_once(monkeypatch, name):
-    spec, y0, policy, horizon, dt, parked = _PARKING_RUNS[name]
-    evaluated = []
+    spec, y0, policy, horizon, dt, cycle = _TAIL_RUNS[name]
+    grid = build_grid(spec, (5, 16) if spec.region.kind == "annulus" else 4, 3)
+    evaluated, binned = [], []
     contains, cost_batch = system.StateRegion.contains, simulate.cost_batch
     monkeypatch.setattr(system.StateRegion, "contains",
                         lambda self, y: evaluated.append(len(y)) or contains(self, y))
     monkeypatch.setattr(simulate, "cost_batch", lambda spec: lambda y, u: (
         evaluated.append(len(y)), cost_batch(spec)(y, u))[1])
+    monkeypatch.setattr(simulate, "nearest_atom_index", lambda grid, y, u: (
+        binned.append(len(y)), nearest_atom_index(grid, y, u))[1])
     traj = integrate(spec, y0, policy, horizon, dt)
     left, right = simulate._endpoint_costs(traj)
     cesaro = cesaro_value(traj, spec)
-    assert max(evaluated[1:]) == parked + 1  # evaluated[0] tests y0
+    atoms = simulate._atoms(traj, grid)
+    assert traj.cycle == cycle
+    assert max(evaluated[1:]) == sum(cycle)  # evaluated[0] tests y0
+    assert binned == [sum(cycle)]
     # bitwise what every sample gives
     monkeypatch.undo()
     k = system.cost_batch(spec)
     every_left, every_right = k(traj.states[:-1], traj.controls), k(traj.states[1:], traj.controls)
     assert traj.in_region.tobytes() == spec.region.contains(traj.states).tobytes()
+    every = nearest_atom_index(grid, traj.states[:-1], traj.controls)
+    assert atoms.dtype == every.dtype and atoms.tobytes() == every.tobytes()
     assert left.tobytes() == every_left.tobytes() and right.tobytes() == every_right.tobytes()
     assert cesaro == float(np.sum(0.5 * (every_left + every_right) * traj.dt) / traj.horizon)
     rate = 0.01
@@ -527,22 +589,31 @@ def test_residual_decay_integer_periods_at_floor(rotation):
     assert abs(w[0] - w[1]) <= 1e-3
 
 
-def test_horizon_study_windows_are_separate_runs(rotation):
-    # at dt = 1e-3 the horizons 25 and 50 are exact prefixes of the 100 run
-    g = build_grid(rotation, (5, 16), 3)
-    b = basis_for_region(rotation.region, 2)
-    policy = SchedulePolicy([0.0, math.pi], [1.0, 0.0])
-    rows = horizon_study(rotation, (1.0, 0.0), policy, (50.0, 25.0, 100.0), g, b, dt=1e-3)
-    assert [row.horizon for row in rows] == [25.0, 50.0, 100.0]
-    for row in rows:
-        alone = integrate(rotation, (1.0, 0.0), policy, row.horizon, 1e-3)
-        assert row.trajectory.dt == alone.dt
-        for name in ("times", "states", "controls", "in_region", "parked"):
-            assert np.array_equal(getattr(row.trajectory, name), getattr(alone, name))
-        measure = empirical_occupational_measure(alone, g)
-        assert np.array_equal(row.measure.weights, measure.weights)
-    with pytest.raises(SimulationError):
-        horizon_study(rotation, (1.0, 0.0), policy, (0.0, 1.0), g, b)
+def test_horizon_study_windows_are_separate_runs():
+    cases = [
+        # at dt = 1e-3 the horizons 25 and 50 are exact prefixes of the 100 run
+        (system.make_rotation(), (1.0, 0.0), SchedulePolicy([0.0, math.pi], [1.0, 0.0]),
+         (50.0, 25.0, 100.0), [(3142, 1)] * 3),
+        # box-custom's cycle starts at step 44,000 and first repeats at 48,000: the
+        # windows end before it starts, inside its first pass, and in its repeats
+        (_BOX, (0.5, -0.5), _BOX_SCHEDULE, (25.0, 46.0, 48.0, 60.0),
+         [None, None, (44000, 4000), (44000, 4000)]),
+    ]
+    for spec, y0, policy, horizons, cycles in cases:
+        g = build_grid(spec, (5, 16) if spec.region.kind == "annulus" else 4, 3)
+        b = basis_for_region(spec.region, 2)
+        rows = horizon_study(spec, y0, policy, horizons, g, b, dt=1e-3)
+        assert [row.horizon for row in rows] == sorted(horizons)
+        assert [row.trajectory.cycle for row in rows] == cycles
+        for row in rows:
+            alone = integrate(spec, y0, policy, row.horizon, 1e-3)
+            assert row.trajectory.dt == alone.dt
+            for name in ("times", "states", "controls", "in_region", "cycle"):
+                assert np.array_equal(getattr(row.trajectory, name), getattr(alone, name))
+            measure = empirical_occupational_measure(alone, g)
+            assert np.array_equal(row.measure.weights, measure.weights)
+        with pytest.raises(SimulationError):
+            horizon_study(spec, y0, policy, (0.0, 1.0), g, b)
 
 
 def test_parked_tail_is_binned_like_every_sample(rotation):
@@ -550,17 +621,17 @@ def test_parked_tail_is_binned_like_every_sample(rotation):
     b = basis_for_region(rotation.region, 2)
     policy = SchedulePolicy([0.0, math.pi], [1.0, 0.0])
     run = integrate(rotation, (1.0, 0.0), policy, 100.0, 1e-2)
-    assert run.parked == 315
+    assert run.cycle == (315, 1)
     every = nearest_atom_index(g, run.states[:-1], run.controls)
     # the last steered sample (u = 1) and the parked one (u = 0) bin apart, so a
     # tail taken to start one step early would move mass between atoms
-    assert every[run.parked - 1] != every[run.parked]
+    assert every[314] != every[315]
     atoms = simulate._atoms(run, g)
     assert atoms.dtype == every.dtype
     assert atoms.tobytes() == every.tobytes()
     rows = horizon_study(rotation, (1.0, 0.0), policy, (25.0, 50.0, 100.0), g, b, dt=1e-2)
     for row in rows:
-        assert row.trajectory.parked == 315
+        assert row.trajectory.cycle == (315, 1)
         measure = empirical_occupational_measure(row.trajectory, g)
         assert row.measure.weights.tobytes() == measure.weights.tobytes()
 
