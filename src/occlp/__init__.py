@@ -6,6 +6,12 @@ certificates from their multipliers, and cross-validates every program value
 against trajectory simulation and brute-force oracles.
 """
 
+import os
+
+# Every mat-vec here is small, and an OpenBLAS worker thread only spins beside
+# the --jobs pool; this must run before the first submodule import loads numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .basis import BasisSpec, basis_for_region, enumerate_basis
 from .grid import (DiscreteMeasure, Grid, assemble_cost_vector, assemble_flow_matrix,
                    assemble_initial_matrix, build_grid)

@@ -114,15 +114,38 @@ def test_highs_binding_has_every_method_programs_calls():
     assert not [name for name in called if not callable(getattr(_Highs, name, None))]
 
 
-def _run_python(code: str, *args: str) -> str:
-    """Run code in a fresh interpreter that imports occlp from this tree; its stdout."""
+def _run_python(code: str, *args: str, env=None) -> str:
+    """Run code in a fresh interpreter that imports occlp from this tree; its stdout.
+    ``env`` replaces the inherited environment, apart from ``PYTHONPATH``."""
+    env = os.environ if env is None else env
     src = str(Path(programs.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *args],
                           capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env={**env, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+@pytest.mark.parametrize("setting", [None, "2"])
+def test_importing_occlp_pins_blas_to_one_thread_unless_set(setting):
+    # the largest mat-vec of a study (55 rows by 11,520 columns) wakes an
+    # OpenBLAS worker thread unless the pin took effect before numpy loaded
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    out = _run_python("""
+        import os
+        import occlp
+        import numpy as np
+        np.ones((55, 11520)) @ np.ones(11520)
+        tasks = os.listdir("/proc/self/task") if os.path.isdir("/proc/self/task") else None
+        print(os.environ["OPENBLAS_NUM_THREADS"], -1 if tasks is None else len(tasks))
+    """, env=env)
+    value, threads = out.split()
+    assert value == (setting or "1")
+    if setting is None and threads != "-1":
+        assert threads == "1"
 
 
 SMALL_ROTATION = """
@@ -603,7 +626,8 @@ def box_drift_setup():
 @pytest.mark.parametrize("setup,y0", [("rotation_setup", (1.0, 0.0)),
                                       ("box_drift_setup", (0.5, -0.5))])
 @pytest.mark.parametrize("epsilon", [None, 0.1])
-def test_certificate_slacks_evaluate_the_basis_once_per_state(request, setup, y0, epsilon):
+def test_certificate_slacks_evaluate_the_basis_once_per_state(request, monkeypatch, setup, y0,
+                                                              epsilon):
     spec, g, b = request.getfixturevalue(setup)
     instance = (build_nonergodic_lp(g, b, spec, y0) if epsilon is None
                 else build_perturbed_lp(g, b, spec, y0, epsilon))
@@ -621,9 +645,23 @@ def test_certificate_slacks_evaluate_the_basis_once_per_state(request, setup, y0
     else:
         ys = lattice([np.linspace(-1.0, 1.0, r * 4) for r in g.resolution])
     r1, r2 = _reference_slacks(cert, b, spec, *product_rows(ys, g.control_points))
-    assert report == {"min_lower_bound_slack": float(np.min(r1)),
-                      "min_monotonicity_slack": float(np.min(r2)),
-                      "sample_count": r1.shape[0]}
+    reference = {"min_lower_bound_slack": float(np.min(r1)),
+                 "min_monotonicity_slack": float(np.min(r2)),
+                 "sample_count": r1.shape[0]}
+    assert report == reference
+    # 7 states a block: many blocks, and a ragged last one, which together
+    # are the sample in order
+    assert ys.shape[0] % 7
+    blocks = []
+
+    def recording(cert, grid, basis, spec, block):
+        blocks.append(block)
+        return certificate_slacks(cert, grid, basis, spec, block)
+
+    monkeypatch.setattr(programs, "certificate_slacks", recording)
+    assert certificate_offgrid_report(cert, g, b, spec, density_factor=4, chunk=7) == reference
+    assert {len(block) for block in blocks[:-1]} == {7}
+    assert np.array_equal(np.vstack(blocks), ys)
 
 
 def test_certificate_requires_optimal(frozen_setup):
