@@ -33,8 +33,12 @@ state, and grows it by the columns that price negative until none does
 A smaller LP holds every column from the start.  The reported point, its
 residuals and the reduced costs are taken over every column either way.  A
 coupled program whose xi block carries no cost then gets its minimal xi mass
-on its optimal face from a cold solve of a model of its own, over the columns
-whose reduced cost is zero; the main model is left as solved.  An epsilon
+on its optimal face, the columns whose reduced cost is zero, from a cold
+solve of a model of its own; the main model is left as solved.  That model is
+priced the same way: it starts from the face columns the main model held and
+grows by the face columns that price negative against its own duals.  So does
+the membership LP's model, from the xi columns of the same sub-lattice and
+its residual column.  An epsilon
 sweep is one model too: the perturbed programs share every row and
 differ only in their costs, so :func:`solve_chain` solves the first cold and
 each later one by changing the column costs, re-running from the previous
@@ -104,13 +108,14 @@ COMPLEMENTARITY_TOL = 1e-6
 DUALITY_GAP_TOL = 1e-8
 CERTIFICATE_TOL = 1e-6
 FACE_TOL = 1e-9  # reduced cost on the optimal face; the refinement's feasibility tolerance
-# An LP with at least this many columns per equality row is solved on a
-# restricted master seeded with the columns of every MASTER_STATE_STRIDE-th
-# state; a smaller one holds every column from the start.  Measured on the
-# main solves of all four variants: the master took 1.3-4.2x the full LP's
-# time on degree-6 box layouts at 63-83 columns per row, 0.85x and 1.36x at
-# 105 and 130, and 0.52-0.58x from 157 to 335 (1.23x on a degree-4 box at
-# 154-159); on the annulus 0.27-0.71x at 62-208 and 1.3-1.5x at 29-49.
+# An LP with at least this many columns per constraint (an equality row; in
+# the membership LP, a basis row) is solved on a restricted master seeded
+# with the columns of every MASTER_STATE_STRIDE-th state; a smaller one holds
+# every column from the start.  Measured on the main solves of all four
+# variants: the master took 1.3-4.2x the full LP's time on degree-6 box
+# layouts at 63-83 columns per row, 0.85x and 1.36x at 105 and 130, and
+# 0.52-0.58x from 157 to 335 (1.23x on a degree-4 box at 154-159); on the
+# annulus 0.27-0.71x at 62-208 and 1.3-1.5x at 29-49.
 MASTER_MIN_COLUMNS_PER_ROW = 128
 MASTER_STATE_STRIDE = 4
 # the bounds of the study's invariants (cli.py); CERTIFICATE_TOL bounds the
@@ -191,6 +196,9 @@ class LpSolution:
     master_columns: int = 0  # columns in the model when it ended
     pricing_rounds: int = 1  # runs of the main model, each followed by one pricing
     fallback: bool = False  # a master that did not end optimal was grown to the full LP
+    refine_master_columns: int = 0  # face columns in the refinement's model when it ended
+    refine_face_columns: int = 0  # columns of the optimal face
+    refine_rounds: int = 0  # runs of the refinement's model
 
 
 def lp_name(instance: LpInstance) -> str:
@@ -298,11 +306,14 @@ _STATUS = {HighsModelStatus.kOptimal: "optimal",
 
 
 def _highs_run(cost: np.ndarray, a: np.ndarray, row_lower: np.ndarray,
-               row_upper: np.ndarray, **options) -> tuple[_Highs, str, int]:
+               row_upper: np.ndarray, columns: np.ndarray,
+               **options) -> tuple[_Highs, str, int]:
     """Build and run one owned HiGHS model of  min cost.x  s.t.
-    row_lower <= a x <= row_upper, x >= 0, with dual simplex, presolve off and
-    any further HiGHS ``options``.  The rows go in empty and the columns then
-    carry the nonzeros, both as numpy arrays.
+    row_lower <= a x <= row_upper, x >= 0 over the increasing ``columns`` of
+    ``a``, with dual simplex, presolve off and any further HiGHS ``options``.
+    The rows go in empty and the columns then carry the nonzeros, both as
+    numpy arrays.  A model of every column takes ``a`` itself, not a copy of
+    it, which would sit beside ``a`` at the model build's memory peak.
 
     Returns the model (for a warm re-run), its status and simplex iterations.
     """
@@ -312,6 +323,8 @@ def _highs_run(cost: np.ndarray, a: np.ndarray, row_lower: np.ndarray,
         highs.setOptionValue(option, setting)
     no_entries = np.zeros(0, dtype=np.int32)
     highs.addRows(a.shape[0], row_lower, row_upper, 0, no_entries, no_entries, np.zeros(0))
+    if len(columns) < a.shape[1]:
+        cost, a = cost[columns], a[:, columns]
     _add_columns(highs, cost, a)
     return (highs, *_rerun(highs))
 
@@ -342,42 +355,59 @@ def _rerun(highs: _Highs) -> tuple[str, int]:
 
 
 def _minimal_mass_refinement(instance: LpInstance, a_eq: np.ndarray, objective: np.ndarray,
-                             reduced: np.ndarray, value: float, cap_dual: float):
-    """Minimal xi mass over the optimal face, solved cold in a model of its own.
+                             reduced: np.ndarray, value: float, cap_dual: float,
+                             columns: np.ndarray):
+    """Minimal xi mass over the optimal face, solved cold in a model of its own
+    on a priced restricted master of the face.
 
     The face is the columns whose reduced cost against the main solve's duals
     is zero (at most FACE_TOL relative to their cost).  By complementary
     slackness every feasible point on those columns is optimal, provided a
     cap row with a nonzero dual stays tight, so such a row enters as an
-    equality.  Returns the simplex iterations and the refined (gamma, xi), or
-    None unless that run ends optimal at a point that meets the main point's
-    contract: its primal residual, its complementarity against the main duals
-    and the gap between its objective and ``value``."""
+    equality.  The model starts from the face columns among ``columns``, the
+    main model's when it ended: they hold the main point's support, so this
+    master is feasible, and when the main model held every column it is the
+    whole face.  :func:`_grow_master` then adds the face columns that price
+    negative against the refinement's own duals, the cap row's included (or
+    the whole face if the master does not end optimal).
+
+    Returns the LpSolution fields of the refinement (its simplex iterations,
+    the master's and the face's column counts and the runs of its model) and
+    the refined (gamma, xi), or None unless the last run ends optimal at a
+    point that meets the main point's contract: its primal residual, its
+    complementarity against the main duals and the gap between its objective
+    and ``value``."""
     n_g = instance.n_gamma
     face = np.flatnonzero(reduced <= FACE_TOL * (1.0 + np.abs(objective)))
     mass = (face >= n_g).astype(float)
     a, rhs = a_eq[:, face], instance.eq_rhs
     if cap_dual < -FACE_TOL:
         a, rhs = np.vstack([a, mass]), np.append(rhs, instance.xi_mass_cap)
-    highs, status, iterations = _highs_run(mass, a, rhs, rhs,
+    seed = np.flatnonzero(np.isin(face, columns))
+    highs, status, iterations = _highs_run(mass, a, rhs, rhs, seed,
                                            primal_feasibility_tolerance=FACE_TOL)
+    seed, status, more, reruns, _ = _grow_master(highs, seed, mass, a, status)
+    stats = dict(refine_iterations=iterations + more, refine_master_columns=len(seed),
+                 refine_face_columns=len(face), refine_rounds=1 + reruns)
     if status != "optimal":
-        return iterations, None
+        return stats, None
     x = np.zeros(len(objective))
-    x[face] = np.maximum(highs.getSolution().col_value, 0.0)
+    x[face[seed]] = np.maximum(highs.getSolution().col_value, 0.0)
     if (np.max(np.abs(a_eq @ x - instance.eq_rhs)) > PRIMAL_RESIDUAL_TOL
             or np.max(np.abs(x * reduced)) > COMPLEMENTARITY_TOL
             or abs(objective @ x - value) > DUALITY_GAP_TOL * max(1.0, abs(value))):
-        return iterations, None  # the caller keeps the unrefined vertex
-    return iterations, (DiscreteMeasure(instance.grid, x[:n_g]),
-                        DiscreteMeasure(instance.grid, x[n_g:]))
+        return stats, None  # the caller keeps the unrefined vertex
+    return stats, (DiscreteMeasure(instance.grid, x[:n_g]),
+                   DiscreteMeasure(instance.grid, x[n_g:]))
 
 
 def log_solution(instance: LpInstance, solution: LpSolution) -> None:
     """One INFO line with the LP's size, its master, how it was started and how
     it ended."""
     refinement = ("not run" if solution.refine_iterations is None
-                  else f"{solution.refine_iterations} iterations")
+                  else f"{solution.refine_iterations} iterations, master "
+                       f"{solution.refine_master_columns} of {solution.refine_face_columns} "
+                       f"face columns, {solution.refine_rounds} rounds")
     log.info("%s: %d rows, master %d of %d columns, %d pricing rounds, fallback %s, "
              "start %s, %d iterations, status %s, xi_canonical %s, cap_dual %.6g, "
              "refinement %s", lp_name(instance), len(instance.row_meta),
@@ -400,24 +430,34 @@ def _same_rows(a: LpInstance, b: LpInstance) -> bool:
             and (not a.has_xi or np.array_equal(a.eq_xi, b.eq_xi)))
 
 
-def _seed_columns(instance: LpInstance) -> np.ndarray:
-    """The columns a cold model starts from, in the order it holds them.
+def _seed_atoms(grid: Grid, n_col: int, rows: int, y0) -> np.ndarray | None:
+    """The atoms whose columns a cold model of ``n_col`` columns over ``rows``
+    constraints starts from, or None for every column.
 
-    An LP with fewer than MASTER_MIN_COLUMNS_PER_ROW columns per equality row
-    starts from every column.  A larger one starts from a restricted master:
-    the gamma and xi columns of every MASTER_STATE_STRIDE-th state in lattice
-    order (on the annulus, every 4th angle of every ring) and of y0's snapped
-    state."""
-    n_g = instance.n_gamma
-    n_col = n_g + instance.n_xi
-    if n_col < MASTER_MIN_COLUMNS_PER_ROW * len(instance.row_meta):
-        return np.arange(n_col)
-    grid = instance.grid
+    An LP with fewer than MASTER_MIN_COLUMNS_PER_ROW columns per constraint
+    holds every column.  A larger one starts from a restricted master: the
+    atoms of every MASTER_STATE_STRIDE-th state in lattice order (on the
+    annulus, every 4th angle of every ring) and of y0's snapped state, if
+    there is a y0."""
+    if n_col < MASTER_MIN_COLUMNS_PER_ROW * rows:
+        return None
     seeded = np.zeros(grid.state_points.shape[0], dtype=bool)
     seeded[::MASTER_STATE_STRIDE] = True
-    if "y0" in instance.provenance:
-        seeded[snap_to_state_grid(grid, instance.provenance["y0"])[0]] = True
-    atoms = np.flatnonzero(np.repeat(seeded, grid.control_points.shape[0]))
+    if y0 is not None:
+        seeded[snap_to_state_grid(grid, y0)[0]] = True
+    return np.flatnonzero(np.repeat(seeded, grid.control_points.shape[0]))
+
+
+def _seed_columns(instance: LpInstance) -> np.ndarray:
+    """The columns a cold model starts from, in the order it holds them: every
+    column, or the gamma and then the xi columns of the :func:`_seed_atoms`
+    of the LP's equality rows."""
+    n_g = instance.n_gamma
+    n_col = n_g + instance.n_xi
+    atoms = _seed_atoms(instance.grid, n_col, len(instance.row_meta),
+                        instance.provenance.get("y0"))
+    if atoms is None:
+        return np.arange(n_col)
     return np.concatenate([atoms, n_g + atoms]) if instance.has_xi else atoms
 
 
@@ -495,10 +535,12 @@ def solve(instance: LpInstance, chain: _Chain | None = None,
     feasibility tolerance.
 
     When the xi block carries no cost and ``refine`` holds, the minimal-mass
-    xi on the optimal face comes from :func:`_minimal_mass_refinement`, in a
-    model of its own, over the face of the full column set; the value, the
-    duals and the cap dual stay those of the main solve.  A caller that reads
-    only the value passes ``refine=False``, and its xi is then not canonical.
+    xi on the optimal face of the full column set comes from
+    :func:`_minimal_mass_refinement`, in a model of its own that starts from
+    the face columns of the main model's final columns and is priced over the
+    whole face; the value, the duals and the cap dual stay those of the main
+    solve.  A caller that reads only the value passes ``refine=False``, and
+    its xi is then not canonical.
     Optimality is demoted to tolerance-failure when the returned point
     violates the residual or duality-gap contracts."""
     n_g, n_x = instance.n_gamma, instance.n_xi
@@ -526,7 +568,7 @@ def solve(instance: LpInstance, chain: _Chain | None = None,
         status, iterations = _rerun(highs)
     else:
         start, columns = "cold", _seed_columns(instance)
-        highs, status, iterations = _highs_run(objective[columns], a[:, columns], lower, upper)
+        highs, status, iterations = _highs_run(objective, a, lower, upper, columns)
     columns, status, more, reruns, fallback = _grow_master(highs, columns, objective, a,
                                                            status)
     iterations += more
@@ -564,10 +606,10 @@ def solve(instance: LpInstance, chain: _Chain | None = None,
     # mass-minimising solve over the optimal face yields a canonical pair, and
     # only then does a binding cap signal anything structural.
     xi_mass_canonical = instance.has_xi and not weightless
-    refine_iterations = None
+    refinement = {}
     if weightless and refine:
-        refine_iterations, refined = _minimal_mass_refinement(instance, a_eq, objective,
-                                                              reduced, value, cap_dual)
+        refinement, refined = _minimal_mass_refinement(instance, a_eq, objective, reduced,
+                                                       value, cap_dual, columns)
         xi_mass_canonical = refined is not None
         if refined is not None:
             gamma, xi = refined
@@ -589,7 +631,7 @@ def solve(instance: LpInstance, chain: _Chain | None = None,
 
     return LpSolution(status, value, gamma, xi, row_duals, cap_dual, cap_binding,
                       xi_mass_canonical, dual_objective, primal_residual, complementarity,
-                      iterations, message, refine_iterations, start, **master)
+                      iterations, message, start=start, **master, **refinement)
 
 
 # ---------------------------------------------------------------------------
@@ -729,9 +771,14 @@ def membership_residual(measures, grid: Grid, basis: BasisSpec,
     x >= 0, t >= 0.  These LPs share their matrix and costs and differ only in
     the row bounds (C g), so they are one HiGHS model: the first measure's LP
     is solved cold, and each later one changes the row bounds and re-runs
-    from the previous optimal basis, which stays dual feasible.  Every measure
-    is checked to be a probability measure before any model is built.  Each
-    run logs one INFO line.
+    from the previous optimal basis, which stays dual feasible.  The model is
+    a restricted master: the t column and the xi columns of the
+    :func:`_seed_atoms` of the basis rows, each a constraint of two rows.
+    Any master is feasible, as t absorbs every row.  After each run,
+    :func:`_grow_master` adds the xi columns that price negative, so each
+    omega is the optimum over every column.  Every measure is checked to be a
+    probability measure before any model is built.  Each run logs one INFO
+    line.
     """
     measures = list(measures)
     for k, measure in enumerate(measures):
@@ -745,22 +792,26 @@ def membership_residual(measures, grid: Grid, basis: BasisSpec,
                       np.hstack([-flow, -ones])])
     objective = np.concatenate([np.zeros(grid.atom_count), [1.0]])
     lower = np.full(a_ub.shape[0], -np.inf)
+    atoms = _seed_atoms(grid, a_ub.shape[1], basis.count, y0)
+    columns = np.arange(a_ub.shape[1]) if atoms is None else np.append(atoms, grid.atom_count)
     highs, results = None, []
     for k, measure in enumerate(measures):
         target = initial @ measure.weights  # (count,)
         upper = np.concatenate([-target, target])
         if highs is None:
-            highs, status, iterations = _highs_run(objective, a_ub, lower, upper)
+            highs, status, iterations = _highs_run(objective, a_ub, lower, upper, columns)
             start = "cold"
         else:
             for row, bound in enumerate(upper.tolist()):
                 highs.changeRowBounds(row, -np.inf, bound)
             status, iterations = _rerun(highs)
             start = f"warm from measure {k - 1}"
+        columns, status, more, reruns, _ = _grow_master(highs, columns, objective, a_ub, status)
         omega = float(highs.getInfo().objective_function_value)
-        log.info("membership of measure %d: %d rows, %d columns, start %s, %d iterations, "
-                 "status %s, omega_residual %.6g", k, a_ub.shape[0], a_ub.shape[1], start,
-                 iterations, status, omega)
+        log.info("membership of measure %d: %d rows, master %d of %d columns, %d rounds, "
+                 "start %s, %d iterations, status %s, omega_residual %.6g", k, a_ub.shape[0],
+                 len(columns), a_ub.shape[1], 1 + reruns, start, iterations + more, status,
+                 omega)
         if status != "optimal":
             raise ProgramError("membership auxiliary program failed: "
                                + highs.modelStatusToString(highs.getModelStatus()))

@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occlp import cli, programs, simulate, system
+from occlp.basis import basis_for_region
 from occlp.cli import ReportBundle, emit_report, main, run_study
 from occlp.config import (ConfigError, StudyConfig, build_policy, build_system,
                           default_config_text, parse_config)
+from occlp.grid import build_grid
 from occlp.oracle import frozen_value
 from occlp.simulate import integrate
 
@@ -483,11 +485,14 @@ def test_info_log_has_one_line_per_lp(caplog):
                r"fallback (ran|not run), "
                r"start (cold|warm from \S+|same LP as \S+), \d+ iterations, status optimal, "
                r"xi_canonical (True|False), cap_dual \S+, "
-               r"refinement (not run|\d+ iterations)")
+               r"refinement (not run|\d+ iterations, master (\d+) of (\d+) face columns, "
+               r"(\d+) rounds)")
     matches = [re.fullmatch(pattern, line) for line in lines]
     assert all(matches)
-    # these LPs are below the master's crossover: each holds every column, once
+    # these LPs are below the master's crossover: each holds every column, once,
+    # and so does the model of each refinement over its optimal face
     assert all(m[1] == m[2] for m in matches)
+    assert all(m[7] == m[8] and m[9] == "1" for m in matches if m[7])
     assert all(", 1 pricing rounds, fallback not run, " in line for line in lines)
     # perturbed[eps=0] is the nonergodic LP: it logs its line without a solve
     [shared] = [line for line in lines if line.startswith("perturbed[eps=0]:")]
@@ -496,7 +501,8 @@ def test_info_log_has_one_line_per_lp(caplog):
     assert f"{2 * bundle.values['grid.atom_count']} columns" in nonergodic
     assert "xi_canonical True" in nonergodic
     # only a coupled program whose xi block is weightless gets refined
-    assert re.search(r"refinement \d+ iterations$", nonergodic)
+    assert re.search(r"refinement \d+ iterations, master \d+ of \d+ face columns, 1 rounds$",
+                     nonergodic)
     assert all(line.endswith("refinement not run") for line in lines
                if line.startswith(("ergodic:", "discounted")))
 
@@ -588,10 +594,43 @@ dt = 0.01
         run_study(cfg, sections=("simulate",))
     lines = [r.getMessage() for r in caplog.records if r.name == "occlp.programs"
              and r.getMessage().startswith("membership")]
-    pattern = (r"membership of measure (\d+): 10 rows, 73 columns, start (cold|warm from "
-               r"measure \d+), \d+ iterations, status optimal, omega_residual \S+")
+    # 73 columns over 5 basis rows are below the master's crossover
+    pattern = (r"membership of measure (\d+): 10 rows, master 73 of 73 columns, 1 rounds, "
+               r"start (cold|warm from measure \d+), \d+ iterations, status optimal, "
+               r"omega_residual \S+")
     found = [re.fullmatch(pattern, line).groups() for line in lines]
     assert found == [("0", "cold"), ("1", "warm from measure 0"), ("2", "warm from measure 1")]
+
+def test_m_size_certify_prices_its_refinement_and_membership(caplog, monkeypatch):
+    # at [5, 128], degree 6, the refinement and the membership LP each run on
+    # a restricted master smaller than the columns it prices, and the
+    # certificate still holds on every atom of the grid
+    text = re.sub(r"state_resolution = .*", "state_resolution = [5, 128]",
+                  ACCEPTANCE_CONFIG.read_text())
+    cfg = parse_config(re.sub(r"degree = .*", "degree = 6", text))
+    certificates = []
+    extract = cli.extract_dual_certificate
+    monkeypatch.setattr(cli, "extract_dual_certificate",
+                        lambda *args: certificates.append(extract(*args)) or certificates[-1])
+    with caplog.at_level(logging.INFO, logger="occlp"):
+        bundle = run_study(cfg, sections=("certify",))
+    assert bundle.all_passed(), [e for e in bundle.invariants if not e["passed"]]
+    lines = [r.getMessage() for r in caplog.records if r.name == "occlp.programs"]
+    [refinement] = [re.search(r"refinement \d+ iterations, master (\d+) of (\d+) face columns, "
+                              r"\d+ rounds$", line)
+                    for line in lines if line.startswith("nonergodic:")]
+    [membership] = [re.search(r": 54 rows, master (\d+) of (5761) columns, ", line)
+                    for line in lines if line.startswith("membership")]
+    for master, columns in (refinement.groups(), membership.groups()):
+        assert int(master) < int(columns)
+    spec = build_system(cfg.system)
+    grid = build_grid(spec, (5, 128), cfg.grid.control_resolution)
+    basis = basis_for_region(spec.region, 6)
+    assert certificates
+    for certificate in certificates:
+        slacks = programs.certificate_slacks(certificate, grid, basis, spec)
+        assert min(map(np.min, slacks)) >= -programs.CERTIFICATE_TOL
+
 
 def test_info_log_names_how_each_lp_started(caplog):
     # report order differs from the chain's order of decreasing epsilon

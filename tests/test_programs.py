@@ -1,3 +1,4 @@
+import logging
 import os
 import re
 import subprocess
@@ -751,20 +752,44 @@ def _loop_measures(g):
     return out + [DiscreteMeasure(g, np.full(g.atom_count, 1.0 / g.atom_count))]
 
 
-def test_membership_of_many_measures_matches_cold_solves():
-    # one model, warm after the first measure, against a cold model per measure;
-    # the coarse angular grid leaves the whole loop a nonzero omega residual
+def test_membership_of_many_measures_matches_cold_solves(monkeypatch, caplog):
+    # one model, warm after the first measure, against a cold model of every
+    # column per measure; the coarse angular grid leaves the whole loop a
+    # nonzero omega residual.  The model holds every column below the
+    # crossover; with the crossover lowered to 0 it starts from every 4th
+    # state and y0's, and pricing must grow it
     spec = system.make_rotation()
     g = build_grid(spec, (5, 8), 3)
     b = basis_for_region(spec.region, 4)
-    measures = _loop_measures(g)
-    together = membership_residual(measures, g, b, (1.0, 0.0))
-    assert len(together) == len(measures)
-    for measure, res in zip(measures, together):
-        [cold] = membership_residual([measure], g, b, (1.0, 0.0))
-        assert res.w_residual == pytest.approx(cold.w_residual, abs=1e-12)
-        assert res.omega_residual == pytest.approx(cold.omega_residual, abs=1e-12)
-    assert together[1].omega_residual > 1e-3
+    n_controls = g.control_points.shape[0]
+    # the second measure sits on the 4th angle of the 3rd ring, off the sub-lattice
+    off_lattice = np.zeros(g.atom_count)
+    off_lattice[(2 * 8 + 3) * n_controls:(2 * 8 + 4) * n_controls] = 1.0 / n_controls
+    loop = _loop_measures(g)
+    measures = [loop[0], DiscreteMeasure(g, off_lattice), *loop[1:]]
+    _full_model(monkeypatch)
+    cold = [membership_residual([measure], g, b, (1.0, 0.0))[0] for measure in measures]
+    for crossover in (np.inf, 0):
+        monkeypatch.setattr(programs, "MASTER_MIN_COLUMNS_PER_ROW", crossover)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="occlp.programs"):
+            together = membership_residual(measures, g, b, (1.0, 0.0))
+        assert len(together) == len(measures)
+        for res, reference in zip(together, cold):
+            assert res.w_residual == pytest.approx(reference.w_residual, abs=1e-12)
+            assert res.omega_residual == pytest.approx(reference.omega_residual, abs=1e-12)
+        found = [re.search(r"master (\d+) of 121 columns, (\d+) rounds, start (\w+)",
+                           r.getMessage()).groups() for r in caplog.records]
+        sizes = [int(size) for size, _, _ in found]
+        assert sizes == sorted(sizes)
+        if crossover:
+            assert all(found_ == ("121", "1", "cold" if k == 0 else "warm")
+                       for k, found_ in enumerate(found))
+        else:
+            assert sizes[-1] < 121
+            # pricing grew the master on the warm re-run of the off-lattice measure
+            assert found[1][1:] == ("2", "warm") and sizes[1] > sizes[0]
+    assert together[2].omega_residual > 1e-3
     assert membership_residual([], g, b, (1.0, 0.0)) == []
 
 
@@ -916,6 +941,83 @@ def test_infeasible_master_falls_back_to_the_full_lp(master_setups, monkeypatch)
     assert solution.xi_canonical
 
 
+def _recorded_refinement(monkeypatch, instance):
+    """Solve the LP; its solution and, for its refinement, the arguments, the
+    result and the row duals of the model it ended with."""
+    models, record = [], {}
+    run, refine = programs._highs_run, programs._minimal_mass_refinement
+
+    def recording_run(*args, **options):
+        models.append(model := run(*args, **options))
+        return model
+
+    def recording_refine(*args):
+        record.update(args=args, result=refine(*args))
+        record["duals"] = np.asarray(models[-1][0].getSolution().row_dual)
+        return record["result"]
+    monkeypatch.setattr(programs, "_highs_run", recording_run)
+    monkeypatch.setattr(programs, "_minimal_mass_refinement", recording_refine)
+    return solve(instance), record
+
+
+AXIS_START_POINTS = {"east": (1.0, 0.0), "north": (0.0, 1.0), "west": (-1.0, 0.0),
+                     "south": (0.0, -1.0)}
+REFINEMENT_CASES = {**{f"{setup}-{name}": (setup, y0, None) for setup in ("acceptance", "m-size")
+                       for name, y0 in AXIS_START_POINTS.items()},
+                    "box": ("box", (0.5, -0.5), None),
+                    **{f"cap-{cap:g}": ("acceptance", (1.0, 0.0), cap) for cap in (1.0, 2.0, 2.4)}}
+
+
+@pytest.mark.parametrize("setup,y0,cap", REFINEMENT_CASES.values(), ids=REFINEMENT_CASES.keys())
+def test_priced_refinement_matches_a_full_face_solve(master_setups, monkeypatch, setup, y0, cap):
+    spec, g, b, _ = master_setups[setup]
+    instance = build_nonergodic_lp(g, b, spec, y0,
+                                   **({} if cap is None else {"xi_mass_cap": cap}))
+    refine = programs._minimal_mass_refinement
+    solution, record = _recorded_refinement(monkeypatch, instance)
+    assert solution.status == "optimal" and solution.xi_canonical
+    _, a_eq, objective, reduced, _, cap_dual, _ = record["args"]
+    stats, refined = record["result"]
+    face = np.flatnonzero(reduced <= programs.FACE_TOL * (1.0 + np.abs(objective)))
+    assert stats["refine_face_columns"] == len(face)
+    # a binding cap leaves a face of a few dozen columns, which the master may reach
+    assert stats["refine_master_columns"] < len(face) or (
+        cap is not None and stats["refine_master_columns"] == len(face))
+    # every face column prices out against the refinement's own final duals,
+    # the cap row's included when it is in
+    mass = (face >= instance.n_gamma).astype(float)
+    a = a_eq[:, face]
+    if cap_dual < -programs.FACE_TOL:
+        a = np.vstack([a, mass])
+    assert np.all(mass - a.T @ record["duals"] >= -programs.FACE_TOL * (1.0 + mass))
+    # the same refinement on a model that holds the whole face from the start
+    full_stats, full = refine(*record["args"][:-1], np.arange(len(objective)))
+    assert full_stats["refine_master_columns"] == len(face)
+    assert full_stats["refine_rounds"] == 1
+    assert refined[1].total_mass == pytest.approx(full[1].total_mass, rel=1e-9)
+    if cap is not None:
+        assert solution.cap_binding and solution.xi.total_mass == pytest.approx(cap, abs=1e-8)
+
+
+def test_infeasible_face_master_falls_back_to_the_whole_face(master_setups, monkeypatch):
+    spec, g, b, y0 = master_setups["acceptance"]
+    instance = build_nonergodic_lp(g, b, spec, y0)
+    reference = solve(instance)
+    refine, results = programs._minimal_mass_refinement, []
+
+    def xi_seeded(lp, *args):
+        # xi columns alone cannot meet the normalization row 1.g = 1
+        results.append(refine(lp, *args[:-1], np.arange(lp.n_gamma, lp.n_gamma + lp.n_xi)))
+        return results[-1]
+    monkeypatch.setattr(programs, "_minimal_mass_refinement", xi_seeded)
+    solution = solve(instance)
+    [(stats, refined)] = results
+    assert stats["refine_master_columns"] == stats["refine_face_columns"]
+    assert stats["refine_rounds"] == 2
+    assert refined is not None and solution.xi_canonical
+    assert solution.xi.total_mass == pytest.approx(reference.xi.total_mass, rel=1e-9)
+
+
 def test_warm_chain_grows_one_master(master_setups):
     spec, g, b, y0 = master_setups["m-size"]
     epsilons = (0.1, 0.01, 0.001)
@@ -941,9 +1043,13 @@ def test_lp_below_the_crossover_is_built_once_with_every_column(frozen_setup, mo
                                                 add_columns(highs, cost, a)))
     for instance in _variants(spec, g, b, (0.25, 0.25)):
         added.clear()
-        solution = solve(instance, refine=False)  # the refinement builds a model too
+        solution = solve(instance)
         columns = instance.n_gamma + instance.n_xi
         assert columns < programs.MASTER_MIN_COLUMNS_PER_ROW * len(instance.row_meta)
-        assert added == [columns]
         assert solution.master_columns == columns
         assert solution.pricing_rounds == 1 and not solution.fallback
+        # so the refinement's model, in a model of its own, holds the whole face
+        face = solution.refine_face_columns
+        assert added == ([columns] if solution.refine_iterations is None else [columns, face])
+        assert solution.refine_master_columns == face
+        assert solution.refine_rounds == (0 if solution.refine_iterations is None else 1)
