@@ -13,7 +13,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .basis import BasisSpec, basis_for_region, enumerate_basis
-from .grid import (DiscreteMeasure, Grid, assemble_cost_vector, assemble_flow_matrix,
+from .grid import (DiscreteMeasure, Grid, LpBlocks, assemble_cost_vector, assemble_flow_matrix,
                    assemble_initial_matrix, build_grid)
 from .metrics import TestFunctionSet, make_test_function_set, rho_hat
 from .oracle import LevelTable, OracleResult, frozen_value, level_set_ordering, rotation_level_value

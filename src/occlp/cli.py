@@ -26,7 +26,7 @@ from . import __version__
 from .basis import basis_for_region
 from .config import (ConfigError, StudyConfig, build_policy, build_system,
                      default_config_text, parse_config)
-from .grid import DiscreteMeasure, GridError, build_grid
+from .grid import DiscreteMeasure, GridError, LpBlocks, build_grid
 from .metrics import MetricError, make_test_function_set, rho_hat
 from .oracle import OracleError, frozen_value, level_set_ordering, rotation_level_value
 from .programs import (CERTIFICATE_TOL, MEMBERSHIP_TOL, MU_VALUE_TOL, ORDERING_TOL,
@@ -112,7 +112,9 @@ def _solve_all(instances, jobs: int):
     The perturbed LPs whose xi block is priced differ only in their costs, so
     they are one chain, in decreasing epsilon, and one task of the pool; every
     other LP is a task of its own.  perturbed[eps=0] is the nonergodic LP
-    exactly, so when both are configured it takes the nonergodic solution."""
+    exactly, so when both are configured it takes the nonergodic solution.
+    The longest tasks go to the pool first: the chain, then the LPs that run
+    the minimal-mass refinement, then the rest, each group in LP order."""
     names = [lp_name(instance) for instance in instances]
     shared = {k: names.index("nonergodic") for k, name in enumerate(names)
               if name == "perturbed[eps=0]" and "nonergodic" in names}
@@ -120,9 +122,9 @@ def _solve_all(instances, jobs: int):
                     if instance.provenance["variant"] == "perturbed" and k not in shared
                     and not needs_refinement(instance)),
                    key=lambda k: -instances[k].provenance["epsilon"])
-    tasks = [[k] for k in range(len(instances)) if k not in shared and k not in chain]
-    if chain:
-        tasks.append(chain)
+    singles = [[k] for k in range(len(instances)) if k not in shared and k not in chain]
+    tasks = [chain] if chain else []
+    tasks += sorted(singles, key=lambda task: not needs_refinement(instances[task[0]]))
     solved = _pool_map(lambda task: solve_chain([instances[k] for k in task]), tasks, jobs)
     solutions = [None] * len(instances)
     for task, task_solutions in zip(tasks, solved):
@@ -151,22 +153,29 @@ _SECTION_READS = {
 }
 
 
-def _solve_section(bundle, spec, grid, basis, cfg: StudyConfig, variants, jobs: int):
+def _build_lps(spec, grid, basis, cfg: StudyConfig, variants, blocks):
+    """The configured LPs of ``variants``, in report order, built on ``blocks``."""
     prog = cfg.program
     y0 = np.asarray(prog.y0, dtype=float)
     instances = []
     if "ergodic" in variants:
-        instances.append(build_ergodic_lp(grid, basis, spec))
+        instances.append(build_ergodic_lp(grid, basis, spec, blocks=blocks))
     if "nonergodic" in variants:
         instances.append(build_nonergodic_lp(grid, basis, spec, y0,
-                                             xi_mass_cap=prog.xi_mass_cap))
+                                             xi_mass_cap=prog.xi_mass_cap, blocks=blocks))
     if "discounted" in variants:
         for rate in prog.discount_rates:
-            instances.append(build_discounted_lp(grid, basis, spec, y0, rate))
+            instances.append(build_discounted_lp(grid, basis, spec, y0, rate, blocks=blocks))
     if "perturbed" in variants:
         for eps in prog.epsilons:
             instances.append(build_perturbed_lp(grid, basis, spec, y0, eps,
-                                                xi_mass_cap=prog.xi_mass_cap))
+                                                xi_mass_cap=prog.xi_mass_cap, blocks=blocks))
+    return instances
+
+
+def _solve_section(bundle, spec, grid, basis, cfg: StudyConfig, variants, jobs: int, blocks):
+    prog = cfg.program
+    instances = _build_lps(spec, grid, basis, cfg, variants, blocks)
     solutions = _solve_all(instances, jobs)
 
     results = {}
@@ -266,7 +275,7 @@ def _solve_section(bundle, spec, grid, basis, cfg: StudyConfig, variants, jobs: 
     return results
 
 
-def _simulate_section(bundle, spec, grid, basis, cfg: StudyConfig, solve_results):
+def _simulate_section(bundle, spec, grid, basis, cfg: StudyConfig, solve_results, blocks):
     sim = cfg.simulate
     if not sim.policy:
         return
@@ -275,7 +284,7 @@ def _simulate_section(bundle, spec, grid, basis, cfg: StudyConfig, solve_results
 
     # windows of one run, reused for average values, empirical measures,
     # residual decay and the weak-* distance trend
-    study = horizon_study(spec, y0, policy, sim.horizons, grid, basis, sim.dt)
+    study = horizon_study(spec, y0, policy, sim.horizons, grid, basis, sim.dt, blocks=blocks)
     horizon_rows = []
     for row in study:
         value = cesaro_value(row.trajectory, spec)
@@ -334,7 +343,7 @@ def _simulate_section(bundle, spec, grid, basis, cfg: StudyConfig, solve_results
                       f"cesaro {final:.4f} >= mu {mu:.4f} - {_bound_text(SIMULATION_TOL)}")
 
 
-def _sweep_section(bundle, spec, grid, basis, cfg: StudyConfig, solve_results):
+def _sweep_section(bundle, spec, grid, basis, cfg: StudyConfig, solve_results, blocks):
     prog = cfg.program
     y0 = np.asarray(prog.y0, dtype=float)
     if prog.discount_rates:
@@ -343,19 +352,23 @@ def _sweep_section(bundle, spec, grid, basis, cfg: StudyConfig, solve_results):
             name = f"discounted[rate={rate:g}]"
             pair = solve_results.get(name)
             solution = (pair[1] if pair
-                        else _solve(build_discounted_lp(grid, basis, spec, y0, rate)))
+                        else _solve(build_discounted_lp(grid, basis, spec, y0, rate,
+                                                        blocks=blocks)))
             if solution.status == "optimal":
                 rows.append([rate, solution.value])
         if rows:
             bundle.tables["discount_sweep"] = {"columns": ["rate", "lp_value"], "rows": rows}
 
 
-def _convergence_section(bundle, spec, grid, basis, cfg: StudyConfig):
+def _convergence_section(bundle, spec, grid, basis, cfg: StudyConfig, blocks):
     """Refinement study: value stability under angular doubling and degree bump.
-    It reads only LP values, so no LP here runs the minimal-mass refinement."""
+    It reads only LP values, so no LP here runs the minimal-mass refinement.
+    Only the base LP is built on the study's blocks; each other grid or basis
+    assembles its own."""
     y0 = np.asarray(cfg.program.y0, dtype=float)
     base = _solve(build_nonergodic_lp(grid, basis, spec, y0,
-                                      xi_mass_cap=cfg.program.xi_mass_cap), refine=False)
+                                      xi_mass_cap=cfg.program.xi_mass_cap, blocks=blocks),
+                  refine=False)
     if base.status != "optimal":
         bundle.record("convergence.base_solved", False, base.message)
         return
@@ -386,12 +399,12 @@ def _convergence_section(bundle, spec, grid, basis, cfg: StudyConfig):
     bundle.tables["degree_sweep"] = {"columns": ["degree", "value"], "rows": degree_rows}
 
 
-def _certify_section(bundle, spec, grid, basis, cfg: StudyConfig, solve_results):
+def _certify_section(bundle, spec, grid, basis, cfg: StudyConfig, solve_results, blocks):
     y0 = np.asarray(cfg.program.y0, dtype=float)
     pair = solve_results.get("nonergodic")
     if pair is None:
         instance = build_nonergodic_lp(grid, basis, spec, y0,
-                                       xi_mass_cap=cfg.program.xi_mass_cap)
+                                       xi_mass_cap=cfg.program.xi_mass_cap, blocks=blocks)
         solution = _solve(instance)
     else:
         instance, solution = pair
@@ -403,7 +416,7 @@ def _certify_section(bundle, spec, grid, basis, cfg: StudyConfig, solve_results)
     bundle.values["certify.offgrid_min_slack_lower_bound"] = report["min_lower_bound_slack"]
     bundle.values["certify.offgrid_min_slack_monotonicity"] = report["min_monotonicity_slack"]
     bundle.values["certify.offgrid_sample_count"] = report["sample_count"]
-    [res] = membership_residual([solution.gamma], grid, basis, y0)
+    [res] = membership_residual([solution.gamma], grid, basis, y0, blocks=blocks)
     bundle.values["certify.gamma_w_residual"] = res.w_residual
     bundle.values["certify.gamma_omega_residual"] = res.omega_residual
     bundle.record("certify.optimal_gamma_feasible",
@@ -434,7 +447,9 @@ def run_study(config: StudyConfig, sections=_ALL_SECTIONS, jobs: int = 1) -> Rep
     """Run the configured study and return a report bundle.
 
     Deterministic given configuration + seed + build: no wall-clock data is
-    recorded and all numeric paths are seed-free or seeded.
+    recorded and all numeric paths are seed-free or seeded.  The study's LP
+    blocks (B, C at the configured y0, and c) are assembled once, when a
+    section first reads them, and every section reads that one object.
     """
     spec = build_system(config.system)
     grid = build_grid(spec, tuple(config.grid.state_resolution),
@@ -446,20 +461,21 @@ def run_study(config: StudyConfig, sections=_ALL_SECTIONS, jobs: int = 1) -> Rep
     bundle.values["basis.count"] = basis.count
 
     study = (spec, grid, basis, config)
+    blocks = LpBlocks(grid, basis, spec, config.program.y0)
     reads = {variant for section in sections for variant in _SECTION_READS.get(section, ())}
     variants = tuple(v for v in config.program.variants if v in reads)
     solve_results = {}
     if variants:
         solve_results = _run_section(bundle, "solve", _solve_section, *study,
-                                     variants, jobs) or {}
+                                     variants, jobs, blocks) or {}
     if "simulate" in sections:
-        _run_section(bundle, "simulate", _simulate_section, *study, solve_results)
+        _run_section(bundle, "simulate", _simulate_section, *study, solve_results, blocks)
     if "sweep" in sections:
-        _run_section(bundle, "sweep", _sweep_section, *study, solve_results)
+        _run_section(bundle, "sweep", _sweep_section, *study, solve_results, blocks)
     if "convergence" in sections:
-        _run_section(bundle, "convergence", _convergence_section, *study)
+        _run_section(bundle, "convergence", _convergence_section, *study, blocks)
     if "certify" in sections:
-        _run_section(bundle, "certify", _certify_section, *study, solve_results)
+        _run_section(bundle, "certify", _certify_section, *study, solve_results, blocks)
     if "oracle" in sections:
         _run_section(bundle, "oracle", _oracle_section, spec, config)
     return bundle

@@ -8,21 +8,35 @@ inner radius, the outer radius, and every subdivision radius are exactly unions
 of atoms -- measures concentrating on an invariant circle are then exactly
 representable, which the initial-condition-coupled programs rely on.
 
-The assembled matrices are shared by every program variant:
+Every LP of a study is stacked from three assembled blocks:
 
 * flow matrix  B[b, a] = grad phi_b(y_a) . f(y_a, u_a)
 * initial matrix C[b, a] = phi_b(y0) - phi_b(y_a)
 * cost vector  c[a] = k(y_a, u_a)
+
+phi and grad phi are evaluated once per grid state and repeated over the
+controls, which gives the floats an evaluation at every atom gives.  A study
+assembles the blocks once for its (grid, basis, y0), in one :class:`LpBlocks`,
+and every LP and membership check it builds there reads them from that object.
+The blocks are held inside the coupled programs' matrix, which
+:func:`stack_rows` lays out and which every coupled LP of the study shares,
+read-only.
 """
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .basis import BasisSpec, grad_matrix, phi_matrix
 from .system import RegionError, StateRegion, SystemSpec, cost_batch, dynamics_batch
+
+
+log = logging.getLogger(__name__)
 
 
 class GridError(ValueError):
@@ -118,9 +132,9 @@ def build_grid(spec: SystemSpec, state_resolution, control_resolution: int) -> G
 
 def assemble_flow_matrix(grid: Grid, basis: BasisSpec) -> np.ndarray:
     """B[b, a] = grad phi_b(y_a) . f(y_a, u_a); B g are the flow residuals of g."""
-    ys, us = grid.atom_states, grid.atom_controls
-    f_vals = dynamics_batch(grid.spec)(ys, us)  # (N, m)
-    grads = grad_matrix(basis, ys)  # (count, N, m)
+    f_vals = dynamics_batch(grid.spec)(grid.atom_states, grid.atom_controls)  # (N, m)
+    grads = np.repeat(grad_matrix(basis, grid.state_points),
+                      grid.control_points.shape[0], axis=1)  # (count, N, m)
     return np.einsum("bnm,nm->bn", grads, f_vals)
 
 
@@ -129,14 +143,106 @@ def assemble_initial_matrix(grid: Grid, basis: BasisSpec, y0) -> np.ndarray:
     y0 = np.asarray(y0, dtype=float)
     if not grid.spec.region.contains(y0):
         raise RegionError(f"y0 {y0.tolist()} outside the state region")
-    phi_at_atoms = phi_matrix(basis, grid.atom_states)  # (count, N)
-    phi_at_y0 = phi_matrix(basis, y0[None, :])[:, 0]  # (count,)
-    return phi_at_y0[:, None] - phi_at_atoms
+    phi_at_y0 = phi_matrix(basis, y0[None, :])  # (count, 1)
+    return np.repeat(phi_at_y0 - phi_matrix(basis, grid.state_points),
+                     grid.control_points.shape[0], axis=1)
 
 
 def assemble_cost_vector(grid: Grid, spec: SystemSpec) -> np.ndarray:
     """c[a] = k(y_a, u_a)."""
     return cost_batch(spec)(grid.atom_states, grid.atom_controls)
+
+
+def stack_rows(blocks, n_atoms: int) -> np.ndarray:
+    """One read-only LP matrix: the row blocks ``(gamma coefficients, xi
+    coefficients or None)`` in order, then the normalization row 1.gamma = 1.
+    When a block has xi coefficients, the columns are [gamma | xi] and the cap
+    row 1.xi <= cap comes last; otherwise there is no xi block."""
+    xi = any(xi_block is not None for _, xi_block in blocks)
+    rows = sum(gamma.shape[0] for gamma, _ in blocks)
+    out = np.zeros((rows + 1 + xi, n_atoms * (1 + xi)))
+    row = 0
+    for gamma, xi_block in blocks:
+        out[row:row + gamma.shape[0], :n_atoms] = gamma
+        if xi_block is not None:
+            out[row:row + gamma.shape[0], n_atoms:] = xi_block
+        row += gamma.shape[0]
+    out[row, :n_atoms] = 1.0
+    if xi:
+        out[row + 1, n_atoms:] = 1.0
+    out.flags.writeable = False
+    return out
+
+
+def snap_to_state_grid(grid: Grid, y0) -> tuple[int, np.ndarray]:
+    """Nearest state grid point to y0 (the representative the coupled rows use)."""
+    y0 = np.asarray(y0, dtype=float)
+    if not grid.spec.region.contains(y0):
+        raise RegionError(f"y0 {y0.tolist()} outside the state region")
+    idx = int(nearest_state_index(grid, y0)[0])
+    return idx, grid.state_points[idx].copy()
+
+
+class LpBlocks:
+    """B, C at one start point and c, for one grid, basis, system and y0,
+    assembled once, on first use, for every LP built on them.
+
+    ``coupled`` is the initial-coupled programs' matrix, with the rows B g = 0,
+    C g + B x = 0, 1.g = 1 and last the cap row 1.x <= cap (see
+    :func:`stack_rows`); ``flow`` and ``initial`` are views of its gamma
+    block, so B and C are held once.  C is taken at y0 snapped to the state
+    grid (:func:`snap_to_state_grid`).  The arrays are read-only and live as
+    long as the object: a study holds one for its run.  The assembly logs one
+    INFO line with its size, the megabytes it holds and its time.
+    """
+
+    def __init__(self, grid: Grid, basis: BasisSpec, spec: SystemSpec, y0):
+        self.grid, self.basis, self.spec = grid, basis, spec
+        self.y0_requested = np.asarray(y0, dtype=float)
+
+    def matches(self, grid: Grid, basis: BasisSpec, spec: SystemSpec, y0) -> bool:
+        """Whether these are the blocks of that grid, basis, system and y0."""
+        return (grid is self.grid and basis == self.basis and spec is self.spec
+                and np.array_equal(np.asarray(y0, dtype=float), self.y0_requested))
+
+    @cached_property
+    def y0(self) -> np.ndarray:
+        """The start point snapped to the state grid."""
+        return snap_to_state_grid(self.grid, self.y0_requested)[1]
+
+    @property
+    def start(self) -> dict:
+        """The requested and the snapped start point, as LP provenance."""
+        return {"y0_requested": tuple(self.y0_requested.tolist()), "y0": tuple(self.y0.tolist())}
+
+    @property
+    def cost(self) -> np.ndarray:
+        return self._assembled[0]
+
+    @property
+    def coupled(self) -> np.ndarray:
+        return self._assembled[1]
+
+    @property
+    def flow(self) -> np.ndarray:
+        return self.coupled[:self.basis.count, :self.grid.atom_count]
+
+    @property
+    def initial(self) -> np.ndarray:
+        return self.coupled[self.basis.count:2 * self.basis.count, :self.grid.atom_count]
+
+    @cached_property
+    def _assembled(self) -> tuple[np.ndarray, np.ndarray]:
+        began = time.perf_counter()
+        cost = assemble_cost_vector(self.grid, self.spec)
+        cost.flags.writeable = False
+        flow = assemble_flow_matrix(self.grid, self.basis)
+        initial = assemble_initial_matrix(self.grid, self.basis, self.y0)
+        coupled = stack_rows([(flow, None), (initial, flow)], self.grid.atom_count)
+        log.info("assembly: %d states, %d atoms, %d basis rows, %.2f MB held, %.3f s",
+                 self.grid.state_points.shape[0], self.grid.atom_count, self.basis.count,
+                 (cost.nbytes + coupled.nbytes) / 1e6, time.perf_counter() - began)
+        return cost, coupled
 
 
 def _nearest_rows(points: np.ndarray, queries: np.ndarray, candidates=None) -> np.ndarray:

@@ -33,10 +33,11 @@ class TestFunctionSet:
         return self.basis.max_degree
 
     def values_on_grid(self, grid: Grid) -> np.ndarray:
-        """Normalised test-function values at the grid atoms, (count+1, N)."""
-        values = phi_matrix(self.basis, grid.atom_states) / self.norms[:, None]
-        const = np.ones((1, grid.atom_count))
-        return np.vstack([values, const])
+        """Normalised test-function values at the grid atoms, (count+1, N):
+        taken once per state and repeated over the controls."""
+        values = phi_matrix(self.basis, grid.state_points) / self.norms[:, None]
+        const = np.ones((1, grid.state_points.shape[0]))
+        return np.repeat(np.vstack([values, const]), grid.control_points.shape[0], axis=1)
 
 
 def make_test_function_set(basis: BasisSpec, region: StateRegion,

@@ -1,9 +1,9 @@
 """Finite linear programs over discrete occupation measures, with dual certificates.
 
-Four program variants share one assembly path: each stacks its row blocks
-over the same normalization row.  Writing B for the flow matrix,
-C for the initial-coupling matrix of a start point y0, c for the atom costs and
-1 for the all-ones row:
+Four program variants share one stacking path (:func:`~occlp.grid.stack_rows`):
+each stacks its row blocks over the same normalization row.  Writing B for the
+flow matrix, C for the initial-coupling matrix of a start point y0, c for the
+atom costs and 1 for the all-ones row:
 
 * ergodic            min c.g      s.t.  B g = 0,               1.g = 1, g >= 0
 * initial-coupled    min c.g      s.t.  B g = 0, C g + B x = 0, 1.g = 1, g, x >= 0
@@ -21,6 +21,12 @@ basis, satisfying at every atom
 and mu equal to the optimal value (finite LP strong duality).  mu is always a
 certified lower bound for the primal value (weak duality), which is asserted
 for every solve.
+
+Each builder reads B, C and c from an :class:`~occlp.grid.LpBlocks`, the
+study's when it is given one and its own otherwise.  The initial-coupled and
+perturbed programs built on one such object share its coupled matrix, cap row
+included, as their ``matrix``: the epsilon sweep and the nonergodic LP hold
+one read-only array between them, and the solver reads it in place.
 
 Every LP here, including the membership LP, is solved on a HiGHS model built
 through scipy's bundled binding, by dual simplex with presolve off.  The
@@ -66,9 +72,9 @@ import numpy as np
 import scipy
 
 from .basis import BasisSpec, grad_matrix, phi_matrix
-from .grid import (DiscreteMeasure, Grid, assemble_cost_vector,
-                   assemble_flow_matrix, assemble_initial_matrix, nearest_state_index)
-from .system import RegionError, SystemSpec, cost_batch, dynamics_batch, lattice, product_rows
+from .grid import (DiscreteMeasure, Grid, LpBlocks, assemble_cost_vector,
+                   assemble_flow_matrix, snap_to_state_grid, stack_rows)
+from .system import SystemSpec, cost_batch, dynamics_batch, lattice, product_rows
 
 
 log = logging.getLogger(__name__)
@@ -137,14 +143,17 @@ class RowMeta:
 
 @dataclass(frozen=True)
 class LpInstance:
-    """One finite LP over a gamma block and an optional xi block."""
+    """One finite LP over a gamma block and an optional xi block.
+
+    ``matrix`` holds every row over the columns [gamma | xi]: the equality
+    rows of ``row_meta``, then the cap row 1.xi <= xi_mass_cap if the LP has
+    one.  The builders hand it out read-only, and LPs may share it."""
 
     grid: Grid
     basis: BasisSpec
     objective_gamma: np.ndarray
     objective_xi: np.ndarray | None
-    eq_gamma: np.ndarray  # (rows, N) coefficients on the gamma block
-    eq_xi: np.ndarray | None  # (rows, N) coefficients on the xi block
+    matrix: np.ndarray
     eq_rhs: np.ndarray
     row_meta: tuple[RowMeta, ...]
     xi_mass_cap: float | None
@@ -162,12 +171,23 @@ class LpInstance:
     def has_xi(self) -> bool:
         return self.objective_xi is not None
 
+    @property
+    def has_cap(self) -> bool:
+        return self.has_xi and self.xi_mass_cap is not None
+
+    @property
+    def a_eq(self) -> np.ndarray:
+        """The equality rows of ``matrix``, over [gamma | xi] (a view)."""
+        return self.matrix[:len(self.row_meta)]
+
     def __post_init__(self):
         norm_rows = [i for i, meta in enumerate(self.row_meta) if meta.kind == "normalization"]
         if len(norm_rows) != 1:
             raise ProgramError(f"expected exactly one normalization row, got {len(norm_rows)}")
-        if len(self.row_meta) != self.eq_gamma.shape[0]:
-            raise ProgramError("row metadata must cover every row exactly once")
+        shape = (len(self.row_meta) + self.has_cap, self.n_gamma + self.n_xi)
+        if self.matrix.shape != shape:
+            raise ProgramError(f"matrix shape {self.matrix.shape} is not {shape}: one row per "
+                               "row_meta entry and the cap row, one column per gamma and xi atom")
         for meta in self.row_meta:
             if meta.kind not in ROW_KINDS:
                 raise ProgramError(f"unknown row kind {meta.kind!r}")
@@ -212,87 +232,91 @@ def lp_name(instance: LpInstance) -> str:
     return variant
 
 
-def snap_to_state_grid(grid: Grid, y0) -> tuple[int, np.ndarray]:
-    """Nearest state grid point to y0 (the representative the coupled rows use)."""
-    y0 = np.asarray(y0, dtype=float)
-    if not grid.spec.region.contains(y0):
-        raise RegionError(f"y0 {y0.tolist()} outside the state region")
-    idx = int(nearest_state_index(grid, y0)[0])
-    return idx, grid.state_points[idx].copy()
-
-
-def _stack(grid: Grid, basis: BasisSpec, cost: np.ndarray, blocks, provenance: dict,
-           xi_cost: np.ndarray | None = None,
-           xi_mass_cap: float | None = None) -> LpInstance:
-    """Stack row blocks ``(kind, gamma coefficients, xi coefficients or None)``
-    over the normalization row; the xi block exists iff ``xi_cost`` is given."""
-    n = grid.atom_count
-    eq_gamma = np.vstack([g for _, g, _ in blocks] + [np.ones((1, n))])
-    eq_xi = None
-    if xi_cost is not None:
-        eq_xi = np.vstack([np.zeros_like(g) if x is None else x for _, g, x in blocks]
-                          + [np.zeros((1, n))])
-    rhs = np.concatenate([np.zeros(eq_gamma.shape[0] - 1), [1.0]])
-    meta = (tuple(RowMeta(kind, b) for kind, g, _ in blocks for b in range(g.shape[0]))
+def _instance(grid: Grid, basis: BasisSpec, kinds, matrix: np.ndarray, cost: np.ndarray,
+              provenance: dict, xi_cost: np.ndarray | None = None,
+              xi_mass_cap: float | None = None) -> LpInstance:
+    """An LP over ``matrix``, whose equality rows are the row blocks ``kinds``
+    (kind, rows) and then the normalization row; the xi block exists iff
+    ``xi_cost`` is given."""
+    meta = (tuple(RowMeta(kind, b) for kind, rows in kinds for b in range(rows))
             + (RowMeta("normalization", None),))
+    rhs = np.zeros(len(meta))
+    rhs[-1] = 1.0
     return LpInstance(grid=grid, basis=basis, objective_gamma=cost, objective_xi=xi_cost,
-                      eq_gamma=eq_gamma, eq_xi=eq_xi, eq_rhs=rhs, row_meta=meta,
-                      xi_mass_cap=xi_mass_cap, provenance=provenance)
+                      matrix=matrix, eq_rhs=rhs, row_meta=meta, xi_mass_cap=xi_mass_cap,
+                      provenance=provenance)
 
 
-def _initial_rows(grid: Grid, basis: BasisSpec, y0) -> tuple[np.ndarray, dict]:
-    """Initial-coupling rows at y0 snapped to the state grid, and both points."""
-    _, y0_snapped = snap_to_state_grid(grid, y0)
-    return (assemble_initial_matrix(grid, basis, y0_snapped),
-            {"y0_requested": tuple(np.asarray(y0, float).tolist()),
-             "y0": tuple(y0_snapped.tolist())})
+def _blocks(grid: Grid, basis: BasisSpec, spec: SystemSpec, y0,
+            blocks: LpBlocks | None) -> LpBlocks:
+    """The given blocks, checked to be those of (grid, basis, spec, y0), or new ones."""
+    if blocks is None:
+        return LpBlocks(grid, basis, spec, y0)
+    if not blocks.matches(grid, basis, spec, y0):
+        raise ProgramError("the LP blocks were assembled for another grid, basis, "
+                           "system or start point")
+    return blocks
 
 
-def _coupled_lp(grid: Grid, basis: BasisSpec, y0, cost: np.ndarray, xi_cost: np.ndarray,
-                xi_mass_cap: float, provenance: dict) -> LpInstance:
-    """Flow rows B g = 0 and initial rows C g + B x = 0 over a gamma and an xi block."""
-    flow = assemble_flow_matrix(grid, basis)
-    initial, start = _initial_rows(grid, basis, y0)
-    return _stack(grid, basis, cost, [("flow", flow, None), ("initial", initial, flow)],
-                  {**provenance, **start}, xi_cost, xi_mass_cap)
+def _coupled_lp(blocks: LpBlocks, cost: np.ndarray, xi_cost: np.ndarray,
+                xi_mass_cap: float | None, provenance: dict) -> LpInstance:
+    """Flow rows B g = 0 and initial rows C g + B x = 0 over a gamma and an xi
+    block, on the blocks' coupled matrix (without its cap row if uncapped)."""
+    count = blocks.basis.count
+    matrix = blocks.coupled if xi_mass_cap is not None else blocks.coupled[:-1]
+    return _instance(blocks.grid, blocks.basis, [("flow", count), ("initial", count)], matrix,
+                     cost, {**provenance, **blocks.start}, xi_cost, xi_mass_cap)
 
 
-def build_ergodic_lp(grid: Grid, basis: BasisSpec, spec: SystemSpec) -> LpInstance:
-    """Long-run program with flow rows only; its value ignores the start point."""
-    return _stack(grid, basis, assemble_cost_vector(grid, spec),
-                  [("flow", assemble_flow_matrix(grid, basis), None)], {"variant": "ergodic"})
+def build_ergodic_lp(grid: Grid, basis: BasisSpec, spec: SystemSpec,
+                     blocks: LpBlocks | None = None) -> LpInstance:
+    """Long-run program with flow rows only; its value ignores the start point,
+    so without ``blocks`` it assembles B and c alone."""
+    if blocks is None:
+        flow, cost = assemble_flow_matrix(grid, basis), assemble_cost_vector(grid, spec)
+    else:  # the blocks of any start point hold the ergodic LP's B and c
+        blocks = _blocks(grid, basis, spec, blocks.y0_requested, blocks)
+        flow, cost = blocks.flow, blocks.cost
+    return _instance(grid, basis, [("flow", basis.count)],
+                     stack_rows([(flow, None)], grid.atom_count),
+                     cost, {"variant": "ergodic"})
 
 
 def build_nonergodic_lp(grid: Grid, basis: BasisSpec, spec: SystemSpec, y0,
-                        xi_mass_cap: float = DEFAULT_XI_MASS_CAP) -> LpInstance:
+                        xi_mass_cap: float = DEFAULT_XI_MASS_CAP,
+                        blocks: LpBlocks | None = None) -> LpInstance:
     """Start-point-dependent program: flow rows plus initial-coupling rows.
 
     Infeasibility (possible when no admissible motion connects the feasible
     long-run measures back to y0 on the grid) surfaces as solution status.
     """
-    return _coupled_lp(grid, basis, y0, assemble_cost_vector(grid, spec),
-                       np.zeros(grid.atom_count), xi_mass_cap, {"variant": "nonergodic"})
+    blocks = _blocks(grid, basis, spec, y0, blocks)
+    return _coupled_lp(blocks, blocks.cost, np.zeros(grid.atom_count), xi_mass_cap,
+                       {"variant": "nonergodic"})
 
 
 def build_discounted_lp(grid: Grid, basis: BasisSpec, spec: SystemSpec, y0,
-                        discount_rate: float) -> LpInstance:
+                        discount_rate: float, blocks: LpBlocks | None = None) -> LpInstance:
     """Discounted-constraint program: rows (B + rate * C) g = 0 plus normalization."""
     if discount_rate <= 0:
         raise ProgramError("discount rate must be positive")
-    flow = assemble_flow_matrix(grid, basis)
-    initial, start = _initial_rows(grid, basis, y0)
-    return _stack(grid, basis, assemble_cost_vector(grid, spec),
-                  [("discounted", flow + discount_rate * initial, None)],
-                  {"variant": "discounted", "rate": discount_rate, **start})
+    blocks = _blocks(grid, basis, spec, y0, blocks)
+    rows = blocks.flow + discount_rate * blocks.initial
+    return _instance(grid, basis, [("discounted", basis.count)],
+                     stack_rows([(rows, None)], grid.atom_count),
+                     blocks.cost, {"variant": "discounted", "rate": discount_rate,
+                                   **blocks.start})
 
 
 def build_perturbed_lp(grid: Grid, basis: BasisSpec, spec: SystemSpec, y0,
                        epsilon: float,
-                       xi_mass_cap: float = DEFAULT_XI_MASS_CAP) -> LpInstance:
+                       xi_mass_cap: float = DEFAULT_XI_MASS_CAP,
+                       blocks: LpBlocks | None = None) -> LpInstance:
     """Regularised coupled program; epsilon = 0 reduces exactly to the unperturbed one."""
     if epsilon < 0:
         raise ProgramError("epsilon must be nonnegative")
-    return _coupled_lp(grid, basis, y0, assemble_cost_vector(grid, spec) + 2.0 * epsilon,
+    blocks = _blocks(grid, basis, spec, y0, blocks)
+    return _coupled_lp(blocks, blocks.cost + 2.0 * epsilon,
                        np.full(grid.atom_count, spec.bound_f * epsilon), xi_mass_cap,
                        {"variant": "perturbed", "epsilon": epsilon, "f_bound": spec.bound_f})
 
@@ -340,11 +364,13 @@ def _add_columns(highs: _Highs, cost: np.ndarray, a: np.ndarray) -> None:
 def _csc_triple(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column-wise (start, index, value) of the nonzeros of a dense matrix, in
     column then row order with int32 indices, as ``scipy.sparse.csc_array``
-    stores them."""
-    columns, rows = np.nonzero(a.T)
+    stores them.  The nonzeros are picked by a boolean mask of the transpose,
+    so no int64 (column, row) index pair is made for each of them."""
+    nonzero = a.T != 0
     start = np.zeros(a.shape[1] + 1, dtype=np.int32)
-    np.cumsum(np.bincount(columns, minlength=a.shape[1]), out=start[1:])
-    return start, rows.astype(np.int32), a[rows, columns]
+    np.cumsum(np.count_nonzero(nonzero, axis=1), out=start[1:])
+    rows = np.broadcast_to(np.arange(a.shape[0], dtype=np.int32), nonzero.shape)
+    return start, rows[nonzero], a.T[nonzero]
 
 
 def _rerun(highs: _Highs) -> tuple[str, int]:
@@ -364,12 +390,13 @@ def _minimal_mass_refinement(instance: LpInstance, a_eq: np.ndarray, objective: 
     is zero (at most FACE_TOL relative to their cost).  By complementary
     slackness every feasible point on those columns is optimal, provided a
     cap row with a nonzero dual stays tight, so such a row enters as an
-    equality.  The model starts from the face columns among ``columns``, the
-    main model's when it ended: they hold the main point's support, so this
-    master is feasible, and when the main model held every column it is the
-    whole face.  :func:`_grow_master` then adds the face columns that price
-    negative against the refinement's own duals, the cap row's included (or
-    the whole face if the master does not end optimal).
+    equality.  The face's columns, with or without that last row, are taken
+    from the LP's ``matrix``.  The model starts from the face columns among
+    ``columns``, the main model's when it ended: they hold the main point's
+    support, so this master is feasible, and when the main model held every
+    column it is the whole face.  :func:`_grow_master` then adds the face
+    columns that price negative against the refinement's own duals, the cap
+    row's included (or the whole face if the master does not end optimal).
 
     Returns the LpSolution fields of the refinement (its simplex iterations,
     the master's and the face's column counts and the runs of its model) and
@@ -380,9 +407,10 @@ def _minimal_mass_refinement(instance: LpInstance, a_eq: np.ndarray, objective: 
     n_g = instance.n_gamma
     face = np.flatnonzero(reduced <= FACE_TOL * (1.0 + np.abs(objective)))
     mass = (face >= n_g).astype(float)
-    a, rhs = a_eq[:, face], instance.eq_rhs
+    rhs = instance.eq_rhs
     if cap_dual < -FACE_TOL:
-        a, rhs = np.vstack([a, mass]), np.append(rhs, instance.xi_mass_cap)
+        rhs = np.append(rhs, instance.xi_mass_cap)
+    a = instance.matrix[:len(rhs), face]
     seed = np.flatnonzero(np.isin(face, columns))
     highs, status, iterations = _highs_run(mass, a, rhs, rhs, seed,
                                            primal_feasibility_tolerance=FACE_TOL)
@@ -424,10 +452,11 @@ def needs_refinement(instance: LpInstance) -> bool:
 
 
 def _same_rows(a: LpInstance, b: LpInstance) -> bool:
+    """Whether two LPs have the same rows: LPs built on one study's blocks
+    share their matrix, and separately built ones are compared by value."""
     return (a.row_meta == b.row_meta and a.has_xi == b.has_xi
-            and a.xi_mass_cap == b.xi_mass_cap
-            and np.array_equal(a.eq_gamma, b.eq_gamma) and np.array_equal(a.eq_rhs, b.eq_rhs)
-            and (not a.has_xi or np.array_equal(a.eq_xi, b.eq_xi)))
+            and a.xi_mass_cap == b.xi_mass_cap and np.array_equal(a.eq_rhs, b.eq_rhs)
+            and (a.matrix is b.matrix or np.array_equal(a.matrix, b.matrix)))
 
 
 def _seed_atoms(grid: Grid, n_col: int, rows: int, y0) -> np.ndarray | None:
@@ -523,7 +552,8 @@ def solve_chain(instances) -> list[LpSolution]:
 def solve(instance: LpInstance, chain: _Chain | None = None,
           refine: bool = True) -> LpSolution:
     """Solve one LP (dual simplex, presolve off): cold on a model of its own, or
-    warm on the model of a :func:`solve_chain` when that allows it.
+    warm on the model of a :func:`solve_chain` when that allows it.  The LP's
+    ``matrix`` is read in place, never copied whole.
 
     A cold model starts from the columns of :func:`_seed_columns`, every column
     of a small LP or a restricted master of a large one, and
@@ -543,19 +573,14 @@ def solve(instance: LpInstance, chain: _Chain | None = None,
     its xi is then not canonical.
     Optimality is demoted to tolerance-failure when the returned point
     violates the residual or duality-gap contracts."""
-    n_g, n_x = instance.n_gamma, instance.n_xi
+    n_g = instance.n_gamma
+    objective = instance.objective_gamma
     if instance.has_xi:
-        objective = np.concatenate([instance.objective_gamma, instance.objective_xi])
-        a_eq = np.hstack([instance.eq_gamma, instance.eq_xi])
-    else:
-        objective = instance.objective_gamma
-        a_eq = instance.eq_gamma
-
-    a, lower, upper = a_eq, instance.eq_rhs, instance.eq_rhs
-    has_cap = instance.has_xi and instance.xi_mass_cap is not None
+        objective = np.concatenate([objective, instance.objective_xi])
+    a, a_eq = instance.matrix, instance.a_eq
+    lower, upper = instance.eq_rhs, instance.eq_rhs
+    has_cap = instance.has_cap
     if has_cap:  # the last row: xi mass <= cap
-        cap_row = np.concatenate([np.zeros(n_g), np.ones(n_x)])
-        a = np.vstack([a_eq, cap_row])
         lower = np.append(lower, -np.inf)
         upper = np.append(upper, instance.xi_mass_cap)
 
@@ -595,7 +620,7 @@ def solve(instance: LpInstance, chain: _Chain | None = None,
     primal_residual = float(np.max(np.abs(a_eq @ x - instance.eq_rhs)))
     reduced = objective - a_eq.T @ row_duals
     if has_cap:
-        reduced = reduced - cap_row * cap_dual
+        reduced = reduced - a[-1] * cap_dual
     complementarity = float(np.max(np.abs(x * reduced)))
     dual_objective = float(instance.eq_rhs @ row_duals)
     if has_cap:
@@ -761,8 +786,8 @@ class MembershipResidual:
     omega_residual: float  # best sup-norm fit of the initial rows over xi >= 0
 
 
-def membership_residual(measures, grid: Grid, basis: BasisSpec,
-                        y0) -> list[MembershipResidual]:
+def membership_residual(measures, grid: Grid, basis: BasisSpec, y0,
+                        blocks: LpBlocks | None = None) -> list[MembershipResidual]:
     """How far each of a sequence of probability measures on ``grid`` is from
     the two feasible sets; one result per measure, in order.
 
@@ -778,14 +803,15 @@ def membership_residual(measures, grid: Grid, basis: BasisSpec,
     :func:`_grow_master` adds the xi columns that price negative, so each
     omega is the optimum over every column.  Every measure is checked to be a
     probability measure before any model is built.  Each run logs one INFO
-    line.
+    line.  B and C are read from ``blocks``, the study's when it is given
+    (for ``grid``, ``basis``, the grid's system and ``y0``), else assembled here.
     """
     measures = list(measures)
     for k, measure in enumerate(measures):
         if not measure.is_probability(tol=1e-7):
             raise ProgramError(f"measure {k} mass {measure.total_mass} is not 1")
-    flow = assemble_flow_matrix(grid, basis)
-    initial, _ = _initial_rows(grid, basis, y0)
+    blocks = _blocks(grid, basis, grid.spec, y0, blocks)
+    flow, initial = blocks.flow, blocks.initial
     # variables: xi (n) then t (1); rows: B x - t <= -C g, then -B x - t <= C g
     ones = np.ones((basis.count, 1))
     a_ub = np.vstack([np.hstack([flow, -ones]),

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import exprs
 from .basis import BasisSpec
-from .grid import DiscreteMeasure, Grid, nearest_atom_index, nearest_state_index
+from .grid import DiscreteMeasure, Grid, LpBlocks, nearest_atom_index, nearest_state_index
 from .programs import MembershipResidual, membership_residual
 from .system import SystemSpec, cost_batch, rk4_run_fn
 
@@ -591,7 +591,8 @@ class HorizonRow:
 
 
 def horizon_study(spec: SystemSpec, y0, policy: Policy, horizons,
-                  grid: Grid, basis: BasisSpec, dt: float = 1e-3) -> list[HorizonRow]:
+                  grid: Grid, basis: BasisSpec, dt: float = 1e-3,
+                  blocks: LpBlocks | None = None) -> list[HorizonRow]:
     """Empirical measures and their membership residuals over growing windows.
 
     One trajectory is integrated to the longest horizon; horizon T is its
@@ -602,13 +603,13 @@ def horizon_study(spec: SystemSpec, y0, policy: Policy, horizons,
     floor, so across horizon doublings it should be non-increasing up to that
     floor.  The run is binned once, by per-axis squared distances
     (:func:`~occlp.grid.nearest_atom_index`), and every window's membership
-    LP is one call of :func:`~occlp.programs.membership_residual`, which
-    solves the shortest window cold and each longer one warm from the window
-    before it.  When the run's tail repeats (``Trajectory.cycle``: a run
-    parked until its end, or a periodic schedule whose period maps its state
-    to itself), the tail's (state, control) pairs are binned once, on the
-    cycle's first pass, and every window that holds that pass keeps the
-    cycle.
+    LP is one call of :func:`~occlp.programs.membership_residual`, on the
+    study's ``blocks`` if given, which solves the shortest window cold and
+    each longer one warm from the window before it.  When the run's tail
+    repeats (``Trajectory.cycle``: a run parked until its end, or a periodic
+    schedule whose period maps its state to itself), the tail's (state,
+    control) pairs are binned once, on the cycle's first pass, and every
+    window that holds that pass keeps the cycle.
     """
     horizons = sorted(float(t) for t in horizons)
     if not horizons or horizons[0] <= 0:
@@ -621,5 +622,5 @@ def horizon_study(spec: SystemSpec, y0, policy: Policy, horizons,
         window = run.prefix(steps)
         windows.append(window)
         measures.append(_occupation(window, grid, atoms[:steps], window.dt / window.horizon))
-    residuals = membership_residual(measures, grid, basis, y0)
+    residuals = membership_residual(measures, grid, basis, y0, blocks)
     return [HorizonRow(*row) for row in zip(horizons, windows, measures, residuals)]

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occlp import cli, programs, simulate, system
+from occlp import grid as grid_mod
 from occlp.basis import basis_for_region
 from occlp.cli import ReportBundle, emit_report, main, run_study
 from occlp.config import (ConfigError, StudyConfig, build_policy, build_system,
@@ -505,6 +506,20 @@ def test_info_log_has_one_line_per_lp(caplog):
                      nonergodic)
     assert all(line.endswith("refinement not run") for line in lines
                if line.startswith(("ergodic:", "discounted")))
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "sweep", "certify"])
+def test_each_command_assembles_its_lp_blocks_once(monkeypatch, command):
+    # every LP and membership check of a command reads the study's one
+    # assembly of B, C and c
+    calls = []
+    for name in ("assemble_flow_matrix", "assemble_initial_matrix", "assemble_cost_vector"):
+        monkeypatch.setattr(grid_mod, name, lambda *args, name=name, fn=getattr(grid_mod, name):
+                            calls.append(name) or fn(*args))
+    bundle = run_study(parse_config(ACCEPTANCE_CONFIG.read_text()), sections=(command,))
+    assert bundle.all_passed()
+    assert sorted(calls) == ["assemble_cost_vector", "assemble_flow_matrix",
+                             "assemble_initial_matrix"]
 
 
 def test_convergence_reads_values_only_and_skips_the_refinement(monkeypatch):

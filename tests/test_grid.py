@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,12 +7,13 @@ from hypothesis import strategies as st
 
 from occlp import grid as grid_mod
 from occlp import system
-from occlp.basis import basis_for_region, enumerate_basis, phi_matrix
-from occlp.grid import (DiscreteMeasure, GridError, assemble_cost_vector,
+from occlp.basis import basis_for_region, enumerate_basis, grad_matrix, phi_matrix
+from occlp.config import build_system, parse_config
+from occlp.grid import (DiscreteMeasure, GridError, LpBlocks, assemble_cost_vector,
                         assemble_flow_matrix, assemble_initial_matrix, build_grid,
                         nearest_atom_index, nearest_index,
                         nearest_state_index)
-from occlp.system import ControlRegion, RegionError, StateRegion
+from occlp.system import ControlRegion, RegionError, StateRegion, dynamics_batch
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +173,87 @@ def test_assembly_is_deterministic(rotation, rotation_grid):
     c1 = assemble_initial_matrix(rotation_grid, b, (1.0, 0.0))
     c2 = assemble_initial_matrix(rotation_grid, b, (1.0, 0.0))
     assert c1.tobytes() == c2.tobytes()
+
+
+BOX_CUSTOM = """
+[system]
+name = custom
+region = box
+lower = [-1.0, -1.0]
+upper = [1.0, 1.0]
+dynamics = [-y1 + u1, -y2 + y1]
+cost = y2^2 + 0.5*u1^2
+"""
+
+# (system, state resolution, degree, y0): the acceptance and M-size annuli
+# and the benchmark's box layout
+ASSEMBLY_CASES = {"5x64": ("rotation", (5, 64), 4, (1.0, 0.0)),
+                  "5x128": ("rotation", (5, 128), 6, (0.0, 1.0)),
+                  "box": ("box", (16, 16), 6, (0.5, -0.5))}
+
+
+@pytest.fixture(scope="module")
+def assembly_setups(rotation):
+    systems = {"rotation": rotation, "box": build_system(parse_config(BOX_CUSTOM).system)}
+    return {name: (systems[kind], build_grid(systems[kind], res, 9),
+                   basis_for_region(systems[kind].region, degree), y0)
+            for name, (kind, res, degree, y0) in ASSEMBLY_CASES.items()}
+
+
+@pytest.mark.parametrize("case", ASSEMBLY_CASES)
+def test_statewise_assembly_is_bitwise_the_atomwise_one(assembly_setups, case):
+    spec, g, b, y0 = assembly_setups[case]
+    f = dynamics_batch(spec)(g.atom_states, g.atom_controls)
+    if spec.name == "rotation":  # the control u = 0 stops the motion
+        assert np.any(np.all(f == 0.0, axis=1))
+    flow = np.einsum("bnm,nm->bn", grad_matrix(b, g.atom_states), f)
+    initial = phi_matrix(b, np.array([y0])) - phi_matrix(b, g.atom_states)
+    assert assemble_flow_matrix(g, b).tobytes() == flow.tobytes()
+    assert assemble_initial_matrix(g, b, y0).tobytes() == initial.tobytes()
+    # the study's blocks: C at y0 snapped to the grid, and both views of the
+    # one coupled matrix, which holds B twice
+    blocks = LpBlocks(g, b, spec, y0)
+    snapped = phi_matrix(b, blocks.y0[None]) - phi_matrix(b, g.atom_states)
+    assert np.array_equal(blocks.flow, flow) and np.array_equal(blocks.initial, snapped)
+    assert np.array_equal(blocks.coupled[b.count:2 * b.count, g.atom_count:], flow)
+    assert blocks.cost.tobytes() == assemble_cost_vector(g, spec).tobytes()
+    for array in (blocks.coupled, blocks.flow, blocks.initial, blocks.cost):
+        assert not array.flags.writeable
+    assert np.shares_memory(blocks.flow, blocks.coupled)
+    assert np.shares_memory(blocks.initial, blocks.coupled)
+
+
+def test_blocks_stack_the_coupled_rows(rotation, rotation_grid):
+    b = basis_for_region(rotation.region, 3)
+    blocks = LpBlocks(rotation_grid, b, rotation, (1.0, 0.0))
+    n, count = rotation_grid.atom_count, b.count
+    expected = np.zeros((2 * count + 2, 2 * n))
+    expected[:count, :n] = blocks.flow
+    expected[count:2 * count, :n] = blocks.initial
+    expected[count:2 * count, n:] = blocks.flow
+    expected[-2, :n] = 1.0
+    expected[-1, n:] = 1.0
+    assert np.array_equal(blocks.coupled, expected)
+
+
+def test_assembly_evaluates_the_basis_once_per_state(monkeypatch, caplog, rotation,
+                                                     rotation_grid):
+    rows = []
+    for name in ("grad_matrix", "phi_matrix"):
+        monkeypatch.setattr(grid_mod, name, lambda basis, ys, name=name, fn=getattr(
+            grid_mod, name): rows.append((name, len(ys))) or fn(basis, ys))
+    b = basis_for_region(rotation.region, 4)
+    blocks = LpBlocks(rotation_grid, b, rotation, (1.0, 0.0))
+    assert rows == []  # nothing is assembled before it is read
+    with caplog.at_level("INFO", logger="occlp.grid"):
+        blocks.flow, blocks.initial, blocks.cost, blocks.coupled
+    states = rotation_grid.state_points.shape[0]
+    assert sorted(rows) == [("grad_matrix", states), ("phi_matrix", 1), ("phi_matrix", states)]
+    [line] = [r.getMessage() for r in caplog.records if r.name == "occlp.grid"]
+    assert re.fullmatch(rf"assembly: {states} states, {rotation_grid.atom_count} atoms, "
+                        rf"{b.count} basis rows, \d+\.\d\d MB held, \d+\.\d{{3}} s", line)
+    held = (blocks.coupled.nbytes + blocks.cost.nbytes) / 1e6
+    assert f"{held:.2f} MB held" in line
 
 
 def test_measure_validation(rotation_grid):

@@ -118,3 +118,14 @@ def test_hausdorff_empirical_sweep_shrinks_towards_optimum():
         emp = empirical_occupational_measure(traj, g)
         distances.append(rho_hat(emp, solution.gamma, tf))
     assert distances[0] >= distances[1] >= distances[2] - 1e-9
+
+
+def test_values_on_grid_are_bitwise_the_atomwise_ones():
+    from occlp.basis import basis_for_region, phi_matrix
+
+    spec = system.make_rotation()
+    g = build_grid(spec, (5, 64), 9)
+    tf = make_test_function_set(basis_for_region(spec.region, 4), spec.region)
+    atomwise = np.vstack([phi_matrix(tf.basis, g.atom_states) / tf.norms[:, None],
+                          np.ones((1, g.atom_count))])
+    assert tf.values_on_grid(g).tobytes() == atomwise.tobytes()

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from scipy.sparse import csc_array
 from occlp import cli, oracle, programs, system
 from occlp.basis import basis_for_region, grad_matrix, phi_matrix
 from occlp.config import build_system, parse_config
-from occlp.grid import DiscreteMeasure, build_grid
+from occlp.grid import DiscreteMeasure, LpBlocks, build_grid
 from occlp.programs import (CERTIFICATE_TOL, PRIMAL_RESIDUAL_TOL, LpInstance, ProgramError,
                             RowMeta, build_discounted_lp, build_ergodic_lp,
                             build_nonergodic_lp, build_perturbed_lp, certificate_offgrid_report,
@@ -86,8 +87,7 @@ def test_infeasible_instance_surfaces_as_status(frozen_setup):
     n = g.atom_count
     meta = (RowMeta("flow", 0), RowMeta("normalization", None))
     instance = LpInstance(grid=g, basis=b, objective_gamma=np.ones(n), objective_xi=None,
-                          eq_gamma=np.vstack([np.ones((1, n)), np.ones((1, n))]),
-                          eq_xi=None, eq_rhs=np.array([2.0, 1.0]),
+                          matrix=np.ones((2, n)), eq_rhs=np.array([2.0, 1.0]),
                           row_meta=meta, xi_mass_cap=None)
     assert solve(instance).status == "infeasible"
 
@@ -97,11 +97,11 @@ def test_instance_validation(frozen_setup):
     n = g.atom_count
     with pytest.raises(ProgramError):
         LpInstance(grid=g, basis=b, objective_gamma=np.ones(n), objective_xi=None,
-                   eq_gamma=np.ones((1, n)), eq_xi=None, eq_rhs=np.array([1.0]),
+                   matrix=np.ones((1, n)), eq_rhs=np.array([1.0]),
                    row_meta=(RowMeta("flow", 0),), xi_mass_cap=None)  # no normalization
     with pytest.raises(ProgramError):
         LpInstance(grid=g, basis=b, objective_gamma=np.ones(n), objective_xi=None,
-                   eq_gamma=np.ones((1, n)), eq_xi=None, eq_rhs=np.array([1.0]),
+                   matrix=np.ones((1, n)), eq_rhs=np.array([1.0]),
                    row_meta=(RowMeta("bogus", None),), xi_mass_cap=None)
 
 
@@ -241,7 +241,7 @@ def test_returned_point_meets_residual_contract():
     solution = solve(instance)
     assert solution.status == "optimal"
     x = np.concatenate([solution.gamma.weights, solution.xi.weights])
-    a_eq = np.hstack([instance.eq_gamma, instance.eq_xi])
+    a_eq = instance.a_eq
     assert np.max(np.abs(a_eq @ x - instance.eq_rhs)) <= PRIMAL_RESIDUAL_TOL
     membership_residual([solution.gamma], g, b, (1.0, 0.0))
     assert solution.xi_canonical
@@ -283,7 +283,7 @@ def test_degree_six_start_points_solve_with_canonical_xi(degree_six_setups, setu
     solution = solve(instance)
     assert solution.status == "optimal" and solution.xi_canonical
     x = np.concatenate([solution.gamma.weights, solution.xi.weights])
-    a_eq = np.hstack([instance.eq_gamma, instance.eq_xi])
+    a_eq = instance.a_eq
     assert np.max(np.abs(a_eq @ x - instance.eq_rhs)) <= PRIMAL_RESIDUAL_TOL
     if spec.name == "rotation":
         reference = oracle.rotation_level_value(spec, float(np.dot(y0, y0)))
@@ -427,8 +427,7 @@ def test_perturbed_zero_epsilon_is_identical(rotation_setup):
     pert = build_perturbed_lp(g, b, spec, (1.0, 0.0), 0.0)
     assert np.array_equal(base.objective_gamma, pert.objective_gamma)
     assert np.array_equal(base.objective_xi, pert.objective_xi)
-    assert np.array_equal(base.eq_gamma, pert.eq_gamma)
-    assert np.array_equal(base.eq_xi, pert.eq_xi)
+    assert np.array_equal(base.matrix, pert.matrix)
     assert np.array_equal(base.eq_rhs, pert.eq_rhs)
     assert base.row_meta == pert.row_meta
 
@@ -464,7 +463,9 @@ def _solve_section(text: str, setup, variants=("nonergodic", "perturbed")):
     """The study's solve section on a parsed config and a prebuilt (spec, grid, basis)."""
     spec, g, b = setup
     bundle = cli.ReportBundle(config={})
-    results = cli._solve_section(bundle, spec, g, b, parse_config(text), variants, 1)
+    cfg = parse_config(text)
+    results = cli._solve_section(bundle, spec, g, b, cfg, variants, 1,
+                                 LpBlocks(g, b, spec, cfg.program.y0))
     return bundle, results
 
 
@@ -474,7 +475,7 @@ def _assert_member_matches(instance, solution, cold, setup):
     assert solution.value == pytest.approx(cold.value, abs=1e-9)
     assert certificate_holds(extract_dual_certificate(solution, instance, b), g, b, spec)
     x = np.concatenate([solution.gamma.weights, solution.xi.weights])
-    a_eq = np.hstack([instance.eq_gamma, instance.eq_xi])
+    a_eq = instance.a_eq
     assert np.max(np.abs(a_eq @ x - instance.eq_rhs)) <= PRIMAL_RESIDUAL_TOL
 
 
@@ -670,8 +671,7 @@ def test_certificate_requires_optimal(frozen_setup):
     n = g.atom_count
     meta = (RowMeta("flow", 0), RowMeta("normalization", None))
     bad = LpInstance(grid=g, basis=b, objective_gamma=np.ones(n), objective_xi=None,
-                     eq_gamma=np.vstack([np.ones((1, n)), np.ones((1, n))]),
-                     eq_xi=None, eq_rhs=np.array([2.0, 1.0]),
+                     matrix=np.ones((2, n)), eq_rhs=np.array([2.0, 1.0]),
                      row_meta=meta, xi_mass_cap=None)
     solution = solve(bad)
     with pytest.raises(ProgramError):
@@ -858,11 +858,10 @@ def _priced_out(instance, solution) -> bool:
     """Whether no column of the LP prices below -FACE_TOL * (1 + |c|) against
     the solution's duals, c - A^T y - cap dual: the master's pricing bound,
     which HiGHS also meets on the master's own columns here."""
-    objective, a_eq = instance.objective_gamma, instance.eq_gamma
+    objective = instance.objective_gamma
     if instance.has_xi:
         objective = np.concatenate([objective, instance.objective_xi])
-        a_eq = np.hstack([a_eq, instance.eq_xi])
-    reduced = objective - a_eq.T @ solution.row_duals
+    reduced = objective - instance.a_eq.T @ solution.row_duals
     if instance.has_xi:
         reduced[instance.n_gamma:] -= solution.cap_dual
     return bool(np.all(reduced >= -programs.FACE_TOL * (1.0 + np.abs(objective))))
@@ -1053,3 +1052,149 @@ def test_lp_below_the_crossover_is_built_once_with_every_column(frozen_setup, mo
         assert added == ([columns] if solution.refine_iterations is None else [columns, face])
         assert solution.refine_master_columns == face
         assert solution.refine_rounds == (0 if solution.refine_iterations is None else 1)
+
+
+# ---------------------------------------------------------------------------
+# the study's LP blocks
+
+
+def _reference_csc_triple(a):
+    columns, rows = np.nonzero(a.T)
+    start = np.zeros(a.shape[1] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(columns, minlength=a.shape[1]), out=start[1:])
+    return start, rows.astype(np.int32), a[rows, columns]
+
+
+CSC_CASES = {"empty-columns": np.array([[0.0, 1.5, 0.0, -2.0], [0.0, 0.0, 0.0, 3.0],
+                                        [0.0, -0.25, 0.0, 0.0]]),
+             "all-zero": np.zeros((3, 5)),
+             "dense": np.arange(1.0, 13.0).reshape(3, 4)}
+
+
+@pytest.mark.parametrize("case", CSC_CASES)
+def test_csc_triple_matches_the_nonzero_reference(case):
+    a = CSC_CASES[case]
+    for matrix in (a, np.ascontiguousarray(a[:, ::-1])):
+        got, reference = programs._csc_triple(matrix), _reference_csc_triple(matrix)
+        for array, expected in zip(got, reference):
+            assert array.dtype == expected.dtype
+            assert np.array_equal(array, expected)
+        # what scipy.sparse stores for the same matrix
+        csc = csc_array(matrix)
+        assert np.array_equal(got[0], csc.indptr) and np.array_equal(got[1], csc.indices)
+        assert np.array_equal(got[2], csc.data)
+
+
+def test_builders_on_shared_blocks_build_the_lps_they_build_alone(rotation_setup):
+    spec, g, b = rotation_setup
+    y0 = (0.9, 0.1)  # off the grid: the blocks snap it as each builder does
+    blocks = LpBlocks(g, b, spec, y0)
+    for build, args in ((build_ergodic_lp, ()), (build_nonergodic_lp, (y0,)),
+                        (build_discounted_lp, (y0, 0.05)), (build_perturbed_lp, (y0, 0.1)),
+                        (build_nonergodic_lp, (y0, None))):
+        shared, alone = build(g, b, spec, *args, blocks=blocks), build(g, b, spec, *args)
+        assert shared.matrix.tobytes() == alone.matrix.tobytes()
+        assert shared.objective_gamma.tobytes() == alone.objective_gamma.tobytes()
+        assert (shared.objective_xi is None) == (alone.objective_xi is None)
+        if shared.has_xi:
+            assert shared.objective_xi.tobytes() == alone.objective_xi.tobytes()
+        assert shared.row_meta == alone.row_meta and shared.provenance == alone.provenance
+        assert np.array_equal(shared.eq_rhs, alone.eq_rhs)
+        assert not shared.matrix.flags.writeable
+
+
+def test_blocks_of_another_study_are_rejected(rotation_setup, frozen_setup):
+    spec, g, b = rotation_setup
+    blocks = LpBlocks(g, b, spec, (1.0, 0.0))
+    with pytest.raises(ProgramError, match="another grid"):
+        build_nonergodic_lp(g, b, spec, (0.0, 1.0), blocks=blocks)
+    with pytest.raises(ProgramError, match="another grid"):
+        build_ergodic_lp(*frozen_setup, blocks=blocks)
+    with pytest.raises(ProgramError, match="another grid"):
+        membership_residual([], g, basis_for_region(spec.region, 3), (1.0, 0.0), blocks=blocks)
+
+
+def _m_size_study():
+    text = Path(__file__).parent.parent.joinpath("configs", "rotation_acceptance.conf")
+    text = re.sub(r"state_resolution = .*", "state_resolution = [5, 128]", text.read_text())
+    cfg = parse_config(re.sub(r"degree = .*", "degree = 6", text))
+    spec = build_system(cfg.system)
+    return spec, build_grid(spec, (5, 128), 9), basis_for_region(spec.region, 6), cfg
+
+
+def test_coupled_lps_of_a_solve_section_share_one_read_only_matrix(monkeypatch):
+    spec, g, b, cfg = _m_size_study()
+    built = []
+    monkeypatch.setattr(cli, "_solve_all", lambda instances, jobs: built.extend(instances)
+                        or [programs.LpSolution("infeasible", None, None, None, None, 0.0,
+                                                False, False, None, np.inf, np.inf, 0, "")
+                            for _ in instances])
+    cli._solve_section(cli.ReportBundle(config={}), spec, g, b, cfg, cfg.program.variants, 1,
+                       LpBlocks(g, b, spec, cfg.program.y0))
+    coupled = [instance for instance in built if instance.has_xi]
+    assert [lp_name(i) for i in coupled] == ["nonergodic"] + [
+        f"perturbed[eps={eps:g}]" for eps in cfg.program.epsilons]
+    for instance in coupled:
+        assert instance.matrix is coupled[0].matrix
+    assert np.shares_memory(coupled[0].matrix, coupled[-1].matrix)
+    for instance in built:
+        assert not instance.matrix.flags.writeable
+        assert instance.has_xi or not np.shares_memory(instance.matrix, coupled[0].matrix)
+
+
+def test_m_size_study_lps_hold_one_coupled_matrix():
+    # the 7 LPs of the M-size study hold little beyond their three matrices;
+    # a builder of its own per LP held 27 MB of dense copies here
+    spec, g, b, cfg = _m_size_study()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        blocks = LpBlocks(g, b, spec, cfg.program.y0)
+        instances = cli._build_lps(spec, g, b, cfg, cfg.program.variants, blocks)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(instances) == 7
+    matrices = {lp_name(i): i.matrix.nbytes for i in instances}
+    assert matrices["nonergodic"] == blocks.coupled.nbytes
+    budget = blocks.coupled.nbytes + matrices["ergodic"] + matrices["discounted[rate=0.005]"]
+    assert held <= 1.1 * budget
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_longest_tasks_go_first_and_solutions_come_back_in_lp_order(
+        rotation_setup, monkeypatch, jobs):
+    spec, g, b = rotation_setup
+    cfg = parse_config("[program]\nvariants = [ergodic, nonergodic, discounted, perturbed]\n"
+                       "epsilons = [0.01, 0.0, 0.1]\n")
+    instances = cli._build_lps(spec, g, b, cfg, cfg.program.variants,
+                               LpBlocks(g, b, spec, cfg.program.y0))
+    names = [lp_name(i) for i in instances]
+    submitted, pool_map = [], cli._pool_map
+
+    def recording_pool_map(fn, tasks, jobs):
+        submitted.extend([names[k] for k in task] for task in tasks)
+        return pool_map(fn, tasks, jobs)
+    monkeypatch.setattr(cli, "_pool_map", recording_pool_map)
+    solutions = cli._solve_all(instances, jobs)
+    # the chain in decreasing epsilon, then the refined LP, then the rest in LP order
+    assert submitted == [["perturbed[eps=0.1]", "perturbed[eps=0.01]"], ["nonergodic"],
+                         ["ergodic"], ["discounted[rate=0.005]"]]
+    for name, instance, solution in zip(names, instances, solutions):
+        if name == "perturbed[eps=0]":
+            assert solution.start == "same LP as nonergodic"
+            instance = instances[names.index("nonergodic")]
+        own = solve(instance)
+        assert solution.status == own.status == "optimal"
+        assert solution.value == pytest.approx(own.value, rel=1e-9, abs=1e-12)
+        assert solution.gamma.weights.shape == (instance.n_gamma,)
+
+
+def test_membership_on_study_blocks_matches_its_own_assembly(rotation_setup, rotation_solved):
+    spec, g, b = rotation_setup
+    _instance, solution = rotation_solved
+    measures = [solution.gamma, DiscreteMeasure(g, np.full(g.atom_count, 1.0 / g.atom_count))]
+    alone = membership_residual(measures, g, b, (1.0, 0.0))
+    shared = membership_residual(measures, g, b, (1.0, 0.0),
+                                 blocks=LpBlocks(g, b, spec, (1.0, 0.0)))
+    assert shared == alone
