@@ -29,13 +29,15 @@ included, as their ``matrix``: the epsilon sweep and the nonergodic LP hold
 one read-only array between them, and the solver reads it in place.
 
 Every LP here, including the membership LP, is solved on a HiGHS model built
-through scipy's bundled binding, by dual simplex with presolve off.  The
-programs have a few dozen rows and thousands of columns, and a column's
-reduced cost is its certificate slack, so one mat-vec prices every atom: an
-LP with at least MASTER_MIN_COLUMNS_PER_ROW columns per row starts from a
-restricted master, the columns of a sub-lattice of states and of the start
-state, and grows it by the columns that price negative until none does
-(column generation); a master that does not end optimal gets every column.
+through scipy's bundled binding, with the options of HIGHS_OPTIONS: dual
+simplex, presolve off, max-value scaling and feasibility tolerances of
+FACE_TOL.  The programs have a few dozen rows and thousands of columns, and
+a column's reduced cost is its certificate slack, so one mat-vec prices
+every atom: an LP with at least MASTER_MIN_COLUMNS_PER_ROW columns per row
+starts from a restricted master, the columns of a sub-lattice of states and
+of the start state, and grows it by the columns that price negative until
+none does (column generation); a master that does not end optimal gets
+every column.
 A smaller LP holds every column from the start.  The reported point, its
 residuals and the reduced costs are taken over every column either way.  A
 coupled program whose xi block carries no cost then gets its minimal xi mass
@@ -99,7 +101,7 @@ def _load_highs_core(search_dir: str):
 
 
 _core = _load_highs_core(os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy"))
-HighsModelStatus, _Highs = _core.HighsModelStatus, _core._Highs
+HighsModelStatus, HighsStatus, _Highs = _core.HighsModelStatus, _core.HighsStatus, _core._Highs
 
 
 class ProgramError(ValueError):
@@ -113,15 +115,28 @@ PRIMAL_RESIDUAL_TOL = 1e-7
 COMPLEMENTARITY_TOL = 1e-6
 DUALITY_GAP_TOL = 1e-8
 CERTIFICATE_TOL = 1e-6
-FACE_TOL = 1e-9  # reduced cost on the optimal face; the refinement's feasibility tolerance
+# reduced cost on the optimal face and the pricing bound of a restricted
+# master, relative to 1 + |c|; also every HiGHS model's primal and dual
+# feasibility tolerance (HIGHS_OPTIONS), so every column prices out to it and
+# no entry of a point that HiGHS calls optimal is below -FACE_TOL
+FACE_TOL = 1e-9
 # An LP with at least this many columns per constraint (an equality row; in
 # the membership LP, a basis row) is solved on a restricted master seeded
 # with the columns of every MASTER_STATE_STRIDE-th state; a smaller one holds
-# every column from the start.  Measured on the main solves of all four
-# variants: the master took 1.3-4.2x the full LP's time on degree-6 box
-# layouts at 63-83 columns per row, 0.85x and 1.36x at 105 and 130, and
-# 0.52-0.58x from 157 to 335 (1.23x on a degree-4 box at 154-159); on the
-# annulus 0.27-0.71x at 62-208 and 1.3-1.5x at 29-49.
+# every column from the start.  Measured under HIGHS_OPTIONS on the main
+# solves of all four variants (median of 5, one process), the master's time
+# against the full model's:
+#   annulus (5,64)/4, (5,64)/6, (5,128)/6  103-209 per row  0.19-0.33x
+#   box 16x16/6                             82-84           0.79-2.99x
+#   box 16x16/4                             154-159         0.65-2.46x
+#   box 20x20/6                             129-131         0.81-2.69x
+#   box 24x24/6                             185-189         0.85-1.52x
+#   box 32x32/6                             329-335         0.54-0.82x
+# (nonergodic LP: 19 against 80 ms at (5,128)/6, 139 against 47 ms at box
+# 16x16/6, 247 against 170 ms at 20x20/6, 277 against 429 ms at 32x32/6).
+# No count per row separates the annulus from the box.  Any count from 86 to
+# 192 keeps the benchmark LPs where they are: box-custom's (82-85) hold every
+# column, the annulus ones (192 and more) start from a master.
 MASTER_MIN_COLUMNS_PER_ROW = 128
 MASTER_STATE_STRIDE = 4
 # the bounds of the study's invariants (cli.py); CERTIFICATE_TOL bounds the
@@ -219,6 +234,7 @@ class LpSolution:
     refine_master_columns: int = 0  # face columns in the refinement's model when it ended
     refine_face_columns: int = 0  # columns of the optimal face
     refine_rounds: int = 0  # runs of the refinement's model
+    raw_minimum: float = 0.0  # most negative entry of the reported point before clipping, or 0
 
 
 def lp_name(instance: LpInstance) -> str:
@@ -321,6 +337,19 @@ def build_perturbed_lp(grid: Grid, basis: BasisSpec, spec: SystemSpec, y0,
                        {"variant": "perturbed", "epsilon": epsilon, "f_bound": spec.bound_f})
 
 
+# The options of every HiGHS model built here (_highs_run); HiGHS 1.12's names
+# and numbering.  Max-value scaling fits the dense Legendre rows better than
+# the default equilibration: each benchmark command takes 0.43-0.92x the dual
+# simplex iterations (lp-annulus-m's solve 979 -> 573).  HiGHS's default
+# feasibility tolerances (1e-7) let a vertex with a -4.6e-8 entry, or a
+# master column at -3.5e-8 reduced cost, end optimal.
+HIGHS_OPTIONS = {"output_flag": False, "presolve": "off",
+                 "simplex_strategy": 1,  # dual simplex
+                 "simplex_scale_strategy": 4,  # max value
+                 "primal_feasibility_tolerance": FACE_TOL,
+                 "dual_feasibility_tolerance": FACE_TOL}
+
+
 # HiGHS model status -> solution status; any other is a tolerance-failure.  A
 # model error counts as infeasible, as scipy's linprog reports it.
 _STATUS = {HighsModelStatus.kOptimal: "optimal",
@@ -330,21 +359,21 @@ _STATUS = {HighsModelStatus.kOptimal: "optimal",
 
 
 def _highs_run(cost: np.ndarray, a: np.ndarray, row_lower: np.ndarray,
-               row_upper: np.ndarray, columns: np.ndarray,
-               **options) -> tuple[_Highs, str, int]:
+               row_upper: np.ndarray, columns: np.ndarray) -> tuple[_Highs, str, int]:
     """Build and run one owned HiGHS model of  min cost.x  s.t.
     row_lower <= a x <= row_upper, x >= 0 over the increasing ``columns`` of
-    ``a``, with dual simplex, presolve off and any further HiGHS ``options``.
-    The rows go in empty and the columns then carry the nonzeros, both as
-    numpy arrays.  A model of every column takes ``a`` itself, not a copy of
-    it, which would sit beside ``a`` at the model build's memory peak.
+    ``a``, with the options of HIGHS_OPTIONS; an option that HiGHS rejects
+    (an unknown name, or a value out of its range) is a ProgramError.  The
+    rows go in empty and the columns then carry the nonzeros, both as numpy
+    arrays.  A model of every column takes ``a`` itself, not a copy of it,
+    which would sit beside ``a`` at the model build's memory peak.
 
     Returns the model (for a warm re-run), its status and simplex iterations.
     """
     highs = _Highs()
-    for option, setting in {"output_flag": False, "presolve": "off",
-                            "simplex_strategy": 1, **options}.items():  # 1: dual simplex
-        highs.setOptionValue(option, setting)
+    for option, setting in HIGHS_OPTIONS.items():
+        if highs.setOptionValue(option, setting) != HighsStatus.kOk:
+            raise ProgramError(f"HiGHS rejected the option {option} = {setting!r}")
     no_entries = np.zeros(0, dtype=np.int32)
     highs.addRows(a.shape[0], row_lower, row_upper, 0, no_entries, no_entries, np.zeros(0))
     if len(columns) < a.shape[1]:
@@ -400,8 +429,9 @@ def _minimal_mass_refinement(instance: LpInstance, a_eq: np.ndarray, objective: 
 
     Returns the LpSolution fields of the refinement (its simplex iterations,
     the master's and the face's column counts and the runs of its model) and
-    the refined (gamma, xi), or None unless the last run ends optimal at a
-    point that meets the main point's contract: its primal residual, its
+    the refined (gamma, xi, raw minimum), or None unless the last run ends
+    optimal at a point that meets the main point's contract: no raw entry
+    below -FACE_TOL, and on the clipped point its primal residual, its
     complementarity against the main duals and the gap between its objective
     and ``value``."""
     n_g = instance.n_gamma
@@ -412,21 +442,23 @@ def _minimal_mass_refinement(instance: LpInstance, a_eq: np.ndarray, objective: 
         rhs = np.append(rhs, instance.xi_mass_cap)
     a = instance.matrix[:len(rhs), face]
     seed = np.flatnonzero(np.isin(face, columns))
-    highs, status, iterations = _highs_run(mass, a, rhs, rhs, seed,
-                                           primal_feasibility_tolerance=FACE_TOL)
+    highs, status, iterations = _highs_run(mass, a, rhs, rhs, seed)
     seed, status, more, reruns, _ = _grow_master(highs, seed, mass, a, status)
     stats = dict(refine_iterations=iterations + more, refine_master_columns=len(seed),
                  refine_face_columns=len(face), refine_rounds=1 + reruns)
     if status != "optimal":
         return stats, None
     x = np.zeros(len(objective))
-    x[face[seed]] = np.maximum(highs.getSolution().col_value, 0.0)
-    if (np.max(np.abs(a_eq @ x - instance.eq_rhs)) > PRIMAL_RESIDUAL_TOL
+    x[face[seed]] = highs.getSolution().col_value
+    raw_minimum = min(0.0, float(np.min(x)))
+    x = np.maximum(x, 0.0)
+    if (raw_minimum < -FACE_TOL
+            or np.max(np.abs(a_eq @ x - instance.eq_rhs)) > PRIMAL_RESIDUAL_TOL
             or np.max(np.abs(x * reduced)) > COMPLEMENTARITY_TOL
             or abs(objective @ x - value) > DUALITY_GAP_TOL * max(1.0, abs(value))):
         return stats, None  # the caller keeps the unrefined vertex
     return stats, (DiscreteMeasure(instance.grid, x[:n_g]),
-                   DiscreteMeasure(instance.grid, x[n_g:]))
+                   DiscreteMeasure(instance.grid, x[n_g:]), raw_minimum)
 
 
 def log_solution(instance: LpInstance, solution: LpSolution) -> None:
@@ -437,12 +469,12 @@ def log_solution(instance: LpInstance, solution: LpSolution) -> None:
                        f"{solution.refine_master_columns} of {solution.refine_face_columns} "
                        f"face columns, {solution.refine_rounds} rounds")
     log.info("%s: %d rows, master %d of %d columns, %d pricing rounds, fallback %s, "
-             "start %s, %d iterations, status %s, xi_canonical %s, cap_dual %.6g, "
-             "refinement %s", lp_name(instance), len(instance.row_meta),
+             "start %s, %d iterations, status %s, raw minimum %.3g, xi_canonical %s, "
+             "cap_dual %.6g, refinement %s", lp_name(instance), len(instance.row_meta),
              solution.master_columns, instance.n_gamma + instance.n_xi,
              solution.pricing_rounds, "ran" if solution.fallback else "not run",
-             solution.start, solution.iterations, solution.status, solution.xi_canonical,
-             solution.cap_dual, refinement)
+             solution.start, solution.iterations, solution.status, solution.raw_minimum,
+             solution.xi_canonical, solution.cap_dual, refinement)
 
 
 def needs_refinement(instance: LpInstance) -> bool:
@@ -551,9 +583,9 @@ def solve_chain(instances) -> list[LpSolution]:
 
 def solve(instance: LpInstance, chain: _Chain | None = None,
           refine: bool = True) -> LpSolution:
-    """Solve one LP (dual simplex, presolve off): cold on a model of its own, or
-    warm on the model of a :func:`solve_chain` when that allows it.  The LP's
-    ``matrix`` is read in place, never copied whole.
+    """Solve one LP (HIGHS_OPTIONS: dual simplex, presolve off): cold on a
+    model of its own, or warm on the model of a :func:`solve_chain` when that
+    allows it.  The LP's ``matrix`` is read in place, never copied whole.
 
     A cold model starts from the columns of :func:`_seed_columns`, every column
     of a small LP or a restricted master of a large one, and
@@ -561,8 +593,11 @@ def solve(instance: LpInstance, chain: _Chain | None = None,
     (or, if a master does not end optimal, every column) before any status is
     reported.  The point, the residuals, the complementarity and the reduced
     costs are then taken over every column of the LP, so each column's
-    certificate slack is at least -FACE_TOL * (1 + |c|) or HiGHS's dual
-    feasibility tolerance.
+    certificate slack is at least -FACE_TOL * (1 + |c|).
+
+    The reported point is HiGHS's with its negative entries clipped to 0;
+    ``raw_minimum`` records the most negative entry before that, and the
+    primal residual and the complementarity are taken on the clipped point.
 
     When the xi block carries no cost and ``refine`` holds, the minimal-mass
     xi on the optimal face of the full column set comes from
@@ -571,8 +606,9 @@ def solve(instance: LpInstance, chain: _Chain | None = None,
     whole face; the value, the duals and the cap dual stay those of the main
     solve.  A caller that reads only the value passes ``refine=False``, and
     its xi is then not canonical.
-    Optimality is demoted to tolerance-failure when the returned point
-    violates the residual or duality-gap contracts."""
+    Optimality is demoted to tolerance-failure when the returned point has a
+    raw entry below -FACE_TOL or violates the residual or duality-gap
+    contracts."""
     n_g = instance.n_gamma
     objective = instance.objective_gamma
     if instance.has_xi:
@@ -610,18 +646,18 @@ def solve(instance: LpInstance, chain: _Chain | None = None,
     found = highs.getSolution()
     x = np.zeros(len(objective))
     x[columns] = found.col_value
+    raw_minimum = min(0.0, float(np.min(x)))
+    x = np.maximum(x, 0.0)
     duals = np.asarray(found.row_dual)
     value = float(highs.getInfo().objective_function_value)
-    gamma = DiscreteMeasure(instance.grid, np.maximum(x[:n_g], 0.0))
-    xi = DiscreteMeasure(instance.grid, np.maximum(x[n_g:], 0.0)) if instance.has_xi else None
+    gamma = DiscreteMeasure(instance.grid, x[:n_g])
+    xi = DiscreteMeasure(instance.grid, x[n_g:]) if instance.has_xi else None
     row_duals = duals[:a_eq.shape[0]]
     cap_dual = float(duals[-1]) if has_cap else 0.0
 
-    primal_residual = float(np.max(np.abs(a_eq @ x - instance.eq_rhs)))
     reduced = objective - a_eq.T @ row_duals
     if has_cap:
         reduced = reduced - a[-1] * cap_dual
-    complementarity = float(np.max(np.abs(x * reduced)))
     dual_objective = float(instance.eq_rhs @ row_duals)
     if has_cap:
         dual_objective += float(instance.xi_mass_cap * cap_dual)
@@ -637,7 +673,10 @@ def solve(instance: LpInstance, chain: _Chain | None = None,
                                                        value, cap_dual, columns)
         xi_mass_canonical = refined is not None
         if refined is not None:
-            gamma, xi = refined
+            gamma, xi, raw_minimum = refined
+            x = np.concatenate([gamma.weights, xi.weights])
+    primal_residual = float(np.max(np.abs(a_eq @ x - instance.eq_rhs)))
+    complementarity = float(np.max(np.abs(x * reduced)))
     # binding = the cap influences the value (nonzero shadow price) or even the
     # minimal-mass xi needs the whole budget
     cap_binding = bool(has_cap
@@ -646,7 +685,10 @@ def solve(instance: LpInstance, chain: _Chain | None = None,
                                 and xi.total_mass >= instance.xi_mass_cap * (1.0 - 1e-9))))
 
     status = "optimal"
-    if primal_residual > PRIMAL_RESIDUAL_TOL or complementarity > COMPLEMENTARITY_TOL:
+    if raw_minimum < -FACE_TOL:
+        status = "tolerance-failure"
+        message = f"negative entry {raw_minimum:.3e} below -FACE_TOL ({-FACE_TOL:g})"
+    elif primal_residual > PRIMAL_RESIDUAL_TOL or complementarity > COMPLEMENTARITY_TOL:
         status = "tolerance-failure"
         message = (f"residuals out of tolerance: primal {primal_residual:.3e}, "
                    f"complementarity {complementarity:.3e}")
@@ -656,7 +698,8 @@ def solve(instance: LpInstance, chain: _Chain | None = None,
 
     return LpSolution(status, value, gamma, xi, row_duals, cap_dual, cap_binding,
                       xi_mass_canonical, dual_objective, primal_residual, complementarity,
-                      iterations, message, start=start, **master, **refinement)
+                      iterations, message, start=start, raw_minimum=raw_minimum, **master,
+                      **refinement)
 
 
 # ---------------------------------------------------------------------------

@@ -485,7 +485,7 @@ def test_info_log_has_one_line_per_lp(caplog):
     pattern = (r"\S+: \d+ rows, master (\d+) of (\d+) columns, \d+ pricing rounds, "
                r"fallback (ran|not run), "
                r"start (cold|warm from \S+|same LP as \S+), \d+ iterations, status optimal, "
-               r"xi_canonical (True|False), cap_dual \S+, "
+               r"raw minimum \S+, xi_canonical (True|False), cap_dual \S+, "
                r"refinement (not run|\d+ iterations, master (\d+) of (\d+) face columns, "
                r"(\d+) rounds)")
     matches = [re.fullmatch(pattern, line) for line in lines]

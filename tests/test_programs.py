@@ -115,6 +115,43 @@ def test_highs_binding_has_every_method_programs_calls():
     assert not [name for name in called if not callable(getattr(_Highs, name, None))]
 
 
+def _options_of(highs) -> dict:
+    return {option: highs.getOptionValue(option)[1] for option in programs.HIGHS_OPTIONS}
+
+
+def test_every_highs_run_reads_back_the_option_table(monkeypatch):
+    # the main solve, its re-runs after pricing, the refinement, a warm chain
+    # step and the membership LP: each model runs with the whole table
+    spec = system.make_rotation()
+    g, b, y0 = build_grid(spec, (5, 64), 9), basis_for_region(spec.region, 4), (0.0, 1.25)
+    runs, rerun = [], programs._rerun
+    monkeypatch.setattr(programs, "_rerun", lambda highs: (runs.append(_options_of(highs)),
+                                                          rerun(highs))[1])
+    solution = solve(build_nonergodic_lp(g, b, spec, y0))
+    assert solution.refine_rounds > 1
+    assert len(runs) == solution.pricing_rounds + solution.refine_rounds
+    chained = solve_chain([build_perturbed_lp(g, b, spec, y0, eps) for eps in (0.1, 0.01)])
+    assert chained[0].pricing_rounds > 1 and chained[1].start == "warm from perturbed[eps=0.1]"
+    assert len(runs) == (solution.pricing_rounds + solution.refine_rounds
+                         + sum(s.pricing_rounds for s in chained))
+    before = len(runs)
+    membership_residual([solution.gamma], g, b, y0)
+    assert len(runs) > before
+    assert all(options == programs.HIGHS_OPTIONS for options in runs)
+    assert programs.HIGHS_OPTIONS["simplex_scale_strategy"] == 4  # max value
+    assert programs.HIGHS_OPTIONS["primal_feasibility_tolerance"] == programs.FACE_TOL
+    assert programs.HIGHS_OPTIONS["dual_feasibility_tolerance"] == programs.FACE_TOL
+
+
+@pytest.mark.parametrize("option,setting", [("simplex_scale_strategy", 5),
+                                            ("simplex_scale_stratgy", 4)])
+def test_an_option_highs_rejects_is_a_program_error(frozen_setup, monkeypatch, option, setting):
+    spec, g, b = frozen_setup
+    monkeypatch.setitem(programs.HIGHS_OPTIONS, option, setting)
+    with pytest.raises(ProgramError, match=f"option {option} = {setting}$"):
+        solve(build_ergodic_lp(g, b, spec))
+
+
 def _run_python(code: str, *args: str, env=None) -> str:
     """Run code in a fresh interpreter that imports occlp from this tree; its stdout.
     ``env`` replaces the inherited environment, apart from ``PYTHONPATH``."""
@@ -299,6 +336,28 @@ def test_degree_six_start_points_solve_with_canonical_xi(degree_six_setups, setu
                    bounds=(0, None), method="highs")
     assert cold.status == 0
     assert solution.xi.total_mass == pytest.approx(cold.fun, abs=1e-8)
+
+
+def test_box_start_point_reports_a_feasible_discounted_vertex(degree_six_setups, monkeypatch):
+    # at y0 = (0.25, 0.75) HiGHS's default scaling and 1e-7 feasibility
+    # tolerances end optimal at a vertex with a -4.6e-8 column, whose value is
+    # 3.2e-5 relative too low; the point contract demotes that vertex
+    spec, g, b = degree_six_setups["box"]
+    instance = build_discounted_lp(g, b, spec, (0.25, 0.75), 0.05)
+    solution = solve(instance)
+    assert solution.status == "optimal"
+    assert -programs.FACE_TOL <= solution.raw_minimum <= 0.0
+    assert solution.gamma.total_mass == pytest.approx(1.0, abs=1e-9)
+    assert solution.value == pytest.approx(0.02460236071067628, rel=1e-7)
+    defaults = {"output_flag": False, "presolve": "off", "simplex_strategy": 1}
+    monkeypatch.setattr(programs, "HIGHS_OPTIONS", defaults)
+    loose = solve(instance)
+    assert loose.raw_minimum < -programs.FACE_TOL and loose.status == "tolerance-failure"
+    assert "below -FACE_TOL" in loose.message
+    # the residual is the reported (clipped) point's
+    for reported in (solution, loose):
+        residual = np.max(np.abs(instance.a_eq @ reported.gamma.weights - instance.eq_rhs))
+        assert reported.primal_residual == residual
 
 
 # ---------------------------------------------------------------------------
@@ -856,8 +915,9 @@ def _full_model(monkeypatch):
 
 def _priced_out(instance, solution) -> bool:
     """Whether no column of the LP prices below -FACE_TOL * (1 + |c|) against
-    the solution's duals, c - A^T y - cap dual: the master's pricing bound,
-    which HiGHS also meets on the master's own columns here."""
+    the solution's duals, c - A^T y - cap dual.  This is solve's contract:
+    the master's pricing bounds the columns outside the model, and HiGHS's
+    dual feasibility tolerance, FACE_TOL, the model's own."""
     objective = instance.objective_gamma
     if instance.has_xi:
         objective = np.concatenate([objective, instance.objective_xi])
@@ -903,8 +963,9 @@ def test_master_matches_the_full_model(master_setups, monkeypatch, setup):
         assert solution.xi_canonical == full.xi_canonical
         if instance.has_xi and not np.any(instance.objective_xi):
             assert solution.xi.total_mass == pytest.approx(full.xi.total_mass, rel=1e-6)
-        # the certificate holds on every atom of the full grid
-        assert _priced_out(instance, solution)
+        # the certificate holds on every atom of the full grid, whether the
+        # column was priced out of the master or held by the model all along
+        assert _priced_out(instance, solution) and _priced_out(instance, full)
         if instance.provenance["variant"] != "discounted":
             cert = extract_dual_certificate(solution, instance, b)
             assert certificate_holds(cert, g, b, spec)
@@ -1045,7 +1106,7 @@ def test_lp_below_the_crossover_is_built_once_with_every_column(frozen_setup, mo
         solution = solve(instance)
         columns = instance.n_gamma + instance.n_xi
         assert columns < programs.MASTER_MIN_COLUMNS_PER_ROW * len(instance.row_meta)
-        assert solution.master_columns == columns
+        assert solution.master_columns == columns and _priced_out(instance, solution)
         assert solution.pricing_rounds == 1 and not solution.fallback
         # so the refinement's model, in a model of its own, holds the whole face
         face = solution.refine_face_columns
