@@ -29,9 +29,9 @@ from .config import (ConfigError, StudyConfig, build_policy, build_system,
 from .grid import DiscreteMeasure, GridError, LpBlocks, build_grid
 from .metrics import MetricError, make_test_function_set, rho_hat
 from .oracle import OracleError, frozen_value, level_set_ordering, rotation_level_value
-from .programs import (CERTIFICATE_TOL, MEMBERSHIP_TOL, MU_VALUE_TOL, ORDERING_TOL,
-                       REFINEMENT_TOL, REPORT_GAP_TOL, SIMULATION_TOL, SMALL_EPS_TOL,
-                       ProgramError, build_discounted_lp, build_ergodic_lp,
+from .programs import (ABEL_TAIL_TOL, CERTIFICATE_TOL, MEMBERSHIP_TOL, MU_VALUE_TOL,
+                       ORDERING_TOL, REFINEMENT_TOL, REPORT_GAP_TOL, SIMULATION_TOL,
+                       SMALL_EPS_TOL, ProgramError, build_discounted_lp, build_ergodic_lp,
                        build_nonergodic_lp, build_perturbed_lp, certificate_offgrid_report,
                        certificate_slacks, extract_dual_certificate, log_solution, lp_name,
                        membership_residual, needs_refinement, solve, solve_chain,
@@ -153,29 +153,26 @@ _SECTION_READS = {
 }
 
 
-def _build_lps(spec, grid, basis, cfg: StudyConfig, variants, blocks):
+def _build_lps(blocks, cfg: StudyConfig, variants):
     """The configured LPs of ``variants``, in report order, built on ``blocks``."""
     prog = cfg.program
-    y0 = np.asarray(prog.y0, dtype=float)
     instances = []
     if "ergodic" in variants:
-        instances.append(build_ergodic_lp(grid, basis, spec, blocks=blocks))
+        instances.append(build_ergodic_lp(blocks))
     if "nonergodic" in variants:
-        instances.append(build_nonergodic_lp(grid, basis, spec, y0,
-                                             xi_mass_cap=prog.xi_mass_cap, blocks=blocks))
+        instances.append(build_nonergodic_lp(blocks, prog.xi_mass_cap))
     if "discounted" in variants:
         for rate in prog.discount_rates:
-            instances.append(build_discounted_lp(grid, basis, spec, y0, rate, blocks=blocks))
+            instances.append(build_discounted_lp(blocks, rate))
     if "perturbed" in variants:
         for eps in prog.epsilons:
-            instances.append(build_perturbed_lp(grid, basis, spec, y0, eps,
-                                                xi_mass_cap=prog.xi_mass_cap, blocks=blocks))
+            instances.append(build_perturbed_lp(blocks, eps, prog.xi_mass_cap))
     return instances
 
 
-def _solve_section(bundle, spec, grid, basis, cfg: StudyConfig, variants, jobs: int, blocks):
+def _solve_section(bundle, blocks, cfg: StudyConfig, variants, jobs: int):
     prog = cfg.program
-    instances = _build_lps(spec, grid, basis, cfg, variants, blocks)
+    instances = _build_lps(blocks, cfg, variants)
     solutions = _solve_all(instances, jobs)
 
     results = {}
@@ -198,7 +195,7 @@ def _solve_section(bundle, spec, grid, basis, cfg: StudyConfig, variants, jobs: 
                                  float(solution.row_duals[i])])
         variant = instance.provenance["variant"]
         if variant in ("nonergodic", "perturbed", "ergodic"):
-            cert = extract_dual_certificate(solution, instance, basis)
+            cert = extract_dual_certificate(solution, instance)
             bundle.certificates[name] = {
                 "mu": cert.mu,
                 "psi_coeffs": [float(v) for v in cert.psi_coeffs],
@@ -214,7 +211,7 @@ def _solve_section(bundle, spec, grid, basis, cfg: StudyConfig, variants, jobs: 
             bundle.record(f"{name}.mu_matches_value",
                           abs(solution.value - cert.mu) <= MU_VALUE_TOL,
                           f"|value - mu| = {abs(solution.value - cert.mu):.3e}")
-            f1, f2 = certificate_slacks(cert, grid, basis, spec)
+            f1, f2 = certificate_slacks(cert, blocks.grid, blocks.basis, blocks.grid.spec)
             bundle.values[f"{name}.certificate_min_slack_lower_bound"] = float(np.min(f1))
             bundle.values[f"{name}.certificate_min_slack_monotonicity"] = float(np.min(f2))
             bundle.record(f"{name}.certificate_feasible",
@@ -275,16 +272,16 @@ def _solve_section(bundle, spec, grid, basis, cfg: StudyConfig, variants, jobs: 
     return results
 
 
-def _simulate_section(bundle, spec, grid, basis, cfg: StudyConfig, solve_results, blocks):
+def _simulate_section(bundle, blocks, cfg: StudyConfig, solve_results):
     sim = cfg.simulate
     if not sim.policy:
         return
-    y0 = np.asarray(cfg.program.y0, dtype=float)
+    spec, y0 = blocks.grid.spec, blocks.y0_requested
     policy = build_policy(sim.policy, spec, y0)
 
     # windows of one run, reused for average values, empirical measures,
     # residual decay and the weak-* distance trend
-    study = horizon_study(spec, y0, policy, sim.horizons, grid, basis, sim.dt, blocks=blocks)
+    study = horizon_study(blocks, policy, sim.horizons, sim.dt)
     horizon_rows = []
     for row in study:
         value = cesaro_value(row.trajectory, spec)
@@ -295,7 +292,7 @@ def _simulate_section(bundle, spec, grid, basis, cfg: StudyConfig, solve_results
 
     for rate in sim.abel_rates:
         result = abel_value(spec, y0, policy, rate, horizon=sim.abel_horizon,
-                            dt=sim.abel_dt, tail_tolerance=1e-2)
+                            dt=sim.abel_dt, tail_tolerance=ABEL_TAIL_TOL)
         bundle.values[f"abel[rate={rate:g}]"] = result.value
         bundle.values[f"abel_tail_bound[rate={rate:g}]"] = result.tail_bound
         name = f"discounted[rate={rate:g}]"
@@ -319,7 +316,7 @@ def _simulate_section(bundle, spec, grid, basis, cfg: StudyConfig, solve_results
     # weak-* distance of empirical measures to the coupled optimum, per horizon
     non = solve_results.get("nonergodic")
     if non is not None and non[1].status == "optimal":
-        tf = make_test_function_set(basis, spec.region)
+        tf = make_test_function_set(blocks.basis, spec.region)
         rows = [[row.horizon, rho_hat(row.measure, non[1].gamma, tf)] for row in study]
         bundle.tables["empirical_to_optimal_distance"] = {
             "columns": ["horizon", "rho_hat"], "rows": rows}
@@ -343,32 +340,28 @@ def _simulate_section(bundle, spec, grid, basis, cfg: StudyConfig, solve_results
                       f"cesaro {final:.4f} >= mu {mu:.4f} - {_bound_text(SIMULATION_TOL)}")
 
 
-def _sweep_section(bundle, spec, grid, basis, cfg: StudyConfig, solve_results, blocks):
+def _sweep_section(bundle, blocks, cfg: StudyConfig, solve_results):
     prog = cfg.program
-    y0 = np.asarray(prog.y0, dtype=float)
     if prog.discount_rates:
         rows = []
         for rate in sorted(prog.discount_rates):
             name = f"discounted[rate={rate:g}]"
             pair = solve_results.get(name)
-            solution = (pair[1] if pair
-                        else _solve(build_discounted_lp(grid, basis, spec, y0, rate,
-                                                        blocks=blocks)))
+            solution = pair[1] if pair else _solve(build_discounted_lp(blocks, rate))
             if solution.status == "optimal":
                 rows.append([rate, solution.value])
         if rows:
             bundle.tables["discount_sweep"] = {"columns": ["rate", "lp_value"], "rows": rows}
 
 
-def _convergence_section(bundle, spec, grid, basis, cfg: StudyConfig, blocks):
+def _convergence_section(bundle, blocks, cfg: StudyConfig):
     """Refinement study: value stability under angular doubling and degree bump.
     It reads only LP values, so no LP here runs the minimal-mass refinement.
     Only the base LP is built on the study's blocks; each other grid or basis
-    assembles its own."""
-    y0 = np.asarray(cfg.program.y0, dtype=float)
-    base = _solve(build_nonergodic_lp(grid, basis, spec, y0,
-                                      xi_mass_cap=cfg.program.xi_mass_cap, blocks=blocks),
-                  refine=False)
+    gets blocks of its own at the study's start point."""
+    grid, spec, y0 = blocks.grid, blocks.grid.spec, blocks.y0_requested
+    cap = cfg.program.xi_mass_cap
+    base = _solve(build_nonergodic_lp(blocks, cap), refine=False)
     if base.status != "optimal":
         bundle.record("convergence.base_solved", False, base.message)
         return
@@ -377,8 +370,7 @@ def _convergence_section(bundle, spec, grid, basis, cfg: StudyConfig, blocks):
     refined_res = state_res[:-1] + [state_res[-1] * 2]
     fine_grid = build_grid(spec, tuple(refined_res), cfg.grid.control_resolution)
     fine_basis = basis_for_region(spec.region, cfg.basis.degree + 2)
-    fine = _solve(build_nonergodic_lp(fine_grid, fine_basis, spec, y0,
-                                      xi_mass_cap=cfg.program.xi_mass_cap), refine=False)
+    fine = _solve(build_nonergodic_lp(LpBlocks(fine_grid, fine_basis, y0), cap), refine=False)
     if fine.status != "optimal":
         bundle.record("convergence.refined_solved", False, fine.message)
         return
@@ -392,31 +384,28 @@ def _convergence_section(bundle, spec, grid, basis, cfg: StudyConfig, blocks):
     degree_rows = []
     for degree in range(2, cfg.basis.degree + 1):
         sol = base if degree == cfg.basis.degree else _solve(build_nonergodic_lp(
-            grid, basis_for_region(spec.region, degree), spec, y0,
-            xi_mass_cap=cfg.program.xi_mass_cap), refine=False)
+            LpBlocks(grid, basis_for_region(spec.region, degree), y0), cap), refine=False)
         if sol.status == "optimal":
             degree_rows.append([degree, sol.value])
     bundle.tables["degree_sweep"] = {"columns": ["degree", "value"], "rows": degree_rows}
 
 
-def _certify_section(bundle, spec, grid, basis, cfg: StudyConfig, solve_results, blocks):
-    y0 = np.asarray(cfg.program.y0, dtype=float)
+def _certify_section(bundle, blocks, cfg: StudyConfig, solve_results):
     pair = solve_results.get("nonergodic")
     if pair is None:
-        instance = build_nonergodic_lp(grid, basis, spec, y0,
-                                       xi_mass_cap=cfg.program.xi_mass_cap, blocks=blocks)
+        instance = build_nonergodic_lp(blocks, cfg.program.xi_mass_cap)
         solution = _solve(instance)
     else:
         instance, solution = pair
     if solution.status != "optimal":
         bundle.record("certify.solved", False, solution.message)
         return
-    cert = extract_dual_certificate(solution, instance, basis)
-    report = certificate_offgrid_report(cert, grid, basis, spec)
+    cert = extract_dual_certificate(solution, instance)
+    report = certificate_offgrid_report(cert, blocks.grid, blocks.basis, blocks.grid.spec)
     bundle.values["certify.offgrid_min_slack_lower_bound"] = report["min_lower_bound_slack"]
     bundle.values["certify.offgrid_min_slack_monotonicity"] = report["min_monotonicity_slack"]
     bundle.values["certify.offgrid_sample_count"] = report["sample_count"]
-    [res] = membership_residual([solution.gamma], grid, basis, y0, blocks=blocks)
+    [res] = membership_residual([solution.gamma], blocks)
     bundle.values["certify.gamma_w_residual"] = res.w_residual
     bundle.values["certify.gamma_omega_residual"] = res.omega_residual
     bundle.record("certify.optimal_gamma_feasible",
@@ -424,8 +413,8 @@ def _certify_section(bundle, spec, grid, basis, cfg: StudyConfig, solve_results,
                   f"residuals {res.w_residual:.2e}, {res.omega_residual:.2e}")
 
 
-def _oracle_section(bundle, spec, cfg: StudyConfig):
-    y0 = np.asarray(cfg.program.y0, dtype=float)
+def _oracle_section(bundle, blocks, cfg: StudyConfig):
+    spec, y0 = blocks.grid.spec, blocks.y0_requested
     if spec.region.kind == "annulus":
         z0 = float((y0[0] - spec.region.center[0]) ** 2
                    + (y0[1] - spec.region.center[1]) ** 2)
@@ -447,9 +436,10 @@ def run_study(config: StudyConfig, sections=_ALL_SECTIONS, jobs: int = 1) -> Rep
     """Run the configured study and return a report bundle.
 
     Deterministic given configuration + seed + build: no wall-clock data is
-    recorded and all numeric paths are seed-free or seeded.  The study's LP
-    blocks (B, C at the configured y0, and c) are assembled once, when a
-    section first reads them, and every section reads that one object.
+    recorded and all numeric paths are seed-free or seeded.  Every section
+    takes the study's one :class:`~occlp.grid.LpBlocks`, which holds the
+    grid, the basis, the configured y0 and the LP blocks (B, C at that y0,
+    and c); the blocks are assembled once, when a section first reads them.
     """
     spec = build_system(config.system)
     grid = build_grid(spec, tuple(config.grid.state_resolution),
@@ -460,24 +450,23 @@ def run_study(config: StudyConfig, sections=_ALL_SECTIONS, jobs: int = 1) -> Rep
     bundle.values["grid.atom_count"] = grid.atom_count
     bundle.values["basis.count"] = basis.count
 
-    study = (spec, grid, basis, config)
-    blocks = LpBlocks(grid, basis, spec, config.program.y0)
+    study = (LpBlocks(grid, basis, config.program.y0), config)
     reads = {variant for section in sections for variant in _SECTION_READS.get(section, ())}
     variants = tuple(v for v in config.program.variants if v in reads)
     solve_results = {}
     if variants:
         solve_results = _run_section(bundle, "solve", _solve_section, *study,
-                                     variants, jobs, blocks) or {}
+                                     variants, jobs) or {}
     if "simulate" in sections:
-        _run_section(bundle, "simulate", _simulate_section, *study, solve_results, blocks)
+        _run_section(bundle, "simulate", _simulate_section, *study, solve_results)
     if "sweep" in sections:
-        _run_section(bundle, "sweep", _sweep_section, *study, solve_results, blocks)
+        _run_section(bundle, "sweep", _sweep_section, *study, solve_results)
     if "convergence" in sections:
-        _run_section(bundle, "convergence", _convergence_section, *study, blocks)
+        _run_section(bundle, "convergence", _convergence_section, *study)
     if "certify" in sections:
-        _run_section(bundle, "certify", _certify_section, *study, solve_results, blocks)
+        _run_section(bundle, "certify", _certify_section, *study, solve_results)
     if "oracle" in sections:
-        _run_section(bundle, "oracle", _oracle_section, spec, config)
+        _run_section(bundle, "oracle", _oracle_section, *study)
     return bundle
 
 

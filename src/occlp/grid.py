@@ -15,12 +15,12 @@ Every LP of a study is stacked from three assembled blocks:
 * cost vector  c[a] = k(y_a, u_a)
 
 phi and grad phi are evaluated once per grid state and repeated over the
-controls, which gives the floats an evaluation at every atom gives.  A study
-assembles the blocks once for its (grid, basis, y0), in one :class:`LpBlocks`,
-and every LP and membership check it builds there reads them from that object.
-The blocks are held inside the coupled programs' matrix, which
-:func:`stack_rows` lays out and which every coupled LP of the study shares,
-read-only.
+controls, which gives the floats an evaluation at every atom gives.  The
+blocks of one (grid, basis, y0), the system being the grid's, are one
+:class:`LpBlocks`: every LP, membership check and horizon study is built from
+such an object alone, and a study assembles its one object once.  The blocks
+are held inside the coupled programs' matrix, which :func:`stack_rows` lays
+out and which every coupled LP built on them shares, read-only.
 """
 
 from __future__ import annotations
@@ -148,9 +148,9 @@ def assemble_initial_matrix(grid: Grid, basis: BasisSpec, y0) -> np.ndarray:
                      grid.control_points.shape[0], axis=1)
 
 
-def assemble_cost_vector(grid: Grid, spec: SystemSpec) -> np.ndarray:
+def assemble_cost_vector(grid: Grid) -> np.ndarray:
     """c[a] = k(y_a, u_a)."""
-    return cost_batch(spec)(grid.atom_states, grid.atom_controls)
+    return cost_batch(grid.spec)(grid.atom_states, grid.atom_controls)
 
 
 def stack_rows(blocks, n_atoms: int) -> np.ndarray:
@@ -184,8 +184,8 @@ def snap_to_state_grid(grid: Grid, y0) -> tuple[int, np.ndarray]:
 
 
 class LpBlocks:
-    """B, C at one start point and c, for one grid, basis, system and y0,
-    assembled once, on first use, for every LP built on them.
+    """B, C at one start point and c, for one grid, basis and y0 (the system
+    is ``grid.spec``), assembled once, on first use, for every LP built on them.
 
     ``coupled`` is the initial-coupled programs' matrix, with the rows B g = 0,
     C g + B x = 0, 1.g = 1 and last the cap row 1.x <= cap (see
@@ -196,14 +196,9 @@ class LpBlocks:
     INFO line with its size, the megabytes it holds and its time.
     """
 
-    def __init__(self, grid: Grid, basis: BasisSpec, spec: SystemSpec, y0):
-        self.grid, self.basis, self.spec = grid, basis, spec
+    def __init__(self, grid: Grid, basis: BasisSpec, y0):
+        self.grid, self.basis = grid, basis
         self.y0_requested = np.asarray(y0, dtype=float)
-
-    def matches(self, grid: Grid, basis: BasisSpec, spec: SystemSpec, y0) -> bool:
-        """Whether these are the blocks of that grid, basis, system and y0."""
-        return (grid is self.grid and basis == self.basis and spec is self.spec
-                and np.array_equal(np.asarray(y0, dtype=float), self.y0_requested))
 
     @cached_property
     def y0(self) -> np.ndarray:
@@ -234,7 +229,7 @@ class LpBlocks:
     @cached_property
     def _assembled(self) -> tuple[np.ndarray, np.ndarray]:
         began = time.perf_counter()
-        cost = assemble_cost_vector(self.grid, self.spec)
+        cost = assemble_cost_vector(self.grid)
         cost.flags.writeable = False
         flow = assemble_flow_matrix(self.grid, self.basis)
         initial = assemble_initial_matrix(self.grid, self.basis, self.y0)

@@ -22,11 +22,12 @@ and mu equal to the optimal value (finite LP strong duality).  mu is always a
 certified lower bound for the primal value (weak duality), which is asserted
 for every solve.
 
-Each builder reads B, C and c from an :class:`~occlp.grid.LpBlocks`, the
-study's when it is given one and its own otherwise.  The initial-coupled and
-perturbed programs built on one such object share its coupled matrix, cap row
-included, as their ``matrix``: the epsilon sweep and the nonergodic LP hold
-one read-only array between them, and the solver reads it in place.
+Each builder takes one :class:`~occlp.grid.LpBlocks`, which holds the grid,
+the basis, the start point and B, C and c, and builds its LP from that object
+alone; so does the membership check.  The initial-coupled and perturbed
+programs built on one such object share its coupled matrix, cap row included,
+as their ``matrix``: the epsilon sweep and the nonergodic LP hold one
+read-only array between them, and the solver reads it in place.
 
 Every LP here, including the membership LP, is solved on a HiGHS model built
 through scipy's bundled binding, with the options of HIGHS_OPTIONS: dual
@@ -74,8 +75,7 @@ import numpy as np
 import scipy
 
 from .basis import BasisSpec, grad_matrix, phi_matrix
-from .grid import (DiscreteMeasure, Grid, LpBlocks, assemble_cost_vector,
-                   assemble_flow_matrix, snap_to_state_grid, stack_rows)
+from .grid import DiscreteMeasure, Grid, LpBlocks, snap_to_state_grid, stack_rows
 from .system import SystemSpec, cost_batch, dynamics_batch, lattice, product_rows
 
 
@@ -148,6 +148,7 @@ MEMBERSHIP_TOL = 1e-7  # w and omega residuals of the optimal gamma
 SMALL_EPS_TOL = 1e-2  # |value(eps=0.001) - value(0)|
 REFINEMENT_TOL = 0.02  # value change under angular doubling and a degree bump
 SIMULATION_TOL = 0.05  # LP value below Abel value; Cesaro value above mu
+ABEL_TAIL_TOL = 1e-2  # the Abel value's discounted tail beyond its horizon
 
 
 @dataclass(frozen=True)
@@ -248,30 +249,19 @@ def lp_name(instance: LpInstance) -> str:
     return variant
 
 
-def _instance(grid: Grid, basis: BasisSpec, kinds, matrix: np.ndarray, cost: np.ndarray,
+def _instance(blocks: LpBlocks, kinds, matrix: np.ndarray, cost: np.ndarray,
               provenance: dict, xi_cost: np.ndarray | None = None,
               xi_mass_cap: float | None = None) -> LpInstance:
-    """An LP over ``matrix``, whose equality rows are the row blocks ``kinds``
-    (kind, rows) and then the normalization row; the xi block exists iff
-    ``xi_cost`` is given."""
+    """An LP on the blocks' grid and basis over ``matrix``, whose equality rows
+    are the row blocks ``kinds`` (kind, rows) and then the normalization row;
+    the xi block exists iff ``xi_cost`` is given."""
     meta = (tuple(RowMeta(kind, b) for kind, rows in kinds for b in range(rows))
             + (RowMeta("normalization", None),))
     rhs = np.zeros(len(meta))
     rhs[-1] = 1.0
-    return LpInstance(grid=grid, basis=basis, objective_gamma=cost, objective_xi=xi_cost,
-                      matrix=matrix, eq_rhs=rhs, row_meta=meta, xi_mass_cap=xi_mass_cap,
-                      provenance=provenance)
-
-
-def _blocks(grid: Grid, basis: BasisSpec, spec: SystemSpec, y0,
-            blocks: LpBlocks | None) -> LpBlocks:
-    """The given blocks, checked to be those of (grid, basis, spec, y0), or new ones."""
-    if blocks is None:
-        return LpBlocks(grid, basis, spec, y0)
-    if not blocks.matches(grid, basis, spec, y0):
-        raise ProgramError("the LP blocks were assembled for another grid, basis, "
-                           "system or start point")
-    return blocks
+    return LpInstance(grid=blocks.grid, basis=blocks.basis, objective_gamma=cost,
+                      objective_xi=xi_cost, matrix=matrix, eq_rhs=rhs, row_meta=meta,
+                      xi_mass_cap=xi_mass_cap, provenance=provenance)
 
 
 def _coupled_lp(blocks: LpBlocks, cost: np.ndarray, xi_cost: np.ndarray,
@@ -280,61 +270,49 @@ def _coupled_lp(blocks: LpBlocks, cost: np.ndarray, xi_cost: np.ndarray,
     block, on the blocks' coupled matrix (without its cap row if uncapped)."""
     count = blocks.basis.count
     matrix = blocks.coupled if xi_mass_cap is not None else blocks.coupled[:-1]
-    return _instance(blocks.grid, blocks.basis, [("flow", count), ("initial", count)], matrix,
-                     cost, {**provenance, **blocks.start}, xi_cost, xi_mass_cap)
+    return _instance(blocks, [("flow", count), ("initial", count)], matrix, cost,
+                     {**provenance, **blocks.start}, xi_cost, xi_mass_cap)
 
 
-def build_ergodic_lp(grid: Grid, basis: BasisSpec, spec: SystemSpec,
-                     blocks: LpBlocks | None = None) -> LpInstance:
+def build_ergodic_lp(blocks: LpBlocks) -> LpInstance:
     """Long-run program with flow rows only; its value ignores the start point,
-    so without ``blocks`` it assembles B and c alone."""
-    if blocks is None:
-        flow, cost = assemble_flow_matrix(grid, basis), assemble_cost_vector(grid, spec)
-    else:  # the blocks of any start point hold the ergodic LP's B and c
-        blocks = _blocks(grid, basis, spec, blocks.y0_requested, blocks)
-        flow, cost = blocks.flow, blocks.cost
-    return _instance(grid, basis, [("flow", basis.count)],
-                     stack_rows([(flow, None)], grid.atom_count),
-                     cost, {"variant": "ergodic"})
+    and the blocks of any start point hold its B and c."""
+    return _instance(blocks, [("flow", blocks.basis.count)],
+                     stack_rows([(blocks.flow, None)], blocks.grid.atom_count),
+                     blocks.cost, {"variant": "ergodic"})
 
 
-def build_nonergodic_lp(grid: Grid, basis: BasisSpec, spec: SystemSpec, y0,
-                        xi_mass_cap: float = DEFAULT_XI_MASS_CAP,
-                        blocks: LpBlocks | None = None) -> LpInstance:
+def build_nonergodic_lp(blocks: LpBlocks,
+                        xi_mass_cap: float = DEFAULT_XI_MASS_CAP) -> LpInstance:
     """Start-point-dependent program: flow rows plus initial-coupling rows.
 
     Infeasibility (possible when no admissible motion connects the feasible
     long-run measures back to y0 on the grid) surfaces as solution status.
     """
-    blocks = _blocks(grid, basis, spec, y0, blocks)
-    return _coupled_lp(blocks, blocks.cost, np.zeros(grid.atom_count), xi_mass_cap,
+    return _coupled_lp(blocks, blocks.cost, np.zeros(blocks.grid.atom_count), xi_mass_cap,
                        {"variant": "nonergodic"})
 
 
-def build_discounted_lp(grid: Grid, basis: BasisSpec, spec: SystemSpec, y0,
-                        discount_rate: float, blocks: LpBlocks | None = None) -> LpInstance:
+def build_discounted_lp(blocks: LpBlocks, discount_rate: float) -> LpInstance:
     """Discounted-constraint program: rows (B + rate * C) g = 0 plus normalization."""
     if discount_rate <= 0:
         raise ProgramError("discount rate must be positive")
-    blocks = _blocks(grid, basis, spec, y0, blocks)
     rows = blocks.flow + discount_rate * blocks.initial
-    return _instance(grid, basis, [("discounted", basis.count)],
-                     stack_rows([(rows, None)], grid.atom_count),
+    return _instance(blocks, [("discounted", blocks.basis.count)],
+                     stack_rows([(rows, None)], blocks.grid.atom_count),
                      blocks.cost, {"variant": "discounted", "rate": discount_rate,
                                    **blocks.start})
 
 
-def build_perturbed_lp(grid: Grid, basis: BasisSpec, spec: SystemSpec, y0,
-                       epsilon: float,
-                       xi_mass_cap: float = DEFAULT_XI_MASS_CAP,
-                       blocks: LpBlocks | None = None) -> LpInstance:
+def build_perturbed_lp(blocks: LpBlocks, epsilon: float,
+                       xi_mass_cap: float = DEFAULT_XI_MASS_CAP) -> LpInstance:
     """Regularised coupled program; epsilon = 0 reduces exactly to the unperturbed one."""
     if epsilon < 0:
         raise ProgramError("epsilon must be nonnegative")
-    blocks = _blocks(grid, basis, spec, y0, blocks)
+    f_bound = blocks.grid.spec.bound_f
     return _coupled_lp(blocks, blocks.cost + 2.0 * epsilon,
-                       np.full(grid.atom_count, spec.bound_f * epsilon), xi_mass_cap,
-                       {"variant": "perturbed", "epsilon": epsilon, "f_bound": spec.bound_f})
+                       np.full(blocks.grid.atom_count, f_bound * epsilon), xi_mass_cap,
+                       {"variant": "perturbed", "epsilon": epsilon, "f_bound": f_bound})
 
 
 # The options of every HiGHS model built here (_highs_run); HiGHS 1.12's names
@@ -409,6 +387,15 @@ def _rerun(highs: _Highs) -> tuple[str, int]:
             int(highs.getInfo().simplex_iteration_count))
 
 
+def _model_point(col_value, columns: np.ndarray, n_col: int) -> tuple[np.ndarray, float]:
+    """A model's point ``col_value`` over its ``columns``, scattered onto the
+    LP's ``n_col`` columns with its negative entries clipped to 0, and the most
+    negative entry before that (0 if none is negative)."""
+    x = np.zeros(n_col)
+    x[columns] = col_value
+    return np.maximum(x, 0.0), min(0.0, float(np.min(x)))
+
+
 def _minimal_mass_refinement(instance: LpInstance, a_eq: np.ndarray, objective: np.ndarray,
                              reduced: np.ndarray, value: float, cap_dual: float,
                              columns: np.ndarray):
@@ -448,10 +435,7 @@ def _minimal_mass_refinement(instance: LpInstance, a_eq: np.ndarray, objective: 
                  refine_face_columns=len(face), refine_rounds=1 + reruns)
     if status != "optimal":
         return stats, None
-    x = np.zeros(len(objective))
-    x[face[seed]] = highs.getSolution().col_value
-    raw_minimum = min(0.0, float(np.min(x)))
-    x = np.maximum(x, 0.0)
+    x, raw_minimum = _model_point(highs.getSolution().col_value, face[seed], len(objective))
     if (raw_minimum < -FACE_TOL
             or np.max(np.abs(a_eq @ x - instance.eq_rhs)) > PRIMAL_RESIDUAL_TOL
             or np.max(np.abs(x * reduced)) > COMPLEMENTARITY_TOL
@@ -644,10 +628,7 @@ def solve(instance: LpInstance, chain: _Chain | None = None,
                           np.inf, np.inf, iterations, message, start=start, **master)
 
     found = highs.getSolution()
-    x = np.zeros(len(objective))
-    x[columns] = found.col_value
-    raw_minimum = min(0.0, float(np.min(x)))
-    x = np.maximum(x, 0.0)
+    x, raw_minimum = _model_point(found.col_value, columns, len(objective))
     duals = np.asarray(found.row_dual)
     value = float(highs.getInfo().objective_function_value)
     gamma = DiscreteMeasure(instance.grid, x[:n_g])
@@ -680,9 +661,9 @@ def solve(instance: LpInstance, chain: _Chain | None = None,
     # binding = the cap influences the value (nonzero shadow price) or even the
     # minimal-mass xi needs the whole budget
     cap_binding = bool(has_cap
-                       and (cap_dual < -1e-9
+                       and (cap_dual < -FACE_TOL
                             or (xi_mass_canonical
-                                and xi.total_mass >= instance.xi_mass_cap * (1.0 - 1e-9))))
+                                and xi.total_mass >= instance.xi_mass_cap * (1.0 - FACE_TOL))))
 
     status = "optimal"
     if raw_minimum < -FACE_TOL:
@@ -723,15 +704,16 @@ class DualCertificate:
     f_bound: float = 0.0
 
 
-def extract_dual_certificate(solution: LpSolution, instance: LpInstance,
-                             basis: BasisSpec, y0=None) -> DualCertificate:
+def extract_dual_certificate(solution: LpSolution, instance: LpInstance) -> DualCertificate:
     """Assemble (mu, psi, eta) from equality-row duals.
 
     With the solver's sign convention (marginals are sensitivities of the
     optimal value to the right-hand side), the certificate coefficients are
     the negated initial-row and flow-row duals, and mu is the normalization
     dual.  Applies to ergodic (psi = 0), initial-coupled and perturbed
-    programs; the discounted variant has no certificate of this shape.
+    programs; the discounted variant has no certificate of this shape.  The
+    coefficients are over the LP's basis, and y0 is its snapped start point
+    (None for the ergodic LP).
     """
     if solution.status != "optimal":
         raise ProgramError(f"cannot extract a certificate from a {solution.status} solve")
@@ -741,14 +723,13 @@ def extract_dual_certificate(solution: LpSolution, instance: LpInstance,
     duals = solution.row_duals
     norm_row = instance.rows_of_kind("normalization")[0]
     mu = float(duals[norm_row])
-    psi = np.zeros(basis.count)
-    eta = np.zeros(basis.count)
+    psi = np.zeros(instance.basis.count)
+    eta = np.zeros(instance.basis.count)
     for i in instance.rows_of_kind("initial"):
         psi[instance.row_meta[i].basis_index] = -duals[i]
     for i in instance.rows_of_kind("flow"):
         eta[instance.row_meta[i].basis_index] = -duals[i]
-    if y0 is None:
-        y0 = instance.provenance.get("y0")
+    y0 = instance.provenance.get("y0")
     y0 = None if y0 is None else np.asarray(y0, dtype=float)
     return DualCertificate(mu=mu, psi_coeffs=psi, eta_coeffs=eta, y0=y0,
                            epsilon=float(instance.provenance.get("epsilon", 0.0)),
@@ -829,10 +810,9 @@ class MembershipResidual:
     omega_residual: float  # best sup-norm fit of the initial rows over xi >= 0
 
 
-def membership_residual(measures, grid: Grid, basis: BasisSpec, y0,
-                        blocks: LpBlocks | None = None) -> list[MembershipResidual]:
-    """How far each of a sequence of probability measures on ``grid`` is from
-    the two feasible sets; one result per measure, in order.
+def membership_residual(measures, blocks: LpBlocks) -> list[MembershipResidual]:
+    """How far each of a sequence of probability measures on the blocks' grid
+    is from the two feasible sets; one result per measure, in order.
 
     ``w_residual`` needs no optimisation.  ``omega_residual`` is the optimal t
     of: minimise t subject to -t <= (C g + B x)_b <= t for every basis row,
@@ -846,14 +826,13 @@ def membership_residual(measures, grid: Grid, basis: BasisSpec, y0,
     :func:`_grow_master` adds the xi columns that price negative, so each
     omega is the optimum over every column.  Every measure is checked to be a
     probability measure before any model is built.  Each run logs one INFO
-    line.  B and C are read from ``blocks``, the study's when it is given
-    (for ``grid``, ``basis``, the grid's system and ``y0``), else assembled here.
+    line.  B and C, at the blocks' start point, are read from ``blocks``.
     """
     measures = list(measures)
     for k, measure in enumerate(measures):
         if not measure.is_probability(tol=1e-7):
             raise ProgramError(f"measure {k} mass {measure.total_mass} is not 1")
-    blocks = _blocks(grid, basis, grid.spec, y0, blocks)
+    grid, basis = blocks.grid, blocks.basis
     flow, initial = blocks.flow, blocks.initial
     # variables: xi (n) then t (1); rows: B x - t <= -C g, then -B x - t <= C g
     ones = np.ones((basis.count, 1))
@@ -861,7 +840,7 @@ def membership_residual(measures, grid: Grid, basis: BasisSpec, y0,
                       np.hstack([-flow, -ones])])
     objective = np.concatenate([np.zeros(grid.atom_count), [1.0]])
     lower = np.full(a_ub.shape[0], -np.inf)
-    atoms = _seed_atoms(grid, a_ub.shape[1], basis.count, y0)
+    atoms = _seed_atoms(grid, a_ub.shape[1], basis.count, blocks.y0_requested)
     columns = np.arange(a_ub.shape[1]) if atoms is None else np.append(atoms, grid.atom_count)
     highs, results = None, []
     for k, measure in enumerate(measures):

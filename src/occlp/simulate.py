@@ -37,7 +37,6 @@ from itertools import chain, pairwise
 import numpy as np
 
 from . import exprs
-from .basis import BasisSpec
 from .grid import DiscreteMeasure, Grid, LpBlocks, nearest_atom_index, nearest_state_index
 from .programs import MembershipResidual, membership_residual
 from .system import SystemSpec, cost_batch, rk4_run_fn
@@ -590,12 +589,13 @@ class HorizonRow:
     residual: MembershipResidual
 
 
-def horizon_study(spec: SystemSpec, y0, policy: Policy, horizons,
-                  grid: Grid, basis: BasisSpec, dt: float = 1e-3,
-                  blocks: LpBlocks | None = None) -> list[HorizonRow]:
-    """Empirical measures and their membership residuals over growing windows.
+def horizon_study(blocks: LpBlocks, policy: Policy, horizons,
+                  dt: float = 1e-3) -> list[HorizonRow]:
+    """Empirical measures on the blocks' grid and their membership residuals
+    over growing windows of one run of the grid's system from the blocks'
+    requested start point.
 
-    One trajectory is integrated to the longest horizon; horizon T is its
+    The run is integrated to the longest horizon; horizon T is its
     first ceil(T / dt) steps, which is bitwise the run ``integrate`` returns
     for T whenever T / ceil(T / dt) equals the long run's step, and otherwise
     ends within one step of T.  The flow residual of an empirical measure
@@ -603,9 +603,9 @@ def horizon_study(spec: SystemSpec, y0, policy: Policy, horizons,
     floor, so across horizon doublings it should be non-increasing up to that
     floor.  The run is binned once, by per-axis squared distances
     (:func:`~occlp.grid.nearest_atom_index`), and every window's membership
-    LP is one call of :func:`~occlp.programs.membership_residual`, on the
-    study's ``blocks`` if given, which solves the shortest window cold and
-    each longer one warm from the window before it.  When the run's tail
+    LP is one call of :func:`~occlp.programs.membership_residual` on
+    ``blocks``, which solves the shortest window cold and each longer one
+    warm from the window before it.  When the run's tail
     repeats (``Trajectory.cycle``: a run parked until its end, or a periodic
     schedule whose period maps its state to itself), the tail's (state,
     control) pairs are binned once, on the cycle's first pass, and every
@@ -614,7 +614,8 @@ def horizon_study(spec: SystemSpec, y0, policy: Policy, horizons,
     horizons = sorted(float(t) for t in horizons)
     if not horizons or horizons[0] <= 0:
         raise SimulationError("horizons must be a nonempty list of positive times")
-    run = integrate(spec, y0, policy, horizons[-1], dt)
+    grid = blocks.grid
+    run = integrate(grid.spec, blocks.y0_requested, policy, horizons[-1], dt)
     atoms = _atoms(run, grid)
     windows, measures = [], []
     for horizon in horizons:
@@ -622,5 +623,5 @@ def horizon_study(spec: SystemSpec, y0, policy: Policy, horizons,
         window = run.prefix(steps)
         windows.append(window)
         measures.append(_occupation(window, grid, atoms[:steps], window.dt / window.horizon))
-    residuals = membership_residual(measures, grid, basis, y0, blocks)
+    residuals = membership_residual(measures, blocks)
     return [HorizonRow(*row) for row in zip(horizons, windows, measures, residuals)]

@@ -14,7 +14,7 @@ import pytest
 
 from occlp import oracle, system
 from occlp.basis import basis_for_region
-from occlp.grid import build_grid
+from occlp.grid import LpBlocks, build_grid
 from occlp.programs import (build_discounted_lp, build_ergodic_lp,
                             build_nonergodic_lp, build_perturbed_lp,
                             certificate_slacks, extract_dual_certificate,
@@ -48,7 +48,7 @@ def setup(rotation):
 def solve_unit_circle(rotation, setup):
     grid, basis = setup
     start = time.perf_counter()
-    instance = build_nonergodic_lp(grid, basis, rotation, (1.0, 0.0))
+    instance = build_nonergodic_lp(LpBlocks(grid, basis, (1.0, 0.0)))
     solution = solve(instance)
     elapsed = time.perf_counter() - start
     return instance, solution, elapsed
@@ -57,14 +57,14 @@ def solve_unit_circle(rotation, setup):
 @pytest.fixture(scope="module")
 def solve_inner_circle(rotation, setup):
     grid, basis = setup
-    instance = build_nonergodic_lp(grid, basis, rotation, (0.5, 0.0))
+    instance = build_nonergodic_lp(LpBlocks(grid, basis, (0.5, 0.0)))
     return instance, solve(instance)
 
 
 @pytest.fixture(scope="module")
 def solve_ergodic(rotation, setup):
     grid, basis = setup
-    instance = build_ergodic_lp(grid, basis, rotation)
+    instance = build_ergodic_lp(LpBlocks(grid, basis, (1.0, 0.0)))
     return instance, solve(instance)
 
 
@@ -73,7 +73,7 @@ def perturbed_solutions(rotation, setup):
     grid, basis = setup
     out = {}
     for eps in EPSILONS:
-        instance = build_perturbed_lp(grid, basis, rotation, (1.0, 0.0), eps)
+        instance = build_perturbed_lp(LpBlocks(grid, basis, (1.0, 0.0)), eps)
         out[eps] = (instance, solve(instance))
     return out
 
@@ -137,14 +137,14 @@ def test_criterion_3_duality_certificates(rotation, setup, solve_unit_circle,
     worst_gap, worst_slack = 0.0, 0.0
     for _name, instance, solution in solves:
         assert solution.status == "optimal"
-        cert = extract_dual_certificate(solution, instance, basis)
+        cert = extract_dual_certificate(solution, instance)
         worst_gap = max(worst_gap, abs(solution.value - cert.mu))
         f1, f2 = certificate_slacks(cert, grid, basis, rotation)
         worst_slack = min(worst_slack, float(np.min(f1)), float(np.min(f2)))
         assert verify_weak_duality(solution.value, cert.mu)
     # the discounted program has no such certificate; its duality statement is
     # agreement of the primal value with the solver's dual objective
-    disc = solve(build_discounted_lp(grid, basis, rotation, (1.0, 0.0), 0.005))
+    disc = solve(build_discounted_lp(LpBlocks(grid, basis, (1.0, 0.0)), 0.005))
     assert disc.status == "optimal"
     disc_gap = abs(disc.value - disc.dual_objective)
     ok = worst_gap <= 1e-6 and worst_slack >= -1e-6 and disc_gap <= 1e-6
@@ -173,7 +173,7 @@ def test_criterion_5_simulation_consistency(rotation, steer_hold_policy,
     cesaro = cesaro_value(steer_hold_trajectories[200.0], rotation)
     abel = abel_value(rotation, (1.0, 0.0), steer_hold_policy, rate=0.005,
                       horizon=1200.0, dt=1e-2, tail_tolerance=1e-2)
-    cert = extract_dual_certificate(solution, instance, basis)
+    cert = extract_dual_certificate(solution, instance)
     ok = (abs(cesaro - (-1.0)) <= 0.05
           and abs(abel.value - cesaro) <= 0.1
           and cesaro >= cert.mu - 0.05
@@ -191,7 +191,7 @@ def test_criterion_6_residual_decay(rotation, setup, steer_hold_trajectories):
     rows = []
     for horizon in (25.0, 50.0, 100.0, 200.0):
         emp = empirical_occupational_measure(steer_hold_trajectories[horizon], grid)
-        [res] = membership_residual([emp], grid, basis, (1.0, 0.0))
+        [res] = membership_residual([emp], LpBlocks(grid, basis, (1.0, 0.0)))
         rows.append((horizon, res.w_residual, res.omega_residual))
     floor = min(w for _h, w, _o in rows)
     nonincreasing = all(b[1] <= a[1] + 2.0 * floor for a, b in zip(rows, rows[1:]))
@@ -243,11 +243,12 @@ def test_criterion_9_frozen_exactness():
     y0 = (0.25, 0.25)  # a grid state, so the coupling rows are exactly satisfiable
     reference = oracle.frozen_value(spec, y0).value
 
+    blocks = LpBlocks(grid, basis, y0)
     values = {
-        "ergodic": solve(build_ergodic_lp(grid, basis, spec)).value,
-        "coupled": solve(build_nonergodic_lp(grid, basis, spec, y0)).value,
-        "discounted": solve(build_discounted_lp(grid, basis, spec, y0, 1.0)).value,
-        "perturbed0": solve(build_perturbed_lp(grid, basis, spec, y0, 0.0)).value,
+        "ergodic": solve(build_ergodic_lp(blocks)).value,
+        "coupled": solve(build_nonergodic_lp(blocks)).value,
+        "discounted": solve(build_discounted_lp(blocks, 1.0)).value,
+        "perturbed0": solve(build_perturbed_lp(blocks, 0.0)).value,
     }
     traj = integrate(spec, y0, ConstantPolicy(0.0), 5.0, 1e-3)
     values["cesaro"] = cesaro_value(traj, spec)
@@ -264,7 +265,7 @@ def test_criterion_10_refinement_stability(rotation, solve_unit_circle):
     _instance, base, _t = solve_unit_circle
     fine_grid = build_grid(rotation, (5, 128), 9)
     fine_basis = basis_for_region(rotation.region, 6)
-    fine = solve(build_nonergodic_lp(fine_grid, fine_basis, rotation, (1.0, 0.0)))
+    fine = solve(build_nonergodic_lp(LpBlocks(fine_grid, fine_basis, (1.0, 0.0))))
     delta = abs(fine.value - base.value)
     ok = fine.status == "optimal" and delta <= 0.02
     _report(10, ok, f"value {base.value:.6f} -> {fine.value:.6f} "

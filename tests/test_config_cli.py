@@ -508,18 +508,25 @@ def test_info_log_has_one_line_per_lp(caplog):
                if line.startswith(("ergodic:", "discounted")))
 
 
-@pytest.mark.parametrize("command", ["solve", "simulate", "sweep", "certify"])
+# assemblies of B, C and c in a study of the acceptance config's sections:
+# every LP and membership check of a study reads its one assembly, whichever
+# sections it runs; convergence also assembles the blocks of the refined grid
+# and of degrees 2 and 3 of its degree sweep, and oracle reads none
+STUDY_ASSEMBLIES = {"solve": 1, "simulate": 1, "sweep": 1, "certify": 1,
+                    "solve+simulate+sweep+certify": 1, "convergence": 4, "oracle": 0}
+
+
+@pytest.mark.parametrize("command", STUDY_ASSEMBLIES)
 def test_each_command_assembles_its_lp_blocks_once(monkeypatch, command):
-    # every LP and membership check of a command reads the study's one
-    # assembly of B, C and c
     calls = []
     for name in ("assemble_flow_matrix", "assemble_initial_matrix", "assemble_cost_vector"):
         monkeypatch.setattr(grid_mod, name, lambda *args, name=name, fn=getattr(grid_mod, name):
                             calls.append(name) or fn(*args))
-    bundle = run_study(parse_config(ACCEPTANCE_CONFIG.read_text()), sections=(command,))
+    bundle = run_study(parse_config(ACCEPTANCE_CONFIG.read_text()),
+                       sections=tuple(command.split("+")))
     assert bundle.all_passed()
-    assert sorted(calls) == ["assemble_cost_vector", "assemble_flow_matrix",
-                             "assemble_initial_matrix"]
+    assert sorted(calls) == sorted(["assemble_cost_vector", "assemble_flow_matrix",
+                                    "assemble_initial_matrix"] * STUDY_ASSEMBLIES[command])
 
 
 def test_convergence_reads_values_only_and_skips_the_refinement(monkeypatch):

@@ -130,10 +130,9 @@ def test_initial_matrix_rejects_outside_y0(rotation, rotation_grid):
 def test_cost_vectors(rotation_grid):
     const = system.make_rotation(cost_id="3")
     g = build_grid(const, (5, 64), 9)
-    assert np.all(assemble_cost_vector(g, const) == 3.0)
+    assert np.all(assemble_cost_vector(g) == 3.0)
 
-    spec = system.make_rotation(cost_id="y1")
-    c = assemble_cost_vector(rotation_grid, spec)
+    c = assemble_cost_vector(rotation_grid)  # the fixture's rotation costs y1
     for a in range(rotation_grid.atom_count):
         y, _u = rotation_grid.atom(a)
         if np.allclose(y, (-1.0, 0.0), atol=1e-12):
@@ -141,8 +140,8 @@ def test_cost_vectors(rotation_grid):
             break
 
     mixed = system.make_rotation(cost_id="y1 + u1^2")
-    c = assemble_cost_vector(build_grid(mixed, (5, 4), 3), mixed)
     g2 = build_grid(mixed, (5, 4), 3)
+    c = assemble_cost_vector(g2)
     for a in range(g2.atom_count):
         y, u = g2.atom(a)
         if np.allclose(y, (0.0, 1.0), atol=1e-12) and u[0] == -1.0:
@@ -212,11 +211,11 @@ def test_statewise_assembly_is_bitwise_the_atomwise_one(assembly_setups, case):
     assert assemble_initial_matrix(g, b, y0).tobytes() == initial.tobytes()
     # the study's blocks: C at y0 snapped to the grid, and both views of the
     # one coupled matrix, which holds B twice
-    blocks = LpBlocks(g, b, spec, y0)
+    blocks = LpBlocks(g, b, y0)
     snapped = phi_matrix(b, blocks.y0[None]) - phi_matrix(b, g.atom_states)
     assert np.array_equal(blocks.flow, flow) and np.array_equal(blocks.initial, snapped)
     assert np.array_equal(blocks.coupled[b.count:2 * b.count, g.atom_count:], flow)
-    assert blocks.cost.tobytes() == assemble_cost_vector(g, spec).tobytes()
+    assert blocks.cost.tobytes() == assemble_cost_vector(g).tobytes()
     for array in (blocks.coupled, blocks.flow, blocks.initial, blocks.cost):
         assert not array.flags.writeable
     assert np.shares_memory(blocks.flow, blocks.coupled)
@@ -225,7 +224,7 @@ def test_statewise_assembly_is_bitwise_the_atomwise_one(assembly_setups, case):
 
 def test_blocks_stack_the_coupled_rows(rotation, rotation_grid):
     b = basis_for_region(rotation.region, 3)
-    blocks = LpBlocks(rotation_grid, b, rotation, (1.0, 0.0))
+    blocks = LpBlocks(rotation_grid, b, (1.0, 0.0))
     n, count = rotation_grid.atom_count, b.count
     expected = np.zeros((2 * count + 2, 2 * n))
     expected[:count, :n] = blocks.flow
@@ -243,7 +242,7 @@ def test_assembly_evaluates_the_basis_once_per_state(monkeypatch, caplog, rotati
         monkeypatch.setattr(grid_mod, name, lambda basis, ys, name=name, fn=getattr(
             grid_mod, name): rows.append((name, len(ys))) or fn(basis, ys))
     b = basis_for_region(rotation.region, 4)
-    blocks = LpBlocks(rotation_grid, b, rotation, (1.0, 0.0))
+    blocks = LpBlocks(rotation_grid, b, (1.0, 0.0))
     assert rows == []  # nothing is assembled before it is read
     with caplog.at_level("INFO", logger="occlp.grid"):
         blocks.flow, blocks.initial, blocks.cost, blocks.coupled

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from occlp import system
 from occlp.basis import basis_for_region
-from occlp.grid import DiscreteMeasure, build_grid
+from occlp.grid import DiscreteMeasure, LpBlocks, build_grid
 from occlp.metrics import MetricError, make_test_function_set, rho_hat
 
 
@@ -109,7 +109,7 @@ def test_hausdorff_empirical_sweep_shrinks_towards_optimum():
     g = build_grid(spec, (5, 32), 5)
     b = basis_for_region(spec.region, 4)
     tf = make_test_function_set(b, spec.region)
-    solution = solve(build_nonergodic_lp(g, b, spec, (1.0, 0.0)))
+    solution = solve(build_nonergodic_lp(LpBlocks(g, b, (1.0, 0.0))))
     assert solution.status == "optimal"
     policy = SchedulePolicy([0.0, math.pi], [1.0, 0.0])
     distances = []

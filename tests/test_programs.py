@@ -47,7 +47,7 @@ def rotation_setup():
 @pytest.fixture(scope="module")
 def rotation_solved(rotation_setup):
     spec, g, b = rotation_setup
-    instance = build_nonergodic_lp(g, b, spec, (1.0, 0.0))
+    instance = build_nonergodic_lp(LpBlocks(g, b, (1.0, 0.0)))
     return instance, solve(instance)
 
 
@@ -66,7 +66,7 @@ def certificate_holds(cert, grid, basis, spec):
 
 def test_ergodic_frozen_equals_exhaustive_scan(frozen_setup):
     spec, g, b = frozen_setup
-    solution = solve(build_ergodic_lp(g, b, spec))
+    solution = solve(build_ergodic_lp(LpBlocks(g, b, (0.25, 0.25))))
     assert solution.status == "optimal"
     assert solution.value == pytest.approx(brute_force_atom_minimum(g, spec), abs=1e-9)
     # zero dynamics leave only the simplex: optimum sits on the cheapest atom
@@ -76,9 +76,9 @@ def test_ergodic_frozen_equals_exhaustive_scan(frozen_setup):
 
 
 def test_ergodic_constant_cost(frozen_setup):
-    _spec, g, b = frozen_setup
+    _spec, _g, b = frozen_setup
     const = system.make_frozen(lower=(0.0, 0.0), upper=(1.0, 1.0), cost_id="3")
-    solution = solve(build_ergodic_lp(g, b, const))
+    solution = solve(build_ergodic_lp(LpBlocks(build_grid(const, 2, 9), b, (0.25, 0.25))))
     assert solution.value == pytest.approx(3.0, abs=1e-9)
 
 
@@ -127,15 +127,15 @@ def test_every_highs_run_reads_back_the_option_table(monkeypatch):
     runs, rerun = [], programs._rerun
     monkeypatch.setattr(programs, "_rerun", lambda highs: (runs.append(_options_of(highs)),
                                                           rerun(highs))[1])
-    solution = solve(build_nonergodic_lp(g, b, spec, y0))
+    solution = solve(build_nonergodic_lp(LpBlocks(g, b, y0)))
     assert solution.refine_rounds > 1
     assert len(runs) == solution.pricing_rounds + solution.refine_rounds
-    chained = solve_chain([build_perturbed_lp(g, b, spec, y0, eps) for eps in (0.1, 0.01)])
+    chained = solve_chain([build_perturbed_lp(LpBlocks(g, b, y0), eps) for eps in (0.1, 0.01)])
     assert chained[0].pricing_rounds > 1 and chained[1].start == "warm from perturbed[eps=0.1]"
     assert len(runs) == (solution.pricing_rounds + solution.refine_rounds
                          + sum(s.pricing_rounds for s in chained))
     before = len(runs)
-    membership_residual([solution.gamma], g, b, y0)
+    membership_residual([solution.gamma], LpBlocks(g, b, y0))
     assert len(runs) > before
     assert all(options == programs.HIGHS_OPTIONS for options in runs)
     assert programs.HIGHS_OPTIONS["simplex_scale_strategy"] == 4  # max value
@@ -149,7 +149,7 @@ def test_an_option_highs_rejects_is_a_program_error(frozen_setup, monkeypatch, o
     spec, g, b = frozen_setup
     monkeypatch.setitem(programs.HIGHS_OPTIONS, option, setting)
     with pytest.raises(ProgramError, match=f"option {option} = {setting}$"):
-        solve(build_ergodic_lp(g, b, spec))
+        solve(build_ergodic_lp(LpBlocks(g, b, (0.25, 0.25))))
 
 
 def _run_python(code: str, *args: str, env=None) -> str:
@@ -274,13 +274,13 @@ def test_returned_point_meets_residual_contract():
     spec = system.make_rotation()
     g = build_grid(spec, (5, 128), 9)
     b = basis_for_region(spec.region, 6)
-    instance = build_nonergodic_lp(g, b, spec, (1.0, 0.0))
+    instance = build_nonergodic_lp(LpBlocks(g, b, (1.0, 0.0)))
     solution = solve(instance)
     assert solution.status == "optimal"
     x = np.concatenate([solution.gamma.weights, solution.xi.weights])
     a_eq = instance.a_eq
     assert np.max(np.abs(a_eq @ x - instance.eq_rhs)) <= PRIMAL_RESIDUAL_TOL
-    membership_residual([solution.gamma], g, b, (1.0, 0.0))
+    membership_residual([solution.gamma], LpBlocks(g, b, (1.0, 0.0)))
     assert solution.xi_canonical
 
 
@@ -316,7 +316,7 @@ DEGREE_SIX_CASES = {"5x128-east": ("5x128", (1.0, 0.0)), "5x128-north": ("5x128"
 @pytest.mark.parametrize("setup,y0", DEGREE_SIX_CASES.values(), ids=DEGREE_SIX_CASES.keys())
 def test_degree_six_start_points_solve_with_canonical_xi(degree_six_setups, setup, y0):
     spec, g, b = degree_six_setups[setup]
-    instance = build_nonergodic_lp(g, b, spec, y0)
+    instance = build_nonergodic_lp(LpBlocks(g, b, y0))
     solution = solve(instance)
     assert solution.status == "optimal" and solution.xi_canonical
     x = np.concatenate([solution.gamma.weights, solution.xi.weights])
@@ -343,7 +343,7 @@ def test_box_start_point_reports_a_feasible_discounted_vertex(degree_six_setups,
     # tolerances end optimal at a vertex with a -4.6e-8 column, whose value is
     # 3.2e-5 relative too low; the point contract demotes that vertex
     spec, g, b = degree_six_setups["box"]
-    instance = build_discounted_lp(g, b, spec, (0.25, 0.75), 0.05)
+    instance = build_discounted_lp(LpBlocks(g, b, (0.25, 0.75)), 0.05)
     solution = solve(instance)
     assert solution.status == "optimal"
     assert -programs.FACE_TOL <= solution.raw_minimum <= 0.0
@@ -367,7 +367,7 @@ def test_box_start_point_reports_a_feasible_discounted_vertex(degree_six_setups,
 def test_nonergodic_frozen_matches_frozen_oracle(frozen_setup):
     spec, g, b = frozen_setup
     y0 = (0.25, 0.25)  # a grid state
-    solution = solve(build_nonergodic_lp(g, b, spec, y0))
+    solution = solve(build_nonergodic_lp(LpBlocks(g, b, y0)))
     assert solution.status == "optimal"
     reference = oracle.frozen_value(spec, y0)
     assert solution.value == pytest.approx(reference.value, abs=1e-8)
@@ -382,7 +382,16 @@ def test_nonergodic_snaps_off_grid_start(frozen_setup):
     spec, g, b = frozen_setup
     idx, snapped = snap_to_state_grid(g, (0.26, 0.27))
     assert np.allclose(snapped, (0.25, 0.25))
-    solution = solve(build_nonergodic_lp(g, b, spec, (0.26, 0.27)))
+    blocks = LpBlocks(g, b, (0.26, 0.27))
+    # every LP built on the blocks is read-only; the coupled rows and the
+    # provenance of each LP with a start point take the snapped y0
+    for instance in (build_ergodic_lp(blocks), build_nonergodic_lp(blocks, None),
+                     build_discounted_lp(blocks, 0.05), build_perturbed_lp(blocks, 0.1)):
+        assert not instance.matrix.flags.writeable
+        if instance.provenance["variant"] != "ergodic":
+            assert instance.provenance["y0"] == tuple(snapped.tolist())
+            assert instance.provenance["y0_requested"] == (0.26, 0.27)
+    solution = solve(build_nonergodic_lp(blocks))
     assert solution.status == "optimal"
     assert solution.value == pytest.approx(oracle.frozen_value(spec, snapped).value, abs=1e-8)
 
@@ -395,15 +404,15 @@ def test_nonergodic_rotation_start_circle_pins_value(rotation_setup, rotation_so
     assert reference.value == pytest.approx(-1.0, abs=1e-9)
     assert solution.value == pytest.approx(reference.value, abs=0.05)
     # the ergodic program ignores the start circle and digs to the outer rim
-    erg = solve(build_ergodic_lp(g, b, spec))
+    erg = solve(build_ergodic_lp(LpBlocks(g, b, (1.0, 0.0))))
     assert erg.value == pytest.approx(-1.5, abs=1e-8)
     assert erg.value <= solution.value + 1e-7
 
 
 def test_nonergodic_constant_cost(rotation_setup):
-    _spec, g, b = rotation_setup
+    _spec, _g, b = rotation_setup
     const = system.make_rotation(cost_id="3")
-    solution = solve(build_nonergodic_lp(g, b, const, (1.0, 0.0)))
+    solution = solve(build_nonergodic_lp(LpBlocks(build_grid(const, (5, 64), 9), b, (1.0, 0.0))))
     assert solution.value == pytest.approx(3.0, abs=1e-8)
 
 
@@ -422,11 +431,11 @@ def test_ergodic_system_value_is_start_independent():
     spec = system.make_scalar_drift(cost_id="y1^2")
     g = build_grid(spec, 9, 9)
     b = basis_for_region(spec.region, 4)
-    ergodic = solve(build_ergodic_lp(g, b, spec)).value
+    ergodic = solve(build_ergodic_lp(LpBlocks(g, b, g.state_points[4]))).value
     assert ergodic == pytest.approx(0.0, abs=1e-8)
     masses = []
     for y0 in (g.state_points[4, 0], g.state_points[7, 0]):
-        solution = solve(build_nonergodic_lp(g, b, spec, (y0,)))
+        solution = solve(build_nonergodic_lp(LpBlocks(g, b, (y0,))))
         assert solution.status == "optimal"
         assert solution.value == pytest.approx(ergodic, abs=1e-7)
         masses.append(solution.xi.total_mass)
@@ -441,9 +450,9 @@ def test_ergodic_system_value_is_start_independent():
 def test_discounted_frozen_equals_nonergodic(frozen_setup):
     spec, g, b = frozen_setup
     y0 = (0.25, 0.25)
-    base = solve(build_nonergodic_lp(g, b, spec, y0)).value
+    base = solve(build_nonergodic_lp(LpBlocks(g, b, y0))).value
     for rate in (0.01, 0.5, 10.0):
-        solution = solve(build_discounted_lp(g, b, spec, y0, rate))
+        solution = solve(build_discounted_lp(LpBlocks(g, b, y0), rate))
         assert solution.status == "optimal"
         assert solution.value == pytest.approx(base, abs=1e-7)
 
@@ -456,7 +465,7 @@ def test_discounted_large_rate_concentrates_at_start():
     start_cost = np.min(cost_batch(spec)(*product_rows(np.array([y0]), g.control_points)))
     gaps = []
     for rate in (1.0, 10.0, 100.0):
-        solution = solve(build_discounted_lp(g, b, spec, y0, rate))
+        solution = solve(build_discounted_lp(LpBlocks(g, b, y0), rate))
         assert solution.status == "optimal"
         gaps.append(abs(solution.value - start_cost))
     assert gaps[0] >= gaps[1] >= gaps[2] - 1e-12
@@ -464,16 +473,17 @@ def test_discounted_large_rate_concentrates_at_start():
 
 
 def test_discounted_constant_cost(rotation_setup):
-    _spec, g, b = rotation_setup
+    _spec, _g, b = rotation_setup
     const = system.make_rotation(cost_id="3")
-    solution = solve(build_discounted_lp(g, b, const, (1.0, 0.0), 0.1))
+    solution = solve(build_discounted_lp(LpBlocks(build_grid(const, (5, 64), 9), b, (1.0, 0.0)),
+                                         0.1))
     assert solution.value == pytest.approx(3.0, abs=1e-8)
 
 
 def test_discounted_rejects_nonpositive_rate(rotation_setup):
     spec, g, b = rotation_setup
     with pytest.raises(ProgramError):
-        build_discounted_lp(g, b, spec, (1.0, 0.0), 0.0)
+        build_discounted_lp(LpBlocks(g, b, (1.0, 0.0)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +492,8 @@ def test_discounted_rejects_nonpositive_rate(rotation_setup):
 
 def test_perturbed_zero_epsilon_is_identical(rotation_setup):
     spec, g, b = rotation_setup
-    base = build_nonergodic_lp(g, b, spec, (1.0, 0.0))
-    pert = build_perturbed_lp(g, b, spec, (1.0, 0.0), 0.0)
+    base = build_nonergodic_lp(LpBlocks(g, b, (1.0, 0.0)))
+    pert = build_perturbed_lp(LpBlocks(g, b, (1.0, 0.0)), 0.0)
     assert np.array_equal(base.objective_gamma, pert.objective_gamma)
     assert np.array_equal(base.objective_xi, pert.objective_xi)
     assert np.array_equal(base.matrix, pert.matrix)
@@ -495,7 +505,7 @@ def test_perturbed_sweep_monotone_and_convergent(rotation_setup):
     spec, g, b = rotation_setup
     values = {}
     for eps in (0.1, 0.01, 0.001, 0.0):
-        solution = solve(build_perturbed_lp(g, b, spec, (1.0, 0.0), eps))
+        solution = solve(build_perturbed_lp(LpBlocks(g, b, (1.0, 0.0)), eps))
         assert solution.status == "optimal"
         values[eps] = solution.value
     assert values[0.0] <= values[0.001] + 1e-7
@@ -514,17 +524,16 @@ SWEEP_EPSILONS = (0.1, 0.03, 0.01, 0.001, 0.0)
 @pytest.fixture(scope="module")
 def cold_perturbed(rotation_setup):
     spec, g, b = rotation_setup
-    return {eps: solve(build_perturbed_lp(g, b, spec, (1.0, 0.0), eps))
+    return {eps: solve(build_perturbed_lp(LpBlocks(g, b, (1.0, 0.0)), eps))
             for eps in SWEEP_EPSILONS}
 
 
 def _solve_section(text: str, setup, variants=("nonergodic", "perturbed")):
     """The study's solve section on a parsed config and a prebuilt (spec, grid, basis)."""
-    spec, g, b = setup
+    _spec, g, b = setup
     bundle = cli.ReportBundle(config={})
     cfg = parse_config(text)
-    results = cli._solve_section(bundle, spec, g, b, cfg, variants, 1,
-                                 LpBlocks(g, b, spec, cfg.program.y0))
+    results = cli._solve_section(bundle, LpBlocks(g, b, cfg.program.y0), cfg, variants, 1)
     return bundle, results
 
 
@@ -532,7 +541,7 @@ def _assert_member_matches(instance, solution, cold, setup):
     spec, g, b = setup
     assert solution.status == "optimal"
     assert solution.value == pytest.approx(cold.value, abs=1e-9)
-    assert certificate_holds(extract_dual_certificate(solution, instance, b), g, b, spec)
+    assert certificate_holds(extract_dual_certificate(solution, instance), g, b, spec)
     x = np.concatenate([solution.gamma.weights, solution.xi.weights])
     a_eq = instance.a_eq
     assert np.max(np.abs(a_eq @ x - instance.eq_rhs)) <= PRIMAL_RESIDUAL_TOL
@@ -545,7 +554,7 @@ def test_warm_sweep_matches_cold_solves(rotation_setup, cold_perturbed, epsilons
     # a chain in the drawn order: each member with a priced xi block re-runs
     # the model of the one before it; eps = 0 is refined, so it runs cold and
     # hands nothing on
-    instances = [build_perturbed_lp(g, b, spec, (1.0, 0.0), eps) for eps in epsilons]
+    instances = [build_perturbed_lp(LpBlocks(g, b, (1.0, 0.0)), eps) for eps in epsilons]
     previous = None
     for instance, eps, solution in zip(instances, epsilons, solve_chain(instances)):
         _assert_member_matches(instance, solution, cold_perturbed[eps], rotation_setup)
@@ -573,7 +582,7 @@ def test_weightless_xi_members_are_solved_cold(frozen_setup):
     spec, g, b = frozen_setup
     assert spec.bound_f == 0.0
     epsilons = (0.1, 0.01, 0.001)
-    instances = [build_perturbed_lp(g, b, spec, (0.25, 0.25), eps) for eps in epsilons]
+    instances = [build_perturbed_lp(LpBlocks(g, b, (0.25, 0.25)), eps) for eps in epsilons]
     text = ("[system]\nname = frozen\ncost = y1 + u1^2\nlower = [0.0, 0.0]\n"
             "upper = [1.0, 1.0]\n[grid]\nstate_resolution = [2, 2]\n[program]\n"
             "variants = [perturbed]\ny0 = [0.25, 0.25]\nepsilons = [0.1, 0.01, 0.001]\n")
@@ -590,17 +599,18 @@ def test_weightless_xi_members_are_solved_cold(frozen_setup):
 
 def test_chain_with_other_rows_starts_cold(rotation_setup):
     spec, g, b = rotation_setup
-    instances = [build_perturbed_lp(g, b, spec, (1.0, 0.0), 0.1),
-                 build_perturbed_lp(g, b, spec, (0.0, 1.0), 0.01)]
+    instances = [build_perturbed_lp(LpBlocks(g, b, (1.0, 0.0)), 0.1),
+                 build_perturbed_lp(LpBlocks(g, b, (0.0, 1.0)), 0.01)]
     chained = solve_chain(instances)
     assert [solution.start for solution in chained] == ["cold", "cold"]
     assert chained[1].value == solve(instances[1]).value
 
 
 def test_perturbed_constant_cost_shift(frozen_setup):
-    _spec, g, b = frozen_setup
+    _spec, _g, b = frozen_setup
     const = system.make_frozen(lower=(0.0, 0.0), upper=(1.0, 1.0), cost_id="3")
-    solution = solve(build_perturbed_lp(g, b, const, (0.25, 0.25), 0.01))
+    solution = solve(build_perturbed_lp(LpBlocks(build_grid(const, 2, 9), b, (0.25, 0.25)),
+                                        0.01))
     assert solution.xi.total_mass <= 1e-9  # no transport needed from a grid start
     assert solution.value == pytest.approx(3.0 + 2 * 0.01, abs=1e-8)
 
@@ -608,7 +618,7 @@ def test_perturbed_constant_cost_shift(frozen_setup):
 def test_perturbed_rejects_negative_epsilon(rotation_setup):
     spec, g, b = rotation_setup
     with pytest.raises(ProgramError):
-        build_perturbed_lp(g, b, spec, (1.0, 0.0), -0.1)
+        build_perturbed_lp(LpBlocks(g, b, (1.0, 0.0)), -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -616,11 +626,12 @@ def test_perturbed_rejects_negative_epsilon(rotation_setup):
 
 
 def test_certificate_constant_cost(frozen_setup):
-    _spec, g, b = frozen_setup
+    _spec, _g, b = frozen_setup
     const = system.make_frozen(lower=(0.0, 0.0), upper=(1.0, 1.0), cost_id="3")
-    instance = build_nonergodic_lp(g, b, const, (0.25, 0.25))
+    g = build_grid(const, 2, 9)
+    instance = build_nonergodic_lp(LpBlocks(g, b, (0.25, 0.25)))
     solution = solve(instance)
-    cert = extract_dual_certificate(solution, instance, b)
+    cert = extract_dual_certificate(solution, instance)
     assert cert.mu == pytest.approx(3.0, abs=1e-8)
     assert certificate_holds(cert, g, b, const)
 
@@ -628,7 +639,7 @@ def test_certificate_constant_cost(frozen_setup):
 def test_certificate_rotation(rotation_setup, rotation_solved):
     spec, g, b = rotation_setup
     instance, solution = rotation_solved
-    cert = extract_dual_certificate(solution, instance, b)
+    cert = extract_dual_certificate(solution, instance)
     assert cert.mu == pytest.approx(solution.value, abs=1e-6)
     f1, f2 = certificate_slacks(cert, g, b, spec)
     assert np.min(f1) >= -1e-6
@@ -641,17 +652,17 @@ def test_certificate_rotation(rotation_setup, rotation_solved):
 
 def test_certificate_frozen_equals_scan(frozen_setup):
     spec, g, b = frozen_setup
-    instance = build_nonergodic_lp(g, b, spec, (0.25, 0.25))
+    instance = build_nonergodic_lp(LpBlocks(g, b, (0.25, 0.25)))
     solution = solve(instance)
-    cert = extract_dual_certificate(solution, instance, b)
+    cert = extract_dual_certificate(solution, instance)
     assert cert.mu == pytest.approx(oracle.frozen_value(spec, (0.25, 0.25)).value, abs=1e-7)
 
 
 def test_certificate_perturbed_families_use_epsilon_slack(rotation_setup):
     spec, g, b = rotation_setup
-    instance = build_perturbed_lp(g, b, spec, (1.0, 0.0), 0.01)
+    instance = build_perturbed_lp(LpBlocks(g, b, (1.0, 0.0)), 0.01)
     solution = solve(instance)
-    cert = extract_dual_certificate(solution, instance, b)
+    cert = extract_dual_certificate(solution, instance)
     assert cert.epsilon == 0.01
     assert cert.f_bound == spec.bound_f
     assert certificate_holds(cert, g, b, spec)
@@ -690,10 +701,10 @@ def box_drift_setup():
 def test_certificate_slacks_evaluate_the_basis_once_per_state(request, monkeypatch, setup, y0,
                                                               epsilon):
     spec, g, b = request.getfixturevalue(setup)
-    instance = (build_nonergodic_lp(g, b, spec, y0) if epsilon is None
-                else build_perturbed_lp(g, b, spec, y0, epsilon))
+    instance = (build_nonergodic_lp(LpBlocks(g, b, y0)) if epsilon is None
+                else build_perturbed_lp(LpBlocks(g, b, y0), epsilon))
     solution = solve(instance)
-    cert = extract_dual_certificate(solution, instance, b)
+    cert = extract_dual_certificate(solution, instance)
     assert cert.y0 is not None and cert.epsilon == (epsilon or 0.0)
     f1, f2 = certificate_slacks(cert, g, b, spec)
     r1, r2 = _reference_slacks(cert, b, spec, g.atom_states, g.atom_controls)
@@ -734,15 +745,15 @@ def test_certificate_requires_optimal(frozen_setup):
                      row_meta=meta, xi_mass_cap=None)
     solution = solve(bad)
     with pytest.raises(ProgramError):
-        extract_dual_certificate(solution, bad, b)
+        extract_dual_certificate(solution, bad)
 
 
 def test_certificate_not_defined_for_discounted(frozen_setup):
     spec, g, b = frozen_setup
-    instance = build_discounted_lp(g, b, spec, (0.25, 0.25), 1.0)
+    instance = build_discounted_lp(LpBlocks(g, b, (0.25, 0.25)), 1.0)
     solution = solve(instance)
     with pytest.raises(ProgramError):
-        extract_dual_certificate(solution, instance, b)
+        extract_dual_certificate(solution, instance)
 
 
 def test_weak_duality_helper():
@@ -758,7 +769,7 @@ def test_weak_duality_helper():
 def test_membership_of_lp_optimum(rotation_setup, rotation_solved):
     spec, g, b = rotation_setup
     _instance, solution = rotation_solved
-    [res] = membership_residual([solution.gamma], g, b, (1.0, 0.0))
+    [res] = membership_residual([solution.gamma], LpBlocks(g, b, (1.0, 0.0)))
     assert res.w_residual <= 1e-7
     assert res.omega_residual <= 1e-7
 
@@ -768,14 +779,15 @@ def test_membership_flags_flow_violations():
     g = build_grid(spec, 9, 5)
     b = basis_for_region(spec.region, 4)
     uniform = DiscreteMeasure(g, np.full(g.atom_count, 1.0 / g.atom_count))
-    [res] = membership_residual([uniform], g, b, (0.0,))
+    [res] = membership_residual([uniform], LpBlocks(g, b, (0.0,)))
     assert res.w_residual > 0.1
 
 
 def test_membership_requires_probability(rotation_setup):
     spec, g, b = rotation_setup
     with pytest.raises(ProgramError):
-        membership_residual([DiscreteMeasure(g, np.zeros(g.atom_count))], g, b, (1.0, 0.0))
+        membership_residual([DiscreteMeasure(g, np.zeros(g.atom_count))],
+                            LpBlocks(g, b, (1.0, 0.0)))
 
 
 def test_omega_residual_shrinks_under_grid_refinement():
@@ -792,7 +804,7 @@ def test_omega_residual_shrinks_under_grid_refinement():
         b = basis_for_region(spec.region, 4)
         traj = integrate(spec, (1.0, 0.0), ConstantPolicy(1.0), 2 * math.pi, 1e-3)
         emp = empirical_occupational_measure(traj, g)
-        residuals.append(membership_residual([emp], g, b, (1.0, 0.0))[0].omega_residual)
+        residuals.append(membership_residual([emp], LpBlocks(g, b, (1.0, 0.0)))[0].omega_residual)
     assert residuals[0] >= residuals[1] >= residuals[2] - 1e-12
     assert residuals[-1] <= 0.05
 
@@ -827,12 +839,12 @@ def test_membership_of_many_measures_matches_cold_solves(monkeypatch, caplog):
     loop = _loop_measures(g)
     measures = [loop[0], DiscreteMeasure(g, off_lattice), *loop[1:]]
     _full_model(monkeypatch)
-    cold = [membership_residual([measure], g, b, (1.0, 0.0))[0] for measure in measures]
+    cold = [membership_residual([measure], LpBlocks(g, b, (1.0, 0.0)))[0] for measure in measures]
     for crossover in (np.inf, 0):
         monkeypatch.setattr(programs, "MASTER_MIN_COLUMNS_PER_ROW", crossover)
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="occlp.programs"):
-            together = membership_residual(measures, g, b, (1.0, 0.0))
+            together = membership_residual(measures, LpBlocks(g, b, (1.0, 0.0)))
         assert len(together) == len(measures)
         for res, reference in zip(together, cold):
             assert res.w_residual == pytest.approx(reference.w_residual, abs=1e-12)
@@ -849,7 +861,7 @@ def test_membership_of_many_measures_matches_cold_solves(monkeypatch, caplog):
             # pricing grew the master on the warm re-run of the off-lattice measure
             assert found[1][1:] == ("2", "warm") and sizes[1] > sizes[0]
     assert together[2].omega_residual > 1e-3
-    assert membership_residual([], g, b, (1.0, 0.0)) == []
+    assert membership_residual([], LpBlocks(g, b, (1.0, 0.0))) == []
 
 
 @pytest.mark.parametrize("bad_at", [0, 2, 4])
@@ -864,7 +876,7 @@ def test_membership_checks_every_measure_before_building(monkeypatch, bad_at):
         raise AssertionError("a HiGHS model was built")
     monkeypatch.setattr(programs, "_Highs", no_model)
     with pytest.raises(ProgramError, match=f"measure {bad_at} mass"):
-        membership_residual(measures, g, b, (1.0, 0.0))
+        membership_residual(measures, LpBlocks(g, b, (1.0, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -882,7 +894,7 @@ def test_xi_mass_is_canonical_minimum(rotation_solved):
 
 def test_tiny_cap_binds_and_is_flagged(rotation_setup):
     spec, g, b = rotation_setup
-    instance = build_nonergodic_lp(g, b, spec, (1.0, 0.0), xi_mass_cap=1.0)
+    instance = build_nonergodic_lp(LpBlocks(g, b, (1.0, 0.0)), xi_mass_cap=1.0)
     solution = solve(instance)
     if solution.status == "optimal":
         assert solution.cap_binding
@@ -895,7 +907,7 @@ def test_binding_cap_keeps_the_refined_point_optimal(rotation_setup, cap):
     # a tight cap row has a nonzero dual, so every optimal point spends the
     # whole budget: the refined point must too, at the optimal value
     spec, g, b = rotation_setup
-    instance = build_nonergodic_lp(g, b, spec, (1.0, 0.0), xi_mass_cap=cap)
+    instance = build_nonergodic_lp(LpBlocks(g, b, (1.0, 0.0)), xi_mass_cap=cap)
     solution = solve(instance)
     assert solution.status == "optimal" and solution.xi_canonical
     assert solution.cap_dual < 0.0 and solution.cap_binding
@@ -941,8 +953,9 @@ def master_setups():
 
 
 def _variants(spec, g, b, y0):
-    return [build_ergodic_lp(g, b, spec), build_nonergodic_lp(g, b, spec, y0),
-            build_discounted_lp(g, b, spec, y0, 0.05), build_perturbed_lp(g, b, spec, y0, 0.1)]
+    blocks = LpBlocks(g, b, y0)
+    return [build_ergodic_lp(blocks), build_nonergodic_lp(blocks),
+            build_discounted_lp(blocks, 0.05), build_perturbed_lp(blocks, 0.1)]
 
 
 @pytest.mark.parametrize("setup", ["acceptance", "m-size", "box"])
@@ -967,14 +980,14 @@ def test_master_matches_the_full_model(master_setups, monkeypatch, setup):
         # column was priced out of the master or held by the model all along
         assert _priced_out(instance, solution) and _priced_out(instance, full)
         if instance.provenance["variant"] != "discounted":
-            cert = extract_dual_certificate(solution, instance, b)
+            cert = extract_dual_certificate(solution, instance)
             assert certificate_holds(cert, g, b, spec)
 
 
 def test_master_seed_is_a_sub_lattice_with_the_start_state(master_setups):
     spec, g, b, _ = master_setups["acceptance"]
     start = 2 * 64 + 5  # the 6th angle of the 3rd ring: not on the sub-lattice
-    instance = build_nonergodic_lp(g, b, spec, g.state_points[start])
+    instance = build_nonergodic_lp(LpBlocks(g, b, g.state_points[start]))
     seed = programs._seed_columns(instance)
     n_controls = g.control_points.shape[0]
     states = np.unique(seed[seed < instance.n_gamma] // n_controls)
@@ -988,7 +1001,7 @@ def test_master_seed_is_a_sub_lattice_with_the_start_state(master_setups):
 
 def test_infeasible_master_falls_back_to_the_full_lp(master_setups, monkeypatch):
     spec, g, b, y0 = master_setups["acceptance"]
-    instance = build_nonergodic_lp(g, b, spec, y0)
+    instance = build_nonergodic_lp(LpBlocks(g, b, y0))
     reference = solve(instance)
     # xi columns alone cannot meet the normalization row 1.g = 1
     monkeypatch.setattr(programs, "_seed_columns",
@@ -1031,7 +1044,7 @@ REFINEMENT_CASES = {**{f"{setup}-{name}": (setup, y0, None) for setup in ("accep
 @pytest.mark.parametrize("setup,y0,cap", REFINEMENT_CASES.values(), ids=REFINEMENT_CASES.keys())
 def test_priced_refinement_matches_a_full_face_solve(master_setups, monkeypatch, setup, y0, cap):
     spec, g, b, _ = master_setups[setup]
-    instance = build_nonergodic_lp(g, b, spec, y0,
+    instance = build_nonergodic_lp(LpBlocks(g, b, y0),
                                    **({} if cap is None else {"xi_mass_cap": cap}))
     refine = programs._minimal_mass_refinement
     solution, record = _recorded_refinement(monkeypatch, instance)
@@ -1061,7 +1074,7 @@ def test_priced_refinement_matches_a_full_face_solve(master_setups, monkeypatch,
 
 def test_infeasible_face_master_falls_back_to_the_whole_face(master_setups, monkeypatch):
     spec, g, b, y0 = master_setups["acceptance"]
-    instance = build_nonergodic_lp(g, b, spec, y0)
+    instance = build_nonergodic_lp(LpBlocks(g, b, y0))
     reference = solve(instance)
     refine, results = programs._minimal_mass_refinement, []
 
@@ -1081,7 +1094,7 @@ def test_infeasible_face_master_falls_back_to_the_whole_face(master_setups, monk
 def test_warm_chain_grows_one_master(master_setups):
     spec, g, b, y0 = master_setups["m-size"]
     epsilons = (0.1, 0.01, 0.001)
-    instances = [build_perturbed_lp(g, b, spec, y0, eps) for eps in epsilons]
+    instances = [build_perturbed_lp(LpBlocks(g, b, y0), eps) for eps in epsilons]
     chained = solve_chain(instances)
     assert [s.start for s in chained] == ["cold", "warm from perturbed[eps=0.1]",
                                           "warm from perturbed[eps=0.01]"]
@@ -1146,35 +1159,6 @@ def test_csc_triple_matches_the_nonzero_reference(case):
         assert np.array_equal(got[2], csc.data)
 
 
-def test_builders_on_shared_blocks_build_the_lps_they_build_alone(rotation_setup):
-    spec, g, b = rotation_setup
-    y0 = (0.9, 0.1)  # off the grid: the blocks snap it as each builder does
-    blocks = LpBlocks(g, b, spec, y0)
-    for build, args in ((build_ergodic_lp, ()), (build_nonergodic_lp, (y0,)),
-                        (build_discounted_lp, (y0, 0.05)), (build_perturbed_lp, (y0, 0.1)),
-                        (build_nonergodic_lp, (y0, None))):
-        shared, alone = build(g, b, spec, *args, blocks=blocks), build(g, b, spec, *args)
-        assert shared.matrix.tobytes() == alone.matrix.tobytes()
-        assert shared.objective_gamma.tobytes() == alone.objective_gamma.tobytes()
-        assert (shared.objective_xi is None) == (alone.objective_xi is None)
-        if shared.has_xi:
-            assert shared.objective_xi.tobytes() == alone.objective_xi.tobytes()
-        assert shared.row_meta == alone.row_meta and shared.provenance == alone.provenance
-        assert np.array_equal(shared.eq_rhs, alone.eq_rhs)
-        assert not shared.matrix.flags.writeable
-
-
-def test_blocks_of_another_study_are_rejected(rotation_setup, frozen_setup):
-    spec, g, b = rotation_setup
-    blocks = LpBlocks(g, b, spec, (1.0, 0.0))
-    with pytest.raises(ProgramError, match="another grid"):
-        build_nonergodic_lp(g, b, spec, (0.0, 1.0), blocks=blocks)
-    with pytest.raises(ProgramError, match="another grid"):
-        build_ergodic_lp(*frozen_setup, blocks=blocks)
-    with pytest.raises(ProgramError, match="another grid"):
-        membership_residual([], g, basis_for_region(spec.region, 3), (1.0, 0.0), blocks=blocks)
-
-
 def _m_size_study():
     text = Path(__file__).parent.parent.joinpath("configs", "rotation_acceptance.conf")
     text = re.sub(r"state_resolution = .*", "state_resolution = [5, 128]", text.read_text())
@@ -1190,8 +1174,8 @@ def test_coupled_lps_of_a_solve_section_share_one_read_only_matrix(monkeypatch):
                         or [programs.LpSolution("infeasible", None, None, None, None, 0.0,
                                                 False, False, None, np.inf, np.inf, 0, "")
                             for _ in instances])
-    cli._solve_section(cli.ReportBundle(config={}), spec, g, b, cfg, cfg.program.variants, 1,
-                       LpBlocks(g, b, spec, cfg.program.y0))
+    cli._solve_section(cli.ReportBundle(config={}), LpBlocks(g, b, cfg.program.y0), cfg,
+                       cfg.program.variants, 1)
     coupled = [instance for instance in built if instance.has_xi]
     assert [lp_name(i) for i in coupled] == ["nonergodic"] + [
         f"perturbed[eps={eps:g}]" for eps in cfg.program.epsilons]
@@ -1210,8 +1194,8 @@ def test_m_size_study_lps_hold_one_coupled_matrix():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        blocks = LpBlocks(g, b, spec, cfg.program.y0)
-        instances = cli._build_lps(spec, g, b, cfg, cfg.program.variants, blocks)
+        blocks = LpBlocks(g, b, cfg.program.y0)
+        instances = cli._build_lps(blocks, cfg, cfg.program.variants)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -1228,8 +1212,7 @@ def test_longest_tasks_go_first_and_solutions_come_back_in_lp_order(
     spec, g, b = rotation_setup
     cfg = parse_config("[program]\nvariants = [ergodic, nonergodic, discounted, perturbed]\n"
                        "epsilons = [0.01, 0.0, 0.1]\n")
-    instances = cli._build_lps(spec, g, b, cfg, cfg.program.variants,
-                               LpBlocks(g, b, spec, cfg.program.y0))
+    instances = cli._build_lps(LpBlocks(g, b, cfg.program.y0), cfg, cfg.program.variants)
     names = [lp_name(i) for i in instances]
     submitted, pool_map = [], cli._pool_map
 
@@ -1249,13 +1232,3 @@ def test_longest_tasks_go_first_and_solutions_come_back_in_lp_order(
         assert solution.status == own.status == "optimal"
         assert solution.value == pytest.approx(own.value, rel=1e-9, abs=1e-12)
         assert solution.gamma.weights.shape == (instance.n_gamma,)
-
-
-def test_membership_on_study_blocks_matches_its_own_assembly(rotation_setup, rotation_solved):
-    spec, g, b = rotation_setup
-    _instance, solution = rotation_solved
-    measures = [solution.gamma, DiscreteMeasure(g, np.full(g.atom_count, 1.0 / g.atom_count))]
-    alone = membership_residual(measures, g, b, (1.0, 0.0))
-    shared = membership_residual(measures, g, b, (1.0, 0.0),
-                                 blocks=LpBlocks(g, b, spec, (1.0, 0.0)))
-    assert shared == alone

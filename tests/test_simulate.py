@@ -9,7 +9,7 @@ from scipy.integrate import quad as integrate_quad
 
 from occlp import exprs, simulate, system
 from occlp.basis import basis_for_region, phi_matrix
-from occlp.grid import build_grid, nearest_atom_index
+from occlp.grid import LpBlocks, build_grid, nearest_atom_index
 from occlp.simulate import (ConstantPolicy, FeedbackPolicy, InsufficientHorizonError,
                             LawPolicy, PeriodicCandidate, Policy, SchedulePolicy,
                             SimulationError, StateConstraintError, abel_value, cesaro_value,
@@ -561,8 +561,7 @@ def test_residual_decay_rotation(rotation):
     g = build_grid(rotation, (5, 64), 9)
     b = basis_for_region(rotation.region, 4)
     policy = SchedulePolicy([0.0, math.pi], [1.0, 0.0])
-    rows = horizon_study(rotation, (1.0, 0.0), policy, (10.0, 20.0, 40.0),
-                         g, b, dt=1e-2)
+    rows = horizon_study(LpBlocks(g, b, (1.0, 0.0)), policy, (10.0, 20.0, 40.0), dt=1e-2)
     w = [row.residual.w_residual for row in rows]
     assert w[0] >= w[1] >= w[2] - 1e-12
     assert rows[-1].residual.omega_residual <= 0.02
@@ -571,8 +570,8 @@ def test_residual_decay_rotation(rotation):
 def test_residual_decay_frozen_floor(frozen):
     g = build_grid(frozen, 2, 3)
     b = basis_for_region(frozen.region, 4)
-    rows = horizon_study(frozen, (0.25, 0.25), ConstantPolicy(0.0),
-                         (1.0, 2.0, 4.0), g, b, dt=1e-2)
+    rows = horizon_study(LpBlocks(g, b, (0.25, 0.25)), ConstantPolicy(0.0), (1.0, 2.0, 4.0),
+                         dt=1e-2)
     for row in rows:
         assert row.residual.w_residual <= 1e-12
         assert row.residual.omega_residual <= 1e-9
@@ -581,8 +580,8 @@ def test_residual_decay_frozen_floor(frozen):
 def test_residual_decay_integer_periods_at_floor(rotation):
     g = build_grid(rotation, (5, 64), 3)
     b = basis_for_region(rotation.region, 4)
-    rows = horizon_study(rotation, (1.0, 0.0), ConstantPolicy(1.0),
-                         (2 * math.pi, 4 * math.pi), g, b, dt=1e-3)
+    rows = horizon_study(LpBlocks(g, b, (1.0, 0.0)), ConstantPolicy(1.0),
+                         (2 * math.pi, 4 * math.pi), dt=1e-3)
     # whole numbers of loops average exactly; the floor does not grow with T
     w = [row.residual.w_residual for row in rows]
     assert all(v <= 1e-3 for v in w)
@@ -602,7 +601,7 @@ def test_horizon_study_windows_are_separate_runs():
     for spec, y0, policy, horizons, cycles in cases:
         g = build_grid(spec, (5, 16) if spec.region.kind == "annulus" else 4, 3)
         b = basis_for_region(spec.region, 2)
-        rows = horizon_study(spec, y0, policy, horizons, g, b, dt=1e-3)
+        rows = horizon_study(LpBlocks(g, b, y0), policy, horizons, dt=1e-3)
         assert [row.horizon for row in rows] == sorted(horizons)
         assert [row.trajectory.cycle for row in rows] == cycles
         for row in rows:
@@ -613,7 +612,7 @@ def test_horizon_study_windows_are_separate_runs():
             measure = empirical_occupational_measure(alone, g)
             assert np.array_equal(row.measure.weights, measure.weights)
         with pytest.raises(SimulationError):
-            horizon_study(spec, y0, policy, (0.0, 1.0), g, b)
+            horizon_study(LpBlocks(g, b, y0), policy, (0.0, 1.0))
 
 
 def test_parked_tail_is_binned_like_every_sample(rotation):
@@ -629,7 +628,7 @@ def test_parked_tail_is_binned_like_every_sample(rotation):
     atoms = simulate._atoms(run, g)
     assert atoms.dtype == every.dtype
     assert atoms.tobytes() == every.tobytes()
-    rows = horizon_study(rotation, (1.0, 0.0), policy, (25.0, 50.0, 100.0), g, b, dt=1e-2)
+    rows = horizon_study(LpBlocks(g, b, (1.0, 0.0)), policy, (25.0, 50.0, 100.0), dt=1e-2)
     for row in rows:
         assert row.trajectory.cycle == (315, 1)
         measure = empirical_occupational_measure(row.trajectory, g)
