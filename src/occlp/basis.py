@@ -55,24 +55,20 @@ def _graded_lex_exponents(m: int, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(exps)
 
 
-def enumerate_basis(m: int, d: int, lower=None, upper=None) -> BasisSpec:
+def enumerate_basis(m: int, d: int, lower, upper) -> BasisSpec:
     """All multi-indices with 1 <= |alpha| <= d in graded-lex order.
 
-    Without a bounding box the scaling is the identity.  The family size is
-    C(m + d, d) - 1.
+    The scaling maps the box [lower, upper] onto [-1, 1]^m, so [-1, 1]^m
+    scales to the identity exactly.  The family size is C(m + d, d) - 1.
     """
     if m < 1 or d < 1:
         raise BasisError("state dimension and max_degree must both be >= 1")
-    if lower is None:
-        center = tuple(0.0 for _ in range(m))
-        half = tuple(1.0 for _ in range(m))
-    else:
-        lo = np.asarray(lower, dtype=float)
-        hi = np.asarray(upper, dtype=float)
-        if lo.shape != (m,) or hi.shape != (m,) or np.any(hi <= lo):
-            raise BasisError("bounding box must satisfy lower < upper componentwise")
-        center = tuple(((lo + hi) / 2.0).tolist())
-        half = tuple(((hi - lo) / 2.0).tolist())
+    lo = np.asarray(lower, dtype=float)
+    hi = np.asarray(upper, dtype=float)
+    if lo.shape != (m,) or hi.shape != (m,) or np.any(hi <= lo):
+        raise BasisError("bounding box must satisfy lower < upper componentwise")
+    center = tuple(((lo + hi) / 2.0).tolist())
+    half = tuple(((hi - lo) / 2.0).tolist())
     basis = BasisSpec(dim=m, max_degree=d,
                       exponents=_graded_lex_exponents(m, d),
                       scale_center=center, scale_half=half)
@@ -82,7 +78,7 @@ def enumerate_basis(m: int, d: int, lower=None, upper=None) -> BasisSpec:
 
 def basis_for_region(region: StateRegion, d: int) -> BasisSpec:
     lo, hi = region.bounding_box()
-    return enumerate_basis(region.dim, d, lower=lo, upper=hi)
+    return enumerate_basis(region.dim, d, lo, hi)
 
 
 def _legendre_tables(basis: BasisSpec, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -29,9 +29,7 @@ from .config import (ConfigError, StudyConfig, build_policy, build_system,
 from .grid import DiscreteMeasure, GridError, LpBlocks, build_grid
 from .metrics import MetricError, make_test_function_set, rho_hat
 from .oracle import OracleError, frozen_value, level_set_ordering, rotation_level_value
-from .programs import (ABEL_TAIL_TOL, CERTIFICATE_TOL, MEMBERSHIP_TOL, MU_VALUE_TOL,
-                       ORDERING_TOL, REFINEMENT_TOL, REPORT_GAP_TOL, SIMULATION_TOL,
-                       SMALL_EPS_TOL, ProgramError, build_discounted_lp, build_ergodic_lp,
+from .programs import (CERTIFICATE_TOL, ProgramError, build_discounted_lp, build_ergodic_lp,
                        build_nonergodic_lp, build_perturbed_lp, certificate_offgrid_report,
                        certificate_slacks, extract_dual_certificate, log_solution, lp_name,
                        membership_residual, needs_refinement, solve, solve_chain,
@@ -88,6 +86,18 @@ def _measure_payload(measure: DiscreteMeasure, keep: int = 20000) -> dict:
     return {"atom_index": [int(i) for i in idx],
             "weight": [float(measure.weights[i]) for i in idx],
             "total_mass": measure.total_mass}
+
+
+# the bounds of the study's invariants; programs.CERTIFICATE_TOL bounds the
+# certificate's slacks here too
+REPORT_GAP_TOL = 1e-6  # relative duality gap of a solved LP
+MU_VALUE_TOL = 1e-6  # |value - mu|
+ORDERING_TOL = 1e-7  # ergodic <= nonergodic; perturbed values monotone in epsilon
+MEMBERSHIP_TOL = 1e-7  # w and omega residuals of the optimal gamma
+SMALL_EPS_TOL = 1e-2  # |value(eps=0.001) - value(0)|
+REFINEMENT_TOL = 0.02  # value change under angular doubling and a degree bump
+SIMULATION_TOL = 0.05  # LP value below Abel value; Cesaro value above mu
+ABEL_TAIL_TOL = 1e-2  # the Abel value's discounted tail beyond its horizon
 
 
 def _bound_text(bound: float) -> str:
@@ -332,7 +342,7 @@ def _simulate_section(bundle, blocks, cfg: StudyConfig, solve_results):
                       all(r.closed for r in search.rows),
                       "every candidate returns to y0 within tolerance")
 
-    # simulated long-run averages can never beat the certified lower bound
+    # mu is a lower bound on the grid LP's value, not on the true or a simulated one
     mu = bundle.values.get("nonergodic.mu")
     if mu is not None and horizon_rows:
         final = horizon_rows[-1][1]
@@ -549,7 +559,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="occlp",
         description="Long-run average optimal control via occupation-measure LPs")
-    parser.add_argument("command", choices=_ALL_SECTIONS,
+    parser.add_argument("command", nargs="?", choices=_ALL_SECTIONS,
                         help="which part of the study to run")
     parser.add_argument("--config", required=False, help="study configuration file")
     parser.add_argument("--out", default=None, help="output directory (default from config)")
@@ -570,6 +580,8 @@ def main(argv=None) -> int:
         return 0
     if not args.config:
         parser.error("--config is required (or use --print-defaults)")
+    if args.command is None:
+        parser.error(f"a command is required: one of {', '.join(_ALL_SECTIONS)}")
     if args.jobs < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
     try:

@@ -416,7 +416,7 @@ def _build_custom_system(cfg: SystemConfig) -> SystemSpec:
         region = StateRegion(kind="box", lower=cfg.lower, upper=cfg.upper)
     else:
         raise ConfigError("custom systems need region = box or region = annulus", key="region")
-    control = ControlRegion(kind="box", lower=cfg.control_lower, upper=cfg.control_upper)
+    control = ControlRegion(lower=cfg.control_lower, upper=cfg.control_upper)
     dynamics_id = ";".join(cfg.dynamics)
     probe = SystemSpec(name="custom", dynamics_id=dynamics_id, cost_id=cfg.cost,
                        region=region, control=control,

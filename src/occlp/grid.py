@@ -275,7 +275,7 @@ def nearest_state_index(grid: Grid, ys, chunk: int = 16384) -> np.ndarray:
 
     Only the candidates of the region's stencil are compared, with the same
     squared distances and the same lowest-row tie rule, so for any query inside
-    the region (within its tolerance) the answer is the brute-force one.
+    the region (within ``REGION_TOL``) the answer is the brute-force one.
     """
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     out = np.empty(ys.shape[0], dtype=np.int64)

@@ -102,10 +102,7 @@ def frozen_value(spec: SystemSpec, y0, control_resolution: int = 201) -> OracleR
     ys = np.tile(y0, (controls.shape[0], 1))
     values = cost_batch(spec)(ys, controls)
     best = int(np.argmin(values))
-    if controls.shape[0] > 1:
-        spacing = float(np.max(np.linalg.norm(np.diff(controls, axis=0), axis=1)))
-    else:
-        spacing = 0.0
+    spacing = float(np.max(np.linalg.norm(np.diff(controls, axis=0), axis=1)))
     return OracleResult(instance=f"frozen y0={y0.tolist()} cost={spec.cost_id}",
                         value=float(values[best]), method="exhaustive-atom-scan",
                         error_bound=spacing,

@@ -139,16 +139,6 @@ FACE_TOL = 1e-9
 # column, the annulus ones (192 and more) start from a master.
 MASTER_MIN_COLUMNS_PER_ROW = 128
 MASTER_STATE_STRIDE = 4
-# the bounds of the study's invariants (cli.py); CERTIFICATE_TOL bounds the
-# certificate's slacks there too
-REPORT_GAP_TOL = 1e-6  # relative duality gap of a solved LP
-MU_VALUE_TOL = 1e-6  # |value - mu|
-ORDERING_TOL = 1e-7  # ergodic <= nonergodic; perturbed values monotone in epsilon
-MEMBERSHIP_TOL = 1e-7  # w and omega residuals of the optimal gamma
-SMALL_EPS_TOL = 1e-2  # |value(eps=0.001) - value(0)|
-REFINEMENT_TOL = 0.02  # value change under angular doubling and a degree bump
-SIMULATION_TOL = 0.05  # LP value below Abel value; Cesaro value above mu
-ABEL_TAIL_TOL = 1e-2  # the Abel value's discounted tail beyond its horizon
 
 
 @dataclass(frozen=True)
@@ -468,11 +458,9 @@ def needs_refinement(instance: LpInstance) -> bool:
 
 
 def _same_rows(a: LpInstance, b: LpInstance) -> bool:
-    """Whether two LPs have the same rows: LPs built on one study's blocks
-    share their matrix, and separately built ones are compared by value."""
-    return (a.row_meta == b.row_meta and a.has_xi == b.has_xi
-            and a.xi_mass_cap == b.xi_mass_cap and np.array_equal(a.eq_rhs, b.eq_rhs)
-            and (a.matrix is b.matrix or np.array_equal(a.matrix, b.matrix)))
+    """Whether two LPs have the same rows: the coupled LPs of one LpBlocks share
+    their matrix object, which fixes every row but the cap's bound."""
+    return a.matrix is b.matrix and a.xi_mass_cap == b.xi_mass_cap
 
 
 def _seed_atoms(grid: Grid, n_col: int, rows: int, y0) -> np.ndarray | None:
@@ -553,12 +541,12 @@ class _Chain:
 def solve_chain(instances) -> list[LpSolution]:
     """Solve LPs in turn, handing one HiGHS model from each to the next.
 
-    An LP that shares every row with the LP before it, where that one ended
-    optimal, only changes the costs of the columns the model holds, re-runs
-    from its optimal basis and is priced again: so in a sweep over costs
-    alone, such as the epsilon sweep, only the first LP is solved cold, and
-    the restricted master grows across the sweep.  An LP whose xi gets the
-    minimal-mass refinement is solved cold and hands nothing on; the
+    An LP that shares its matrix object and cap with the LP before it, where
+    that one ended optimal, only changes the costs of the columns the model
+    holds, re-runs from its optimal basis and is priced again: so in a sweep
+    over costs alone, such as the epsilon sweep, only the first LP is solved
+    cold, and the restricted master grows across the sweep.  An LP whose xi
+    gets the minimal-mass refinement is solved cold and hands nothing on; the
     refinement itself runs in a model of its own.  A chain of one is one cold
     solve."""
     chain = _Chain()

@@ -252,10 +252,10 @@ def integrate(spec: SystemSpec, y0, policy: Policy, horizon: float,
     """Integrate from y0 for ceil(horizon / dt) fixed steps.
 
     The steps are taken in runs of the generated ``system.rk4_run_fn``.  A
-    ``LawPolicy`` on a box control set is one closed-loop run for the whole
-    horizon, with its law evaluated and checked against the box inside the
-    loop.  A ``SchedulePolicy``'s runs are its pieces, found for all steps at
-    once by ``step_pieces``, and each run's control is checked once.  Neither
+    ``LawPolicy`` is one closed-loop run for the whole horizon, with its law
+    evaluated and checked against the control box inside the loop.  A
+    ``SchedulePolicy``'s runs are its pieces, found for all steps at once by
+    ``step_pieces``, and each run's control is checked once.  Neither
     calls ``Policy.control``, and each of their runs stops stepping once it
     parks, that is once a step maps its state to itself byte for byte: the
     rest of the run repeats that state, and in a law run its control (see
@@ -272,12 +272,12 @@ def integrate(spec: SystemSpec, y0, policy: Policy, horizon: float,
     period is not a whole number of steps and the switches drift across the
     step grid, never take this shortcut.
 
-    Any other policy is asked for a control at every step, may read the
-    time, and never parks; each of its steps is a run of its own.  A control
-    outside the control set is reported at the time of the first step that
-    holds it; a non-finite state, or an arithmetic or domain error in the
-    dynamics, at the end of its step.  A repeating tail holds only states,
-    controls and steps already checked.
+    Any other policy, such as a plain ``FeedbackPolicy``, is asked for a
+    control at every step, may read the time, and never parks; each of its
+    steps is a run of its own.  A control outside the control set is reported
+    at the time of the first step that holds it; a non-finite state, or an
+    arithmetic or domain error in the dynamics, at the end of its step.  A
+    repeating tail holds only states, controls and steps already checked.
     """
     if horizon <= 0 or dt <= 0:
         raise SimulationError("horizon and dt must be positive")
@@ -296,7 +296,7 @@ def integrate(spec: SystemSpec, y0, policy: Policy, horizon: float,
     parks = []  # the step at which each parked run parked
     cycle = None
 
-    if isinstance(policy, LawPolicy) and spec.control.kind == "box":
+    if isinstance(policy, LawPolicy):
         if len(policy.law) != p:
             raise SimulationError(f"policy produced control of length {len(policy.law)}, "
                                   f"expected {p}")

@@ -1,13 +1,13 @@
 """Controlled dynamical systems: dynamics, costs, regions and first integrals.
 
 A :class:`SystemSpec` bundles a control system ``y' = f(y, u)`` with a running
-cost ``k(y, u)``, a compact state region, a compact control region, optional
-first integrals (functions conserved along every admissible motion) and a
-priori bounds on ``sup ||f||`` and ``sup |k|``.  Dynamics and costs are
+cost ``k(y, u)``, a compact state region (a box or an annulus), a control box,
+optional first integrals (functions conserved along every admissible motion)
+and a priori bounds on ``sup ||f||`` and ``sup |k|``.  Dynamics and costs are
 referenced by identifier: a dynamics id names one of the built-in dynamics
 or lists expressions in the grammar of :mod:`occlp.exprs`, and a cost id is
 such an expression, so custom systems are declared as data rather than loaded
-as code.
+as code.  Both regions also admit the points within ``REGION_TOL`` of them.
 
 Specs are immutable after construction and every evaluator is a pure function,
 safe to call from concurrent workers.
@@ -47,6 +47,10 @@ class RegionError(SystemSpecError):
     pass
 
 
+# slack of every membership test: in boundary distance, or per control axis
+REGION_TOL = 1e-9
+
+
 # ---------------------------------------------------------------------------
 # regions
 
@@ -67,9 +71,9 @@ class StateRegion:
     """Compact state region: an axis-aligned box, or a 2-D annulus.
 
     ``signed_boundary_distance`` is negative strictly inside the region, zero
-    on the boundary and positive outside; ``contains`` is the tolerance-relaxed
-    sign test of that distance, so membership never flips from integration
-    round-off alone.
+    on the boundary and positive outside; ``contains`` is the sign test of that
+    distance relaxed by ``REGION_TOL``, so membership never flips from
+    integration round-off alone.
     """
 
     kind: str  # "box" | "annulus"
@@ -78,7 +82,6 @@ class StateRegion:
     inner: float = 0.0
     outer: float = 0.0
     center: tuple[float, float] = (0.0, 0.0)
-    tolerance: float = 1e-9
 
     def __post_init__(self):
         if self.kind == "box":
@@ -107,9 +110,8 @@ class StateRegion:
         r = np.hypot(y[..., 0] - self.center[0], y[..., 1] - self.center[1])
         return np.maximum(self.inner - r, r - self.outer)
 
-    def contains(self, y, tol: float | None = None):
-        tol = self.tolerance if tol is None else tol
-        return self.signed_boundary_distance(y) <= tol
+    def contains(self, y):
+        return self.signed_boundary_distance(y) <= REGION_TOL
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         if self.kind == "box":
@@ -148,9 +150,9 @@ class StateRegion:
         ``searchsorted(radii, rho) - 1`` and the angular sector ``floor(theta /
         dtheta)``, each from one below to two above (angles wrap, radii are
         clipped): 16 candidates, or more radii below when coarse angles sit next
-        to fine radii.  For a finite query inside the region, within its
-        tolerance, the candidates hold every lattice point at least as near as
-        any other, with one cell to spare for rounding in the cell index.
+        to fine radii.  For a finite query inside the region, within
+        ``REGION_TOL``, the candidates hold every lattice point at least as near
+        as any other, with one cell to spare for rounding in the cell index.
         Indices of queries farther out are clipped to the lattice.
         """
         ys = np.asarray(ys, dtype=float)
@@ -170,7 +172,7 @@ class StateRegion:
             # radii reach further in
             below = 1
             if len(radii) > 1:
-                sag = (self.outer + self.tolerance) * (1.0 - np.cos(np.pi / len(angles)))
+                sag = (self.outer + REGION_TOL) * (1.0 - np.cos(np.pi / len(angles)))
                 below += min(len(radii), int(np.floor(sag / np.min(np.diff(radii)) + 0.5)))
             sector = np.floor(np.arctan2(dy, dx) * (len(angles) / (2.0 * np.pi))).astype(np.int64)
             per_axis = [np.clip(ring[:, None] + np.arange(-below, 3), 0, len(radii) - 1),
@@ -210,55 +212,35 @@ class StateRegion:
 
 @dataclass(frozen=True)
 class ControlRegion:
-    """Control set: an axis-aligned box or an explicit finite set of points."""
+    """Control set: an axis-aligned box, admitting ``REGION_TOL`` beyond each face."""
 
-    kind: str  # "box" | "finite"
-    lower: tuple[float, ...] = ()
-    upper: tuple[float, ...] = ()
-    points: tuple[tuple[float, ...], ...] = ()
-    tolerance: float = 1e-9
+    lower: tuple[float, ...]
+    upper: tuple[float, ...]
 
     def __post_init__(self):
-        if self.kind == "box":
-            if len(self.lower) != len(self.upper) or not self.lower:
-                raise RegionError("control box needs matching lower/upper vectors", "control")
-            if not all(lo <= hi for lo, hi in zip(self.lower, self.upper)):
-                raise RegionError("control box needs lower <= upper", "control")
-        elif self.kind == "finite":
-            if not self.points:
-                raise RegionError("finite control set is empty", "control")
-        else:
-            raise RegionError(f"unknown control kind {self.kind!r}", "control")
+        if len(self.lower) != len(self.upper) or not self.lower:
+            raise RegionError("control box needs matching lower/upper vectors", "control")
+        if not all(lo <= hi for lo, hi in zip(self.lower, self.upper)):
+            raise RegionError("control box needs lower <= upper", "control")
 
     @property
     def dim(self) -> int:
-        return len(self.lower) if self.kind == "box" else len(self.points[0])
+        return len(self.lower)
 
-    def admission(self, tol: float | None = None):
+    def admission(self):
         """Membership test of one control given as ``dim`` plain floats (its length
-        is not checked): ``lo - tol <= v <= hi + tol`` per axis of a box, which
-        rejects NaN; distance ``<= tol`` to the nearest point of a finite set."""
-        if self.kind == "box":
-            lows, highs = self.limits(tol)
-            return lambda u: all(map(operator.le, lows, u)) and all(map(operator.le, u, highs))
-        tol = self.tolerance if tol is None else tol
-        pts = np.asarray(self.points, dtype=float)
-        return lambda u: bool(np.min(np.linalg.norm(pts - np.asarray(u, dtype=float), axis=1))
-                              <= tol)
+        is not checked): ``lows <= v <= highs`` per axis of :meth:`limits`; NaN fails."""
+        lows, highs = self.limits()
+        return lambda u: all(map(operator.le, lows, u)) and all(map(operator.le, u, highs))
 
-    def limits(self, tol: float | None = None) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """A box's admission limits ``(lo - tol per axis, hi + tol per axis)``."""
-        tol = self.tolerance if tol is None else tol
-        return (tuple(lo - tol for lo in self.lower), tuple(hi + tol for hi in self.upper))
+    def limits(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """The admission limits ``(lo - REGION_TOL per axis, hi + REGION_TOL per axis)``."""
+        return (tuple(lo - REGION_TOL for lo in self.lower),
+                tuple(hi + REGION_TOL for hi in self.upper))
 
     def grid(self, resolution: int) -> np.ndarray:
-        """Deterministic control grid of shape (K, dim).
-
-        Box controls use endpoint-inclusive per-axis subdivision (so extreme
-        controls are always representable); finite sets return their points.
-        """
-        if self.kind == "finite":
-            return np.asarray(self.points, dtype=float)
+        """Deterministic control grid of shape (K, dim): endpoint-inclusive
+        per-axis subdivision, so extreme controls are always representable."""
         if resolution < 2:
             raise RegionError("control resolution must be >= 2 for box controls")
         return lattice([np.linspace(lo, hi, resolution)
@@ -499,7 +481,7 @@ def make_rotation(inner: float = 0.5, outer: float = 1.5, cost_id: str = "y1",
     return _with_bound_k(SystemSpec(
         name="rotation", dynamics_id="rotation", cost_id=cost_id,
         region=StateRegion(kind="annulus", inner=inner, outer=outer),
-        control=ControlRegion(kind="box", lower=(-1.0,), upper=(1.0,)),
+        control=ControlRegion(lower=(-1.0,), upper=(1.0,)),
         first_integrals=("y1^2 + y2^2",), bound_f=outer), bound_k)
 
 
@@ -511,7 +493,7 @@ def make_frozen(lower=(-1.0, -1.0), upper=(1.0, 1.0), cost_id: str = "y1 + u1^2"
     return _with_bound_k(SystemSpec(
         name="frozen", dynamics_id="frozen" if len(lower) == 2 else ";".join(["0"] * len(lower)),
         cost_id=cost_id, region=StateRegion(kind="box", lower=lower, upper=upper),
-        control=ControlRegion(kind="box", lower=(-1.0,), upper=(1.0,)), bound_f=0.0), bound_k)
+        control=ControlRegion(lower=(-1.0,), upper=(1.0,)), bound_f=0.0), bound_k)
 
 
 def make_scalar_drift(cost_id: str = "y1^2", bound_k: float | None = None) -> SystemSpec:
@@ -519,4 +501,4 @@ def make_scalar_drift(cost_id: str = "y1^2", bound_k: float | None = None) -> Sy
     return _with_bound_k(SystemSpec(
         name="scalar-drift", dynamics_id="scalar-drift", cost_id=cost_id,
         region=StateRegion(kind="box", lower=(-1.0,), upper=(1.0,)),
-        control=ControlRegion(kind="box", lower=(-1.0,), upper=(1.0,)), bound_f=2.0), bound_k)
+        control=ControlRegion(lower=(-1.0,), upper=(1.0,)), bound_f=2.0), bound_k)

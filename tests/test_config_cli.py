@@ -718,6 +718,17 @@ def test_cli_main_paths(tmp_path, capsys, monkeypatch):
     assert "[system]" in capsys.readouterr().out
 
 
+def test_print_defaults_needs_no_command(tmp_path, capsys):
+    assert main(["--print-defaults"]) == 0
+    assert parse_config(capsys.readouterr().out) == StudyConfig()
+    config_path = tmp_path / "study.conf"
+    config_path.write_text(FROZEN_STUDY)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--config", str(config_path)])
+    assert exit_info.value.code == 2
+    assert "a command is required" in capsys.readouterr().err
+
+
 def test_unreadable_config_is_an_error_not_a_traceback(tmp_path, capsys):
     assert main(["oracle", "--config", str(tmp_path)]) == 2  # a directory
     assert f"error: cannot read config {tmp_path}" in capsys.readouterr().err

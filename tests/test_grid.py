@@ -13,7 +13,7 @@ from occlp.grid import (DiscreteMeasure, GridError, LpBlocks, assemble_cost_vect
                         assemble_flow_matrix, assemble_initial_matrix, build_grid,
                         nearest_atom_index, nearest_index,
                         nearest_state_index)
-from occlp.system import ControlRegion, RegionError, StateRegion, dynamics_batch
+from occlp.system import REGION_TOL, ControlRegion, RegionError, StateRegion, dynamics_batch
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +74,7 @@ def test_flow_matrix_rotation_entry():
     # grad(y1) . f = u * y2; pick the atom at angle pi/2 on the unit circle
     spec = system.make_rotation()
     g = build_grid(spec, (5, 4), 3)
-    b = enumerate_basis(2, 2)  # identity scaling so phi = y1 exactly
+    b = enumerate_basis(2, 2, (-1.0, -1.0), (1.0, 1.0))  # identity scaling: phi = y1
     flow = assemble_flow_matrix(g, b)
     row = b.exponents.index((1, 0))
     target = None
@@ -101,7 +101,7 @@ def test_flow_rows_vanish_for_first_integral_combinations(rotation, rotation_gri
 
 
 def test_initial_matrix(rotation, rotation_grid):
-    b = enumerate_basis(2, 2)  # identity scaling
+    b = enumerate_basis(2, 2, (-1.0, -1.0), (1.0, 1.0))  # identity scaling
     y0 = np.array([1.0, 0.0])
     initial = assemble_initial_matrix(rotation_grid, b, y0)
     # y0 is itself an atom state: its column vanishes
@@ -336,7 +336,7 @@ def test_nearest_state_index_is_brute_force(setup, seed):
     region, resolution = setup
     dynamics = ";".join(["0"] * region.dim)
     spec = system.SystemSpec(name="probe", dynamics_id=dynamics, cost_id="y1", region=region,
-                             control=ControlRegion(kind="box", lower=(-1.0,), upper=(1.0,)))
+                             control=ControlRegion(lower=(-1.0,), upper=(1.0,)))
     grid = build_grid(spec, resolution, 2)
     points = grid.state_points
     boundary, normals = region.boundary_sample(7)
@@ -346,7 +346,7 @@ def test_nearest_state_index_is_brute_force(setup, seed):
         # ties between neighbours along the last axis, the first axis and a diagonal
         _neighbour_midpoints(points, (1, resolution[-1], resolution[-1] + 1)),
         boundary,
-        boundary + 0.5 * region.tolerance * normals,  # just outside, within tolerance
+        boundary + 0.5 * REGION_TOL * normals,  # just outside, within tolerance
         np.random.default_rng(seed).uniform(lo, hi, size=(500, region.dim)),
     ])
     queries = queries[region.contains(queries)]

@@ -127,15 +127,16 @@ def test_every_highs_run_reads_back_the_option_table(monkeypatch):
     runs, rerun = [], programs._rerun
     monkeypatch.setattr(programs, "_rerun", lambda highs: (runs.append(_options_of(highs)),
                                                           rerun(highs))[1])
-    solution = solve(build_nonergodic_lp(LpBlocks(g, b, y0)))
+    blocks = LpBlocks(g, b, y0)
+    solution = solve(build_nonergodic_lp(blocks))
     assert solution.refine_rounds > 1
     assert len(runs) == solution.pricing_rounds + solution.refine_rounds
-    chained = solve_chain([build_perturbed_lp(LpBlocks(g, b, y0), eps) for eps in (0.1, 0.01)])
+    chained = solve_chain([build_perturbed_lp(blocks, eps) for eps in (0.1, 0.01)])
     assert chained[0].pricing_rounds > 1 and chained[1].start == "warm from perturbed[eps=0.1]"
     assert len(runs) == (solution.pricing_rounds + solution.refine_rounds
                          + sum(s.pricing_rounds for s in chained))
     before = len(runs)
-    membership_residual([solution.gamma], LpBlocks(g, b, y0))
+    membership_residual([solution.gamma], blocks)
     assert len(runs) > before
     assert all(options == programs.HIGHS_OPTIONS for options in runs)
     assert programs.HIGHS_OPTIONS["simplex_scale_strategy"] == 4  # max value
@@ -554,7 +555,8 @@ def test_warm_sweep_matches_cold_solves(rotation_setup, cold_perturbed, epsilons
     # a chain in the drawn order: each member with a priced xi block re-runs
     # the model of the one before it; eps = 0 is refined, so it runs cold and
     # hands nothing on
-    instances = [build_perturbed_lp(LpBlocks(g, b, (1.0, 0.0)), eps) for eps in epsilons]
+    blocks = LpBlocks(g, b, (1.0, 0.0))
+    instances = [build_perturbed_lp(blocks, eps) for eps in epsilons]
     previous = None
     for instance, eps, solution in zip(instances, epsilons, solve_chain(instances)):
         _assert_member_matches(instance, solution, cold_perturbed[eps], rotation_setup)
@@ -582,7 +584,8 @@ def test_weightless_xi_members_are_solved_cold(frozen_setup):
     spec, g, b = frozen_setup
     assert spec.bound_f == 0.0
     epsilons = (0.1, 0.01, 0.001)
-    instances = [build_perturbed_lp(LpBlocks(g, b, (0.25, 0.25)), eps) for eps in epsilons]
+    blocks = LpBlocks(g, b, (0.25, 0.25))
+    instances = [build_perturbed_lp(blocks, eps) for eps in epsilons]
     text = ("[system]\nname = frozen\ncost = y1 + u1^2\nlower = [0.0, 0.0]\n"
             "upper = [1.0, 1.0]\n[grid]\nstate_resolution = [2, 2]\n[program]\n"
             "variants = [perturbed]\ny0 = [0.25, 0.25]\nepsilons = [0.1, 0.01, 0.001]\n")
@@ -598,12 +601,15 @@ def test_weightless_xi_members_are_solved_cold(frozen_setup):
 
 
 def test_chain_with_other_rows_starts_cold(rotation_setup):
+    # rows are compared by the identity of their matrix, so LPs built on two
+    # LpBlocks never share a model, even with the same grid, basis and y0
     spec, g, b = rotation_setup
-    instances = [build_perturbed_lp(LpBlocks(g, b, (1.0, 0.0)), 0.1),
-                 build_perturbed_lp(LpBlocks(g, b, (0.0, 1.0)), 0.01)]
-    chained = solve_chain(instances)
-    assert [solution.start for solution in chained] == ["cold", "cold"]
-    assert chained[1].value == solve(instances[1]).value
+    for second_y0 in ((0.0, 1.0), (1.0, 0.0)):
+        instances = [build_perturbed_lp(LpBlocks(g, b, (1.0, 0.0)), 0.1),
+                     build_perturbed_lp(LpBlocks(g, b, second_y0), 0.01)]
+        chained = solve_chain(instances)
+        assert [solution.start for solution in chained] == ["cold", "cold"]
+        assert chained[1].value == solve(instances[1]).value
 
 
 def test_perturbed_constant_cost_shift(frozen_setup):
@@ -688,7 +694,7 @@ def box_drift_setup():
     spec = SystemSpec(name="custom", dynamics_id="-y1 + u1;-y2 + y1",
                       cost_id="y2^2 + 0.5*u1^2",
                       region=StateRegion(kind="box", lower=(-1.0, -1.0), upper=(1.0, 1.0)),
-                      control=ControlRegion(kind="box", lower=(-1.0,), upper=(1.0,)),
+                      control=ControlRegion(lower=(-1.0,), upper=(1.0,)),
                       bound_f=3.0, bound_k=1.5)
     g = build_grid(spec, (6, 6), 5)
     b = basis_for_region(spec.region, 4)
@@ -1094,7 +1100,8 @@ def test_infeasible_face_master_falls_back_to_the_whole_face(master_setups, monk
 def test_warm_chain_grows_one_master(master_setups):
     spec, g, b, y0 = master_setups["m-size"]
     epsilons = (0.1, 0.01, 0.001)
-    instances = [build_perturbed_lp(LpBlocks(g, b, y0), eps) for eps in epsilons]
+    blocks = LpBlocks(g, b, y0)
+    instances = [build_perturbed_lp(blocks, eps) for eps in epsilons]
     chained = solve_chain(instances)
     assert [s.start for s in chained] == ["cold", "warm from perturbed[eps=0.1]",
                                           "warm from perturbed[eps=0.01]"]

@@ -50,11 +50,11 @@ def test_scalar_drift_exponential():
     assert traj.final_state()[0] == pytest.approx(math.exp(-1.0), abs=1e-6)
 
 
-def _custom(dynamics: str, dim: int, control=None) -> system.SystemSpec:
+def _custom(dynamics: str, dim: int) -> system.SystemSpec:
     return system.SystemSpec(
         name="custom", dynamics_id=dynamics, cost_id="y1",
         region=system.StateRegion(kind="box", lower=(-2.0,) * dim, upper=(2.0,) * dim),
-        control=control or system.ControlRegion(kind="box", lower=(-1.0,), upper=(1.0,)))
+        control=system.ControlRegion(lower=(-1.0,), upper=(1.0,)))
 
 
 # systems with their start points: built-in and expression-compiled dynamics
@@ -125,13 +125,9 @@ def test_schedule_runs_never_ask_the_policy(monkeypatch, rotation):
     assert calls == []
 
 
-@pytest.mark.parametrize("control,bad", [
-    (system.ControlRegion(kind="box", lower=(-1.0,), upper=(1.0,)), 2.0),
-    (system.ControlRegion(kind="finite", points=((-1.0,), (0.0,), (1.0,))), 0.5),
-    (system.ControlRegion(kind="box", lower=(-1.0,), upper=(1.0,)), math.nan),
-], ids=["box", "finite", "nan"])
-def test_escaping_control_is_reported_at_its_step(control, bad):
-    spec = _custom("-y1 + u1", 1, control)
+@pytest.mark.parametrize("bad", [2.0, math.nan], ids=["box", "nan"])
+def test_escaping_control_is_reported_at_its_step(bad):
+    spec = _custom("-y1 + u1", 1)
     k = 7
     # y decreases under u = 0, so the feedback first leaves the control set at step k
     free = integrate(spec, (1.0,), ConstantPolicy(0.0), 0.02, 1e-3)
@@ -158,7 +154,7 @@ def _rotation_about(center) -> system.SystemSpec:
     return system.SystemSpec(
         name="rotation", dynamics_id="rotation", cost_id="y1",
         region=system.StateRegion(kind="annulus", inner=0.5, outer=1.5, center=center),
-        control=system.ControlRegion(kind="box", lower=(0.0,), upper=(1.0,)))
+        control=system.ControlRegion(lower=(0.0,), upper=(1.0,)))
 
 
 def _delta_closure(delta, cx, cy):
@@ -201,15 +197,13 @@ def test_closed_loop_runs_never_ask_the_policy(monkeypatch, rotation):
 _BELOW = "((0.8 - y1) + abs(0.8 - y1))"
 
 
-@pytest.mark.parametrize("control,law", [
-    (system.ControlRegion(kind="box", lower=(-1.0,), upper=(1.0,)), f"{_BELOW} * 1e12"),
-    (system.ControlRegion(kind="finite", points=((-1.0,), (0.0,), (1.0,))), f"{_BELOW} * 1e12"),
+@pytest.mark.parametrize("law", [
+    f"{_BELOW} * 1e12",
     # finite times 1e308 twice is inf for any positive switch, and inf * 0 is NaN
-    (system.ControlRegion(kind="box", lower=(-1.0,), upper=(1.0,)),
-     f"{_BELOW} * 1e308 * 1e308 * 0"),
-], ids=["box", "finite", "nan"])
-def test_escaping_law_is_reported_like_step_by_step(control, law):
-    spec = _custom("-y1 + u1", 1, control)
+    f"{_BELOW} * 1e308 * 1e308 * 0",
+], ids=["box", "nan"])
+def test_escaping_law_is_reported_like_step_by_step(law):
+    spec = _custom("-y1 + u1", 1)
     policy = LawPolicy([exprs.parse_expr(law, 1, 0)])
     # y decreases under u = 0, so the law first leaves the control set at step k
     free = integrate(spec, (1.0,), ConstantPolicy(0.0), 0.3, 1e-3)
@@ -229,7 +223,7 @@ def test_failing_closed_loop_run_is_reported_like_step_by_step(dynamics):
     spec = system.SystemSpec(
         name="custom", dynamics_id=dynamics, cost_id="y1",
         region=system.StateRegion(kind="box", lower=(-2.0,), upper=(2.0,)),
-        control=system.ControlRegion(kind="box", lower=(-1.0,), upper=(1.0,)))
+        control=system.ControlRegion(lower=(-1.0,), upper=(1.0,)))
     policy = LawPolicy([exprs.parse_expr("0 * y1", 1, 0)])
     with pytest.raises(SimulationError, match=r"^non-finite state at t=\S+: \w+Error") as closed:
         integrate(spec, (0.75,), policy, 10.0, 0.25)
@@ -272,7 +266,7 @@ def test_parking_runs_match_step_by_step_integration(monkeypatch, name, chunk):
 _BOX = system.SystemSpec(
     name="custom", dynamics_id="-y1 + u1; -y2 + y1", cost_id="y2^2 + 0.5*u1^2",
     region=system.StateRegion(kind="box", lower=(-1.0, -1.0), upper=(1.0, 1.0)),
-    control=system.ControlRegion(kind="box", lower=(-1.0,), upper=(1.0,)))
+    control=system.ControlRegion(lower=(-1.0,), upper=(1.0,)))
 _BOX_SCHEDULE = SchedulePolicy([0.0, 2.0], [1.0, -1.0], period=4.0)
 _BOX_CYCLES = {(0.5, -0.5): (44000, 4400), (-0.5, 0.5): (40000, 4400),
                (0.25, 0.75): (44000, 4400), (-0.75, -0.25): (36000, 4000),
@@ -407,7 +401,7 @@ def test_cesaro_rejects_escaping_trajectory():
     drift = system.SystemSpec(
         name="drift", dynamics_id="1", cost_id="y1",
         region=system.StateRegion(kind="box", lower=(0.0,), upper=(1.0,)),
-        control=system.ControlRegion(kind="box", lower=(-1.0,), upper=(1.0,)),
+        control=system.ControlRegion(lower=(-1.0,), upper=(1.0,)),
         bound_f=1.0, bound_k=1.0)
     traj = integrate(drift, (0.5,), ConstantPolicy(0.0), 1.0, 1e-2)
     assert not traj.fully_in_region

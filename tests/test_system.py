@@ -54,7 +54,7 @@ def test_costs():
 
 def test_unknown_ids_rejected():
     region = StateRegion(kind="box", lower=(-1.0,), upper=(1.0,))
-    control = ControlRegion(kind="box", lower=(-1.0,), upper=(1.0,))
+    control = ControlRegion(lower=(-1.0,), upper=(1.0,))
     with pytest.raises(UnknownEvaluatorError):
         SystemSpec(name="x", dynamics_id="no-such-dynamics", cost_id="y1",
                    region=region, control=control, bound_f=1.0, bound_k=1.0)
@@ -121,7 +121,7 @@ def test_forward_invariance(rotation, frozen):
 def test_forward_invariance_violation():
     drift = SystemSpec(name="drift-right", dynamics_id="1", cost_id="y1",
                        region=StateRegion(kind="box", lower=(0.0,), upper=(1.0,)),
-                       control=ControlRegion(kind="box", lower=(-1.0,), upper=(1.0,)),
+                       control=ControlRegion(lower=(-1.0,), upper=(1.0,)),
                        bound_f=1.0, bound_k=1.0)
     report = system.check_forward_invariance(drift)
     assert not report.passed
@@ -177,15 +177,7 @@ def test_region_construction_errors():
     with pytest.raises(RegionError):
         StateRegion(kind="sphere")
     with pytest.raises(RegionError):
-        ControlRegion(kind="finite", points=())
-
-
-def test_finite_control_set():
-    control = ControlRegion(kind="finite", points=((-1.0,), (0.0,), (1.0,)))
-    admits = control.admission()
-    assert admits((0.0,))
-    assert not admits((0.5,))
-    assert control.grid(99).shape == (3, 1)
+        ControlRegion(lower=(1.0,), upper=(-1.0,))
 
 
 def test_scalar_drift_bounds():
