@@ -100,9 +100,7 @@ def _legendre_tables(basis: BasisSpec, ys: np.ndarray) -> tuple[np.ndarray, np.n
     return values, derivs
 
 
-def phi_matrix(basis: BasisSpec, ys: np.ndarray) -> np.ndarray:
-    """Values of every basis element at row-stacked points, shape (count, n)."""
-    values, _ = _legendre_tables(basis, ys)
+def _phi_from_tables(basis: BasisSpec, values: np.ndarray) -> np.ndarray:
     n = values.shape[2]
     out = np.empty((basis.count, n))
     for b, alpha in enumerate(basis.exponents):
@@ -114,9 +112,7 @@ def phi_matrix(basis: BasisSpec, ys: np.ndarray) -> np.ndarray:
     return out
 
 
-def grad_matrix(basis: BasisSpec, ys: np.ndarray) -> np.ndarray:
-    """Gradients w.r.t. unscaled coordinates, shape (count, n, m)."""
-    values, derivs = _legendre_tables(basis, ys)
+def _grad_from_tables(basis: BasisSpec, values: np.ndarray, derivs: np.ndarray) -> np.ndarray:
     n = values.shape[2]
     half = np.asarray(basis.scale_half)
     out = np.zeros((basis.count, n, basis.dim))
@@ -130,6 +126,23 @@ def grad_matrix(basis: BasisSpec, ys: np.ndarray) -> np.ndarray:
                     acc = acc * values[i, ei]
             out[b, :, j] = acc
     return out
+
+
+def phi_matrix(basis: BasisSpec, ys: np.ndarray) -> np.ndarray:
+    """Values of every basis element at row-stacked points, shape (count, n)."""
+    return _phi_from_tables(basis, _legendre_tables(basis, ys)[0])
+
+
+def grad_matrix(basis: BasisSpec, ys: np.ndarray) -> np.ndarray:
+    """Gradients w.r.t. unscaled coordinates, shape (count, n, m)."""
+    return _grad_from_tables(basis, *_legendre_tables(basis, ys))
+
+
+def phi_and_grad_matrix(basis: BasisSpec, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``phi_matrix`` and ``grad_matrix`` at the same points, bitwise, from one
+    set of Legendre tables."""
+    values, derivs = _legendre_tables(basis, ys)
+    return _phi_from_tables(basis, values), _grad_from_tables(basis, values, derivs)
 
 
 def sup_norms(basis: BasisSpec, sample_points: np.ndarray) -> np.ndarray:

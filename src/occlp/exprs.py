@@ -410,3 +410,25 @@ def compile_batch(nodes: tuple[Node, ...]):
         return out
 
     return batched
+
+
+def compile_product(nodes: tuple[Node, ...]):
+    """Compile to a broadcast numpy form: ``f(Y, U) -> (len(nodes), n, k)``, every
+    node at every pair of a row of ``Y`` (n, m) and a row of ``U`` (k, p).
+
+    The states enter as (n, 1) columns and the controls as (1, k) rows, so no
+    (state, control) row is built, and a term that reads only the state is
+    taken once per state.  Each entry is the float ``compile_batch(nodes)``
+    computes at that pair's row."""
+    raw = _compile(nodes, numpy_mode=True)
+
+    def product(ys: np.ndarray, us: np.ndarray) -> np.ndarray:
+        ys = np.asarray(ys, dtype=float)
+        us = np.asarray(us, dtype=float)
+        cols = raw(ys.T[:, :, None], us.T[:, None, :])
+        out = np.empty((len(cols), ys.shape[0], us.shape[0]))
+        for j, col in enumerate(cols):
+            out[j] = col
+        return out
+
+    return product

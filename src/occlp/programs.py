@@ -18,9 +18,9 @@ basis, satisfying at every atom
     k + (psi(y0) - psi(y)) + grad eta(y) . f(y, u) - mu >= -2*eps - tol
     grad psi(y) . f(y, u) >= -M*eps - tol
 
-and mu equal to the optimal value (finite LP strong duality).  mu is always a
-certified lower bound for the primal value (weak duality), which is asserted
-for every solve.
+and mu equal to the optimal value (finite LP strong duality).  mu is a lower
+bound on the grid LP's value, up to the solver's tolerances (weak duality),
+which is asserted for every solve.
 
 Each builder takes one :class:`~occlp.grid.LpBlocks`, which holds the grid,
 the basis, the start point and B, C and c, and builds its LP from that object
@@ -74,9 +74,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy
 
-from .basis import BasisSpec, grad_matrix, phi_matrix
+from .basis import BasisSpec, phi_and_grad_matrix, phi_matrix
 from .grid import DiscreteMeasure, Grid, LpBlocks, snap_to_state_grid, stack_rows
-from .system import SystemSpec, cost_batch, dynamics_batch, lattice, product_rows
+from .system import SystemSpec, cost_product, dynamics_product, lattice
 
 
 log = logging.getLogger(__name__)
@@ -731,27 +731,38 @@ def certificate_slacks(cert: DualCertificate, grid: Grid, basis: BasisSpec,
     The slacks are taken at every pair of a state in ``ys`` (default: the
     grid's state points, which gives the grid atoms) and a grid control, in
     state-major atom order.  psi, grad psi and grad eta are evaluated once per
-    state and repeated over the controls; the dynamics and the cost once per
-    pair.  Returns (lower-bound family slacks, monotonicity family slacks).
+    state, the dynamics and the cost on the states against the controls by
+    broadcasting, so no (state, control) row is built.  Returns (lower-bound
+    family slacks, monotonicity family slacks).
     """
     if ys is None:
         ys = grid.state_points
-    n_controls = grid.control_points.shape[0]
-    ys_full, us_full = product_rows(ys, grid.control_points)
-    f_vals = dynamics_batch(spec)(ys_full, us_full)
-    cost = cost_batch(spec)(ys_full, us_full)
-    grads = grad_matrix(basis, ys)
-    psi_vals = np.repeat(cert.psi_coeffs @ phi_matrix(basis, ys), n_controls)
-    grad_eta = np.repeat(np.einsum("b,bnm->nm", cert.eta_coeffs, grads), n_controls, axis=0)
-    grad_psi = np.repeat(np.einsum("b,bnm->nm", cert.psi_coeffs, grads), n_controls, axis=0)
+    us = grid.control_points
+    f_vals = dynamics_product(spec)(ys, us)
+    phi, grads = phi_and_grad_matrix(basis, ys)
+    psi_vals = cert.psi_coeffs @ phi
+    grad_eta = np.einsum("b,bnm->nm", cert.eta_coeffs, grads)
+    grad_psi = np.einsum("b,bnm->nm", cert.psi_coeffs, grads)
     psi_at_y0 = (float(cert.psi_coeffs @ phi_matrix(basis, cert.y0[None, :])[:, 0])
                  if cert.y0 is not None else 0.0)
-    family1 = (cost + (psi_at_y0 - psi_vals)
-               + np.einsum("nm,nm->n", grad_eta, f_vals) - cert.mu
+    family1 = (cost_product(spec)(ys, us) + (psi_at_y0 - psi_vals)[:, None]
+               + _along_dynamics(grad_eta, f_vals) - cert.mu
                + 2.0 * cert.epsilon)
-    family2 = (np.einsum("nm,nm->n", grad_psi, f_vals)
+    family2 = (_along_dynamics(grad_psi, f_vals)
                + cert.f_bound * cert.epsilon)
-    return family1, family2
+    return family1.ravel(), family2.ravel()
+
+
+def _along_dynamics(grad: np.ndarray, f_vals: np.ndarray) -> np.ndarray:
+    """grad(y) . f(y, u) over (n, k) pairs from grad (n, m) and f (m, n, k),
+    added axis by axis as ``einsum("nm,nm->n")`` adds a pair row.  einsum
+    starts from +0.0 and this sum does not, which can differ only in the sign
+    of a zero, and the slacks' last term (+ 2 epsilon, + f_bound epsilon)
+    turns a -0.0 into +0.0."""
+    out = grad[:, 0, None] * f_vals[0]
+    for j in range(1, f_vals.shape[0]):
+        out += grad[:, j, None] * f_vals[j]
+    return out
 
 
 def certificate_offgrid_report(cert: DualCertificate, grid: Grid, basis: BasisSpec,

@@ -15,11 +15,14 @@ of one step or of one period, is tested, costed and binned once.  On top of
 the integrator:
 
 * finite-horizon average values (per-step trapezoidal quadrature),
-* discounted values with a certified truncation-tail interval,
+* discounted values with a truncation-tail bound exp(-rate T) * bound_k, which
+  holds if bound_k bounds |k| (a declared bound, or an estimate: see
+  :func:`abel_value`),
 * empirical measures on a grid, by nearest-atom binning, which keeps them
   exactly nonnegative and exactly massed,
-* a periodic-policy family search giving certified upper bounds plus a trend
-  table, and
+* a periodic-policy family search, whose best closed loop estimates an upper
+  bound on the best periodic value (an RK4 average, not a proven bound), plus
+  a trend table, and
 * a horizon study: windows of one run, their empirical measures, with a
   repeating tail binned once, and membership residuals.
 """
@@ -448,8 +451,13 @@ def abel_value(spec: SystemSpec, y0, policy: Policy, rate: float,
                tail_tolerance: float = 1e-3) -> AbelValue:
     """Discounted value rate * integral of exp(-rate t) k, truncated at the horizon.
 
-    The truncation error is certified: |tail| <= exp(-rate*horizon) * bound_k.
-    Raises when the requested horizon cannot meet the tail tolerance.
+    The truncation error is |tail| <= exp(-rate*horizon) * bound_k whenever
+    bound_k bounds |k| on the region and control set.  Only a declared bound
+    makes that a proof: by default bound_k is a maximum over a finite sample
+    (times 1.1 for a custom system, see ``config.build_system``), which a
+    cost can exceed between samples.  The value itself is a trapezoid sum on
+    an RK4 trajectory, whose error is not bounded here.  Raises when the
+    requested horizon cannot meet the tail tolerance.
     """
     if rate <= 0:
         raise SimulationError("discount rate must be positive")
@@ -529,9 +537,12 @@ def periodic_value_search(spec: SystemSpec, y0, candidates,
     """Average cost over one verified period for each candidate loop.
 
     A candidate counts only if its trajectory returns to y0 within the closure
-    tolerance.  The minimum over closed candidates is a certified upper bound
-    on the best periodic value; the full row table exposes the trend across
-    the family parameter.
+    tolerance.  The minimum over closed candidates estimates an upper bound
+    on the best periodic value: each value is the average cost of an RK4
+    trajectory over one period, and a loop closes only to within the
+    tolerance, so neither the integration error nor the closure gap is
+    bounded, and it is not a proven bound.  The full row table exposes the
+    trend across the family parameter.
     """
     y0 = np.asarray(y0, dtype=float)
     rows = []

@@ -338,6 +338,16 @@ def _cost_batch(cost_id: str, m: int, p: int):
 
 
 @lru_cache(maxsize=None)
+def _dynamics_product(dyn_id: str, m: int, p: int):
+    return exprs.compile_product(_parsed_dynamics(dyn_id, m, p))
+
+
+@lru_cache(maxsize=None)
+def _cost_product(cost_id: str, m: int, p: int):
+    return exprs.compile_product((_parsed_cost(cost_id, m, p),))
+
+
+@lru_cache(maxsize=None)
 def _first_integral_nodes(text: str, m: int) -> tuple[exprs.Node, tuple[exprs.Node, ...]]:
     # over the state only: a control in a first integral is out of range
     try:
@@ -370,6 +380,19 @@ def dynamics_batch(spec: SystemSpec):
 def cost_batch(spec: SystemSpec):
     raw = _cost_batch(spec.cost_id, spec.dim_state, spec.dim_control)
     return lambda ys, us: raw(ys, us)[:, 0]
+
+
+def dynamics_product(spec: SystemSpec):
+    """Evaluator ``f(Y, U) -> (m, n, k)`` at every pair of a state row and a
+    control row, by broadcasting; entry ``[:, i, c]`` is bitwise
+    ``dynamics_batch(spec)`` at the pair ``(Y[i], U[c])``."""
+    return _dynamics_product(spec.dynamics_id, spec.dim_state, spec.dim_control)
+
+
+def cost_product(spec: SystemSpec):
+    """Evaluator ``k(Y, U) -> (n, k)`` over the same pairs as ``dynamics_product``."""
+    raw = _cost_product(spec.cost_id, spec.dim_state, spec.dim_control)
+    return lambda ys, us: raw(ys, us)[0]
 
 
 def first_integral_values_and_rates(spec: SystemSpec, ys: np.ndarray, us: np.ndarray):

@@ -3,6 +3,8 @@ import json
 import logging
 import os
 import re
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -311,16 +313,82 @@ def test_reports_are_byte_identical(tmp_path):
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
 
-def test_worker_pool_does_not_change_results():
+ACCEPTANCE_CONFIG = Path(__file__).parent.parent / "configs" / "rotation_acceptance.conf"
+FROZEN_CONFIG = ACCEPTANCE_CONFIG.with_name("frozen.conf")
+
+
+def test_worker_pool_does_not_change_results(tmp_path):
     cfg = parse_config(FROZEN_STUDY)
     serial = run_study(cfg, sections=("solve",), jobs=1)
     pooled = run_study(cfg, sections=("solve",), jobs=4)
     assert serial.values == pooled.values
     assert serial.invariants == pooled.invariants
+    # the acceptance study's reports, byte for byte, serial and pooled
+    cfg = parse_config(ACCEPTANCE_CONFIG.read_text())
+    for cmd in ("solve", "certify"):
+        reports = []
+        for jobs in (1, 2):
+            out = tmp_path / f"{cmd}-{jobs}"
+            emit_report(run_study(cfg, sections=(cmd,), jobs=jobs), str(out), ("json",))
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1], cmd
 
 
-ACCEPTANCE_CONFIG = Path(__file__).parent.parent / "configs" / "rotation_acceptance.conf"
-FROZEN_CONFIG = ACCEPTANCE_CONFIG.with_name("frozen.conf")
+@pytest.mark.parametrize("jobs", [1, 2, 8])
+def test_pool_map_returns_results_in_item_order(jobs):
+    # later items finish first, so completion order is not item order; 8 jobs
+    # start more workers than most machines have CPUs
+    def slow_square(k):
+        time.sleep(0.002 * (6 - k))
+        return k * k
+    assert cli._pool_map(slow_square, list(range(6)), jobs) == [k * k for k in range(6)]
+
+
+def test_pool_map_with_one_job_starts_no_thread(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+    monkeypatch.setattr(cli.concurrent.futures, "ThreadPoolExecutor", no_pool)
+    main_thread = threading.get_ident()
+    assert cli._pool_map(lambda k: threading.get_ident(), [0, 1, 2], 1) == [main_thread] * 3
+    assert cli._pool_map(lambda k: threading.get_ident(), [0], 4) == [main_thread]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_pool_workers_start_on_their_own_cpus_then_release_them(monkeypatch):
+    cpus = sorted(os.sched_getaffinity(0))
+    calls, real = [], os.sched_setaffinity
+
+    def recording(pid, mask):
+        calls.append((threading.get_ident(), set(mask)))
+        real(pid, mask)
+    monkeypatch.setattr(os, "sched_setaffinity", recording)
+    both_started = threading.Barrier(2, timeout=30)
+
+    def task(k):
+        both_started.wait()
+        return threading.get_ident(), os.sched_getaffinity(0)
+    results = cli._pool_map(task, [0, 1], 2)
+    # every task runs with the process's whole CPU set
+    assert [mask for _, mask in results] == [set(cpus)] * 2
+    workers = {ident for ident, _ in results}
+    assert len(workers) == 2
+    # each worker first took one CPU, worker k CPU k (mod their count), then
+    # gave the whole set back
+    firsts = []
+    for worker in workers:
+        own = [mask for ident, mask in calls if ident == worker]
+        assert len(own) == 2 and len(own[0]) == 1 and own[1] == set(cpus)
+        firsts.append(own[0])
+    assert sorted(min(mask) for mask in firsts) == sorted(cpus[k % len(cpus)] for k in (0, 1))
+    assert os.sched_getaffinity(0) == set(cpus)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
+def test_jobs_default_to_the_cpus_the_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert cli._build_arg_parser().parse_args(["solve"]).jobs == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3, 5})
+    assert cli._build_arg_parser().parse_args(["solve"]).jobs == 3
 
 
 def test_frozen_config_passes_every_command_and_matches_the_control_scan():

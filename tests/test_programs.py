@@ -742,6 +742,84 @@ def test_certificate_slacks_evaluate_the_basis_once_per_state(request, monkeypat
     assert np.array_equal(np.vstack(blocks), ys)
 
 
+def _product_rows_slacks(cert, grid, basis, spec, ys):
+    """Both slack families with every (state, control) pair built as a row, and
+    psi, grad psi and grad eta repeated over the controls: the formulation that
+    ``certificate_slacks`` broadcasts, kept as its bitwise reference."""
+    n_controls = grid.control_points.shape[0]
+    ys_full, us_full = product_rows(ys, grid.control_points)
+    f_vals = dynamics_batch(spec)(ys_full, us_full)
+    cost = cost_batch(spec)(ys_full, us_full)
+    grads = grad_matrix(basis, ys)
+    psi_vals = np.repeat(cert.psi_coeffs @ phi_matrix(basis, ys), n_controls)
+    grad_eta = np.repeat(np.einsum("b,bnm->nm", cert.eta_coeffs, grads), n_controls, axis=0)
+    grad_psi = np.repeat(np.einsum("b,bnm->nm", cert.psi_coeffs, grads), n_controls, axis=0)
+    psi_at_y0 = (float(cert.psi_coeffs @ phi_matrix(basis, cert.y0[None, :])[:, 0])
+                 if cert.y0 is not None else 0.0)
+    family1 = (cost + (psi_at_y0 - psi_vals)
+               + np.einsum("nm,nm->n", grad_eta, f_vals) - cert.mu
+               + 2.0 * cert.epsilon)
+    family2 = (np.einsum("nm,nm->n", grad_psi, f_vals)
+               + cert.f_bound * cert.epsilon)
+    return family1, family2
+
+
+@pytest.fixture(scope="module")
+def transcendental_setup():
+    spec = SystemSpec(name="custom",
+                      dynamics_id="sin(3*y2) * u1 - y1 + cos(u1);"
+                                  "exp(-y1^2) - sqrt(1 + y2^2) * u1 + atan2(y1, 2 + u1)",
+                      cost_id="exp(y1) * u1^2 + sqrt(1.5 + y2) + sin(y1*u1)",
+                      region=StateRegion(kind="box", lower=(-1.0, -1.0), upper=(1.0, 1.0)),
+                      control=ControlRegion(lower=(-1.0,), upper=(1.0,)),
+                      bound_f=5.0, bound_k=5.0)
+    return spec, build_grid(spec, (7, 5), 5), basis_for_region(spec.region, 4)
+
+
+@pytest.mark.parametrize("setup", ["rotation_setup", "box_drift_setup", "transcendental_setup",
+                                   "frozen_setup"])
+@pytest.mark.parametrize("points", ["grid", "offgrid"])
+@pytest.mark.parametrize("kind", ["coupled", "perturbed", "ergodic", "zero"])
+def test_broadcast_slacks_are_bitwise_the_product_rows_slacks(request, setup, points, kind):
+    spec, g, b = request.getfixturevalue(setup)
+    rng = np.random.default_rng(len(setup) + 7 * len(kind))
+    lo, hi = spec.region.bounding_box()
+    y0 = g.state_points[g.state_points.shape[0] // 3]
+    coeffs = (np.zeros((2, b.count)) if kind == "zero"
+              else rng.normal(size=(2, b.count)) * 10.0 ** rng.integers(-3, 2, size=(2, b.count)))
+    cert = programs.DualCertificate(
+        mu=0.0 if kind == "zero" else float(rng.normal()),
+        psi_coeffs=np.zeros(b.count) if kind == "ergodic" else coeffs[0],
+        eta_coeffs=coeffs[1], y0=None if kind == "ergodic" else y0,
+        epsilon=0.1 if kind == "perturbed" else 0.0,
+        f_bound=spec.bound_f if kind == "perturbed" else 0.0)
+    ys = (g.state_points if points == "grid"
+          else lattice([np.linspace(lo[j], hi[j], 4 * r) for j, r in enumerate(g.resolution)]))
+    got = certificate_slacks(cert, g, b, spec, None if points == "grid" else ys)
+    want = _product_rows_slacks(cert, g, b, spec, ys)
+    for family, reference in zip(got, want):
+        assert family.shape == reference.shape == (ys.shape[0] * g.control_points.shape[0],)
+        assert family.tobytes() == reference.tobytes()
+
+
+def test_product_evaluators_are_bitwise_the_batch_evaluators(transcendental_setup):
+    spec, g, _b = transcendental_setup
+    ys = np.random.default_rng(3).uniform(-1.0, 1.0, size=(257, 2))
+    ys_full, us_full = product_rows(ys, g.control_points)
+    pairs = (ys.shape[0], g.control_points.shape[0])
+    f_batch = dynamics_batch(spec)(ys_full, us_full)
+    f_product = system.dynamics_product(spec)(ys, g.control_points)
+    assert f_product.shape == (2, *pairs)
+    for j in range(2):
+        assert f_product[j].tobytes() == f_batch[:, j].reshape(pairs).tobytes()
+    assert (system.cost_product(spec)(ys, g.control_points).tobytes()
+            == cost_batch(spec)(ys_full, us_full).reshape(pairs).tobytes())
+    # a constant component broadcasts to every pair
+    frozen = system.make_frozen()
+    assert np.array_equal(system.dynamics_product(frozen)(ys, g.control_points),
+                          np.zeros((2, *pairs)))
+
+
 def test_certificate_requires_optimal(frozen_setup):
     spec, g, b = frozen_setup
     n = g.atom_count
