@@ -15,6 +15,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 import numpy as np
 
@@ -101,30 +103,23 @@ def _legendre_tables(basis: BasisSpec, ys: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _phi_from_tables(basis: BasisSpec, values: np.ndarray) -> np.ndarray:
-    n = values.shape[2]
-    out = np.empty((basis.count, n))
+    # each product is taken left to right from its first factor: every
+    # element has one, and 1.0 * x is x bitwise, so no np.ones is needed
+    out = np.empty((basis.count, values.shape[2]))
     for b, alpha in enumerate(basis.exponents):
-        acc = np.ones(n)
-        for j, e in enumerate(alpha):
-            if e:
-                acc = acc * values[j, e]
-        out[b] = acc
+        out[b] = reduce(mul, [values[j, e] for j, e in enumerate(alpha) if e])
     return out
 
 
 def _grad_from_tables(basis: BasisSpec, values: np.ndarray, derivs: np.ndarray) -> np.ndarray:
-    n = values.shape[2]
-    half = np.asarray(basis.scale_half)
-    out = np.zeros((basis.count, n, basis.dim))
+    # the chain-rule factor of the prescaling, divided in once per table entry
+    scaled = derivs / np.asarray(basis.scale_half)[:, None, None]
+    out = np.zeros((basis.count, values.shape[2], basis.dim))
     for b, alpha in enumerate(basis.exponents):
         for j, e in enumerate(alpha):
-            if e == 0:
-                continue
-            acc = derivs[j, e] / half[j]  # chain-rule factor of the prescaling
-            for i, ei in enumerate(alpha):
-                if i != j and ei:
-                    acc = acc * values[i, ei]
-            out[b, :, j] = acc
+            if e:
+                out[b, :, j] = reduce(mul, [scaled[j, e]] + [
+                    values[i, ei] for i, ei in enumerate(alpha) if i != j and ei])
     return out
 
 

@@ -21,7 +21,6 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .basis import basis_for_region
@@ -30,11 +29,11 @@ from .config import (ConfigError, StudyConfig, build_policy, build_system,
 from .grid import DiscreteMeasure, GridError, LpBlocks, build_grid
 from .metrics import MetricError, make_test_function_set, rho_hat
 from .oracle import OracleError, frozen_value, level_set_ordering, rotation_level_value
-from .programs import (CERTIFICATE_TOL, ProgramError, build_discounted_lp, build_ergodic_lp,
-                       build_nonergodic_lp, build_perturbed_lp, certificate_offgrid_report,
-                       certificate_slacks, extract_dual_certificate, log_solution, lp_name,
-                       membership_residual, needs_refinement, solve, solve_chain,
-                       verify_weak_duality)
+from .programs import (CERTIFICATE_TOL, SCIPY_VERSION, ProgramError, build_discounted_lp,
+                       build_ergodic_lp, build_nonergodic_lp, build_perturbed_lp,
+                       certificate_offgrid_report, certificate_slacks,
+                       extract_dual_certificate, log_solution, lp_name, membership_residual,
+                       needs_refinement, solve, solve_chain, verify_weak_duality)
 from .simulate import (SimulationError, abel_value, cesaro_value,
                        horizon_study, periodic_value_search, rotation_delta_family)
 
@@ -75,7 +74,7 @@ def _environment_stamp() -> dict:
         "occlp": __version__,
         "python": ".".join(str(v) for v in sys.version_info[:3]),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": SCIPY_VERSION,
     }
 
 

@@ -10,8 +10,10 @@ variables, which is what the first-integral checks rely on.
 Three compilation targets are provided: a scalar form operating on plain
 float tuples, a run of Runge-Kutta steps on plain floats with the expressions
 inlined (the fixed-step integrator's inner loop, where numpy's per-call
-overhead would dominate), at one held control or under a feedback law, and a
-batched numpy form used for whole-grid assembly.  The scalar forms raise
+overhead would dominate), at one held control or under a feedback law, and
+one numpy form over states and controls whose leading shapes broadcast, which
+evaluates row-paired points and state × control products alike (grid
+assembly, certificate slacks, oracles, trajectory costs).  The scalar forms raise
 ``ValueError`` where a function leaves its domain (``sqrt`` or ``^`` of a
 negative number); the numpy form gives NaN.
 """
@@ -395,40 +397,22 @@ def _tuple(prefix: str, indices) -> str:
     return "(" + "".join(f"{prefix}{i}, " for i in indices) + ")"
 
 
-def compile_batch(nodes: tuple[Node, ...]):
-    """Compile to a numpy form: ``f(Y, U) -> (n, len(nodes))`` for row-stacked points."""
+def compile_numpy(nodes: tuple[Node, ...]):
+    """Compile to a numpy form ``f(Y, U) -> (len(nodes), *shape)`` on states
+    ``(..., m)`` and controls ``(..., p)`` whose leading shapes broadcast to
+    ``shape``: row-paired points as ``(n, m)`` against ``(n, p)``, a state ×
+    control product as ``Y[:, None, :]`` against ``U[None, :, :]``, with no
+    (state, control) row built.  Every operation is elementwise, so each
+    entry is the float its pair gives as a row of its own."""
     raw = _compile(nodes, numpy_mode=True)
 
-    def batched(ys: np.ndarray, us: np.ndarray) -> np.ndarray:
+    def evaluate(ys, us) -> np.ndarray:
         ys = np.asarray(ys, dtype=float)
         us = np.asarray(us, dtype=float)
-        n = ys.shape[0]
-        cols = raw(ys.T, us.T)
-        out = np.empty((n, len(cols)))
-        for j, col in enumerate(cols):
-            out[:, j] = col
-        return out
-
-    return batched
-
-
-def compile_product(nodes: tuple[Node, ...]):
-    """Compile to a broadcast numpy form: ``f(Y, U) -> (len(nodes), n, k)``, every
-    node at every pair of a row of ``Y`` (n, m) and a row of ``U`` (k, p).
-
-    The states enter as (n, 1) columns and the controls as (1, k) rows, so no
-    (state, control) row is built, and a term that reads only the state is
-    taken once per state.  Each entry is the float ``compile_batch(nodes)``
-    computes at that pair's row."""
-    raw = _compile(nodes, numpy_mode=True)
-
-    def product(ys: np.ndarray, us: np.ndarray) -> np.ndarray:
-        ys = np.asarray(ys, dtype=float)
-        us = np.asarray(us, dtype=float)
-        cols = raw(ys.T[:, :, None], us.T[:, None, :])
-        out = np.empty((len(cols), ys.shape[0], us.shape[0]))
+        cols = raw(np.moveaxis(ys, -1, 0), np.moveaxis(us, -1, 0))
+        out = np.empty((len(cols), *np.broadcast_shapes(ys.shape[:-1], us.shape[:-1])))
         for j, col in enumerate(cols):
             out[j] = col
         return out
 
-    return product
+    return evaluate

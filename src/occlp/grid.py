@@ -14,13 +14,16 @@ Every LP of a study is stacked from three assembled blocks:
 * initial matrix C[b, a] = phi_b(y0) - phi_b(y_a)
 * cost vector  c[a] = k(y_a, u_a)
 
-phi and grad phi are evaluated once per grid state and repeated over the
-controls, which gives the floats an evaluation at every atom gives.  The
-blocks of one (grid, basis, y0), the system being the grid's, are one
-:class:`LpBlocks`: every LP, membership check and horizon study is built from
-such an object alone, and a study assembles its one object once.  The blocks
-are held inside the coupled programs' matrix, which :func:`stack_rows` lays
-out and which every coupled LP built on them shares, read-only.
+phi and grad phi are evaluated once per grid state, from one set of Legendre
+tables, and f and k on the grid states against the grid controls by
+broadcasting, so no (state, control) row is built; grad phi . f is added
+axis by axis from +0.0, as ``einsum`` adds it, so every entry is the float an
+evaluation at the atom itself gives.  The blocks of one (grid, basis, y0),
+the system being the grid's, are one :class:`LpBlocks`: every LP, membership
+check and horizon study is built from such an object alone, and a study
+assembles its one object once.  The blocks are held inside the coupled
+programs' matrix, which :func:`stack_rows` lays out and which every coupled
+LP built on them shares, read-only.
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import BasisSpec, grad_matrix, phi_matrix
-from .system import RegionError, StateRegion, SystemSpec, cost_batch, dynamics_batch
+from .basis import BasisSpec, grad_matrix, phi_and_grad_matrix, phi_matrix
+from .system import (RegionError, StateRegion, SystemSpec, cost_numpy, dynamics_numpy,
+                     rate_along)
 
 
 log = logging.getLogger(__name__)
@@ -58,10 +62,13 @@ class Grid:
 
     @property
     def atom_states(self) -> np.ndarray:
+        """The state of every atom, row by row: the atom-wise reference that
+        the tests compare the broadcast assembly with."""
         return np.repeat(self.state_points, self.control_points.shape[0], axis=0)
 
     @property
     def atom_controls(self) -> np.ndarray:
+        """The control of every atom, row by row, as ``atom_states``."""
         return np.tile(self.control_points, (self.state_points.shape[0], 1))
 
     def atom(self, a: int) -> tuple[np.ndarray, np.ndarray]:
@@ -132,10 +139,7 @@ def build_grid(spec: SystemSpec, state_resolution, control_resolution: int) -> G
 
 def assemble_flow_matrix(grid: Grid, basis: BasisSpec) -> np.ndarray:
     """B[b, a] = grad phi_b(y_a) . f(y_a, u_a); B g are the flow residuals of g."""
-    f_vals = dynamics_batch(grid.spec)(grid.atom_states, grid.atom_controls)  # (N, m)
-    grads = np.repeat(grad_matrix(basis, grid.state_points),
-                      grid.control_points.shape[0], axis=1)  # (count, N, m)
-    return np.einsum("bnm,nm->bn", grads, f_vals)
+    return _flow_block(grid, grad_matrix(basis, grid.state_points))
 
 
 def assemble_initial_matrix(grid: Grid, basis: BasisSpec, y0) -> np.ndarray:
@@ -143,14 +147,26 @@ def assemble_initial_matrix(grid: Grid, basis: BasisSpec, y0) -> np.ndarray:
     y0 = np.asarray(y0, dtype=float)
     if not grid.spec.region.contains(y0):
         raise RegionError(f"y0 {y0.tolist()} outside the state region")
-    phi_at_y0 = phi_matrix(basis, y0[None, :])  # (count, 1)
-    return np.repeat(phi_at_y0 - phi_matrix(basis, grid.state_points),
-                     grid.control_points.shape[0], axis=1)
+    return _initial_block(grid, phi_matrix(basis, y0[None, :]),
+                          phi_matrix(basis, grid.state_points))
 
 
 def assemble_cost_vector(grid: Grid) -> np.ndarray:
     """c[a] = k(y_a, u_a)."""
-    return cost_batch(grid.spec)(grid.atom_states, grid.atom_controls)
+    return cost_numpy(grid.spec)(grid.state_points[:, None], grid.control_points[None]).ravel()
+
+
+def _flow_block(grid: Grid, grads: np.ndarray) -> np.ndarray:
+    """B from grad phi at the grid states, ``grads`` (count, S, m)."""
+    f_vals = dynamics_numpy(grid.spec)(grid.state_points[:, None],
+                                       grid.control_points[None])  # (m, S, K)
+    return rate_along(np.moveaxis(grads, -1, 0)[..., None], f_vals).reshape(
+        grads.shape[0], grid.atom_count)
+
+
+def _initial_block(grid: Grid, phi_at_y0: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """C from phi at y0 (count, 1) and at the grid states (count, S)."""
+    return np.repeat(phi_at_y0 - phi, grid.control_points.shape[0], axis=1)
 
 
 def stack_rows(blocks, n_atoms: int) -> np.ndarray:
@@ -231,8 +247,9 @@ class LpBlocks:
         began = time.perf_counter()
         cost = assemble_cost_vector(self.grid)
         cost.flags.writeable = False
-        flow = assemble_flow_matrix(self.grid, self.basis)
-        initial = assemble_initial_matrix(self.grid, self.basis, self.y0)
+        phi, grads = phi_and_grad_matrix(self.basis, self.grid.state_points)
+        flow = _flow_block(self.grid, grads)
+        initial = _initial_block(self.grid, phi_matrix(self.basis, self.y0[None, :]), phi)
         coupled = stack_rows([(flow, None), (initial, flow)], self.grid.atom_count)
         log.info("assembly: %d states, %d atoms, %d basis rows, %.2f MB held, %.3f s",
                  self.grid.state_points.shape[0], self.grid.atom_count, self.basis.count,

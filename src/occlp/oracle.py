@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .system import SystemSpec, cost_batch, product_rows
+from .system import SystemSpec, cost_numpy
 
 
 class OracleError(ValueError):
@@ -45,14 +45,15 @@ class OracleResult:
     circulating_value: float | None = None  # family (ii) minimum, when scanned
 
 
-def _cost_on_circle(spec: SystemSpec, radius: float, angles: np.ndarray,
-                    controls: np.ndarray) -> np.ndarray:
-    """Cost values on the (angle x control) product of one circle, shape (A, U)."""
-    cx, cy = spec.region.center
-    ys = np.stack([cx + radius * np.cos(angles), cy + radius * np.sin(angles)], axis=1)
-    ys_full, us_full = product_rows(ys, controls)
-    k = cost_batch(spec)(ys_full, us_full)
-    return k.reshape(angles.shape[0], controls.shape[0])
+def _circle_scan(spec: SystemSpec, angle_resolution: int,
+                 control_resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scan's angles (A,), the unit circle's points at them (A, 2) and the
+    controls (U, p): what every level of one scan shares."""
+    if spec.region.kind != "annulus":
+        raise OracleError("level-set oracle applies to annulus regions")
+    angles = 2.0 * np.pi * np.arange(angle_resolution) / angle_resolution
+    ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return angles, ring, spec.control.grid(control_resolution)
 
 
 def rotation_level_value(spec: SystemSpec, z: float,
@@ -64,15 +65,17 @@ def rotation_level_value(spec: SystemSpec, z: float,
     radius sqrt(z).  The error bound is the cost's sampled modulus over one
     angular cell.
     """
-    if spec.region.kind != "annulus":
-        raise OracleError("level-set oracle applies to annulus regions")
+    return _level_value(spec, z, *_circle_scan(spec, angle_resolution, control_resolution))
+
+
+def _level_value(spec: SystemSpec, z: float, angles: np.ndarray, ring: np.ndarray,
+                 controls: np.ndarray) -> OracleResult:
     a2, b2 = spec.region.inner ** 2, spec.region.outer ** 2
     if not a2 - 1e-12 <= z <= b2 + 1e-12:
         raise OracleError(f"level {z} outside [{a2}, {b2}]")
-    radius = math.sqrt(z)
-    angles = 2.0 * np.pi * np.arange(angle_resolution) / angle_resolution
-    controls = spec.control.grid(control_resolution)
-    costs = _cost_on_circle(spec, radius, angles, controls)
+    # the cost on the circle's (angle, control) pairs, (A, U), by broadcasting
+    ys = np.asarray(spec.region.center) + math.sqrt(z) * ring
+    costs = cost_numpy(spec)(ys[:, None, :], controls[None, :, :])
 
     # family (i): park at any angle with zero control (requires 0 in the scan)
     zero_col = int(np.argmin(np.linalg.norm(controls, axis=1)))
@@ -88,7 +91,7 @@ def rotation_level_value(spec: SystemSpec, z: float,
         value, attained = stationary, f"stationary (angle={stationary_angle:.6f}, u=0)"
     else:
         value, attained = circulating, f"circulating (u={circulating_u.tolist()})"
-    cell_modulus = float(np.max(np.abs(np.diff(costs, axis=0)))) if angle_resolution > 1 else 0.0
+    cell_modulus = float(np.max(np.abs(np.diff(costs, axis=0)))) if len(angles) > 1 else 0.0
     return OracleResult(instance=f"rotation level z={z} cost={spec.cost_id}",
                         value=value, method="exhaustive-atom-scan",
                         error_bound=cell_modulus, attained_by=attained,
@@ -96,16 +99,22 @@ def rotation_level_value(spec: SystemSpec, z: float,
 
 
 def frozen_value(spec: SystemSpec, y0, control_resolution: int = 201) -> OracleResult:
-    """Exhaustive control scan of k(y0, .) for systems with zero dynamics."""
+    """Exhaustive control scan of k(y0, .) for systems with zero dynamics.
+
+    The error bound is the cost's sampled modulus over one control cell: the
+    largest |k(y0, u) - k(y0, u')| over controls adjacent on the control
+    lattice, as :func:`rotation_level_value` takes it over angular cells.
+    """
     y0 = np.asarray(y0, dtype=float)
     controls = spec.control.grid(control_resolution)
-    ys = np.tile(y0, (controls.shape[0], 1))
-    values = cost_batch(spec)(ys, controls)
+    values = cost_numpy(spec)(y0, controls)
     best = int(np.argmin(values))
-    spacing = float(np.max(np.linalg.norm(np.diff(controls, axis=0), axis=1)))
+    on_lattice = values.reshape((control_resolution,) * spec.dim_control)
+    cell_modulus = max(float(np.max(np.abs(np.diff(on_lattice, axis=j))))
+                       for j in range(spec.dim_control))
     return OracleResult(instance=f"frozen y0={y0.tolist()} cost={spec.cost_id}",
                         value=float(values[best]), method="exhaustive-atom-scan",
-                        error_bound=spacing,
+                        error_bound=cell_modulus,
                         attained_by=f"u={controls[best].tolist()}")
 
 
@@ -121,10 +130,8 @@ def level_set_ordering(spec: SystemSpec, levels,
                        control_resolution: int = 41) -> LevelTable:
     """Per-level values across a grid of invariant circles; the minimum over
     levels is the reference for the start-point-free (ergodic) program."""
-    rows = []
-    for z in levels:
-        res = rotation_level_value(spec, float(z), angle_resolution, control_resolution)
-        rows.append((float(z), res.value))
+    scan = _circle_scan(spec, angle_resolution, control_resolution)
+    rows = [(float(z), _level_value(spec, float(z), *scan).value) for z in levels]
     values = [v for _, v in rows]
     best = int(np.argmin(values))
     return LevelTable(rows=tuple(rows), min_value=values[best], argmin_level=rows[best][0])

@@ -53,9 +53,10 @@ differ only in their costs, so :func:`solve_chain` solves the first cold and
 each later one by changing the column costs, re-running from the previous
 optimal basis and pricing again; any other LP gets a model of its own.  The
 binding's extension module is loaded straight from its file under
-``scipy/optimize/_highspy``: importing it by its dotted name would first run
-``scipy.optimize``'s package import, about 0.6 s in every command process,
-for nothing used here.
+``scipy/optimize/_highspy``, and scipy's version from ``scipy/version.py``:
+importing either by its dotted name would first run the package imports of
+``scipy`` and ``scipy.optimize``, about 0.6 s in every command process, for
+nothing used here.  So no command imports the ``scipy`` package itself.
 
 Start points are snapped to the nearest state grid point when building the
 coupled rows: the rows are exact equalities, so an off-grid start point would
@@ -72,11 +73,10 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from .basis import BasisSpec, phi_and_grad_matrix, phi_matrix
 from .grid import DiscreteMeasure, Grid, LpBlocks, snap_to_state_grid, stack_rows
-from .system import SystemSpec, cost_product, dynamics_product, lattice
+from .system import SystemSpec, cost_numpy, dynamics_numpy, lattice, rate_along
 
 
 log = logging.getLogger(__name__)
@@ -84,23 +84,32 @@ log = logging.getLogger(__name__)
 _HIGHS_CORE = "scipy.optimize._highspy._core"
 
 
-def _load_highs_core(search_dir: str):
-    """Load scipy's HiGHS extension module ``_core`` from its file in search_dir.
-
-    The module is not entered in ``sys.modules``: the interpreter keeps the
-    one instance of the extension, so a later ``import scipy.optimize`` binds
-    the same module and the same ``_Highs`` type, and sets the
-    ``scipy.optimize._highspy._core`` attribute itself."""
-    spec = importlib.machinery.PathFinder.find_spec(_HIGHS_CORE, [search_dir])
+def _scipy_dir() -> str:
+    """The scipy package's directory, found without running its ``__init__``."""
+    spec = importlib.util.find_spec("scipy")
     if spec is None:
-        raise ImportError(f"no HiGHS extension {_HIGHS_CORE} in {search_dir}; "
-                          "occlp needs scipy>=1.15")
+        raise ImportError("no scipy package; occlp needs scipy>=1.15")
+    return spec.submodule_search_locations[0]
+
+
+def _load_from_file(name: str, search_dir: str):
+    """Run scipy's module ``name`` from its file in search_dir.
+
+    Neither the module nor a package above it is entered in ``sys.modules``.
+    The interpreter keeps the one instance of an extension module, so a later
+    ``import scipy.optimize`` binds the same ``_core`` and ``_Highs`` type,
+    and sets the ``scipy.optimize._highspy._core`` attribute itself."""
+    spec = importlib.machinery.PathFinder.find_spec(name, [search_dir])
+    if spec is None:
+        raise ImportError(f"no {name} in {search_dir}; occlp needs scipy>=1.15")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-_core = _load_highs_core(os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy"))
+_SCIPY_DIR = _scipy_dir()
+_core = _load_from_file(_HIGHS_CORE, os.path.join(_SCIPY_DIR, "optimize", "_highspy"))
+SCIPY_VERSION = _load_from_file("scipy.version", _SCIPY_DIR).version  # scipy.__version__
 HighsModelStatus, HighsStatus, _Highs = _core.HighsModelStatus, _core.HighsStatus, _core._Highs
 
 
@@ -737,32 +746,21 @@ def certificate_slacks(cert: DualCertificate, grid: Grid, basis: BasisSpec,
     """
     if ys is None:
         ys = grid.state_points
-    us = grid.control_points
-    f_vals = dynamics_product(spec)(ys, us)
+    pairs = (ys[:, None, :], grid.control_points[None, :, :])
+    f_vals = dynamics_numpy(spec)(*pairs)  # (m, n, k)
     phi, grads = phi_and_grad_matrix(basis, ys)
     psi_vals = cert.psi_coeffs @ phi
-    grad_eta = np.einsum("b,bnm->nm", cert.eta_coeffs, grads)
-    grad_psi = np.einsum("b,bnm->nm", cert.psi_coeffs, grads)
+    # grad eta and grad psi per state, axis first: (m, n, 1) against f_vals
+    grad_eta = np.einsum("b,bnm->nm", cert.eta_coeffs, grads).T[..., None]
+    grad_psi = np.einsum("b,bnm->nm", cert.psi_coeffs, grads).T[..., None]
     psi_at_y0 = (float(cert.psi_coeffs @ phi_matrix(basis, cert.y0[None, :])[:, 0])
                  if cert.y0 is not None else 0.0)
-    family1 = (cost_product(spec)(ys, us) + (psi_at_y0 - psi_vals)[:, None]
-               + _along_dynamics(grad_eta, f_vals) - cert.mu
+    family1 = (cost_numpy(spec)(*pairs) + (psi_at_y0 - psi_vals)[:, None]
+               + rate_along(grad_eta, f_vals) - cert.mu
                + 2.0 * cert.epsilon)
-    family2 = (_along_dynamics(grad_psi, f_vals)
+    family2 = (rate_along(grad_psi, f_vals)
                + cert.f_bound * cert.epsilon)
     return family1.ravel(), family2.ravel()
-
-
-def _along_dynamics(grad: np.ndarray, f_vals: np.ndarray) -> np.ndarray:
-    """grad(y) . f(y, u) over (n, k) pairs from grad (n, m) and f (m, n, k),
-    added axis by axis as ``einsum("nm,nm->n")`` adds a pair row.  einsum
-    starts from +0.0 and this sum does not, which can differ only in the sign
-    of a zero, and the slacks' last term (+ 2 epsilon, + f_bound epsilon)
-    turns a -0.0 into +0.0."""
-    out = grad[:, 0, None] * f_vals[0]
-    for j in range(1, f_vals.shape[0]):
-        out += grad[:, j, None] * f_vals[j]
-    return out
 
 
 def certificate_offgrid_report(cert: DualCertificate, grid: Grid, basis: BasisSpec,

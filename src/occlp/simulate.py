@@ -42,7 +42,7 @@ import numpy as np
 from . import exprs
 from .grid import DiscreteMeasure, Grid, LpBlocks, nearest_atom_index, nearest_state_index
 from .programs import MembershipResidual, membership_residual
-from .system import SystemSpec, cost_batch, rk4_run_fn
+from .system import SystemSpec, cost_numpy, rk4_run_fn
 
 log = logging.getLogger(__name__)
 
@@ -417,7 +417,7 @@ def _endpoint_costs(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     """The cost at the start and at the end of each step, under the step's
     control.  Every step of a repeating tail has the states at both ends and
     the control of the step one cycle before it, so the tail is costed once."""
-    k = cost_batch(traj.spec)
+    k = cost_numpy(traj.spec)  # on row-paired states and controls
     n, costed = len(traj.controls), traj.distinct_steps
     left = k(traj.states[:costed], traj.controls[:costed])
     right = k(traj.states[1:costed + 1], traj.controls[:costed])

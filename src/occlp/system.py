@@ -10,7 +10,10 @@ such an expression, so custom systems are declared as data rather than loaded
 as code.  Both regions also admit the points within ``REGION_TOL`` of them.
 
 Specs are immutable after construction and every evaluator is a pure function,
-safe to call from concurrent workers.
+safe to call from concurrent workers.  Each expression kind has one compiled
+numpy evaluator, cached per id: :func:`dynamics_numpy` and :func:`cost_numpy`
+take states and controls whose leading shapes broadcast, so a state × control
+product is evaluated by broadcasting and row-paired points by the same code.
 """
 
 from __future__ import annotations
@@ -59,11 +62,6 @@ def lattice(axes) -> np.ndarray:
     """Row-stacked product of 1-D axes, first axis slowest: shape (prod len, len(axes))."""
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
-
-
-def product_rows(ys: np.ndarray, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every (state, control) pair as two row-aligned arrays, state-major."""
-    return np.repeat(ys, us.shape[0], axis=0), np.tile(us, (ys.shape[0], 1))
 
 
 @dataclass(frozen=True)
@@ -328,23 +326,13 @@ def _rk4_run(dyn_id: str, m: int, p: int, law: tuple[exprs.Node, ...] | None):
 
 
 @lru_cache(maxsize=None)
-def _dynamics_batch(dyn_id: str, m: int, p: int):
-    return exprs.compile_batch(_parsed_dynamics(dyn_id, m, p))
+def _dynamics_numpy(dyn_id: str, m: int, p: int):
+    return exprs.compile_numpy(_parsed_dynamics(dyn_id, m, p))
 
 
 @lru_cache(maxsize=None)
-def _cost_batch(cost_id: str, m: int, p: int):
-    return exprs.compile_batch((_parsed_cost(cost_id, m, p),))
-
-
-@lru_cache(maxsize=None)
-def _dynamics_product(dyn_id: str, m: int, p: int):
-    return exprs.compile_product(_parsed_dynamics(dyn_id, m, p))
-
-
-@lru_cache(maxsize=None)
-def _cost_product(cost_id: str, m: int, p: int):
-    return exprs.compile_product((_parsed_cost(cost_id, m, p),))
+def _cost_numpy(cost_id: str, m: int, p: int):
+    return exprs.compile_numpy((_parsed_cost(cost_id, m, p),))
 
 
 @lru_cache(maxsize=None)
@@ -356,6 +344,12 @@ def _first_integral_nodes(text: str, m: int) -> tuple[exprs.Node, tuple[exprs.No
     except exprs.ExpressionError as err:
         raise UnknownEvaluatorError(f"first integral {text!r}: {err}",
                                     "first_integrals") from err
+
+
+@lru_cache(maxsize=None)
+def _first_integral_numpy(text: str, m: int):
+    node, grads = _first_integral_nodes(text, m)
+    return exprs.compile_numpy((node, *grads))
 
 
 def dynamics_fn(spec: SystemSpec):
@@ -372,41 +366,38 @@ def rk4_run_fn(spec: SystemSpec, law: tuple[exprs.Node, ...] | None = None):
     return _rk4_run(spec.dynamics_id, spec.dim_state, spec.dim_control, law)
 
 
-def dynamics_batch(spec: SystemSpec):
-    """Vectorised evaluator ``f(Y, U) -> (n, m)`` over row-stacked points."""
-    return _dynamics_batch(spec.dynamics_id, spec.dim_state, spec.dim_control)
+def dynamics_numpy(spec: SystemSpec):
+    """Evaluator ``f(Y, U) -> (m, *shape)`` from states ``(..., m)`` and
+    controls ``(..., p)`` whose leading shapes broadcast to ``shape``
+    (``exprs.compile_numpy``): row-paired points, or a state × control product
+    as ``Y[:, None, :]`` against ``U[None, :, :]``."""
+    return _dynamics_numpy(spec.dynamics_id, spec.dim_state, spec.dim_control)
 
 
-def cost_batch(spec: SystemSpec):
-    raw = _cost_batch(spec.cost_id, spec.dim_state, spec.dim_control)
-    return lambda ys, us: raw(ys, us)[:, 0]
-
-
-def dynamics_product(spec: SystemSpec):
-    """Evaluator ``f(Y, U) -> (m, n, k)`` at every pair of a state row and a
-    control row, by broadcasting; entry ``[:, i, c]`` is bitwise
-    ``dynamics_batch(spec)`` at the pair ``(Y[i], U[c])``."""
-    return _dynamics_product(spec.dynamics_id, spec.dim_state, spec.dim_control)
-
-
-def cost_product(spec: SystemSpec):
-    """Evaluator ``k(Y, U) -> (n, k)`` over the same pairs as ``dynamics_product``."""
-    raw = _cost_product(spec.cost_id, spec.dim_state, spec.dim_control)
+def cost_numpy(spec: SystemSpec):
+    """Evaluator ``k(Y, U) -> shape`` over the same pairs as ``dynamics_numpy``."""
+    raw = _cost_numpy(spec.cost_id, spec.dim_state, spec.dim_control)
     return lambda ys, us: raw(ys, us)[0]
 
 
+def rate_along(grad, f_vals) -> np.ndarray:
+    """grad . f: ``sum_j grad[j] * f_vals[j]`` over the leading axis, the state
+    coordinates, broadcasting the rest; added in coordinate order from +0.0,
+    as ``einsum`` adds a row of two coordinates, so a zero rate is +0.0."""
+    total = 0.0
+    for g, f in zip(grad, f_vals):
+        total = total + g * f
+    return total
+
+
 def first_integral_values_and_rates(spec: SystemSpec, ys: np.ndarray, us: np.ndarray):
-    """For each first integral F: values F(y) and rates grad F(y) . f(y, u)."""
-    f_vals = dynamics_batch(spec)(ys, us)
+    """For each first integral F: values F(y) and rates grad F(y) . f(y, u),
+    over states and controls that broadcast as in ``dynamics_numpy``."""
+    f_vals = dynamics_numpy(spec)(ys, us)
     out = []
     for text in spec.first_integrals:
-        node, grads = _first_integral_nodes(text, spec.dim_state)
-        value_fn = exprs.compile_batch((node,))
-        grad_fn = exprs.compile_batch(grads)
-        values = value_fn(ys, np.zeros((ys.shape[0], 0)))[:, 0]
-        grad_vals = grad_fn(ys, np.zeros((ys.shape[0], 0)))
-        rates = np.einsum("ij,ij->i", grad_vals, f_vals)
-        out.append((text, values, rates))
+        value, *grads = _first_integral_numpy(text, spec.dim_state)(ys, np.empty(0))
+        out.append((text, value, rate_along(grads, f_vals)))
     return out
 
 
@@ -429,14 +420,15 @@ def check_first_integrals(spec: SystemSpec, sample_count: int = 20,
         raise SystemSpecError("system declares no first integrals")
     ys = spec.region.sample(sample_count)
     us = spec.control.grid(min(sample_count, 9))
-    ys_full, us_full = product_rows(ys, us)
     per = []
     worst = 0.0
-    for text, _values, rates in first_integral_values_and_rates(spec, ys_full, us_full):
+    for text, _values, rates in first_integral_values_and_rates(spec, ys[:, None, :],
+                                                                us[None, :, :]):
         residual = float(np.max(np.abs(rates)))
         per.append((text, residual))
         worst = max(worst, residual)
-    return FirstIntegralReport(worst, worst <= tolerance, ys_full.shape[0], tuple(per))
+    return FirstIntegralReport(worst, worst <= tolerance, ys.shape[0] * us.shape[0],
+                               tuple(per))
 
 
 @dataclass(frozen=True)
@@ -453,14 +445,13 @@ def check_forward_invariance(spec: SystemSpec, boundary_sample_count: int = 64,
     """Max outward-normal component of f over sampled boundary points and controls."""
     points, normals = spec.region.boundary_sample(boundary_sample_count)
     us = spec.control.grid(control_resolution)
-    # control-major, so ties go to the first control, then the first point
-    us_full, ys_full = product_rows(us, points)
-    outward = np.einsum("ij,ij->i", dynamics_batch(spec)(ys_full, us_full),
-                        product_rows(us, normals)[1])
-    i = int(np.argmax(outward))
-    worst = float(outward[i])
+    # (control, point) pairs, control-major, so ties go to the first control,
+    # then the first point
+    outward = rate_along(normals.T, dynamics_numpy(spec)(points[None, :, :], us[:, None, :]))
+    c, i = np.unravel_index(np.argmax(outward), outward.shape)
+    worst = float(outward[c, i])
     return InvarianceReport(worst, worst <= tolerance,
-                            tuple(ys_full[i].tolist()), tuple(us_full[i].tolist()))
+                            tuple(points[i].tolist()), tuple(us[c].tolist()))
 
 
 @dataclass(frozen=True)
@@ -474,11 +465,10 @@ class BoundReport:
 def validate_bounds(spec: SystemSpec, state_resolution: int = 25,
                     control_resolution: int = 9) -> BoundReport:
     """Dense-sampling check that bound_f and bound_k dominate f and k."""
-    ys = spec.region.sample(state_resolution)
-    us = spec.control.grid(control_resolution)
-    ys_full, us_full = product_rows(ys, us)
-    f_norm = float(np.max(np.linalg.norm(dynamics_batch(spec)(ys_full, us_full), axis=1)))
-    k_abs = float(np.max(np.abs(cost_batch(spec)(ys_full, us_full))))
+    ys = spec.region.sample(state_resolution)[:, None, :]
+    us = spec.control.grid(control_resolution)[None, :, :]
+    f_norm = float(np.max(np.linalg.norm(dynamics_numpy(spec)(ys, us), axis=0)))
+    k_abs = float(np.max(np.abs(cost_numpy(spec)(ys, us))))
     return BoundReport(f_norm, k_abs, f_norm <= spec.bound_f + 1e-12,
                        k_abs <= spec.bound_k + 1e-12)
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occlp.basis import BasisError, basis_for_region, enumerate_basis, grad_matrix, phi_matrix
+from occlp.basis import (BasisError, _legendre_tables, basis_for_region, enumerate_basis,
+                         grad_matrix, phi_and_grad_matrix, phi_matrix)
 from occlp.system import StateRegion
 
 
@@ -159,3 +160,33 @@ def test_legendre_family_spans_the_monomials(lower, upper):
         monomial = np.prod(s ** np.asarray(alpha), axis=1)
         coeffs, *_ = np.linalg.lstsq(design, monomial, rcond=None)
         assert np.max(np.abs(design @ coeffs - monomial)) <= 1e-10
+
+
+@pytest.mark.parametrize("lower,upper", [((-1.5, -1.5), (1.5, 1.5)),
+                                         ((-1.0, 0.5, 2.0), (1.0, 3.0, 2.7))])
+def test_products_are_bitwise_the_per_element_ones(lower, upper):
+    # each element's product of Legendre table rows, with the chain-rule
+    # factor divided into its derivative row, taken per element from
+    # np.ones: the float operations phi_matrix and grad_matrix must keep
+    b = enumerate_basis(len(lower), 6, lower, upper)
+    points = np.random.default_rng(4).uniform(lower, upper, size=(300, len(lower)))
+    values, derivs = _legendre_tables(b, points)
+    phi = np.empty((b.count, len(points)))
+    grads = np.zeros((b.count, len(points), b.dim))
+    for k, alpha in enumerate(b.exponents):
+        acc = np.ones(len(points))
+        for j, e in enumerate(alpha):
+            if e:
+                acc = acc * values[j, e]
+        phi[k] = acc
+        for j, e in enumerate(alpha):
+            if e:
+                acc = derivs[j, e] / b.scale_half[j]
+                for i, ei in enumerate(alpha):
+                    if i != j and ei:
+                        acc = acc * values[i, ei]
+                grads[k, :, j] = acc
+    assert phi_matrix(b, points).tobytes() == phi.tobytes()
+    assert grad_matrix(b, points).tobytes() == grads.tobytes()
+    both = phi_and_grad_matrix(b, points)
+    assert both[0].tobytes() == phi.tobytes() and both[1].tobytes() == grads.tobytes()

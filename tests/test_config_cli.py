@@ -168,7 +168,7 @@ y0 = [0.5]
 """)
     spec = build_system(cfg.system)
     assert spec.dim_state == 1
-    assert system.dynamics_batch(spec)(np.array([[0.5]]), np.array([[0.25]]))[0, 0] == \
+    assert system.dynamics_numpy(spec)(np.array([0.5]), np.array([0.25]))[0] == \
         pytest.approx(-0.25)
     assert spec.bound_f >= 2.0  # sampled bound with headroom
 
@@ -184,8 +184,8 @@ cost = 1
     assert cfg.system.dynamics == ("0.0", "-y1")
     assert cfg.system.first_integrals == ("2.0",)
     spec = build_system(cfg.system)
-    assert system.dynamics_batch(spec)(np.array([[0.5, 0.0]]), np.array([[0.0]])).tolist() == \
-        [[0.0, -0.5]]
+    assert system.dynamics_numpy(spec)(np.array([0.5, 0.0]), np.array([0.0])).tolist() == \
+        [0.0, -0.5]
 
 
 def _array(values) -> str:
@@ -586,15 +586,17 @@ STUDY_ASSEMBLIES = {"solve": 1, "simulate": 1, "sweep": 1, "certify": 1,
 
 @pytest.mark.parametrize("command", STUDY_ASSEMBLIES)
 def test_each_command_assembles_its_lp_blocks_once(monkeypatch, command):
+    # the blocks' assembly: the cost vector, then B and C from one evaluation
+    # of the basis at the grid states
     calls = []
-    for name in ("assemble_flow_matrix", "assemble_initial_matrix", "assemble_cost_vector"):
+    for name in ("assemble_cost_vector", "_flow_block", "_initial_block"):
         monkeypatch.setattr(grid_mod, name, lambda *args, name=name, fn=getattr(grid_mod, name):
                             calls.append(name) or fn(*args))
     bundle = run_study(parse_config(ACCEPTANCE_CONFIG.read_text()),
                        sections=tuple(command.split("+")))
     assert bundle.all_passed()
-    assert sorted(calls) == sorted(["assemble_cost_vector", "assemble_flow_matrix",
-                                    "assemble_initial_matrix"] * STUDY_ASSEMBLIES[command])
+    assert sorted(calls) == sorted(["assemble_cost_vector", "_flow_block",
+                                    "_initial_block"] * STUDY_ASSEMBLIES[command])
 
 
 def test_convergence_reads_values_only_and_skips_the_refinement(monkeypatch):

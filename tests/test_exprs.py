@@ -85,12 +85,12 @@ def test_derivative_of_control_free_variable():
 
 def test_batch_compilation_matches_scalar():
     node = exprs.parse_expr("y1*y2 - u1^2", 2, 1)
-    batch = exprs.compile_batch((node,))
+    batch = exprs.compile_numpy((node,))
     scalar_fn = exprs.compile_scalar((node,))
     rng = np.random.default_rng(11)
     ys = rng.normal(size=(40, 2))
     us = rng.normal(size=(40, 1))
-    out = batch(ys, us)[:, 0]
+    out = batch(ys, us)[0]
     expected = [scalar_fn(tuple(y), tuple(u))[0] for y, u in zip(ys, us)]
     assert np.allclose(out, expected, rtol=1e-14, atol=0)
 
@@ -102,7 +102,7 @@ def test_atan2_scalar_and_numpy_forms_agree():
     us = rng.normal(size=(60, 1))
     scalar_fn = exprs.compile_scalar((node,))
     expected = [scalar_fn(tuple(y), tuple(u))[0] for y, u in zip(ys, us)]
-    assert np.allclose(exprs.compile_batch((node,))(ys, us)[:, 0], expected,
+    assert np.allclose(exprs.compile_numpy((node,))(ys, us)[0], expected,
                        rtol=1e-14, atol=1e-15)
 
 

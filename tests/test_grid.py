@@ -13,7 +13,7 @@ from occlp.grid import (DiscreteMeasure, GridError, LpBlocks, assemble_cost_vect
                         assemble_flow_matrix, assemble_initial_matrix, build_grid,
                         nearest_atom_index, nearest_index,
                         nearest_state_index)
-from occlp.system import REGION_TOL, ControlRegion, RegionError, StateRegion, dynamics_batch
+from occlp.system import REGION_TOL, ControlRegion, RegionError, StateRegion, dynamics_numpy
 
 
 @pytest.fixture(scope="module")
@@ -202,7 +202,8 @@ def assembly_setups(rotation):
 @pytest.mark.parametrize("case", ASSEMBLY_CASES)
 def test_statewise_assembly_is_bitwise_the_atomwise_one(assembly_setups, case):
     spec, g, b, y0 = assembly_setups[case]
-    f = dynamics_batch(spec)(g.atom_states, g.atom_controls)
+    # f at every atom's row, one row per atom, as (N, m) C-contiguous rows
+    f = np.ascontiguousarray(dynamics_numpy(spec)(g.atom_states, g.atom_controls).T)
     if spec.name == "rotation":  # the control u = 0 stops the motion
         assert np.any(np.all(f == 0.0, axis=1))
     flow = np.einsum("bnm,nm->bn", grad_matrix(b, g.atom_states), f)
@@ -238,7 +239,7 @@ def test_blocks_stack_the_coupled_rows(rotation, rotation_grid):
 def test_assembly_evaluates_the_basis_once_per_state(monkeypatch, caplog, rotation,
                                                      rotation_grid):
     rows = []
-    for name in ("grad_matrix", "phi_matrix"):
+    for name in ("grad_matrix", "phi_matrix", "phi_and_grad_matrix"):
         monkeypatch.setattr(grid_mod, name, lambda basis, ys, name=name, fn=getattr(
             grid_mod, name): rows.append((name, len(ys))) or fn(basis, ys))
     b = basis_for_region(rotation.region, 4)
@@ -247,7 +248,8 @@ def test_assembly_evaluates_the_basis_once_per_state(monkeypatch, caplog, rotati
     with caplog.at_level("INFO", logger="occlp.grid"):
         blocks.flow, blocks.initial, blocks.cost, blocks.coupled
     states = rotation_grid.state_points.shape[0]
-    assert sorted(rows) == [("grad_matrix", states), ("phi_matrix", 1), ("phi_matrix", states)]
+    # phi and grad phi at the grid states come from one set of Legendre tables
+    assert sorted(rows) == [("phi_and_grad_matrix", states), ("phi_matrix", 1)]
     [line] = [r.getMessage() for r in caplog.records if r.name == "occlp.grid"]
     assert re.fullmatch(rf"assembly: {states} states, {rotation_grid.atom_count} atoms, "
                         rf"{b.count} basis rows, \d+\.\d\d MB held, \d+\.\d{{3}} s", line)

@@ -1,9 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from occlp import system
+from occlp.config import build_system, parse_config
 from occlp.oracle import (OracleError, frozen_value, level_set_ordering,
                           rotation_level_value)
+from occlp.system import ControlRegion, SystemSpec
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +59,24 @@ def test_frozen_value_scans():
     assert frozen_value(const, (0.3, 0.3)).value == 3.0
 
 
+def test_frozen_error_bound_is_the_cost_modulus_over_one_control_cell():
+    config = parse_config((Path(__file__).parents[1] / "configs" / "frozen.conf").read_text())
+    spec = build_system(config.system)
+    result = frozen_value(spec, config.program.y0)
+    # k = y1 + u1^2 moves most between the last two of 201 controls on [-1, 1]
+    us = np.linspace(-1.0, 1.0, 201)
+    assert result.error_bound == float(np.max(np.abs(np.diff(us ** 2))))
+    assert result.error_bound == pytest.approx(1.0 - 0.99 ** 2, rel=1e-12)
+    assert result.value == config.program.y0[0]
+    # over a control box, only lattice neighbours are compared: steps of 0.5
+    # in u1 move k by 0.5 and in u2 by 1, while consecutive lattice rows jump
+    tilted = SystemSpec(name="frozen", dynamics_id="0;0", cost_id="u1 + 2*u2",
+                        region=spec.region,
+                        control=ControlRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0)),
+                        bound_f=0.0, bound_k=3.0)
+    assert frozen_value(tilted, (0.5, 0.5), control_resolution=5).error_bound == 1.0
+
+
 def test_level_table_square_root_law(rotation):
     levels = np.linspace(0.25, 2.25, 9)
     table = level_set_ordering(rotation, levels)
@@ -62,6 +84,28 @@ def test_level_table_square_root_law(rotation):
         assert value == pytest.approx(-np.sqrt(z), abs=1e-9)
     assert table.min_value == pytest.approx(-1.5, abs=1e-9)
     assert table.argmin_level == pytest.approx(2.25)
+
+
+@pytest.mark.parametrize("cost", ["y1", "1 - u1^2 + 0.2*y2",
+                                  "exp(y1) * cos(3*u1) + sqrt(2 + y2) - atan2(y2, y1 + 2)"])
+def test_level_table_rows_are_bitwise_the_materialised_scan(cost):
+    spec = system.make_rotation(cost_id=cost)
+    levels = [0.25, 0.7, 1.0, 2.25]
+    table = level_set_ordering(spec, levels)
+    # every (angle, control) pair of each circle as a row of its own
+    angles = 2.0 * np.pi * np.arange(4096) / 4096
+    controls = spec.control.grid(41)
+    zero = int(np.argmin(np.abs(controls[:, 0])))
+    (cx, cy), rows = spec.region.center, []
+    for z in levels:
+        radius = np.sqrt(z)
+        ys = np.stack([cx + radius * np.cos(angles), cy + radius * np.sin(angles)], axis=1)
+        ys_full, us_full = np.repeat(ys, 41, axis=0), np.tile(controls, (4096, 1))
+        costs = system.cost_numpy(spec)(ys_full, us_full).reshape(4096, 41)
+        stationary, circulating = np.min(costs[:, zero]), np.min(costs.mean(axis=0))
+        rows.append((z, stationary if stationary <= circulating else circulating))
+    assert np.array(table.rows).tobytes() == np.array(rows).tobytes()
+    assert table.rows == tuple((z, rotation_level_value(spec, z).value) for z in levels)
 
 
 def test_level_table_constant_cost_flat():

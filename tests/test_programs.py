@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
-from occlp import cli, oracle, programs, system
+from occlp import cli, exprs, oracle, programs, system
 from occlp.basis import basis_for_region, grad_matrix, phi_matrix
 from occlp.config import build_system, parse_config
 from occlp.grid import DiscreteMeasure, LpBlocks, build_grid
@@ -24,8 +24,39 @@ from occlp.programs import (CERTIFICATE_TOL, PRIMAL_RESIDUAL_TOL, LpInstance, Pr
                             certificate_slacks, extract_dual_certificate, lp_name,
                             membership_residual, snap_to_state_grid, solve, solve_chain,
                             verify_weak_duality)
-from occlp.system import (ControlRegion, StateRegion, SystemSpec, cost_batch,
-                          dynamics_batch, lattice, product_rows)
+from occlp.system import (ControlRegion, StateRegion, SystemSpec, cost_numpy, dynamics_numpy,
+                          lattice)
+
+
+def product_rows(ys, us):
+    """Every (state, control) pair as two row-aligned arrays, state-major: the
+    materialised product that the broadcast evaluations are checked against."""
+    return np.repeat(ys, us.shape[0], axis=0), np.tile(us, (ys.shape[0], 1))
+
+
+def _stacked(spec, kind, y, u, shape):
+    """The system's dynamics or cost, compiled for numpy and run on the
+    components ``y[i]`` and ``u[i]``, stacked into (expressions, *shape): the
+    row-paired batch evaluation (components of materialised rows) and the
+    state × control product evaluation (components as columns against rows)
+    that one broadcast evaluator replaces."""
+    m, p = spec.dim_state, spec.dim_control
+    nodes = (system._parsed_dynamics(spec.dynamics_id, m, p) if kind == "dynamics"
+             else (system._parsed_cost(spec.cost_id, m, p),))
+    out = np.empty((len(nodes), *shape))
+    for j, col in enumerate(exprs._compile(nodes, numpy_mode=True)(y, u)):
+        out[j] = col
+    return out
+
+
+def dynamics_rows(spec, ys, us):
+    """f at row-paired points as C-contiguous (n, m) rows, the batch way."""
+    return np.ascontiguousarray(_stacked(spec, "dynamics", ys.T, us.T, ys.shape[:1]).T)
+
+
+def cost_rows(spec, ys, us):
+    """k at row-paired points, the batch way."""
+    return _stacked(spec, "cost", ys.T, us.T, ys.shape[:1])[0]
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +83,7 @@ def rotation_solved(rotation_setup):
 
 
 def brute_force_atom_minimum(grid, spec):
-    return float(np.min(cost_batch(spec)(grid.atom_states, grid.atom_controls)))
+    return float(np.min(cost_numpy(spec)(grid.atom_states, grid.atom_controls)))
 
 
 def certificate_holds(cert, grid, basis, spec):
@@ -72,7 +103,7 @@ def test_ergodic_frozen_equals_exhaustive_scan(frozen_setup):
     # zero dynamics leave only the simplex: optimum sits on the cheapest atom
     best = int(np.argmax(solution.gamma.weights))
     y, u = g.atom(best)
-    assert cost_batch(spec)(y[None], u[None])[0] == pytest.approx(solution.value, abs=1e-9)
+    assert cost_numpy(spec)(y, u) == pytest.approx(solution.value, abs=1e-9)
 
 
 def test_ergodic_constant_cost(frozen_setup):
@@ -234,9 +265,29 @@ def test_highs_binding_is_the_one_scipy_optimize_uses(first):
     assert out.split() == ["0"]
 
 
-def test_missing_highs_extension_names_the_scipy_floor(tmp_path):
+def test_missing_highs_extension_names_the_scipy_floor(tmp_path, monkeypatch):
     with pytest.raises(ImportError, match=r"scipy>=1\.15"):
-        programs._load_highs_core(str(tmp_path))
+        programs._load_from_file(programs._HIGHS_CORE, str(tmp_path))
+    # no scipy at all
+    monkeypatch.setattr(programs.importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match=r"scipy>=1\.15"):
+        programs._scipy_dir()
+
+
+def test_importing_the_cli_does_not_import_the_scipy_package():
+    # the HiGHS extension and the version string are loaded from their files,
+    # so scipy/__init__ never runs in a command process
+    out = _run_python("""
+        import sys
+        import occlp.cli
+        print(occlp.cli._environment_stamp()["scipy"])
+        print(*sorted(sys.modules))
+    """)
+    version, loaded = out.splitlines()
+    assert [name for name in loaded.split() if name.split(".")[0] == "scipy"
+            and not name.startswith("scipy.optimize._highspy._core.")] == []
+    import scipy
+    assert version == scipy.__version__
 
 
 @st.composite
@@ -463,7 +514,7 @@ def test_discounted_large_rate_concentrates_at_start():
     g = build_grid(spec, 9, 9)
     b = basis_for_region(spec.region, 4)
     y0 = (g.state_points[6, 0],)  # a grid state away from the cost minimum
-    start_cost = np.min(cost_batch(spec)(*product_rows(np.array([y0]), g.control_points)))
+    start_cost = np.min(cost_numpy(spec)(np.array(y0), g.control_points))
     gaps = []
     for rate in (1.0, 10.0, 100.0):
         solution = solve(build_discounted_lp(LpBlocks(g, b, y0), rate))
@@ -677,13 +728,13 @@ def test_certificate_perturbed_families_use_epsilon_slack(rotation_setup):
 
 def _reference_slacks(cert, basis, spec, ys, us):
     """Both slack families with the basis evaluated at every atom row (ys, us)."""
-    f_vals = dynamics_batch(spec)(ys, us)
+    f_vals = dynamics_rows(spec, ys, us)
     grads = grad_matrix(basis, ys)
     grad_eta = np.einsum("b,bnm->nm", cert.eta_coeffs, grads)
     grad_psi = np.einsum("b,bnm->nm", cert.psi_coeffs, grads)
     psi_at_y0 = (float(cert.psi_coeffs @ phi_matrix(basis, cert.y0[None, :])[:, 0])
                  if cert.y0 is not None else 0.0)
-    family1 = (cost_batch(spec)(ys, us) + (psi_at_y0 - cert.psi_coeffs @ phi_matrix(basis, ys))
+    family1 = (cost_rows(spec, ys, us) + (psi_at_y0 - cert.psi_coeffs @ phi_matrix(basis, ys))
                + np.einsum("nm,nm->n", grad_eta, f_vals) - cert.mu + 2.0 * cert.epsilon)
     family2 = np.einsum("nm,nm->n", grad_psi, f_vals) + cert.f_bound * cert.epsilon
     return family1, family2
@@ -748,8 +799,8 @@ def _product_rows_slacks(cert, grid, basis, spec, ys):
     ``certificate_slacks`` broadcasts, kept as its bitwise reference."""
     n_controls = grid.control_points.shape[0]
     ys_full, us_full = product_rows(ys, grid.control_points)
-    f_vals = dynamics_batch(spec)(ys_full, us_full)
-    cost = cost_batch(spec)(ys_full, us_full)
+    f_vals = dynamics_rows(spec, ys_full, us_full)
+    cost = cost_rows(spec, ys_full, us_full)
     grads = grad_matrix(basis, ys)
     psi_vals = np.repeat(cert.psi_coeffs @ phi_matrix(basis, ys), n_controls)
     grad_eta = np.repeat(np.einsum("b,bnm->nm", cert.eta_coeffs, grads), n_controls, axis=0)
@@ -802,21 +853,31 @@ def test_broadcast_slacks_are_bitwise_the_product_rows_slacks(request, setup, po
         assert family.tobytes() == reference.tobytes()
 
 
-def test_product_evaluators_are_bitwise_the_batch_evaluators(transcendental_setup):
-    spec, g, _b = transcendental_setup
-    ys = np.random.default_rng(3).uniform(-1.0, 1.0, size=(257, 2))
-    ys_full, us_full = product_rows(ys, g.control_points)
-    pairs = (ys.shape[0], g.control_points.shape[0])
-    f_batch = dynamics_batch(spec)(ys_full, us_full)
-    f_product = system.dynamics_product(spec)(ys, g.control_points)
-    assert f_product.shape == (2, *pairs)
-    for j in range(2):
-        assert f_product[j].tobytes() == f_batch[:, j].reshape(pairs).tobytes()
-    assert (system.cost_product(spec)(ys, g.control_points).tobytes()
-            == cost_batch(spec)(ys_full, us_full).reshape(pairs).tobytes())
+def test_product_evaluators_are_bitwise_the_batch_evaluators(request):
+    # one numpy evaluator per expression kind: on row-paired points it gives
+    # the batch evaluation's floats, and on a state × control product, by
+    # broadcasting, both the product evaluation's and the batch evaluation's
+    # of the materialised rows
+    for setup in ("rotation_setup", "frozen_setup", "box_drift_setup", "transcendental_setup"):
+        spec, g, _b = request.getfixturevalue(setup)
+        lo, hi = spec.region.bounding_box()
+        ys = np.random.default_rng(3).uniform(lo, hi, size=(257, spec.dim_state))
+        us = g.control_points
+        pairs = (ys.shape[0], us.shape[0])
+        ys_full, us_full = product_rows(ys, us)
+        for kind, evaluate in (("dynamics", system.dynamics_numpy(spec)),
+                               ("cost", lambda y, u: system.cost_numpy(spec)(y, u)[None])):
+            batch = _stacked(spec, kind, ys_full.T, us_full.T, ys_full.shape[:1])
+            product = _stacked(spec, kind, ys.T[:, :, None], us.T[:, None, :], pairs)
+            paired = evaluate(ys_full, us_full)
+            broadcast = evaluate(ys[:, None], us[None])
+            assert paired.shape == batch.shape and broadcast.shape == product.shape
+            assert paired.tobytes() == batch.tobytes()
+            assert broadcast.tobytes() == product.tobytes()
+            assert broadcast.tobytes() == batch.reshape(product.shape).tobytes()
     # a constant component broadcasts to every pair
     frozen = system.make_frozen()
-    assert np.array_equal(system.dynamics_product(frozen)(ys, g.control_points),
+    assert np.array_equal(system.dynamics_numpy(frozen)(ys[:, None], us[None]),
                           np.zeros((2, *pairs)))
 
 

@@ -17,13 +17,13 @@ def frozen():
 
 
 def f_at(spec, y, u):
-    """f(y, u) at one point, through the batch evaluator."""
-    return system.dynamics_batch(spec)(np.array([y], dtype=float), np.array([u], dtype=float))[0]
+    """f(y, u) at one point, through the numpy evaluator."""
+    return system.dynamics_numpy(spec)(np.array(y, dtype=float), np.array(u, dtype=float))
 
 
 def k_at(spec, y, u):
-    """k(y, u) at one point, through the batch evaluator."""
-    return system.cost_batch(spec)(np.array([y], dtype=float), np.array([u], dtype=float))[0]
+    """k(y, u) at one point, through the numpy evaluator."""
+    return system.cost_numpy(spec)(np.array(y, dtype=float), np.array(u, dtype=float))
 
 
 def test_rotation_dynamics_reference_point(rotation):
@@ -127,6 +127,30 @@ def test_forward_invariance_violation():
     assert not report.passed
     assert report.max_outward_component == pytest.approx(1.0)
     assert report.worst_point == (1.0,)
+
+
+def test_forward_invariance_ties_go_to_the_first_control_then_the_first_point():
+    # outward component 1 at u = 1 on the right and bottom faces, and at
+    # u = -1 on the left and top faces: the worst pair is the first point of
+    # the left face with the first control
+    spec = SystemSpec(name="shear", dynamics_id="u1;-u1", cost_id="y1",
+                      region=StateRegion(kind="box", lower=(0.0, 0.0), upper=(1.0, 1.0)),
+                      control=ControlRegion(lower=(-1.0,), upper=(1.0,)),
+                      bound_f=2.0, bound_k=1.0)
+    report = system.check_forward_invariance(spec, boundary_sample_count=8)
+    points, normals = spec.region.boundary_sample(8)
+    left = int(np.flatnonzero(normals[:, 0] == -1.0)[0])
+    assert report.max_outward_component == 1.0 and not report.passed
+    assert report.worst_control == (-1.0,)
+    assert report.worst_point == tuple(points[left].tolist()) == (0.0, 0.0625)
+    # the same pair as every (control, point) row taken control-major
+    us = spec.control.grid(9)
+    us_full, ys_full = np.repeat(us, len(points), axis=0), np.tile(points, (len(us), 1))
+    f_rows = np.ascontiguousarray(system.dynamics_numpy(spec)(ys_full, us_full).T)
+    outward = np.einsum("ij,ij->i", f_rows, np.tile(normals, (len(us), 1)))
+    i = int(np.argmax(outward))
+    assert report == system.InvarianceReport(float(outward[i]), False, tuple(ys_full[i].tolist()),
+                                             tuple(us_full[i].tolist()))
 
 
 def test_region_membership_and_signed_distance():
