@@ -28,10 +28,11 @@ from .config import (ConfigError, StudyConfig, build_policy, build_system,
                      default_config_text, parse_config)
 from .grid import DiscreteMeasure, GridError, LpBlocks, build_grid
 from .metrics import MetricError, make_test_function_set, rho_hat
-from .oracle import OracleError, frozen_value, level_set_ordering, rotation_level_value
-from .programs import (CERTIFICATE_TOL, SCIPY_VERSION, ProgramError, build_discounted_lp,
-                       build_ergodic_lp, build_nonergodic_lp, build_perturbed_lp,
-                       certificate_offgrid_report, certificate_slacks,
+from .oracle import (OracleError, frozen_value, is_frozen, level_set_ordering, rotates,
+                     rotation_level_value)
+from .programs import (CERTIFICATE_TOL, DUALITY_GAP_TOL, SCIPY_VERSION, ProgramError,
+                       build_discounted_lp, build_ergodic_lp, build_nonergodic_lp,
+                       build_perturbed_lp, certificate_offgrid_report, certificate_slacks,
                        extract_dual_certificate, log_solution, lp_name, membership_residual,
                        needs_refinement, solve, solve_chain, verify_weak_duality)
 from .simulate import (SimulationError, abel_value, cesaro_value,
@@ -78,20 +79,19 @@ def _environment_stamp() -> dict:
     }
 
 
-def _measure_payload(measure: DiscreteMeasure, keep: int = 20000) -> dict:
-    """Sparse representation of a measure (atoms carrying weight only)."""
+def _measure_payload(measure: DiscreteMeasure) -> dict:
+    """Sparse representation of a measure: every atom carrying weight.  A
+    reported measure is a simplex basic point, so it has at most as many
+    atoms as its LP has rows."""
     idx = np.flatnonzero(measure.weights > 0)
-    if idx.shape[0] > keep:
-        order = np.argsort(measure.weights[idx])[::-1][:keep]
-        idx = np.sort(idx[order])
     return {"atom_index": [int(i) for i in idx],
             "weight": [float(measure.weights[i]) for i in idx],
             "total_mass": measure.total_mass}
 
 
 # the bounds of the study's invariants; programs.CERTIFICATE_TOL bounds the
-# certificate's slacks here too
-REPORT_GAP_TOL = 1e-6  # relative duality gap of a solved LP
+# certificate's slacks here too, and programs.DUALITY_GAP_TOL a solved LP's
+# relative duality gap
 MU_VALUE_TOL = 1e-6  # |value - mu|
 ORDERING_TOL = 1e-7  # ergodic <= nonergodic; perturbed values monotone in epsilon
 MEMBERSHIP_TOL = 1e-7  # w and omega residuals of the optimal gamma
@@ -231,8 +231,8 @@ def _solve_section(bundle, blocks, cfg: StudyConfig, variants, jobs: int):
         bundle.record(f"{name}.solved", True)
         bundle.values[f"{name}.value"] = solution.value
         gap = abs(solution.value - solution.dual_objective)
-        bundle.record(f"{name}.duality_gap", gap <= REPORT_GAP_TOL * max(1.0, abs(solution.value)),
-                      f"gap {gap:.3e}")
+        bundle.record(f"{name}.duality_gap",
+                      gap <= DUALITY_GAP_TOL * max(1.0, abs(solution.value)), f"gap {gap:.3e}")
         for i, meta in enumerate(instance.row_meta):
             bundle.duals.append([name, meta.kind,
                                  -1 if meta.basis_index is None else meta.basis_index,
@@ -459,7 +459,7 @@ def _certify_section(bundle, blocks, cfg: StudyConfig, solve_results):
 
 def _oracle_section(bundle, blocks, cfg: StudyConfig):
     spec, y0 = blocks.grid.spec, blocks.y0_requested
-    if spec.region.kind == "annulus":
+    if rotates(spec):
         z0 = float((y0[0] - spec.region.center[0]) ** 2
                    + (y0[1] - spec.region.center[1]) ** 2)
         level = rotation_level_value(spec, z0)
@@ -470,7 +470,7 @@ def _oracle_section(bundle, blocks, cfg: StudyConfig):
         bundle.tables["oracle_levels"] = {"columns": ["level", "value"],
                                           "rows": [[z, v] for z, v in table.rows]}
         bundle.values["oracle.min_over_levels"] = table.min_value
-    elif spec.bound_f == 0.0:
+    elif is_frozen(spec):
         result = frozen_value(spec, y0)
         bundle.values["oracle.frozen_value"] = result.value
         bundle.values["oracle.frozen_attained_by"] = result.attained_by

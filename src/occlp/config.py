@@ -418,10 +418,12 @@ def _build_custom_system(cfg: SystemConfig) -> SystemSpec:
         raise ConfigError("custom systems need region = box or region = annulus", key="region")
     control = ControlRegion(lower=cfg.control_lower, upper=cfg.control_upper)
     dynamics_id = ";".join(cfg.dynamics)
+    # an undeclared bound is checked against nothing here (inf)
     probe = SystemSpec(name="custom", dynamics_id=dynamics_id, cost_id=cfg.cost,
                        region=region, control=control,
                        first_integrals=tuple(cfg.first_integrals),
-                       bound_f=math.inf, bound_k=math.inf)
+                       bound_f=math.inf if cfg.bound_f is None else cfg.bound_f,
+                       bound_k=math.inf if cfg.bound_k is None else cfg.bound_k)
     with np.errstate(all="ignore"):  # a NaN or inf sample is the error below
         report = validate_bounds(probe)
     for key, sampled in (("dynamics", report.max_dynamics_norm),
@@ -429,7 +431,14 @@ def _build_custom_system(cfg: SystemConfig) -> SystemSpec:
         if not math.isfinite(sampled):
             raise ConfigError(f"{key} is not finite on the sampled state region "
                               f"(sampled maximum {sampled})", key=key)
-    # declared bounds are preferred to the sampled maxima with headroom
+    # the sampled maximum is a lower bound on the sup, so a declared bound
+    # below it is wrong; one above it is preferred to the sampled maximum
+    # with headroom
+    for key, sampled, ok in (("bound_f", report.max_dynamics_norm, report.bound_f_ok),
+                             ("bound_k", report.max_cost_abs, report.bound_k_ok)):
+        if not ok:
+            raise ConfigError(f"{key} {getattr(cfg, key):g} is below its sampled "
+                              f"maximum {sampled:.6g} on the state region", key=key)
     return replace(probe,
                    bound_f=1.1 * report.max_dynamics_norm if cfg.bound_f is None else cfg.bound_f,
                    bound_k=1.1 * report.max_cost_abs if cfg.bound_k is None else cfg.bound_k)

@@ -18,6 +18,9 @@ the minimising angle with u = 0.  Family (ii) is scanned as well both as a
 cross-check and because costs rewarding motion can favour it.  Costs coupling
 angle and control non-convexly are outside this oracle's remit and are not
 used in acceptance.
+
+Each oracle raises OracleError on a system it does not apply to: see
+:func:`rotates` and :func:`is_frozen`.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .system import SystemSpec, cost_numpy
+from .system import SystemSpec, cost_numpy, parses_to
 
 
 class OracleError(ValueError):
@@ -45,12 +48,24 @@ class OracleResult:
     circulating_value: float | None = None  # family (ii) minimum, when scanned
 
 
+def rotates(spec: SystemSpec) -> bool:
+    """Whether the level-set oracle applies: an annulus whose dynamics parse to
+    the rotation's, so that every circle about its center is invariant."""
+    return spec.region.kind == "annulus" and parses_to(spec, "rotation")
+
+
+def is_frozen(spec: SystemSpec) -> bool:
+    """Whether the frozen oracle applies: every dynamics component parses to 0."""
+    return parses_to(spec, ";".join(["0"] * spec.dim_state))
+
+
 def _circle_scan(spec: SystemSpec, angle_resolution: int,
                  control_resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The scan's angles (A,), the unit circle's points at them (A, 2) and the
     controls (U, p): what every level of one scan shares."""
-    if spec.region.kind != "annulus":
-        raise OracleError("level-set oracle applies to annulus regions")
+    if not rotates(spec):
+        raise OracleError("the level-set oracle applies to an annulus whose dynamics "
+                          "are the rotation's (u1*y2, -u1*y1)")
     angles = 2.0 * np.pi * np.arange(angle_resolution) / angle_resolution
     ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     return angles, ring, spec.control.grid(control_resolution)
@@ -105,6 +120,8 @@ def frozen_value(spec: SystemSpec, y0, control_resolution: int = 201) -> OracleR
     largest |k(y0, u) - k(y0, u')| over controls adjacent on the control
     lattice, as :func:`rotation_level_value` takes it over angular cells.
     """
+    if not is_frozen(spec):
+        raise OracleError("the frozen oracle applies to zero dynamics only")
     y0 = np.asarray(y0, dtype=float)
     controls = spec.control.grid(control_resolution)
     values = cost_numpy(spec)(y0, controls)

@@ -29,34 +29,29 @@ programs built on one such object share its coupled matrix, cap row included,
 as their ``matrix``: the epsilon sweep and the nonergodic LP hold one
 read-only array between them, and the solver reads it in place.
 
-Every LP here, including the membership LP, is solved on a HiGHS model built
-through scipy's bundled binding, with the options of HIGHS_OPTIONS: dual
-simplex, presolve off, max-value scaling and feasibility tolerances of
-FACE_TOL.  The programs have a few dozen rows and thousands of columns, and
-a column's reduced cost is its certificate slack, so one mat-vec prices
+Every LP here, including the membership LP, is solved on a :class:`_Model`:
+one HiGHS model, built through scipy's bundled binding with the options of
+HIGHS_OPTIONS (dual simplex, presolve off, max-value scaling, feasibility
+tolerances of FACE_TOL), that holds a restricted master of the LP's columns.
+A column's reduced cost is its certificate slack, so one mat-vec prices
 every atom: an LP with at least MASTER_MIN_COLUMNS_PER_ROW columns per row
-starts from a restricted master, the columns of a sub-lattice of states and
-of the start state, and grows it by the columns that price negative until
-none does (column generation); a master that does not end optimal gets
-every column.
-A smaller LP holds every column from the start.  The reported point, its
+starts from the columns of a sub-lattice of states and of the start state
+and grows by the columns that price negative until none does (column
+generation; a master that does not end optimal gets every column), and a
+smaller LP holds every column from the start.  The reported point, its
 residuals and the reduced costs are taken over every column either way.  A
 coupled program whose xi block carries no cost then gets its minimal xi mass
-on its optimal face, the columns whose reduced cost is zero, from a cold
-solve of a model of its own; the main model is left as solved.  That model is
-priced the same way: it starts from the face columns the main model held and
-grows by the face columns that price negative against its own duals.  So does
-the membership LP's model, from the xi columns of the same sub-lattice and
-its residual column.  An epsilon
-sweep is one model too: the perturbed programs share every row and
-differ only in their costs, so :func:`solve_chain` solves the first cold and
-each later one by changing the column costs, re-running from the previous
-optimal basis and pricing again; any other LP gets a model of its own.  The
-binding's extension module is loaded straight from its file under
-``scipy/optimize/_highspy``, and scipy's version from ``scipy/version.py``:
-importing either by its dotted name would first run the package imports of
-``scipy`` and ``scipy.optimize``, about 0.6 s in every command process, for
-nothing used here.  So no command imports the ``scipy`` package itself.
+on its optimal face, the columns of zero reduced cost, from a model of its
+own that starts from the face columns the main model held.  The membership
+LP's model starts from the xi columns of the same sub-lattice and its
+residual column.  The perturbed programs of an epsilon sweep share every row,
+so :func:`solve_chain` solves the first cold and each later one by changing
+the model's costs and re-running it warm.  The binding's extension module is
+loaded straight from its file under ``scipy/optimize/_highspy``, and scipy's
+version from ``scipy/version.py``: importing either by its dotted name would
+first run the package imports of ``scipy`` and ``scipy.optimize``, about
+0.6 s in every command process, for nothing used here.  So no command
+imports the ``scipy`` package itself.
 
 Start points are snapped to the nearest state grid point when building the
 coupled rows: the rows are exact equalities, so an off-grid start point would
@@ -161,8 +156,9 @@ class LpInstance:
     """One finite LP over a gamma block and an optional xi block.
 
     ``matrix`` holds every row over the columns [gamma | xi]: the equality
-    rows of ``row_meta``, then the cap row 1.xi <= xi_mass_cap if the LP has
-    one.  The builders hand it out read-only, and LPs may share it."""
+    rows of ``row_meta``, then, if the LP has an xi block, the cap row
+    1.xi <= xi_mass_cap.  The builders hand it out read-only, and LPs may
+    share it."""
 
     grid: Grid
     basis: BasisSpec
@@ -171,7 +167,7 @@ class LpInstance:
     matrix: np.ndarray
     eq_rhs: np.ndarray
     row_meta: tuple[RowMeta, ...]
-    xi_mass_cap: float | None
+    xi_mass_cap: float | None  # required with an xi block
     provenance: dict = field(default_factory=dict)
 
     @property
@@ -187,10 +183,6 @@ class LpInstance:
         return self.objective_xi is not None
 
     @property
-    def has_cap(self) -> bool:
-        return self.has_xi and self.xi_mass_cap is not None
-
-    @property
     def a_eq(self) -> np.ndarray:
         """The equality rows of ``matrix``, over [gamma | xi] (a view)."""
         return self.matrix[:len(self.row_meta)]
@@ -199,10 +191,13 @@ class LpInstance:
         norm_rows = [i for i, meta in enumerate(self.row_meta) if meta.kind == "normalization"]
         if len(norm_rows) != 1:
             raise ProgramError(f"expected exactly one normalization row, got {len(norm_rows)}")
-        shape = (len(self.row_meta) + self.has_cap, self.n_gamma + self.n_xi)
+        if self.has_xi and self.xi_mass_cap is None:
+            raise ProgramError("an LP with an xi block needs an xi_mass_cap")
+        shape = (len(self.row_meta) + self.has_xi, self.n_gamma + self.n_xi)
         if self.matrix.shape != shape:
             raise ProgramError(f"matrix shape {self.matrix.shape} is not {shape}: one row per "
-                               "row_meta entry and the cap row, one column per gamma and xi atom")
+                               "row_meta entry and the xi block's cap row, one column per "
+                               "gamma and xi atom")
         for meta in self.row_meta:
             if meta.kind not in ROW_KINDS:
                 raise ProgramError(f"unknown row kind {meta.kind!r}")
@@ -264,12 +259,11 @@ def _instance(blocks: LpBlocks, kinds, matrix: np.ndarray, cost: np.ndarray,
 
 
 def _coupled_lp(blocks: LpBlocks, cost: np.ndarray, xi_cost: np.ndarray,
-                xi_mass_cap: float | None, provenance: dict) -> LpInstance:
+                xi_mass_cap: float, provenance: dict) -> LpInstance:
     """Flow rows B g = 0 and initial rows C g + B x = 0 over a gamma and an xi
-    block, on the blocks' coupled matrix (without its cap row if uncapped)."""
+    block, on the blocks' coupled matrix, cap row included."""
     count = blocks.basis.count
-    matrix = blocks.coupled if xi_mass_cap is not None else blocks.coupled[:-1]
-    return _instance(blocks, [("flow", count), ("initial", count)], matrix, cost,
+    return _instance(blocks, [("flow", count), ("initial", count)], blocks.coupled, cost,
                      {**provenance, **blocks.start}, xi_cost, xi_mass_cap)
 
 
@@ -314,7 +308,7 @@ def build_perturbed_lp(blocks: LpBlocks, epsilon: float,
                        {"variant": "perturbed", "epsilon": epsilon, "f_bound": f_bound})
 
 
-# The options of every HiGHS model built here (_highs_run); HiGHS 1.12's names
+# The options of every HiGHS model built here (_Model); HiGHS 1.12's names
 # and numbering.  Max-value scaling fits the dense Legendre rows better than
 # the default equilibration: each benchmark command takes 0.43-0.92x the dual
 # simplex iterations (lp-annulus-m's solve 979 -> 573).  HiGHS's default
@@ -335,36 +329,80 @@ _STATUS = {HighsModelStatus.kOptimal: "optimal",
            HighsModelStatus.kUnbounded: "unbounded"}
 
 
-def _highs_run(cost: np.ndarray, a: np.ndarray, row_lower: np.ndarray,
-               row_upper: np.ndarray, columns: np.ndarray) -> tuple[_Highs, str, int]:
-    """Build and run one owned HiGHS model of  min cost.x  s.t.
-    row_lower <= a x <= row_upper, x >= 0 over the increasing ``columns`` of
-    ``a``, with the options of HIGHS_OPTIONS; an option that HiGHS rejects
-    (an unknown name, or a value out of its range) is a ProgramError.  The
-    rows go in empty and the columns then carry the nonzeros, both as numpy
-    arrays.  A model of every column takes ``a`` itself, not a copy of it,
-    which would sit beside ``a`` at the model build's memory peak.
+class _Model:
+    """A HiGHS model of  min cost.x  s.t.  row_lower <= a x <= row_upper, x >= 0
+    with the options of HIGHS_OPTIONS (one that HiGHS rejects is a
+    ProgramError), over the ``columns`` of ``a`` it holds, in its own order,
+    which ``held`` marks: a restricted master that each :meth:`run` grows
+    until it solves the LP over every column.  A run records its ``status``,
+    simplex ``iterations``, HiGHS runs (``rounds``) and whether the full-LP
+    ``fallback`` ran.  Columns go in with their nonzeros as numpy arrays; a
+    model of every column reads ``a`` itself, not a copy, which would sit
+    beside ``a`` at the build's memory peak."""
 
-    Returns the model (for a warm re-run), its status and simplex iterations.
-    """
-    highs = _Highs()
-    for option, setting in HIGHS_OPTIONS.items():
-        if highs.setOptionValue(option, setting) != HighsStatus.kOk:
-            raise ProgramError(f"HiGHS rejected the option {option} = {setting!r}")
-    no_entries = np.zeros(0, dtype=np.int32)
-    highs.addRows(a.shape[0], row_lower, row_upper, 0, no_entries, no_entries, np.zeros(0))
-    if len(columns) < a.shape[1]:
-        cost, a = cost[columns], a[:, columns]
-    _add_columns(highs, cost, a)
-    return (highs, *_rerun(highs))
+    def __init__(self, cost: np.ndarray, a: np.ndarray, row_lower: np.ndarray,
+                 row_upper: np.ndarray, columns: np.ndarray):
+        self.highs = _Highs()
+        for option, setting in HIGHS_OPTIONS.items():
+            if self.highs.setOptionValue(option, setting) != HighsStatus.kOk:
+                raise ProgramError(f"HiGHS rejected the option {option} = {setting!r}")
+        no_entries = np.zeros(0, dtype=np.int32)
+        self.highs.addRows(a.shape[0], row_lower, row_upper, 0, no_entries, no_entries,
+                           np.zeros(0))
+        self.cost, self.a = cost, a
+        self.columns, self.held = columns[:0], np.zeros(a.shape[1], dtype=bool)
+        self.run(columns)
 
+    def run(self, add=()) -> None:
+        """Add the columns ``add`` and run from the current basis.  While the
+        model ends optimal, the columns it lacks whose reduced cost c - A^T y
+        (one mat-vec) is below -FACE_TOL * (1 + |c|) are added and it re-runs;
+        one that does not end optimal gets every column, the full LP, and
+        re-runs.  Columns are only added, so this ends."""
+        self.iterations, self.rounds, self.fallback = 0, 0, False
+        while True:
+            if len(add):
+                n_col = len(add)
+                start, index, value = _csc_triple(self.a[:, add] if n_col < self.a.shape[1]
+                                                  else self.a)
+                self.highs.addCols(n_col, self.cost[add], np.zeros(n_col),
+                                   np.full(n_col, np.inf), len(index), start[:-1], index, value)
+                self.columns = np.concatenate([self.columns, add])
+                self.held[add] = True
+            self.highs.run()
+            self.status = _STATUS.get(self.highs.getModelStatus(), "tolerance-failure")
+            self.iterations += int(self.highs.getInfo().simplex_iteration_count)
+            self.rounds += 1
+            if self.held.all():
+                return
+            if self.status == "optimal":
+                duals = np.asarray(self.highs.getSolution().row_dual)
+                priced = self.cost - self.a.T @ duals < -FACE_TOL * (1.0 + np.abs(self.cost))
+                add = np.flatnonzero(priced & ~self.held)
+                if not len(add):
+                    return
+            else:
+                add, self.fallback = np.flatnonzero(~self.held), True
 
-def _add_columns(highs: _Highs, cost: np.ndarray, a: np.ndarray) -> None:
-    """Append the columns of ``a``, with their costs, as x >= 0 to the model."""
-    n_col = a.shape[1]
-    start, index, value = _csc_triple(a)
-    highs.addCols(n_col, cost, np.zeros(n_col), np.full(n_col, np.inf), len(index),
-                  start[:-1], index, value)
+    def set_costs(self, cost: np.ndarray) -> None:
+        """Set the costs of every column of ``a``, then :meth:`run` warm."""
+        self.cost = cost
+        self.highs.changeColsCost(len(self.columns), np.arange(len(self.columns), dtype=np.int32),
+                                  cost[self.columns])
+        self.run()
+
+    def set_row_upper(self, upper: np.ndarray) -> None:
+        """Make the rows ``-inf <= a x <= upper``, then :meth:`run` warm."""
+        for row, bound in enumerate(upper.tolist()):
+            self.highs.changeRowBounds(row, -np.inf, bound)
+        self.run()
+
+    def point(self) -> tuple[np.ndarray, float]:
+        """The point over every column of ``a`` (0 off the master) clipped at 0,
+        and its most negative entry before that (0 if none is negative)."""
+        x = np.zeros(self.a.shape[1])
+        x[self.columns] = self.highs.getSolution().col_value
+        return np.maximum(x, 0.0), min(0.0, float(np.min(x)))
 
 
 def _csc_triple(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -379,65 +417,55 @@ def _csc_triple(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return start, rows[nonzero], a.T[nonzero]
 
 
-def _rerun(highs: _Highs) -> tuple[str, int]:
-    """Run the model from its current basis; its status and simplex iterations."""
-    highs.run()
-    return (_STATUS.get(highs.getModelStatus(), "tolerance-failure"),
-            int(highs.getInfo().simplex_iteration_count))
+def _residual_contract(instance: LpInstance, x: np.ndarray, raw_minimum: float,
+                       reduced: np.ndarray) -> tuple[float, float, str | None]:
+    """The primal residual and the complementarity (against ``reduced``) of the
+    clipped point ``x``, and why it breaks the residual contract (a raw entry
+    below -FACE_TOL or a residual above its tolerance), or None."""
+    primal_residual = float(np.max(np.abs(instance.a_eq @ x - instance.eq_rhs)))
+    complementarity = float(np.max(np.abs(x * reduced)))
+    breach = None
+    if raw_minimum < -FACE_TOL:
+        breach = f"negative entry {raw_minimum:.3e} below -FACE_TOL ({-FACE_TOL:g})"
+    elif primal_residual > PRIMAL_RESIDUAL_TOL or complementarity > COMPLEMENTARITY_TOL:
+        breach = (f"residuals out of tolerance: primal {primal_residual:.3e}, "
+                  f"complementarity {complementarity:.3e}")
+    return primal_residual, complementarity, breach
 
 
-def _model_point(col_value, columns: np.ndarray, n_col: int) -> tuple[np.ndarray, float]:
-    """A model's point ``col_value`` over its ``columns``, scattered onto the
-    LP's ``n_col`` columns with its negative entries clipped to 0, and the most
-    negative entry before that (0 if none is negative)."""
-    x = np.zeros(n_col)
-    x[columns] = col_value
-    return np.maximum(x, 0.0), min(0.0, float(np.min(x)))
-
-
-def _minimal_mass_refinement(instance: LpInstance, a_eq: np.ndarray, objective: np.ndarray,
-                             reduced: np.ndarray, value: float, cap_dual: float,
-                             columns: np.ndarray):
-    """Minimal xi mass over the optimal face, solved cold in a model of its own
-    on a priced restricted master of the face.
+def _minimal_mass_refinement(instance: LpInstance, objective: np.ndarray, reduced: np.ndarray,
+                             value: float, cap_dual: float, columns: np.ndarray):
+    """Minimal xi mass over the optimal face, solved cold on a :class:`_Model` of
+    its own.
 
     The face is the columns whose reduced cost against the main solve's duals
     is zero (at most FACE_TOL relative to their cost).  By complementary
-    slackness every feasible point on those columns is optimal, provided a
-    cap row with a nonzero dual stays tight, so such a row enters as an
-    equality.  The face's columns, with or without that last row, are taken
-    from the LP's ``matrix``.  The model starts from the face columns among
-    ``columns``, the main model's when it ended: they hold the main point's
-    support, so this master is feasible, and when the main model held every
-    column it is the whole face.  :func:`_grow_master` then adds the face
-    columns that price negative against the refinement's own duals, the cap
-    row's included (or the whole face if the master does not end optimal).
+    slackness every feasible point on them is optimal, provided a cap row
+    with a nonzero dual stays tight, so such a row enters as an equality.
+    The model starts from the face columns among ``columns``, the main
+    model's when it ended: they hold the main point's support, so this master
+    is feasible, and it is the whole face when the main model held every
+    column.  Its run prices the rest of the face against its own duals.
 
-    Returns the LpSolution fields of the refinement (its simplex iterations,
-    the master's and the face's column counts and the runs of its model) and
-    the refined (gamma, xi, raw minimum), or None unless the last run ends
-    optimal at a point that meets the main point's contract: no raw entry
-    below -FACE_TOL, and on the clipped point its primal residual, its
-    complementarity against the main duals and the gap between its objective
-    and ``value``."""
+    Returns the LpSolution fields of the refinement and the refined (gamma,
+    xi, raw minimum), or None unless the model ends optimal at a point that
+    meets the main point's :func:`_residual_contract` and whose objective is
+    ``value`` to within DUALITY_GAP_TOL."""
     n_g = instance.n_gamma
     face = np.flatnonzero(reduced <= FACE_TOL * (1.0 + np.abs(objective)))
-    mass = (face >= n_g).astype(float)
     rhs = instance.eq_rhs
     if cap_dual < -FACE_TOL:
         rhs = np.append(rhs, instance.xi_mass_cap)
-    a = instance.matrix[:len(rhs), face]
-    seed = np.flatnonzero(np.isin(face, columns))
-    highs, status, iterations = _highs_run(mass, a, rhs, rhs, seed)
-    seed, status, more, reruns, _ = _grow_master(highs, seed, mass, a, status)
-    stats = dict(refine_iterations=iterations + more, refine_master_columns=len(seed),
-                 refine_face_columns=len(face), refine_rounds=1 + reruns)
-    if status != "optimal":
+    model = _Model((face >= n_g).astype(float), instance.matrix[:len(rhs), face], rhs, rhs,
+                   np.flatnonzero(np.isin(face, columns)))
+    stats = dict(refine_iterations=model.iterations, refine_master_columns=len(model.columns),
+                 refine_face_columns=len(face), refine_rounds=model.rounds)
+    if model.status != "optimal":
         return stats, None
-    x, raw_minimum = _model_point(highs.getSolution().col_value, face[seed], len(objective))
-    if (raw_minimum < -FACE_TOL
-            or np.max(np.abs(a_eq @ x - instance.eq_rhs)) > PRIMAL_RESIDUAL_TOL
-            or np.max(np.abs(x * reduced)) > COMPLEMENTARITY_TOL
+    on_face, raw_minimum = model.point()
+    x = np.zeros(len(objective))
+    x[face] = on_face
+    if (_residual_contract(instance, x, raw_minimum, reduced)[2] is not None
             or abs(objective @ x - value) > DUALITY_GAP_TOL * max(1.0, abs(value))):
         return stats, None  # the caller keeps the unrefined vertex
     return stats, (DiscreteMeasure(instance.grid, x[:n_g]),
@@ -464,12 +492,6 @@ def needs_refinement(instance: LpInstance) -> bool:
     """Whether the LP's xi block carries no cost, so its xi gets the minimal-mass
     refinement (and a chain solves it cold and hands nothing on from it)."""
     return instance.has_xi and not np.any(instance.objective_xi)
-
-
-def _same_rows(a: LpInstance, b: LpInstance) -> bool:
-    """Whether two LPs have the same rows: the coupled LPs of one LpBlocks share
-    their matrix object, which fixes every row but the cap's bound."""
-    return a.matrix is b.matrix and a.xi_mass_cap == b.xi_mass_cap
 
 
 def _seed_atoms(grid: Grid, n_col: int, rows: int, y0) -> np.ndarray | None:
@@ -503,181 +525,119 @@ def _seed_columns(instance: LpInstance) -> np.ndarray:
     return np.concatenate([atoms, n_g + atoms]) if instance.has_xi else atoms
 
 
-def _grow_master(highs: _Highs, columns: np.ndarray, objective: np.ndarray, a: np.ndarray,
-                 status: str) -> tuple[np.ndarray, str, int, int, bool]:
-    """Grow a restricted master that has just been run until it solves the full LP.
-
-    ``columns`` maps the model's columns to the columns of ``a`` (every
-    constraint row, the cap row included) and ``objective``.  While the master
-    ends optimal, every column is priced with one mat-vec, c - A^T y over the
-    model's row duals; each column outside the master whose reduced cost is
-    below -FACE_TOL * (1 + |c|) is added, and the model is re-run warm.  A
-    master that does not end optimal gets every remaining column, which makes
-    it the full LP, and is re-run.  Columns are only ever added, so this ends.
-
-    Returns the columns, the last status, the simplex iterations of the
-    re-runs, the number of re-runs and whether the full-LP fallback ran."""
-    in_master = np.zeros(a.shape[1], dtype=bool)
-    in_master[columns] = True
-    iterations, reruns, fallback = 0, 0, False
-    while not in_master.all():
-        if status == "optimal":
-            duals = np.asarray(highs.getSolution().row_dual)
-            priced = objective - a.T @ duals < -FACE_TOL * (1.0 + np.abs(objective))
-            add = np.flatnonzero(priced & ~in_master)
-            if not len(add):
-                break
-        else:
-            add, fallback = np.flatnonzero(~in_master), True
-        _add_columns(highs, objective[add], a[:, add])
-        columns = np.concatenate([columns, add])
-        in_master[add] = True
-        status, more = _rerun(highs)
-        iterations, reruns = iterations + more, reruns + 1
-    return columns, status, iterations, reruns, fallback
-
-
 @dataclass
 class _Chain:
-    """The HiGHS model a chain of LPs hands on, the columns it holds and the LP
-    whose optimal basis it holds."""
+    """The :class:`_Model` a chain hands on and the LP whose optimal basis it holds."""
 
-    highs: _Highs | None = None
-    columns: np.ndarray | None = None
+    model: _Model | None = None
     holder: LpInstance | None = None
 
 
 def solve_chain(instances) -> list[LpSolution]:
-    """Solve LPs in turn, handing one HiGHS model from each to the next.
+    """Solve LPs in turn, handing one :class:`_Model` from each to the next.
 
-    An LP that shares its matrix object and cap with the LP before it, where
-    that one ended optimal, only changes the costs of the columns the model
-    holds, re-runs from its optimal basis and is priced again: so in a sweep
-    over costs alone, such as the epsilon sweep, only the first LP is solved
-    cold, and the restricted master grows across the sweep.  An LP whose xi
-    gets the minimal-mass refinement is solved cold and hands nothing on; the
-    refinement itself runs in a model of its own.  A chain of one is one cold
-    solve."""
+    An LP with the matrix object and cap of the LP before it, where that one
+    ended optimal, only sets the model's costs (:meth:`_Model.set_costs`):
+    so in a sweep over costs alone, such as the epsilon sweep, only the first
+    LP is solved cold, and the restricted master grows across the sweep.  An
+    LP whose xi gets the minimal-mass refinement is solved cold and hands
+    nothing on.  A chain of one is one cold solve."""
     chain = _Chain()
     return [solve(instance, chain) for instance in instances]
 
 
 def solve(instance: LpInstance, chain: _Chain | None = None,
           refine: bool = True) -> LpSolution:
-    """Solve one LP (HIGHS_OPTIONS: dual simplex, presolve off): cold on a
-    model of its own, or warm on the model of a :func:`solve_chain` when that
-    allows it.  The LP's ``matrix`` is read in place, never copied whole.
+    """Solve one LP: cold on a :class:`_Model` of its own that starts from the
+    columns of :func:`_seed_columns`, or warm on the model of a
+    :func:`solve_chain` when that allows it.  The LP's ``matrix`` is read in
+    place, never copied whole.  The model's run prices every column before
+    any status is reported, so each column's certificate slack is at least
+    -FACE_TOL * (1 + |c|); the point, its residuals and the reduced costs are
+    taken over every column.  The point is HiGHS's clipped at 0, and
+    ``raw_minimum`` records its most negative entry before that.
 
-    A cold model starts from the columns of :func:`_seed_columns`, every column
-    of a small LP or a restricted master of a large one, and
-    :func:`_grow_master` adds the columns that price negative until none does
-    (or, if a master does not end optimal, every column) before any status is
-    reported.  The point, the residuals, the complementarity and the reduced
-    costs are then taken over every column of the LP, so each column's
-    certificate slack is at least -FACE_TOL * (1 + |c|).
-
-    The reported point is HiGHS's with its negative entries clipped to 0;
-    ``raw_minimum`` records the most negative entry before that, and the
-    primal residual and the complementarity are taken on the clipped point.
-
-    When the xi block carries no cost and ``refine`` holds, the minimal-mass
-    xi on the optimal face of the full column set comes from
-    :func:`_minimal_mass_refinement`, in a model of its own that starts from
-    the face columns of the main model's final columns and is priced over the
-    whole face; the value, the duals and the cap dual stay those of the main
-    solve.  A caller that reads only the value passes ``refine=False``, and
-    its xi is then not canonical.
-    Optimality is demoted to tolerance-failure when the returned point has a
-    raw entry below -FACE_TOL or violates the residual or duality-gap
-    contracts."""
-    n_g = instance.n_gamma
+    When the xi block carries no cost and ``refine`` holds, xi is the
+    minimal-mass one of :func:`_minimal_mass_refinement`; the value, the duals
+    and the cap dual stay those of the main solve.  A caller that reads only
+    the value passes ``refine=False``, and its xi is then not canonical.
+    Optimality is demoted to tolerance-failure when the returned point breaks
+    the :func:`_residual_contract` or the duality gap exceeds
+    DUALITY_GAP_TOL."""
+    n_g, has_xi = instance.n_gamma, instance.has_xi
     objective = instance.objective_gamma
-    if instance.has_xi:
-        objective = np.concatenate([objective, instance.objective_xi])
-    a, a_eq = instance.matrix, instance.a_eq
     lower, upper = instance.eq_rhs, instance.eq_rhs
-    has_cap = instance.has_cap
-    if has_cap:  # the last row: xi mass <= cap
+    if has_xi:  # the last row: xi mass <= cap
+        objective = np.concatenate([objective, instance.objective_xi])
         lower = np.append(lower, -np.inf)
         upper = np.append(upper, instance.xi_mass_cap)
 
     weightless = needs_refinement(instance)
-    if chain is not None and chain.highs is not None and not weightless \
-            and _same_rows(chain.holder, instance):
-        highs, columns, start = chain.highs, chain.columns, f"warm from {lp_name(chain.holder)}"
-        highs.changeColsCost(len(columns), np.arange(len(columns), dtype=np.int32),
-                             objective[columns])
-        status, iterations = _rerun(highs)
+    held = None if chain is None else chain.holder
+    # the coupled LPs of one LpBlocks share their matrix object, which fixes
+    # every row but the cap's bound
+    if held is not None and not weightless and held.matrix is instance.matrix \
+            and held.xi_mass_cap == instance.xi_mass_cap:
+        model, start = chain.model, f"warm from {lp_name(held)}"
+        model.set_costs(objective)
     else:
-        start, columns = "cold", _seed_columns(instance)
-        highs, status, iterations = _highs_run(objective, a, lower, upper, columns)
-    columns, status, more, reruns, fallback = _grow_master(highs, columns, objective, a,
-                                                           status)
-    iterations += more
-    master = dict(master_columns=len(columns), pricing_rounds=1 + reruns, fallback=fallback)
+        model, start = _Model(objective, instance.matrix, lower, upper,
+                              _seed_columns(instance)), "cold"
+    master = dict(master_columns=len(model.columns), pricing_rounds=model.rounds,
+                  fallback=model.fallback)
+    optimal = model.status == "optimal"
     if chain is not None:
-        keep = status == "optimal" and not weightless
-        chain.highs, chain.columns, chain.holder = ((highs, columns, instance) if keep
-                                                    else (None, None, None))
+        chain.model, chain.holder = ((model, instance) if optimal and not weightless
+                                     else (None, None))
+    highs = model.highs
     message = highs.modelStatusToString(highs.getModelStatus())
-    if status != "optimal":
-        return LpSolution(status, None, None, None, None, 0.0, False, False, None,
-                          np.inf, np.inf, iterations, message, start=start, **master)
+    if not optimal:
+        return LpSolution(model.status, None, None, None, None, 0.0, False, False, None,
+                          np.inf, np.inf, model.iterations, message, start=start, **master)
 
-    found = highs.getSolution()
-    x, raw_minimum = _model_point(found.col_value, columns, len(objective))
-    duals = np.asarray(found.row_dual)
+    x, raw_minimum = model.point()
+    duals = np.asarray(highs.getSolution().row_dual)
     value = float(highs.getInfo().objective_function_value)
     gamma = DiscreteMeasure(instance.grid, x[:n_g])
-    xi = DiscreteMeasure(instance.grid, x[n_g:]) if instance.has_xi else None
-    row_duals = duals[:a_eq.shape[0]]
-    cap_dual = float(duals[-1]) if has_cap else 0.0
+    xi = DiscreteMeasure(instance.grid, x[n_g:]) if has_xi else None
+    row_duals = duals[:len(instance.row_meta)]
+    cap_dual = float(duals[-1]) if has_xi else 0.0
 
-    reduced = objective - a_eq.T @ row_duals
-    if has_cap:
-        reduced = reduced - a[-1] * cap_dual
+    reduced = objective - instance.a_eq.T @ row_duals
     dual_objective = float(instance.eq_rhs @ row_duals)
-    if has_cap:
+    if has_xi:
+        reduced = reduced - instance.matrix[-1] * cap_dual
         dual_objective += float(instance.xi_mass_cap * cap_dual)
 
     # With a weightless xi block its mass is a free degree of freedom and the
     # solver may park at an arbitrary vertex (including the cap).  A secondary
     # mass-minimising solve over the optimal face yields a canonical pair, and
     # only then does a binding cap signal anything structural.
-    xi_mass_canonical = instance.has_xi and not weightless
+    xi_mass_canonical = has_xi and not weightless
     refinement = {}
     if weightless and refine:
-        refinement, refined = _minimal_mass_refinement(instance, a_eq, objective, reduced,
-                                                       value, cap_dual, columns)
+        refinement, refined = _minimal_mass_refinement(instance, objective, reduced, value,
+                                                       cap_dual, model.columns)
         xi_mass_canonical = refined is not None
         if refined is not None:
             gamma, xi, raw_minimum = refined
             x = np.concatenate([gamma.weights, xi.weights])
-    primal_residual = float(np.max(np.abs(a_eq @ x - instance.eq_rhs)))
-    complementarity = float(np.max(np.abs(x * reduced)))
+    primal_residual, complementarity, breach = _residual_contract(instance, x, raw_minimum,
+                                                                  reduced)
     # binding = the cap influences the value (nonzero shadow price) or even the
     # minimal-mass xi needs the whole budget
-    cap_binding = bool(has_cap
+    cap_binding = bool(has_xi
                        and (cap_dual < -FACE_TOL
                             or (xi_mass_canonical
                                 and xi.total_mass >= instance.xi_mass_cap * (1.0 - FACE_TOL))))
 
-    status = "optimal"
-    if raw_minimum < -FACE_TOL:
-        status = "tolerance-failure"
-        message = f"negative entry {raw_minimum:.3e} below -FACE_TOL ({-FACE_TOL:g})"
-    elif primal_residual > PRIMAL_RESIDUAL_TOL or complementarity > COMPLEMENTARITY_TOL:
-        status = "tolerance-failure"
-        message = (f"residuals out of tolerance: primal {primal_residual:.3e}, "
-                   f"complementarity {complementarity:.3e}")
-    elif abs(value - dual_objective) > DUALITY_GAP_TOL * max(1.0, abs(value)):
-        status = "tolerance-failure"
-        message = f"duality gap {value - dual_objective:.3e} exceeds tolerance"
-
+    if breach is None and abs(value - dual_objective) > DUALITY_GAP_TOL * max(1.0, abs(value)):
+        breach = f"duality gap {value - dual_objective:.3e} exceeds tolerance"
+    status, message = ("optimal", message) if breach is None else ("tolerance-failure", breach)
     return LpSolution(status, value, gamma, xi, row_duals, cap_dual, cap_binding,
                       xi_mass_canonical, dual_objective, primal_residual, complementarity,
-                      iterations, message, start=start, raw_minimum=raw_minimum, **master,
-                      **refinement)
+                      model.iterations, message, start=start, raw_minimum=raw_minimum,
+                      **master, **refinement)
 
 
 # ---------------------------------------------------------------------------
@@ -815,13 +775,13 @@ def membership_residual(measures, blocks: LpBlocks) -> list[MembershipResidual]:
     of: minimise t subject to -t <= (C g + B x)_b <= t for every basis row,
     x >= 0, t >= 0.  These LPs share their matrix and costs and differ only in
     the row bounds (C g), so they are one HiGHS model: the first measure's LP
-    is solved cold, and each later one changes the row bounds and re-runs
-    from the previous optimal basis, which stays dual feasible.  The model is
-    a restricted master: the t column and the xi columns of the
-    :func:`_seed_atoms` of the basis rows, each a constraint of two rows.
-    Any master is feasible, as t absorbs every row.  After each run,
-    :func:`_grow_master` adds the xi columns that price negative, so each
-    omega is the optimum over every column.  Every measure is checked to be a
+    is solved cold, and each later one changes the row bounds
+    (:meth:`_Model.set_row_upper`) and re-runs from the previous optimal
+    basis, which stays dual feasible.  The :class:`_Model` is a restricted
+    master: the t column and the xi columns of the :func:`_seed_atoms` of the
+    basis rows, each a constraint of two rows.  Any master is feasible, as t
+    absorbs every row.  Each run adds the xi columns that price negative, so
+    each omega is the optimum over every column.  Every measure is checked to be a
     probability measure before any model is built.  Each run logs one INFO
     line.  B and C, at the blocks' start point, are read from ``blocks``.
     """
@@ -839,27 +799,23 @@ def membership_residual(measures, blocks: LpBlocks) -> list[MembershipResidual]:
     lower = np.full(a_ub.shape[0], -np.inf)
     atoms = _seed_atoms(grid, a_ub.shape[1], basis.count, blocks.y0_requested)
     columns = np.arange(a_ub.shape[1]) if atoms is None else np.append(atoms, grid.atom_count)
-    highs, results = None, []
+    model, results = None, []
     for k, measure in enumerate(measures):
         target = initial @ measure.weights  # (count,)
         upper = np.concatenate([-target, target])
-        if highs is None:
-            highs, status, iterations = _highs_run(objective, a_ub, lower, upper, columns)
-            start = "cold"
+        if model is None:
+            model, start = _Model(objective, a_ub, lower, upper, columns), "cold"
         else:
-            for row, bound in enumerate(upper.tolist()):
-                highs.changeRowBounds(row, -np.inf, bound)
-            status, iterations = _rerun(highs)
+            model.set_row_upper(upper)
             start = f"warm from measure {k - 1}"
-        columns, status, more, reruns, _ = _grow_master(highs, columns, objective, a_ub, status)
-        omega = float(highs.getInfo().objective_function_value)
+        omega = float(model.highs.getInfo().objective_function_value)
         log.info("membership of measure %d: %d rows, master %d of %d columns, %d rounds, "
                  "start %s, %d iterations, status %s, omega_residual %.6g", k, a_ub.shape[0],
-                 len(columns), a_ub.shape[1], 1 + reruns, start, iterations + more, status,
-                 omega)
-        if status != "optimal":
+                 len(model.columns), a_ub.shape[1], model.rounds, start, model.iterations,
+                 model.status, omega)
+        if model.status != "optimal":
             raise ProgramError("membership auxiliary program failed: "
-                               + highs.modelStatusToString(highs.getModelStatus()))
+                               + model.highs.modelStatusToString(model.highs.getModelStatus()))
         results.append(MembershipResidual(
             w_residual=float(np.max(np.abs(flow @ measure.weights))), omega_residual=omega))
     return results

@@ -279,6 +279,13 @@ def _parsed_cost(cost_id: str, m: int, p: int) -> exprs.Node:
         raise UnknownEvaluatorError(f"unknown cost_id {cost_id!r}: {err}", "cost_id") from err
 
 
+def parses_to(spec: SystemSpec, dynamics_id: str) -> bool:
+    """Whether the spec's dynamics parse to those of ``dynamics_id``, a built-in
+    id or an expression list: a custom ``u1*y2; -u1 * y1`` is the rotation's."""
+    m, p = spec.dim_state, spec.dim_control
+    return _parsed_dynamics(spec.dynamics_id, m, p) == _parsed_dynamics(dynamics_id, m, p)
+
+
 # ---------------------------------------------------------------------------
 # the system description
 

@@ -963,6 +963,78 @@ def test_declared_bounds_are_kept_and_do_not_skip_the_finiteness_check(tmp_path,
             in capsys.readouterr().err)
 
 
+BOX_CUSTOM_SYSTEM = ("[system]\nname = custom\nregion = box\nlower = [-1.0, -1.0]\n"
+                     "upper = [1.0, 1.0]\ndynamics = [-y1 + u1, -y2 + y1]\n"
+                     "cost = y2^2 + 0.5*u1^2\n{bounds}[program]\ny0 = [0.5, -0.5]\n")
+
+
+@pytest.mark.parametrize("bounds,line,message", [
+    ("bound_f = 0.0\n", 8, "bound_f 0 is below its sampled maximum 2.74372 "),
+    ("bound_f = 2.7\n", 8, "bound_f 2.7 is below its sampled maximum 2.74372 "),
+    ("bound_f = 3.0\nbound_k = 1.25\n", 9, "bound_k 1.25 is below its sampled maximum 1.4216 "),
+])
+def test_a_declared_bound_below_the_sampled_maximum_is_a_config_error(tmp_path, capsys,
+                                                                      bounds, line, message):
+    # the sampled maximum is a lower bound on the sup; box-custom's ||f|| reaches
+    # 2.74 and its |k| 1.42 on the 25 x 25 sample
+    text = BOX_CUSTOM_SYSTEM.format(bounds=bounds)
+    with pytest.raises(ConfigError, match=f"^line {line}: {re.escape(message)}on the state"):
+        parse_config(text)
+    config_path = tmp_path / "low.conf"
+    config_path.write_text(text)
+    assert main(["solve", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+    assert f"error: line {line}: {message}" in capsys.readouterr().err
+    # a bound at or above the sampled maximum is kept
+    report = system.validate_bounds(build_system(parse_config(
+        BOX_CUSTOM_SYSTEM.format(bounds="")).system))
+    exact = f"bound_f = {report.max_dynamics_norm!r}\nbound_k = {report.max_cost_abs!r}\n"
+    spec = build_system(parse_config(BOX_CUSTOM_SYSTEM.format(bounds=exact)).system)
+    assert (spec.bound_f, spec.bound_k) == (report.max_dynamics_norm, report.max_cost_abs)
+
+
+def test_the_duality_gap_invariant_is_checked_at_the_solver_tolerance(monkeypatch):
+    # solve demotes a point whose relative gap exceeds DUALITY_GAP_TOL, so the
+    # report's invariant checks that bound, not a looser one
+    chain = cli.solve_chain
+
+    def widened(instances):
+        return [dataclasses.replace(s, dual_objective=s.dual_objective
+                                    - 1e-7 * max(1.0, abs(s.value))) for s in chain(instances)]
+    monkeypatch.setattr(cli, "solve_chain", widened)
+    bundle = run_study(parse_config(FROZEN_CONFIG.read_text()), sections=("solve",))
+    gaps = [entry for entry in bundle.invariants if entry["name"].endswith(".duality_gap")]
+    assert gaps and not any(entry["passed"] for entry in gaps)
+    assert cli.DUALITY_GAP_TOL == programs.DUALITY_GAP_TOL == 1e-8
+    assert not hasattr(cli, "REPORT_GAP_TOL")
+
+
+def test_every_reported_measure_is_a_basic_point(tmp_path):
+    # a reported gamma and xi come from a simplex vertex (the main solve's or
+    # the refinement's), so together they hold at most as many atoms as the LP
+    # has rows: its equality rows, one dual each, and its cap row if it has xi
+    box = parse_config(BOX_CUSTOM_SYSTEM.format(bounds="").replace(
+        "[program]\n", "[grid]\nstate_resolution = [16, 16]\ncontrol_resolution = 9\n"
+        "[basis]\ndegree = 6\n[program]\nvariants = [ergodic, nonergodic, discounted, "
+        "perturbed]\ndiscount_rates = [0.05]\nepsilons = [0.1, 0.0]\n"))
+    for cfg in (parse_config(ACCEPTANCE_CONFIG.read_text()), box):
+        bundle = run_study(cfg, sections=("solve",))
+        assert bundle.all_passed()
+        names = {name for name, *_ in bundle.duals}
+        assert {f"{name}.gamma" for name in names} <= set(bundle.measures)
+        for name in names:
+            rows = sum(1 for entry in bundle.duals if entry[0] == name)
+            xi = bundle.measures.get(f"{name}.xi", {"atom_index": []})
+            rows += f"{name}.xi" in bundle.measures
+            support = len(bundle.measures[f"{name}.gamma"]["atom_index"]) + len(xi["atom_index"])
+            assert 0 < support <= rows <= 56
+    # the payload holds every atom with weight, however many
+    dense = grid_mod.DiscreteMeasure(build_grid(system.make_frozen(), (100, 100), 3),
+                                     np.linspace(1.0, 2.0, 30000))
+    payload = cli._measure_payload(dense)
+    assert payload["atom_index"] == list(range(30000))
+    assert payload["weight"] == dense.weights.tolist()
+
+
 @pytest.mark.parametrize("entry", ["y1 + * 2", "y3", "y1 + u1", "abs(y1)"])
 def test_malformed_first_integral_is_a_config_error(tmp_path, capsys, entry):
     config_path = tmp_path / "fi.conf"

@@ -1,11 +1,14 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from occlp import system
+from occlp import cli, system
+from occlp.basis import basis_for_region
 from occlp.config import build_system, parse_config
-from occlp.oracle import (OracleError, frozen_value, level_set_ordering,
+from occlp.grid import LpBlocks, build_grid
+from occlp.oracle import (OracleError, frozen_value, is_frozen, level_set_ordering, rotates,
                           rotation_level_value)
 from occlp.system import ControlRegion, SystemSpec
 
@@ -133,3 +136,67 @@ def test_angle_refinement_stability(rotation):
     fine = rotation_level_value(rotation, 1.0, angle_resolution=14)
     # Lipschitz constant of the first-coordinate cost is 1 on the unit circle
     assert abs(fine.value - coarse.value) <= np.pi * 1.0 / 7
+
+
+SPIRAL_ANNULUS = """
+[system]
+name = custom
+region = annulus
+inner_radius = 0.5
+outer_radius = 1.5
+dynamics = [{dynamics}]
+cost = y1
+[grid]
+state_resolution = [3, 16]
+control_resolution = 5
+[basis]
+degree = 2
+[program]
+y0 = [1.0, 0.0]
+"""
+
+
+def _oracle_values(spec, cfg) -> dict:
+    bundle = cli.ReportBundle(config={})
+    grid = build_grid(spec, tuple(cfg.grid.state_resolution), cfg.grid.control_resolution)
+    blocks = LpBlocks(grid, basis_for_region(spec.region, cfg.basis.degree), cfg.program.y0)
+    cli._oracle_section(bundle, blocks, cfg)
+    return bundle.values
+
+
+def test_the_level_set_oracle_needs_the_rotation_dynamics():
+    # the rotation written as custom expressions gets the built-in's values
+    written = parse_config(SPIRAL_ANNULUS.format(dynamics="u1 * y2, -u1*y1"))
+    spec = build_system(written.system)
+    assert rotates(spec) and not is_frozen(spec)
+    builtin = system.make_rotation()
+    assert rotation_level_value(spec, 1.0).value == rotation_level_value(builtin, 1.0).value
+    assert _oracle_values(spec, written)["oracle.level_value"] == -1.0
+    # a spiral has no invariant circle, so no level value describes it
+    cfg = parse_config(SPIRAL_ANNULUS.format(dynamics="u1*y2 - 0.1*y1, -u1*y1 + 0.1*y2"))
+    spiral = build_system(cfg.system)
+    assert not rotates(spiral) and not is_frozen(spiral)
+    for scan in (lambda: rotation_level_value(spiral, 1.0),
+                 lambda: level_set_ordering(spiral, [0.25, 1.0])):
+        with pytest.raises(OracleError, match="the rotation's"):
+            scan()
+    assert not [key for key in _oracle_values(spiral, cfg) if key.startswith("oracle.")]
+
+
+def test_the_frozen_oracle_needs_zero_dynamics():
+    frozen = system.make_frozen()
+    assert is_frozen(frozen) and not rotates(frozen)
+    assert is_frozen(build_system(parse_config(
+        "[system]\nname = custom\nregion = box\ndynamics = [0, 0.0]\ncost = u1^2\n"
+        "[program]\ny0 = [0.5, -0.5]\n").system))
+    # box-custom's dynamics with bound_f = 0 (which a config may not declare)
+    cfg = parse_config("[system]\nname = custom\nregion = box\nlower = [-1.0, -1.0]\n"
+                       "upper = [1.0, 1.0]\ndynamics = [-y1 + u1, -y2 + y1]\n"
+                       "cost = y2^2 + 0.5*u1^2\n[grid]\nstate_resolution = [4, 4]\n"
+                       "control_resolution = 3\n[basis]\ndegree = 2\n"
+                       "[program]\ny0 = [0.5, -0.5]\n")
+    spec = dataclasses.replace(build_system(cfg.system), bound_f=0.0)
+    assert not is_frozen(spec)
+    with pytest.raises(OracleError, match="zero dynamics"):
+        frozen_value(spec, (0.5, -0.5))
+    assert not [key for key in _oracle_values(spec, cfg) if key.startswith("oracle.")]

@@ -134,6 +134,11 @@ def test_instance_validation(frozen_setup):
         LpInstance(grid=g, basis=b, objective_gamma=np.ones(n), objective_xi=None,
                    matrix=np.ones((1, n)), eq_rhs=np.array([1.0]),
                    row_meta=(RowMeta("bogus", None),), xi_mass_cap=None)
+    meta = (RowMeta("flow", 0), RowMeta("normalization", None))
+    with pytest.raises(ProgramError, match="xi block needs an xi_mass_cap"):
+        LpInstance(grid=g, basis=b, objective_gamma=np.ones(n), objective_xi=np.zeros(n),
+                   matrix=np.ones((3, 2 * n)), eq_rhs=np.array([0.0, 1.0]),
+                   row_meta=meta, xi_mass_cap=None)  # every xi block has its cap row
 
 
 def test_highs_binding_has_every_method_programs_calls():
@@ -155,9 +160,21 @@ def test_every_highs_run_reads_back_the_option_table(monkeypatch):
     # step and the membership LP: each model runs with the whole table
     spec = system.make_rotation()
     g, b, y0 = build_grid(spec, (5, 64), 9), basis_for_region(spec.region, 4), (0.0, 1.25)
-    runs, rerun = [], programs._rerun
-    monkeypatch.setattr(programs, "_rerun", lambda highs: (runs.append(_options_of(highs)),
-                                                          rerun(highs))[1])
+    runs, highs_type = [], programs._Highs
+
+    class Recording:
+        """A HiGHS model that records its options each time it runs."""
+
+        def __init__(self):
+            self.highs = highs_type()
+
+        def __getattr__(self, name):
+            return getattr(self.highs, name)
+
+        def run(self):
+            runs.append(_options_of(self.highs))
+            return self.highs.run()
+    monkeypatch.setattr(programs, "_Highs", Recording)
     blocks = LpBlocks(g, b, y0)
     solution = solve(build_nonergodic_lp(blocks))
     assert solution.refine_rounds > 1
@@ -437,7 +454,7 @@ def test_nonergodic_snaps_off_grid_start(frozen_setup):
     blocks = LpBlocks(g, b, (0.26, 0.27))
     # every LP built on the blocks is read-only; the coupled rows and the
     # provenance of each LP with a start point take the snapped y0
-    for instance in (build_ergodic_lp(blocks), build_nonergodic_lp(blocks, None),
+    for instance in (build_ergodic_lp(blocks), build_nonergodic_lp(blocks),
                      build_discounted_lp(blocks, 0.05), build_perturbed_lp(blocks, 0.1)):
         assert not instance.matrix.flags.writeable
         if instance.provenance["variant"] != "ergodic":
@@ -1163,17 +1180,17 @@ def _recorded_refinement(monkeypatch, instance):
     """Solve the LP; its solution and, for its refinement, the arguments, the
     result and the row duals of the model it ended with."""
     models, record = [], {}
-    run, refine = programs._highs_run, programs._minimal_mass_refinement
+    build, refine = programs._Model.__init__, programs._minimal_mass_refinement
 
-    def recording_run(*args, **options):
-        models.append(model := run(*args, **options))
-        return model
+    def recording_build(model, *args):
+        models.append(model)
+        build(model, *args)
 
     def recording_refine(*args):
         record.update(args=args, result=refine(*args))
-        record["duals"] = np.asarray(models[-1][0].getSolution().row_dual)
+        record["duals"] = np.asarray(models[-1].highs.getSolution().row_dual)
         return record["result"]
-    monkeypatch.setattr(programs, "_highs_run", recording_run)
+    monkeypatch.setattr(programs._Model, "__init__", recording_build)
     monkeypatch.setattr(programs, "_minimal_mass_refinement", recording_refine)
     return solve(instance), record
 
@@ -1194,7 +1211,7 @@ def test_priced_refinement_matches_a_full_face_solve(master_setups, monkeypatch,
     refine = programs._minimal_mass_refinement
     solution, record = _recorded_refinement(monkeypatch, instance)
     assert solution.status == "optimal" and solution.xi_canonical
-    _, a_eq, objective, reduced, _, cap_dual, _ = record["args"]
+    _, objective, reduced, _, cap_dual, _ = record["args"]
     stats, refined = record["result"]
     face = np.flatnonzero(reduced <= programs.FACE_TOL * (1.0 + np.abs(objective)))
     assert stats["refine_face_columns"] == len(face)
@@ -1204,7 +1221,7 @@ def test_priced_refinement_matches_a_full_face_solve(master_setups, monkeypatch,
     # every face column prices out against the refinement's own final duals,
     # the cap row's included when it is in
     mass = (face >= instance.n_gamma).astype(float)
-    a = a_eq[:, face]
+    a = instance.a_eq[:, face]
     if cap_dual < -programs.FACE_TOL:
         a = np.vstack([a, mass])
     assert np.all(mass - a.T @ record["duals"] >= -programs.FACE_TOL * (1.0 + mass))
@@ -1255,11 +1272,11 @@ def test_warm_chain_grows_one_master(master_setups):
 
 def test_lp_below_the_crossover_is_built_once_with_every_column(frozen_setup, monkeypatch):
     spec, g, b = frozen_setup
+    # a model packs each batch of columns it adds with one _csc_triple call
     added = []
-    add_columns = programs._add_columns
-    monkeypatch.setattr(programs, "_add_columns",
-                        lambda highs, cost, a: (added.append(a.shape[1]),
-                                                add_columns(highs, cost, a)))
+    csc_triple = programs._csc_triple
+    monkeypatch.setattr(programs, "_csc_triple",
+                        lambda a: (added.append(a.shape[1]), csc_triple(a))[1])
     for instance in _variants(spec, g, b, (0.25, 0.25)):
         added.clear()
         solution = solve(instance)
