@@ -299,7 +299,7 @@ def parse_config(text: str) -> StudyConfig:
     cfg.grid = build("grid", GridConfig)
     cfg.basis = build("basis", BasisConfig)
     if cfg.basis.degree < 1:
-        raise ConfigError("max_degree must be >= 1", line_of("basis", "degree"))
+        raise ConfigError("degree must be >= 1", line_of("basis", "degree"))
 
     cfg.program = build("program", ProgramConfig)
     for variant in cfg.program.variants:
@@ -392,22 +392,49 @@ def build_system(cfg: SystemConfig) -> SystemSpec:
 
 
 def _build_system(cfg: SystemConfig) -> SystemSpec:
+    # each system is built with its bounds unchecked (inf), and its declared
+    # bounds are checked against its sampled maxima
     if cfg.name == "rotation":
         if not 0 < cfg.inner_radius <= cfg.outer_radius:
             raise ConfigError("rotation needs 0 < inner_radius <= outer_radius",
                               key="inner_radius")
-        return make_rotation(cfg.inner_radius, cfg.outer_radius, cost_id=cfg.cost,
-                             bound_k=cfg.bound_k)
-    if cfg.name == "frozen":
-        return make_frozen(cfg.lower, cfg.upper, cost_id=cfg.cost, bound_k=cfg.bound_k)
-    if cfg.name == "scalar-drift":
-        return make_scalar_drift(cost_id=cfg.cost, bound_k=cfg.bound_k)
+        spec = make_rotation(cfg.inner_radius, cfg.outer_radius, cost_id=cfg.cost,
+                             bound_k=math.inf)
+    elif cfg.name == "frozen":
+        spec = make_frozen(cfg.lower, cfg.upper, cost_id=cfg.cost, bound_k=math.inf)
+    elif cfg.name == "scalar-drift":
+        spec = make_scalar_drift(cost_id=cfg.cost, bound_k=math.inf)
+    elif cfg.name == "custom":
+        spec = _custom_system(cfg)
+    else:
+        raise ConfigError(f"unknown system name {cfg.name!r}", key="name")
+    probe = replace(spec, bound_f=math.inf if cfg.bound_f is None else cfg.bound_f,
+                    bound_k=math.inf if cfg.bound_k is None else cfg.bound_k)
+    with np.errstate(all="ignore"):  # a NaN or inf sample is the error below
+        report = validate_bounds(probe)
+    for key, sampled in (("dynamics", report.max_dynamics_norm),
+                         ("cost", report.max_cost_abs)):
+        if not math.isfinite(sampled):
+            raise ConfigError(f"{key} is not finite on the sampled state region "
+                              f"(sampled maximum {sampled})", key=key)
+    # the sampled maximum is a lower bound on the sup, so a declared bound
+    # below it is wrong; one at or above it is used.  An undeclared bound is
+    # a built-in's own bound_f, or else the sampled maximum, with headroom on
+    # a custom system
+    for key, sampled, ok in (("bound_f", report.max_dynamics_norm, report.bound_f_ok),
+                             ("bound_k", report.max_cost_abs, report.bound_k_ok)):
+        if not ok:
+            raise ConfigError(f"{key} {getattr(cfg, key):g} is below its sampled "
+                              f"maximum {sampled:.6g} on the state region", key=key)
     if cfg.name == "custom":
-        return _build_custom_system(cfg)
-    raise ConfigError(f"unknown system name {cfg.name!r}", key="name")
+        defaults = (1.1 * report.max_dynamics_norm, 1.1 * report.max_cost_abs)
+    else:
+        defaults = (spec.bound_f, report.max_cost_abs)
+    return replace(probe, bound_f=defaults[0] if cfg.bound_f is None else cfg.bound_f,
+                   bound_k=defaults[1] if cfg.bound_k is None else cfg.bound_k)
 
 
-def _build_custom_system(cfg: SystemConfig) -> SystemSpec:
+def _custom_system(cfg: SystemConfig) -> SystemSpec:
     if not cfg.dynamics:
         raise ConfigError("custom systems need a dynamics array of expressions", key="dynamics")
     if cfg.region == "annulus":
@@ -417,31 +444,9 @@ def _build_custom_system(cfg: SystemConfig) -> SystemSpec:
     else:
         raise ConfigError("custom systems need region = box or region = annulus", key="region")
     control = ControlRegion(lower=cfg.control_lower, upper=cfg.control_upper)
-    dynamics_id = ";".join(cfg.dynamics)
-    # an undeclared bound is checked against nothing here (inf)
-    probe = SystemSpec(name="custom", dynamics_id=dynamics_id, cost_id=cfg.cost,
-                       region=region, control=control,
-                       first_integrals=tuple(cfg.first_integrals),
-                       bound_f=math.inf if cfg.bound_f is None else cfg.bound_f,
-                       bound_k=math.inf if cfg.bound_k is None else cfg.bound_k)
-    with np.errstate(all="ignore"):  # a NaN or inf sample is the error below
-        report = validate_bounds(probe)
-    for key, sampled in (("dynamics", report.max_dynamics_norm),
-                         ("cost", report.max_cost_abs)):
-        if not math.isfinite(sampled):
-            raise ConfigError(f"{key} is not finite on the sampled state region "
-                              f"(sampled maximum {sampled})", key=key)
-    # the sampled maximum is a lower bound on the sup, so a declared bound
-    # below it is wrong; one above it is preferred to the sampled maximum
-    # with headroom
-    for key, sampled, ok in (("bound_f", report.max_dynamics_norm, report.bound_f_ok),
-                             ("bound_k", report.max_cost_abs, report.bound_k_ok)):
-        if not ok:
-            raise ConfigError(f"{key} {getattr(cfg, key):g} is below its sampled "
-                              f"maximum {sampled:.6g} on the state region", key=key)
-    return replace(probe,
-                   bound_f=1.1 * report.max_dynamics_norm if cfg.bound_f is None else cfg.bound_f,
-                   bound_k=1.1 * report.max_cost_abs if cfg.bound_k is None else cfg.bound_k)
+    return SystemSpec(name="custom", dynamics_id=";".join(cfg.dynamics), cost_id=cfg.cost,
+                      region=region, control=control,
+                      first_integrals=tuple(cfg.first_integrals))
 
 
 def build_policy(text: str, spec: SystemSpec, y0) -> Policy:

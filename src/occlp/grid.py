@@ -36,8 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import BasisSpec, grad_matrix, phi_and_grad_matrix, phi_matrix
-from .system import (RegionError, StateRegion, SystemSpec, cost_numpy, dynamics_numpy,
-                     rate_along)
+from .system import RegionError, StateRegion, SystemSpec, rate_along
 
 
 log = logging.getLogger(__name__)
@@ -153,13 +152,13 @@ def assemble_initial_matrix(grid: Grid, basis: BasisSpec, y0) -> np.ndarray:
 
 def assemble_cost_vector(grid: Grid) -> np.ndarray:
     """c[a] = k(y_a, u_a)."""
-    return cost_numpy(grid.spec)(grid.state_points[:, None], grid.control_points[None]).ravel()
+    return grid.spec.cost_at(grid.state_points[:, None], grid.control_points[None]).ravel()
 
 
 def _flow_block(grid: Grid, grads: np.ndarray) -> np.ndarray:
     """B from grad phi at the grid states, ``grads`` (count, S, m)."""
-    f_vals = dynamics_numpy(grid.spec)(grid.state_points[:, None],
-                                       grid.control_points[None])  # (m, S, K)
+    f_vals = grid.spec.dynamics_at(grid.state_points[:, None],
+                                   grid.control_points[None])  # (m, S, K)
     return rate_along(np.moveaxis(grads, -1, 0)[..., None], f_vals).reshape(
         grads.shape[0], grid.atom_count)
 

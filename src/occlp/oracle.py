@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .system import SystemSpec, cost_numpy, parses_to
+from .system import SystemSpec, parses_to
 
 
 class OracleError(ValueError):
@@ -80,37 +80,36 @@ def rotation_level_value(spec: SystemSpec, z: float,
     radius sqrt(z).  The error bound is the cost's sampled modulus over one
     angular cell.
     """
-    return _level_value(spec, z, *_circle_scan(spec, angle_resolution, control_resolution))
-
-
-def _level_value(spec: SystemSpec, z: float, angles: np.ndarray, ring: np.ndarray,
-                 controls: np.ndarray) -> OracleResult:
-    a2, b2 = spec.region.inner ** 2, spec.region.outer ** 2
-    if not a2 - 1e-12 <= z <= b2 + 1e-12:
-        raise OracleError(f"level {z} outside [{a2}, {b2}]")
-    # the cost on the circle's (angle, control) pairs, (A, U), by broadcasting
-    ys = np.asarray(spec.region.center) + math.sqrt(z) * ring
-    costs = cost_numpy(spec)(ys[:, None, :], controls[None, :, :])
-
-    # family (i): park at any angle with zero control (requires 0 in the scan)
-    zero_col = int(np.argmin(np.linalg.norm(controls, axis=1)))
-    stationary = float(np.min(costs[:, zero_col]))
-    stationary_angle = float(angles[int(np.argmin(costs[:, zero_col]))])
-
-    # family (ii): uniform in angle, best fixed control
-    circulating_per_u = costs.mean(axis=0)
+    angles, ring, controls = _circle_scan(spec, angle_resolution, control_resolution)
+    costs, parked, circulating_per_u = _level_scan(spec, z, ring, controls)
+    stationary = float(np.min(parked))
     circulating = float(np.min(circulating_per_u))
-    circulating_u = controls[int(np.argmin(circulating_per_u))]
-
     if stationary <= circulating:
-        value, attained = stationary, f"stationary (angle={stationary_angle:.6f}, u=0)"
+        angle = float(angles[int(np.argmin(parked))])
+        value, attained = stationary, f"stationary (angle={angle:.6f}, u=0)"
     else:
-        value, attained = circulating, f"circulating (u={circulating_u.tolist()})"
+        u = controls[int(np.argmin(circulating_per_u))]
+        value, attained = circulating, f"circulating (u={u.tolist()})"
     cell_modulus = float(np.max(np.abs(np.diff(costs, axis=0)))) if len(angles) > 1 else 0.0
     return OracleResult(instance=f"rotation level z={z} cost={spec.cost_id}",
                         value=value, method="exhaustive-atom-scan",
                         error_bound=cell_modulus, attained_by=attained,
                         stationary_value=stationary, circulating_value=circulating)
+
+
+def _level_scan(spec: SystemSpec, z: float, ring: np.ndarray,
+                controls: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cost on circle ``z``'s (angle, control) pairs (A, U), by
+    broadcasting; its column at zero control, family (i): park at any angle
+    (0 must be in the scan); and its mean over angles per control, family
+    (ii): uniform in angle at one fixed control."""
+    a2, b2 = spec.region.inner ** 2, spec.region.outer ** 2
+    if not a2 - 1e-12 <= z <= b2 + 1e-12:
+        raise OracleError(f"level {z} outside [{a2}, {b2}]")
+    ys = np.asarray(spec.region.center) + math.sqrt(z) * ring
+    costs = spec.cost_at(ys[:, None, :], controls[None, :, :])
+    zero_col = int(np.argmin(np.linalg.norm(controls, axis=1)))
+    return costs, costs[:, zero_col], costs.mean(axis=0)
 
 
 def frozen_value(spec: SystemSpec, y0, control_resolution: int = 201) -> OracleResult:
@@ -124,7 +123,7 @@ def frozen_value(spec: SystemSpec, y0, control_resolution: int = 201) -> OracleR
         raise OracleError("the frozen oracle applies to zero dynamics only")
     y0 = np.asarray(y0, dtype=float)
     controls = spec.control.grid(control_resolution)
-    values = cost_numpy(spec)(y0, controls)
+    values = spec.cost_at(y0, controls)
     best = int(np.argmin(values))
     on_lattice = values.reshape((control_resolution,) * spec.dim_control)
     cell_modulus = max(float(np.max(np.abs(np.diff(on_lattice, axis=j))))
@@ -145,10 +144,15 @@ class LevelTable:
 def level_set_ordering(spec: SystemSpec, levels,
                        angle_resolution: int = 4096,
                        control_resolution: int = 41) -> LevelTable:
-    """Per-level values across a grid of invariant circles; the minimum over
-    levels is the reference for the start-point-free (ergodic) program."""
-    scan = _circle_scan(spec, angle_resolution, control_resolution)
-    rows = [(float(z), _level_value(spec, float(z), *scan).value) for z in levels]
+    """Per-level values across a grid of invariant circles, without
+    :func:`rotation_level_value`'s error bounds; the minimum over levels is the
+    reference for the start-point-free (ergodic) program."""
+    _angles, ring, controls = _circle_scan(spec, angle_resolution, control_resolution)
+    rows = []
+    for z in levels:
+        _costs, parked, circulating_per_u = _level_scan(spec, float(z), ring, controls)
+        stationary, circulating = float(np.min(parked)), float(np.min(circulating_per_u))
+        rows.append((float(z), stationary if stationary <= circulating else circulating))
     values = [v for _, v in rows]
     best = int(np.argmin(values))
     return LevelTable(rows=tuple(rows), min_value=values[best], argmin_level=rows[best][0])

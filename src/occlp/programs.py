@@ -71,7 +71,7 @@ import numpy as np
 
 from .basis import BasisSpec, phi_and_grad_matrix, phi_matrix
 from .grid import DiscreteMeasure, Grid, LpBlocks, snap_to_state_grid, stack_rows
-from .system import SystemSpec, cost_numpy, dynamics_numpy, lattice, rate_along
+from .system import SystemSpec, lattice, rate_along
 
 
 log = logging.getLogger(__name__)
@@ -707,7 +707,7 @@ def certificate_slacks(cert: DualCertificate, grid: Grid, basis: BasisSpec,
     if ys is None:
         ys = grid.state_points
     pairs = (ys[:, None, :], grid.control_points[None, :, :])
-    f_vals = dynamics_numpy(spec)(*pairs)  # (m, n, k)
+    f_vals = spec.dynamics_at(*pairs)  # (m, n, k)
     phi, grads = phi_and_grad_matrix(basis, ys)
     psi_vals = cert.psi_coeffs @ phi
     # grad eta and grad psi per state, axis first: (m, n, 1) against f_vals
@@ -715,7 +715,7 @@ def certificate_slacks(cert: DualCertificate, grid: Grid, basis: BasisSpec,
     grad_psi = np.einsum("b,bnm->nm", cert.psi_coeffs, grads).T[..., None]
     psi_at_y0 = (float(cert.psi_coeffs @ phi_matrix(basis, cert.y0[None, :])[:, 0])
                  if cert.y0 is not None else 0.0)
-    family1 = (cost_numpy(spec)(*pairs) + (psi_at_y0 - psi_vals)[:, None]
+    family1 = (spec.cost_at(*pairs) + (psi_at_y0 - psi_vals)[:, None]
                + rate_along(grad_eta, f_vals) - cert.mu
                + 2.0 * cert.epsilon)
     family2 = (rate_along(grad_psi, f_vals)

@@ -42,7 +42,7 @@ import numpy as np
 from . import exprs
 from .grid import DiscreteMeasure, Grid, LpBlocks, nearest_atom_index, nearest_state_index
 from .programs import MembershipResidual, membership_residual
-from .system import SystemSpec, cost_numpy, rk4_run_fn
+from .system import SystemSpec
 
 log = logging.getLogger(__name__)
 
@@ -214,7 +214,7 @@ def rk4_step(f, y: tuple, u: tuple, dt: float) -> tuple:
 def _run_until_parked(go, y: tuple, count: int, rows: array, m: int,
                       controls: array | None = None, p: int = 0):
     """Take one run of ``count`` steps with ``go(y, k)``, a generated loop of
-    ``rk4_run_fn`` bound to all but its start state and its step count.
+    ``SystemSpec.rk4_run`` bound to all but its start state and its step count.
 
     The run's step is a pure function of its state: its control is held, or
     its law reads the state only.  So once a step maps its state to itself
@@ -254,7 +254,7 @@ def integrate(spec: SystemSpec, y0, policy: Policy, horizon: float,
               dt: float = 1e-3) -> Trajectory:
     """Integrate from y0 for ceil(horizon / dt) fixed steps.
 
-    The steps are taken in runs of the generated ``system.rk4_run_fn``.  A
+    The steps are taken in runs of the generated ``SystemSpec.rk4_run``.  A
     ``LawPolicy`` is one closed-loop run for the whole horizon, with its law
     evaluated and checked against the control box inside the loop.  A
     ``SchedulePolicy``'s runs are its pieces, found for all steps at once by
@@ -303,7 +303,7 @@ def integrate(spec: SystemSpec, y0, policy: Policy, horizon: float,
         if len(policy.law) != p:
             raise SimulationError(f"policy produced control of length {len(policy.law)}, "
                                   f"expected {p}")
-        run = rk4_run_fn(spec, policy.law)
+        run = spec.rk4_run(policy.law)
         lows, highs = spec.control.limits()
         try:
             (done, y, escaped), parked = _run_until_parked(
@@ -323,7 +323,7 @@ def integrate(spec: SystemSpec, y0, policy: Policy, horizon: float,
             cycle = (parked, 1)
         path = "closed-loop law"
     else:
-        run = rk4_run_fn(spec)
+        run = spec.rk4_run()
         admits = spec.control.admission()
         lag = None  # the steps of one period, if the pieces repeat with it
         if isinstance(policy, SchedulePolicy):
@@ -417,7 +417,7 @@ def _endpoint_costs(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     """The cost at the start and at the end of each step, under the step's
     control.  Every step of a repeating tail has the states at both ends and
     the control of the step one cycle before it, so the tail is costed once."""
-    k = cost_numpy(traj.spec)  # on row-paired states and controls
+    k = traj.spec.cost_at  # on row-paired states and controls
     n, costed = len(traj.controls), traj.distinct_steps
     left = k(traj.states[:costed], traj.controls[:costed])
     right = k(traj.states[1:costed + 1], traj.controls[:costed])

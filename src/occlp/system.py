@@ -9,18 +9,19 @@ or lists expressions in the grammar of :mod:`occlp.exprs`, and a cost id is
 such an expression, so custom systems are declared as data rather than loaded
 as code.  Both regions also admit the points within ``REGION_TOL`` of them.
 
-Specs are immutable after construction and every evaluator is a pure function,
-safe to call from concurrent workers.  Each expression kind has one compiled
-numpy evaluator, cached per id: :func:`dynamics_numpy` and :func:`cost_numpy`
-take states and controls whose leading shapes broadcast, so a state × control
-product is evaluated by broadcasting and row-paired points by the same code.
+Specs are immutable values.  Each parses its expressions once, when it is
+built, and compiles each evaluator from those trees on first use, once; every
+evaluator is a pure function, safe to call from concurrent workers.
+:meth:`SystemSpec.dynamics_at` and :meth:`SystemSpec.cost_at` take states and
+controls whose leading shapes broadcast, so a state × control product is
+evaluated by broadcasting and row-paired points by the same code.
 """
 
 from __future__ import annotations
 
 import operator
+import threading
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -255,8 +256,7 @@ _BUILTIN_DYNAMICS = MappingProxyType({
 })
 
 
-@lru_cache(maxsize=None)
-def _parsed_dynamics(dyn_id: str, m: int, p: int) -> tuple[exprs.Node, ...]:
+def _parse_dynamics(dyn_id: str, m: int, p: int) -> tuple[exprs.Node, ...]:
     # any other id is a semicolon-separated expression list; garbage ids
     # surface as UnknownEvaluatorError when the expressions fail to parse
     expressions = _BUILTIN_DYNAMICS.get(dyn_id) or tuple(
@@ -271,28 +271,40 @@ def _parsed_dynamics(dyn_id: str, m: int, p: int) -> tuple[exprs.Node, ...]:
         raise UnknownEvaluatorError(f"dynamics_id {dyn_id!r}: {err}", "dynamics_id") from err
 
 
-@lru_cache(maxsize=None)
-def _parsed_cost(cost_id: str, m: int, p: int) -> exprs.Node:
+def _parse_integral(text: str, m: int) -> tuple[exprs.Node, ...]:
+    # over the state only: a control in a first integral is out of range
     try:
-        return exprs.parse_expr(cost_id, m, p)
+        node = exprs.parse_expr(text, m, 0)
+        return (node, *(exprs.diff(node, j) for j in range(m)))
     except exprs.ExpressionError as err:
-        raise UnknownEvaluatorError(f"unknown cost_id {cost_id!r}: {err}", "cost_id") from err
+        raise UnknownEvaluatorError(f"first integral {text!r}: {err}",
+                                    "first_integrals") from err
 
 
 def parses_to(spec: SystemSpec, dynamics_id: str) -> bool:
     """Whether the spec's dynamics parse to those of ``dynamics_id``, a built-in
     id or an expression list: a custom ``u1*y2; -u1 * y1`` is the rotation's."""
-    m, p = spec.dim_state, spec.dim_control
-    return _parsed_dynamics(spec.dynamics_id, m, p) == _parsed_dynamics(dynamics_id, m, p)
+    return spec.dynamics == _parse_dynamics(dynamics_id, spec.dim_state, spec.dim_control)
 
 
 # ---------------------------------------------------------------------------
 # the system description
 
+# held while an evaluator is compiled, so that each is compiled once per spec
+_COMPILING = threading.Lock()
+
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """Immutable description of one controlled system instance."""
+    """Immutable description of one controlled system instance.
+
+    Building a spec parses its dynamics, cost and first integrals, so a bad id
+    fails here, and keeps the trees: ``dynamics``, one node per state
+    component; ``cost``; and ``integrals``, per first integral its node and
+    its gradient's nodes.  Each evaluator is compiled from them on first use,
+    once per spec, also when pool threads ask for it together.  Equality,
+    hashing and repr cover the declared fields only.
+    """
 
     name: str
     dynamics_id: str
@@ -312,79 +324,63 @@ class SystemSpec:
         return self.control.dim
 
     def __post_init__(self):
-        # fail fast on unresolvable identifiers or dimension mismatches
-        _parsed_dynamics(self.dynamics_id, self.dim_state, self.dim_control)
-        _parsed_cost(self.cost_id, self.dim_state, self.dim_control)
-        for text in self.first_integrals:
-            _first_integral_nodes(text, self.dim_state)
+        m, p = self.dim_state, self.dim_control
+        dynamics = _parse_dynamics(self.dynamics_id, m, p)
+        try:
+            cost = exprs.parse_expr(self.cost_id, m, p)
+        except exprs.ExpressionError as err:
+            raise UnknownEvaluatorError(f"unknown cost_id {self.cost_id!r}: {err}",
+                                        "cost_id") from err
+        self.__dict__.update(dynamics=dynamics, cost=cost, integrals=tuple(
+            _parse_integral(text, m) for text in self.first_integrals))
 
+    def _compiled(self, name: str, compile_nodes, nodes):
+        """The evaluator ``name``: ``compile_nodes(nodes)`` on first use, kept after."""
+        if name not in self.__dict__:
+            with _COMPILING:
+                if name not in self.__dict__:
+                    self.__dict__[name] = compile_nodes(nodes)
+        return self.__dict__[name]
 
-# compiled-evaluator caches keyed by (id, dims); all artifacts are pure
+    def dynamics_at(self, ys, us) -> np.ndarray:
+        """f(Y, U) of shape ``(m, *shape)``, from states ``(..., m)`` and
+        controls ``(..., p)`` whose leading shapes broadcast to ``shape``
+        (``exprs.compile_numpy``): row-paired points, or a state × control
+        product as ``Y[:, None, :]`` against ``U[None, :, :]``."""
+        return self._compiled("_dynamics_numpy", exprs.compile_numpy, self.dynamics)(ys, us)
 
+    def cost_at(self, ys, us) -> np.ndarray:
+        """k(Y, U) of shape ``shape``, over the same pairs as :meth:`dynamics_at`."""
+        return self._compiled("_cost_numpy", exprs.compile_numpy, (self.cost,))(ys, us)[0]
 
-@lru_cache(maxsize=None)
-def _dynamics_scalar(dyn_id: str, m: int, p: int):
-    return exprs.compile_scalar(_parsed_dynamics(dyn_id, m, p))
+    def rk4_run(self, law: tuple[exprs.Node, ...] | None = None):
+        """Runge-Kutta steps at one held control, ``run(y_tuple, u_tuple, dt, n,
+        rows) -> (done, state)``, or closed by a feedback law over the state,
+        ``run(y_tuple, lows, highs, dt, n, rows, controls) -> (done, state,
+        escaped)`` (see ``exprs.compile_rk4_run``); each state is bitwise
+        ``simulate.rk4_step(dynamics_fn(spec), y, u, dt)`` of the one before.
+        The held-control run is compiled once; a law run on every call."""
+        if law is not None:
+            return exprs.compile_rk4_run(self.dynamics, law)
+        return self._compiled("_rk4_held", exprs.compile_rk4_run, self.dynamics)
 
-
-@lru_cache(maxsize=None)
-def _rk4_run(dyn_id: str, m: int, p: int, law: tuple[exprs.Node, ...] | None):
-    return exprs.compile_rk4_run(_parsed_dynamics(dyn_id, m, p), law)
-
-
-@lru_cache(maxsize=None)
-def _dynamics_numpy(dyn_id: str, m: int, p: int):
-    return exprs.compile_numpy(_parsed_dynamics(dyn_id, m, p))
-
-
-@lru_cache(maxsize=None)
-def _cost_numpy(cost_id: str, m: int, p: int):
-    return exprs.compile_numpy((_parsed_cost(cost_id, m, p),))
-
-
-@lru_cache(maxsize=None)
-def _first_integral_nodes(text: str, m: int) -> tuple[exprs.Node, tuple[exprs.Node, ...]]:
-    # over the state only: a control in a first integral is out of range
-    try:
-        node = exprs.parse_expr(text, m, 0)
-        return node, tuple(exprs.diff(node, j) for j in range(m))
-    except exprs.ExpressionError as err:
-        raise UnknownEvaluatorError(f"first integral {text!r}: {err}",
-                                    "first_integrals") from err
-
-
-@lru_cache(maxsize=None)
-def _first_integral_numpy(text: str, m: int):
-    node, grads = _first_integral_nodes(text, m)
-    return exprs.compile_numpy((node, *grads))
+    def first_integral_values_and_rates(self, ys, us):
+        """For each first integral F: its text, values F(y) and rates
+        grad F(y) . f(y, u), over states and controls that broadcast as in
+        :meth:`dynamics_at`."""
+        if not self.integrals:
+            return []
+        rows = self._compiled("_integrals_numpy", exprs.compile_numpy,
+                              sum(self.integrals, ()))(ys, np.empty(0))
+        f_vals = self.dynamics_at(ys, us)
+        return [(text, per[0], rate_along(per[1:], f_vals)) for text, per
+                in zip(self.first_integrals, np.split(rows, len(self.integrals)))]
 
 
 def dynamics_fn(spec: SystemSpec):
-    """Fast scalar evaluator ``f(y_tuple, u_tuple) -> tuple`` (no containment checks)."""
-    return _dynamics_scalar(spec.dynamics_id, spec.dim_state, spec.dim_control)
-
-
-def rk4_run_fn(spec: SystemSpec, law: tuple[exprs.Node, ...] | None = None):
-    """Runge-Kutta steps at one held control, ``run(y_tuple, u_tuple, dt, n, rows)
-    -> (done, state)``, or closed by a feedback law over the state, ``run(y_tuple,
-    lows, highs, dt, n, rows, controls) -> (done, state, escaped)`` (see
-    ``exprs.compile_rk4_run``); each state is bitwise
-    ``simulate.rk4_step(dynamics_fn(spec), y, u, dt)`` of the one before."""
-    return _rk4_run(spec.dynamics_id, spec.dim_state, spec.dim_control, law)
-
-
-def dynamics_numpy(spec: SystemSpec):
-    """Evaluator ``f(Y, U) -> (m, *shape)`` from states ``(..., m)`` and
-    controls ``(..., p)`` whose leading shapes broadcast to ``shape``
-    (``exprs.compile_numpy``): row-paired points, or a state × control product
-    as ``Y[:, None, :]`` against ``U[None, :, :]``."""
-    return _dynamics_numpy(spec.dynamics_id, spec.dim_state, spec.dim_control)
-
-
-def cost_numpy(spec: SystemSpec):
-    """Evaluator ``k(Y, U) -> shape`` over the same pairs as ``dynamics_numpy``."""
-    raw = _cost_numpy(spec.cost_id, spec.dim_state, spec.dim_control)
-    return lambda ys, us: raw(ys, us)[0]
+    """Scalar evaluator ``f(y_tuple, u_tuple) -> tuple`` (no containment checks),
+    compiled on each call: the reference that the generated runs match bitwise."""
+    return exprs.compile_scalar(spec.dynamics)
 
 
 def rate_along(grad, f_vals) -> np.ndarray:
@@ -395,17 +391,6 @@ def rate_along(grad, f_vals) -> np.ndarray:
     for g, f in zip(grad, f_vals):
         total = total + g * f
     return total
-
-
-def first_integral_values_and_rates(spec: SystemSpec, ys: np.ndarray, us: np.ndarray):
-    """For each first integral F: values F(y) and rates grad F(y) . f(y, u),
-    over states and controls that broadcast as in ``dynamics_numpy``."""
-    f_vals = dynamics_numpy(spec)(ys, us)
-    out = []
-    for text in spec.first_integrals:
-        value, *grads = _first_integral_numpy(text, spec.dim_state)(ys, np.empty(0))
-        out.append((text, value, rate_along(grads, f_vals)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +414,8 @@ def check_first_integrals(spec: SystemSpec, sample_count: int = 20,
     us = spec.control.grid(min(sample_count, 9))
     per = []
     worst = 0.0
-    for text, _values, rates in first_integral_values_and_rates(spec, ys[:, None, :],
-                                                                us[None, :, :]):
+    for text, _values, rates in spec.first_integral_values_and_rates(ys[:, None, :],
+                                                                     us[None, :, :]):
         residual = float(np.max(np.abs(rates)))
         per.append((text, residual))
         worst = max(worst, residual)
@@ -454,7 +439,7 @@ def check_forward_invariance(spec: SystemSpec, boundary_sample_count: int = 64,
     us = spec.control.grid(control_resolution)
     # (control, point) pairs, control-major, so ties go to the first control,
     # then the first point
-    outward = rate_along(normals.T, dynamics_numpy(spec)(points[None, :, :], us[:, None, :]))
+    outward = rate_along(normals.T, spec.dynamics_at(points[None, :, :], us[:, None, :]))
     c, i = np.unravel_index(np.argmax(outward), outward.shape)
     worst = float(outward[c, i])
     return InvarianceReport(worst, worst <= tolerance,
@@ -474,8 +459,8 @@ def validate_bounds(spec: SystemSpec, state_resolution: int = 25,
     """Dense-sampling check that bound_f and bound_k dominate f and k."""
     ys = spec.region.sample(state_resolution)[:, None, :]
     us = spec.control.grid(control_resolution)[None, :, :]
-    f_norm = float(np.max(np.linalg.norm(dynamics_numpy(spec)(ys, us), axis=0)))
-    k_abs = float(np.max(np.abs(cost_numpy(spec)(ys, us))))
+    f_norm = float(np.max(np.linalg.norm(spec.dynamics_at(ys, us), axis=0)))
+    k_abs = float(np.max(np.abs(spec.cost_at(ys, us))))
     return BoundReport(f_norm, k_abs, f_norm <= spec.bound_f + 1e-12,
                        k_abs <= spec.bound_k + 1e-12)
 

@@ -78,7 +78,7 @@ def test_default_config_text_parses():
 
 @pytest.mark.parametrize("snippet,needle", [
     ("[system]\nname = rotation\n[program]\ny0 = [9.0, 0.0]\n", "y0"),
-    ("[basis]\ndegree = 0\n", "max_degree must be >= 1"),
+    ("[basis]\ndegree = 0\n", "line 2: degree must be >= 1"),
     ("[grid]\nwhatever = 1\n", "unknown key"),
     ("[nosuch]\nx = 1\n", "unknown section"),
     ("[basis]\ndegree = fast\n", "degree must be an integer"),
@@ -168,7 +168,7 @@ y0 = [0.5]
 """)
     spec = build_system(cfg.system)
     assert spec.dim_state == 1
-    assert system.dynamics_numpy(spec)(np.array([0.5]), np.array([0.25]))[0] == \
+    assert spec.dynamics_at(np.array([0.5]), np.array([0.25]))[0] == \
         pytest.approx(-0.25)
     assert spec.bound_f >= 2.0  # sampled bound with headroom
 
@@ -184,7 +184,7 @@ cost = 1
     assert cfg.system.dynamics == ("0.0", "-y1")
     assert cfg.system.first_integrals == ("2.0",)
     spec = build_system(cfg.system)
-    assert system.dynamics_numpy(spec)(np.array([0.5, 0.0]), np.array([0.0])).tolist() == \
+    assert spec.dynamics_at(np.array([0.5, 0.0]), np.array([0.0])).tolist() == \
         [0.0, -0.5]
 
 
@@ -530,17 +530,25 @@ def test_solve_solves_every_configured_lp(acceptance_bundles):
         assert set(_solved(bundle)) == set(cfg.program.variants)
 
 
-def test_certify_solves_its_own_lp_when_nonergodic_is_not_configured(acceptance_bundles):
+@pytest.mark.parametrize("command,variant,tables", [
+    ("certify", "nonergodic", ()),
+    ("sweep", "discounted", ("discount_sweep",)),
+], ids=["certify-nonergodic", "sweep-discounted"])
+def test_a_section_solves_its_own_lp_when_its_variant_is_not_configured(
+        acceptance_bundles, command, variant, tables):
     cfg, bundles = acceptance_bundles
+    full = bundles[command]
+    assert variant in _solved(full)
     ergodic_only = dataclasses.replace(
         cfg, program=dataclasses.replace(cfg.program, variants=("ergodic",)))
-    bundle = run_study(ergodic_only, sections=("certify",))
+    bundle = run_study(ergodic_only, sections=(command,))
     assert bundle.all_passed()
     assert _solved(bundle) == []
 
-    def certify_values(b):
-        return {k: v for k, v in b.values.items() if k.startswith("certify.")}
-    assert certify_values(bundle) == certify_values(bundles["certify"])
+    def section_values(b):
+        return {k: v for k, v in b.values.items() if k.startswith(f"{command}.")}
+    assert section_values(bundle) == section_values(full)
+    assert bundle.tables == {name: full.tables[name] for name in tables}
 
 
 def test_info_log_has_one_line_per_lp(caplog):
@@ -778,7 +786,7 @@ def test_cli_main_paths(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.conf"
     bad.write_text("[basis]\ndegree = 0\n")
     assert main(["solve", "--config", str(bad)]) == 2
-    assert "max_degree" in capsys.readouterr().err
+    assert "error: line 2: degree must be >= 1" in capsys.readouterr().err
 
     bad.write_text("[grid]\nstate_resolution = [1, 64]\n")
     assert main(["solve", "--config", str(bad)]) == 2
@@ -990,6 +998,35 @@ def test_a_declared_bound_below_the_sampled_maximum_is_a_config_error(tmp_path, 
     exact = f"bound_f = {report.max_dynamics_norm!r}\nbound_k = {report.max_cost_abs!r}\n"
     spec = build_system(parse_config(BOX_CUSTOM_SYSTEM.format(bounds=exact)).system)
     assert (spec.bound_f, spec.bound_k) == (report.max_dynamics_norm, report.max_cost_abs)
+
+
+# per built-in: text that makes its config valid, and a bound_f below its
+# sampled maximum ||f|| (1.5, 0 and 1.96)
+_BUILT_INS = {
+    "rotation": ("", "0.1"),
+    "frozen": ("[grid]\nstate_resolution = [4, 4]\n", "-1"),
+    "scalar-drift": ("[grid]\nstate_resolution = [8]\n[program]\ny0 = [0.0]\n", "0.5"),
+}
+
+
+@pytest.mark.parametrize("name", list(_BUILT_INS))
+def test_a_built_in_system_gets_the_custom_bound_check(name):
+    tail, low_f = _BUILT_INS[name]
+
+    def text(bound):
+        return f"[system]\nname = {name}\n{bound}\n{tail}"
+    spec = build_system(parse_config(text("")).system)
+    report = system.validate_bounds(spec)
+    # undeclared: the built-in's own bound_f and the sampled max |k|
+    assert (spec.bound_f, spec.bound_k) == ({"rotation": 1.5, "frozen": 0.0,
+                                             "scalar-drift": 2.0}[name], report.max_cost_abs)
+    for key, low, sampled in (("bound_k", "0.1", report.max_cost_abs),
+                              ("bound_f", low_f, report.max_dynamics_norm)):
+        message = f"line 3: {key} {low} is below its sampled maximum {sampled:.6g} on the state"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            parse_config(text(f"{key} = {low}"))
+    # a declared bound at or above the sampled maximum is used
+    assert build_system(parse_config(text("bound_f = 99")).system).bound_f == 99.0
 
 
 def test_the_duality_gap_invariant_is_checked_at_the_solver_tolerance(monkeypatch):

@@ -13,7 +13,7 @@ from occlp.grid import (DiscreteMeasure, GridError, LpBlocks, assemble_cost_vect
                         assemble_flow_matrix, assemble_initial_matrix, build_grid,
                         nearest_atom_index, nearest_index,
                         nearest_state_index)
-from occlp.system import REGION_TOL, ControlRegion, RegionError, StateRegion, dynamics_numpy
+from occlp.system import REGION_TOL, ControlRegion, RegionError, StateRegion
 
 
 @pytest.fixture(scope="module")
@@ -203,7 +203,7 @@ def assembly_setups(rotation):
 def test_statewise_assembly_is_bitwise_the_atomwise_one(assembly_setups, case):
     spec, g, b, y0 = assembly_setups[case]
     # f at every atom's row, one row per atom, as (N, m) C-contiguous rows
-    f = np.ascontiguousarray(dynamics_numpy(spec)(g.atom_states, g.atom_controls).T)
+    f = np.ascontiguousarray(spec.dynamics_at(g.atom_states, g.atom_controls).T)
     if spec.name == "rotation":  # the control u = 0 stops the motion
         assert np.any(np.all(f == 0.0, axis=1))
     flow = np.einsum("bnm,nm->bn", grad_matrix(b, g.atom_states), f)

@@ -104,7 +104,7 @@ def test_level_table_rows_are_bitwise_the_materialised_scan(cost):
         radius = np.sqrt(z)
         ys = np.stack([cx + radius * np.cos(angles), cy + radius * np.sin(angles)], axis=1)
         ys_full, us_full = np.repeat(ys, 41, axis=0), np.tile(controls, (4096, 1))
-        costs = system.cost_numpy(spec)(ys_full, us_full).reshape(4096, 41)
+        costs = spec.cost_at(ys_full, us_full).reshape(4096, 41)
         stationary, circulating = np.min(costs[:, zero]), np.min(costs.mean(axis=0))
         rows.append((z, stationary if stationary <= circulating else circulating))
     assert np.array(table.rows).tobytes() == np.array(rows).tobytes()

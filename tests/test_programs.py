@@ -24,8 +24,7 @@ from occlp.programs import (CERTIFICATE_TOL, PRIMAL_RESIDUAL_TOL, LpInstance, Pr
                             certificate_slacks, extract_dual_certificate, lp_name,
                             membership_residual, snap_to_state_grid, solve, solve_chain,
                             verify_weak_duality)
-from occlp.system import (ControlRegion, StateRegion, SystemSpec, cost_numpy, dynamics_numpy,
-                          lattice)
+from occlp.system import ControlRegion, StateRegion, SystemSpec, lattice
 
 
 def product_rows(ys, us):
@@ -40,9 +39,7 @@ def _stacked(spec, kind, y, u, shape):
     row-paired batch evaluation (components of materialised rows) and the
     state × control product evaluation (components as columns against rows)
     that one broadcast evaluator replaces."""
-    m, p = spec.dim_state, spec.dim_control
-    nodes = (system._parsed_dynamics(spec.dynamics_id, m, p) if kind == "dynamics"
-             else (system._parsed_cost(spec.cost_id, m, p),))
+    nodes = spec.dynamics if kind == "dynamics" else (spec.cost,)
     out = np.empty((len(nodes), *shape))
     for j, col in enumerate(exprs._compile(nodes, numpy_mode=True)(y, u)):
         out[j] = col
@@ -83,7 +80,7 @@ def rotation_solved(rotation_setup):
 
 
 def brute_force_atom_minimum(grid, spec):
-    return float(np.min(cost_numpy(spec)(grid.atom_states, grid.atom_controls)))
+    return float(np.min(spec.cost_at(grid.atom_states, grid.atom_controls)))
 
 
 def certificate_holds(cert, grid, basis, spec):
@@ -103,7 +100,7 @@ def test_ergodic_frozen_equals_exhaustive_scan(frozen_setup):
     # zero dynamics leave only the simplex: optimum sits on the cheapest atom
     best = int(np.argmax(solution.gamma.weights))
     y, u = g.atom(best)
-    assert cost_numpy(spec)(y, u) == pytest.approx(solution.value, abs=1e-9)
+    assert spec.cost_at(y, u) == pytest.approx(solution.value, abs=1e-9)
 
 
 def test_ergodic_constant_cost(frozen_setup):
@@ -531,7 +528,7 @@ def test_discounted_large_rate_concentrates_at_start():
     g = build_grid(spec, 9, 9)
     b = basis_for_region(spec.region, 4)
     y0 = (g.state_points[6, 0],)  # a grid state away from the cost minimum
-    start_cost = np.min(cost_numpy(spec)(np.array(y0), g.control_points))
+    start_cost = np.min(spec.cost_at(np.array(y0), g.control_points))
     gaps = []
     for rate in (1.0, 10.0, 100.0):
         solution = solve(build_discounted_lp(LpBlocks(g, b, y0), rate))
@@ -882,8 +879,8 @@ def test_product_evaluators_are_bitwise_the_batch_evaluators(request):
         us = g.control_points
         pairs = (ys.shape[0], us.shape[0])
         ys_full, us_full = product_rows(ys, us)
-        for kind, evaluate in (("dynamics", system.dynamics_numpy(spec)),
-                               ("cost", lambda y, u: system.cost_numpy(spec)(y, u)[None])):
+        for kind, evaluate in (("dynamics", spec.dynamics_at),
+                               ("cost", lambda y, u: spec.cost_at(y, u)[None])):
             batch = _stacked(spec, kind, ys_full.T, us_full.T, ys_full.shape[:1])
             product = _stacked(spec, kind, ys.T[:, :, None], us.T[:, None, :], pairs)
             paired = evaluate(ys_full, us_full)
@@ -894,7 +891,7 @@ def test_product_evaluators_are_bitwise_the_batch_evaluators(request):
             assert broadcast.tobytes() == batch.reshape(product.shape).tobytes()
     # a constant component broadcasts to every pair
     frozen = system.make_frozen()
-    assert np.array_equal(system.dynamics_numpy(frozen)(ys[:, None], us[None]),
+    assert np.array_equal(frozen.dynamics_at(ys[:, None], us[None]),
                           np.zeros((2, *pairs)))
 
 

@@ -320,11 +320,11 @@ def test_parked_tail_is_tested_and_costed_once(monkeypatch, name):
     spec, y0, policy, horizon, dt, cycle = _TAIL_RUNS[name]
     grid = build_grid(spec, (5, 16) if spec.region.kind == "annulus" else 4, 3)
     evaluated, binned = [], []
-    contains, cost_numpy = system.StateRegion.contains, simulate.cost_numpy
+    contains, cost_at = system.StateRegion.contains, system.SystemSpec.cost_at
     monkeypatch.setattr(system.StateRegion, "contains",
                         lambda self, y: evaluated.append(len(y)) or contains(self, y))
-    monkeypatch.setattr(simulate, "cost_numpy", lambda spec: lambda y, u: (
-        evaluated.append(len(y)), cost_numpy(spec)(y, u))[1])
+    monkeypatch.setattr(system.SystemSpec, "cost_at", lambda self, y, u: (
+        evaluated.append(len(y)), cost_at(self, y, u))[1])
     monkeypatch.setattr(simulate, "nearest_atom_index", lambda grid, y, u: (
         binned.append(len(y)), nearest_atom_index(grid, y, u))[1])
     traj = integrate(spec, y0, policy, horizon, dt)
@@ -336,7 +336,7 @@ def test_parked_tail_is_tested_and_costed_once(monkeypatch, name):
     assert binned == [sum(cycle)]
     # bitwise what every sample gives
     monkeypatch.undo()
-    k = system.cost_numpy(spec)
+    k = spec.cost_at
     every_left, every_right = k(traj.states[:-1], traj.controls), k(traj.states[1:], traj.controls)
     assert traj.in_region.tobytes() == spec.region.contains(traj.states).tobytes()
     every = nearest_atom_index(grid, traj.states[:-1], traj.controls)
@@ -496,10 +496,9 @@ def test_empirical_measure_integral_identity(rotation):
     g = build_grid(rotation, (5, 64), 9)
     traj = integrate(rotation, (1.0, 0.0), ConstantPolicy(0.8), 50.0, 1e-3)
     measure = empirical_occupational_measure(traj, g)
-    from occlp.system import cost_numpy
-    k_atoms = cost_numpy(rotation)(g.atom_states, g.atom_controls)
+    k_atoms = rotation.cost_at(g.atom_states, g.atom_controls)
     lhs = measure.weights @ k_atoms
-    k_path = cost_numpy(rotation)(traj.states[:-1], traj.controls)
+    k_path = rotation.cost_at(traj.states[:-1], traj.controls)
     rhs = float(np.mean(k_path))
     assert abs(lhs - rhs) <= annulus_cell_diameter(g) + 1e-6
 

@@ -1,7 +1,13 @@
+import dataclasses
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from occlp import system
+from occlp import exprs, system
 from occlp.system import (ControlRegion, DimensionMismatchError, RegionError,
                           StateRegion, SystemSpec, UnknownEvaluatorError)
 
@@ -18,12 +24,12 @@ def frozen():
 
 def f_at(spec, y, u):
     """f(y, u) at one point, through the numpy evaluator."""
-    return system.dynamics_numpy(spec)(np.array(y, dtype=float), np.array(u, dtype=float))
+    return spec.dynamics_at(np.array(y, dtype=float), np.array(u, dtype=float))
 
 
 def k_at(spec, y, u):
     """k(y, u) at one point, through the numpy evaluator."""
-    return system.cost_numpy(spec)(np.array(y, dtype=float), np.array(u, dtype=float))
+    return spec.cost_at(np.array(y, dtype=float), np.array(u, dtype=float))
 
 
 def test_rotation_dynamics_reference_point(rotation):
@@ -69,6 +75,56 @@ def test_evaluators_are_pure(rotation):
     assert a.tobytes() == b.tobytes()
     assert k_at(rotation, (0.6, 0.8), (0.37,)) == \
         k_at(rotation, (0.6, 0.8), (0.37,))
+
+
+def test_a_spec_parses_once_and_compiles_each_evaluator_once(monkeypatch):
+    parsed, compiled = [], []
+    parse, compile_numpy, compile_rk4_run = (exprs.parse_expr, exprs.compile_numpy,
+                                             exprs.compile_rk4_run)
+    monkeypatch.setattr(exprs, "parse_expr", lambda text, m, p: (
+        parsed.append(text), parse(text, m, p))[1])
+    # each compile yields the CPU, widening the window a second one would use
+    monkeypatch.setattr(exprs, "compile_numpy", lambda nodes: (
+        compiled.append(nodes), time.sleep(1e-3), compile_numpy(nodes))[2])
+    monkeypatch.setattr(exprs, "compile_rk4_run", lambda nodes, law=None: (
+        compiled.append(nodes), time.sleep(1e-3), compile_rk4_run(nodes, law))[2])
+    spec = SystemSpec(name="rotation", dynamics_id="rotation", cost_id="y1",
+                      region=StateRegion(kind="annulus", inner=0.5, outer=1.5),
+                      control=ControlRegion(lower=(-1.0,), upper=(1.0,)),
+                      first_integrals=("y1^2 + y2^2",), bound_f=1.5, bound_k=1.5)
+    assert parsed == ["u1*y2", "-u1*y1", "y1", "y1^2 + y2^2"] and compiled == []
+    assert spec.dynamics == (exprs.parse_expr("u1*y2", 2, 1), exprs.parse_expr("-u1*y1", 2, 1))
+    del parsed[:]
+    ys, us = spec.region.sample(4), spec.control.grid(3)
+    start = threading.Barrier(8)
+
+    def use(_):
+        start.wait(timeout=60)
+        return (spec.dynamics_at(ys[:, None], us[None]).tobytes(),
+                spec.cost_at(ys[:, None], us[None]).tobytes(),
+                spec.rk4_run()((1.0, 0.0), (1.0,), 0.01, 3, [])[1],
+                system.check_first_integrals(spec).max_residual)
+    # more threads than cores, switching often, all asking at once
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(use, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(result == results[0] for result in results)
+    # dynamics, cost, held run and first integral, each once and from the trees
+    assert parsed == []
+    assert sorted(map(repr, compiled)) == sorted(map(repr, [
+        spec.dynamics, (spec.cost,), spec.dynamics, sum(spec.integrals, ())]))
+    # a law run compiles on each call
+    spec.rk4_run(law=(exprs.parse_expr("1", 2, 0),))
+    assert len(compiled) == 5
+    # equality, hashing and repr cover the declared fields only
+    twin = dataclasses.replace(spec)
+    assert twin == spec and hash(twin) == hash(spec) and repr(twin) == repr(spec)
+    assert repr(spec).startswith("SystemSpec(name='rotation', dynamics_id='rotation', ")
+    assert "Var(" not in repr(spec) and "_numpy" not in repr(spec)
 
 
 def test_rotation_speed_identity_and_bound(rotation):
@@ -146,7 +202,7 @@ def test_forward_invariance_ties_go_to_the_first_control_then_the_first_point():
     # the same pair as every (control, point) row taken control-major
     us = spec.control.grid(9)
     us_full, ys_full = np.repeat(us, len(points), axis=0), np.tile(points, (len(us), 1))
-    f_rows = np.ascontiguousarray(system.dynamics_numpy(spec)(ys_full, us_full).T)
+    f_rows = np.ascontiguousarray(spec.dynamics_at(ys_full, us_full).T)
     outward = np.einsum("ij,ij->i", f_rows, np.tile(normals, (len(us), 1)))
     i = int(np.argmax(outward))
     assert report == system.InvarianceReport(float(outward[i]), False, tuple(ys_full[i].tolist()),
