@@ -24,8 +24,7 @@ import numpy as np
 
 from . import __version__
 from .basis import basis_for_region
-from .config import (ConfigError, StudyConfig, build_policy, build_system,
-                     default_config_text, parse_config)
+from .config import ConfigError, StudyConfig, build_policy, default_config_text, parse_config
 from .grid import DiscreteMeasure, GridError, LpBlocks, build_grid
 from .metrics import MetricError, make_test_function_set, rho_hat
 from .oracle import (OracleError, frozen_value, is_frozen, level_set_ordering, rotates,
@@ -485,7 +484,7 @@ def run_study(config: StudyConfig, sections=_ALL_SECTIONS, jobs: int = 1) -> Rep
     grid, the basis, the configured y0 and the LP blocks (B, C at that y0,
     and c); the blocks are assembled once, when a section first reads them.
     """
-    spec = build_system(config.system)
+    spec = config.system_spec()
     grid = build_grid(spec, tuple(config.grid.state_resolution),
                       config.grid.control_resolution)
     basis = basis_for_region(spec.region, config.basis.degree)

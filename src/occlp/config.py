@@ -136,6 +136,17 @@ class StudyConfig:
     def resolved_dict(self) -> dict:
         return asdict(self)
 
+    def system_spec(self) -> SystemSpec:
+        """The ``[system]`` section's spec (:func:`build_system`), built once
+        per value of that section: :func:`parse_config` builds it to validate
+        the config, and the study that runs the config reads the same spec.
+        A section changed after that is built anew."""
+        built = self.__dict__.get("_system_spec")
+        if built is None or built[0] != self.system:
+            built = self.__dict__["_system_spec"] = (replace(self.system),
+                                                     build_system(self.system))
+        return built[1]
+
 
 _KNOWN_VARIANTS = ("ergodic", "nonergodic", "discounted", "perturbed")
 
@@ -338,7 +349,7 @@ def parse_config(text: str) -> StudyConfig:
     # cross-block validation: the system must build, its grid must build, y0
     # must be inside it and the policy must build for it
     try:
-        spec = build_system(cfg.system)
+        spec = cfg.system_spec()
     except ConfigError as err:
         text = str(err) if str(err).startswith(f"{err.key} ") else f"{err.key}: {err}"
         raise ConfigError(text, line_of("system", err.key) or line_of("system", "name")) from err

@@ -271,6 +271,45 @@ def diff(node: Node, index: int) -> Node:
     raise ExpressionError(f"cannot differentiate node {node!r}")
 
 
+def control_degrees(node: Node, dim_control: int) -> tuple[int, ...] | None:
+    """The degree of ``node`` in each control variable ``u1..up``, read off its
+    structure, or None where the walk cannot bound it.
+
+    Numbers and state variables have degree 0, ``u_i`` degree 1 in ``u_i``;
+    ``+`` and ``-`` take the larger degree per control, ``*`` adds them.  A
+    quotient has its numerator's degree when its divisor is control-free,
+    and a power or a function call degree 0 when its base or arguments are;
+    any other quotient, power or call is None.  The walk does not cancel
+    terms, so ``(u1 - u1) * u1`` has degree 2."""
+    if isinstance(node, Num):
+        return (0,) * dim_control
+    if isinstance(node, Var):
+        return tuple(int(node.kind == "u" and node.index == i) for i in range(dim_control))
+    if isinstance(node, Unary):
+        return control_degrees(node.arg, dim_control)
+    if isinstance(node, Binary):
+        left = control_degrees(node.left, dim_control)
+        right = control_degrees(node.right, dim_control)
+        if left is None or right is None:
+            return None
+        if node.op in "+-":
+            return tuple(map(max, left, right))
+        if node.op == "*":
+            return tuple(map(operator.add, left, right))
+        return None if any(right) else left
+    parts = (node.base,) if isinstance(node, Power) else node.args
+    degrees = [control_degrees(part, dim_control) for part in parts]
+    return None if any(d is None or any(d) for d in degrees) else (0,) * dim_control
+
+
+def multilinear_in_controls(nodes: tuple[Node, ...], dim_control: int) -> bool:
+    """Whether :func:`control_degrees` finds every node of degree at most 1 in
+    each control.  A "no" may be wrong (the walk does not simplify); a "yes"
+    is not: each node is then affine in each control with the others held."""
+    degrees = [control_degrees(node, dim_control) for node in nodes]
+    return all(d is not None and max(d, default=0) <= 1 for d in degrees)
+
+
 def _emit(node: Node, var) -> str:
     """Python source for ``node``; ``var(v)`` is the source naming variable ``v``."""
     if isinstance(node, Num):

@@ -38,20 +38,25 @@ every atom: an LP with at least MASTER_MIN_COLUMNS_PER_ROW columns per row
 starts from the columns of a sub-lattice of states and of the start state
 and grows by the columns that price negative until none does (column
 generation; a master that does not end optimal gets every column), and a
-smaller LP holds every column from the start.  The reported point, its
-residuals and the reduced costs are taken over every column either way.  A
-coupled program whose xi block carries no cost then gets its minimal xi mass
-on its optimal face, the columns of zero reduced cost, from a model of its
-own that starts from the face columns the main model held.  The membership
-LP's model starts from the xi columns of the same sub-lattice and its
-residual column.  The perturbed programs of an epsilon sweep share every row,
-so :func:`solve_chain` solves the first cold and each later one by changing
-the model's costs and re-running it warm.  The binding's extension module is
-loaded straight from its file under ``scipy/optimize/_highspy``, and scipy's
-version from ``scipy/version.py``: importing either by its dotted name would
-first run the package imports of ``scipy`` and ``scipy.optimize``, about
-0.6 s in every command process, for nothing used here.  So no command
-imports the ``scipy`` package itself.
+smaller LP holds every column from the start.  When the system's dynamics
+are multilinear in the controls (every shipped system's are), the xi block
+of any size starts from the atoms whose control is a corner of the control
+grid instead: an xi column at any other grid control is a convex
+combination of the corner columns at its state, with the same cost, so the
+corners already hold the LP's optimum.  The reported point, its residuals
+and the reduced costs are taken over every column either way.  A coupled
+program whose xi block carries no cost then gets its minimal xi mass on its
+optimal face, the columns of zero reduced cost, from a model of its own that
+starts from the face columns the main model held.  The membership LP's model
+starts from the same xi columns as a coupled LP's (corners, sub-lattice or
+all) and its residual column.  The perturbed programs of an epsilon sweep
+share every row, so :func:`solve_chain` solves the first cold and each later
+one by changing the model's costs and re-running it warm.  The binding's
+extension module is loaded straight from its file under
+``scipy/optimize/_highspy``, and scipy's version from ``scipy/version.py``:
+importing either by its dotted name would first run the package imports of
+``scipy`` and ``scipy.optimize``, about 0.6 s in every command process, for
+nothing used here.  So no command imports the ``scipy`` package itself.
 
 Start points are snapped to the nearest state grid point when building the
 coupled rows: the rows are exact equalities, so an off-grid start point would
@@ -127,9 +132,13 @@ FACE_TOL = 1e-9
 # An LP with at least this many columns per constraint (an equality row; in
 # the membership LP, a basis row) is solved on a restricted master seeded
 # with the columns of every MASTER_STATE_STRIDE-th state; a smaller one holds
-# every column from the start.  Measured under HIGHS_OPTIONS on the main
-# solves of all four variants (median of 5, one process), the master's time
-# against the full model's:
+# every column from the start.  This sets the gamma block's seed, and the xi
+# block's unless the dynamics are multilinear in the controls: then the xi
+# block starts from the control grid's corners at every size, which is exact
+# (_xi_seed), and holds 512 of box-custom's 2304 xi columns.  Measured under
+# HIGHS_OPTIONS on the main solves of all four variants (median of 5, one
+# process, before the corner seed), the master's time against the full
+# model's:
 #   annulus (5,64)/4, (5,64)/6, (5,128)/6  103-209 per row  0.19-0.33x
 #   box 16x16/6                             82-84           0.79-2.99x
 #   box 16x16/4                             154-159         0.65-2.46x
@@ -224,6 +233,7 @@ class LpSolution:
     refine_iterations: int | None = None  # None when no minimal-mass refinement ran
     start: str = "cold"  # or "warm from <LP>", or "same LP as <LP>" for a shared solution
     master_columns: int = 0  # columns in the model when it ended
+    xi_seed: str = "no xi"  # the xi columns its model started from (_seed_columns)
     pricing_rounds: int = 1  # runs of the main model, each followed by one pricing
     fallback: bool = False  # a master that did not end optimal was grown to the full LP
     refine_master_columns: int = 0  # face columns in the refinement's model when it ended
@@ -473,16 +483,16 @@ def _minimal_mass_refinement(instance: LpInstance, objective: np.ndarray, reduce
 
 
 def log_solution(instance: LpInstance, solution: LpSolution) -> None:
-    """One INFO line with the LP's size, its master, how it was started and how
-    it ended."""
+    """One INFO line with the LP's size, its master and xi seed, how it was
+    started and how it ended."""
     refinement = ("not run" if solution.refine_iterations is None
                   else f"{solution.refine_iterations} iterations, master "
                        f"{solution.refine_master_columns} of {solution.refine_face_columns} "
                        f"face columns, {solution.refine_rounds} rounds")
-    log.info("%s: %d rows, master %d of %d columns, %d pricing rounds, fallback %s, "
+    log.info("%s: %d rows, master %d of %d columns, %s, %d pricing rounds, fallback %s, "
              "start %s, %d iterations, status %s, raw minimum %.3g, xi_canonical %s, "
              "cap_dual %.6g, refinement %s", lp_name(instance), len(instance.row_meta),
-             solution.master_columns, instance.n_gamma + instance.n_xi,
+             solution.master_columns, instance.n_gamma + instance.n_xi, solution.xi_seed,
              solution.pricing_rounds, "ran" if solution.fallback else "not run",
              solution.start, solution.iterations, solution.status, solution.raw_minimum,
              solution.xi_canonical, solution.cap_dual, refinement)
@@ -495,8 +505,8 @@ def needs_refinement(instance: LpInstance) -> bool:
 
 
 def _seed_atoms(grid: Grid, n_col: int, rows: int, y0) -> np.ndarray | None:
-    """The atoms whose columns a cold model of ``n_col`` columns over ``rows``
-    constraints starts from, or None for every column.
+    """The gamma atoms a cold model of ``n_col`` columns over ``rows``
+    constraints starts from, or None for every atom.
 
     An LP with fewer than MASTER_MIN_COLUMNS_PER_ROW columns per constraint
     holds every column.  A larger one starts from a restricted master: the
@@ -512,17 +522,46 @@ def _seed_atoms(grid: Grid, n_col: int, rows: int, y0) -> np.ndarray | None:
     return np.flatnonzero(np.repeat(seeded, grid.control_points.shape[0]))
 
 
-def _seed_columns(instance: LpInstance) -> np.ndarray:
-    """The columns a cold model starts from, in the order it holds them: every
-    column, or the gamma and then the xi columns of the :func:`_seed_atoms`
-    of the LP's equality rows."""
+def _xi_seed(grid: Grid, atoms: np.ndarray | None) -> tuple[np.ndarray | None, str]:
+    """The xi atoms a cold model starts from (None for every atom), and the
+    name its INFO line gives them.
+
+    When the system's dynamics are multilinear in the controls
+    (``SystemSpec.dynamics_multilinear``), these are the atoms whose control
+    is a corner of the control grid: the first or last grid value on every
+    axis.  An xi column's entries are grad phi(y) . f(y, u) in the initial
+    rows and 1 in the cap row, and its cost is the same at every control, so
+    with f multilinear in u the column at a grid control is the combination
+    of the columns at the corners, at the same state, with the multilinear
+    interpolation weights of u, which are nonnegative and sum to 1.  Any
+    point is then matched, row for row and in cost, by one on the corners,
+    and the corners' master already has the LP's optimum; the run's pricing
+    checks that over every column all the same.  Otherwise the xi block
+    starts from ``atoms``, the gamma block's seed."""
+    controls = grid.control_points
+    if grid.spec.dynamics_multilinear:
+        corner = np.all((controls == controls.min(axis=0)) | (controls == controls.max(axis=0)),
+                        axis=1)
+        return (np.flatnonzero(np.tile(corner, grid.state_points.shape[0])),
+                f"xi at {np.count_nonzero(corner)} of {len(controls)} controls")
+    return atoms, "xi at every atom" if atoms is None else "xi on the sub-lattice"
+
+
+def _seed_columns(instance: LpInstance) -> tuple[np.ndarray, str]:
+    """The columns a cold model starts from, in the order it holds them, and
+    the name of its xi seed (``no xi`` without an xi block): the gamma
+    columns of the :func:`_seed_atoms` of the LP's equality rows, then the xi
+    columns of :func:`_xi_seed`.  The cost a gamma column pays at an interior
+    control may be below every corner's (box-custom's ``0.5*u1^2``), so the
+    gamma block keeps its seed."""
     n_g = instance.n_gamma
-    n_col = n_g + instance.n_xi
-    atoms = _seed_atoms(instance.grid, n_col, len(instance.row_meta),
+    atoms = _seed_atoms(instance.grid, n_g + instance.n_xi, len(instance.row_meta),
                         instance.provenance.get("y0"))
-    if atoms is None:
-        return np.arange(n_col)
-    return np.concatenate([atoms, n_g + atoms]) if instance.has_xi else atoms
+    gamma = np.arange(n_g) if atoms is None else atoms
+    if not instance.has_xi:
+        return gamma, "no xi"
+    xi, name = _xi_seed(instance.grid, atoms)
+    return np.concatenate([gamma, n_g + (np.arange(n_g) if xi is None else xi)]), name
 
 
 @dataclass
@@ -573,6 +612,7 @@ def solve(instance: LpInstance, chain: _Chain | None = None,
         upper = np.append(upper, instance.xi_mass_cap)
 
     weightless = needs_refinement(instance)
+    seed, xi_seed = _seed_columns(instance)
     held = None if chain is None else chain.holder
     # the coupled LPs of one LpBlocks share their matrix object, which fixes
     # every row but the cap's bound
@@ -581,10 +621,9 @@ def solve(instance: LpInstance, chain: _Chain | None = None,
         model, start = chain.model, f"warm from {lp_name(held)}"
         model.set_costs(objective)
     else:
-        model, start = _Model(objective, instance.matrix, lower, upper,
-                              _seed_columns(instance)), "cold"
-    master = dict(master_columns=len(model.columns), pricing_rounds=model.rounds,
-                  fallback=model.fallback)
+        model, start = _Model(objective, instance.matrix, lower, upper, seed), "cold"
+    master = dict(master_columns=len(model.columns), xi_seed=xi_seed,
+                  pricing_rounds=model.rounds, fallback=model.fallback)
     optimal = model.status == "optimal"
     if chain is not None:
         chain.model, chain.holder = ((model, instance) if optimal and not weightless
@@ -778,12 +817,17 @@ def membership_residual(measures, blocks: LpBlocks) -> list[MembershipResidual]:
     is solved cold, and each later one changes the row bounds
     (:meth:`_Model.set_row_upper`) and re-runs from the previous optimal
     basis, which stays dual feasible.  The :class:`_Model` is a restricted
-    master: the t column and the xi columns of the :func:`_seed_atoms` of the
-    basis rows, each a constraint of two rows.  Any master is feasible, as t
-    absorbs every row.  Each run adds the xi columns that price negative, so
-    each omega is the optimum over every column.  Every measure is checked to be a
+    master: the t column and the xi columns of :func:`_xi_seed`, the control
+    grid's corners when the dynamics are multilinear in the controls, else
+    those of the :func:`_seed_atoms` of the basis rows, each a constraint of
+    two rows.  The corners are exact here too: an xi column enters these
+    rows as B x, and one at another control is a convex combination of the
+    corner columns at its state.  Any master is feasible, as t absorbs every
+    row.  Each run adds the xi columns that price negative, so each omega is
+    the optimum over every column.  Every measure is checked to be a
     probability measure before any model is built.  Each run logs one INFO
-    line.  B and C, at the blocks' start point, are read from ``blocks``.
+    line, which names the xi seed.  B and C, at the blocks' start point, are
+    read from ``blocks``.
     """
     measures = list(measures)
     for k, measure in enumerate(measures):
@@ -797,7 +841,8 @@ def membership_residual(measures, blocks: LpBlocks) -> list[MembershipResidual]:
                       np.hstack([-flow, -ones])])
     objective = np.concatenate([np.zeros(grid.atom_count), [1.0]])
     lower = np.full(a_ub.shape[0], -np.inf)
-    atoms = _seed_atoms(grid, a_ub.shape[1], basis.count, blocks.y0_requested)
+    atoms, xi_seed = _xi_seed(grid, _seed_atoms(grid, a_ub.shape[1], basis.count,
+                                                blocks.y0_requested))
     columns = np.arange(a_ub.shape[1]) if atoms is None else np.append(atoms, grid.atom_count)
     model, results = None, []
     for k, measure in enumerate(measures):
@@ -809,10 +854,10 @@ def membership_residual(measures, blocks: LpBlocks) -> list[MembershipResidual]:
             model.set_row_upper(upper)
             start = f"warm from measure {k - 1}"
         omega = float(model.highs.getInfo().objective_function_value)
-        log.info("membership of measure %d: %d rows, master %d of %d columns, %d rounds, "
+        log.info("membership of measure %d: %d rows, master %d of %d columns, %s, %d rounds, "
                  "start %s, %d iterations, status %s, omega_residual %.6g", k, a_ub.shape[0],
-                 len(model.columns), a_ub.shape[1], model.rounds, start, model.iterations,
-                 model.status, omega)
+                 len(model.columns), a_ub.shape[1], xi_seed, model.rounds, start,
+                 model.iterations, model.status, omega)
         if model.status != "optimal":
             raise ProgramError("membership auxiliary program failed: "
                                + model.highs.modelStatusToString(model.highs.getModelStatus()))

@@ -301,9 +301,13 @@ class SystemSpec:
     Building a spec parses its dynamics, cost and first integrals, so a bad id
     fails here, and keeps the trees: ``dynamics``, one node per state
     component; ``cost``; and ``integrals``, per first integral its node and
-    its gradient's nodes.  Each evaluator is compiled from them on first use,
-    once per spec, also when pool threads ask for it together.  Equality,
-    hashing and repr cover the declared fields only.
+    its gradient's nodes.  It also decides once whether the dynamics are
+    multilinear in the controls, ``dynamics_multilinear``
+    (``exprs.multilinear_in_controls``), which lets the LPs seed their xi
+    columns at the control grid's corners (``programs._seed_columns``).  Each
+    evaluator is compiled from the trees on first use, once per spec, also
+    when pool threads ask for it together.  Equality, hashing and repr cover
+    the declared fields only.
     """
 
     name: str
@@ -332,7 +336,8 @@ class SystemSpec:
             raise UnknownEvaluatorError(f"unknown cost_id {self.cost_id!r}: {err}",
                                         "cost_id") from err
         self.__dict__.update(dynamics=dynamics, cost=cost, integrals=tuple(
-            _parse_integral(text, m) for text in self.first_integrals))
+            _parse_integral(text, m) for text in self.first_integrals),
+            dynamics_multilinear=exprs.multilinear_in_controls(dynamics, p))
 
     def _compiled(self, name: str, compile_nodes, nodes):
         """The evaluator ``name``: ``compile_nodes(nodes)`` on first use, kept after."""

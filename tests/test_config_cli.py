@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occlp import cli, programs, simulate, system
+from occlp import cli, config, programs, simulate, system
 from occlp import grid as grid_mod
 from occlp.basis import basis_for_region
 from occlp.cli import ReportBundle, emit_report, main, run_study
@@ -551,6 +551,27 @@ def test_a_section_solves_its_own_lp_when_its_variant_is_not_configured(
     assert bundle.tables == {name: full.tables[name] for name in tables}
 
 
+def test_one_cli_run_builds_its_system_once(tmp_path, monkeypatch):
+    # parse_config builds the spec to validate the config, and the study
+    # reads that spec rather than building it again
+    builds, build = [], config._build_system
+    monkeypatch.setattr(config, "_build_system", lambda cfg: builds.append(cfg) or build(cfg))
+    path = tmp_path / "study.conf"
+    path.write_text(FROZEN_STUDY, encoding="utf-8")
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out"),
+                 "--jobs", "1"]) == 0
+    assert len(builds) == 1
+
+
+def test_a_changed_system_section_is_built_anew():
+    cfg = parse_config(FROZEN_STUDY)
+    spec = cfg.system_spec()
+    assert cfg.system_spec() is spec and spec == build_system(cfg.system)
+    cfg.system.cost = "y2"
+    assert cfg.system_spec().cost_id == "y2"
+    assert dataclasses.replace(cfg).system_spec() == cfg.system_spec()
+
+
 def test_info_log_has_one_line_per_lp(caplog):
     cfg = parse_config(FROZEN_STUDY)
     with caplog.at_level(logging.INFO, logger="occlp"):
@@ -558,18 +579,22 @@ def test_info_log_has_one_line_per_lp(caplog):
     lines = [r.getMessage() for r in caplog.records if r.name == "occlp.programs"]
     names = [key.removesuffix(".status") for key in bundle.values if key.endswith(".status")]
     assert [line.partition(": ")[0] for line in lines] == names
-    pattern = (r"\S+: \d+ rows, master (\d+) of (\d+) columns, \d+ pricing rounds, "
-               r"fallback (ran|not run), "
+    pattern = (r"\S+: \d+ rows, master (\d+) of (\d+) columns, (no xi|xi at 2 of 9 controls), "
+               r"\d+ pricing rounds, fallback (ran|not run), "
                r"start (cold|warm from \S+|same LP as \S+), \d+ iterations, status optimal, "
                r"raw minimum \S+, xi_canonical (True|False), cap_dual \S+, "
                r"refinement (not run|\d+ iterations, master (\d+) of (\d+) face columns, "
                r"(\d+) rounds)")
     matches = [re.fullmatch(pattern, line) for line in lines]
     assert all(matches)
-    # these LPs are below the master's crossover: each holds every column, once,
-    # and so does the model of each refinement over its optimal face
-    assert all(m[1] == m[2] for m in matches)
-    assert all(m[7] == m[8] and m[9] == "1" for m in matches if m[7])
+    # these LPs are below the master's crossover: each holds every gamma
+    # column, once, and with the frozen dynamics (0, multilinear in u1) the xi
+    # columns at the controls -1 and 1 of the 4 states; the model of each
+    # refinement holds the face columns among them, in 1 round
+    n_atoms = bundle.values["grid.atom_count"]
+    assert all(int(m[1]) == (n_atoms if m[3] == "no xi" else n_atoms + 4 * 2) for m in matches)
+    assert all(int(m[2]) == (n_atoms if m[3] == "no xi" else 2 * n_atoms) for m in matches)
+    assert all(int(m[8]) <= int(m[9]) and m[10] == "1" for m in matches if m[8])
     assert all(", 1 pricing rounds, fallback not run, " in line for line in lines)
     # perturbed[eps=0] is the nonergodic LP: it logs its line without a solve
     [shared] = [line for line in lines if line.startswith("perturbed[eps=0]:")]
@@ -694,8 +719,11 @@ dt = 0.01
         run_study(cfg, sections=("simulate",))
     lines = [r.getMessage() for r in caplog.records if r.name == "occlp.programs"
              and r.getMessage().startswith("membership")]
-    # 73 columns over 5 basis rows are below the master's crossover
-    pattern = (r"membership of measure (\d+): 10 rows, master 73 of 73 columns, 1 rounds, "
+    # 73 columns over 5 basis rows are below the master's crossover, and with
+    # the rotation's dynamics multilinear in u1 the model starts from the xi
+    # columns at the controls -1 and 1 of the 24 states, and t
+    pattern = (r"membership of measure (\d+): 10 rows, master 49 of 73 columns, "
+               r"xi at 2 of 3 controls, 1 rounds, "
                r"start (cold|warm from measure \d+), \d+ iterations, status optimal, "
                r"omega_residual \S+")
     found = [re.fullmatch(pattern, line).groups() for line in lines]

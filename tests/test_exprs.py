@@ -110,3 +110,20 @@ def test_feedback_law_reads_the_state_only():
     dynamics = (exprs.parse_expr("u1 * y1", 1, 1),)
     with pytest.raises(exprs.ExpressionError, match="state only"):
         exprs.compile_rk4_run(dynamics, law=(exprs.parse_expr("u1 + y1", 1, 1),))
+
+
+@pytest.mark.parametrize("texts,p,degrees", [
+    (("u1*y2", "-u1*y1"), 1, [(1,), (1,)]),  # the rotation
+    (("-y1 + u1", "-y2 + y1"), 1, [(1,), (0,)]),  # box-custom
+    (("0", "0"), 1, [(0,), (0,)]),  # frozen
+    (("u1*u2", "y1/2 - sin(y2)*u2"), 2, [(1, 1), (0, 1)]),
+    (("u1^2",), 1, [None]),
+    (("sin(u1)",), 1, [None]),
+    (("y1/u1",), 1, [None]),
+    (("(u1 - u1)*u1",), 1, [(2,)]),  # no cancelling: a "no" that is wrong
+])
+def test_control_degrees_decide_multilinearity(texts, p, degrees):
+    nodes = tuple(exprs.parse_expr(text, 2, p) for text in texts)
+    assert [exprs.control_degrees(node, p) for node in nodes] == degrees
+    assert exprs.multilinear_in_controls(nodes, p) == all(
+        d is not None and max(d) <= 1 for d in degrees)

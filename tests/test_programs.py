@@ -15,9 +15,10 @@ from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
 from occlp import cli, exprs, oracle, programs, system
+from occlp.cli import run_study
 from occlp.basis import basis_for_region, grad_matrix, phi_matrix
 from occlp.config import build_system, parse_config
-from occlp.grid import DiscreteMeasure, LpBlocks, build_grid
+from occlp.grid import DiscreteMeasure, Grid, LpBlocks, build_grid
 from occlp.programs import (CERTIFICATE_TOL, PRIMAL_RESIDUAL_TOL, LpInstance, ProgramError,
                             RowMeta, build_discounted_lp, build_ergodic_lp,
                             build_nonergodic_lp, build_perturbed_lp, certificate_offgrid_report,
@@ -154,9 +155,11 @@ def _options_of(highs) -> dict:
 
 def test_every_highs_run_reads_back_the_option_table(monkeypatch):
     # the main solve, its re-runs after pricing, the refinement, a warm chain
-    # step and the membership LP: each model runs with the whole table
+    # step and the membership LP: each model runs with the whole table.  The
+    # xi block starts from the sub-lattice, whose masters need re-runs
     spec = system.make_rotation()
     g, b, y0 = build_grid(spec, (5, 64), 9), basis_for_region(spec.region, 4), (0.0, 1.25)
+    _not_multilinear(monkeypatch, spec)
     runs, highs_type = [], programs._Highs
 
     class Recording:
@@ -985,9 +988,11 @@ def _loop_measures(g):
 def test_membership_of_many_measures_matches_cold_solves(monkeypatch, caplog):
     # one model, warm after the first measure, against a cold model of every
     # column per measure; the coarse angular grid leaves the whole loop a
-    # nonzero omega residual.  The model holds every column below the
-    # crossover; with the crossover lowered to 0 it starts from every 4th
-    # state and y0's, and pricing must grow it
+    # nonzero omega residual.  With the rotation's dynamics multilinear in u1
+    # the model starts from the xi columns at the controls -1 and 1 and the t
+    # column, whatever the crossover.  Seeded as if they were not, the model
+    # holds every column below the crossover; with the crossover lowered to 0
+    # it starts from every 4th state and y0's, and pricing must grow it
     spec = system.make_rotation()
     g = build_grid(spec, (5, 8), 3)
     b = basis_for_region(spec.region, 4)
@@ -997,9 +1002,12 @@ def test_membership_of_many_measures_matches_cold_solves(monkeypatch, caplog):
     off_lattice[(2 * 8 + 3) * n_controls:(2 * 8 + 4) * n_controls] = 1.0 / n_controls
     loop = _loop_measures(g)
     measures = [loop[0], DiscreteMeasure(g, off_lattice), *loop[1:]]
-    _full_model(monkeypatch)
-    cold = [membership_residual([measure], LpBlocks(g, b, (1.0, 0.0)))[0] for measure in measures]
-    for crossover in (np.inf, 0):
+    with monkeypatch.context() as full:
+        _full_model(full)
+        cold = [membership_residual([measure], LpBlocks(g, b, (1.0, 0.0)))[0]
+                for measure in measures]
+    for multilinear, crossover in ((True, 0), (True, np.inf), (False, np.inf), (False, 0)):
+        monkeypatch.setitem(spec.__dict__, "dynamics_multilinear", multilinear)
         monkeypatch.setattr(programs, "MASTER_MIN_COLUMNS_PER_ROW", crossover)
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="occlp.programs"):
@@ -1008,17 +1016,22 @@ def test_membership_of_many_measures_matches_cold_solves(monkeypatch, caplog):
         for res, reference in zip(together, cold):
             assert res.w_residual == pytest.approx(reference.w_residual, abs=1e-12)
             assert res.omega_residual == pytest.approx(reference.omega_residual, abs=1e-12)
-        found = [re.search(r"master (\d+) of 121 columns, (\d+) rounds, start (\w+)",
+        found = [re.search(r"master (\d+) of 121 columns, ([^,]+), (\d+) rounds, start (\w+)",
                            r.getMessage()).groups() for r in caplog.records]
-        sizes = [int(size) for size, _, _ in found]
+        sizes = [int(size) for size, _, _, _ in found]
         assert sizes == sorted(sizes)
-        if crossover:
-            assert all(found_ == ("121", "1", "cold" if k == 0 else "warm")
+        if multilinear:
+            # 40 states at 2 controls, and t
+            assert all(found_ == ("81", "xi at 2 of 3 controls", "1", "cold" if k == 0 else "warm")
+                       for k, found_ in enumerate(found))
+        elif crossover:
+            assert all(found_ == ("121", "xi at every atom", "1", "cold" if k == 0 else "warm")
                        for k, found_ in enumerate(found))
         else:
             assert sizes[-1] < 121
+            assert {seed for _, seed, _, _ in found} == {"xi on the sub-lattice"}
             # pricing grew the master on the warm re-run of the off-lattice measure
-            assert found[1][1:] == ("2", "warm") and sizes[1] > sizes[0]
+            assert found[1][2:] == ("2", "warm") and sizes[1] > sizes[0]
     assert together[2].omega_residual > 1e-3
     assert membership_residual([], LpBlocks(g, b, (1.0, 0.0))) == []
 
@@ -1080,8 +1093,16 @@ def test_binding_cap_keeps_the_refined_point_optimal(rotation_setup, cap):
 # the restricted master
 
 def _full_model(monkeypatch):
-    """Make every LP start from all of its columns, as below the crossover."""
+    """Make every LP start from all of its columns, as below the crossover on
+    a system whose dynamics are not multilinear in the controls."""
     monkeypatch.setattr(programs, "MASTER_MIN_COLUMNS_PER_ROW", np.inf)
+    monkeypatch.setattr(programs, "_xi_seed", lambda grid, atoms: (atoms, "xi at every atom"))
+
+
+def _not_multilinear(monkeypatch, spec):
+    """Make the LPs on ``spec`` seed their xi block as on a system whose
+    dynamics are not multilinear in the controls."""
+    monkeypatch.setitem(spec.__dict__, "dynamics_multilinear", False)
 
 
 def _priced_out(instance, solution) -> bool:
@@ -1143,19 +1164,26 @@ def test_master_matches_the_full_model(master_setups, monkeypatch, setup):
             assert certificate_holds(cert, g, b, spec)
 
 
-def test_master_seed_is_a_sub_lattice_with_the_start_state(master_setups):
+def test_master_seed_is_a_sub_lattice_with_the_start_state(master_setups, monkeypatch):
     spec, g, b, _ = master_setups["acceptance"]
     start = 2 * 64 + 5  # the 6th angle of the 3rd ring: not on the sub-lattice
     instance = build_nonergodic_lp(LpBlocks(g, b, g.state_points[start]))
-    seed = programs._seed_columns(instance)
     n_controls = g.control_points.shape[0]
-    states = np.unique(seed[seed < instance.n_gamma] // n_controls)
-    assert programs.MASTER_STATE_STRIDE == 4
-    assert states.tolist() == sorted([*range(0, len(g.state_points), 4), start])
-    # every control of each seeded state, in the gamma block and then the xi block
-    assert seed.tolist() == [*(gamma := [s * n_controls + k for s in states.tolist()
-                                         for k in range(n_controls)]),
-                             *(instance.n_gamma + np.array(gamma)).tolist()]
+    for multilinear in (True, False):
+        if not multilinear:
+            _not_multilinear(monkeypatch, spec)
+        seed, xi_seed = programs._seed_columns(instance)
+        states = np.unique(seed[seed < instance.n_gamma] // n_controls)
+        assert programs.MASTER_STATE_STRIDE == 4
+        assert states.tolist() == sorted([*range(0, len(g.state_points), 4), start])
+        # every control of each seeded state in the gamma block; in the xi
+        # block the same atoms, or with the rotation's dynamics multilinear in
+        # u1, the controls -1 and 1 of every state
+        gamma = [s * n_controls + k for s in states.tolist() for k in range(n_controls)]
+        xi = ([s * n_controls + k for s in range(len(g.state_points))
+               for k in (0, n_controls - 1)] if multilinear else gamma)
+        assert seed.tolist() == [*gamma, *(instance.n_gamma + np.array(xi)).tolist()]
+        assert xi_seed == ("xi at 2 of 9 controls" if multilinear else "xi on the sub-lattice")
 
 
 def test_infeasible_master_falls_back_to_the_full_lp(master_setups, monkeypatch):
@@ -1164,7 +1192,7 @@ def test_infeasible_master_falls_back_to_the_full_lp(master_setups, monkeypatch)
     reference = solve(instance)
     # xi columns alone cannot meet the normalization row 1.g = 1
     monkeypatch.setattr(programs, "_seed_columns",
-                        lambda lp: np.arange(lp.n_gamma, lp.n_gamma + lp.n_xi))
+                        lambda lp: (np.arange(lp.n_gamma, lp.n_gamma + lp.n_xi), "xi only"))
     solution = solve(instance)
     assert solution.fallback and solution.status == "optimal"
     assert solution.master_columns == instance.n_gamma + instance.n_xi
@@ -1268,24 +1296,142 @@ def test_warm_chain_grows_one_master(master_setups):
 
 
 def test_lp_below_the_crossover_is_built_once_with_every_column(frozen_setup, monkeypatch):
+    # below the crossover a model holds every gamma column from the start, and
+    # with the frozen dynamics (0, multilinear in u1) the xi columns at the
+    # controls -1 and 1; seeded as if they were not, every xi column
     spec, g, b = frozen_setup
     # a model packs each batch of columns it adds with one _csc_triple call
     added = []
     csc_triple = programs._csc_triple
     monkeypatch.setattr(programs, "_csc_triple",
                         lambda a: (added.append(a.shape[1]), csc_triple(a))[1])
-    for instance in _variants(spec, g, b, (0.25, 0.25)):
+    for multilinear, instance in [(multilinear, instance) for multilinear in (True, False)
+                                  for instance in _variants(spec, g, b, (0.25, 0.25))]:
+        if not multilinear:
+            _not_multilinear(monkeypatch, spec)
         added.clear()
         solution = solve(instance)
         columns = instance.n_gamma + instance.n_xi
         assert columns < programs.MASTER_MIN_COLUMNS_PER_ROW * len(instance.row_meta)
-        assert solution.master_columns == columns and _priced_out(instance, solution)
+        held = (instance.n_gamma + 2 * len(g.state_points)
+                if multilinear and instance.has_xi else columns)
+        assert solution.master_columns == held and _priced_out(instance, solution)
         assert solution.pricing_rounds == 1 and not solution.fallback
-        # so the refinement's model, in a model of its own, holds the whole face
+        # so the refinement's model, in a model of its own, holds the face
+        # columns the main model held: the whole face when it held every column
         face = solution.refine_face_columns
-        assert added == ([columns] if solution.refine_iterations is None else [columns, face])
-        assert solution.refine_master_columns == face
+        assert added == ([held] if solution.refine_iterations is None
+                         else [held, solution.refine_master_columns])
+        assert solution.refine_master_columns == face or (multilinear and instance.has_xi)
         assert solution.refine_rounds == (0 if solution.refine_iterations is None else 1)
+
+
+def _membership_rounds(caplog) -> list[tuple[str, str]]:
+    """(xi seed, rounds) of each membership INFO line caught."""
+    return [re.search(r"columns, ([^,]+), (\d+) rounds", r.getMessage()).groups()
+            for r in caplog.records if r.getMessage().startswith("membership")]
+
+
+@pytest.mark.parametrize("setup,y0", [("5x128", (1.0, 0.0)), ("box", (0.5, -0.5))])
+def test_corner_seeded_xi_holds_the_optimum(degree_six_setups, monkeypatch, caplog, setup, y0):
+    # both dynamics are multilinear in u1, so every xi block starts from the
+    # controls -1 and 1 and already holds the optimum: the coupled LPs, their
+    # warm chain and the membership LP end optimal in their first run, at the
+    # values of models that hold every column.  (At [5, 128] the gamma block
+    # starts from the sub-lattice, which needs pricing from other start
+    # points, such as (0, 1.25): 3 and 2 rounds for the perturbed chain, 4
+    # and 2 with the sub-lattice xi seed.)  A master priced out to -FACE_TOL
+    # may stop a little above the optimum: box's warm perturbed[eps=0.01] LP
+    # ends 3.7e-12 (6e-11 relative) above the model of every column
+    spec, g, b = degree_six_setups[setup]
+    assert spec.dynamics_multilinear
+    blocks = LpBlocks(g, b, y0)
+    instances = [build_nonergodic_lp(blocks),
+                 *(build_perturbed_lp(blocks, eps) for eps in (0.1, 0.01))]
+    seeded = [solve(instances[0]), *solve_chain(instances[1:])]
+    uniform = DiscreteMeasure(g, np.full(g.atom_count, 1.0 / g.atom_count))
+    measures = [seeded[0].gamma, uniform]
+    with caplog.at_level(logging.INFO, logger="occlp.programs"):
+        omegas = membership_residual(measures, blocks)
+    assert _membership_rounds(caplog) == [("xi at 2 of 9 controls", "1")] * 2
+    with monkeypatch.context() as full:
+        _full_model(full)
+        references = [solve(instance) for instance in instances]
+        full_omegas = membership_residual(measures, blocks)
+    assert seeded[2].start == "warm from perturbed[eps=0.1]"
+    for instance, solution, reference in zip(instances, seeded, references):
+        assert solution.xi_seed == "xi at 2 of 9 controls"
+        assert solution.status == "optimal" and solution.pricing_rounds == 1
+        assert not solution.fallback
+        assert solution.master_columns < reference.master_columns
+        assert reference.master_columns == instance.n_gamma + instance.n_xi
+        assert solution.value == pytest.approx(reference.value, rel=1e-10)
+        assert _priced_out(instance, solution)
+    for omega, reference in zip(omegas, full_omegas):
+        assert omega.omega_residual == pytest.approx(reference.omega_residual, rel=1e-12,
+                                                     abs=1e-15)
+    # on the annulus the uniform measure is off the omega set; on the box every
+    # measure tried is on it
+    assert (full_omegas[1].omega_residual > 1e-3) == (setup == "5x128")
+
+
+def _parent_seed_columns(instance):
+    """The seed of a model before the corner rule: the xi block took the
+    gamma block's atoms."""
+    n_g = instance.n_gamma
+    atoms = programs._seed_atoms(instance.grid, n_g + instance.n_xi, len(instance.row_meta),
+                                 instance.provenance.get("y0"))
+    if atoms is None:
+        return np.arange(n_g + instance.n_xi), "seed"
+    return (np.concatenate([atoms, n_g + atoms]) if instance.has_xi else atoms), "seed"
+
+
+def test_dynamics_not_multilinear_keep_the_parent_seed(monkeypatch, caplog):
+    # a control squared and cubed in the dynamics: the xi block keeps the
+    # gamma block's seed, every column below the crossover and the
+    # sub-lattice above it, and the study's solver path is the one it had
+    text = BOX_CUSTOM.replace("dynamics = [-y1 + u1, -y2 + y1]",
+                              "dynamics = [-y1 + u1^2 - 0.5*u1, -y2 + y1 + 0.3*u1^3]")
+    cfg = parse_config(text + "[grid]\nstate_resolution = [12, 12]\ncontrol_resolution = 5\n"
+                              "[program]\nvariants = [nonergodic, perturbed]\n"
+                              "y0 = [0.5, -0.5]\nepsilons = [0.1, 0.01]\n"
+                              "[simulate]\npolicy = constant:0\nhorizons = [2.0, 4.0]\n"
+                              "dt = 0.01\n")
+    spec = cfg.system_spec()
+    assert not spec.dynamics_multilinear
+    g = build_grid(spec, (12, 12), 5)
+    blocks = LpBlocks(g, basis_for_region(spec.region, 4), (0.5, -0.5))
+    for crossover in (programs.MASTER_MIN_COLUMNS_PER_ROW, 0):
+        monkeypatch.setattr(programs, "MASTER_MIN_COLUMNS_PER_ROW", crossover)
+        for instance in (build_nonergodic_lp(blocks), build_perturbed_lp(blocks, 0.1)):
+            columns, xi_seed = programs._seed_columns(instance)
+            assert columns.tolist() == _parent_seed_columns(instance)[0].tolist()
+            assert xi_seed == ("xi on the sub-lattice" if crossover == 0 else "xi at every atom")
+    monkeypatch.undo()
+    logs = []
+    for seed_columns in (_parent_seed_columns, programs._seed_columns):
+        monkeypatch.setattr(programs, "_seed_columns", seed_columns)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="occlp.programs"):
+            run_study(cfg, sections=("simulate",))
+        logs.append([re.sub(r"columns, [^,]+, ", "columns, ", r.getMessage())
+                     for r in caplog.records if r.name == "occlp.programs"])
+    # the nonergodic LP, then a membership run per horizon
+    assert len(logs[1]) == 3 and logs[1] == logs[0]
+
+
+def test_a_one_control_grid_is_its_own_corner(frozen_setup):
+    # a grid whose one control is u1 = 0 seeds its xi block with it
+    spec, g, b = frozen_setup
+    one = Grid(spec=spec, state_points=g.state_points, control_points=np.zeros((1, 1)),
+               resolution=g.resolution)
+    instance = build_nonergodic_lp(LpBlocks(one, b, (0.25, 0.25)))
+    columns, xi_seed = programs._seed_columns(instance)
+    assert xi_seed == "xi at 1 of 1 controls"
+    assert columns.tolist() == list(range(2 * one.atom_count))
+    solution = solve(instance)
+    assert solution.status == "optimal" and solution.pricing_rounds == 1
+    assert solution.value == pytest.approx(0.25)  # the cost y1 at the start state
 
 
 # ---------------------------------------------------------------------------

@@ -265,3 +265,15 @@ def test_scalar_drift_bounds():
     report = system.validate_bounds(spec)
     assert report.bound_f_ok
     assert spec.bound_f == 2.0
+
+
+def test_the_shipped_systems_are_multilinear_in_the_controls():
+    box = system.SystemSpec(name="custom", dynamics_id="-y1 + u1; -y2 + y1", cost_id="u1^2",
+                            region=system.StateRegion(kind="box", lower=(-1.0, -1.0),
+                                                      upper=(1.0, 1.0)),
+                            control=system.ControlRegion(lower=(-1.0,), upper=(1.0,)))
+    for spec in (system.make_rotation(), system.make_frozen(), box):
+        assert spec.dynamics_multilinear
+    # the cost plays no part; a control squared in the dynamics does
+    squared = dataclasses.replace(box, dynamics_id="-y1 + u1^2 - 0.5*u1; -y2 + y1")
+    assert not squared.dynamics_multilinear

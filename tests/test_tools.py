@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -36,3 +37,32 @@ def test_an_info_log_digest_is_the_same_on_a_rerun():
            "INFO occlp.programs: ergodic: 3 rows, status optimal\n")
     assert digests.stable_log(log) == ("INFO occlp.grid: assembly: 4 states, 1.00 MB held, \n"
                                        "INFO occlp.programs: ergodic: 3 rows, status optimal\n")
+
+
+def test_two_dumps_of_one_tree_compare_equal_and_an_edit_is_listed(tmp_path, capsys):
+    digests = _load("digests")
+    first, second = tmp_path / "first", tmp_path / "second"
+    for dump in (first, second):
+        assert digests.main(["--dump", str(dump), "frozen.conf solve"]) == 0
+    capsys.readouterr()
+    assert digests.main(["--compare", str(first), str(second)]) == 0
+    assert capsys.readouterr().out == ""
+
+    label = "frozen.conf solve"
+    path = second / digests.case_dir(label) / "report.json"
+    report = json.loads(path.read_text(encoding="utf-8"))
+    value = report["values"]["nonergodic.value"]
+    report["values"]["nonergodic.value"] = value + 0.125
+    support = report["measures"]["ergodic.gamma"]["atom_index"]
+    support[0] = max(support) + 1
+    [solved] = [e for e in report["invariants"] if e["name"] == "ergodic.solved"]
+    solved["passed"] = False
+    path.write_text(json.dumps(report), encoding="utf-8")
+    (second / "cases.json").write_text(json.dumps({label: 1}), encoding="utf-8")
+    assert digests.main(["--compare", str(first), str(second)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{label}: exit 0 -> 1",
+        f"{label}: invariant ergodic.solved: passed -> failed",
+        f"{label}: measure ergodic.gamma: support changed, {len(support)} -> {len(support)} "
+        "atoms, 1 added, 1 dropped",
+        f"{label}: values.nonergodic.value: {value!r} -> {value + 0.125!r} (abs diff 0.125)"]
