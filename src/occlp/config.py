@@ -33,13 +33,17 @@ Top-level keys (before any section) apply to the whole study::
     dir = out
     formats = [json, csv-dir]
 
-``occlp --print-defaults`` prints the full default configuration.
+``occlp --print-defaults`` prints the default configuration, whose system is
+the rotation (:func:`default_config_text`).  The built-in systems are presets
+of the custom one (:data:`PRESETS`), and a ``[system]`` key that the named
+system does not read is an error on its line.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -47,7 +51,7 @@ from .grid import GridError, check_state_resolution
 from .simulate import (ConstantPolicy, Policy, SchedulePolicy, SimulationError,
                        rotation_delta_family)
 from .system import (ControlRegion, RegionError, StateRegion, SystemSpec, SystemSpecError,
-                     make_frozen, make_rotation, make_scalar_drift, validate_bounds)
+                     validate_bounds)
 
 
 class ConfigError(ValueError):
@@ -150,6 +154,26 @@ class StudyConfig:
 
 _KNOWN_VARIANTS = ("ergodic", "nonergodic", "discounted", "perturbed")
 
+# Each built-in system is ``name = custom`` with the [system] keys its preset
+# fixes, given the keys it reads; bound_f is the analytic sup ||f||, which
+# only stands in for an undeclared bound_f.  Every preset fixes the control
+# box [-1, 1] and, but for the rotation's, no first integral.
+_EVERY_PRESET = MappingProxyType(dict(control_lower=(-1.0,), control_upper=(1.0,),
+                                      first_integrals=()))
+PRESETS = MappingProxyType({
+    # every circle about the origin is invariant: the squared radius is conserved
+    "rotation": lambda cfg: dict(_EVERY_PRESET, region="annulus",
+                                 dynamics=("u1*y2", "-u1*y1"),
+                                 first_integrals=("y1^2 + y2^2",), bound_f=cfg.outer_radius),
+    "frozen": lambda cfg: dict(_EVERY_PRESET, region="box", dynamics=("0",) * len(cfg.lower),
+                               bound_f=0.0),
+    "scalar-drift": lambda cfg: dict(_EVERY_PRESET, region="box", lower=(-1.0,),
+                                     upper=(1.0,), dynamics=("-y1 + u1",), bound_f=2.0),
+})
+
+# the keys of the other region kind, which a region does not read
+_UNREAD_BY_REGION = {"box": ("inner_radius", "outer_radius"), "annulus": ("lower", "upper")}
+
 
 # ---------------------------------------------------------------------------
 # tokenising
@@ -175,8 +199,23 @@ def _parse_value(raw: str, line: int):
         inner = raw[1:-1].strip()
         if not inner:
             return ()
-        return tuple(_parse_scalar(part, line) for part in inner.split(","))
+        return tuple(_parse_scalar(part, line) for part in _split_items(inner))
     return _parse_scalar(raw, line)
+
+
+def _split_items(inner: str) -> list[str]:
+    """An array's items: split at the commas outside parentheses, so an item
+    may call ``atan2(a, b)``."""
+    items, depth, start = [], 0, 0
+    for i, char in enumerate(inner):
+        if char == "(":
+            depth += 1
+        elif char == ")":
+            depth -= 1
+        elif char == "," and depth == 0:
+            items.append(inner[start:i])
+            start = i + 1
+    return items + [inner[start:]]
 
 
 def _read_items(text: str) -> dict[str, dict[str, tuple[object, int]]]:
@@ -346,8 +385,13 @@ def parse_config(text: str) -> StudyConfig:
         if fmt not in ("json", "csv-dir"):
             raise ConfigError(f"unknown output format {fmt!r}", line_of("output", "formats"))
 
-    # cross-block validation: the system must build, its grid must build, y0
-    # must be inside it and the policy must build for it
+    # cross-block validation: the system must read every key set in its
+    # section and build, its grid must build, y0 must be inside it and the
+    # policy must build for it
+    unread = _unread_keys(cfg.system)
+    for key, (_value, line) in sections.get("system", {}).items():
+        if key in unread:
+            raise ConfigError(f"key {key!r} is not read by system {cfg.system.name!r}", line)
     try:
         spec = cfg.system_spec()
     except ConfigError as err:
@@ -389,38 +433,49 @@ def _check_report_names(values, key: str, line: int | None):
 # building runtime objects from configuration
 
 
+def _unread_keys(cfg: SystemConfig) -> set[str]:
+    """The [system] keys that ``cfg``'s system does not read: those its preset
+    fixes, bound_f aside, and those of the other region kind."""
+    fixed = PRESETS[cfg.name](cfg) if cfg.name in PRESETS else {}
+    kind = fixed.get("region", cfg.region)
+    return (fixed.keys() - {"bound_f"}) | set(_UNREAD_BY_REGION.get(kind, ()))
+
+
 def build_system(cfg: SystemConfig) -> SystemSpec:
-    """The configured system.  It raises a ConfigError whose ``key`` names the
-    ``[system]`` key at fault."""
-    try:
-        return _build_system(cfg)
-    except SystemSpecError as err:
-        annulus = cfg.name == "rotation" or (cfg.name == "custom" and cfg.region == "annulus")
-        key = {"dynamics_id": "dynamics", "cost_id": "cost",
-               "first_integrals": "first_integrals", "control": "control_lower",
-               "region": "inner_radius" if annulus else "lower"}.get(err.field, "name")
-        raise ConfigError(str(err), key=key) from err
-
-
-def _build_system(cfg: SystemConfig) -> SystemSpec:
-    # each system is built with its bounds unchecked (inf), and its declared
-    # bounds are checked against its sampled maxima
-    if cfg.name == "rotation":
-        if not 0 < cfg.inner_radius <= cfg.outer_radius:
-            raise ConfigError("rotation needs 0 < inner_radius <= outer_radius",
-                              key="inner_radius")
-        spec = make_rotation(cfg.inner_radius, cfg.outer_radius, cost_id=cfg.cost,
-                             bound_k=math.inf)
-    elif cfg.name == "frozen":
-        spec = make_frozen(cfg.lower, cfg.upper, cost_id=cfg.cost, bound_k=math.inf)
-    elif cfg.name == "scalar-drift":
-        spec = make_scalar_drift(cost_id=cfg.cost, bound_k=math.inf)
-    elif cfg.name == "custom":
-        spec = _custom_system(cfg)
-    else:
+    """The configured system: a custom one, or a built-in one as the custom
+    system its preset declares (:data:`PRESETS`).  Keys that the system does
+    not read are ignored here; :func:`parse_config` rejects them.  It raises
+    a ConfigError whose ``key`` names the ``[system]`` key at fault."""
+    analytic_f = None
+    if cfg.name in PRESETS:
+        preset = PRESETS[cfg.name](cfg)
+        analytic_f = preset.pop("bound_f")
+        cfg = replace(cfg, **preset)
+    elif cfg.name != "custom":
         raise ConfigError(f"unknown system name {cfg.name!r}", key="name")
-    probe = replace(spec, bound_f=math.inf if cfg.bound_f is None else cfg.bound_f,
-                    bound_k=math.inf if cfg.bound_k is None else cfg.bound_k)
+    if not cfg.dynamics:
+        raise ConfigError("custom systems need a dynamics array of expressions", key="dynamics")
+    # the system is built with its undeclared bounds unchecked (inf), and its
+    # declared bounds are checked against its sampled maxima
+    try:
+        if cfg.region == "annulus":
+            region = StateRegion(kind="annulus", inner=cfg.inner_radius, outer=cfg.outer_radius)
+        elif cfg.region == "box":
+            region = StateRegion(kind="box", lower=cfg.lower, upper=cfg.upper)
+        else:
+            raise ConfigError("custom systems need region = box or region = annulus",
+                              key="region")
+        probe = SystemSpec(dynamics_text=tuple(cfg.dynamics), cost_id=cfg.cost, region=region,
+                           control=ControlRegion(lower=cfg.control_lower,
+                                                 upper=cfg.control_upper),
+                           first_integrals=tuple(cfg.first_integrals),
+                           bound_f=math.inf if cfg.bound_f is None else cfg.bound_f,
+                           bound_k=math.inf if cfg.bound_k is None else cfg.bound_k)
+    except SystemSpecError as err:
+        region_key = "inner_radius" if cfg.region == "annulus" else "lower"
+        key = {"dynamics_text": "dynamics", "cost_id": "cost", "control": "control_lower",
+               "first_integrals": "first_integrals", "region": region_key}.get(err.field, "name")
+        raise ConfigError(str(err), key=key) from err
     with np.errstate(all="ignore"):  # a NaN or inf sample is the error below
         report = validate_bounds(probe)
     for key, sampled in (("dynamics", report.max_dynamics_norm),
@@ -437,27 +492,12 @@ def _build_system(cfg: SystemConfig) -> SystemSpec:
         if not ok:
             raise ConfigError(f"{key} {getattr(cfg, key):g} is below its sampled "
                               f"maximum {sampled:.6g} on the state region", key=key)
-    if cfg.name == "custom":
+    if analytic_f is None:
         defaults = (1.1 * report.max_dynamics_norm, 1.1 * report.max_cost_abs)
     else:
-        defaults = (spec.bound_f, report.max_cost_abs)
+        defaults = (analytic_f, report.max_cost_abs)
     return replace(probe, bound_f=defaults[0] if cfg.bound_f is None else cfg.bound_f,
                    bound_k=defaults[1] if cfg.bound_k is None else cfg.bound_k)
-
-
-def _custom_system(cfg: SystemConfig) -> SystemSpec:
-    if not cfg.dynamics:
-        raise ConfigError("custom systems need a dynamics array of expressions", key="dynamics")
-    if cfg.region == "annulus":
-        region = StateRegion(kind="annulus", inner=cfg.inner_radius, outer=cfg.outer_radius)
-    elif cfg.region == "box":
-        region = StateRegion(kind="box", lower=cfg.lower, upper=cfg.upper)
-    else:
-        raise ConfigError("custom systems need region = box or region = annulus", key="region")
-    control = ControlRegion(lower=cfg.control_lower, upper=cfg.control_upper)
-    return SystemSpec(name="custom", dynamics_id=";".join(cfg.dynamics), cost_id=cfg.cost,
-                      region=region, control=control,
-                      first_integrals=tuple(cfg.first_integrals))
 
 
 def build_policy(text: str, spec: SystemSpec, y0) -> Policy:
@@ -490,7 +530,11 @@ def build_policy(text: str, spec: SystemSpec, y0) -> Policy:
 
 
 def default_config_text() -> str:
-    """The fully resolved default configuration (what --print-defaults shows)."""
+    """The default configuration (what --print-defaults shows).  Its system is
+    the rotation, and it leaves out the nine ``[system]`` keys it does not set:
+    ``region``, ``lower``, ``upper``, ``dynamics``, ``first_integrals``,
+    ``control_lower``, ``control_upper``, ``bound_f`` and ``bound_k``
+    (:class:`SystemConfig` lists every key)."""
     return """\
 seed = 0
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PRESETS, SystemConfig
 from .system import SystemSpec, parses_to
 
 
@@ -50,13 +51,17 @@ class OracleResult:
 
 def rotates(spec: SystemSpec) -> bool:
     """Whether the level-set oracle applies: an annulus whose dynamics parse to
-    the rotation's, so that every circle about its center is invariant."""
-    return spec.region.kind == "annulus" and parses_to(spec, "rotation")
+    those of the rotation preset (``config.PRESETS``), so that every circle
+    about its center is invariant."""
+    return (spec.region.kind == "annulus"
+            and parses_to(spec, PRESETS["rotation"](SystemConfig())["dynamics"]))
 
 
 def is_frozen(spec: SystemSpec) -> bool:
-    """Whether the frozen oracle applies: every dynamics component parses to 0."""
-    return parses_to(spec, ";".join(["0"] * spec.dim_state))
+    """Whether the frozen oracle applies: the dynamics parse to those of the
+    frozen preset on a box of the spec's dimension, 0 in every component."""
+    box = SystemConfig(lower=(0.0,) * spec.dim_state)
+    return parses_to(spec, PRESETS["frozen"](box)["dynamics"])
 
 
 def _circle_scan(spec: SystemSpec, angle_resolution: int,

@@ -3,11 +3,12 @@
 A :class:`SystemSpec` bundles a control system ``y' = f(y, u)`` with a running
 cost ``k(y, u)``, a compact state region (a box or an annulus), a control box,
 optional first integrals (functions conserved along every admissible motion)
-and a priori bounds on ``sup ||f||`` and ``sup |k|``.  Dynamics and costs are
-referenced by identifier: a dynamics id names one of the built-in dynamics
-or lists expressions in the grammar of :mod:`occlp.exprs`, and a cost id is
-such an expression, so custom systems are declared as data rather than loaded
-as code.  Both regions also admit the points within ``REGION_TOL`` of them.
+and a priori bounds on ``sup ||f||`` and ``sup |k|``.  The dynamics are a
+tuple of expressions in the grammar of :mod:`occlp.exprs`, one per state
+component, and the cost is one such expression, so systems are declared as
+data rather than loaded as code (:func:`occlp.config.build_system` builds
+them, the built-in ones from presets).  Both regions also admit the points
+within ``REGION_TOL`` of them.
 
 Specs are immutable values.  Each parses its expressions once, when it is
 built, and compiles each evaluator from those trees on first use, once; every
@@ -21,8 +22,7 @@ from __future__ import annotations
 
 import operator
 import threading
-from dataclasses import dataclass, replace
-from types import MappingProxyType
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from . import exprs
 
 class SystemSpecError(ValueError):
     """An invalid system; ``field`` names the part at fault (a ``SystemSpec``
-    field: ``dynamics_id``, ``cost_id``, ``first_integrals``, ``region`` or
+    field: ``dynamics_text``, ``cost_id``, ``first_integrals``, ``region`` or
     ``control``) when one is."""
 
     def __init__(self, message: str, field: str | None = None):
@@ -247,28 +247,18 @@ class ControlRegion:
 
 
 # ---------------------------------------------------------------------------
-# built-in dynamics ids
-
-_BUILTIN_DYNAMICS = MappingProxyType({
-    "rotation": ("u1*y2", "-u1*y1"),
-    "frozen": ("0", "0"),
-    "scalar-drift": ("-y1 + u1",),
-})
+# parsing
 
 
-def _parse_dynamics(dyn_id: str, m: int, p: int) -> tuple[exprs.Node, ...]:
-    # any other id is a semicolon-separated expression list; garbage ids
-    # surface as UnknownEvaluatorError when the expressions fail to parse
-    expressions = _BUILTIN_DYNAMICS.get(dyn_id) or tuple(
-        part.strip() for part in dyn_id.split(";"))
-    if len(expressions) != m:
-        raise DimensionMismatchError(
-            f"dynamics_id {dyn_id!r} has {len(expressions)} components, state dim {m}",
-            "dynamics_id")
+def _parse_dynamics(texts: tuple[str, ...], m: int, p: int) -> tuple[exprs.Node, ...]:
+    shown = "[" + ", ".join(texts) + "]"
+    if len(texts) != m:
+        raise DimensionMismatchError(f"dynamics_text {shown} has {len(texts)} components, "
+                                     f"state dim {m}", "dynamics_text")
     try:
-        return tuple(exprs.parse_expr(text, m, p) for text in expressions)
+        return tuple(exprs.parse_expr(text, m, p) for text in texts)
     except exprs.ExpressionError as err:
-        raise UnknownEvaluatorError(f"dynamics_id {dyn_id!r}: {err}", "dynamics_id") from err
+        raise UnknownEvaluatorError(f"dynamics_text {shown}: {err}", "dynamics_text") from err
 
 
 def _parse_integral(text: str, m: int) -> tuple[exprs.Node, ...]:
@@ -281,10 +271,10 @@ def _parse_integral(text: str, m: int) -> tuple[exprs.Node, ...]:
                                     "first_integrals") from err
 
 
-def parses_to(spec: SystemSpec, dynamics_id: str) -> bool:
-    """Whether the spec's dynamics parse to those of ``dynamics_id``, a built-in
-    id or an expression list: a custom ``u1*y2; -u1 * y1`` is the rotation's."""
-    return spec.dynamics == _parse_dynamics(dynamics_id, spec.dim_state, spec.dim_control)
+def parses_to(spec: SystemSpec, texts: tuple[str, ...]) -> bool:
+    """Whether the spec's dynamics parse to the expressions ``texts``: dynamics
+    ``(u1*y2, -u1 * y1)`` parse to ``(u1*y2, -u1*y1)``."""
+    return spec.dynamics == _parse_dynamics(texts, spec.dim_state, spec.dim_control)
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +288,12 @@ _COMPILING = threading.Lock()
 class SystemSpec:
     """Immutable description of one controlled system instance.
 
-    Building a spec parses its dynamics, cost and first integrals, so a bad id
-    fails here, and keeps the trees: ``dynamics``, one node per state
-    component; ``cost``; and ``integrals``, per first integral its node and
-    its gradient's nodes.  It also decides once whether the dynamics are
+    ``dynamics_text`` holds one expression per state component and
+    ``cost_id`` the cost's expression.  Building a spec parses the dynamics,
+    cost and first integrals, so a bad expression fails here, and keeps the
+    trees: ``dynamics``, one node per state component; ``cost``; and
+    ``integrals``, per first integral its node and its gradient's nodes.
+    It also decides once whether the dynamics are
     multilinear in the controls, ``dynamics_multilinear``
     (``exprs.multilinear_in_controls``), which lets the LPs seed their xi
     columns at the control grid's corners (``programs._seed_columns``).  Each
@@ -310,8 +302,7 @@ class SystemSpec:
     the declared fields only.
     """
 
-    name: str
-    dynamics_id: str
+    dynamics_text: tuple[str, ...]
     cost_id: str
     region: StateRegion
     control: ControlRegion
@@ -329,7 +320,7 @@ class SystemSpec:
 
     def __post_init__(self):
         m, p = self.dim_state, self.dim_control
-        dynamics = _parse_dynamics(self.dynamics_id, m, p)
+        dynamics = _parse_dynamics(self.dynamics_text, m, p)
         try:
             cost = exprs.parse_expr(self.cost_id, m, p)
         except exprs.ExpressionError as err:
@@ -468,47 +459,3 @@ def validate_bounds(spec: SystemSpec, state_resolution: int = 25,
     k_abs = float(np.max(np.abs(spec.cost_at(ys, us))))
     return BoundReport(f_norm, k_abs, f_norm <= spec.bound_f + 1e-12,
                        k_abs <= spec.bound_k + 1e-12)
-
-
-# ---------------------------------------------------------------------------
-# built-in systems
-
-
-def _with_bound_k(spec: SystemSpec, bound_k: float | None) -> SystemSpec:
-    """The spec with bound_k set; by default the sampled max |k| of validate_bounds."""
-    if bound_k is None:
-        bound_k = validate_bounds(spec).max_cost_abs
-    return replace(spec, bound_k=bound_k)
-
-
-def make_rotation(inner: float = 0.5, outer: float = 1.5, cost_id: str = "y1",
-                  bound_k: float | None = None) -> SystemSpec:
-    """Planar rotation at angular speed |u| <= 1 on an annulus.
-
-    Every circle about the origin is invariant (the squared radius is a first
-    integral), so long-run values genuinely depend on the starting circle.
-    """
-    return _with_bound_k(SystemSpec(
-        name="rotation", dynamics_id="rotation", cost_id=cost_id,
-        region=StateRegion(kind="annulus", inner=inner, outer=outer),
-        control=ControlRegion(lower=(-1.0,), upper=(1.0,)),
-        first_integrals=("y1^2 + y2^2",), bound_f=outer), bound_k)
-
-
-def make_frozen(lower=(-1.0, -1.0), upper=(1.0, 1.0), cost_id: str = "y1 + u1^2",
-                bound_k: float | None = None) -> SystemSpec:
-    """Degenerate system with identically zero dynamics on a box."""
-    lower = tuple(float(v) for v in lower)
-    upper = tuple(float(v) for v in upper)
-    return _with_bound_k(SystemSpec(
-        name="frozen", dynamics_id="frozen" if len(lower) == 2 else ";".join(["0"] * len(lower)),
-        cost_id=cost_id, region=StateRegion(kind="box", lower=lower, upper=upper),
-        control=ControlRegion(lower=(-1.0,), upper=(1.0,)), bound_f=0.0), bound_k)
-
-
-def make_scalar_drift(cost_id: str = "y1^2", bound_k: float | None = None) -> SystemSpec:
-    """Ergodic contrast system y' = -y + u on [-1, 1] with u in [-1, 1]."""
-    return _with_bound_k(SystemSpec(
-        name="scalar-drift", dynamics_id="scalar-drift", cost_id=cost_id,
-        region=StateRegion(kind="box", lower=(-1.0,), upper=(1.0,)),
-        control=ControlRegion(lower=(-1.0,), upper=(1.0,)), bound_f=2.0), bound_k)

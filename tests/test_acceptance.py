@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from occlp import oracle, system
+from occlp import oracle
 from occlp.basis import basis_for_region
 from occlp.grid import LpBlocks, build_grid
 from occlp.programs import (build_discounted_lp, build_ergodic_lp,
@@ -24,6 +24,8 @@ from occlp.simulate import (ConstantPolicy, SchedulePolicy, abel_value,
                             integrate, periodic_value_search,
                             rotation_delta_family)
 
+from systems import built
+
 EPSILONS = (0.1, 0.01, 0.001, 0.0)
 
 
@@ -34,7 +36,7 @@ def _report(criterion: int, passed: bool, detail: str):
 
 @pytest.fixture(scope="module")
 def rotation():
-    return system.make_rotation(inner=0.5, outer=1.5, cost_id="y1")
+    return built("rotation", inner_radius=0.5, outer_radius=1.5, cost="y1")
 
 
 @pytest.fixture(scope="module")
@@ -237,7 +239,7 @@ def test_criterion_8_perturbed_sweep(perturbed_solutions):
 
 
 def test_criterion_9_frozen_exactness():
-    spec = system.make_frozen(lower=(0.0, 0.0), upper=(1.0, 1.0), cost_id="y1 + u1^2")
+    spec = built("frozen", lower=(0.0, 0.0), upper=(1.0, 1.0), cost="y1 + u1^2")
     grid = build_grid(spec, 2, 9)
     basis = basis_for_region(spec.region, 4)
     y0 = (0.25, 0.25)  # a grid state, so the coupling rows are exactly satisfiable

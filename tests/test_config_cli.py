@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occlp import cli, config, programs, simulate, system
+from occlp import cli, config, exprs, oracle, programs, simulate, system
 from occlp import grid as grid_mod
 from occlp.basis import basis_for_region
 from occlp.cli import ReportBundle, emit_report, main, run_study
@@ -21,6 +21,9 @@ from occlp.config import (ConfigError, StudyConfig, build_policy, build_system,
 from occlp.grid import build_grid
 from occlp.oracle import frozen_value
 from occlp.simulate import integrate
+from occlp.system import SystemSpec
+
+from systems import built
 
 MINIMAL_ROTATION = """
 [system]
@@ -89,7 +92,7 @@ def test_default_config_text_parses():
     ("[output]\nformats = [yaml]\n", "unknown output format"),
     ("[system]\ncost = fast\n", "unknown cost_id 'fast'"),
     ("[system]\nname = custom\nregion = box\nlower = [-1.0]\nupper = [1.0]\n"
-     "dynamics = [y1 +* u1]\n", "dynamics_id"),
+     "dynamics = [y1 +* u1]\n", "dynamics: dynamics_text [y1 +* u1]: "),
     ("[simulate]\npolicy = constant:1.0\nhorizons = []\n", "at least one horizon"),
     ("[simulate]\npolicy = constant:1.0\nhorizons = 0\n", "horizons must be positive"),
     ("[simulate]\nabel_rates = -1.0\n", "abel_rates must be positive"),
@@ -132,7 +135,7 @@ def test_entries_sharing_a_report_name_are_rejected(section, key, values):
 
 
 def test_build_policy_kinds():
-    spec = system.make_rotation()
+    spec = built("rotation")
     p = build_policy("constant:0.5", spec, (1.0, 0.0))
     assert p.control(0.0, (1.0, 0.0)) == (0.5,)
     p = build_policy("steer_hold:1.0:3.0:0.0", spec, (1.0, 0.0))
@@ -437,29 +440,32 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, key, value):
                                               f"got {shown}")
 
 
+# the acceptance config's annulus keys, dropped where a box system is edited in
+_NO_RADII = {"inner_radius": None, "outer_radius": None}
+
+
 @pytest.mark.parametrize("edits,at,message", [
     ({"cost": "1e999"}, "cost", "cost must be finite, got inf"),
     ({"cost": "fast"}, "cost", "cost: unknown cost_id 'fast': unknown name 'fast'"),
     ({"cost": "y3"}, "cost", "cost: unknown cost_id 'y3'"),
-    ({"inner_radius": "2.0"}, "inner_radius",
-     "inner_radius: rotation needs 0 < inner_radius <= outer_radius"),
+    ({"inner_radius": "2.0"}, "inner_radius", "inner_radius: annulus needs 0 < inner <= outer"),
     ({"name": "spinning"}, "name", "name: unknown system name 'spinning'"),
-    ({"name": "frozen", "cost": "u2"}, "cost", "cost: unknown cost_id 'u2'"),
+    ({"name": "frozen", "cost": "u2", **_NO_RADII}, "cost", "cost: unknown cost_id 'u2'"),
     # a custom system without a dynamics key: the error takes the line of `name`
     ({"name": "custom"}, "name", "dynamics: custom systems need a dynamics array"),
     ({"name": "custom\nregion = annulus\ndynamics = [-y2 * u1]"}, "dynamics",
-     r"dynamics: dynamics_id '-y2 \* u1' has 1 components, state dim 2"),
+     r"dynamics: dynamics_text \[-y2 \* u1\] has 1 components, state dim 2"),
     ({"name": "custom\nregion = annulus\ndynamics = [-y2 * u1, y1 * u1]\n"
               "first_integrals = [y1^2 + y2^2, u1]"}, "first_integrals",
      "first_integrals: first integral 'u1'"),
-    ({"name": "custom\nregion = box\ndynamics = [-y1 + u1, -y2]\ncontrol_lower = [2.0]"},
-     "control_lower", "control_lower: control box needs lower <= upper"),
+    ({"name": "custom\nregion = box\ndynamics = [-y1 + u1, -y2]\ncontrol_lower = [2.0]",
+      **_NO_RADII}, "control_lower", "control_lower: control box needs lower <= upper"),
 ])
 def test_system_build_errors_name_the_line_and_the_key(tmp_path, capsys, edits, at, message):
     lines = ACCEPTANCE_CONFIG.read_text().splitlines()
     for key, value in edits.items():
         [i] = [i for i, text in enumerate(lines) if text.startswith(f"{key} =")]
-        lines[i] = f"{key} = {value}"
+        lines[i] = "" if value is None else f"{key} = {value}"
     text = "\n".join(lines)
     [line] = [i for i, t in enumerate(text.splitlines(), start=1) if t.startswith(f"{at} =")]
     with pytest.raises(ConfigError, match=f"^line {line}: {message}"):
@@ -554,8 +560,8 @@ def test_a_section_solves_its_own_lp_when_its_variant_is_not_configured(
 def test_one_cli_run_builds_its_system_once(tmp_path, monkeypatch):
     # parse_config builds the spec to validate the config, and the study
     # reads that spec rather than building it again
-    builds, build = [], config._build_system
-    monkeypatch.setattr(config, "_build_system", lambda cfg: builds.append(cfg) or build(cfg))
+    builds, build = [], config.build_system
+    monkeypatch.setattr(config, "build_system", lambda cfg: builds.append(cfg) or build(cfg))
     path = tmp_path / "study.conf"
     path.write_text(FROZEN_STUDY, encoding="utf-8")
     assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out"),
@@ -686,12 +692,12 @@ periodic_dt = 0.01
     assert found[2][1] == "closed-loop law"
     # a policy with no law of expressions is asked step by step
     with caplog.at_level(logging.INFO, logger="occlp"):
-        integrate(system.make_rotation(), (1.0, 0.0),
+        integrate(built("rotation"), (1.0, 0.0),
                   simulate.FeedbackPolicy(lambda y: (0.5,)), 0.05, 0.01)
     assert caplog.records[-1].getMessage().startswith("integrate: 5 steps, feedback, not parked, ")
     # a periodic schedule whose first period already maps the state to itself
     with caplog.at_level(logging.INFO, logger="occlp"):
-        integrate(system.make_frozen(), (0.5, 0.5),
+        integrate(built("frozen", cost="y1 + u1^2"), (0.5, 0.5),
                   simulate.SchedulePolicy([0.0, 1.0], [1.0, -1.0], period=2.0), 5.0, 0.01)
     assert caplog.records[-1].getMessage().startswith(
         "integrate: 500 steps, 5 held-control runs, repeats a 200-step cycle from step 0, ")
@@ -1057,6 +1063,76 @@ def test_a_built_in_system_gets_the_custom_bound_check(name):
     assert build_system(parse_config(text("bound_f = 99")).system).bound_f == 99.0
 
 
+# per built-in: the [system] keys of the custom system its preset declares
+_PRESET_KEYS = {
+    "rotation": "region = annulus\ndynamics = [u1*y2, -u1*y1]\nfirst_integrals = [y1^2 + y2^2]",
+    "frozen": "region = box\ndynamics = [0, 0]",
+    "scalar-drift": "region = box\nlower = [-1.0]\nupper = [1.0]\ndynamics = [-y1 + u1]",
+}
+
+
+@pytest.mark.parametrize("name", list(_BUILT_INS))
+def test_a_built_in_system_is_the_custom_system_its_preset_declares(name):
+    tail = _BUILT_INS[name][0]
+    spec = build_system(parse_config(f"[system]\nname = {name}\ncost = y1 + u1^2\n"
+                                     f"{tail}").system)
+    custom = parse_config(f"[system]\nname = custom\ncost = y1 + u1^2\n{_PRESET_KEYS[name]}\n"
+                          f"control_lower = [-1.0]\ncontrol_upper = [1.0]\n"
+                          f"bound_f = {spec.bound_f!r}\nbound_k = {spec.bound_k!r}\n{tail}")
+    # a bare number reads as a float: the frozen preset's 0 is the config's 0.0
+    declared = build_system(custom.system)
+    assert declared.dynamics == spec.dynamics
+    assert dataclasses.replace(declared, dynamics_text=spec.dynamics_text) == spec
+    assert oracle.rotates(spec) == (name == "rotation")
+    assert oracle.is_frozen(spec) == (name == "frozen")
+
+
+@pytest.mark.parametrize("section", [
+    "name = rotation\ncontrol_lower = [-5.0]",
+    "name = rotation\nlower = [-1.0, -1.0]",
+    "name = rotation\nregion = annulus",
+    "name = rotation\nfirst_integrals = [y1^2 + y2^2]",
+    "name = frozen\ndynamics = [y1, y2]",
+    "name = frozen\ninner_radius = 0.5",
+    "name = scalar-drift\nlower = [-2.0]",
+    "name = scalar-drift\ncontrol_upper = [2.0]",
+    "name = custom\nregion = box\ndynamics = [-y1, -y2]\nouter_radius = 2.0",
+    "name = custom\nregion = annulus\ndynamics = [u1*y2, -u1*y1]\nupper = [1.0, 1.0]",
+])
+def test_a_system_key_the_system_does_not_read_is_an_error_on_its_line(section):
+    # a built-in reads neither the keys its preset fixes nor the other region's
+    lines = section.splitlines()
+    key, name = lines[-1].split(" =")[0], lines[0].split("= ")[1]
+    with pytest.raises(ConfigError, match=f"^line {len(lines) + 1}: key '{key}' is not read "
+                                          f"by system '{name}'$"):
+        parse_config(f"[system]\n{section}\n")
+
+
+def test_array_items_split_only_at_commas_outside_parentheses():
+    cfg = parse_config("[system]\nname = custom\nregion = box\n"
+                       "dynamics = [-y1 + u1*cos(atan2(y2, y1)), -y2 + y1]\n"
+                       "first_integrals = [atan2(y2, 1 + y1^2), y1]\n"
+                       "[program]\ny0 = [0.5, -0.5]\n")
+    assert cfg.system.dynamics == ("-y1 + u1*cos(atan2(y2, y1))", "-y2 + y1")
+    assert cfg.system.first_integrals == ("atan2(y2, 1 + y1^2)", "y1")
+    assert cfg.system_spec().dynamics_text == cfg.system.dynamics
+
+
+@pytest.mark.parametrize("text,parses", [
+    (ACCEPTANCE_CONFIG.read_text(), 8), (FROZEN_CONFIG.read_text(), 6),
+    (BOX_CUSTOM_SYSTEM.format(bounds=""), 6)])
+def test_one_parse_builds_at_most_two_system_specs(monkeypatch, text, parses):
+    # a probe with its undeclared bounds unchecked, and the spec with its bounds
+    specs, expressions = [], []
+    post_init, parse = SystemSpec.__post_init__, exprs.parse_expr
+    monkeypatch.setattr(SystemSpec, "__post_init__",
+                        lambda spec: (specs.append(spec), post_init(spec))[1])
+    monkeypatch.setattr(exprs, "parse_expr", lambda text, m, p: (
+        expressions.append(text), parse(text, m, p))[1])
+    parse_config(text)
+    assert len(specs) == 2 and len(expressions) == parses
+
+
 def test_the_duality_gap_invariant_is_checked_at_the_solver_tolerance(monkeypatch):
     # solve demotes a point whose relative gap exceeds DUALITY_GAP_TOL, so the
     # report's invariant checks that bound, not a looser one
@@ -1093,7 +1169,7 @@ def test_every_reported_measure_is_a_basic_point(tmp_path):
             support = len(bundle.measures[f"{name}.gamma"]["atom_index"]) + len(xi["atom_index"])
             assert 0 < support <= rows <= 56
     # the payload holds every atom with weight, however many
-    dense = grid_mod.DiscreteMeasure(build_grid(system.make_frozen(), (100, 100), 3),
+    dense = grid_mod.DiscreteMeasure(build_grid(built("frozen", cost="y1 + u1^2"), (100, 100), 3),
                                      np.linspace(1.0, 2.0, 30000))
     payload = cli._measure_payload(dense)
     assert payload["atom_index"] == list(range(30000))

@@ -15,10 +15,12 @@ from occlp.grid import (DiscreteMeasure, GridError, LpBlocks, assemble_cost_vect
                         nearest_state_index)
 from occlp.system import REGION_TOL, ControlRegion, RegionError, StateRegion
 
+from systems import built
+
 
 @pytest.fixture(scope="module")
 def rotation():
-    return system.make_rotation()
+    return built("rotation")
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +29,7 @@ def rotation_grid(rotation):
 
 
 def test_degenerate_circle_enumeration():
-    spec = system.make_rotation(inner=1.0, outer=1.0)
+    spec = built("rotation", inner_radius=1.0, outer_radius=1.0)
     g = build_grid(spec, (1, 4), 3)
     assert g.atom_count == 12
     angles = np.mod(np.arctan2(g.state_points[:, 1], g.state_points[:, 0]), 2 * np.pi)
@@ -36,7 +38,7 @@ def test_degenerate_circle_enumeration():
 
 
 def test_box_cell_centers():
-    spec = system.make_frozen(lower=(0.0,), upper=(1.0,), cost_id="y1")
+    spec = built("frozen", lower=(0.0,), upper=(1.0,), cost="y1")
     g = build_grid(spec, 2, 2)
     assert np.allclose(sorted(g.state_points.ravel()), [0.25, 0.75])
     assert g.atom_count == 4
@@ -56,7 +58,7 @@ def test_resolution_validation(rotation):
         build_grid(rotation, (1, 64), 9)
     with pytest.raises(GridError):
         build_grid(rotation, (5, 1), 9)
-    box = system.make_frozen()
+    box = built("frozen", cost="y1 + u1^2")
     with pytest.raises(GridError):
         build_grid(box, (2, 1), 3)
     with pytest.raises(RegionError):
@@ -64,7 +66,7 @@ def test_resolution_validation(rotation):
 
 
 def test_flow_matrix_frozen_is_zero():
-    spec = system.make_frozen()
+    spec = built("frozen", cost="y1 + u1^2")
     g = build_grid(spec, 3, 3)
     b = basis_for_region(spec.region, 3)
     assert np.all(assemble_flow_matrix(g, b) == 0.0)
@@ -72,7 +74,7 @@ def test_flow_matrix_frozen_is_zero():
 
 def test_flow_matrix_rotation_entry():
     # grad(y1) . f = u * y2; pick the atom at angle pi/2 on the unit circle
-    spec = system.make_rotation()
+    spec = built("rotation")
     g = build_grid(spec, (5, 4), 3)
     b = enumerate_basis(2, 2, (-1.0, -1.0), (1.0, 1.0))  # identity scaling: phi = y1
     flow = assemble_flow_matrix(g, b)
@@ -128,7 +130,7 @@ def test_initial_matrix_rejects_outside_y0(rotation, rotation_grid):
 
 
 def test_cost_vectors(rotation_grid):
-    const = system.make_rotation(cost_id="3")
+    const = built("rotation", cost="3")
     g = build_grid(const, (5, 64), 9)
     assert np.all(assemble_cost_vector(g) == 3.0)
 
@@ -139,7 +141,7 @@ def test_cost_vectors(rotation_grid):
             assert c[a] == pytest.approx(-1.0, rel=1e-12)
             break
 
-    mixed = system.make_rotation(cost_id="y1 + u1^2")
+    mixed = built("rotation", cost="y1 + u1^2")
     g2 = build_grid(mixed, (5, 4), 3)
     c = assemble_cost_vector(g2)
     for a in range(g2.atom_count):
@@ -204,7 +206,7 @@ def test_statewise_assembly_is_bitwise_the_atomwise_one(assembly_setups, case):
     spec, g, b, y0 = assembly_setups[case]
     # f at every atom's row, one row per atom, as (N, m) C-contiguous rows
     f = np.ascontiguousarray(spec.dynamics_at(g.atom_states, g.atom_controls).T)
-    if spec.name == "rotation":  # the control u = 0 stops the motion
+    if spec.region.kind == "annulus":  # the rotation: the control u = 0 stops the motion
         assert np.any(np.all(f == 0.0, axis=1))
     flow = np.einsum("bnm,nm->bn", grad_matrix(b, g.atom_states), f)
     initial = phi_matrix(b, np.array([y0])) - phi_matrix(b, g.atom_states)
@@ -336,8 +338,7 @@ def _region_and_resolution(draw):
 @example((StateRegion(kind="annulus", inner=0.5, outer=1.5, center=(0.3, -0.2)), (30, 3)), 0)
 def test_nearest_state_index_is_brute_force(setup, seed):
     region, resolution = setup
-    dynamics = ";".join(["0"] * region.dim)
-    spec = system.SystemSpec(name="probe", dynamics_id=dynamics, cost_id="y1", region=region,
+    spec = system.SystemSpec(dynamics_text=("0",) * region.dim, cost_id="y1", region=region,
                              control=ControlRegion(lower=(-1.0,), upper=(1.0,)))
     grid = build_grid(spec, resolution, 2)
     points = grid.state_points

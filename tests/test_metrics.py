@@ -3,15 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occlp import system
 from occlp.basis import basis_for_region
 from occlp.grid import DiscreteMeasure, LpBlocks, build_grid
 from occlp.metrics import MetricError, make_test_function_set, rho_hat
 
+from systems import built
+
 
 @pytest.fixture(scope="module")
 def setup():
-    spec = system.make_rotation()
+    spec = built("rotation")
     g = build_grid(spec, (3, 8), 3)
     tf = make_test_function_set(basis_for_region(spec.region, 3), spec.region)
     return spec, g, tf
@@ -105,7 +106,7 @@ def test_hausdorff_empirical_sweep_shrinks_towards_optimum():
     from occlp.simulate import (SchedulePolicy, empirical_occupational_measure,
                                 integrate)
 
-    spec = system.make_rotation()
+    spec = built("rotation")
     g = build_grid(spec, (5, 32), 5)
     b = basis_for_region(spec.region, 4)
     tf = make_test_function_set(b, spec.region)
@@ -123,7 +124,7 @@ def test_hausdorff_empirical_sweep_shrinks_towards_optimum():
 def test_values_on_grid_are_bitwise_the_atomwise_ones():
     from occlp.basis import basis_for_region, phi_matrix
 
-    spec = system.make_rotation()
+    spec = built("rotation")
     g = build_grid(spec, (5, 64), 9)
     tf = make_test_function_set(basis_for_region(spec.region, 4), spec.region)
     atomwise = np.vstack([phi_matrix(tf.basis, g.atom_states) / tf.norms[:, None],

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from occlp import cli, system
+from occlp import cli
 from occlp.basis import basis_for_region
 from occlp.config import build_system, parse_config
 from occlp.grid import LpBlocks, build_grid
@@ -12,10 +12,12 @@ from occlp.oracle import (OracleError, frozen_value, is_frozen, level_set_orderi
                           rotation_level_value)
 from occlp.system import ControlRegion, SystemSpec
 
+from systems import built
+
 
 @pytest.fixture(scope="module")
 def rotation():
-    return system.make_rotation()
+    return built("rotation")
 
 
 def test_level_value_first_coordinate(rotation):
@@ -27,14 +29,14 @@ def test_level_value_first_coordinate(rotation):
 
 
 def test_level_value_constant_cost():
-    spec = system.make_rotation(cost_id="3")
+    spec = built("rotation", cost="3")
     result = rotation_level_value(spec, 0.81)
     assert result.value == 3.0
 
 
 def test_level_value_favouring_motion():
     # cost 1 - u^2 rewards full-speed circulation; parking pays 1
-    spec = system.make_rotation(cost_id="1 - u1^2")
+    spec = built("rotation", cost="1 - u1^2")
     result = rotation_level_value(spec, 1.0)
     assert result.value == pytest.approx(0.0, abs=1e-12)
     assert result.attained_by.startswith("circulating")
@@ -44,21 +46,21 @@ def test_level_value_favouring_motion():
 def test_level_outside_range_rejected(rotation):
     with pytest.raises(OracleError):
         rotation_level_value(rotation, 4.0)
-    box = system.make_frozen()
+    box = built("frozen", cost="y1 + u1^2")
     with pytest.raises(OracleError):
         rotation_level_value(box, 1.0)
 
 
 def test_frozen_value_scans():
-    quad = system.make_frozen(cost_id="u1^2")
+    quad = built("frozen", cost="u1^2")
     assert frozen_value(quad, (0.0, 0.0)).value == 0.0
 
-    slope = system.make_frozen(cost_id="y1 + u1")
+    slope = built("frozen", cost="y1 + u1")
     result = frozen_value(slope, (0.5, 0.0))
     assert result.value == pytest.approx(-0.5, abs=1e-12)
     assert "u=[-1.0]" in result.attained_by
 
-    const = system.make_frozen(cost_id="3")
+    const = built("frozen", cost="3")
     assert frozen_value(const, (0.3, 0.3)).value == 3.0
 
 
@@ -73,7 +75,7 @@ def test_frozen_error_bound_is_the_cost_modulus_over_one_control_cell():
     assert result.value == config.program.y0[0]
     # over a control box, only lattice neighbours are compared: steps of 0.5
     # in u1 move k by 0.5 and in u2 by 1, while consecutive lattice rows jump
-    tilted = SystemSpec(name="frozen", dynamics_id="0;0", cost_id="u1 + 2*u2",
+    tilted = SystemSpec(dynamics_text=("0", "0"), cost_id="u1 + 2*u2",
                         region=spec.region,
                         control=ControlRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0)),
                         bound_f=0.0, bound_k=3.0)
@@ -92,7 +94,7 @@ def test_level_table_square_root_law(rotation):
 @pytest.mark.parametrize("cost", ["y1", "1 - u1^2 + 0.2*y2",
                                   "exp(y1) * cos(3*u1) + sqrt(2 + y2) - atan2(y2, y1 + 2)"])
 def test_level_table_rows_are_bitwise_the_materialised_scan(cost):
-    spec = system.make_rotation(cost_id=cost)
+    spec = built("rotation", cost=cost)
     levels = [0.25, 0.7, 1.0, 2.25]
     table = level_set_ordering(spec, levels)
     # every (angle, control) pair of each circle as a row of its own
@@ -112,20 +114,20 @@ def test_level_table_rows_are_bitwise_the_materialised_scan(cost):
 
 
 def test_level_table_constant_cost_flat():
-    spec = system.make_rotation(cost_id="3")
+    spec = built("rotation", cost="3")
     table = level_set_ordering(spec, [0.25, 1.0, 2.25])
     assert all(v == 3.0 for _z, v in table.rows)
 
 
 def test_level_table_radial_well():
-    spec = system.make_rotation(cost_id="(y1^2 + y2^2 - 1)^2")
+    spec = built("rotation", cost="(y1^2 + y2^2 - 1)^2")
     table = level_set_ordering(spec, np.linspace(0.25, 2.25, 9))
     assert table.argmin_level == pytest.approx(1.0, abs=1e-12)
     assert table.min_value == pytest.approx(0.0, abs=1e-9)
 
 
 def test_cost_shift_invariance(rotation):
-    shifted = system.make_rotation(cost_id="y1 + 2")
+    shifted = built("rotation", cost="y1 + 2")
     base = rotation_level_value(rotation, 1.0)
     moved = rotation_level_value(shifted, 1.0)
     assert moved.value == base.value + 2.0
@@ -169,7 +171,7 @@ def test_the_level_set_oracle_needs_the_rotation_dynamics():
     written = parse_config(SPIRAL_ANNULUS.format(dynamics="u1 * y2, -u1*y1"))
     spec = build_system(written.system)
     assert rotates(spec) and not is_frozen(spec)
-    builtin = system.make_rotation()
+    builtin = built("rotation")
     assert rotation_level_value(spec, 1.0).value == rotation_level_value(builtin, 1.0).value
     assert _oracle_values(spec, written)["oracle.level_value"] == -1.0
     # a spiral has no invariant circle, so no level value describes it
@@ -184,7 +186,7 @@ def test_the_level_set_oracle_needs_the_rotation_dynamics():
 
 
 def test_the_frozen_oracle_needs_zero_dynamics():
-    frozen = system.make_frozen()
+    frozen = built("frozen", cost="y1 + u1^2")
     assert is_frozen(frozen) and not rotates(frozen)
     assert is_frozen(build_system(parse_config(
         "[system]\nname = custom\nregion = box\ndynamics = [0, 0.0]\ncost = u1^2\n"

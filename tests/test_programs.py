@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
-from occlp import cli, exprs, oracle, programs, system
+from occlp import cli, exprs, oracle, programs
 from occlp.cli import run_study
 from occlp.basis import basis_for_region, grad_matrix, phi_matrix
 from occlp.config import build_system, parse_config
@@ -26,6 +26,8 @@ from occlp.programs import (CERTIFICATE_TOL, PRIMAL_RESIDUAL_TOL, LpInstance, Pr
                             membership_residual, snap_to_state_grid, solve, solve_chain,
                             verify_weak_duality)
 from occlp.system import ControlRegion, StateRegion, SystemSpec, lattice
+
+from systems import built
 
 
 def product_rows(ys, us):
@@ -59,7 +61,7 @@ def cost_rows(spec, ys, us):
 
 @pytest.fixture(scope="module")
 def frozen_setup():
-    spec = system.make_frozen(lower=(0.0, 0.0), upper=(1.0, 1.0), cost_id="y1 + u1^2")
+    spec = built("frozen", lower=(0.0, 0.0), upper=(1.0, 1.0), cost="y1 + u1^2")
     g = build_grid(spec, 2, 9)
     b = basis_for_region(spec.region, 4)
     return spec, g, b
@@ -67,7 +69,7 @@ def frozen_setup():
 
 @pytest.fixture(scope="module")
 def rotation_setup():
-    spec = system.make_rotation()
+    spec = built("rotation")
     g = build_grid(spec, (5, 64), 9)
     b = basis_for_region(spec.region, 4)
     return spec, g, b
@@ -106,7 +108,7 @@ def test_ergodic_frozen_equals_exhaustive_scan(frozen_setup):
 
 def test_ergodic_constant_cost(frozen_setup):
     _spec, _g, b = frozen_setup
-    const = system.make_frozen(lower=(0.0, 0.0), upper=(1.0, 1.0), cost_id="3")
+    const = built("frozen", lower=(0.0, 0.0), upper=(1.0, 1.0), cost="3")
     solution = solve(build_ergodic_lp(LpBlocks(build_grid(const, 2, 9), b, (0.25, 0.25))))
     assert solution.value == pytest.approx(3.0, abs=1e-9)
 
@@ -157,7 +159,7 @@ def test_every_highs_run_reads_back_the_option_table(monkeypatch):
     # the main solve, its re-runs after pricing, the refinement, a warm chain
     # step and the membership LP: each model runs with the whole table.  The
     # xi block starts from the sub-lattice, whose masters need re-runs
-    spec = system.make_rotation()
+    spec = built("rotation")
     g, b, y0 = build_grid(spec, (5, 64), 9), basis_for_region(spec.region, 4), (0.0, 1.25)
     _not_multilinear(monkeypatch, spec)
     runs, highs_type = [], programs._Highs
@@ -340,7 +342,7 @@ def test_solver_duality_gap_contract(rotation_solved):
 def test_returned_point_meets_residual_contract():
     # at this size and degree the refined point must still meet the primal
     # residual tolerance, and it does: the refinement is accepted
-    spec = system.make_rotation()
+    spec = built("rotation")
     g = build_grid(spec, (5, 128), 9)
     b = basis_for_region(spec.region, 6)
     instance = build_nonergodic_lp(LpBlocks(g, b, (1.0, 0.0)))
@@ -366,7 +368,7 @@ cost = y2^2 + 0.5*u1^2
 
 @pytest.fixture(scope="module")
 def degree_six_setups():
-    rotation = system.make_rotation()
+    rotation = built("rotation")
     box = build_system(parse_config(BOX_CUSTOM).system)
     setups = {f"{n_r}x128": (rotation, (n_r, 128)) for n_r in (5, 9)}
     setups["box"] = (box, (16, 16))
@@ -391,7 +393,7 @@ def test_degree_six_start_points_solve_with_canonical_xi(degree_six_setups, setu
     x = np.concatenate([solution.gamma.weights, solution.xi.weights])
     a_eq = instance.a_eq
     assert np.max(np.abs(a_eq @ x - instance.eq_rhs)) <= PRIMAL_RESIDUAL_TOL
-    if spec.name == "rotation":
+    if oracle.rotates(spec):
         reference = oracle.rotation_level_value(spec, float(np.dot(y0, y0)))
         assert solution.value == pytest.approx(reference.value, abs=1e-6)
     # an independent cold solve of the same minimal-mass LP over the exact
@@ -480,7 +482,7 @@ def test_nonergodic_rotation_start_circle_pins_value(rotation_setup, rotation_so
 
 def test_nonergodic_constant_cost(rotation_setup):
     _spec, _g, b = rotation_setup
-    const = system.make_rotation(cost_id="3")
+    const = built("rotation", cost="3")
     solution = solve(build_nonergodic_lp(LpBlocks(build_grid(const, (5, 64), 9), b, (1.0, 0.0))))
     assert solution.value == pytest.approx(3.0, abs=1e-8)
 
@@ -497,7 +499,7 @@ def test_ergodic_system_value_is_start_independent():
     # contrast system: every start point can reach the optimal equilibrium, so
     # the coupled value collapses to the start-free one, with the transport
     # mass growing with the distance to cover
-    spec = system.make_scalar_drift(cost_id="y1^2")
+    spec = built("scalar-drift", cost="y1^2")
     g = build_grid(spec, 9, 9)
     b = basis_for_region(spec.region, 4)
     ergodic = solve(build_ergodic_lp(LpBlocks(g, b, g.state_points[4]))).value
@@ -527,7 +529,7 @@ def test_discounted_frozen_equals_nonergodic(frozen_setup):
 
 
 def test_discounted_large_rate_concentrates_at_start():
-    spec = system.make_scalar_drift(cost_id="y1^2")
+    spec = built("scalar-drift", cost="y1^2")
     g = build_grid(spec, 9, 9)
     b = basis_for_region(spec.region, 4)
     y0 = (g.state_points[6, 0],)  # a grid state away from the cost minimum
@@ -543,7 +545,7 @@ def test_discounted_large_rate_concentrates_at_start():
 
 def test_discounted_constant_cost(rotation_setup):
     _spec, _g, b = rotation_setup
-    const = system.make_rotation(cost_id="3")
+    const = built("rotation", cost="3")
     solution = solve(build_discounted_lp(LpBlocks(build_grid(const, (5, 64), 9), b, (1.0, 0.0)),
                                          0.1))
     assert solution.value == pytest.approx(3.0, abs=1e-8)
@@ -682,7 +684,7 @@ def test_chain_with_other_rows_starts_cold(rotation_setup):
 
 def test_perturbed_constant_cost_shift(frozen_setup):
     _spec, _g, b = frozen_setup
-    const = system.make_frozen(lower=(0.0, 0.0), upper=(1.0, 1.0), cost_id="3")
+    const = built("frozen", lower=(0.0, 0.0), upper=(1.0, 1.0), cost="3")
     solution = solve(build_perturbed_lp(LpBlocks(build_grid(const, 2, 9), b, (0.25, 0.25)),
                                         0.01))
     assert solution.xi.total_mass <= 1e-9  # no transport needed from a grid start
@@ -701,7 +703,7 @@ def test_perturbed_rejects_negative_epsilon(rotation_setup):
 
 def test_certificate_constant_cost(frozen_setup):
     _spec, _g, b = frozen_setup
-    const = system.make_frozen(lower=(0.0, 0.0), upper=(1.0, 1.0), cost_id="3")
+    const = built("frozen", lower=(0.0, 0.0), upper=(1.0, 1.0), cost="3")
     g = build_grid(const, 2, 9)
     instance = build_nonergodic_lp(LpBlocks(g, b, (0.25, 0.25)))
     solution = solve(instance)
@@ -759,8 +761,7 @@ def _reference_slacks(cert, basis, spec, ys, us):
 
 @pytest.fixture(scope="module")
 def box_drift_setup():
-    spec = SystemSpec(name="custom", dynamics_id="-y1 + u1;-y2 + y1",
-                      cost_id="y2^2 + 0.5*u1^2",
+    spec = SystemSpec(dynamics_text=("-y1 + u1", "-y2 + y1"), cost_id="y2^2 + 0.5*u1^2",
                       region=StateRegion(kind="box", lower=(-1.0, -1.0), upper=(1.0, 1.0)),
                       control=ControlRegion(lower=(-1.0,), upper=(1.0,)),
                       bound_f=3.0, bound_k=1.5)
@@ -834,9 +835,8 @@ def _product_rows_slacks(cert, grid, basis, spec, ys):
 
 @pytest.fixture(scope="module")
 def transcendental_setup():
-    spec = SystemSpec(name="custom",
-                      dynamics_id="sin(3*y2) * u1 - y1 + cos(u1);"
-                                  "exp(-y1^2) - sqrt(1 + y2^2) * u1 + atan2(y1, 2 + u1)",
+    spec = SystemSpec(dynamics_text=("sin(3*y2) * u1 - y1 + cos(u1)",
+                                     "exp(-y1^2) - sqrt(1 + y2^2) * u1 + atan2(y1, 2 + u1)"),
                       cost_id="exp(y1) * u1^2 + sqrt(1.5 + y2) + sin(y1*u1)",
                       region=StateRegion(kind="box", lower=(-1.0, -1.0), upper=(1.0, 1.0)),
                       control=ControlRegion(lower=(-1.0,), upper=(1.0,)),
@@ -893,7 +893,7 @@ def test_product_evaluators_are_bitwise_the_batch_evaluators(request):
             assert broadcast.tobytes() == product.tobytes()
             assert broadcast.tobytes() == batch.reshape(product.shape).tobytes()
     # a constant component broadcasts to every pair
-    frozen = system.make_frozen()
+    frozen = built("frozen", cost="y1 + u1^2")
     assert np.array_equal(frozen.dynamics_at(ys[:, None], us[None]),
                           np.zeros((2, *pairs)))
 
@@ -937,7 +937,7 @@ def test_membership_of_lp_optimum(rotation_setup, rotation_solved):
 
 
 def test_membership_flags_flow_violations():
-    spec = system.make_scalar_drift(cost_id="y1^2")
+    spec = built("scalar-drift", cost="y1^2")
     g = build_grid(spec, 9, 5)
     b = basis_for_region(spec.region, 4)
     uniform = DiscreteMeasure(g, np.full(g.atom_count, 1.0 / g.atom_count))
@@ -959,7 +959,7 @@ def test_omega_residual_shrinks_under_grid_refinement():
 
     from occlp.simulate import ConstantPolicy, empirical_occupational_measure, integrate
 
-    spec = system.make_rotation()
+    spec = built("rotation")
     residuals = []
     for n_theta in (8, 16, 32):
         g = build_grid(spec, (5, n_theta), 3)
@@ -993,7 +993,7 @@ def test_membership_of_many_measures_matches_cold_solves(monkeypatch, caplog):
     # column, whatever the crossover.  Seeded as if they were not, the model
     # holds every column below the crossover; with the crossover lowered to 0
     # it starts from every 4th state and y0's, and pricing must grow it
-    spec = system.make_rotation()
+    spec = built("rotation")
     g = build_grid(spec, (5, 8), 3)
     b = basis_for_region(spec.region, 4)
     n_controls = g.control_points.shape[0]
@@ -1038,7 +1038,7 @@ def test_membership_of_many_measures_matches_cold_solves(monkeypatch, caplog):
 
 @pytest.mark.parametrize("bad_at", [0, 2, 4])
 def test_membership_checks_every_measure_before_building(monkeypatch, bad_at):
-    spec = system.make_rotation()
+    spec = built("rotation")
     g = build_grid(spec, (5, 8), 3)
     b = basis_for_region(spec.region, 4)
     measures = _loop_measures(g)
@@ -1123,7 +1123,7 @@ def _priced_out(instance, solution) -> bool:
 def master_setups():
     """An acceptance LP grid, an M-size grid and a box above the crossover
     (16 x 16 at degree 4: 154-159 columns per row)."""
-    rotation = system.make_rotation()
+    rotation = built("rotation")
     box = build_system(parse_config(BOX_CUSTOM).system)
     setups = {"acceptance": (rotation, (5, 64), 4, (1.0, 0.0)),
               "m-size": (rotation, (5, 128), 6, (0.0, 1.25)),

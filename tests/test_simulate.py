@@ -18,15 +18,17 @@ from occlp.simulate import (ConstantPolicy, FeedbackPolicy, InsufficientHorizonE
                             rk4_step, rotation_delta_family)
 from occlp.system import dynamics_fn
 
+from systems import built
+
 
 @pytest.fixture(scope="module")
 def rotation():
-    return system.make_rotation()
+    return built("rotation")
 
 
 @pytest.fixture(scope="module")
 def frozen():
-    return system.make_frozen(lower=(0.0, 0.0), upper=(1.0, 1.0), cost_id="y1 + u1^2")
+    return built("frozen", lower=(0.0, 0.0), upper=(1.0, 1.0), cost="y1 + u1^2")
 
 
 def test_frozen_trajectory_is_constant(frozen):
@@ -45,23 +47,22 @@ def test_rotation_loop_closure(rotation):
 
 
 def test_scalar_drift_exponential():
-    spec = system.make_scalar_drift()
+    spec = built("scalar-drift", cost="y1^2")
     traj = integrate(spec, (1.0,), ConstantPolicy(0.0), 1.0, 1e-3)
     assert traj.final_state()[0] == pytest.approx(math.exp(-1.0), abs=1e-6)
 
 
-def _custom(dynamics: str, dim: int) -> system.SystemSpec:
-    return system.SystemSpec(
-        name="custom", dynamics_id=dynamics, cost_id="y1",
-        region=system.StateRegion(kind="box", lower=(-2.0,) * dim, upper=(2.0,) * dim),
-        control=system.ControlRegion(lower=(-1.0,), upper=(1.0,)))
+def _custom(*dynamics: str) -> system.SystemSpec:
+    dim = len(dynamics)
+    return built("custom", region="box", lower=(-2.0,) * dim, upper=(2.0,) * dim,
+                 dynamics=dynamics)
 
 
 # systems with their start points: built-in and expression-compiled dynamics
-_SYSTEMS = [(system.make_rotation(), (1.0, 0.0)),
-            (system.make_scalar_drift(), (0.6,)),
-            (_custom("-y1 + u1; -y2 + y1", 2), (0.5, -0.5)),
-            (_custom("sin(y2)*u1^2; -exp(y1)*u1", 2), (0.3, -0.7))]
+_SYSTEMS = [(built("rotation"), (1.0, 0.0)),
+            (built("scalar-drift", cost="y1^2"), (0.6,)),
+            (_custom("-y1 + u1", "-y2 + y1"), (0.5, -0.5)),
+            (_custom("sin(y2)*u1^2", "-exp(y1)*u1"), (0.3, -0.7))]
 
 
 def test_states_satisfy_recomputable_update():
@@ -127,7 +128,7 @@ def test_schedule_runs_never_ask_the_policy(monkeypatch, rotation):
 
 @pytest.mark.parametrize("bad", [2.0, math.nan], ids=["box", "nan"])
 def test_escaping_control_is_reported_at_its_step(bad):
-    spec = _custom("-y1 + u1", 1)
+    spec = _custom("-y1 + u1")
     k = 7
     # y decreases under u = 0, so the feedback first leaves the control set at step k
     free = integrate(spec, (1.0,), ConstantPolicy(0.0), 0.02, 1e-3)
@@ -140,7 +141,7 @@ def test_escaping_control_is_reported_at_its_step(bad):
 
 @pytest.mark.parametrize("period", [None, 0.05])
 def test_escaping_schedule_piece_is_reported_at_its_first_step(period):
-    spec = _custom("-y1 + u1", 1)
+    spec = _custom("-y1 + u1")
     switch = 0.0123  # off the step grid: the piece is first held at step 13
     free = integrate(spec, (0.5,), ConstantPolicy(0.0), 0.02, 1e-3)
     k = next(i for i in range(len(free.controls)) if i * free.dt >= switch)
@@ -152,7 +153,7 @@ def test_escaping_schedule_piece_is_reported_at_its_first_step(period):
 
 def _rotation_about(center) -> system.SystemSpec:
     return system.SystemSpec(
-        name="rotation", dynamics_id="rotation", cost_id="y1",
+        dynamics_text=("u1*y2", "-u1*y1"), cost_id="y1",
         region=system.StateRegion(kind="annulus", inner=0.5, outer=1.5, center=center),
         control=system.ControlRegion(lower=(0.0,), upper=(1.0,)))
 
@@ -203,7 +204,7 @@ _BELOW = "((0.8 - y1) + abs(0.8 - y1))"
     f"{_BELOW} * 1e308 * 1e308 * 0",
 ], ids=["box", "nan"])
 def test_escaping_law_is_reported_like_step_by_step(law):
-    spec = _custom("-y1 + u1", 1)
+    spec = _custom("-y1 + u1")
     policy = LawPolicy([exprs.parse_expr(law, 1, 0)])
     # y decreases under u = 0, so the law first leaves the control set at step k
     free = integrate(spec, (1.0,), ConstantPolicy(0.0), 0.3, 1e-3)
@@ -221,7 +222,7 @@ def test_escaping_law_is_reported_like_step_by_step(law):
 def test_failing_closed_loop_run_is_reported_like_step_by_step(dynamics):
     # y1 falls through 0 (exactly, for the last one): a domain error or a division by 0
     spec = system.SystemSpec(
-        name="custom", dynamics_id=dynamics, cost_id="y1",
+        dynamics_text=(dynamics,), cost_id="y1",
         region=system.StateRegion(kind="box", lower=(-2.0,), upper=(2.0,)),
         control=system.ControlRegion(lower=(-1.0,), upper=(1.0,)))
     policy = LawPolicy([exprs.parse_expr("0 * y1", 1, 0)])
@@ -237,12 +238,14 @@ def test_failing_closed_loop_run_is_reported_like_step_by_step(dynamics):
 # while the state decays to a subnormal that RK4 maps to itself, and a start
 # at -0.0 that the first step maps to +0.0, so that only the second step parks
 _PARKING_RUNS = {
-    "steer-then-hold": (system.make_rotation(), (1.0, 0.0),
+    "steer-then-hold": (built("rotation"), (1.0, 0.0),
                         SchedulePolicy([0.0, math.pi], [1.0, 0.0]), 20.0, 1e-3, 3142),
-    "frozen": (system.make_frozen(), (0.25, -0.75), ConstantPolicy(0.3), 50.0, 1e-2, 0),
-    "law": (_custom("-y1 + u1", 1), (0.75,), LawPolicy([exprs.parse_expr("0 * y1", 1, 0)]),
+    "frozen": (built("frozen", cost="y1 + u1^2"), (0.25, -0.75), ConstantPolicy(0.3), 50.0,
+               1e-2, 0),
+    "law": (_custom("-y1 + u1"), (0.75,), LawPolicy([exprs.parse_expr("0 * y1", 1, 0)]),
             2500.0, 0.25, 2973),
-    "negative-zero": (system.make_frozen(), (-0.0, 0.5), ConstantPolicy(0.3), 50.0, 1e-2, 1),
+    "negative-zero": (built("frozen", cost="y1 + u1^2"), (-0.0, 0.5), ConstantPolicy(0.3), 50.0,
+                      1e-2, 1),
 }
 
 
@@ -263,10 +266,8 @@ def test_parking_runs_match_step_by_step_integration(monkeypatch, name, chunk):
 
 # box-custom: y1' = -y1 + u1, y2' = -y2 + y1 on [-1, 1]^2 under a period-4
 # schedule, whose runs repeat one period exactly from the step given on
-_BOX = system.SystemSpec(
-    name="custom", dynamics_id="-y1 + u1; -y2 + y1", cost_id="y2^2 + 0.5*u1^2",
-    region=system.StateRegion(kind="box", lower=(-1.0, -1.0), upper=(1.0, 1.0)),
-    control=system.ControlRegion(lower=(-1.0,), upper=(1.0,)))
+_BOX = built("custom", region="box", dynamics=("-y1 + u1", "-y2 + y1"),
+              cost="y2^2 + 0.5*u1^2")
 _BOX_SCHEDULE = SchedulePolicy([0.0, 2.0], [1.0, -1.0], period=4.0)
 _BOX_CYCLES = {(0.5, -0.5): (44000, 4400), (-0.5, 0.5): (40000, 4400),
                (0.25, 0.75): (44000, 4400), (-0.75, -0.25): (36000, 4000),
@@ -281,10 +282,10 @@ _PERIODIC_RUNS = {
     "box-off-grid-period": (_BOX, (0.5, -0.5), SchedulePolicy([0.0, 2.0], [1.0, -1.0], 4.0005),
                             60.0, 1e-3, None),
     # the state never moves, so the first period already maps it to itself
-    "frozen-periodic": (system.make_frozen(), (0.25, -0.75), _BOX_SCHEDULE, 60.0, 1e-3,
-                        (0, 4000)),
+    "frozen-periodic": (built("frozen", cost="y1 + u1^2"), (0.25, -0.75), _BOX_SCHEDULE, 60.0,
+                        1e-3, (0, 4000)),
     # half a radian per period, forever
-    "rotation-turning": (system.make_rotation(), (1.0, 0.0),
+    "rotation-turning": (built("rotation"), (1.0, 0.0),
                          SchedulePolicy([0.0, 0.5], [1.0, 0.0], period=2.0), 60.0, 1e-3, None),
 }
 
@@ -354,7 +355,7 @@ def test_parked_tail_is_tested_and_costed_once(monkeypatch, name):
 @pytest.mark.parametrize("law", [None, "0 * y1"])
 def test_late_blow_up_is_reported_like_step_by_step(monkeypatch, law, chunk):
     # y1' = y1^2 / 1000 from 1 blows up at t = 1000, after 10,000 steps of 0.1
-    spec = _custom("0.001 * y1 * y1 + u1", 1)
+    spec = _custom("0.001 * y1 * y1 + u1")
     if law is None:
         policy, stepwise = ConstantPolicy(0.0), FeedbackPolicy(lambda y: (0.0,))
     else:
@@ -399,7 +400,7 @@ def test_cesaro_steer_then_hold_transient_bound(rotation):
 
 def test_cesaro_rejects_escaping_trajectory():
     drift = system.SystemSpec(
-        name="drift", dynamics_id="1", cost_id="y1",
+        dynamics_text=("1",), cost_id="y1",
         region=system.StateRegion(kind="box", lower=(0.0,), upper=(1.0,)),
         control=system.ControlRegion(lower=(-1.0,), upper=(1.0,)),
         bound_f=1.0, bound_k=1.0)
@@ -410,7 +411,7 @@ def test_cesaro_rejects_escaping_trajectory():
 
 
 def test_abel_constant_cost(rotation):
-    const = system.make_rotation(cost_id="3")
+    const = built("rotation", cost="3")
     result = abel_value(const, (1.0, 0.0), ConstantPolicy(1.0), rate=0.5,
                         horizon=40.0, dt=1e-3)
     assert result.value == pytest.approx(3.0, abs=3 * result.tail_bound + 1e-6)
@@ -584,7 +585,7 @@ def test_residual_decay_integer_periods_at_floor(rotation):
 def test_horizon_study_windows_are_separate_runs():
     cases = [
         # at dt = 1e-3 the horizons 25 and 50 are exact prefixes of the 100 run
-        (system.make_rotation(), (1.0, 0.0), SchedulePolicy([0.0, math.pi], [1.0, 0.0]),
+        (built("rotation"), (1.0, 0.0), SchedulePolicy([0.0, math.pi], [1.0, 0.0]),
          (50.0, 25.0, 100.0), [(3142, 1)] * 3),
         # box-custom's cycle starts at step 44,000 and first repeats at 48,000: the
         # windows end before it starts, inside its first pass, and in its repeats

@@ -11,15 +11,17 @@ from occlp import exprs, system
 from occlp.system import (ControlRegion, DimensionMismatchError, RegionError,
                           StateRegion, SystemSpec, UnknownEvaluatorError)
 
+from systems import built
+
 
 @pytest.fixture(scope="module")
 def rotation():
-    return system.make_rotation()
+    return built("rotation")
 
 
 @pytest.fixture(scope="module")
 def frozen():
-    return system.make_frozen()
+    return built("frozen", cost="y1 + u1^2")
 
 
 def f_at(spec, y, u):
@@ -39,7 +41,7 @@ def test_rotation_dynamics_reference_point(rotation):
 
 def test_rotation_dynamics_substitution():
     # wide annulus so that (0, 2) is admissible; f = (u*y2, -u*y1)
-    spec = system.make_rotation(inner=0.5, outer=2.0)
+    spec = built("rotation", inner_radius=0.5, outer_radius=2.0)
     assert np.allclose(f_at(spec, (0.0, 2.0), (-0.5,)), (-1.0, 0.0))
 
 
@@ -50,11 +52,11 @@ def test_frozen_dynamics_vanish(frozen):
 
 
 def test_costs():
-    spec = system.make_rotation(cost_id="y1")
+    spec = built("rotation", cost="y1")
     assert k_at(spec, (-1.0, 0.0), (0.0,)) == -1.0
-    const = system.make_rotation(cost_id="3")
+    const = built("rotation", cost="3")
     assert k_at(const, (0.7, 0.7), (0.5,)) == 3.0
-    mixed = system.make_frozen(cost_id="y1 + u1^2")
+    mixed = built("frozen", cost="y1 + u1^2")
     assert k_at(mixed, (0.5, 0.0), (1.0,)) == 1.5
 
 
@@ -62,10 +64,10 @@ def test_unknown_ids_rejected():
     region = StateRegion(kind="box", lower=(-1.0,), upper=(1.0,))
     control = ControlRegion(lower=(-1.0,), upper=(1.0,))
     with pytest.raises(UnknownEvaluatorError):
-        SystemSpec(name="x", dynamics_id="no-such-dynamics", cost_id="y1",
+        SystemSpec(dynamics_text=("no-such-dynamics",), cost_id="y1",
                    region=region, control=control, bound_f=1.0, bound_k=1.0)
     with pytest.raises(UnknownEvaluatorError):
-        SystemSpec(name="x", dynamics_id="scalar-drift", cost_id="$$$",
+        SystemSpec(dynamics_text=("-y1 + u1",), cost_id="$$$",
                    region=region, control=control, bound_f=2.0, bound_k=1.0)
 
 
@@ -88,7 +90,7 @@ def test_a_spec_parses_once_and_compiles_each_evaluator_once(monkeypatch):
         compiled.append(nodes), time.sleep(1e-3), compile_numpy(nodes))[2])
     monkeypatch.setattr(exprs, "compile_rk4_run", lambda nodes, law=None: (
         compiled.append(nodes), time.sleep(1e-3), compile_rk4_run(nodes, law))[2])
-    spec = SystemSpec(name="rotation", dynamics_id="rotation", cost_id="y1",
+    spec = SystemSpec(dynamics_text=("u1*y2", "-u1*y1"), cost_id="y1",
                       region=StateRegion(kind="annulus", inner=0.5, outer=1.5),
                       control=ControlRegion(lower=(-1.0,), upper=(1.0,)),
                       first_integrals=("y1^2 + y2^2",), bound_f=1.5, bound_k=1.5)
@@ -123,7 +125,7 @@ def test_a_spec_parses_once_and_compiles_each_evaluator_once(monkeypatch):
     # equality, hashing and repr cover the declared fields only
     twin = dataclasses.replace(spec)
     assert twin == spec and hash(twin) == hash(spec) and repr(twin) == repr(spec)
-    assert repr(spec).startswith("SystemSpec(name='rotation', dynamics_id='rotation', ")
+    assert repr(spec).startswith("SystemSpec(dynamics_text=('u1*y2', '-u1*y1'), ")
     assert "Var(" not in repr(spec) and "_numpy" not in repr(spec)
 
 
@@ -149,20 +151,15 @@ def test_first_integral_rotation(rotation):
 
 
 def test_first_integral_frozen_any_function():
-    spec = system.make_frozen()
-    spec = SystemSpec(name="frozen", dynamics_id=spec.dynamics_id, cost_id=spec.cost_id,
-                      region=spec.region, control=spec.control,
-                      first_integrals=("y1^3 - y2",), bound_f=0.0, bound_k=spec.bound_k)
+    spec = dataclasses.replace(built("frozen", cost="y1 + u1^2"),
+                               first_integrals=("y1^3 - y2",))
     report = system.check_first_integrals(spec)
     assert report.max_residual == 0.0
 
 
 def test_wrong_first_integral_detected():
     # with F = y1 the drift along F is u*y2, maximised at |u| = 1, |y2| = outer
-    spec = system.make_rotation()
-    spec = SystemSpec(name="rotation", dynamics_id="rotation", cost_id="y1",
-                      region=spec.region, control=spec.control,
-                      first_integrals=("y1",), bound_f=spec.bound_f, bound_k=spec.bound_k)
+    spec = dataclasses.replace(built("rotation"), first_integrals=("y1",))
     report = system.check_first_integrals(spec, sample_count=24)
     assert not report.passed
     assert report.max_residual == pytest.approx(spec.region.outer, rel=1e-9)
@@ -175,7 +172,7 @@ def test_forward_invariance(rotation, frozen):
 
 
 def test_forward_invariance_violation():
-    drift = SystemSpec(name="drift-right", dynamics_id="1", cost_id="y1",
+    drift = SystemSpec(dynamics_text=("1",), cost_id="y1",
                        region=StateRegion(kind="box", lower=(0.0,), upper=(1.0,)),
                        control=ControlRegion(lower=(-1.0,), upper=(1.0,)),
                        bound_f=1.0, bound_k=1.0)
@@ -189,7 +186,7 @@ def test_forward_invariance_ties_go_to_the_first_control_then_the_first_point():
     # outward component 1 at u = 1 on the right and bottom faces, and at
     # u = -1 on the left and top faces: the worst pair is the first point of
     # the left face with the first control
-    spec = SystemSpec(name="shear", dynamics_id="u1;-u1", cost_id="y1",
+    spec = SystemSpec(dynamics_text=("u1", "-u1"), cost_id="y1",
                       region=StateRegion(kind="box", lower=(0.0, 0.0), upper=(1.0, 1.0)),
                       control=ControlRegion(lower=(-1.0,), upper=(1.0,)),
                       bound_f=2.0, bound_k=1.0)
@@ -261,19 +258,16 @@ def test_region_construction_errors():
 
 
 def test_scalar_drift_bounds():
-    spec = system.make_scalar_drift()
+    spec = built("scalar-drift", cost="y1^2")
     report = system.validate_bounds(spec)
     assert report.bound_f_ok
     assert spec.bound_f == 2.0
 
 
 def test_the_shipped_systems_are_multilinear_in_the_controls():
-    box = system.SystemSpec(name="custom", dynamics_id="-y1 + u1; -y2 + y1", cost_id="u1^2",
-                            region=system.StateRegion(kind="box", lower=(-1.0, -1.0),
-                                                      upper=(1.0, 1.0)),
-                            control=system.ControlRegion(lower=(-1.0,), upper=(1.0,)))
-    for spec in (system.make_rotation(), system.make_frozen(), box):
+    box = built("custom", region="box", dynamics=("-y1 + u1", "-y2 + y1"), cost="u1^2")
+    for spec in (built("rotation"), built("frozen", cost="y1 + u1^2"), box):
         assert spec.dynamics_multilinear
     # the cost plays no part; a control squared in the dynamics does
-    squared = dataclasses.replace(box, dynamics_id="-y1 + u1^2 - 0.5*u1; -y2 + y1")
+    squared = dataclasses.replace(box, dynamics_text=("-y1 + u1^2 - 0.5*u1", "-y2 + y1"))
     assert not squared.dynamics_multilinear
