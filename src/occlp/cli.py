@@ -283,26 +283,19 @@ def _solve_section(bundle, blocks, cfg: StudyConfig, variants, jobs: int):
                           f"{erg.value:.9f} <= {non.value:.9f} + {_bound_text(ORDERING_TOL)}")
 
     if "perturbed" in variants and len(prog.epsilons) >= 2:
-        eps_sorted = sorted(prog.epsilons)
-        rows, ok_monotone = [], True
-        values_by_eps = {}
-        for eps in prog.epsilons:
+        # one row per optimal value, in increasing epsilon, each flagged
+        # against the row before it
+        rows = []
+        for eps in sorted(prog.epsilons):
             sol = results[f"perturbed[eps={eps:g}]"][1]
             if sol.status == "optimal":
-                values_by_eps[eps] = sol.value
-        prev = None
-        for eps in eps_sorted:
-            if eps not in values_by_eps:
-                continue
-            value = values_by_eps[eps]
-            monotone = prev is None or value >= prev - ORDERING_TOL
-            ok_monotone &= monotone
-            rows.append([eps, value, monotone])
-            prev = value
+                rows.append([eps, sol.value,
+                             not rows or sol.value >= rows[-1][1] - ORDERING_TOL])
         bundle.tables["epsilon_sweep"] = {
             "columns": ["epsilon", "value", "monotone_nondecreasing_in_epsilon"],
             "rows": rows}
-        bundle.record("perturbed_monotone_in_epsilon", ok_monotone)
+        bundle.record("perturbed_monotone_in_epsilon", all(row[2] for row in rows))
+        values_by_eps = {eps: value for eps, value, _ in rows}
         if 0.0 in values_by_eps:
             base = values_by_eps[0.0]
             bundle.record("perturbed_dominates_unperturbed",
@@ -459,8 +452,7 @@ def _certify_section(bundle, blocks, cfg: StudyConfig, solve_results):
 def _oracle_section(bundle, blocks, cfg: StudyConfig):
     spec, y0 = blocks.grid.spec, blocks.y0_requested
     if rotates(spec):
-        z0 = float((y0[0] - spec.region.center[0]) ** 2
-                   + (y0[1] - spec.region.center[1]) ** 2)
+        z0 = float(y0[0] ** 2 + y0[1] ** 2)  # the annulus is about the origin
         level = rotation_level_value(spec, z0)
         bundle.values["oracle.level_value"] = level.value
         bundle.values["oracle.level"] = z0

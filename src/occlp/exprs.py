@@ -3,9 +3,12 @@
 Expressions are built from state variables ``y1..ym``, control variables
 ``u1..up``, decimal numbers, ``pi``, the operators ``+ - * / ^`` (``^`` takes a
 constant exponent), the functions ``sin cos exp sqrt abs`` and the
-two-argument ``atan2(a, b)``, the angle of the point ``(b, a)``.  Parsed
-expressions support exact symbolic differentiation with respect to state
-variables, which is what the first-integral checks rely on.
+two-argument ``atan2(a, b)``, the angle of the point ``(b, a)``.  Python's
+own parser reads an expression, and :func:`parse_expr` keeps of its tree
+only what this grammar has, at most :data:`MAX_DEPTH` operations deep, so
+that every parsed expression compiles.  Parsed expressions support exact
+symbolic differentiation with respect to state variables, which is what the
+first-integral checks rely on.
 
 Three compilation targets are provided: a scalar form operating on plain
 float tuples, a run of Runge-Kutta steps on plain floats with the expressions
@@ -20,8 +23,10 @@ negative number); the numpy form gives NaN.
 
 from __future__ import annotations
 
+import ast
 import math
 import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +45,9 @@ _FUNCTIONS = {
 class ExpressionError(ValueError):
     """Raised when an expression cannot be parsed or differentiated."""
 
-    def __init__(self, message: str, text: str = "", pos: int | None = None):
+    def __init__(self, message: str, pos: int | None = None):
         if pos is not None:
-            message = f"{message} (at position {pos} in {text!r})"
+            message = f"{message} (at position {pos})"
         super().__init__(message)
 
 
@@ -85,145 +90,112 @@ class Call:
 Node = Num | Var | Unary | Binary | Power | Call
 
 
-class _Parser:
-    def __init__(self, text: str, dim_state: int, dim_control: int):
-        self.text = text
-        self.pos = 0
-        self.m = dim_state
-        self.p = dim_control
+# the deepest nesting of operations and calls that parse_expr accepts.  Each
+# level is one bracket of the generated source, which adds two of its own
+# (the result tuple and a subscript ``y[0]``), and Python's tokenizer allows
+# 200 nested brackets
+MAX_DEPTH = 198
 
-    def fail(self, message: str):
-        raise ExpressionError(message, self.text, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse(self) -> Node:
-        node = self.parse_sum()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.fail("unexpected trailing input")
-        return node
-
-    def parse_sum(self) -> Node:
-        node = self.parse_product()
-        while True:
-            ch = self.peek()
-            if ch and ch in "+-":
-                self.pos += 1
-                rhs = self.parse_product()
-                node = Binary(ch, node, rhs)
-            else:
-                return node
-
-    def parse_product(self) -> Node:
-        node = self.parse_unary()
-        while True:
-            ch = self.peek()
-            if ch and ch in "*/":
-                self.pos += 1
-                rhs = self.parse_unary()
-                node = Binary(ch, node, rhs)
-            else:
-                return node
-
-    def parse_unary(self) -> Node:
-        ch = self.peek()
-        if ch == "-":
-            self.pos += 1
-            return Unary("neg", self.parse_unary())
-        if ch == "+":
-            self.pos += 1
-            return self.parse_unary()
-        return self.parse_power()
-
-    def parse_power(self) -> Node:
-        base = self.parse_atom()
-        if self.peek() == "^":
-            self.pos += 1
-            sign = 1.0
-            if self.peek() == "-":
-                self.pos += 1
-                sign = -1.0
-            exp_node = self.parse_atom()
-            if not isinstance(exp_node, Num):
-                self.fail("exponent must be a constant")
-            return Power(base, sign * exp_node.value)
-        return base
-
-    def parse_atom(self) -> Node:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            node = self.parse_sum()
-            if self.peek() != ")":
-                self.fail("expected ')'")
-            self.pos += 1
-            return node
-        if ch.isdigit() or ch == ".":
-            return self.parse_number()
-        if ch.isalpha() or ch == "_":
-            return self.parse_name()
-        self.fail("expected a number, variable or '('")
-
-    def parse_number(self) -> Num:
-        start = self.pos
-        text = self.text
-        while self.pos < len(text) and (text[self.pos].isdigit() or text[self.pos] == "."):
-            self.pos += 1
-        if self.pos < len(text) and text[self.pos] in "eE":
-            probe = self.pos + 1
-            if probe < len(text) and text[probe] in "+-":
-                probe += 1
-            if probe < len(text) and text[probe].isdigit():
-                self.pos = probe
-                while self.pos < len(text) and text[self.pos].isdigit():
-                    self.pos += 1
-        try:
-            return Num(float(text[start:self.pos]))
-        except ValueError:
-            self.fail(f"bad number {text[start:self.pos]!r}")
-
-    def parse_name(self) -> Node:
-        start = self.pos
-        text = self.text
-        while self.pos < len(text) and (text[self.pos].isalnum() or text[self.pos] == "_"):
-            self.pos += 1
-        name = text[start:self.pos]
-        if name == "pi":
-            return Num(math.pi)
-        if name in _FUNCTIONS:
-            arity = _FUNCTIONS[name][2]
-            if self.peek() != "(":
-                self.fail(f"function {name!r} needs {arity} argument(s)")
-            self.pos += 1
-            args = [self.parse_sum()]
-            while self.peek() == ",":
-                self.pos += 1
-                args.append(self.parse_sum())
-            if self.peek() != ")":
-                self.fail("expected ')'")
-            if len(args) != arity:
-                self.fail(f"function {name!r} takes {arity} argument(s), got {len(args)}")
-            self.pos += 1
-            return Call(name, tuple(args))
-        if name[0] in "yu" and name[1:].isdigit():
-            index = int(name[1:]) - 1
-            dim = self.m if name[0] == "y" else self.p
-            if not 0 <= index < dim:
-                self.fail(f"variable {name!r} out of range (dimension {dim})")
-            return Var(name[0], index)
-        self.fail(f"unknown name {name!r}")
+_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+_WHITESPACE = " \t\n\r\f\v"
+_UNEXPECTED = re.compile(r"\*\*|[^A-Za-z0-9_.,+\-*/^()" + _WHITESPACE + "]")
+_DECIMAL = re.compile(r"[0-9.eE+-]+")
 
 
 def parse_expr(text: str, dim_state: int, dim_control: int) -> Node:
-    """Parse one expression; variable indices are validated against the dims."""
-    return _Parser(text, dim_state, dim_control).parse()
+    """Parse one expression; variable indices are validated against the dims.
+
+    Python's own parser reads the text, with ``^`` as ``**`` and each
+    whitespace character as a space, and a walk of its tree keeps what the
+    grammar has: decimal literals (finite), ``pi``, ``y1..ym``, ``u1..up``,
+    unary ``-``/``+``, ``+ - * /``, ``^`` of a number or a negated number, and
+    the grammar's functions with their number of arguments.  It raises
+    ExpressionError, with the position in ``text``, on anything else, and on
+    a tree more than :data:`MAX_DEPTH` operations and calls deep, so that
+    every expression it returns compiles."""
+    bad = _UNEXPECTED.search(text)
+    if bad:
+        raise ExpressionError("use '^' for powers" if bad.group() == "**"
+                              else f"unexpected character {bad.group()!r}", bad.start())
+    body = text.lstrip(_WHITESPACE)
+    # origin[i] is the position in text of the source's character i
+    origin = [len(text) - len(body) + i for i, ch in enumerate(body)
+              for _ in range(1 + (ch == "^"))] + [len(text)]
+    source = body.replace("^", "**").translate(
+        str.maketrans(_WHITESPACE, " " * len(_WHITESPACE)))
+    try:
+        tree = ast.parse(source, mode="eval").body
+    except SyntaxError as err:
+        raise ExpressionError(err.msg, origin[min(max((err.offset or 1) - 1, 0), len(source))])
+    except (RecursionError, MemoryError):
+        raise ExpressionError(f"expression nests deeper than {MAX_DEPTH} levels") from None
+
+    def fail(message: str, node: ast.expr):
+        raise ExpressionError(message, origin[node.col_offset])
+
+    def exponent(node: ast.expr) -> float:
+        sign = 1.0
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            sign, node = -1.0, node.operand
+        if isinstance(node, (ast.Constant, ast.Name)):
+            value = read(node, 0)
+            if isinstance(value, Num):
+                return sign * value.value
+        fail("exponent must be a constant", node)
+
+    def read(node: ast.expr, depth: int) -> Node:
+        if depth > MAX_DEPTH:
+            fail(f"expression nests deeper than {MAX_DEPTH} levels", node)
+        if isinstance(node, ast.Constant):
+            literal = source[node.col_offset:node.end_col_offset]
+            if type(node.value) not in (int, float) or not _DECIMAL.fullmatch(literal):
+                fail(f"{literal!r} is not a decimal number", node)
+            if not math.isfinite(float(literal)):
+                fail(f"number {literal!r} is not finite", node)
+            return Num(float(literal))
+        if isinstance(node, ast.Name):
+            name = node.id
+            if name == "pi":
+                return Num(math.pi)
+            if name in _FUNCTIONS:
+                fail(f"function {name!r} needs {_FUNCTIONS[name][2]} argument(s)", node)
+            if name[0] in "yu" and name[1:].isdigit():
+                index = int(name[1:]) - 1
+                dim = dim_state if name[0] == "y" else dim_control
+                if not 0 <= index < dim:
+                    fail(f"variable {name!r} out of range (dimension {dim})", node)
+                return Var(name[0], index)
+            fail(f"unknown name {name!r}", node)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            arg = read(node.operand, depth + 1)
+            return arg if isinstance(node.op, ast.UAdd) else Unary("neg", arg)
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return Binary(_BINARY[type(node.op)], read(node.left, depth + 1),
+                          read(node.right, depth + 1))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            return Power(read(node.left, depth + 1), exponent(node.right))
+        # a call names its function right before its '(': not ``(sin)(y1)``
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _FUNCTIONS and node.func.col_offset == node.col_offset):
+            name, arity = node.func.id, _FUNCTIONS[node.func.id][2]
+            if len(node.args) != arity:
+                fail(f"function {name!r} takes {arity} argument(s), got {len(node.args)}", node)
+            return Call(name, tuple(read(arg, depth + 1) for arg in node.args))
+        shown = text[origin[node.col_offset]:origin[node.end_col_offset]]
+        fail(f"{shown!r} is not in the expression grammar", node)
+
+    return read(tree, 0)
+
+
+def depth(node: Node) -> int:
+    """The number of operations and calls on the longest path from ``node`` to a leaf."""
+    if isinstance(node, (Num, Var)):
+        return 0
+    if isinstance(node, Unary):
+        return 1 + depth(node.arg)
+    if isinstance(node, Binary):
+        return 1 + max(depth(node.left), depth(node.right))
+    return 1 + max(map(depth, (node.base,) if isinstance(node, Power) else node.args))
 
 
 def diff(node: Node, index: int) -> Node:

@@ -1,6 +1,6 @@
 """Independent reference values, computed without any of the LP machinery.
 
-For the planar rotation system every circle about the center is invariant, so
+For the planar rotation system every circle about the origin is invariant, so
 the long-run problem splits into one problem per circle.  On a fixed circle
 the oracle scans two tractable families of admissible long-run measures:
 
@@ -50,10 +50,10 @@ class OracleResult:
 
 
 def rotates(spec: SystemSpec) -> bool:
-    """Whether the level-set oracle applies: an annulus whose dynamics parse to
-    those of the rotation preset (``config.PRESETS``), so that every circle
-    about its center is invariant."""
-    return (spec.region.kind == "annulus"
+    """Whether the level-set oracle applies: an annulus about the origin whose
+    dynamics parse to those of the rotation preset (``config.PRESETS``), which
+    turn about the origin, so that every circle of the annulus is invariant."""
+    return (spec.region.kind == "annulus" and tuple(spec.region.center) == (0.0, 0.0)
             and parses_to(spec, PRESETS["rotation"](SystemConfig())["dynamics"]))
 
 
@@ -69,8 +69,8 @@ def _circle_scan(spec: SystemSpec, angle_resolution: int,
     """The scan's angles (A,), the unit circle's points at them (A, 2) and the
     controls (U, p): what every level of one scan shares."""
     if not rotates(spec):
-        raise OracleError("the level-set oracle applies to an annulus whose dynamics "
-                          "are the rotation's (u1*y2, -u1*y1)")
+        raise OracleError("the level-set oracle applies to an annulus about the origin "
+                          "whose dynamics are the rotation's (u1*y2, -u1*y1)")
     angles = 2.0 * np.pi * np.arange(angle_resolution) / angle_resolution
     ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     return angles, ring, spec.control.grid(control_resolution)

@@ -265,7 +265,11 @@ def _parse_integral(text: str, m: int) -> tuple[exprs.Node, ...]:
     # over the state only: a control in a first integral is out of range
     try:
         node = exprs.parse_expr(text, m, 0)
-        return (node, *(exprs.diff(node, j) for j in range(m)))
+        gradient = tuple(exprs.diff(node, j) for j in range(m))
+        if max(map(exprs.depth, gradient)) > exprs.MAX_DEPTH:
+            raise exprs.ExpressionError(f"its gradient nests deeper than {exprs.MAX_DEPTH} "
+                                        "levels")
+        return (node, *gradient)
     except exprs.ExpressionError as err:
         raise UnknownEvaluatorError(f"first integral {text!r}: {err}",
                                     "first_integrals") from err

@@ -320,6 +320,23 @@ ACCEPTANCE_CONFIG = Path(__file__).parent.parent / "configs" / "rotation_accepta
 FROZEN_CONFIG = ACCEPTANCE_CONFIG.with_name("frozen.conf")
 
 
+@pytest.mark.parametrize("cost,message", [
+    (" + ".join(["y1"] * 201), f"expression nests deeper than {exprs.MAX_DEPTH} levels"),
+    ("1e999*y1 + u1^2", "number '1e999' is not finite (at position 0)"),
+    ("+".join(["y1"] * 1000), f"expression nests deeper than {exprs.MAX_DEPTH} levels"),
+], ids=["201-term-sum", "infinite-literal", "1000-term-sum"])
+def test_a_cost_that_would_not_compile_is_a_config_error(tmp_path, capsys, cost, message):
+    lines = FROZEN_CONFIG.read_text().splitlines()
+    [line] = [i for i, text in enumerate(lines, start=1) if text.startswith("cost =")]
+    lines[line - 1] = f"cost = {cost}"
+    config_path = tmp_path / "study.conf"
+    config_path.write_text("\n".join(lines))
+    assert main(["solve", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: cost: unknown cost_id {cost!r}: {message}")
+    assert err.count(cost) == 1
+
+
 def test_worker_pool_does_not_change_results(tmp_path):
     cfg = parse_config(FROZEN_STUDY)
     serial = run_study(cfg, sections=("solve",), jobs=1)
@@ -1176,7 +1193,11 @@ def test_every_reported_measure_is_a_basic_point(tmp_path):
     assert payload["weight"] == dense.weights.tolist()
 
 
-@pytest.mark.parametrize("entry", ["y1 + * 2", "y3", "y1 + u1", "abs(y1)"])
+@pytest.mark.parametrize("entry", [
+    "y1 + * 2", "y3", "y1 + u1", "abs(y1)",
+    # each quotient nests its derivative three levels deeper
+    pytest.param("1/(" * 70 + "y1" + ")" * 70, id="gradient-past-the-depth-limit"),
+])
 def test_malformed_first_integral_is_a_config_error(tmp_path, capsys, entry):
     config_path = tmp_path / "fi.conf"
     config_path.write_text("[system]\nname = custom\nregion = box\ndynamics = [0, -y1]\n"

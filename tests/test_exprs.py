@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from occlp import exprs
 
@@ -45,10 +47,129 @@ def test_powers_and_roots_leave_their_domain_as_value_errors():
 @pytest.mark.parametrize("bad", [
     "y3", "u2 + 1", "1 +", "(y1", "sin", "q1", "y1 ^ u1", "2 ** 3", "y1 y2",
     "atan2(y1)", "atan2(y1, y2, u1)", "sin(y1, y2)", "atan2(y1 y2)", "atan2(y1,",
+    # what Python reads but the grammar does not have
+    "y1 # note", "y1 % 2", "y1 < 2", "y1 == y2", "y1.real", "0x10", "1_000", "2j", "True",
+    "y1 // 2", "y1 and y2", "y1 if y2 else 0", "(y1, y2)", "sin(*y1)", "(sin)(y1)",
+    "y1^+2", "y1^--2", "y1^(1 + 1)", "y1^2^3", "", "   ", "y1 \u00e9",
 ])
 def test_parse_errors(bad):
     with pytest.raises(exprs.ExpressionError):
         exprs.parse_expr(bad, 2, 1)
+
+
+# the inputs whose acceptance differs from the recursive-descent parser this
+# one replaced: Python rejects leading zeros in an integer and reads a
+# parenthesised exponent and a trailing comma in a call, and an infinite
+# number is rejected
+@pytest.mark.parametrize("text,tree", [
+    ("007", None),
+    ("2^(-3)", exprs.Power(exprs.Num(2.0), -3.0)),
+    ("sin(y1, )", exprs.Call("sin", (exprs.Var("y", 0),))),
+    ("1e999", None),
+])
+def test_accepted_inputs_that_changed(text, tree):
+    if tree is None:
+        with pytest.raises(exprs.ExpressionError):
+            exprs.parse_expr(text, 2, 1)
+    else:
+        assert exprs.parse_expr(text, 2, 1) == tree
+
+
+@pytest.mark.parametrize("text,message", [
+    ("y1^2 + y1^y2", "exponent must be a constant (at position 10)"),
+    ("  fast", "unknown name 'fast' (at position 2)"),
+    ("y1^2 +\t* u1", "invalid syntax (at position 7)"),
+    ("2^1 + 1e999", "number '1e999' is not finite (at position 6)"),
+    ("y1 ** 2", "use '^' for powers (at position 3)"),
+])
+def test_errors_give_the_position_in_the_text_as_written(text, message):
+    with pytest.raises(exprs.ExpressionError) as err:
+        exprs.parse_expr(text, 2, 1)
+    assert str(err.value) == message
+
+
+def _sum(terms: int, term: str = "y1") -> str:
+    return " + ".join([term] * terms)  # nests terms - 1 deep
+
+
+def test_an_expression_at_the_depth_limit_compiles_in_every_target():
+    node = exprs.parse_expr(_sum(exprs.MAX_DEPTH + 1), 1, 0)
+    assert exprs.depth(node) == exprs.MAX_DEPTH
+    total = exprs.MAX_DEPTH + 1.0
+    assert exprs.compile_scalar((node,))((1.0,), ()) == (total,)
+    assert exprs.compile_numpy((node,))([[1.0]], np.empty((1, 0))).tolist() == [[total]]
+    assert exprs.compile_rk4_run((node,))((1.0,), (), 0.0, 1, []) == (1, (1.0,))
+    dynamics = (exprs.parse_expr("u1", 1, 1),)
+    controls = []
+    run = exprs.compile_rk4_run(dynamics, law=(node,))
+    assert run((1.0,), (0.0,), (1e3,), 0.0, 1, [], controls) == (1, (1.0,), None)
+    assert controls == [total]
+
+
+@pytest.mark.parametrize("text", [
+    _sum(exprs.MAX_DEPTH + 2),
+    "-" * (exprs.MAX_DEPTH + 1) + "y1",
+    "sin(" * (exprs.MAX_DEPTH + 1) + "y1" + ")" * (exprs.MAX_DEPTH + 1),
+    _sum(1000),
+    "-" * 3000 + "1",
+])
+def test_an_expression_past_the_depth_limit_is_rejected(text):
+    with pytest.raises(exprs.ExpressionError, match=f"deeper than {exprs.MAX_DEPTH} levels"):
+        exprs.parse_expr(text, 1, 0)
+
+
+# grammar trees as the parser builds them: numbers are non-negative (a minus
+# sign is a Unary node) and finite
+_leaves = st.one_of(
+    st.builds(exprs.Num, st.floats(min_value=0.0, allow_infinity=False)),
+    st.builds(exprs.Var, st.just("y"), st.integers(0, 2)),
+    st.builds(exprs.Var, st.just("u"), st.integers(0, 1)))
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds(exprs.Unary, st.just("neg"), children),
+        st.builds(exprs.Binary, st.sampled_from("+-*/"), children, children),
+        st.builds(exprs.Power, children, st.floats(allow_nan=False, allow_infinity=False)),
+        st.builds(exprs.Call, st.sampled_from(["sin", "cos", "exp", "sqrt", "abs"]),
+                  st.tuples(children)),
+        st.builds(exprs.Call, st.just("atan2"), st.tuples(children, children)))
+
+
+def _text(node) -> str:
+    """Grammar text of a tree, every operand in parentheses."""
+    if isinstance(node, exprs.Num):
+        return repr(node.value)
+    if isinstance(node, exprs.Var):
+        return f"{node.kind}{node.index + 1}"
+    if isinstance(node, exprs.Unary):
+        return f"-({_text(node.arg)})"
+    if isinstance(node, exprs.Binary):
+        return f"({_text(node.left)}) {node.op} ({_text(node.right)})"
+    if isinstance(node, exprs.Power):
+        return f"({_text(node.base)})^{node.exponent!r}"
+    return f"{node.func}({', '.join(map(_text, node.args))})"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(_leaves, _extend, max_leaves=20))
+def test_printed_trees_parse_back_to_themselves(tree):
+    assert exprs.parse_expr(_text(tree), 3, 2) == tree
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet="yu12.e+-*/^(), sincoxpqrtab_#%<=\t\n09j")))
+@example("9" * 400)
+@example("1" * 400 + ".5e-3")
+@example("(" * 300 + "y1" + ")" * 300)
+@example("y1^" + "9" * 400)
+@example("\x00")
+def test_any_text_parses_or_raises_an_expression_error(text):
+    try:
+        node = exprs.parse_expr(text, 2, 1)
+    except exprs.ExpressionError:
+        return
+    assert exprs.depth(node) <= exprs.MAX_DEPTH
 
 
 @pytest.mark.parametrize("text", [

@@ -185,6 +185,18 @@ def test_the_level_set_oracle_needs_the_rotation_dynamics():
     assert not [key for key in _oracle_values(spiral, cfg) if key.startswith("oracle.")]
 
 
+def test_the_level_set_oracle_needs_an_annulus_about_the_origin():
+    # the rotation turns about the origin, so a circle about (3, 0) is not invariant
+    rotation = built("rotation")
+    moved = dataclasses.replace(rotation, region=dataclasses.replace(rotation.region,
+                                                                     center=(3.0, 0.0)))
+    assert rotates(rotation) and not rotates(moved)
+    for scan in (lambda: rotation_level_value(moved, 1.0),
+                 lambda: level_set_ordering(moved, [0.25, 1.0])):
+        with pytest.raises(OracleError, match="about the origin"):
+            scan()
+
+
 def test_the_frozen_oracle_needs_zero_dynamics():
     frozen = built("frozen", cost="y1 + u1^2")
     assert is_frozen(frozen) and not rotates(frozen)

@@ -66,3 +66,18 @@ def test_two_dumps_of_one_tree_compare_equal_and_an_edit_is_listed(tmp_path, cap
         f"{label}: measure ergodic.gamma: support changed, {len(support)} -> {len(support)} "
         "atoms, 1 added, 1 dropped",
         f"{label}: values.nonergodic.value: {value!r} -> {value + 0.125!r} (abs diff 0.125)"]
+
+
+def test_a_case_that_exits_non_zero_fails_the_run(capsys, monkeypatch):
+    digests = _load("digests")
+    text = (digests.ROOT / "configs" / "frozen.conf").read_text(encoding="utf-8")
+    cases = [("frozen.conf oracle", text, "oracle", 1),
+             ("bad cost", text.replace("cost = y1 + u1^2", "cost = y1 +"), "oracle", 1)]
+    monkeypatch.setattr(digests, "runs", lambda sections: cases)
+    assert digests.main([]) == 1
+    out, err = capsys.readouterr()
+    assert [line.split("  ")[-2:] for line in out.splitlines()] == [
+        ["exit 0", "frozen.conf oracle"], ["exit 2", "bad cost"]]
+    assert err == "1 case(s) exited non-zero: bad cost (exit 2)\n"
+    monkeypatch.setattr(digests, "runs", lambda sections: cases[:1])
+    assert digests.main([]) == 0

@@ -10,7 +10,9 @@ with its commands, its ``jobs`` and each of its start points.  Each run goes
 through ``cli.main`` in this one process, into a fresh output directory, and
 prints one line: the digest of its ``report.json`` (or ``no-report``), the
 digest of its ``occlp`` INFO log, its exit code and its label.  With
-arguments, only the cases whose label contains one of them run.
+arguments, only the cases whose label contains one of them run.  It exits 1,
+after listing them, when a case exits non-zero: a failed invariant (1) or a
+configuration error (2) of a shipped input.
 
 Reports are byte-identical across reruns of a configuration, and so is the
 INFO log once its ``wrote <path>`` lines and its wall times (``0.012 s``) are
@@ -218,7 +220,10 @@ def main(argv=None) -> int:
     if args.dump is not None:
         args.dump.mkdir(parents=True, exist_ok=True)
         (args.dump / CASES).write_text(json.dumps(cases, indent=2) + "\n", encoding="utf-8")
-    return 0
+    failed = [f"{label} (exit {code})" for label, code in cases.items() if code]
+    if failed:
+        print(f"{len(failed)} case(s) exited non-zero: {', '.join(failed)}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
