@@ -320,7 +320,7 @@ def _simulate_section(bundle, blocks, cfg: StudyConfig, solve_results):
     study = horizon_study(blocks, policy, sim.horizons, sim.dt)
     horizon_rows = []
     for row in study:
-        value = cesaro_value(row.trajectory, spec)
+        value = cesaro_value(row.trajectory)
         horizon_rows.append([row.horizon, value])
         bundle.values[f"cesaro[T={row.horizon:g}]"] = value
     bundle.tables["cesaro_by_horizon"] = {"columns": ["horizon", "cesaro_value"],

@@ -465,7 +465,7 @@ def build_system(cfg: SystemConfig) -> SystemSpec:
         else:
             raise ConfigError("custom systems need region = box or region = annulus",
                               key="region")
-        probe = SystemSpec(dynamics_text=tuple(cfg.dynamics), cost_id=cfg.cost, region=region,
+        probe = SystemSpec(dynamics_text=tuple(cfg.dynamics), cost_text=cfg.cost, region=region,
                            control=ControlRegion(lower=cfg.control_lower,
                                                  upper=cfg.control_upper),
                            first_integrals=tuple(cfg.first_integrals),
@@ -473,7 +473,7 @@ def build_system(cfg: SystemConfig) -> SystemSpec:
                            bound_k=math.inf if cfg.bound_k is None else cfg.bound_k)
     except SystemSpecError as err:
         region_key = "inner_radius" if cfg.region == "annulus" else "lower"
-        key = {"dynamics_text": "dynamics", "cost_id": "cost", "control": "control_lower",
+        key = {"dynamics_text": "dynamics", "cost_text": "cost", "control": "control_lower",
                "first_integrals": "first_integrals", "region": region_key}.get(err.field, "name")
         raise ConfigError(str(err), key=key) from err
     with np.errstate(all="ignore"):  # a NaN or inf sample is the error below

@@ -100,6 +100,10 @@ _BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 _WHITESPACE = " \t\n\r\f\v"
 _UNEXPECTED = re.compile(r"\*\*|[^A-Za-z0-9_.,+\-*/^()" + _WHITESPACE + "]")
 _DECIMAL = re.compile(r"[0-9.eE+-]+")
+# a number where Python's tokenizer starts one, and the name characters run into it
+_NUMBER = re.compile(r"(?<![A-Za-z0-9_.])(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+                     r"([A-Za-z_][A-Za-z0-9_]*)?")
+_LEADING_ZERO = re.compile(r"0+[1-9][0-9]*")
 
 
 def parse_expr(text: str, dim_state: int, dim_control: int) -> Node:
@@ -112,11 +116,18 @@ def parse_expr(text: str, dim_state: int, dim_control: int) -> Node:
     the grammar's functions with their number of arguments.  It raises
     ExpressionError, with the position in ``text``, on anything else, and on
     a tree more than :data:`MAX_DEPTH` operations and calls deep, so that
-    every expression it returns compiles."""
+    every expression it returns compiles.  A number run into a name (``2y1``)
+    or an integer with a leading zero is rejected before Python can warn or
+    advise on it."""
     bad = _UNEXPECTED.search(text)
     if bad:
         raise ExpressionError("use '^' for powers" if bad.group() == "**"
                               else f"unexpected character {bad.group()!r}", bad.start())
+    for number in _NUMBER.finditer(text):
+        literal = number.group()
+        if number.group(1) or _LEADING_ZERO.fullmatch(literal):
+            raise ExpressionError(f"{literal!r} is not a decimal number" if number.group(1)
+                                  else f"integer {literal!r} has a leading zero", number.start())
     body = text.lstrip(_WHITESPACE)
     # origin[i] is the position in text of the source's character i
     origin = [len(text) - len(body) + i for i, ch in enumerate(body)

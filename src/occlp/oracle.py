@@ -50,10 +50,10 @@ class OracleResult:
 
 
 def rotates(spec: SystemSpec) -> bool:
-    """Whether the level-set oracle applies: an annulus about the origin whose
+    """Whether the level-set oracle applies: an annulus, about the origin, whose
     dynamics parse to those of the rotation preset (``config.PRESETS``), which
     turn about the origin, so that every circle of the annulus is invariant."""
-    return (spec.region.kind == "annulus" and tuple(spec.region.center) == (0.0, 0.0)
+    return (spec.region.kind == "annulus"
             and parses_to(spec, PRESETS["rotation"](SystemConfig())["dynamics"]))
 
 
@@ -96,7 +96,7 @@ def rotation_level_value(spec: SystemSpec, z: float,
         u = controls[int(np.argmin(circulating_per_u))]
         value, attained = circulating, f"circulating (u={u.tolist()})"
     cell_modulus = float(np.max(np.abs(np.diff(costs, axis=0)))) if len(angles) > 1 else 0.0
-    return OracleResult(instance=f"rotation level z={z} cost={spec.cost_id}",
+    return OracleResult(instance=f"rotation level z={z} cost={spec.cost_text}",
                         value=value, method="exhaustive-atom-scan",
                         error_bound=cell_modulus, attained_by=attained,
                         stationary_value=stationary, circulating_value=circulating)
@@ -111,7 +111,7 @@ def _level_scan(spec: SystemSpec, z: float, ring: np.ndarray,
     a2, b2 = spec.region.inner ** 2, spec.region.outer ** 2
     if not a2 - 1e-12 <= z <= b2 + 1e-12:
         raise OracleError(f"level {z} outside [{a2}, {b2}]")
-    ys = np.asarray(spec.region.center) + math.sqrt(z) * ring
+    ys = math.sqrt(z) * ring
     costs = spec.cost_at(ys[:, None, :], controls[None, :, :])
     zero_col = int(np.argmin(np.linalg.norm(controls, axis=1)))
     return costs, costs[:, zero_col], costs.mean(axis=0)
@@ -133,7 +133,7 @@ def frozen_value(spec: SystemSpec, y0, control_resolution: int = 201) -> OracleR
     on_lattice = values.reshape((control_resolution,) * spec.dim_control)
     cell_modulus = max(float(np.max(np.abs(np.diff(on_lattice, axis=j))))
                        for j in range(spec.dim_control))
-    return OracleResult(instance=f"frozen y0={y0.tolist()} cost={spec.cost_id}",
+    return OracleResult(instance=f"frozen y0={y0.tolist()} cost={spec.cost_text}",
                         value=float(values[best]), method="exhaustive-atom-scan",
                         error_bound=cell_modulus,
                         attained_by=f"u={controls[best].tolist()}")

@@ -2,15 +2,17 @@
 
 Fixed-step fourth-order Runge-Kutta with the control held at its value from
 the left endpoint of each step; no adaptivity, so runs are reproducible
-bit-for-bit.  Steps are taken in generated runs: a stretch of steps with one
-control is one run, so an open-loop schedule costs one run per piece it
-visits, and a feedback law given as expressions is evaluated inside the loop,
-so a closed-loop trajectory is one run.  A run is one call of the generated
-loop, or, past ``PARK_CHUNK`` steps, one call per chunk, and such a run parks
-once a step maps its state to itself byte for byte: every later step would
-too, so the rest of the run is copied, not stepped.  Likewise a periodic
-schedule stops once a whole period maps its state to itself byte for byte,
-and the rest of the trajectory is that period, tiled.  Either tail, a cycle
+bit-for-bit.  Steps are taken in generated runs, all through one loop in
+:func:`integrate`: a stretch of steps with one control is one run, so an
+open-loop schedule costs one run per piece it visits; a feedback law given as
+expressions is evaluated inside the generated loop, so a closed-loop
+trajectory is one run; and any other policy is asked at every step, one run
+per step.  A run is one call of the generated loop, or, past ``PARK_CHUNK``
+steps, one call per chunk, and such a run parks once a step maps its state
+to itself byte for byte: every later step would too, so the rest of the run
+is copied, not stepped.  Likewise a periodic schedule stops once a whole
+period maps its state to itself byte for byte, and the rest of the
+trajectory is that period, tiled.  Either tail, a cycle
 of one step or of one period, is tested, costed and binned once.  On top of
 the integrator:
 
@@ -18,13 +20,13 @@ the integrator:
 * discounted values with a truncation-tail bound exp(-rate T) * bound_k, which
   holds if bound_k bounds |k| (a declared bound, or an estimate: see
   :func:`abel_value`),
-* empirical measures on a grid, by nearest-atom binning, which keeps them
-  exactly nonnegative and exactly massed,
+* empirical measures on a grid, by nearest-atom binning with a repeating
+  tail binned once, which keeps them exactly nonnegative and exactly massed,
 * a periodic-policy family search, whose best closed loop estimates an upper
   bound on the best periodic value (an RK4 average, not a proven bound), plus
   a trend table, and
-* a horizon study: windows of one run, their empirical measures, with a
-  repeating tail binned once, and membership residuals.
+* a horizon study: windows of one run, their empirical measures and
+  membership residuals.
 """
 
 from __future__ import annotations
@@ -224,10 +226,11 @@ def _run_until_parked(go, y: tuple, count: int, rows: array, m: int,
     last one.  Bytes are compared, not floats, since -0.0 == 0.0 and
     ``atan2`` tells them apart.  A run longer than ``PARK_CHUNK`` steps is
     taken in chunks of 1, 2, 4, ... steps, at most ``PARK_CHUNK``, and its
-    last two states are compared after each chunk; a shorter run is one call
-    and never parks.  Returns the last call's result with ``done`` counted
-    from the run's start, and the index in the run of the first step that
-    maps its state to itself, or None.
+    last two states are compared after each chunk; a shorter run, such as the
+    one-step run of a policy asked at every step, is one call and never
+    parks.  Returns the last call's result with ``done`` counted from the
+    run's start, and the index in the run of the first step that maps its
+    state to itself, or None.
     """
     if count <= PARK_CHUNK:
         return go(y, count), None
@@ -254,33 +257,32 @@ def integrate(spec: SystemSpec, y0, policy: Policy, horizon: float,
               dt: float = 1e-3) -> Trajectory:
     """Integrate from y0 for ceil(horizon / dt) fixed steps.
 
-    The steps are taken in runs of the generated ``SystemSpec.rk4_run``.  A
-    ``LawPolicy`` is one closed-loop run for the whole horizon, with its law
-    evaluated and checked against the control box inside the loop.  A
-    ``SchedulePolicy``'s runs are its pieces, found for all steps at once by
-    ``step_pieces``, and each run's control is checked once.  Neither
-    calls ``Policy.control``, and each of their runs stops stepping once it
-    parks, that is once a step maps its state to itself byte for byte: the
-    rest of the run repeats that state, and in a law run its control (see
-    ``_run_until_parked``).  A run that parks until the end of the horizon
-    sets the trajectory's ``cycle`` to (the step it parked at, 1).
+    The steps are taken in runs, each one call of ``_run_until_parked`` on
+    the generated ``SystemSpec.rk4_run``.  A ``LawPolicy`` is one run, with
+    its law evaluated and checked against the control box inside the loop.
+    A ``SchedulePolicy`` has one run per piece, found for all steps at once
+    by ``step_pieces``, and each piece's control is checked once.  Neither
+    calls ``Policy.control``.  Any other policy, such as a plain
+    ``FeedbackPolicy``, may read the time and is asked at every step: one run
+    per step.  A run parks once a step maps its state to itself byte for
+    byte: the rest of the run repeats that state and, in a law run, its
+    control.  A run that parks until the end of the horizon sets the
+    trajectory's ``cycle`` to (the step it parked at, 1).
 
-    A ``SchedulePolicy`` with a period whose pieces repeat every ``L`` steps
-    (``L`` being the period in steps, checked once on ``step_pieces``) also
-    compares, at each period start ``c * L`` that ends a run, the bytes of
-    its state with those of the state at ``(c - 1) * L``.  On a match, every
-    later step repeats the step ``L`` before it: the states and controls are
-    filled to the horizon by tiling the last period, and ``cycle`` is
-    ``((c - 1) * L, L)``.  Pieces that do not repeat exactly, as when the
-    period is not a whole number of steps and the switches drift across the
+    A periodic ``SchedulePolicy`` whose pieces repeat every ``L`` steps (the
+    period in steps, checked once on ``step_pieces``) also compares, at each
+    period start ``c * L`` that ends a run, the bytes of its state with those
+    of the state at ``(c - 1) * L``.  On a match, every later step repeats
+    the step ``L`` before it: the states and controls are filled to the
+    horizon by tiling the last period, and ``cycle`` is ``((c - 1) * L, L)``.
+    Pieces that do not repeat exactly, as when the switches drift across the
     step grid, never take this shortcut.
 
-    Any other policy, such as a plain ``FeedbackPolicy``, is asked for a
-    control at every step, may read the time, and never parks; each of its
-    steps is a run of its own.  A control outside the control set is reported
-    at the time of the first step that holds it; a non-finite state, or an
-    arithmetic or domain error in the dynamics, at the end of its step.  A
-    repeating tail holds only states, controls and steps already checked.
+    Every run reports alike: a control of the wrong length before the run, a
+    control outside the control set at the time of the first step that holds
+    it, and a non-finite state, or an arithmetic or domain error in the
+    dynamics, at the end of its step.  A repeating tail holds only states,
+    controls and steps already checked.
     """
     if horizon <= 0 or dt <= 0:
         raise SimulationError("horizon and dt must be positive")
@@ -297,79 +299,60 @@ def integrate(spec: SystemSpec, y0, policy: Policy, horizon: float,
     y = tuple(y0.tolist())
     state_rows, control_rows = array("d", y), array("d")
     parks = []  # the step at which each parked run parked
-    cycle = None
-
-    if isinstance(policy, LawPolicy):
-        if len(policy.law) != p:
-            raise SimulationError(f"policy produced control of length {len(policy.law)}, "
-                                  f"expected {p}")
-        run = spec.rk4_run(policy.law)
-        lows, highs = spec.control.limits()
+    cycle = lag = None  # lag: the steps of one period, if the pieces repeat with it
+    # each run's control: the law, a schedule piece's value, or asked for (None)
+    law = policy.law if isinstance(policy, LawPolicy) else None
+    if law is not None:
+        starts, held, path = [0], [law], "closed-loop law"
+    elif isinstance(policy, SchedulePolicy):
+        pieces = policy.step_pieces(dt, n_steps)
+        starts = [0, *(np.flatnonzero(pieces[1:] != pieces[:-1]) + 1).tolist()]
+        held = [policy.values[k] for k in pieces[starts].tolist()]
+        path = f"{len(held)} held-control runs"
+        if policy.period is not None:
+            lag = round(policy.period / dt)
+            if not (0 < lag <= n_steps and np.array_equal(pieces[lag:], pieces[:-lag])):
+                lag = None
+    else:
+        starts, held, path = range(n_steps), None, "feedback"
+    admits, (lows, highs) = spec.control.admission(), spec.control.limits()
+    for r, (i, end) in enumerate(pairwise(chain(starts, (n_steps,)))):
+        u = policy.control(i * dt, y) if held is None else held[r]
+        if len(u) != p:
+            raise SimulationError(f"policy produced control of length {len(u)}, expected {p}")
+        run, count, escaped = spec.rk4_run(law), end - i, None
         try:
-            (done, y, escaped), parked = _run_until_parked(
-                lambda y, k: run(y, lows, highs, dt, k, state_rows, control_rows),
-                y, n_steps, state_rows, m, control_rows, p)
+            if law is not None:
+                (done, y, escaped), parked = _run_until_parked(
+                    lambda y, k: run(y, lows, highs, dt, k, state_rows, control_rows),
+                    y, count, state_rows, m, control_rows, p)
+            elif admits(u):
+                control_rows.extend(array("d", u) * count)
+                (done, y), parked = _run_until_parked(
+                    lambda y, k: run(y, u, dt, k, state_rows), y, count, state_rows, m)
+            else:
+                done, escaped = 0, u
         except (ArithmeticError, ValueError) as err:
             # ``^`` or ``exp`` overflowed, a division by 0, or ``sqrt`` or ``^``
             # left its domain; the run appended the states before the error
-            done, y, escaped = len(state_rows) // m - 1, repr(err), None
+            done, y = len(state_rows) // m - 1 - i, repr(err)
         if escaped is not None:
             raise SimulationError(f"policy control {escaped} escapes the control region "
-                                  f"at t={done * dt}")
-        if done < n_steps:
-            raise SimulationError(f"non-finite state at t={done * dt + dt}: {y}")
+                                  f"at t={(i + done) * dt}")
+        if done < count:
+            raise SimulationError(f"non-finite state at t={(i + done) * dt + dt}: {y}")
+        cycle = None
         if parked is not None:
+            parked += i
             parks.append(parked)
             cycle = (parked, 1)
-        path = "closed-loop law"
-    else:
-        run = spec.rk4_run()
-        admits = spec.control.admission()
-        lag = None  # the steps of one period, if the pieces repeat with it
-        if isinstance(policy, SchedulePolicy):
-            pieces = policy.step_pieces(dt, n_steps)
-            starts = [0, *(np.flatnonzero(pieces[1:] != pieces[:-1]) + 1).tolist()]
-            held = [policy.values[k] for k in pieces[starts].tolist()]
-            path = f"{len(held)} held-control runs"
-            if policy.period is not None:
-                lag = round(policy.period / dt)
-                if not (0 < lag <= n_steps and np.array_equal(pieces[lag:], pieces[:-lag])):
-                    lag = None
-        else:
-            starts, held, path = range(n_steps), None, "feedback"
-        for r, (i, end) in enumerate(pairwise(chain(starts, (n_steps,)))):
-            t = i * dt
-            u = policy.control(t, y) if held is None else held[r]
-            if len(u) != p:
-                raise SimulationError(f"policy produced control of length {len(u)}, "
-                                      f"expected {p}")
-            if not admits(u):
-                raise SimulationError(f"policy control {u} escapes the control region at t={t}")
-            count = end - i
-            try:
-                if held is None:  # one step, which may not park: the policy may read t
-                    control_rows.extend(u)
-                    (done, y), parked = run(y, u, dt, 1, state_rows), None
-                else:
-                    control_rows.extend(array("d", u) * count)
-                    (done, y), parked = _run_until_parked(
-                        lambda y, k: run(y, u, dt, k, state_rows), y, count, state_rows, m)
-            except (ArithmeticError, ValueError) as err:  # as for a law run
-                done, y = len(state_rows) // m - 1 - i, repr(err)
-            if done < count:
-                raise SimulationError(f"non-finite state at t={(i + done) * dt + dt}: {y}")
-            cycle = None
-            if parked is not None:
-                parked += i
-                parks.append(parked)
-                cycle = (parked, 1)
-            if lag is not None and end % lag == 0 and (
-                    state_rows[end * m:].tobytes()
-                    == state_rows[(end - lag) * m:(end - lag + 1) * m].tobytes()):
-                cycle = (end - lag, lag)
-                _repeat_rows(state_rows, m, lag, n_steps - end)
-                _repeat_rows(control_rows, p, lag, n_steps - end)
-                break
+        if lag is not None and end % lag == 0 and (
+                state_rows[end * m:].tobytes()
+                == state_rows[(end - lag) * m:(end - lag + 1) * m].tobytes()):
+            cycle = (end - lag, lag)
+            _repeat_rows(state_rows, m, lag, n_steps - end)
+            _repeat_rows(control_rows, p, lag, n_steps - end)
+            break
     if cycle is not None and cycle[1] > 1:
         tail = f"repeats a {cycle[1]}-step cycle from step {cycle[0]}"
     elif not parks:
@@ -430,12 +413,17 @@ def _step_costs(traj: Trajectory) -> np.ndarray:
     return 0.5 * (left + right) * traj.dt
 
 
-def cesaro_value(traj: Trajectory, spec: SystemSpec) -> float:
-    """Average cost over the trajectory's horizon."""
+def _require_in_region(traj: Trajectory) -> None:
+    """The one check before a value or measure of ``traj``: every state is in
+    the region, or a StateConstraintError names the first exit time."""
     if not traj.fully_in_region:
         bad = int(np.argmin(traj.in_region))
-        raise StateConstraintError(
-            f"trajectory leaves the region at t={traj.times[bad]:.6g}")
+        raise StateConstraintError(f"trajectory leaves the region at t={traj.times[bad]:.6g}")
+
+
+def cesaro_value(traj: Trajectory) -> float:
+    """Average cost of ``traj.spec`` over the trajectory's horizon."""
+    _require_in_region(traj)
     return float(np.sum(_step_costs(traj)) / traj.horizon)
 
 
@@ -466,8 +454,7 @@ def abel_value(spec: SystemSpec, y0, policy: Policy, rate: float,
         raise InsufficientHorizonError(
             f"horizon {horizon} leaves tail bound {tail:.3e} > {tail_tolerance:.3e}")
     traj = integrate(spec, y0, policy, horizon, dt)
-    if not traj.fully_in_region:
-        raise StateConstraintError("trajectory leaves the region")
+    _require_in_region(traj)
     left, right = _endpoint_costs(traj)
     left = left * np.exp(-rate * traj.times[:-1])
     right = right * np.exp(-rate * traj.times[1:])
@@ -482,8 +469,7 @@ def abel_value(spec: SystemSpec, y0, policy: Policy, rate: float,
 def _occupation(traj: Trajectory, grid: Grid, atoms: np.ndarray,
                 step_mass) -> DiscreteMeasure:
     """The measure putting each step's mass on that step's atom."""
-    if not traj.fully_in_region:
-        raise StateConstraintError("trajectory leaves the region")
+    _require_in_region(traj)
     weights = np.zeros(grid.atom_count)
     np.add.at(weights, atoms, step_mass)
     return DiscreteMeasure(grid, weights)
@@ -499,9 +485,9 @@ def _atoms(traj: Trajectory, grid: Grid) -> np.ndarray:
 
 
 def empirical_occupational_measure(traj: Trajectory, grid: Grid) -> DiscreteMeasure:
-    """Bin each step's (state, control) to its nearest atom with mass dt / T."""
-    atoms = nearest_atom_index(grid, traj.states[:-1], traj.controls)
-    return _occupation(traj, grid, atoms, traj.dt / traj.horizon)
+    """Bin each step's (state, control) to its nearest atom with mass dt / T,
+    a repeating tail once (:func:`_atoms`)."""
+    return _occupation(traj, grid, _atoms(traj, grid), traj.dt / traj.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +537,7 @@ def periodic_value_search(spec: SystemSpec, y0, candidates,
         traj = integrate(spec, y0, cand.policy, cand.period, dt)
         closure = float(np.linalg.norm(traj.final_state() - y0))
         closed = closure <= closure_tolerance
-        value = cesaro_value(traj, spec)
+        value = cesaro_value(traj)
         rows.append(PeriodicSearchRow(cand.label, cand.period, closure, value, closed))
         if closed and value < best_value:
             best_value, best_label = value, cand.label
@@ -570,17 +556,15 @@ def rotation_delta_family(spec: SystemSpec, y0, deltas) -> list[PeriodicCandidat
     and stays positive, so every candidate closes.  Writing u = (a + b cos
     theta)^2 with a = (1 + delta)/2, b = (1 - delta)/2 and a^2 - b^2 = delta,
     the loop period is the integral of 1/u over one turn, 2 pi a / delta^(3/2).
-    Each law is an expression, theta being the angle about the annulus centre,
-    so ``integrate`` runs the whole loop in one closed-loop call.
+    Each law is an expression, theta being the angle about the origin, so
+    ``integrate`` runs the whole loop in one closed-loop call.
     """
-    cx, cy = spec.region.center if spec.region.kind == "annulus" else (0.0, 0.0)
     candidates = []
     for delta in deltas:
         if not 0.0 < delta <= 1.0:
             raise SimulationError("delta must lie in (0, 1]")
         d = float(delta)
-        law = (f"({d!r} + (1.0 - {d!r}) * (1.0 + cos(atan2(y2 - {float(cy)!r}, "
-               f"y1 - {float(cx)!r}))) / 2.0) ^ 2")
+        law = f"({d!r} + (1.0 - {d!r}) * (1.0 + cos(atan2(y2, y1))) / 2.0) ^ 2"
         candidates.append(PeriodicCandidate(
             label=f"delta={delta}",
             policy=LawPolicy([exprs.parse_expr(law, spec.dim_state, 0)]),

@@ -23,6 +23,7 @@ from __future__ import annotations
 import operator
 import threading
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from . import exprs
 
 class SystemSpecError(ValueError):
     """An invalid system; ``field`` names the part at fault (a ``SystemSpec``
-    field: ``dynamics_text``, ``cost_id``, ``first_integrals``, ``region`` or
+    field: ``dynamics_text``, ``cost_text``, ``first_integrals``, ``region`` or
     ``control``) when one is."""
 
     def __init__(self, message: str, field: str | None = None):
@@ -67,7 +68,8 @@ def lattice(axes) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateRegion:
-    """Compact state region: an axis-aligned box, or a 2-D annulus.
+    """Compact state region: an axis-aligned box, or a 2-D annulus about the
+    origin (``center``, a class constant, not a field).
 
     ``signed_boundary_distance`` is negative strictly inside the region, zero
     on the boundary and positive outside; ``contains`` is the sign test of that
@@ -80,7 +82,7 @@ class StateRegion:
     upper: tuple[float, ...] = ()
     inner: float = 0.0
     outer: float = 0.0
-    center: tuple[float, float] = (0.0, 0.0)
+    center: ClassVar[tuple[float, float]] = (0.0, 0.0)
 
     def __post_init__(self):
         if self.kind == "box":
@@ -106,7 +108,7 @@ class StateRegion:
         if self.kind == "box":
             lo, hi = self.bounding_box()
             return np.max(np.maximum(lo - y, y - hi), axis=-1)
-        r = np.hypot(y[..., 0] - self.center[0], y[..., 1] - self.center[1])
+        r = np.hypot(y[..., 0], y[..., 1])
         return np.maximum(self.inner - r, r - self.outer)
 
     def contains(self, y):
@@ -115,8 +117,7 @@ class StateRegion:
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         if self.kind == "box":
             return np.asarray(self.lower, dtype=float), np.asarray(self.upper, dtype=float)
-        c = np.asarray(self.center, dtype=float)
-        return c - self.outer, c + self.outer
+        return np.full(2, -float(self.outer)), np.full(2, float(self.outer))
 
     def axes(self, resolution) -> list[np.ndarray]:
         """The 1-D axes of :meth:`lattice`: a box's cell centres, one count per
@@ -137,8 +138,7 @@ class StateRegion:
         if self.kind == "box":
             return points
         r, theta = points[:, 0], points[:, 1]
-        return np.stack([self.center[0] + r * np.cos(theta),
-                         self.center[1] + r * np.sin(theta)], axis=1)
+        return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
 
     def stencil(self, resolution, ys) -> np.ndarray:
         """Indices into :meth:`lattice` around the analytic cell of each row of
@@ -164,7 +164,7 @@ class StateRegion:
         else:
             radii, angles = self.axes(resolution)
             sizes = (len(radii), len(angles))
-            dx, dy = ys[:, 0] - self.center[0], ys[:, 1] - self.center[1]
+            dx, dy = ys[:, 0], ys[:, 1]
             ring = np.searchsorted(radii, np.hypot(dx, dy)) - 1
             # the nearest radius to a query at radius rho is the one nearest to
             # rho cos(dtheta) at the nearest angle, so coarse angles next to fine
@@ -192,8 +192,7 @@ class StateRegion:
         if self.kind == "annulus":
             angles = 2.0 * np.pi * np.arange(resolution) / resolution
             ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-            c = np.asarray(self.center)
-            points = [c + self.outer * ring, c + self.inner * ring]
+            points = [self.outer * ring, self.inner * ring]
             normals = [ring, -ring]
             return np.concatenate(points), np.concatenate(normals)
         lo, hi = self.bounding_box()
@@ -293,7 +292,7 @@ class SystemSpec:
     """Immutable description of one controlled system instance.
 
     ``dynamics_text`` holds one expression per state component and
-    ``cost_id`` the cost's expression.  Building a spec parses the dynamics,
+    ``cost_text`` the cost's expression.  Building a spec parses the dynamics,
     cost and first integrals, so a bad expression fails here, and keeps the
     trees: ``dynamics``, one node per state component; ``cost``; and
     ``integrals``, per first integral its node and its gradient's nodes.
@@ -307,7 +306,7 @@ class SystemSpec:
     """
 
     dynamics_text: tuple[str, ...]
-    cost_id: str
+    cost_text: str
     region: StateRegion
     control: ControlRegion
     first_integrals: tuple[str, ...] = ()
@@ -326,10 +325,10 @@ class SystemSpec:
         m, p = self.dim_state, self.dim_control
         dynamics = _parse_dynamics(self.dynamics_text, m, p)
         try:
-            cost = exprs.parse_expr(self.cost_id, m, p)
+            cost = exprs.parse_expr(self.cost_text, m, p)
         except exprs.ExpressionError as err:
-            raise UnknownEvaluatorError(f"unknown cost_id {self.cost_id!r}: {err}",
-                                        "cost_id") from err
+            raise UnknownEvaluatorError(f"cost_text {self.cost_text!r}: {err}",
+                                        "cost_text") from err
         self.__dict__.update(dynamics=dynamics, cost=cost, integrals=tuple(
             _parse_integral(text, m) for text in self.first_integrals),
             dynamics_multilinear=exprs.multilinear_in_controls(dynamics, p))

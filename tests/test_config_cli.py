@@ -3,6 +3,8 @@ import json
 import logging
 import os
 import re
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -90,7 +92,7 @@ def test_default_config_text_parses():
     ("just some words\n", "expected 'key = value'"),
     ("[program]\nvariants = [ergodic, bogus]\n", "unknown program variant"),
     ("[output]\nformats = [yaml]\n", "unknown output format"),
-    ("[system]\ncost = fast\n", "unknown cost_id 'fast'"),
+    ("[system]\ncost = fast\n", "cost_text 'fast'"),
     ("[system]\nname = custom\nregion = box\nlower = [-1.0]\nupper = [1.0]\n"
      "dynamics = [y1 +* u1]\n", "dynamics: dynamics_text [y1 +* u1]: "),
     ("[simulate]\npolicy = constant:1.0\nhorizons = []\n", "at least one horizon"),
@@ -333,8 +335,29 @@ def test_a_cost_that_would_not_compile_is_a_config_error(tmp_path, capsys, cost,
     config_path.write_text("\n".join(lines))
     assert main(["solve", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: line {line}: cost: unknown cost_id {cost!r}: {message}")
+    assert err.startswith(f"error: line {line}: cost: cost_text {cost!r}: {message}")
     assert err.count(cost) == 1
+
+
+@pytest.mark.parametrize("cost,message", [
+    ("y1 + 007", "integer '007' has a leading zero (at position 5)"),
+    ("1or y1", "'1or' is not a decimal number (at position 0)"),
+], ids=["leading-zero", "number-run-into-a-name"])
+def test_a_bad_number_prints_only_the_config_error(tmp_path, capfd, cost, message):
+    # in a fresh interpreter, whose stderr is this process's, so that a warning
+    # of Python's own parser would be printed there, not caught by pytest
+    lines = FROZEN_CONFIG.read_text().splitlines()
+    [line] = [i for i, text in enumerate(lines, start=1) if text.startswith("cost =")]
+    lines[line - 1] = f"cost = {cost}"
+    config_path = tmp_path / "study.conf"
+    config_path.write_text("\n".join(lines))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "occlp.cli", "solve", "--config",
+                           str(config_path), "--out", str(tmp_path / "o")],
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 2
+    assert capfd.readouterr().err == f"error: line {line}: cost: cost_text {cost!r}: {message}\n"
 
 
 def test_worker_pool_does_not_change_results(tmp_path):
@@ -463,11 +486,11 @@ _NO_RADII = {"inner_radius": None, "outer_radius": None}
 
 @pytest.mark.parametrize("edits,at,message", [
     ({"cost": "1e999"}, "cost", "cost must be finite, got inf"),
-    ({"cost": "fast"}, "cost", "cost: unknown cost_id 'fast': unknown name 'fast'"),
-    ({"cost": "y3"}, "cost", "cost: unknown cost_id 'y3'"),
+    ({"cost": "fast"}, "cost", "cost: cost_text 'fast': unknown name 'fast'"),
+    ({"cost": "y3"}, "cost", "cost: cost_text 'y3'"),
     ({"inner_radius": "2.0"}, "inner_radius", "inner_radius: annulus needs 0 < inner <= outer"),
     ({"name": "spinning"}, "name", "name: unknown system name 'spinning'"),
-    ({"name": "frozen", "cost": "u2", **_NO_RADII}, "cost", "cost: unknown cost_id 'u2'"),
+    ({"name": "frozen", "cost": "u2", **_NO_RADII}, "cost", "cost: cost_text 'u2'"),
     # a custom system without a dynamics key: the error takes the line of `name`
     ({"name": "custom"}, "name", "dynamics: custom systems need a dynamics array"),
     ({"name": "custom\nregion = annulus\ndynamics = [-y2 * u1]"}, "dynamics",
@@ -591,7 +614,7 @@ def test_a_changed_system_section_is_built_anew():
     spec = cfg.system_spec()
     assert cfg.system_spec() is spec and spec == build_system(cfg.system)
     cfg.system.cost = "y2"
-    assert cfg.system_spec().cost_id == "y2"
+    assert cfg.system_spec().cost_text == "y2"
     assert dataclasses.replace(cfg).system_spec() == cfg.system_spec()
 
 
@@ -911,8 +934,8 @@ horizons = [1.0, 5.0]
     assert "FAILED: simulate.completed: StateConstraintError: trajectory leaves" in err
     assert "Traceback" not in err
     invariants = json.loads((out_dir / "report.json").read_text())["invariants"]
-    assert {"name": "simulate.completed", "passed": False,
-            "detail": "StateConstraintError: trajectory leaves the region"} in invariants
+    detail = "StateConstraintError: trajectory leaves the region at t=0.001"
+    assert {"name": "simulate.completed", "passed": False, "detail": detail} in invariants
 
 
 @pytest.mark.parametrize("blowup", ["y1^2 + u1", "y1*y1 + u1", "exp(3*y1) + u1"])

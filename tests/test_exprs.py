@@ -81,6 +81,11 @@ def test_accepted_inputs_that_changed(text, tree):
     ("y1^2 +\t* u1", "invalid syntax (at position 7)"),
     ("2^1 + 1e999", "number '1e999' is not finite (at position 6)"),
     ("y1 ** 2", "use '^' for powers (at position 3)"),
+    # rejected before Python reads them: its messages would advise an 0o prefix,
+    # and it would warn about a number run into a keyword on stderr
+    ("y1 + 007", "integer '007' has a leading zero (at position 5)"),
+    ("1or y1", "'1or' is not a decimal number (at position 0)"),
+    ("y1 + 2y2", "'2y2' is not a decimal number (at position 5)"),
 ])
 def test_errors_give_the_position_in_the_text_as_written(text, message):
     with pytest.raises(exprs.ExpressionError) as err:

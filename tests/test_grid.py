@@ -321,8 +321,7 @@ def _region_and_resolution(draw):
     if draw(st.booleans()):
         inner = draw(st.floats(0.1, 2.0))
         outer = inner if draw(st.booleans()) else inner + draw(st.floats(1e-3, 3.0))
-        center = (draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
-        region = StateRegion(kind="annulus", inner=inner, outer=outer, center=center)
+        region = StateRegion(kind="annulus", inner=inner, outer=outer)
         return region, (1 if inner == outer else draw(st.integers(2, 30)),
                         draw(st.integers(2, 40)))
     dim = draw(st.integers(1, 3))
@@ -335,10 +334,10 @@ def _region_and_resolution(draw):
 @settings(max_examples=80, deadline=None)
 @given(_region_and_resolution(), st.integers(0, 2**32 - 1))
 # coarse angles next to fine radii: the nearest radius lies rings inside the query's
-@example((StateRegion(kind="annulus", inner=0.5, outer=1.5, center=(0.3, -0.2)), (30, 3)), 0)
+@example((StateRegion(kind="annulus", inner=0.5, outer=1.5), (30, 3)), 0)
 def test_nearest_state_index_is_brute_force(setup, seed):
     region, resolution = setup
-    spec = system.SystemSpec(dynamics_text=("0",) * region.dim, cost_id="y1", region=region,
+    spec = system.SystemSpec(dynamics_text=("0",) * region.dim, cost_text="y1", region=region,
                              control=ControlRegion(lower=(-1.0,), upper=(1.0,)))
     grid = build_grid(spec, resolution, 2)
     points = grid.state_points

@@ -75,7 +75,7 @@ def test_frozen_error_bound_is_the_cost_modulus_over_one_control_cell():
     assert result.value == config.program.y0[0]
     # over a control box, only lattice neighbours are compared: steps of 0.5
     # in u1 move k by 0.5 and in u2 by 1, while consecutive lattice rows jump
-    tilted = SystemSpec(dynamics_text=("0", "0"), cost_id="u1 + 2*u2",
+    tilted = SystemSpec(dynamics_text=("0", "0"), cost_text="u1 + 2*u2",
                         region=spec.region,
                         control=ControlRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0)),
                         bound_f=0.0, bound_k=3.0)
@@ -186,13 +186,13 @@ def test_the_level_set_oracle_needs_the_rotation_dynamics():
 
 
 def test_the_level_set_oracle_needs_an_annulus_about_the_origin():
-    # the rotation turns about the origin, so a circle about (3, 0) is not invariant
+    # the oracle scans the circles of an annulus, which is about the origin as
+    # the rotation is; the rotation's dynamics on a box are refused
     rotation = built("rotation")
-    moved = dataclasses.replace(rotation, region=dataclasses.replace(rotation.region,
-                                                                     center=(3.0, 0.0)))
-    assert rotates(rotation) and not rotates(moved)
-    for scan in (lambda: rotation_level_value(moved, 1.0),
-                 lambda: level_set_ordering(moved, [0.25, 1.0])):
+    boxed = built("custom", region="box", dynamics=("u1*y2", "-u1*y1"))
+    assert rotates(rotation) and not rotates(boxed)
+    for scan in (lambda: rotation_level_value(boxed, 1.0),
+                 lambda: level_set_ordering(boxed, [0.25, 1.0])):
         with pytest.raises(OracleError, match="about the origin"):
             scan()
 

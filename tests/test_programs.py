@@ -761,7 +761,7 @@ def _reference_slacks(cert, basis, spec, ys, us):
 
 @pytest.fixture(scope="module")
 def box_drift_setup():
-    spec = SystemSpec(dynamics_text=("-y1 + u1", "-y2 + y1"), cost_id="y2^2 + 0.5*u1^2",
+    spec = SystemSpec(dynamics_text=("-y1 + u1", "-y2 + y1"), cost_text="y2^2 + 0.5*u1^2",
                       region=StateRegion(kind="box", lower=(-1.0, -1.0), upper=(1.0, 1.0)),
                       control=ControlRegion(lower=(-1.0,), upper=(1.0,)),
                       bound_f=3.0, bound_k=1.5)
@@ -837,7 +837,7 @@ def _product_rows_slacks(cert, grid, basis, spec, ys):
 def transcendental_setup():
     spec = SystemSpec(dynamics_text=("sin(3*y2) * u1 - y1 + cos(u1)",
                                      "exp(-y1^2) - sqrt(1 + y2^2) * u1 + atan2(y1, 2 + u1)"),
-                      cost_id="exp(y1) * u1^2 + sqrt(1.5 + y2) + sin(y1*u1)",
+                      cost_text="exp(y1) * u1^2 + sqrt(1.5 + y2) + sin(y1*u1)",
                       region=StateRegion(kind="box", lower=(-1.0, -1.0), upper=(1.0, 1.0)),
                       control=ControlRegion(lower=(-1.0,), upper=(1.0,)),
                       bound_f=5.0, bound_k=5.0)

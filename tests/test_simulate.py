@@ -151,37 +151,41 @@ def test_escaping_schedule_piece_is_reported_at_its_first_step(period):
         integrate(spec, (0.5,), policy, 0.02, 1e-3)
 
 
-def _rotation_about(center) -> system.SystemSpec:
-    return system.SystemSpec(
-        dynamics_text=("u1*y2", "-u1*y1"), cost_id="y1",
-        region=system.StateRegion(kind="annulus", inner=0.5, outer=1.5, center=center),
-        control=system.ControlRegion(lower=(0.0,), upper=(1.0,)))
+@pytest.mark.parametrize("policy", [
+    LawPolicy([exprs.parse_expr("0", 1, 0)] * 2),
+    SchedulePolicy([0.0, 0.01], [0.5, (0.5, 0.5)]),
+    ConstantPolicy((0.5, 0.5)),
+    FeedbackPolicy(lambda y: (0.5, 0.5)),
+], ids=["law", "schedule", "constant", "feedback"])
+def test_a_control_of_the_wrong_length_is_reported_alike(policy):
+    with pytest.raises(SimulationError, match=r"^policy produced control of length 2, "
+                                              r"expected 1$"):
+        integrate(_custom("-y1 + u1"), (0.5,), policy, 0.02, 1e-3)
 
 
-def _delta_closure(delta, cx, cy):
+def _delta_closure(delta):
     """The angle-feedback law of ``rotation_delta_family`` as plain Python."""
     def feedback(y):
-        theta = math.atan2(y[1] - cy, y[0] - cx)
+        theta = math.atan2(y[1], y[0])
         return ((delta + (1.0 - delta) * (1.0 + math.cos(theta)) / 2.0) ** 2,)
     return feedback
 
 
 @settings(max_examples=60, deadline=None)
 @given(delta=st.floats(1e-3, 1.0), radius=st.floats(0.5, 1.5),
-       angle=st.floats(-math.pi, math.pi), center=st.sampled_from([(0.0, 0.0), (0.25, -0.5)]),
+       angle=st.floats(-math.pi, math.pi),
        horizon=st.floats(0.01, 1.0), dt=st.sampled_from([1e-3, 3e-3, 0.01, 0.02]))
-def test_closed_loop_law_runs_match_step_by_step_integration(delta, radius, angle, center,
+def test_closed_loop_law_runs_match_step_by_step_integration(rotation, delta, radius, angle,
                                                              horizon, dt):
-    spec = _rotation_about(center)
-    y0 = (center[0] + radius * math.cos(angle), center[1] + radius * math.sin(angle))
-    policy = rotation_delta_family(spec, y0, [delta])[0].policy
+    y0 = (radius * math.cos(angle), radius * math.sin(angle))
+    policy = rotation_delta_family(rotation, y0, [delta])[0].policy
     assert isinstance(policy, LawPolicy)
-    traj = integrate(spec, y0, policy, horizon, dt)
-    states, controls = _step_by_step(spec, y0, policy, horizon, dt)
+    traj = integrate(rotation, y0, policy, horizon, dt)
+    states, controls = _step_by_step(rotation, y0, policy, horizon, dt)
     assert traj.controls.tobytes() == controls.tobytes()
     assert traj.states.tobytes() == states.tobytes()
     # the law is the closed-form feedback, float operation for float operation
-    closure = _delta_closure(delta, *center)
+    closure = _delta_closure(delta)
     expected = np.array([closure(tuple(y)) for y in traj.states[:-1]])
     assert traj.controls.tobytes() == expected.tobytes()
 
@@ -222,7 +226,7 @@ def test_escaping_law_is_reported_like_step_by_step(law):
 def test_failing_closed_loop_run_is_reported_like_step_by_step(dynamics):
     # y1 falls through 0 (exactly, for the last one): a domain error or a division by 0
     spec = system.SystemSpec(
-        dynamics_text=(dynamics,), cost_id="y1",
+        dynamics_text=(dynamics,), cost_text="y1",
         region=system.StateRegion(kind="box", lower=(-2.0,), upper=(2.0,)),
         control=system.ControlRegion(lower=(-1.0,), upper=(1.0,)))
     policy = LawPolicy([exprs.parse_expr("0 * y1", 1, 0)])
@@ -330,7 +334,7 @@ def test_parked_tail_is_tested_and_costed_once(monkeypatch, name):
         binned.append(len(y)), nearest_atom_index(grid, y, u))[1])
     traj = integrate(spec, y0, policy, horizon, dt)
     left, right = simulate._endpoint_costs(traj)
-    cesaro = cesaro_value(traj, spec)
+    cesaro = cesaro_value(traj)
     atoms = simulate._atoms(traj, grid)
     assert traj.cycle == cycle
     assert max(evaluated[1:]) == sum(cycle)  # evaluated[0] tests y0
@@ -380,12 +384,12 @@ def test_integrate_validation(rotation):
 
 def test_cesaro_constant(frozen):
     traj = integrate(frozen, (0.25, 0.25), ConstantPolicy(0.5), 3.0, 1e-3)
-    assert cesaro_value(traj, frozen) == pytest.approx(0.25 + 0.25, abs=1e-12)
+    assert cesaro_value(traj) == pytest.approx(0.25 + 0.25, abs=1e-12)
 
 
 def test_cesaro_full_rotation_averages_out(rotation):
     traj = integrate(rotation, (1.0, 0.0), ConstantPolicy(1.0), 2 * math.pi, 1e-3)
-    assert abs(cesaro_value(traj, rotation)) <= 1e-4
+    assert abs(cesaro_value(traj)) <= 1e-4
 
 
 def test_cesaro_steer_then_hold_transient_bound(rotation):
@@ -394,20 +398,27 @@ def test_cesaro_steer_then_hold_transient_bound(rotation):
     horizon = 60.0
     policy = SchedulePolicy([0.0, math.pi], [1.0, 0.0])
     traj = integrate(rotation, (1.0, 0.0), policy, horizon, 1e-3)
-    assert cesaro_value(traj, rotation) == pytest.approx(-(horizon - math.pi) / horizon,
-                                                         abs=1e-3)
+    assert cesaro_value(traj) == pytest.approx(-(horizon - math.pi) / horizon, abs=1e-3)
 
 
 def test_cesaro_rejects_escaping_trajectory():
     drift = system.SystemSpec(
-        dynamics_text=("1",), cost_id="y1",
+        dynamics_text=("1",), cost_text="y1",
         region=system.StateRegion(kind="box", lower=(0.0,), upper=(1.0,)),
         control=system.ControlRegion(lower=(-1.0,), upper=(1.0,)),
         bound_f=1.0, bound_k=1.0)
     traj = integrate(drift, (0.5,), ConstantPolicy(0.0), 1.0, 1e-2)
     assert not traj.fully_in_region
-    with pytest.raises(StateConstraintError):
-        cesaro_value(traj, drift)
+    # y1 = 0.5 + t first exceeds 1 at step 51; every value refuses it alike
+    grid = build_grid(drift, 4, 3)
+    for value in (lambda: cesaro_value(traj),
+                  lambda: abel_value(drift, (0.5,), ConstantPolicy(0.0), 10.0, 1.0, 1e-2),
+                  lambda: empirical_occupational_measure(traj, grid),
+                  lambda: horizon_study(LpBlocks(grid, basis_for_region(drift.region, 2),
+                                                 (0.5,)), ConstantPolicy(0.0), [1.0], 1e-2)):
+        with pytest.raises(StateConstraintError,
+                           match=r"^trajectory leaves the region at t=0\.51$"):
+            value()
 
 
 def test_abel_constant_cost(rotation):
@@ -428,7 +439,7 @@ def test_abel_cesaro_consistency_at_matched_scales(rotation):
     horizon = 60.0
     policy = SchedulePolicy([0.0, math.pi], [1.0, 0.0])
     traj = integrate(rotation, (1.0, 0.0), policy, horizon, 1e-2)
-    cesaro = cesaro_value(traj, rotation)
+    cesaro = cesaro_value(traj)
     abel = abel_value(rotation, (1.0, 0.0), policy, rate=1.0 / horizon, horizon=450.0,
                       dt=1e-2, tail_tolerance=1e-3)
     assert abs(abel.value - cesaro) <= 0.1

@@ -64,10 +64,10 @@ def test_unknown_ids_rejected():
     region = StateRegion(kind="box", lower=(-1.0,), upper=(1.0,))
     control = ControlRegion(lower=(-1.0,), upper=(1.0,))
     with pytest.raises(UnknownEvaluatorError):
-        SystemSpec(dynamics_text=("no-such-dynamics",), cost_id="y1",
+        SystemSpec(dynamics_text=("no-such-dynamics",), cost_text="y1",
                    region=region, control=control, bound_f=1.0, bound_k=1.0)
     with pytest.raises(UnknownEvaluatorError):
-        SystemSpec(dynamics_text=("-y1 + u1",), cost_id="$$$",
+        SystemSpec(dynamics_text=("-y1 + u1",), cost_text="$$$",
                    region=region, control=control, bound_f=2.0, bound_k=1.0)
 
 
@@ -90,7 +90,7 @@ def test_a_spec_parses_once_and_compiles_each_evaluator_once(monkeypatch):
         compiled.append(nodes), time.sleep(1e-3), compile_numpy(nodes))[2])
     monkeypatch.setattr(exprs, "compile_rk4_run", lambda nodes, law=None: (
         compiled.append(nodes), time.sleep(1e-3), compile_rk4_run(nodes, law))[2])
-    spec = SystemSpec(dynamics_text=("u1*y2", "-u1*y1"), cost_id="y1",
+    spec = SystemSpec(dynamics_text=("u1*y2", "-u1*y1"), cost_text="y1",
                       region=StateRegion(kind="annulus", inner=0.5, outer=1.5),
                       control=ControlRegion(lower=(-1.0,), upper=(1.0,)),
                       first_integrals=("y1^2 + y2^2",), bound_f=1.5, bound_k=1.5)
@@ -172,7 +172,7 @@ def test_forward_invariance(rotation, frozen):
 
 
 def test_forward_invariance_violation():
-    drift = SystemSpec(dynamics_text=("1",), cost_id="y1",
+    drift = SystemSpec(dynamics_text=("1",), cost_text="y1",
                        region=StateRegion(kind="box", lower=(0.0,), upper=(1.0,)),
                        control=ControlRegion(lower=(-1.0,), upper=(1.0,)),
                        bound_f=1.0, bound_k=1.0)
@@ -186,7 +186,7 @@ def test_forward_invariance_ties_go_to_the_first_control_then_the_first_point():
     # outward component 1 at u = 1 on the right and bottom faces, and at
     # u = -1 on the left and top faces: the worst pair is the first point of
     # the left face with the first control
-    spec = SystemSpec(dynamics_text=("u1", "-u1"), cost_id="y1",
+    spec = SystemSpec(dynamics_text=("u1", "-u1"), cost_text="y1",
                       region=StateRegion(kind="box", lower=(0.0, 0.0), upper=(1.0, 1.0)),
                       control=ControlRegion(lower=(-1.0,), upper=(1.0,)),
                       bound_f=2.0, bound_k=1.0)
