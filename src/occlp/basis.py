@@ -102,7 +102,9 @@ def _legendre_tables(basis: BasisSpec, ys: np.ndarray) -> tuple[np.ndarray, np.n
     return values, derivs
 
 
-def _phi_from_tables(basis: BasisSpec, values: np.ndarray) -> np.ndarray:
+def phi_matrix(basis: BasisSpec, ys: np.ndarray) -> np.ndarray:
+    """Values of every basis element at row-stacked points, shape (count, n)."""
+    values = _legendre_tables(basis, ys)[0]
     # each product is taken left to right from its first factor: every
     # element has one, and 1.0 * x is x bitwise, so no np.ones is needed
     out = np.empty((basis.count, values.shape[2]))
@@ -111,7 +113,9 @@ def _phi_from_tables(basis: BasisSpec, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grad_from_tables(basis: BasisSpec, values: np.ndarray, derivs: np.ndarray) -> np.ndarray:
+def grad_matrix(basis: BasisSpec, ys: np.ndarray) -> np.ndarray:
+    """Gradients w.r.t. unscaled coordinates, shape (count, n, m)."""
+    values, derivs = _legendre_tables(basis, ys)
     # the chain-rule factor of the prescaling, divided in once per table entry
     scaled = derivs / np.asarray(basis.scale_half)[:, None, None]
     out = np.zeros((basis.count, values.shape[2], basis.dim))
@@ -121,23 +125,6 @@ def _grad_from_tables(basis: BasisSpec, values: np.ndarray, derivs: np.ndarray) 
                 out[b, :, j] = reduce(mul, [scaled[j, e]] + [
                     values[i, ei] for i, ei in enumerate(alpha) if i != j and ei])
     return out
-
-
-def phi_matrix(basis: BasisSpec, ys: np.ndarray) -> np.ndarray:
-    """Values of every basis element at row-stacked points, shape (count, n)."""
-    return _phi_from_tables(basis, _legendre_tables(basis, ys)[0])
-
-
-def grad_matrix(basis: BasisSpec, ys: np.ndarray) -> np.ndarray:
-    """Gradients w.r.t. unscaled coordinates, shape (count, n, m)."""
-    return _grad_from_tables(basis, *_legendre_tables(basis, ys))
-
-
-def phi_and_grad_matrix(basis: BasisSpec, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``phi_matrix`` and ``grad_matrix`` at the same points, bitwise, from one
-    set of Legendre tables."""
-    values, derivs = _legendre_tables(basis, ys)
-    return _phi_from_tables(basis, values), _grad_from_tables(basis, values, derivs)
 
 
 def sup_norms(basis: BasisSpec, sample_points: np.ndarray) -> np.ndarray:

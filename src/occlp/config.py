@@ -48,7 +48,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .grid import GridError, check_state_resolution
-from .simulate import (ConstantPolicy, Policy, SchedulePolicy, SimulationError,
+from .simulate import (ConstantPolicy, LawPolicy, Policy, SchedulePolicy, SimulationError,
                        rotation_delta_family)
 from .system import (ControlRegion, RegionError, StateRegion, SystemSpec, SystemSpecError,
                      validate_bounds)
@@ -69,7 +69,7 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # schema: each field declares one key, and its type picks the key's coercer
 
-Expr = str  # an expression; a bare number is read as one too
+Expr = str  # an expression, kept as written: a bare number is one too
 
 
 @dataclass
@@ -179,28 +179,19 @@ _UNREAD_BY_REGION = {"box": ("inner_radius", "outer_radius"), "annulus": ("lower
 # tokenising
 
 
-def _parse_scalar(raw: str, line: int):
-    raw = raw.strip()
-    if not raw:
-        raise ConfigError("empty value", line)
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
-
-
 def _parse_value(raw: str, line: int):
+    """A value's text as written, or an array's item texts; each key's coercer
+    reads its own type from the text."""
     raw = raw.strip()
-    if not raw:
-        return ""
-    if raw.startswith("["):
-        if not raw.endswith("]"):
-            raise ConfigError("unterminated array (missing ']')", line)
-        inner = raw[1:-1].strip()
-        if not inner:
-            return ()
-        return tuple(_parse_scalar(part, line) for part in _split_items(inner))
-    return _parse_scalar(raw, line)
+    if not raw.startswith("["):
+        return raw
+    if not raw.endswith("]"):
+        raise ConfigError("unterminated array (missing ']')", line)
+    inner = raw[1:-1].strip()
+    items = tuple(part.strip() for part in _split_items(inner)) if inner else ()
+    if not all(items):
+        raise ConfigError("empty value", line)
+    return items
 
 
 def _split_items(inner: str) -> list[str]:
@@ -250,6 +241,13 @@ def _read_items(text: str) -> dict[str, dict[str, tuple[object, int]]]:
 # coercion helpers
 
 
+def _number(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
 def _finite(values: tuple[float, ...], line: int, key: str) -> tuple[float, ...]:
     # float() reads nan, inf and 1e999, which would pass every "> 0" check
     for v in values:
@@ -259,56 +257,55 @@ def _finite(values: tuple[float, ...], line: int, key: str) -> tuple[float, ...]
 
 
 def _want_float(value, line: int, key: str) -> float:
-    if isinstance(value, float):
-        return _finite((value,), line, key)[0]
-    raise ConfigError(f"{key} must be a number, got {value!r}", line)
+    number = _number(value) if isinstance(value, str) else None
+    if number is None:
+        raise ConfigError(f"{key} must be a number, got {value!r}", line)
+    return _finite((number,), line, key)[0]
 
 
 def _want_int(value, line: int, key: str) -> int:
-    if isinstance(value, float) and float(value).is_integer():
-        return int(value)
-    raise ConfigError(f"{key} must be an integer, got {value!r}", line)
+    number = _number(value) if isinstance(value, str) else None
+    if number is None or not number.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}", line)
+    return int(number)
 
 
 def _want_str(value, line: int, key: str) -> str:
-    if isinstance(value, str):
+    if isinstance(value, str) and _number(value) is None:
         return value
     raise ConfigError(f"{key} must be a name, got {value!r}", line)
 
 
 def _want_expr(value, line: int, key: str) -> str:
-    # expressions may be bare numbers, which the tokeniser reads as floats
-    if isinstance(value, float):
-        return repr(_want_float(value, line, key))
-    return _want_str(value, line, key)
+    # the text as written: exprs.parse_expr reads a bare number too
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"{key} must be an expression, got {value!r}", line)
 
 
 def _want_float_tuple(value, line: int, key: str) -> tuple[float, ...]:
-    if isinstance(value, float):
-        value = (value,)
-    if isinstance(value, tuple) and all(isinstance(v, float) for v in value):
-        return _finite(value, line, key)
-    raise ConfigError(f"{key} must be a numeric array, got {value!r}", line)
+    numbers = tuple(map(_number, (value,) if isinstance(value, str) else value))
+    if None in numbers:
+        raise ConfigError(f"{key} must be a numeric array, got {value!r}", line)
+    return _finite(numbers, line, key)
 
 
 def _want_int_tuple(value, line: int, key: str) -> tuple[int, ...]:
     floats = _want_float_tuple(value, line, key)
-    if not all(float(v).is_integer() for v in floats):
+    if not all(v.is_integer() for v in floats):
         raise ConfigError(f"{key} must contain integers, got {value!r}", line)
     return tuple(int(v) for v in floats)
 
 
 def _want_str_tuple(value, line: int, key: str) -> tuple[str, ...]:
-    if isinstance(value, str):
-        return (value,)
-    if isinstance(value, tuple) and all(isinstance(v, str) for v in value):
-        return value
-    raise ConfigError(f"{key} must be an array of names, got {value!r}", line)
+    items = (value,) if isinstance(value, str) else value
+    if any(_number(v) is not None for v in items):
+        raise ConfigError(f"{key} must be an array of names, got {value!r}", line)
+    return items
 
 
 def _want_expr_tuple(value, line: int, key: str) -> tuple[str, ...]:
-    items = value if isinstance(value, tuple) else (value,)
-    return tuple(_want_expr(v, line, key) for v in items)
+    return (value,) if isinstance(value, str) else value
 
 
 _COERCERS = {"str": _want_str, "Expr": _want_expr, "int": _want_int, "float": _want_float,
@@ -413,7 +410,10 @@ def parse_config(text: str) -> StudyConfig:
         raise ConfigError(f"y0 {cfg.program.y0} lies outside the state region",
                           line_of("program", "y0"))
     if sim.policy:
-        build_policy(sim.policy, spec, y0)
+        try:
+            build_policy(sim.policy, spec, y0)
+        except ConfigError as err:
+            raise ConfigError(str(err), line_of("simulate", "policy")) from err
     return cfg
 
 
@@ -506,27 +506,32 @@ def build_policy(text: str, spec: SystemSpec, y0) -> Policy:
     if not text:
         raise ConfigError("no policy configured")
     kind, _, rest = text.partition(":")
+    if kind not in ("constant", "steer_hold", "schedule", "rotation_delta"):
+        raise ConfigError(f"unknown policy kind {kind!r}")
     try:
         if kind == "constant":
-            return ConstantPolicy([float(v) for v in rest.split(":")])
-        if kind == "steer_hold":  # a two-piece schedule
+            policy = ConstantPolicy([float(v) for v in rest.split(":")])
+        elif kind == "steer_hold":  # a two-piece schedule
             u1, t_switch, u2 = rest.split(":")
-            return SchedulePolicy([0.0, float(t_switch)], [float(u1), float(u2)])
-        if kind == "schedule":
+            policy = SchedulePolicy([0.0, float(t_switch)], [float(u1), float(u2)])
+        elif kind == "schedule":
             body, _, period = rest.partition("@")
             times, values = [], []
             for piece in body.split(","):
                 t_text, u_text = piece.split(":")
                 times.append(float(t_text))
                 values.append(float(u_text))
-            return SchedulePolicy(times, values,
-                                  period=float(period) if period else None)
-        if kind == "rotation_delta":
-            candidates = rotation_delta_family(spec, y0, [float(rest)])
-            return candidates[0].policy
+            policy = SchedulePolicy(times, values, period=float(period) if period else None)
+        else:
+            policy = rotation_delta_family(spec, y0, [float(rest)])[0].policy
     except (ValueError, IndexError, SimulationError) as err:
         raise ConfigError(f"malformed policy {text!r}: {err}") from err
-    raise ConfigError(f"unknown policy kind {kind!r}")
+    controls = [policy.law] if isinstance(policy, LawPolicy) else policy.values
+    for u in controls:
+        if len(u) != spec.dim_control:
+            raise ConfigError(f"policy {text!r} gives a control of length {len(u)}, "
+                              f"the system has {spec.dim_control} controls")
+    return policy
 
 
 def default_config_text() -> str:

@@ -14,16 +14,17 @@ Every LP of a study is stacked from three assembled blocks:
 * initial matrix C[b, a] = phi_b(y0) - phi_b(y_a)
 * cost vector  c[a] = k(y_a, u_a)
 
-phi and grad phi are evaluated once per grid state, from one set of Legendre
-tables, and f and k on the grid states against the grid controls by
-broadcasting, so no (state, control) row is built; grad phi . f is added
-axis by axis from +0.0, as ``einsum`` adds it, so every entry is the float an
-evaluation at the atom itself gives.  The blocks of one (grid, basis, y0),
-the system being the grid's, are one :class:`LpBlocks`: every LP, membership
-check and horizon study is built from such an object alone, and a study
-assembles its one object once.  The blocks are held inside the coupled
-programs' matrix, which :func:`stack_rows` lays out and which every coupled
-LP built on them shares, read-only.
+phi and grad phi are evaluated once each at the grid states, through the
+public :func:`basis.phi_matrix` and :func:`basis.grad_matrix`, and f and k
+on the grid states against the grid controls by broadcasting, so no
+(state, control) row is built; grad phi . f is added axis by axis from +0.0,
+as ``einsum`` adds it, so every entry is the float an evaluation at the atom
+itself gives.  The blocks of one (grid, basis, y0), the system being the
+grid's, are one :class:`LpBlocks`: every LP, membership check and horizon
+study is built from such an object alone, and a study assembles its one
+object once.  The blocks are held inside the coupled programs' matrix, which
+:func:`stack_rows` lays out and which every coupled LP built on them shares,
+read-only.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import BasisSpec, grad_matrix, phi_and_grad_matrix, phi_matrix
+from .basis import BasisSpec, grad_matrix, phi_matrix
 from .system import RegionError, StateRegion, SystemSpec, rate_along
 
 
@@ -138,7 +139,11 @@ def build_grid(spec: SystemSpec, state_resolution, control_resolution: int) -> G
 
 def assemble_flow_matrix(grid: Grid, basis: BasisSpec) -> np.ndarray:
     """B[b, a] = grad phi_b(y_a) . f(y_a, u_a); B g are the flow residuals of g."""
-    return _flow_block(grid, grad_matrix(basis, grid.state_points))
+    grads = grad_matrix(basis, grid.state_points)  # (count, S, m)
+    f_vals = grid.spec.dynamics_at(grid.state_points[:, None],
+                                   grid.control_points[None])  # (m, S, K)
+    return rate_along(np.moveaxis(grads, -1, 0)[..., None], f_vals).reshape(
+        basis.count, grid.atom_count)
 
 
 def assemble_initial_matrix(grid: Grid, basis: BasisSpec, y0) -> np.ndarray:
@@ -146,26 +151,13 @@ def assemble_initial_matrix(grid: Grid, basis: BasisSpec, y0) -> np.ndarray:
     y0 = np.asarray(y0, dtype=float)
     if not grid.spec.region.contains(y0):
         raise RegionError(f"y0 {y0.tolist()} outside the state region")
-    return _initial_block(grid, phi_matrix(basis, y0[None, :]),
-                          phi_matrix(basis, grid.state_points))
+    return np.repeat(phi_matrix(basis, y0[None, :]) - phi_matrix(basis, grid.state_points),
+                     grid.control_points.shape[0], axis=1)
 
 
 def assemble_cost_vector(grid: Grid) -> np.ndarray:
     """c[a] = k(y_a, u_a)."""
     return grid.spec.cost_at(grid.state_points[:, None], grid.control_points[None]).ravel()
-
-
-def _flow_block(grid: Grid, grads: np.ndarray) -> np.ndarray:
-    """B from grad phi at the grid states, ``grads`` (count, S, m)."""
-    f_vals = grid.spec.dynamics_at(grid.state_points[:, None],
-                                   grid.control_points[None])  # (m, S, K)
-    return rate_along(np.moveaxis(grads, -1, 0)[..., None], f_vals).reshape(
-        grads.shape[0], grid.atom_count)
-
-
-def _initial_block(grid: Grid, phi_at_y0: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """C from phi at y0 (count, 1) and at the grid states (count, S)."""
-    return np.repeat(phi_at_y0 - phi, grid.control_points.shape[0], axis=1)
 
 
 def stack_rows(blocks, n_atoms: int) -> np.ndarray:
@@ -246,9 +238,8 @@ class LpBlocks:
         began = time.perf_counter()
         cost = assemble_cost_vector(self.grid)
         cost.flags.writeable = False
-        phi, grads = phi_and_grad_matrix(self.basis, self.grid.state_points)
-        flow = _flow_block(self.grid, grads)
-        initial = _initial_block(self.grid, phi_matrix(self.basis, self.y0[None, :]), phi)
+        flow = assemble_flow_matrix(self.grid, self.basis)
+        initial = assemble_initial_matrix(self.grid, self.basis, self.y0)
         coupled = stack_rows([(flow, None), (initial, flow)], self.grid.atom_count)
         log.info("assembly: %d states, %d atoms, %d basis rows, %.2f MB held, %.3f s",
                  self.grid.state_points.shape[0], self.grid.atom_count, self.basis.count,

@@ -74,7 +74,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSpec, phi_and_grad_matrix, phi_matrix
+from .basis import BasisSpec, grad_matrix, phi_matrix
 from .grid import DiscreteMeasure, Grid, LpBlocks, snap_to_state_grid, stack_rows
 from .system import SystemSpec, lattice, rate_along
 
@@ -747,8 +747,8 @@ def certificate_slacks(cert: DualCertificate, grid: Grid, basis: BasisSpec,
         ys = grid.state_points
     pairs = (ys[:, None, :], grid.control_points[None, :, :])
     f_vals = spec.dynamics_at(*pairs)  # (m, n, k)
-    phi, grads = phi_and_grad_matrix(basis, ys)
-    psi_vals = cert.psi_coeffs @ phi
+    grads = grad_matrix(basis, ys)
+    psi_vals = cert.psi_coeffs @ phi_matrix(basis, ys)
     # grad eta and grad psi per state, axis first: (m, n, 1) against f_vals
     grad_eta = np.einsum("b,bnm->nm", cert.eta_coeffs, grads).T[..., None]
     grad_psi = np.einsum("b,bnm->nm", cert.psi_coeffs, grads).T[..., None]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occlp.basis import (BasisError, _legendre_tables, basis_for_region, enumerate_basis,
-                         grad_matrix, phi_and_grad_matrix, phi_matrix)
+                         grad_matrix, phi_matrix)
 from occlp.system import StateRegion
 
 
@@ -188,5 +188,3 @@ def test_products_are_bitwise_the_per_element_ones(lower, upper):
                 grads[k, :, j] = acc
     assert phi_matrix(b, points).tobytes() == phi.tobytes()
     assert grad_matrix(b, points).tobytes() == grads.tobytes()
-    both = phi_and_grad_matrix(b, points)
-    assert both[0].tobytes() == phi.tobytes() and both[1].tobytes() == grads.tobytes()

@@ -177,7 +177,7 @@ y0 = [0.5]
         pytest.approx(-0.25)
     assert spec.bound_f >= 2.0  # sampled bound with headroom
 
-    # a bare number is an expression too
+    # a bare number is an expression too, kept as written
     cfg = parse_config("""
 [system]
 name = custom
@@ -186,11 +186,90 @@ dynamics = [0, -y1]
 first_integrals = [2]
 cost = 1
 """)
-    assert cfg.system.dynamics == ("0.0", "-y1")
-    assert cfg.system.first_integrals == ("2.0",)
+    assert cfg.system.dynamics == ("0", "-y1")
+    assert cfg.system.first_integrals == ("2",)
+    assert cfg.system.cost == "1"
     spec = build_system(cfg.system)
     assert spec.dynamics_at(np.array([0.5, 0.0]), np.array([0.0])).tolist() == \
         [0.0, -0.5]
+
+
+# a box system with two controls, for the value and policy errors below
+TWO_CONTROLS = """\
+[system]
+name = custom
+region = box
+dynamics = [-y1 + u1, -y2 + u2]
+control_lower = [-1.0, -1.0]
+control_upper = [1.0, 1.0]
+cost = y1^2 + y2^2
+
+[grid]
+state_resolution = [3, 3]
+control_resolution = 3
+
+[program]
+y0 = [0.0, 0.0]
+
+[simulate]
+policy = constant:0.5:-0.5
+horizons = [1.0]
+"""
+
+
+def _edited(text: str, key: str, value: str) -> tuple[str, int]:
+    """``text`` with the line of ``key`` set to ``value`` (a key it lacks goes
+    before ``cost``), and that line's number."""
+    lines = text.splitlines()
+    at = next((i for i, line in enumerate(lines) if line.startswith(f"{key} =")), None)
+    if at is None:
+        at = next(i for i, line in enumerate(lines) if line.startswith("cost ="))
+        lines.insert(at, "")
+    lines[at] = f"{key} = {value}"
+    return "\n".join(lines) + "\n", at + 1
+
+
+def _config_error_of(tmp_path, capsys, text: str, command: str = "simulate") -> str:
+    """The one stderr line of ``command`` on ``text``, which must exit 2."""
+    config_path = tmp_path / "study.conf"
+    config_path.write_text(text)
+    assert main([command, "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+    [line] = capsys.readouterr().err.strip().splitlines()
+    return line
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("cost", "007", "cost: cost_text '007': integer '007' has a leading zero (at position 0)"),
+    ("cost", "1_000", "cost: cost_text '1_000': '1_000' is not a decimal number (at position 0)"),
+    ("dynamics", "[007, -y2 + u2]", "dynamics: dynamics_text [007, -y2 + u2]: integer '007' "
+                                    "has a leading zero (at position 0)"),
+    ("first_integrals", "[1_000]", "first_integrals: first integral '1_000': '1_000' is not "
+                                   "a decimal number (at position 0)"),
+], ids=["cost-leading-zero", "cost-underscore", "dynamics-item", "first-integral-item"])
+def test_a_bare_number_expression_is_read_as_written(tmp_path, capsys, key, value, message):
+    # float() would read each of these as a number; the expression grammar does not
+    text, line = _edited(TWO_CONTROLS, key, value)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == f"line {line}: {message}"
+    assert _config_error_of(tmp_path, capsys, text) == f"error: line {line}: {message}"
+
+
+@pytest.mark.parametrize("policy,message", [
+    ("bogus:1", "unknown policy kind 'bogus'"),
+    ("schedule:1:0.5", "malformed policy 'schedule:1:0.5': schedule needs matching "
+                       "times/values starting at t=0"),
+    *((policy, f"policy {policy!r} gives a control of length 1, the system has 2 controls")
+      for policy in ("constant:0.5", "steer_hold:1:1:0", "schedule:0:1,2:-1",
+                     "rotation_delta:0.5")),
+])
+def test_a_policy_error_names_the_policy_line(tmp_path, capsys, policy, message):
+    assert parse_config(TWO_CONTROLS).simulate.policy == "constant:0.5:-0.5"
+    text, line = _edited(TWO_CONTROLS, "policy", policy)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == f"line {line}: {message}"
+    assert _config_error_of(tmp_path, capsys, text) == f"error: line {line}: {message}"
 
 
 def _array(values) -> str:
@@ -485,7 +564,7 @@ _NO_RADII = {"inner_radius": None, "outer_radius": None}
 
 
 @pytest.mark.parametrize("edits,at,message", [
-    ({"cost": "1e999"}, "cost", "cost must be finite, got inf"),
+    ({"cost": "1e999"}, "cost", "cost: cost_text '1e999': number '1e999' is not finite"),
     ({"cost": "fast"}, "cost", "cost: cost_text 'fast': unknown name 'fast'"),
     ({"cost": "y3"}, "cost", "cost: cost_text 'y3'"),
     ({"inner_radius": "2.0"}, "inner_radius", "inner_radius: annulus needs 0 < inner <= outer"),
@@ -665,17 +744,16 @@ STUDY_ASSEMBLIES = {"solve": 1, "simulate": 1, "sweep": 1, "certify": 1,
 
 @pytest.mark.parametrize("command", STUDY_ASSEMBLIES)
 def test_each_command_assembles_its_lp_blocks_once(monkeypatch, command):
-    # the blocks' assembly: the cost vector, then B and C from one evaluation
-    # of the basis at the grid states
+    # the blocks' assembly: the cost vector, then B and C
     calls = []
-    for name in ("assemble_cost_vector", "_flow_block", "_initial_block"):
+    for name in ("assemble_cost_vector", "assemble_flow_matrix", "assemble_initial_matrix"):
         monkeypatch.setattr(grid_mod, name, lambda *args, name=name, fn=getattr(grid_mod, name):
                             calls.append(name) or fn(*args))
     bundle = run_study(parse_config(ACCEPTANCE_CONFIG.read_text()),
                        sections=tuple(command.split("+")))
     assert bundle.all_passed()
-    assert sorted(calls) == sorted(["assemble_cost_vector", "_flow_block",
-                                    "_initial_block"] * STUDY_ASSEMBLIES[command])
+    assert sorted(calls) == sorted(["assemble_cost_vector", "assemble_flow_matrix",
+                                    "assemble_initial_matrix"] * STUDY_ASSEMBLIES[command])
 
 
 def test_convergence_reads_values_only_and_skips_the_refinement(monkeypatch):

@@ -241,7 +241,7 @@ def test_blocks_stack_the_coupled_rows(rotation, rotation_grid):
 def test_assembly_evaluates_the_basis_once_per_state(monkeypatch, caplog, rotation,
                                                      rotation_grid):
     rows = []
-    for name in ("grad_matrix", "phi_matrix", "phi_and_grad_matrix"):
+    for name in ("grad_matrix", "phi_matrix"):
         monkeypatch.setattr(grid_mod, name, lambda basis, ys, name=name, fn=getattr(
             grid_mod, name): rows.append((name, len(ys))) or fn(basis, ys))
     b = basis_for_region(rotation.region, 4)
@@ -250,8 +250,8 @@ def test_assembly_evaluates_the_basis_once_per_state(monkeypatch, caplog, rotati
     with caplog.at_level("INFO", logger="occlp.grid"):
         blocks.flow, blocks.initial, blocks.cost, blocks.coupled
     states = rotation_grid.state_points.shape[0]
-    # phi and grad phi at the grid states come from one set of Legendre tables
-    assert sorted(rows) == [("phi_and_grad_matrix", states), ("phi_matrix", 1)]
+    # grad phi and phi once each at the grid states, phi once at y0
+    assert sorted(rows) == [("grad_matrix", states), ("phi_matrix", 1), ("phi_matrix", states)]
     [line] = [r.getMessage() for r in caplog.records if r.name == "occlp.grid"]
     assert re.fullmatch(rf"assembly: {states} states, {rotation_grid.atom_count} atoms, "
                         rf"{b.count} basis rows, \d+\.\d\d MB held, \d+\.\d{{3}} s", line)
