@@ -483,6 +483,15 @@ def build_system(cfg: SystemConfig) -> SystemSpec:
         if not math.isfinite(sampled):
             raise ConfigError(f"{key} is not finite on the sampled state region "
                               f"(sampled maximum {sampled})", key=key)
+    for text, drift, conserved in zip(cfg.first_integrals, report.max_drifts, report.conserved):
+        if not math.isfinite(drift):
+            raise ConfigError(f"first integral {text!r}: its drift grad F . f is not finite "
+                              f"on the sampled state region (sampled maximum {drift})",
+                              key="first_integrals")
+        if not conserved:
+            raise ConfigError(f"first integral {text!r} is not conserved: its drift "
+                              f"|grad F . f| reaches {drift:.6g} on the sampled state region",
+                              key="first_integrals")
     # the sampled maximum is a lower bound on the sup, so a declared bound
     # below it is wrong; one at or above it is used.  An undeclared bound is
     # a built-in's own bound_f, or else the sampled maximum, with headroom on

@@ -8,7 +8,7 @@ own parser reads an expression, and :func:`parse_expr` keeps of its tree
 only what this grammar has, at most :data:`MAX_DEPTH` operations deep, so
 that every parsed expression compiles.  Parsed expressions support exact
 symbolic differentiation with respect to state variables, which is what the
-first-integral checks rely on.
+first-integral check of every system build relies on.
 
 Three compilation targets are provided: a scalar form operating on plain
 float tuples, a run of Runge-Kutta steps on plain floats with the expressions
@@ -368,9 +368,9 @@ def compile_rk4_run(nodes: tuple[Node, ...], law: tuple[Node, ...] | None = None
     An arithmetic or domain error (an overflowing ``^`` or ``exp``, a division
     by zero, ``sqrt`` of a negative number) propagates, with the states and
     controls before it appended.  Every float operation of a step is one that
-    ``simulate.rk4_step`` performs with ``compile_scalar(nodes)`` at the control
-    ``compile_scalar(law)(y, ())``, in the same order, so the states agree
-    bitwise.
+    ``rk4_step`` of ``tests/reference.py`` performs with ``compile_scalar(nodes)``
+    at the control ``compile_scalar(law)(y, ())``, in the same order, so the
+    states agree bitwise.
     """
     m = len(nodes)
     controls = set()  # the control components the dynamics read

@@ -60,21 +60,6 @@ class Grid:
     def atom_count(self) -> int:
         return self.state_points.shape[0] * self.control_points.shape[0]
 
-    @property
-    def atom_states(self) -> np.ndarray:
-        """The state of every atom, row by row: the atom-wise reference that
-        the tests compare the broadcast assembly with."""
-        return np.repeat(self.state_points, self.control_points.shape[0], axis=0)
-
-    @property
-    def atom_controls(self) -> np.ndarray:
-        """The control of every atom, row by row, as ``atom_states``."""
-        return np.tile(self.control_points, (self.state_points.shape[0], 1))
-
-    def atom(self, a: int) -> tuple[np.ndarray, np.ndarray]:
-        k = self.control_points.shape[0]
-        return self.state_points[a // k], self.control_points[a % k]
-
 
 @dataclass
 class DiscreteMeasure:

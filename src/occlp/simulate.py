@@ -2,19 +2,19 @@
 
 Fixed-step fourth-order Runge-Kutta with the control held at its value from
 the left endpoint of each step; no adaptivity, so runs are reproducible
-bit-for-bit.  Steps are taken in generated runs, all through one loop in
+bit-for-bit, each step as ``rk4_step`` of ``tests/reference.py`` takes
+it.  Steps are taken in generated runs, all through one loop in
 :func:`integrate`: a stretch of steps with one control is one run, so an
 open-loop schedule costs one run per piece it visits; a feedback law given as
 expressions is evaluated inside the generated loop, so a closed-loop
 trajectory is one run; and any other policy is asked at every step, one run
 per step.  A run is one call of the generated loop, or, past ``PARK_CHUNK``
-steps, one call per chunk, and such a run parks once a step maps its state
-to itself byte for byte: every later step would too, so the rest of the run
-is copied, not stepped.  Likewise a periodic schedule stops once a whole
-period maps its state to itself byte for byte, and the rest of the
-trajectory is that period, tiled.  Either tail, a cycle
-of one step or of one period, is tested, costed and binned once.  On top of
-the integrator:
+steps, one call per chunk, and such a run parks once a step maps its state to
+itself byte for byte: every later step would too, so the rest of the run is
+copied, not stepped.  Likewise a periodic schedule stops once a whole period
+maps its state to itself byte for byte, and the rest of the trajectory is
+that period, tiled.  Either tail, a cycle of one step or of one period, is
+tested, costed and binned once.  On top of the integrator:
 
 * finite-horizon average values (per-step trapezoidal quadrature),
 * discounted values with a truncation-tail bound exp(-rate T) * bound_k, which
@@ -201,16 +201,6 @@ class Trajectory:
         cycle = self.cycle if self.cycle is not None and sum(self.cycle) <= steps else None
         return Trajectory(self.spec, self.dt, self.times[:steps + 1], self.states[:steps + 1],
                           self.controls[:steps], self.in_region[:steps + 1], cycle)
-
-
-def rk4_step(f, y: tuple, u: tuple, dt: float) -> tuple:
-    """One classical Runge-Kutta step on plain float tuples."""
-    k1 = f(y, u)
-    k2 = f(tuple(yi + 0.5 * dt * ki for yi, ki in zip(y, k1)), u)
-    k3 = f(tuple(yi + 0.5 * dt * ki for yi, ki in zip(y, k2)), u)
-    k4 = f(tuple(yi + dt * ki for yi, ki in zip(y, k3)), u)
-    return tuple(yi + dt * (a + 2.0 * b + 2.0 * c + d) / 6.0
-                 for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
 
 
 def _run_until_parked(go, y: tuple, count: int, rows: array, m: int,

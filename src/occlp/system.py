@@ -3,12 +3,13 @@
 A :class:`SystemSpec` bundles a control system ``y' = f(y, u)`` with a running
 cost ``k(y, u)``, a compact state region (a box or an annulus), a control box,
 optional first integrals (functions conserved along every admissible motion)
-and a priori bounds on ``sup ||f||`` and ``sup |k|``.  The dynamics are a
-tuple of expressions in the grammar of :mod:`occlp.exprs`, one per state
-component, and the cost is one such expression, so systems are declared as
-data rather than loaded as code (:func:`occlp.config.build_system` builds
-them, the built-in ones from presets).  Both regions also admit the points
-within ``REGION_TOL`` of them.
+and a priori bounds on ``sup ||f||`` and ``sup |k|``; :func:`validate_bounds`
+checks the integrals and the bounds on a sample.  The dynamics are a tuple of
+expressions in the grammar of :mod:`occlp.exprs`, one per state component,
+and the cost is one such expression, so systems are declared as data rather
+than loaded as code (:func:`occlp.config.build_system` builds them, the
+built-in ones from presets).  Both regions also admit the points within
+``REGION_TOL`` of them.
 
 Specs are immutable values.  Each parses its expressions once, when it is
 built, and compiles each evaluator from those trees on first use, once; every
@@ -187,26 +188,6 @@ class StateRegion:
             return self.lattice([resolution] * self.dim)
         return self.lattice((resolution, 4 * resolution))
 
-    def boundary_sample(self, resolution: int) -> tuple[np.ndarray, np.ndarray]:
-        """Boundary points and unit outward normals, each of shape (K, dim)."""
-        if self.kind == "annulus":
-            angles = 2.0 * np.pi * np.arange(resolution) / resolution
-            ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-            points = [self.outer * ring, self.inner * ring]
-            normals = [ring, -ring]
-            return np.concatenate(points), np.concatenate(normals)
-        lo, hi = self.bounding_box()
-        axes = self.axes([resolution] * self.dim)
-        points, normals = [], []
-        for j in range(self.dim):
-            for value, sign in ((hi[j], 1.0), (lo[j], -1.0)):
-                face = lattice(axes[:j] + [np.array([value])] + axes[j + 1:])
-                normal = np.zeros_like(face)
-                normal[:, j] = sign
-                points.append(face)
-                normals.append(normal)
-        return np.concatenate(points), np.concatenate(normals)
-
 
 @dataclass(frozen=True)
 class ControlRegion:
@@ -261,14 +242,14 @@ def _parse_dynamics(texts: tuple[str, ...], m: int, p: int) -> tuple[exprs.Node,
 
 
 def _parse_integral(text: str, m: int) -> tuple[exprs.Node, ...]:
-    # over the state only: a control in a first integral is out of range
+    # the gradient, over the state only: a control in a first integral is out of range
     try:
         node = exprs.parse_expr(text, m, 0)
         gradient = tuple(exprs.diff(node, j) for j in range(m))
         if max(map(exprs.depth, gradient)) > exprs.MAX_DEPTH:
             raise exprs.ExpressionError(f"its gradient nests deeper than {exprs.MAX_DEPTH} "
                                         "levels")
-        return (node, *gradient)
+        return gradient
     except exprs.ExpressionError as err:
         raise UnknownEvaluatorError(f"first integral {text!r}: {err}",
                                     "first_integrals") from err
@@ -295,14 +276,13 @@ class SystemSpec:
     ``cost_text`` the cost's expression.  Building a spec parses the dynamics,
     cost and first integrals, so a bad expression fails here, and keeps the
     trees: ``dynamics``, one node per state component; ``cost``; and
-    ``integrals``, per first integral its node and its gradient's nodes.
-    It also decides once whether the dynamics are
-    multilinear in the controls, ``dynamics_multilinear``
-    (``exprs.multilinear_in_controls``), which lets the LPs seed their xi
-    columns at the control grid's corners (``programs._seed_columns``).  Each
-    evaluator is compiled from the trees on first use, once per spec, also
-    when pool threads ask for it together.  Equality, hashing and repr cover
-    the declared fields only.
+    ``integrals``, per first integral its gradient's nodes.  It also decides
+    once whether the dynamics are multilinear in the controls,
+    ``dynamics_multilinear`` (``exprs.multilinear_in_controls``), which lets
+    the LPs seed their xi columns at the control grid's corners
+    (``programs._seed_columns``).  Each evaluator is compiled from the trees on
+    first use, once per spec, also when pool threads ask for it together.
+    Equality, hashing and repr cover the declared fields only.
     """
 
     dynamics_text: tuple[str, ...]
@@ -356,30 +336,12 @@ class SystemSpec:
         """Runge-Kutta steps at one held control, ``run(y_tuple, u_tuple, dt, n,
         rows) -> (done, state)``, or closed by a feedback law over the state,
         ``run(y_tuple, lows, highs, dt, n, rows, controls) -> (done, state,
-        escaped)`` (see ``exprs.compile_rk4_run``); each state is bitwise
-        ``simulate.rk4_step(dynamics_fn(spec), y, u, dt)`` of the one before.
+        escaped)`` (see ``exprs.compile_rk4_run``); each state is bitwise the
+        step ``rk4_step`` of ``tests/reference.py`` takes from the one before.
         The held-control run is compiled once; a law run on every call."""
         if law is not None:
             return exprs.compile_rk4_run(self.dynamics, law)
         return self._compiled("_rk4_held", exprs.compile_rk4_run, self.dynamics)
-
-    def first_integral_values_and_rates(self, ys, us):
-        """For each first integral F: its text, values F(y) and rates
-        grad F(y) . f(y, u), over states and controls that broadcast as in
-        :meth:`dynamics_at`."""
-        if not self.integrals:
-            return []
-        rows = self._compiled("_integrals_numpy", exprs.compile_numpy,
-                              sum(self.integrals, ()))(ys, np.empty(0))
-        f_vals = self.dynamics_at(ys, us)
-        return [(text, per[0], rate_along(per[1:], f_vals)) for text, per
-                in zip(self.first_integrals, np.split(rows, len(self.integrals)))]
-
-
-def dynamics_fn(spec: SystemSpec):
-    """Scalar evaluator ``f(y_tuple, u_tuple) -> tuple`` (no containment checks),
-    compiled on each call: the reference that the generated runs match bitwise."""
-    return exprs.compile_scalar(spec.dynamics)
 
 
 def rate_along(grad, f_vals) -> np.ndarray:
@@ -393,56 +355,12 @@ def rate_along(grad, f_vals) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# report-only checks
+# the build-time check
 
-
-@dataclass(frozen=True)
-class FirstIntegralReport:
-    max_residual: float
-    passed: bool
-    sample_count: int
-    per_integral: tuple[tuple[str, float], ...]
-
-
-def check_first_integrals(spec: SystemSpec, sample_count: int = 20,
-                          tolerance: float = 1e-10) -> FirstIntegralReport:
-    """Max |grad F . f| over a quasi-uniform sample of the state x control set."""
-    if not spec.first_integrals:
-        raise SystemSpecError("system declares no first integrals")
-    ys = spec.region.sample(sample_count)
-    us = spec.control.grid(min(sample_count, 9))
-    per = []
-    worst = 0.0
-    for text, _values, rates in spec.first_integral_values_and_rates(ys[:, None, :],
-                                                                     us[None, :, :]):
-        residual = float(np.max(np.abs(rates)))
-        per.append((text, residual))
-        worst = max(worst, residual)
-    return FirstIntegralReport(worst, worst <= tolerance, ys.shape[0] * us.shape[0],
-                               tuple(per))
-
-
-@dataclass(frozen=True)
-class InvarianceReport:
-    max_outward_component: float
-    passed: bool
-    worst_point: tuple[float, ...]
-    worst_control: tuple[float, ...]
-
-
-def check_forward_invariance(spec: SystemSpec, boundary_sample_count: int = 64,
-                             control_resolution: int = 9,
-                             tolerance: float = 1e-8) -> InvarianceReport:
-    """Max outward-normal component of f over sampled boundary points and controls."""
-    points, normals = spec.region.boundary_sample(boundary_sample_count)
-    us = spec.control.grid(control_resolution)
-    # (control, point) pairs, control-major, so ties go to the first control,
-    # then the first point
-    outward = rate_along(normals.T, spec.dynamics_at(points[None, :, :], us[:, None, :]))
-    c, i = np.unravel_index(np.argmax(outward), outward.shape)
-    worst = float(outward[c, i])
-    return InvarianceReport(worst, worst <= tolerance,
-                            tuple(points[i].tolist()), tuple(us[c].tolist()))
+# slack of a declared bound over its sampled maximum, relative past |bound| = 1
+BOUND_TOL = 1e-12
+# drift a declared first integral F may have: |grad F . f| <= DRIFT_TOL |grad F| |f|
+DRIFT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -451,14 +369,29 @@ class BoundReport:
     max_cost_abs: float
     bound_f_ok: bool
     bound_k_ok: bool
+    max_drifts: tuple[float, ...]  # per first integral, max |grad F . f|
+    conserved: tuple[bool, ...]  # per first integral, drift within DRIFT_TOL
 
 
 def validate_bounds(spec: SystemSpec, state_resolution: int = 25,
                     control_resolution: int = 9) -> BoundReport:
-    """Dense-sampling check that bound_f and bound_k dominate f and k."""
+    """Dense-sampling check that bound_f and bound_k dominate f and k, and that
+    each first integral's drift grad F . f vanishes, on one evaluation of f
+    over the region sample × control grid."""
     ys = spec.region.sample(state_resolution)[:, None, :]
     us = spec.control.grid(control_resolution)[None, :, :]
-    f_norm = float(np.max(np.linalg.norm(spec.dynamics_at(ys, us), axis=0)))
+    f_vals = spec.dynamics_at(ys, us)
+    f_norms = np.linalg.norm(f_vals, axis=0)
+    max_drifts, conserved = [], []
+    for gradient in spec.integrals:
+        grad = exprs.compile_numpy(gradient)(ys, np.empty(0))
+        drift = np.abs(rate_along(grad, f_vals))
+        max_drifts.append(float(np.max(drift)))
+        conserved.append(bool(np.all(drift <= DRIFT_TOL * np.linalg.norm(grad, axis=0)
+                                     * f_norms)))
+    f_norm = float(np.max(f_norms))
     k_abs = float(np.max(np.abs(spec.cost_at(ys, us))))
-    return BoundReport(f_norm, k_abs, f_norm <= spec.bound_f + 1e-12,
-                       k_abs <= spec.bound_k + 1e-12)
+    return BoundReport(f_norm, k_abs,
+                       f_norm <= spec.bound_f + BOUND_TOL * max(1.0, abs(spec.bound_f)),
+                       k_abs <= spec.bound_k + BOUND_TOL * max(1.0, abs(spec.bound_k)),
+                       tuple(max_drifts), tuple(conserved))

@@ -24,6 +24,7 @@ from occlp.simulate import (ConstantPolicy, SchedulePolicy, abel_value,
                             integrate, periodic_value_search,
                             rotation_delta_family)
 
+from reference import atom_states
 from systems import built
 
 EPSILONS = (0.1, 0.01, 0.001, 0.0)
@@ -160,7 +161,7 @@ def test_criterion_3_duality_certificates(rotation, setup, solve_unit_circle,
 def test_criterion_4_support_concentration(setup, solve_unit_circle):
     grid, _basis = setup
     _instance, solution, _t = solve_unit_circle
-    radii = np.linalg.norm(grid.atom_states, axis=1)
+    radii = np.linalg.norm(atom_states(grid), axis=1)
     mass = float(solution.gamma.weights[np.abs(radii - 1.0) <= 1e-9].sum())
     ok = mass >= 0.999
     _report(4, ok, f"mass on the start circle {mass:.6f}")

@@ -1152,6 +1152,55 @@ def test_a_declared_bound_below_the_sampled_maximum_is_a_config_error(tmp_path, 
     assert (spec.bound_f, spec.bound_k) == (report.max_dynamics_norm, report.max_cost_abs)
 
 
+@pytest.mark.parametrize("outer", [1.5e6, 3.3e7, 7.77e9])
+def test_an_exact_declared_bound_is_kept_at_any_scale(outer):
+    # the rotation's sup ||f|| is its outer radius, which the sample reaches up
+    # to rounding: the slack over the sampled maximum grows with the bound
+    spec = build_system(parse_config(
+        f"[system]\nname = rotation\ninner_radius = {outer / 3!r}\nouter_radius = {outer!r}\n"
+        f"bound_f = {outer!r}\n[program]\ny0 = [{outer!r}, 0.0]\n").system)
+    assert spec.bound_f == outer
+    report = system.validate_bounds(spec)
+    assert report.bound_f_ok and report.max_dynamics_norm == pytest.approx(outer, rel=1e-12)
+
+
+# box-custom with a first integral, and a rotation on a box of half-width 1e6
+# whose controls, multiples of 0.7 / 4, make y1 u1 and y2 u1 round apart
+_INTEGRAL_SYSTEMS = {
+    "box-custom": BOX_CUSTOM_SYSTEM.format(bounds="first_integrals = [{integral}]\n"),
+    "wide-rotation": ("[system]\nname = custom\nregion = box\nlower = [-1e6, -1e6]\n"
+                      "upper = [1e6, 1e6]\ndynamics = [u1*y2, -u1*y1]\ncost = y1\n"
+                      "first_integrals = [{integral}]\ncontrol_lower = [-0.7]\n"
+                      "control_upper = [0.7]\n[program]\ny0 = [0.5, -0.5]\n"),
+}
+
+
+@pytest.mark.parametrize("name,integral,message", [
+    # y1' = -y1 + u1 reaches 1.96 at the cell centre y1 = -0.96 with u1 = 1
+    ("box-custom", "y1", "first integral 'y1' is not conserved: its drift |grad F . f| "
+                         "reaches 1.96 on the sampled state region"),
+    # the gradient of sqrt(y1) is NaN at y1 < 0
+    ("box-custom", "sqrt(y1)", "first integral 'sqrt(y1)': its drift grad F . f is not "
+                               "finite on the sampled state region (sampled maximum nan)"),
+    # the squared radius is conserved: its sampled drift, 1.2e-4, is rounding
+    # in products of 1e12, which an absolute tolerance would reject
+    ("wide-rotation", "y1^2 + y2^2", None),
+], ids=["not-conserved", "not-finite", "relative-tolerance"])
+def test_a_declared_first_integral_is_checked_on_the_bound_sample(tmp_path, capsys, name,
+                                                                  integral, message):
+    text = _INTEGRAL_SYSTEMS[name].format(integral=integral)
+    if message is None:
+        report = system.validate_bounds(build_system(parse_config(text).system))
+        assert report.conserved == (True,) and report.max_drifts[0] > 1e-6
+        return
+    line = text.splitlines().index(f"first_integrals = [{integral}]") + 1
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == f"line {line}: first_integrals: {message}"
+    assert (_config_error_of(tmp_path, capsys, text, "solve")
+            == f"error: line {line}: first_integrals: {message}")
+
+
 # per built-in: text that makes its config valid, and a bound_f below its
 # sampled maximum ||f|| (1.5, 0 and 1.96)
 _BUILT_INS = {
@@ -1227,12 +1276,13 @@ def test_a_system_key_the_system_does_not_read_is_an_error_on_its_line(section):
 
 
 def test_array_items_split_only_at_commas_outside_parentheses():
-    cfg = parse_config("[system]\nname = custom\nregion = box\n"
-                       "dynamics = [-y1 + u1*cos(atan2(y2, y1)), -y2 + y1]\n"
-                       "first_integrals = [atan2(y2, 1 + y1^2), y1]\n"
-                       "[program]\ny0 = [0.5, -0.5]\n")
-    assert cfg.system.dynamics == ("-y1 + u1*cos(atan2(y2, y1))", "-y2 + y1")
-    assert cfg.system.first_integrals == ("atan2(y2, 1 + y1^2)", "y1")
+    # a rotation whose speed varies with the angle conserves every function of
+    # the radius, so each key holds two items, one with a comma in parentheses
+    cfg = parse_config("[system]\nname = custom\nregion = annulus\n"
+                       "dynamics = [u1*y2*cos(atan2(y2, y1)), -u1*y1*cos(atan2(y2, y1))]\n"
+                       "first_integrals = [atan2(y1^2 + y2^2, 1), y1^2 + y2^2]\n")
+    assert cfg.system.dynamics == ("u1*y2*cos(atan2(y2, y1))", "-u1*y1*cos(atan2(y2, y1))")
+    assert cfg.system.first_integrals == ("atan2(y1^2 + y2^2, 1)", "y1^2 + y2^2")
     assert cfg.system_spec().dynamics_text == cfg.system.dynamics
 
 

@@ -15,6 +15,7 @@ from occlp.grid import (DiscreteMeasure, GridError, LpBlocks, assemble_cost_vect
                         nearest_state_index)
 from occlp.system import REGION_TOL, ControlRegion, RegionError, StateRegion
 
+from reference import atom, atom_controls, atom_states, boundary_sample
 from systems import built
 
 
@@ -81,7 +82,7 @@ def test_flow_matrix_rotation_entry():
     row = b.exponents.index((1, 0))
     target = None
     for a in range(g.atom_count):
-        y, u = g.atom(a)
+        y, u = atom(g, a)
         if np.allclose(y, (0.0, 1.0), atol=1e-12) and u[0] == 1.0:
             target = a
     assert target is not None
@@ -109,7 +110,7 @@ def test_initial_matrix(rotation, rotation_grid):
     # y0 is itself an atom state: its column vanishes
     col = None
     for a in range(rotation_grid.atom_count):
-        y, _u = rotation_grid.atom(a)
+        y, _u = atom(rotation_grid, a)
         if np.allclose(y, y0, atol=1e-12):
             col = a
             break
@@ -118,7 +119,7 @@ def test_initial_matrix(rotation, rotation_grid):
     # phi = y1 at the antipodal atom: phi(y0) - phi(y) = 1 - (-1) = 2
     row = b.exponents.index((1, 0))
     for a in range(rotation_grid.atom_count):
-        y, _u = rotation_grid.atom(a)
+        y, _u = atom(rotation_grid, a)
         if np.allclose(y, (-1.0, 0.0), atol=1e-12):
             assert initial[row, a] == pytest.approx(2.0, rel=1e-12)
 
@@ -136,7 +137,7 @@ def test_cost_vectors(rotation_grid):
 
     c = assemble_cost_vector(rotation_grid)  # the fixture's rotation costs y1
     for a in range(rotation_grid.atom_count):
-        y, _u = rotation_grid.atom(a)
+        y, _u = atom(rotation_grid, a)
         if np.allclose(y, (-1.0, 0.0), atol=1e-12):
             assert c[a] == pytest.approx(-1.0, rel=1e-12)
             break
@@ -145,7 +146,7 @@ def test_cost_vectors(rotation_grid):
     g2 = build_grid(mixed, (5, 4), 3)
     c = assemble_cost_vector(g2)
     for a in range(g2.atom_count):
-        y, u = g2.atom(a)
+        y, u = atom(g2, a)
         if np.allclose(y, (0.0, 1.0), atol=1e-12) and u[0] == -1.0:
             assert c[a] == pytest.approx(1.0, rel=1e-12)
 
@@ -159,7 +160,7 @@ def test_uniform_circle_measure_annihilates_flow_rows(rotation):
         flow = assemble_flow_matrix(g, b)
         w = np.zeros(g.atom_count)
         for a in range(g.atom_count):
-            y, u = g.atom(a)
+            y, u = atom(g, a)
             if abs(np.hypot(*y) - 1.0) < 1e-9 and u[0] == 1.0:
                 w[a] = 1.0 / n_theta
         assert abs(DiscreteMeasure(g, w).total_mass - 1.0) <= 1e-9
@@ -205,17 +206,17 @@ def assembly_setups(rotation):
 def test_statewise_assembly_is_bitwise_the_atomwise_one(assembly_setups, case):
     spec, g, b, y0 = assembly_setups[case]
     # f at every atom's row, one row per atom, as (N, m) C-contiguous rows
-    f = np.ascontiguousarray(spec.dynamics_at(g.atom_states, g.atom_controls).T)
+    f = np.ascontiguousarray(spec.dynamics_at(atom_states(g), atom_controls(g)).T)
     if spec.region.kind == "annulus":  # the rotation: the control u = 0 stops the motion
         assert np.any(np.all(f == 0.0, axis=1))
-    flow = np.einsum("bnm,nm->bn", grad_matrix(b, g.atom_states), f)
-    initial = phi_matrix(b, np.array([y0])) - phi_matrix(b, g.atom_states)
+    flow = np.einsum("bnm,nm->bn", grad_matrix(b, atom_states(g)), f)
+    initial = phi_matrix(b, np.array([y0])) - phi_matrix(b, atom_states(g))
     assert assemble_flow_matrix(g, b).tobytes() == flow.tobytes()
     assert assemble_initial_matrix(g, b, y0).tobytes() == initial.tobytes()
     # the study's blocks: C at y0 snapped to the grid, and both views of the
     # one coupled matrix, which holds B twice
     blocks = LpBlocks(g, b, y0)
-    snapped = phi_matrix(b, blocks.y0[None]) - phi_matrix(b, g.atom_states)
+    snapped = phi_matrix(b, blocks.y0[None]) - phi_matrix(b, atom_states(g))
     assert np.array_equal(blocks.flow, flow) and np.array_equal(blocks.initial, snapped)
     assert np.array_equal(blocks.coupled[b.count:2 * b.count, g.atom_count:], flow)
     assert blocks.cost.tobytes() == assemble_cost_vector(g).tobytes()
@@ -278,8 +279,8 @@ def test_nearest_atom_matches_joint_brute_force(rotation_grid):
     ys = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
     us = rng.uniform(-1, 1, size=(30, 1))
     got = nearest_atom_index(rotation_grid, ys, us)
-    atoms_y = rotation_grid.atom_states
-    atoms_u = rotation_grid.atom_controls
+    atoms_y = atom_states(rotation_grid)
+    atoms_u = atom_controls(rotation_grid)
     for i in range(30):
         d2 = ((atoms_y - ys[i]) ** 2).sum(axis=1) + ((atoms_u - us[i]) ** 2).sum(axis=1)
         assert got[i] == np.argmin(d2)
@@ -341,7 +342,7 @@ def test_nearest_state_index_is_brute_force(setup, seed):
                              control=ControlRegion(lower=(-1.0,), upper=(1.0,)))
     grid = build_grid(spec, resolution, 2)
     points = grid.state_points
-    boundary, normals = region.boundary_sample(7)
+    boundary, normals = boundary_sample(region, 7)
     lo, hi = region.bounding_box()
     queries = np.concatenate([
         points,

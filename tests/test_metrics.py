@@ -7,6 +7,7 @@ from occlp.basis import basis_for_region
 from occlp.grid import DiscreteMeasure, LpBlocks, build_grid
 from occlp.metrics import MetricError, make_test_function_set, rho_hat
 
+from reference import atom, atom_states
 from systems import built
 
 
@@ -21,7 +22,7 @@ def setup():
 def dirac_at_state(g, target):
     w = np.zeros(g.atom_count)
     for a in range(g.atom_count):
-        y, u = g.atom(a)
+        y, u = atom(g, a)
         if np.allclose(y, target, atol=1e-9) and u[0] == 0.0:
             w[a] = 1.0
             return DiscreteMeasure(g, w)
@@ -127,6 +128,6 @@ def test_values_on_grid_are_bitwise_the_atomwise_ones():
     spec = built("rotation")
     g = build_grid(spec, (5, 64), 9)
     tf = make_test_function_set(basis_for_region(spec.region, 4), spec.region)
-    atomwise = np.vstack([phi_matrix(tf.basis, g.atom_states) / tf.norms[:, None],
+    atomwise = np.vstack([phi_matrix(tf.basis, atom_states(g)) / tf.norms[:, None],
                           np.ones((1, g.atom_count))])
     assert tf.values_on_grid(g).tobytes() == atomwise.tobytes()

@@ -27,6 +27,7 @@ from occlp.programs import (CERTIFICATE_TOL, PRIMAL_RESIDUAL_TOL, LpInstance, Pr
                             verify_weak_duality)
 from occlp.system import ControlRegion, StateRegion, SystemSpec, lattice
 
+from reference import atom, atom_controls, atom_states
 from systems import built
 
 
@@ -83,7 +84,7 @@ def rotation_solved(rotation_setup):
 
 
 def brute_force_atom_minimum(grid, spec):
-    return float(np.min(spec.cost_at(grid.atom_states, grid.atom_controls)))
+    return float(np.min(spec.cost_at(atom_states(grid), atom_controls(grid))))
 
 
 def certificate_holds(cert, grid, basis, spec):
@@ -102,7 +103,7 @@ def test_ergodic_frozen_equals_exhaustive_scan(frozen_setup):
     assert solution.value == pytest.approx(brute_force_atom_minimum(g, spec), abs=1e-9)
     # zero dynamics leave only the simplex: optimum sits on the cheapest atom
     best = int(np.argmax(solution.gamma.weights))
-    y, u = g.atom(best)
+    y, u = atom(g, best)
     assert spec.cost_at(y, u) == pytest.approx(solution.value, abs=1e-9)
 
 
@@ -443,7 +444,7 @@ def test_nonergodic_frozen_matches_frozen_oracle(frozen_setup):
     reference = oracle.frozen_value(spec, y0)
     assert solution.value == pytest.approx(reference.value, abs=1e-8)
     # the optimal measure reproduces the start point's moments up to degree d
-    phis = phi_matrix(b, g.atom_states)
+    phis = phi_matrix(b, atom_states(g))
     moments = phis @ solution.gamma.weights
     target = phi_matrix(b, np.array([y0]))[:, 0]
     assert np.max(np.abs(moments - target)) <= 1e-7
@@ -490,7 +491,7 @@ def test_nonergodic_constant_cost(rotation_setup):
 def test_support_concentrates_on_start_circle(rotation_setup, rotation_solved):
     _spec, g, _b = rotation_setup
     _instance, solution = rotation_solved
-    radii = np.linalg.norm(g.atom_states, axis=1)
+    radii = np.linalg.norm(atom_states(g), axis=1)
     on_circle = np.abs(radii - 1.0) <= 1e-9
     assert solution.gamma.weights[on_circle].sum() >= 0.999
 
@@ -782,7 +783,7 @@ def test_certificate_slacks_evaluate_the_basis_once_per_state(request, monkeypat
     cert = extract_dual_certificate(solution, instance)
     assert cert.y0 is not None and cert.epsilon == (epsilon or 0.0)
     f1, f2 = certificate_slacks(cert, g, b, spec)
-    r1, r2 = _reference_slacks(cert, b, spec, g.atom_states, g.atom_controls)
+    r1, r2 = _reference_slacks(cert, b, spec, atom_states(g), atom_controls(g))
     assert np.array_equal(f1, r1) and np.array_equal(f2, r2)
 
     report = certificate_offgrid_report(cert, g, b, spec, density_factor=4)

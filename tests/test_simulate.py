@@ -15,9 +15,9 @@ from occlp.simulate import (ConstantPolicy, FeedbackPolicy, InsufficientHorizonE
                             SimulationError, StateConstraintError, abel_value, cesaro_value,
                             empirical_occupational_measure, feedback_table_policy,
                             horizon_study, integrate, periodic_value_search,
-                            rk4_step, rotation_delta_family)
-from occlp.system import dynamics_fn
+                            rotation_delta_family)
 
+from reference import atom, atom_controls, atom_states, dynamics_fn, rk4_step
 from systems import built
 
 
@@ -457,7 +457,7 @@ def test_empirical_measure_constant_trajectory(frozen):
     assert measure.total_mass == pytest.approx(1.0, abs=1e-9)
     assert np.count_nonzero(measure.weights) == 1
     a = int(np.argmax(measure.weights))
-    y, u = g.atom(a)
+    y, u = atom(g, a)
     assert np.allclose(y, (0.25, 0.75))
     assert u[0] == 0.0
 
@@ -468,9 +468,9 @@ def test_empirical_measure_equidistributes(rotation):
     traj = integrate(rotation, (1.0, 0.0), ConstantPolicy(1.0), 4 * 2 * math.pi, 1e-3)
     measure = empirical_occupational_measure(traj, g)
     # mass sits on the unit circle at the u = 1 cell, near-uniform per angle
-    radii = np.linalg.norm(g.atom_states, axis=1)
+    radii = np.linalg.norm(atom_states(g), axis=1)
     on_circle = np.abs(radii - 1.0) <= 1e-9
-    at_u1 = g.atom_controls[:, 0] == 1.0
+    at_u1 = atom_controls(g)[:, 0] == 1.0
     assert measure.weights[on_circle & at_u1].sum() == pytest.approx(1.0, abs=1e-9)
     cell_weights = measure.weights[on_circle & at_u1]
     assert np.max(np.abs(cell_weights - 1.0 / n_theta)) <= 2.0 / n_theta
@@ -489,7 +489,7 @@ def test_measure_trajectory_duality(rotation):
     policy = SchedulePolicy([0.0, 1.0], [1.0, 0.25])
     traj = integrate(rotation, (1.0, 0.0), policy, 30.0, 1e-3)
     measure = empirical_occupational_measure(traj, g)
-    phis_atoms = phi_matrix(b, g.atom_states)
+    phis_atoms = phi_matrix(b, atom_states(g))
     phis_path = phi_matrix(b, traj.states[:-1])
     cell = annulus_cell_diameter(g)
     lo, hi = rotation.region.bounding_box()
@@ -508,7 +508,7 @@ def test_empirical_measure_integral_identity(rotation):
     g = build_grid(rotation, (5, 64), 9)
     traj = integrate(rotation, (1.0, 0.0), ConstantPolicy(0.8), 50.0, 1e-3)
     measure = empirical_occupational_measure(traj, g)
-    k_atoms = rotation.cost_at(g.atom_states, g.atom_controls)
+    k_atoms = rotation.cost_at(atom_states(g), atom_controls(g))
     lhs = measure.weights @ k_atoms
     k_path = rotation.cost_at(traj.states[:-1], traj.controls)
     rhs = float(np.mean(k_path))

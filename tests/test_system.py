@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from occlp import exprs, system
+from occlp.config import ConfigError
 from occlp.system import (ControlRegion, DimensionMismatchError, RegionError,
                           StateRegion, SystemSpec, UnknownEvaluatorError)
 
+from reference import boundary_sample
 from systems import built
 
 
@@ -104,8 +106,7 @@ def test_a_spec_parses_once_and_compiles_each_evaluator_once(monkeypatch):
         start.wait(timeout=60)
         return (spec.dynamics_at(ys[:, None], us[None]).tobytes(),
                 spec.cost_at(ys[:, None], us[None]).tobytes(),
-                spec.rk4_run()((1.0, 0.0), (1.0,), 0.01, 3, [])[1],
-                system.check_first_integrals(spec).max_residual)
+                spec.rk4_run()((1.0, 0.0), (1.0,), 0.01, 3, [])[1])
     # more threads than cores, switching often, all asking at once
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -115,13 +116,13 @@ def test_a_spec_parses_once_and_compiles_each_evaluator_once(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert all(result == results[0] for result in results)
-    # dynamics, cost, held run and first integral, each once and from the trees
+    # dynamics, cost and held run, each once and from the trees
     assert parsed == []
     assert sorted(map(repr, compiled)) == sorted(map(repr, [
-        spec.dynamics, (spec.cost,), spec.dynamics, sum(spec.integrals, ())]))
+        spec.dynamics, (spec.cost,), spec.dynamics]))
     # a law run compiles on each call
     spec.rk4_run(law=(exprs.parse_expr("1", 2, 0),))
-    assert len(compiled) == 5
+    assert len(compiled) == 4
     # equality, hashing and repr cover the declared fields only
     twin = dataclasses.replace(spec)
     assert twin == spec and hash(twin) == hash(spec) and repr(twin) == repr(spec)
@@ -145,65 +146,27 @@ def test_rotation_speed_identity_and_bound(rotation):
 
 
 def test_first_integral_rotation(rotation):
-    report = system.check_first_integrals(rotation, sample_count=24)
-    assert report.passed
-    assert report.max_residual <= 1e-10
+    # the squared radius the preset declares: its drift is rounding alone
+    report = system.validate_bounds(rotation)
+    assert report.conserved == (True,)
+    assert report.max_drifts[0] <= 1e-10
 
 
 def test_first_integral_frozen_any_function():
-    spec = dataclasses.replace(built("frozen", cost="y1 + u1^2"),
-                               first_integrals=("y1^3 - y2",))
-    report = system.check_first_integrals(spec)
-    assert report.max_residual == 0.0
+    spec = built("custom", region="box", dynamics=("0", "0"), cost="y1 + u1^2",
+                 first_integrals=("y1^3 - y2",))
+    report = system.validate_bounds(spec)
+    assert report.max_drifts == (0.0,) and report.conserved == (True,)
 
 
 def test_wrong_first_integral_detected():
     # with F = y1 the drift along F is u*y2, maximised at |u| = 1, |y2| = outer
-    spec = dataclasses.replace(built("rotation"), first_integrals=("y1",))
-    report = system.check_first_integrals(spec, sample_count=24)
-    assert not report.passed
-    assert report.max_residual == pytest.approx(spec.region.outer, rel=1e-9)
-
-
-def test_forward_invariance(rotation, frozen):
-    assert system.check_forward_invariance(rotation).passed
-    report = system.check_forward_invariance(frozen)
-    assert report.passed and report.max_outward_component == 0.0
-
-
-def test_forward_invariance_violation():
-    drift = SystemSpec(dynamics_text=("1",), cost_text="y1",
-                       region=StateRegion(kind="box", lower=(0.0,), upper=(1.0,)),
-                       control=ControlRegion(lower=(-1.0,), upper=(1.0,)),
-                       bound_f=1.0, bound_k=1.0)
-    report = system.check_forward_invariance(drift)
-    assert not report.passed
-    assert report.max_outward_component == pytest.approx(1.0)
-    assert report.worst_point == (1.0,)
-
-
-def test_forward_invariance_ties_go_to_the_first_control_then_the_first_point():
-    # outward component 1 at u = 1 on the right and bottom faces, and at
-    # u = -1 on the left and top faces: the worst pair is the first point of
-    # the left face with the first control
-    spec = SystemSpec(dynamics_text=("u1", "-u1"), cost_text="y1",
-                      region=StateRegion(kind="box", lower=(0.0, 0.0), upper=(1.0, 1.0)),
-                      control=ControlRegion(lower=(-1.0,), upper=(1.0,)),
-                      bound_f=2.0, bound_k=1.0)
-    report = system.check_forward_invariance(spec, boundary_sample_count=8)
-    points, normals = spec.region.boundary_sample(8)
-    left = int(np.flatnonzero(normals[:, 0] == -1.0)[0])
-    assert report.max_outward_component == 1.0 and not report.passed
-    assert report.worst_control == (-1.0,)
-    assert report.worst_point == tuple(points[left].tolist()) == (0.0, 0.0625)
-    # the same pair as every (control, point) row taken control-major
-    us = spec.control.grid(9)
-    us_full, ys_full = np.repeat(us, len(points), axis=0), np.tile(points, (len(us), 1))
-    f_rows = np.ascontiguousarray(spec.dynamics_at(ys_full, us_full).T)
-    outward = np.einsum("ij,ij->i", f_rows, np.tile(normals, (len(us), 1)))
-    i = int(np.argmax(outward))
-    assert report == system.InvarianceReport(float(outward[i]), False, tuple(ys_full[i].tolist()),
-                                             tuple(us_full[i].tolist()))
+    with pytest.raises(ConfigError) as err:
+        built("custom", region="annulus", dynamics=("u1*y2", "-u1*y1"), cost="y1",
+              first_integrals=("y1^2 + y2^2", "y1"))
+    assert err.value.key == "first_integrals"
+    assert str(err.value) == ("first integral 'y1' is not conserved: its drift |grad F . f| "
+                              "reaches 1.5 on the sampled state region")
 
 
 def test_region_membership_and_signed_distance():
@@ -236,7 +199,7 @@ def test_region_membership_and_signed_distance():
 
 def test_box_boundary_sample_lies_on_faces():
     box = StateRegion(kind="box", lower=(0.0, -1.0), upper=(1.0, 2.0))
-    points, normals = box.boundary_sample(5)
+    points, normals = boundary_sample(box, 5)
     assert points.shape == normals.shape == (20, 2)
     lo, hi = box.bounding_box()
     for y, normal in zip(points, normals):

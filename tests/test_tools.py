@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import textwrap
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -81,3 +82,29 @@ def test_a_case_that_exits_non_zero_fails_the_run(capsys, monkeypatch):
     assert err == "1 case(s) exited non-zero: bad cost (exit 2)\n"
     monkeypatch.setattr(digests, "runs", lambda sections: cases[:1])
     assert digests.main([]) == 0
+
+
+def test_statement_lines_skip_docstrings_and_pass_and_count_nested_bodies(tmp_path):
+    traffic = _load("traffic")
+    path = tmp_path / "module.py"
+    path.write_text(textwrap.dedent('''\
+        """Module docstring."""
+        import os
+
+
+        def outer():
+            """Docstring."""
+            def inner(x):
+                """Inner docstring."""
+                if x:
+                    return os.sep
+                pass
+            return inner
+
+
+        class Empty:
+            """Class docstring."""
+            pass
+        '''), encoding="utf-8")
+    # the import, both defs, the class and inner's body; no docstring, no pass
+    assert traffic.statement_lines(path) == {2, 5, 7, 9, 10, 12, 15}

@@ -9,9 +9,10 @@ process under ``sys.settrace`` and ``threading.settrace``.  Prints the exit
 code of each run, then each ``src/occlp`` statement that never ran, grouped
 by module, and a summary line.
 
-A statement is a line on which an ``ast`` statement starts and which holds
-bytecode (so docstrings and ``pass`` are not counted); it ran when the
-tracer saw a line event on it.  A ``def`` or ``class`` line runs when its
+A statement is a line on which an ``ast`` statement other than ``pass`` or a
+docstring starts and which holds bytecode; it ran when the tracer saw a line
+event on it.  (Python 3.11 gives ``pass`` and module and class docstrings
+bytecode of their own, so they are left out by name.)  A ``def`` or ``class`` line runs when its
 module is imported, so occlp is imported only once tracing has started.
 Reports are written to a temporary directory that is removed afterwards.
 Uses the standard library only; occlp itself needs its own dependencies.
@@ -33,10 +34,16 @@ PACKAGE = ROOT / "src" / "occlp"
 
 
 def statement_lines(path: Path) -> set[int]:
-    """The lines of ``path`` on which a statement with bytecode starts."""
+    """The lines of ``path`` on which a statement with bytecode starts, other
+    than ``pass`` and docstrings."""
     source = path.read_text(encoding="utf-8")
-    starts = {node.lineno for node in ast.walk(ast.parse(source))
-              if isinstance(node, ast.stmt)}
+    tree = ast.parse(source)
+    docstrings = {id(node.body[0]) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and ast.get_docstring(node, clean=False) is not None}
+    starts = {node.lineno for node in ast.walk(tree) if isinstance(node, ast.stmt)
+              and not isinstance(node, ast.Pass) and id(node) not in docstrings}
     with_code, todo = set(), [compile(source, str(path), "exec")]
     while todo:
         code = todo.pop()
