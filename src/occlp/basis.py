@@ -7,7 +7,10 @@ The family spanning them is the tensor products P_alpha(s) = prod_j P_{alpha_j}(
 of Legendre polynomials (normalised by P_k(1) = 1) with 1 <= |alpha| <= d:
 the same span as the monomials s^alpha, but with far better conditioned LP
 rows at high degree.  The constant function is excluded: its flow and
-initial-coupling rows are identically zero.
+initial-coupling rows are identically zero.  The LP blocks are assembled
+from every element's rows (:func:`phi_matrix`, :func:`grad_matrix`); a
+polynomial over the family, such as a certificate's psi, is evaluated by
+:func:`polynomials_at`, which builds no element's row.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ def _legendre_tables(basis: BasisSpec, ys: np.ndarray) -> tuple[np.ndarray, np.n
     Values follow (k + 1) P_{k+1} = (2k + 1) s P_k - k P_{k-1} and derivatives
     P'_{k+1} = P'_{k-1} + (2k + 1) P_k, from P_0 = 1 and P_1 = s.
     """
-    s = basis.scale(ys).T  # (m, n)
+    s = np.ascontiguousarray(basis.scale(ys).T)  # (m, n)
     d = basis.max_degree
     values = np.empty((basis.dim, d + 1, s.shape[1]))
     derivs = np.zeros_like(values)
@@ -125,6 +128,34 @@ def grad_matrix(basis: BasisSpec, ys: np.ndarray) -> np.ndarray:
                 out[b, :, j] = reduce(mul, [scaled[j, e]] + [
                     values[i, ei] for i, ei in enumerate(alpha) if i != j and ei])
     return out
+
+
+def polynomials_at(basis: BasisSpec, coeffs: np.ndarray,
+                   ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and gradients w.r.t. unscaled coordinates of the polynomials
+    ``sum_b coeffs[r, b] phi_b`` at row-stacked points, shapes (rows, n) and
+    (rows, m, n).
+
+    Each coefficient row is put on its (d + 1)^m tensor of per-axis degrees
+    and contracted with the Legendre tables one axis at a time, the
+    derivative table on a gradient component's own axis.  This sums in
+    another order than contracting :func:`phi_matrix` or :func:`grad_matrix`,
+    so the two agree to rounding, not bitwise."""
+    coeffs = np.atleast_2d(coeffs)
+    values, derivs = _legendre_tables(basis, ys)
+    derivs = derivs / np.asarray(basis.scale_half)[:, None, None]
+    m, last = basis.dim, basis.dim - 1
+    tensor = np.zeros((len(coeffs),) + (basis.max_degree + 1,) * m)
+    tensor[(slice(None), *np.array(basis.exponents).T)] = coeffs
+    # a partial holds one point axis last in place of the axes contracted,
+    # and each later axis is summed against its table point by point
+    value, grads = tensor @ values[last], {last: tensor @ derivs[last]}
+    per_point = "...an,an->...n"
+    for j in range(last - 1, -1, -1):
+        grads = {i: np.einsum(per_point, grad, values[j]) for i, grad in grads.items()}
+        grads[j] = np.einsum(per_point, value, derivs[j])
+        value = np.einsum(per_point, value, values[j])
+    return value, np.stack([grads[j] for j in range(m)], axis=1)
 
 
 def sup_norms(basis: BasisSpec, sample_points: np.ndarray) -> np.ndarray:

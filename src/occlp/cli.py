@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .basis import basis_for_region
-from .config import ConfigError, StudyConfig, build_policy, default_config_text, parse_config
+from .config import ConfigError, StudyConfig, default_config_text, parse_config
 from .grid import DiscreteMeasure, GridError, LpBlocks, build_grid
 from .metrics import MetricError, make_test_function_set, rho_hat
 from .oracle import (OracleError, frozen_value, is_frozen, level_set_ordering, rotates,
@@ -313,7 +313,7 @@ def _simulate_section(bundle, blocks, cfg: StudyConfig, solve_results):
     if not sim.policy:
         return
     spec, y0 = blocks.grid.spec, blocks.y0_requested
-    policy = build_policy(sim.policy, spec, y0)
+    policy = cfg.simulate_policy()
 
     # windows of one run, reused for average values, empirical measures,
     # residual decay and the weak-* distance trend

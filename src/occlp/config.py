@@ -145,10 +145,22 @@ class StudyConfig:
         per value of that section: :func:`parse_config` builds it to validate
         the config, and the study that runs the config reads the same spec.
         A section changed after that is built anew."""
-        built = self.__dict__.get("_system_spec")
-        if built is None or built[0] != self.system:
-            built = self.__dict__["_system_spec"] = (replace(self.system),
-                                                     build_system(self.system))
+        return self._once("_system_spec", replace(self.system),
+                          lambda: build_system(self.system))
+
+    def simulate_policy(self) -> Policy:
+        """The ``[simulate]`` policy (:func:`build_policy`) of the system at
+        y0, built once per value of the three, as :meth:`system_spec` is: the
+        simulate section runs the policy that :func:`parse_config` built."""
+        text, spec, y0 = self.simulate.policy, self.system_spec(), tuple(self.program.y0)
+        return self._once("_simulate_policy", (text, spec, y0),
+                          lambda: build_policy(text, spec, np.asarray(y0, dtype=float)))
+
+    def _once(self, name: str, key, build):
+        """``build()``, kept under ``name`` and built anew when ``key`` changes."""
+        built = self.__dict__.get(name)
+        if built is None or built[0] != key:
+            built = self.__dict__[name] = (key, build())
         return built[1]
 
 
@@ -411,7 +423,7 @@ def parse_config(text: str) -> StudyConfig:
                           line_of("program", "y0"))
     if sim.policy:
         try:
-            build_policy(sim.policy, spec, y0)
+            cfg.simulate_policy()
         except ConfigError as err:
             raise ConfigError(str(err), line_of("simulate", "policy")) from err
     return cfg

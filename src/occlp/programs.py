@@ -74,7 +74,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSpec, grad_matrix, phi_matrix
+from .basis import BasisSpec, polynomials_at
 from .grid import DiscreteMeasure, Grid, LpBlocks, snap_to_state_grid, stack_rows
 from .system import SystemSpec, lattice, rate_along
 
@@ -522,17 +522,23 @@ def _seed_atoms(grid: Grid, n_col: int, rows: int, y0) -> np.ndarray | None:
     return np.flatnonzero(np.repeat(seeded, grid.control_points.shape[0]))
 
 
+def _corner_controls(controls: np.ndarray) -> np.ndarray:
+    """Which rows of a control grid are corners of its box: the first or last
+    grid value on every axis."""
+    return np.all((controls == controls.min(axis=0)) | (controls == controls.max(axis=0)), axis=1)
+
+
 def _xi_seed(grid: Grid, atoms: np.ndarray | None) -> tuple[np.ndarray | None, str]:
     """The xi atoms a cold model starts from (None for every atom), and the
     name its INFO line gives them.
 
     When the system's dynamics are multilinear in the controls
     (``SystemSpec.dynamics_multilinear``), these are the atoms whose control
-    is a corner of the control grid: the first or last grid value on every
-    axis.  An xi column's entries are grad phi(y) . f(y, u) in the initial
-    rows and 1 in the cap row, and its cost is the same at every control, so
-    with f multilinear in u the column at a grid control is the combination
-    of the columns at the corners, at the same state, with the multilinear
+    is a corner of the control grid (:func:`_corner_controls`).  An xi
+    column's entries are grad phi(y) . f(y, u) in the initial rows and 1 in
+    the cap row, and its cost is the same at every control, so with f
+    multilinear in u the column at a grid control is the combination of the
+    columns at the corners, at the same state, with the multilinear
     interpolation weights of u, which are nonnegative and sum to 1.  Any
     point is then matched, row for row and in cost, by one on the corners,
     and the corners' master already has the LP's optimum; the run's pricing
@@ -540,8 +546,7 @@ def _xi_seed(grid: Grid, atoms: np.ndarray | None) -> tuple[np.ndarray | None, s
     starts from ``atoms``, the gamma block's seed."""
     controls = grid.control_points
     if grid.spec.dynamics_multilinear:
-        corner = np.all((controls == controls.min(axis=0)) | (controls == controls.max(axis=0)),
-                        axis=1)
+        corner = _corner_controls(controls)
         return (np.flatnonzero(np.tile(corner, grid.state_points.shape[0])),
                 f"xi at {np.count_nonzero(corner)} of {len(controls)} controls")
     return atoms, "xi at every atom" if atoms is None else "xi on the sub-lattice"
@@ -734,32 +739,40 @@ def extract_dual_certificate(solution: LpSolution, instance: LpInstance) -> Dual
 
 def certificate_slacks(cert: DualCertificate, grid: Grid, basis: BasisSpec,
                        spec: SystemSpec, ys: np.ndarray | None = None):
-    """Pointwise slacks of the two certificate inequality families.
+    """Each state's minimum slack of the two certificate inequality families
+    over the grid controls.
 
-    The slacks are taken at every pair of a state in ``ys`` (default: the
-    grid's state points, which gives the grid atoms) and a grid control, in
-    state-major atom order.  psi, grad psi and grad eta are evaluated once per
-    state, the dynamics and the cost on the states against the controls by
-    broadcasting, so no (state, control) row is built.  Returns (lower-bound
-    family slacks, monotonicity family slacks).
+    The states are ``ys`` (default: the grid's state points, which gives the
+    grid atoms).  psi, grad psi and grad eta are evaluated once per state
+    (:func:`~occlp.basis.polynomials_at`), the dynamics and the cost on the
+    states against the controls by broadcasting, so no (state, control) row
+    is built.  A family multilinear in u is taken at the control grid's
+    corners only (:func:`_corner_controls`): the monotonicity family when
+    ``spec.dynamics_multilinear``, the lower-bound family when
+    ``spec.cost_multilinear`` too.  At a fixed state such a family's minimum
+    over the control box is at a vertex, so each minimum is still the one
+    over every grid control.  Returns (lower-bound family minima,
+    monotonicity family minima), one per state.
     """
     if ys is None:
         ys = grid.state_points
-    pairs = (ys[:, None, :], grid.control_points[None, :, :])
+    controls = grid.control_points
+    every = np.ones(controls.shape[0], dtype=bool)
+    monotonicity = _corner_controls(controls) if spec.dynamics_multilinear else every
+    lower = monotonicity if spec.cost_multilinear else every
+    pairs = (ys[:, None, :], controls[lower][None, :, :])
     f_vals = spec.dynamics_at(*pairs)  # (m, n, k)
-    grads = grad_matrix(basis, ys)
-    psi_vals = cert.psi_coeffs @ phi_matrix(basis, ys)
-    # grad eta and grad psi per state, axis first: (m, n, 1) against f_vals
-    grad_eta = np.einsum("b,bnm->nm", cert.eta_coeffs, grads).T[..., None]
-    grad_psi = np.einsum("b,bnm->nm", cert.psi_coeffs, grads).T[..., None]
-    psi_at_y0 = (float(cert.psi_coeffs @ phi_matrix(basis, cert.y0[None, :])[:, 0])
+    values, grads = polynomials_at(basis, np.stack([cert.psi_coeffs, cert.eta_coeffs]), ys)
+    # grad psi and grad eta per state, axis first: (m, n, 1) against f_vals
+    grad_psi, grad_eta = grads[..., None]
+    psi_at_y0 = (float(polynomials_at(basis, cert.psi_coeffs, cert.y0[None, :])[0][0, 0])
                  if cert.y0 is not None else 0.0)
-    family1 = (spec.cost_at(*pairs) + (psi_at_y0 - psi_vals)[:, None]
+    family1 = (spec.cost_at(*pairs) + (psi_at_y0 - values[0])[:, None]
                + rate_along(grad_eta, f_vals) - cert.mu
                + 2.0 * cert.epsilon)
-    family2 = (rate_along(grad_psi, f_vals)
+    family2 = (rate_along(grad_psi, f_vals[..., monotonicity[lower]])
                + cert.f_bound * cert.epsilon)
-    return family1.ravel(), family2.ravel()
+    return family1.min(axis=1), family2.min(axis=1)
 
 
 def certificate_offgrid_report(cert: DualCertificate, grid: Grid, basis: BasisSpec,
@@ -769,10 +782,12 @@ def certificate_offgrid_report(cert: DualCertificate, grid: Grid, basis: BasisSp
     than the grid.  The finite certificate is not expected to be feasible off
     the grid; the report quantifies how far off it is.
 
-    The slacks are taken ``chunk`` sample states at a time and only their
-    running minima are kept, so memory is bounded by one block of
-    ``chunk`` × controls pairs, not by the sample.  ``sample_count`` is still
-    every state × control pair.
+    The slacks are taken ``chunk`` sample states at a time, one call of
+    :func:`certificate_slacks` per chunk, at the control grid's corners where
+    a family is multilinear in u, and only their running minima are kept, so
+    memory is bounded by one block of ``chunk`` × controls pairs, not by the
+    sample.  ``sample_count`` is still every state × control pair, since the
+    minima cover them all.
     """
     if spec.region.kind == "annulus":
         n_r, n_theta = grid.resolution

@@ -135,11 +135,12 @@ class StateRegion:
 
     def lattice(self, resolution) -> np.ndarray:
         """Points of the region's product lattice, shape (K, dim), first axis slowest."""
-        points = lattice(self.axes(resolution))
         if self.kind == "box":
-            return points
-        r, theta = points[:, 0], points[:, 1]
-        return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
+            return lattice(self.axes(resolution))
+        # r cos(theta) and r sin(theta), with cos and sin taken once per angle
+        radii, angles = self.axes(resolution)
+        return np.stack([np.outer(radii, np.cos(angles)).ravel(),
+                         np.outer(radii, np.sin(angles)).ravel()], axis=1)
 
     def stencil(self, resolution, ys) -> np.ndarray:
         """Indices into :meth:`lattice` around the analytic cell of each row of
@@ -280,9 +281,11 @@ class SystemSpec:
     once whether the dynamics are multilinear in the controls,
     ``dynamics_multilinear`` (``exprs.multilinear_in_controls``), which lets
     the LPs seed their xi columns at the control grid's corners
-    (``programs._seed_columns``).  Each evaluator is compiled from the trees on
-    first use, once per spec, also when pool threads ask for it together.
-    Equality, hashing and repr cover the declared fields only.
+    (``programs._seed_columns``), and whether the cost is,
+    ``cost_multilinear``, which lets certificate slacks be minimised there
+    (``programs.certificate_slacks``).  Each evaluator is compiled from the
+    trees on first use, once per spec, also when pool threads ask for it
+    together.  Equality, hashing and repr cover the declared fields only.
     """
 
     dynamics_text: tuple[str, ...]
@@ -311,7 +314,8 @@ class SystemSpec:
                                         "cost_text") from err
         self.__dict__.update(dynamics=dynamics, cost=cost, integrals=tuple(
             _parse_integral(text, m) for text in self.first_integrals),
-            dynamics_multilinear=exprs.multilinear_in_controls(dynamics, p))
+            dynamics_multilinear=exprs.multilinear_in_controls(dynamics, p),
+            cost_multilinear=exprs.multilinear_in_controls((cost,), p))
 
     def _compiled(self, name: str, compile_nodes, nodes):
         """The evaluator ``name``: ``compile_nodes(nodes)`` on first use, kept after."""

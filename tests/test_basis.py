@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occlp.basis import (BasisError, _legendre_tables, basis_for_region, enumerate_basis,
-                         grad_matrix, phi_matrix)
+                         grad_matrix, phi_matrix, polynomials_at)
 from occlp.system import StateRegion
 
 
@@ -188,3 +188,27 @@ def test_products_are_bitwise_the_per_element_ones(lower, upper):
                 grads[k, :, j] = acc
     assert phi_matrix(b, points).tobytes() == phi.tobytes()
     assert grad_matrix(b, points).tobytes() == grads.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("d", range(1, 7))
+def test_polynomials_at_is_the_contraction_of_the_element_matrices(m, d):
+    # random coefficient rows over a box that does not scale to the identity:
+    # values and gradients agree with the sums over the elements' rows of
+    # phi_matrix and grad_matrix entry by entry, within 16 machine epsilons of
+    # the sum of the absolute values of the summed terms (at most 5 seen)
+    rng = np.random.default_rng(10 * m + d)
+    lower, upper = np.array([-1.5, 0.0, 2.0][:m]), np.array([2.0, 0.5, 7.0][:m])
+    b = enumerate_basis(m, d, lower, upper)
+    points = rng.uniform(lower, upper, size=(200, m))
+    coeffs = rng.normal(size=(3, b.count)) * 10.0 ** rng.integers(-3, 2, size=(3, b.count))
+    phi, grads = phi_matrix(b, points), grad_matrix(b, points)
+    values, gradients = polynomials_at(b, coeffs, points)
+    assert values.shape == (3, len(points)) and gradients.shape == (3, m, len(points))
+    bound = 16 * np.finfo(float).eps
+    assert np.all(np.abs(values - coeffs @ phi) <= bound * (np.abs(coeffs) @ np.abs(phi)))
+    assert np.all(np.abs(gradients - np.einsum("rb,bnm->rmn", coeffs, grads))
+                  <= bound * np.einsum("rb,bnm->rmn", np.abs(coeffs), np.abs(grads)))
+    # one coefficient vector is one row
+    one_values, one_gradients = polynomials_at(b, coeffs[1], points)
+    assert one_values.shape == (1, len(points)) and one_gradients.shape == (1, m, len(points))

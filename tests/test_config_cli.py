@@ -688,6 +688,26 @@ def test_one_cli_run_builds_its_system_once(tmp_path, monkeypatch):
     assert len(builds) == 1
 
 
+def test_one_study_builds_its_simulate_policy_once(monkeypatch):
+    # parse_config builds the policy to validate it, and the simulate section
+    # runs that policy rather than parsing its law again; a changed policy
+    # text is built anew
+    laws, family = [], config.rotation_delta_family
+    monkeypatch.setattr(config, "rotation_delta_family",
+                        lambda *args: laws.append(args[2]) or family(*args))
+    text = ACCEPTANCE_CONFIG.read_text()
+    for key, value in (("variants", "[ergodic]"), ("policy", "rotation_delta:0.5"),
+                       ("horizons", "[2.0]"), ("abel_rates", "[]"),
+                       ("periodic_deltas", "[]")):
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+    cfg = parse_config(text)
+    bundle = run_study(cfg, sections=("simulate",))
+    assert laws == [[0.5]] and "cesaro[T=2]" in bundle.values
+    cfg.simulate.policy = "rotation_delta:0.25"
+    run_study(cfg, sections=("simulate",))
+    assert laws == [[0.5], [0.25]]
+
+
 def test_a_changed_system_section_is_built_anew():
     cfg = parse_config(FROZEN_STUDY)
     spec = cfg.system_spec()

@@ -25,7 +25,7 @@ from occlp.programs import (CERTIFICATE_TOL, PRIMAL_RESIDUAL_TOL, LpInstance, Pr
                             certificate_slacks, extract_dual_certificate, lp_name,
                             membership_residual, snap_to_state_grid, solve, solve_chain,
                             verify_weak_duality)
-from occlp.system import ControlRegion, StateRegion, SystemSpec, lattice
+from occlp.system import ControlRegion, StateRegion, SystemSpec, lattice, rate_along
 
 from reference import atom, atom_controls, atom_states
 from systems import built
@@ -760,6 +760,46 @@ def _reference_slacks(cert, basis, spec, ys, us):
     return family1, family2
 
 
+# certificate_slacks contracts psi, grad psi and grad eta with the Legendre
+# tables in another order than the references' sums over the basis elements,
+# so the two agree to rounding, not bitwise: entry by entry within SLACK_ULPS
+# machine epsilons times the sum of the absolute values of the summed terms
+# (at most 2.5 seen)
+SLACK_ULPS = 16
+
+
+def _slack_magnitudes(cert, basis, spec, ys, us):
+    """Both families' sums of the absolute values of their terms, at row-paired
+    (state, control) points: each basis element's term in psi(y0), psi(y),
+    grad eta . f and grad psi . f, the cost, mu and the epsilon terms."""
+    f_abs = np.abs(dynamics_rows(spec, ys, us))
+    grad_abs = np.abs(grad_matrix(basis, ys))
+    psi_abs, eta_abs = np.abs(cert.psi_coeffs), np.abs(cert.eta_coeffs)
+    at_y0 = (psi_abs @ np.abs(phi_matrix(basis, cert.y0[None, :]))[:, 0]
+             if cert.y0 is not None else 0.0)
+    family1 = (np.abs(cost_rows(spec, ys, us)) + at_y0 + psi_abs @ np.abs(phi_matrix(basis, ys))
+               + np.einsum("b,bnm,nm->n", eta_abs, grad_abs, f_abs) + abs(cert.mu)
+               + 2.0 * cert.epsilon)
+    family2 = np.einsum("b,bnm,nm->n", psi_abs, grad_abs, f_abs) + cert.f_bound * cert.epsilon
+    return family1, family2
+
+
+def assert_within_rounding(got, want, magnitude):
+    assert got.shape == want.shape == magnitude.shape
+    assert np.all(np.abs(got - want) <= SLACK_ULPS * np.finfo(float).eps * magnitude)
+
+
+def assert_state_minima_within_rounding(got, want, magnitudes):
+    """Each family's per-state minima against the per-state minima over every
+    control of the state-major reference pairs, within the rounding of the
+    state's largest pair."""
+    for family, reference, magnitude in zip(got, want, magnitudes):
+        n = family.shape[0]
+        assert family.shape == (n,)
+        assert_within_rounding(family, reference.reshape(n, -1).min(axis=1),
+                               magnitude.reshape(n, -1).max(axis=1))
+
+
 @pytest.fixture(scope="module")
 def box_drift_setup():
     spec = SystemSpec(dynamics_text=("-y1 + u1", "-y2 + y1"), cost_text="y2^2 + 0.5*u1^2",
@@ -782,21 +822,29 @@ def test_certificate_slacks_evaluate_the_basis_once_per_state(request, monkeypat
     solution = solve(instance)
     cert = extract_dual_certificate(solution, instance)
     assert cert.y0 is not None and cert.epsilon == (epsilon or 0.0)
-    f1, f2 = certificate_slacks(cert, g, b, spec)
-    r1, r2 = _reference_slacks(cert, b, spec, atom_states(g), atom_controls(g))
-    assert np.array_equal(f1, r1) and np.array_equal(f2, r2)
+    atoms = atom_states(g), atom_controls(g)
+    assert_state_minima_within_rounding(certificate_slacks(cert, g, b, spec),
+                                        _reference_slacks(cert, b, spec, *atoms),
+                                        _slack_magnitudes(cert, b, spec, *atoms))
 
-    report = certificate_offgrid_report(cert, g, b, spec, density_factor=4)
     if spec.region.kind == "annulus":
         n_r, n_theta = g.resolution
         ys = spec.region.lattice((n_r * 4, n_theta * 4))
     else:
         ys = lattice([np.linspace(-1.0, 1.0, r * 4) for r in g.resolution])
-    r1, r2 = _reference_slacks(cert, b, spec, *product_rows(ys, g.control_points))
-    reference = {"min_lower_bound_slack": float(np.min(r1)),
-                 "min_monotonicity_slack": float(np.min(r2)),
-                 "sample_count": r1.shape[0]}
-    assert report == reference
+    rows = product_rows(ys, g.control_points)
+    r1, r2 = _reference_slacks(cert, b, spec, *rows)
+    m1, m2 = _slack_magnitudes(cert, b, spec, *rows)
+
+    def assert_is_reference(report):
+        # the minima over every pair, within the rounding of the largest pair
+        assert report["sample_count"] == r1.shape[0]
+        assert_within_rounding(np.array(report["min_lower_bound_slack"]), np.min(r1),
+                               np.max(m1))
+        assert_within_rounding(np.array(report["min_monotonicity_slack"]), np.min(r2),
+                               np.max(m2))
+
+    assert_is_reference(certificate_offgrid_report(cert, g, b, spec, density_factor=4))
     # 7 states a block: many blocks, and a ragged last one, which together
     # are the sample in order
     assert ys.shape[0] % 7
@@ -807,7 +855,7 @@ def test_certificate_slacks_evaluate_the_basis_once_per_state(request, monkeypat
         return certificate_slacks(cert, grid, basis, spec, block)
 
     monkeypatch.setattr(programs, "certificate_slacks", recording)
-    assert certificate_offgrid_report(cert, g, b, spec, density_factor=4, chunk=7) == reference
+    assert_is_reference(certificate_offgrid_report(cert, g, b, spec, density_factor=4, chunk=7))
     assert {len(block) for block in blocks[:-1]} == {7}
     assert np.array_equal(np.vstack(blocks), ys)
 
@@ -815,7 +863,7 @@ def test_certificate_slacks_evaluate_the_basis_once_per_state(request, monkeypat
 def _product_rows_slacks(cert, grid, basis, spec, ys):
     """Both slack families with every (state, control) pair built as a row, and
     psi, grad psi and grad eta repeated over the controls: the formulation that
-    ``certificate_slacks`` broadcasts, kept as its bitwise reference."""
+    ``certificate_slacks`` broadcasts, kept as its reference."""
     n_controls = grid.control_points.shape[0]
     ys_full, us_full = product_rows(ys, grid.control_points)
     f_vals = dynamics_rows(spec, ys_full, us_full)
@@ -865,10 +913,56 @@ def test_broadcast_slacks_are_bitwise_the_product_rows_slacks(request, setup, po
     ys = (g.state_points if points == "grid"
           else lattice([np.linspace(lo[j], hi[j], 4 * r) for j, r in enumerate(g.resolution)]))
     got = certificate_slacks(cert, g, b, spec, None if points == "grid" else ys)
-    want = _product_rows_slacks(cert, g, b, spec, ys)
-    for family, reference in zip(got, want):
-        assert family.shape == reference.shape == (ys.shape[0] * g.control_points.shape[0],)
-        assert family.tobytes() == reference.tobytes()
+    assert [family.shape for family in got] == [(ys.shape[0],)] * 2
+    assert_state_minima_within_rounding(
+        got, _product_rows_slacks(cert, g, b, spec, ys),
+        _slack_magnitudes(cert, b, spec, *product_rows(ys, g.control_points)))
+
+
+@pytest.fixture(scope="module")
+def squared_control_setup():
+    spec = SystemSpec(dynamics_text=("u1^2*y2", "-u1*y1"), cost_text="y1 + u1",
+                      region=StateRegion(kind="annulus", inner=0.5, outer=1.5),
+                      control=ControlRegion(lower=(-1.0,), upper=(1.0,)),
+                      bound_f=1.5, bound_k=2.5)
+    return spec, build_grid(spec, (3, 16), 9), basis_for_region(spec.region, 4)
+
+
+@pytest.mark.parametrize("setup,multilinear,counts", [
+    # the rotation: both families at the 2 corners of 9 controls
+    ("rotation_setup", (True, True), (2, 2)),
+    # box-custom's system, cost 0.5*u1^2: the lower-bound family at all 5
+    ("box_drift_setup", (True, False), (5, 2)),
+    # u1^2 in the dynamics: both families at every control
+    ("squared_control_setup", (False, True), (9, 9))])
+@pytest.mark.parametrize("kind", ["coupled", "perturbed"])
+def test_corner_minima_are_the_minima_over_every_control(request, monkeypatch, setup,
+                                                         multilinear, counts, kind):
+    spec, g, b = request.getfixturevalue(setup)
+    assert (spec.dynamics_multilinear, spec.cost_multilinear) == multilinear
+    rng = np.random.default_rng(len(setup) + len(kind))
+    coeffs = rng.normal(size=(2, b.count)) * 10.0 ** rng.integers(-3, 2, size=(2, b.count))
+    cert = programs.DualCertificate(
+        mu=float(rng.normal()), psi_coeffs=coeffs[0], eta_coeffs=coeffs[1],
+        y0=g.state_points[1], epsilon=0.1 if kind == "perturbed" else 0.0,
+        f_bound=spec.bound_f if kind == "perturbed" else 0.0)
+    lo, hi = spec.region.bounding_box()
+    ys = np.random.default_rng(5).uniform(lo, hi, size=(300, spec.dim_state))
+    rows = product_rows(ys, g.control_points)
+    # grad eta . f, then grad psi . f: how many controls each family is taken at
+    widths = []
+
+    def recording(grad, f_vals):
+        widths.append(f_vals.shape[-1])
+        return rate_along(grad, f_vals)
+
+    monkeypatch.setattr(programs, "rate_along", recording)
+    # each state's minimum over the controls taken, against the one over every
+    # grid control of the brute-force slacks
+    assert_state_minima_within_rounding(certificate_slacks(cert, g, b, spec, ys),
+                                        _reference_slacks(cert, b, spec, *rows),
+                                        _slack_magnitudes(cert, b, spec, *rows))
+    assert tuple(widths) == counts
 
 
 def test_product_evaluators_are_bitwise_the_batch_evaluators(request):

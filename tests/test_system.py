@@ -234,3 +234,21 @@ def test_the_shipped_systems_are_multilinear_in_the_controls():
     # the cost plays no part; a control squared in the dynamics does
     squared = dataclasses.replace(box, dynamics_text=("-y1 + u1^2 - 0.5*u1", "-y2 + y1"))
     assert not squared.dynamics_multilinear
+
+
+@pytest.mark.parametrize("inner,outer,resolution", [(0.5, 1.5, (5, 64)), (0.5, 1.5, (50, 1280)),
+                                                    (0.3, 2.0, (7, 13)), (1.0, 1.0, (1, 37)),
+                                                    (1.0, 1.0, (3, 8))])
+def test_the_annulus_lattice_is_bitwise_the_per_point_polar_formula(inner, outer, resolution):
+    # every (radius, angle) pair as a row, first axis slowest, and each point
+    # r cos(theta), r sin(theta) from its own row; a one-radius circle gives
+    # one ring whatever n_r asks for
+    region = StateRegion(kind="annulus", inner=inner, outer=outer)
+    n_r, n_theta = resolution
+    radii = np.linspace(inner, outer, n_r) if outer > inner else np.array([inner])
+    theta = np.tile(2.0 * np.pi * np.arange(n_theta) / n_theta, len(radii))
+    r = np.repeat(radii, n_theta)
+    want = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
+    got = region.lattice(resolution)
+    assert got.shape == want.shape == (len(radii) * n_theta, 2)
+    assert got.tobytes() == want.tobytes()

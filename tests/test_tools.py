@@ -66,7 +66,35 @@ def test_two_dumps_of_one_tree_compare_equal_and_an_edit_is_listed(tmp_path, cap
         f"{label}: invariant ergodic.solved: passed -> failed",
         f"{label}: measure ergodic.gamma: support changed, {len(support)} -> {len(support)} "
         "atoms, 1 added, 1 dropped",
-        f"{label}: values.nonergodic.value: {value!r} -> {value + 0.125!r} (abs diff 0.125)"]
+        f"{label}: values.nonergodic.value: {value!r} -> {value + 0.125!r} (abs diff 0.125)",
+        "1 values moved, largest abs change 0.125, 1 invariant outcomes changed"]
+
+
+def test_a_comparison_ends_with_one_summary_line(tmp_path, capsys):
+    # two cases: numbers moved in both, a detail string in one and an
+    # invariant outcome in the other; the summary counts them over every case
+    digests = _load("digests")
+    before = {"a": {"values": {"x": 1.0, "y": -2.0}, "invariants": [
+                  {"name": "ok", "passed": True, "detail": "min slacks 1e-3"}]},
+              "b": {"values": {"x": 4.0}, "invariants": [
+                  {"name": "ok", "passed": True, "detail": "d"}]}}
+    after = {"a": {"values": {"x": 1.0 + 2.0 ** -52, "y": -2.0}, "invariants": [
+                 {"name": "ok", "passed": True, "detail": "min slacks 2e-3"}]},
+             "b": {"values": {"x": 3.5}, "invariants": [
+                 {"name": "ok", "passed": False, "detail": "d"}]}}
+    for root, reports in (("old", before), ("new", after)):
+        for label, report in reports.items():
+            (tmp_path / root / label).mkdir(parents=True)
+            (tmp_path / root / label / "report.json").write_text(json.dumps(report))
+        (tmp_path / root / "cases.json").write_text(json.dumps({"a": 0, "b": 0}))
+    assert digests.main(["--compare", str(tmp_path / "old"), str(tmp_path / "new")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 5 and out[:-1] == [
+        "a: invariants.ok.detail: 'min slacks 1e-3' -> 'min slacks 2e-3'",
+        f"a: values.x: 1.0 -> {1.0 + 2.0 ** -52!r} (abs diff 2.22e-16)",
+        "b: invariant ok: passed -> failed",
+        "b: values.x: 4.0 -> 3.5 (abs diff 0.5)"]
+    assert out[-1] == "3 values moved, largest abs change 0.5, 1 invariant outcomes changed"
 
 
 def test_a_case_that_exits_non_zero_fails_the_run(capsys, monkeypatch):

@@ -24,8 +24,10 @@ every report that a change moved and every run whose solver path it moved.
 under DIR and the exit codes to ``DIR/cases.json``.  ``--compare`` reads two
 such dumps and prints, per case, each change of exit code or invariant
 outcome, each measure whose support changed and every other value that
-changed, a number with its absolute difference.  It prints nothing, and
-exits 0, when the dumps hold the same cases with the same values.
+changed, a number with its absolute difference, and ends with one summary
+line: how many values moved, the largest absolute change among them and how
+many invariant outcomes changed.  It prints nothing, and exits 0, when the
+dumps hold the same cases with the same values.
 Uses the standard library only; occlp itself needs its own dependencies.
 """
 
@@ -130,10 +132,24 @@ def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def compare_reports(old: dict, new: dict) -> list[str]:
+class Tally:
+    """What a comparison moved: changed values (every changed leaf but an
+    invariant's outcome), the largest absolute change of a number among them,
+    and changed invariant outcomes."""
+
+    def __init__(self):
+        self.values, self.largest, self.invariants = 0, 0.0, 0
+
+    def line(self) -> str:
+        return (f"{self.values} values moved, largest abs change {self.largest:.3g}, "
+                f"{self.invariants} invariant outcomes changed")
+
+
+def compare_reports(old: dict, new: dict, tally: Tally) -> list[str]:
     """The differences of two reports of one case, one line each: invariant
     outcomes first, then measures whose support changed, then every other
-    changed value (a measure's weights only where its support is the same)."""
+    changed value (a measure's weights only where its support is the same).
+    Each changed outcome and value is also counted in ``tally``."""
     old, new = _keyed(old), _keyed(new)
     lines = []
     for name in sorted(set(old["invariants"]) | set(new["invariants"])):
@@ -142,6 +158,7 @@ def compare_reports(old: dict, new: dict) -> list[str]:
         if before != after:
             word = {True: "passed", False: "failed", None: "absent"}
             lines.append(f"invariant {name}: {word[before]} -> {word[after]}")
+            tally.invariants += 1
     skip = set()
     old_measures, new_measures = old.get("measures", {}), new.get("measures", {})
     for name in sorted(set(old_measures) | set(new_measures)):
@@ -164,15 +181,22 @@ def compare_reports(old: dict, new: dict) -> list[str]:
         if before is missing or after is missing:
             lines.append(f"{path}: {'absent' if before is missing else repr(before)} -> "
                          f"{'absent' if after is missing else repr(after)}")
+            tally.values += 1
         elif repr(before) != repr(after):  # -0.0 and 0.0 print differently too
-            diff = (f" (abs diff {abs(after - before):.3g})"
-                    if _number(before) and _number(after) else "")
+            diff = ""
+            if _number(before) and _number(after):
+                tally.largest = max(tally.largest, abs(after - before))
+                diff = f" (abs diff {abs(after - before):.3g})"
             lines.append(f"{path}: {before!r} -> {after!r}{diff}")
+            tally.values += 1
     return lines
 
 
 def compare_dumps(old_dir: Path, new_dir: Path) -> list[str]:
-    """Every difference between two dumps, each line led by its case's label."""
+    """Every difference between two dumps, each line led by its case's label,
+    then one line of the :class:`Tally` of every case; no line when the dumps
+    do not differ."""
+    tally = Tally()
     old_cases = json.loads((old_dir / CASES).read_text(encoding="utf-8"))
     new_cases = json.loads((new_dir / CASES).read_text(encoding="utf-8"))
     lines = []
@@ -189,8 +213,8 @@ def compare_dumps(old_dir: Path, new_dir: Path) -> list[str]:
                 lines.append(f"{label}: report.json only in {reports[present.index(True)]}")
             continue
         old, new = (json.loads(report.read_text(encoding="utf-8")) for report in reports)
-        lines += [f"{label}: {line}" for line in compare_reports(old, new)]
-    return lines
+        lines += [f"{label}: {line}" for line in compare_reports(old, new, tally)]
+    return lines + [tally.line()] if lines else []
 
 
 def main(argv=None) -> int:
