@@ -517,8 +517,8 @@ def build_system(cfg: SystemConfig) -> SystemSpec:
         defaults = (1.1 * report.max_dynamics_norm, 1.1 * report.max_cost_abs)
     else:
         defaults = (analytic_f, report.max_cost_abs)
-    return replace(probe, bound_f=defaults[0] if cfg.bound_f is None else cfg.bound_f,
-                   bound_k=defaults[1] if cfg.bound_k is None else cfg.bound_k)
+    return probe.with_bounds(defaults[0] if cfg.bound_f is None else cfg.bound_f,
+                             defaults[1] if cfg.bound_k is None else cfg.bound_k)
 
 
 def build_policy(text: str, spec: SystemSpec, y0) -> Policy:

@@ -11,10 +11,11 @@ symbolic differentiation with respect to state variables, which is what the
 first-integral check of every system build relies on.
 
 Three compilation targets are provided: a scalar form operating on plain
-float tuples, a run of Runge-Kutta steps on plain floats with the expressions
+float tuples; a run of Runge-Kutta steps on plain floats with the expressions
 inlined (the fixed-step integrator's inner loop, where numpy's per-call
-overhead would dominate), at one held control or under a feedback law, and
-one numpy form over states and controls whose leading shapes broadcast, which
+overhead would dominate), closed by a law over the state and the run's
+control argument, which a held control reads as ``(u1, ..., up)``; and one
+numpy form over states and controls whose leading shapes broadcast, which
 evaluates row-paired points and state × control products alike (grid
 assembly, certificate slacks, oracles, trajectory costs).  The scalar forms raise
 ``ValueError`` where a function leaves its domain (``sqrt`` or ``^`` of a
@@ -27,6 +28,7 @@ import ast
 import math
 import operator
 import re
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -310,6 +312,13 @@ def _emit(node: Node, var) -> str:
     raise ExpressionError(f"cannot compile node {node!r}")
 
 
+def variables(node: Node) -> set[Var]:
+    """The variables that ``node`` reads: those its source names."""
+    found = set()
+    _emit(node, lambda v: found.add(v) or "")
+    return found
+
+
 def _subscript(v: Var) -> str:
     return f"{v.kind}[{v.index}]"
 
@@ -324,7 +333,7 @@ def _define(lines: list[str], numpy_mode: bool = False):
     namespace = {f"_{name}": numpy_fn if numpy_mode else scalar_fn
                  for name, (scalar_fn, numpy_fn, _) in _FUNCTIONS.items()}
     namespace["_pow"] = operator.pow if numpy_mode else math.pow
-    namespace["_isfinite"] = math.isfinite
+    namespace["_isfinite"], namespace["_array"] = math.isfinite, array
     exec(compile("\n".join(lines) + "\n", "<occlp-expr>", "exec"), namespace)
     return namespace["_f"]
 
@@ -346,71 +355,64 @@ def compile_scalar(nodes: tuple[Node, ...]):
 _RK4_STAGES = (("y", ""), ("a", "half_dt"), ("b", "half_dt"), ("c", "dt"))
 
 
-def compile_rk4_run(nodes: tuple[Node, ...], law: tuple[Node, ...] | None = None):
-    """Compile a run of classical Runge-Kutta steps of ``y' = nodes(y, u)``, on
-    plain floats with the dynamics inlined per stage.
+def compile_rk4_run(nodes: tuple[Node, ...], law: tuple[Node, ...]):
+    """Compile a run of classical Runge-Kutta steps of ``y' = nodes(y, u)``,
+    closed by ``law``, on plain floats with the dynamics inlined per stage.
 
-    Without a law the control is held: ``run(y, u, dt, n, rows) -> (done,
-    state)`` takes up to ``n`` steps from the state tuple ``y`` at the control
-    tuple ``u``, keeping the state in local floats, and appends each new
-    state's components to ``rows``.  It stops at the first non-finite state,
-    which it returns without appending, with ``done`` the number of steps
-    before it; otherwise ``done == n`` and the state is the last one.
-
-    With a law, one expression over the state per control component, the loop
-    is closed: ``run(y, lows, highs, dt, n, rows, controls) -> (done, state,
-    escaped)`` evaluates ``u = law(y)`` at the left endpoint of every step.  A
-    ``u`` outside the box ``lows <= u <= highs`` (a NaN component is outside)
-    stops the run before that step, with ``escaped`` the tuple ``u`` and the
-    state the finite one it was evaluated at; otherwise ``u`` is appended to
-    ``controls`` and the step is taken as above, and ``escaped`` is None.
+    ``run(y, u, lows, highs, dt, n, rows, controls) -> (done, state,
+    escaped)`` takes up to ``n`` steps from the state tuple ``y``, keeping the
+    state in local floats.  The law, one expression per control component,
+    reads the state and the run's control argument ``u``: a held control is
+    ``(u1, ..., up)``.  Its value is each step's control, evaluated at the
+    step's left endpoint, or once before the first step if it reads no state.
+    A control outside ``lows <= c <= highs`` (NaN is outside) stops the run
+    there, with ``escaped`` the control and the state the one it was
+    evaluated at.  Otherwise the control is appended to ``controls`` (``n``
+    copies up front if evaluated once), the step is taken and the new state's
+    components appended to ``rows``.  The run stops at the first non-finite
+    state, returned unappended, with ``done`` the steps before it; otherwise
+    ``done == n`` and the state is the last one.
 
     An arithmetic or domain error (an overflowing ``^`` or ``exp``, a division
     by zero, ``sqrt`` of a negative number) propagates, with the states and
     controls before it appended.  Every float operation of a step is one that
     ``rk4_step`` of ``tests/reference.py`` performs with ``compile_scalar(nodes)``
-    at the control ``compile_scalar(law)(y, ())``, in the same order, so the
+    at the control ``compile_scalar(law)(y, u)``, in the same order, so the
     states agree bitwise.
     """
-    m = len(nodes)
-    controls = set()  # the control components the dynamics read
-    body = []
-    if law is not None:
-        def state_var(v: Var) -> str:
-            if v.kind == "u":
-                raise ExpressionError("a feedback law must read the state only")
-            return f"y{v.index}"
-        us = range(len(law))
-        body += [f"u{c} = {_emit(node, state_var)}" for c, node in enumerate(law)]
+    m, us = len(nodes), range(len(law))
+    state, control = _tuple("y", range(m)), _tuple("u", us)
+    per_step = any(v.kind == "y" for node in law for v in variables(node))
+
+    def law_var(v: Var) -> str:
+        return f"y{v.index}" if v.kind == "y" else f"u[{v.index}]"
+    head = [f"u{c} = {_emit(node, law_var)}" for c, node in enumerate(law)]
+    if law:
         inside = " and ".join(f"lo{c} <= u{c} <= hi{c}" for c in us)
-        body += [f"if not ({inside}):",
-                 "    return i, " + _tuple("y", range(m)) + ", " + _tuple("u", us)]
-        body += [f"put_u(u{c})" for c in us]
+        head += [f"if not ({inside}):",
+                 f"    return {'i' if per_step else 0}, {state}, {control}"]
+    if per_step:  # evaluated, checked and appended at every step
+        body, head = [*head, *(f"put_u(u{c})" for c in us)], ["put_u = controls.append"]
+    else:
+        body, head = [], [*head, f"controls.extend(_array('d', {control}) * n)"]
     for s, (z, scale) in enumerate(_RK4_STAGES, start=1):
         if s > 1:
             body += [f"{z}{j} = y{j} + {scale} * k{s - 1}_{j}" for j in range(m)]
 
         def var(v: Var, z=z) -> str:
-            if v.kind == "u":
-                controls.add(v.index)
             return f"{z}{v.index}" if v.kind == "y" else f"u{v.index}"
         body += [f"k{s}_{j} = {_emit(node, var)}" for j, node in enumerate(nodes)]
     body += [f"y{j} = y{j} + dt * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j}) / 6.0"
              for j in range(m)]
-    state = _tuple("y", range(m))
     finite = " and ".join(f"_isfinite(y{j})" for j in range(m))
-    body += [f"if not ({finite}):", f"    return i, {state}" + ("" if law is None else ", None")]
+    body += [f"if not ({finite}):", f"    return i, {state}, None"]
     body += [f"put(y{j})" for j in range(m)]
-    if law is None:
-        head = ["def _f(y, u, dt, n, rows):",
-                *(f"    u{i} = u[{i}]" for i in sorted(controls))]
-    else:
-        head = ["def _f(y, lows, highs, dt, n, rows, controls):",
-                f"    {_tuple('lo', us)} = lows", f"    {_tuple('hi', us)} = highs",
-                "    put_u = controls.append"]
-    lines = [*head, f"    {state} = y", "    half_dt = 0.5 * dt", "    put = rows.append",
+    lines = ["def _f(y, u, lows, highs, dt, n, rows, controls):",
+             *(f"    {line}" for line in [f"{_tuple('lo', us)} = lows",
+                                           f"{_tuple('hi', us)} = highs", f"{state} = y",
+                                           "half_dt = 0.5 * dt", "put = rows.append", *head]),
              "    for i in range(n):", *("        " + line for line in body),
-             f"    return n, {state}" + ("" if law is None else ", None")]
+             f"    return n, {state}, None"]
     return _define(lines)
 
 

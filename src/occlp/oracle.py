@@ -52,8 +52,10 @@ class OracleResult:
 def rotates(spec: SystemSpec) -> bool:
     """Whether the level-set oracle applies: an annulus, about the origin, whose
     dynamics parse to those of the rotation preset (``config.PRESETS``), which
-    turn about the origin, so that every circle of the annulus is invariant."""
+    turn about the origin, so that every circle of the annulus is invariant,
+    and a control box that holds u = 0, where the system parks (family (i))."""
     return (spec.region.kind == "annulus"
+            and all(lo <= 0.0 <= hi for lo, hi in zip(spec.control.lower, spec.control.upper))
             and parses_to(spec, PRESETS["rotation"](SystemConfig())["dynamics"]))
 
 
@@ -69,8 +71,8 @@ def _circle_scan(spec: SystemSpec, angle_resolution: int,
     """The scan's angles (A,), the unit circle's points at them (A, 2) and the
     controls (U, p): what every level of one scan shares."""
     if not rotates(spec):
-        raise OracleError("the level-set oracle applies to an annulus about the origin "
-                          "whose dynamics are the rotation's (u1*y2, -u1*y1)")
+        raise OracleError("the level-set oracle applies to an annulus about the origin, with "
+                          "the rotation's dynamics (u1*y2, -u1*y1) and u = 0 in the control box")
     angles = 2.0 * np.pi * np.arange(angle_resolution) / angle_resolution
     ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     return angles, ring, spec.control.grid(control_resolution)
@@ -105,16 +107,15 @@ def rotation_level_value(spec: SystemSpec, z: float,
 def _level_scan(spec: SystemSpec, z: float, ring: np.ndarray,
                 controls: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The cost on circle ``z``'s (angle, control) pairs (A, U), by
-    broadcasting; its column at zero control, family (i): park at any angle
-    (0 must be in the scan); and its mean over angles per control, family
-    (ii): uniform in angle at one fixed control."""
+    broadcasting; the cost at u = 0, family (i): park at any angle; and its
+    mean over angles per control, family (ii): uniform in angle at one fixed
+    control."""
     a2, b2 = spec.region.inner ** 2, spec.region.outer ** 2
     if not a2 - 1e-12 <= z <= b2 + 1e-12:
         raise OracleError(f"level {z} outside [{a2}, {b2}]")
     ys = math.sqrt(z) * ring
     costs = spec.cost_at(ys[:, None, :], controls[None, :, :])
-    zero_col = int(np.argmin(np.linalg.norm(controls, axis=1)))
-    return costs, costs[:, zero_col], costs.mean(axis=0)
+    return costs, spec.cost_at(ys, np.zeros(spec.dim_control)), costs.mean(axis=0)
 
 
 def frozen_value(spec: SystemSpec, y0, control_resolution: int = 201) -> OracleResult:

@@ -144,6 +144,8 @@ class LawPolicy(FeedbackPolicy):
 
     def __init__(self, law):
         self.law = tuple(law)
+        if any(v.kind == "u" for node in self.law for v in exprs.variables(node)):
+            raise SimulationError("a feedback law must read the state only")
         scalar = exprs.compile_scalar(self.law)
         super().__init__(lambda y: scalar(y, ()))
 
@@ -204,42 +206,40 @@ class Trajectory:
 
 
 def _run_until_parked(go, y: tuple, count: int, rows: array, m: int,
-                      controls: array | None = None, p: int = 0):
+                      controls: array, p: int):
     """Take one run of ``count`` steps with ``go(y, k)``, a generated loop of
     ``SystemSpec.rk4_run`` bound to all but its start state and its step count.
 
-    The run's step is a pure function of its state: its control is held, or
-    its law reads the state only.  So once a step maps its state to itself
-    byte for byte, so does every later one.  The run parks there: the rest of
-    its states are appended as copies of that state, and, where the loop
-    appends ``controls`` itself, the rest of its controls as copies of the
-    last one.  Bytes are compared, not floats, since -0.0 == 0.0 and
-    ``atan2`` tells them apart.  A run longer than ``PARK_CHUNK`` steps is
-    taken in chunks of 1, 2, 4, ... steps, at most ``PARK_CHUNK``, and its
-    last two states are compared after each chunk; a shorter run, such as the
-    one-step run of a policy asked at every step, is one call and never
-    parks.  Returns the last call's result with ``done`` counted from the
-    run's start, and the index in the run of the first step that maps its
-    state to itself, or None.
+    The run's step is a pure function of its state: its law reads the state
+    and the run's fixed control argument.  So once a step maps its state to
+    itself byte for byte, so does every later one.  The run parks
+    there: the rest of its states are appended as copies of that state, and
+    the rest of its controls as copies of the last one.  Bytes are compared,
+    not floats, since -0.0 == 0.0 and ``atan2`` tells them apart.  A run
+    longer than ``PARK_CHUNK`` steps is taken in chunks of 1, 2, 4, ...
+    steps, at most ``PARK_CHUNK``, and its last two states are compared after
+    each chunk; a shorter run, such as the one-step run of a policy asked at
+    every step, is one call and never parks.  Returns the last call's
+    ``(done, state, escaped)`` with ``done`` counted from the run's start,
+    and the index in the run of the first step that maps its state to itself,
+    or None.
     """
     if count <= PARK_CHUNK:
         return go(y, count), None
     done, k = 0, 1
     while True:
         k = min(k, count - done)
-        out = go(y, k)
-        got, y = out[0], out[1]
+        got, y, escaped = go(y, k)
         done += got
         if got < k or done == count:
-            return (done, *out[1:]), None
+            return (done, y, escaped), None
         if rows[-2 * m:-m].tobytes() == rows[-m:].tobytes():
             # no earlier chunk parked, so the first step that did is in this one
             chunk = np.frombuffer(rows[-(k + 1) * m:], np.uint64).reshape(k + 1, m)
             parked = done - k + int(np.argmax((chunk[1:] == chunk[:-1]).all(axis=1)))
             _repeat_rows(rows, m, 1, count - done)
-            if controls is not None:
-                _repeat_rows(controls, p, 1, count - done)
-            return (count, *out[1:]), parked
+            _repeat_rows(controls, p, 1, count - done)
+            return (count, y, escaped), parked
         k = min(2 * k, PARK_CHUNK)
 
 
@@ -248,16 +248,17 @@ def integrate(spec: SystemSpec, y0, policy: Policy, horizon: float,
     """Integrate from y0 for ceil(horizon / dt) fixed steps.
 
     The steps are taken in runs, each one call of ``_run_until_parked`` on
-    the generated ``SystemSpec.rk4_run``.  A ``LawPolicy`` is one run, with
-    its law evaluated and checked against the control box inside the loop.
-    A ``SchedulePolicy`` has one run per piece, found for all steps at once
-    by ``step_pieces``, and each piece's control is checked once.  Neither
-    calls ``Policy.control``.  Any other policy, such as a plain
-    ``FeedbackPolicy``, may read the time and is asked at every step: one run
-    per step.  A run parks once a step maps its state to itself byte for
-    byte: the rest of the run repeats that state and, in a law run, its
-    control.  A run that parks until the end of the horizon sets the
-    trajectory's ``cycle`` to (the step it parked at, 1).
+    one generated ``SystemSpec.rk4_run``; only how a run gets its control
+    argument ``u`` differs.  A ``LawPolicy`` is one run of its own law, with
+    ``u`` empty.  Other policies hold ``u`` through each run, under the law
+    ``(u1, ..., up)``: a ``SchedulePolicy`` has one run per piece, found for
+    all steps at once by ``step_pieces``, with ``u`` the piece's value; any
+    other policy, such as a plain ``FeedbackPolicy``, may read the time, so
+    each step is a run, with ``u`` its answer to ``Policy.control``.  A run
+    parks once a step maps its state to itself byte for byte: the rest of
+    the run repeats that state and its control.  A run that parks until the
+    end of the horizon sets the trajectory's ``cycle`` to (the step it
+    parked at, 1).
 
     A periodic ``SchedulePolicy`` whose pieces repeat every ``L`` steps (the
     period in steps, checked once on ``step_pieces``) also compares, at each
@@ -268,11 +269,11 @@ def integrate(spec: SystemSpec, y0, policy: Policy, horizon: float,
     Pieces that do not repeat exactly, as when the switches drift across the
     step grid, never take this shortcut.
 
-    Every run reports alike: a control of the wrong length before the run, a
-    control outside the control set at the time of the first step that holds
-    it, and a non-finite state, or an arithmetic or domain error in the
-    dynamics, at the end of its step.  A repeating tail holds only states,
-    controls and steps already checked.
+    Every run reports alike: a control (or law) of the wrong length before
+    the run, a control outside the control set at the time of the first step
+    that holds it, and a non-finite state, or an arithmetic or domain error
+    in the dynamics, at the end of its step.  A repeating tail holds only
+    states, controls and steps already checked.
     """
     if horizon <= 0 or dt <= 0:
         raise SimulationError("horizon and dt must be positive")
@@ -290,10 +291,11 @@ def integrate(spec: SystemSpec, y0, policy: Policy, horizon: float,
     state_rows, control_rows = array("d", y), array("d")
     parks = []  # the step at which each parked run parked
     cycle = lag = None  # lag: the steps of one period, if the pieces repeat with it
-    # each run's control: the law, a schedule piece's value, or asked for (None)
+    # the law of every run, and each run's control argument: () under a
+    # LawPolicy, a schedule piece's value, or asked for (None)
     law = policy.law if isinstance(policy, LawPolicy) else None
     if law is not None:
-        starts, held, path = [0], [law], "closed-loop law"
+        starts, held, path = [0], [()], "closed-loop law"
     elif isinstance(policy, SchedulePolicy):
         pieces = policy.step_pieces(dt, n_steps)
         starts = [0, *(np.flatnonzero(pieces[1:] != pieces[:-1]) + 1).tolist()]
@@ -305,23 +307,17 @@ def integrate(spec: SystemSpec, y0, policy: Policy, horizon: float,
                 lag = None
     else:
         starts, held, path = range(n_steps), None, "feedback"
-    admits, (lows, highs) = spec.control.admission(), spec.control.limits()
+    run, (lows, highs) = spec.rk4_run(law), spec.control.limits()
     for r, (i, end) in enumerate(pairwise(chain(starts, (n_steps,)))):
         u = policy.control(i * dt, y) if held is None else held[r]
-        if len(u) != p:
-            raise SimulationError(f"policy produced control of length {len(u)}, expected {p}")
-        run, count, escaped = spec.rk4_run(law), end - i, None
+        size = len(law or u)  # the law's controls, or the held ones
+        if size != p:
+            raise SimulationError(f"policy produced control of length {size}, expected {p}")
+        count, escaped = end - i, None
         try:
-            if law is not None:
-                (done, y, escaped), parked = _run_until_parked(
-                    lambda y, k: run(y, lows, highs, dt, k, state_rows, control_rows),
-                    y, count, state_rows, m, control_rows, p)
-            elif admits(u):
-                control_rows.extend(array("d", u) * count)
-                (done, y), parked = _run_until_parked(
-                    lambda y, k: run(y, u, dt, k, state_rows), y, count, state_rows, m)
-            else:
-                done, escaped = 0, u
+            (done, y, escaped), parked = _run_until_parked(
+                lambda y, k: run(y, u, lows, highs, dt, k, state_rows, control_rows),
+                y, count, state_rows, m, control_rows, p)
         except (ArithmeticError, ValueError) as err:
             # ``^`` or ``exp`` overflowed, a division by 0, or ``sqrt`` or ``^``
             # left its domain; the run appended the states before the error

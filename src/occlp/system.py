@@ -21,7 +21,6 @@ evaluated by broadcasting and row-paired points by the same code.
 
 from __future__ import annotations
 
-import operator
 import threading
 from dataclasses import dataclass
 from typing import ClassVar
@@ -207,12 +206,6 @@ class ControlRegion:
     def dim(self) -> int:
         return len(self.lower)
 
-    def admission(self):
-        """Membership test of one control given as ``dim`` plain floats (its length
-        is not checked): ``lows <= v <= highs`` per axis of :meth:`limits`; NaN fails."""
-        lows, highs = self.limits()
-        return lambda u: all(map(operator.le, lows, u)) and all(map(operator.le, u, highs))
-
     def limits(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """The admission limits ``(lo - REGION_TOL per axis, hi + REGION_TOL per axis)``."""
         return (tuple(lo - REGION_TOL for lo in self.lower),
@@ -283,9 +276,10 @@ class SystemSpec:
     the LPs seed their xi columns at the control grid's corners
     (``programs._seed_columns``), and whether the cost is,
     ``cost_multilinear``, which lets certificate slacks be minimised there
-    (``programs.certificate_slacks``).  Each evaluator is compiled from the
-    trees on first use, once per spec, also when pool threads ask for it
-    together.  Equality, hashing and repr cover the declared fields only.
+    (``programs.certificate_slacks``).  Each evaluator, and the Runge-Kutta
+    run of each law, is compiled from the trees on first use, once per spec,
+    also when pool threads ask for it together; :meth:`with_bounds` shares
+    them.  Equality, hashing and repr cover the declared fields only.
     """
 
     dynamics_text: tuple[str, ...]
@@ -315,37 +309,43 @@ class SystemSpec:
         self.__dict__.update(dynamics=dynamics, cost=cost, integrals=tuple(
             _parse_integral(text, m) for text in self.first_integrals),
             dynamics_multilinear=exprs.multilinear_in_controls(dynamics, p),
-            cost_multilinear=exprs.multilinear_in_controls((cost,), p))
+            cost_multilinear=exprs.multilinear_in_controls((cost,), p), _evaluators={})
 
-    def _compiled(self, name: str, compile_nodes, nodes):
-        """The evaluator ``name``: ``compile_nodes(nodes)`` on first use, kept after."""
-        if name not in self.__dict__:
+    def _compiled(self, key, compile_nodes, *args):
+        """The evaluator ``key``: ``compile_nodes(*args)`` on first use, kept after."""
+        if key not in self._evaluators:
             with _COMPILING:
-                if name not in self.__dict__:
-                    self.__dict__[name] = compile_nodes(nodes)
-        return self.__dict__[name]
+                if key not in self._evaluators:
+                    self._evaluators[key] = compile_nodes(*args)
+        return self._evaluators[key]
+
+    def with_bounds(self, bound_f: float, bound_k: float) -> SystemSpec:
+        """This spec with the bounds ``bound_f`` and ``bound_k``, sharing its parsed
+        expressions and compiled evaluators, which the bounds do not enter."""
+        twin = object.__new__(SystemSpec)
+        twin.__dict__.update(self.__dict__, bound_f=bound_f, bound_k=bound_k)
+        return twin
 
     def dynamics_at(self, ys, us) -> np.ndarray:
         """f(Y, U) of shape ``(m, *shape)``, from states ``(..., m)`` and
         controls ``(..., p)`` whose leading shapes broadcast to ``shape``
         (``exprs.compile_numpy``): row-paired points, or a state × control
         product as ``Y[:, None, :]`` against ``U[None, :, :]``."""
-        return self._compiled("_dynamics_numpy", exprs.compile_numpy, self.dynamics)(ys, us)
+        return self._compiled("dynamics", exprs.compile_numpy, self.dynamics)(ys, us)
 
     def cost_at(self, ys, us) -> np.ndarray:
         """k(Y, U) of shape ``shape``, over the same pairs as :meth:`dynamics_at`."""
-        return self._compiled("_cost_numpy", exprs.compile_numpy, (self.cost,))(ys, us)[0]
+        return self._compiled("cost", exprs.compile_numpy, (self.cost,))(ys, us)[0]
 
     def rk4_run(self, law: tuple[exprs.Node, ...] | None = None):
-        """Runge-Kutta steps at one held control, ``run(y_tuple, u_tuple, dt, n,
-        rows) -> (done, state)``, or closed by a feedback law over the state,
-        ``run(y_tuple, lows, highs, dt, n, rows, controls) -> (done, state,
-        escaped)`` (see ``exprs.compile_rk4_run``); each state is bitwise the
-        step ``rk4_step`` of ``tests/reference.py`` takes from the one before.
-        The held-control run is compiled once; a law run on every call."""
-        if law is not None:
-            return exprs.compile_rk4_run(self.dynamics, law)
-        return self._compiled("_rk4_held", exprs.compile_rk4_run, self.dynamics)
+        """Runge-Kutta steps closed by ``law`` (``exprs.compile_rk4_run``),
+        ``run(y_tuple, u_tuple, lows, highs, dt, n, rows, controls) -> (done,
+        state, escaped)``, compiled once per spec and law; without a law, at the
+        held control ``(u1, ..., up)`` read from ``u``.  Each state is bitwise
+        the step ``rk4_step`` of ``tests/reference.py`` takes from the one before."""
+        if law is None:
+            law = tuple(exprs.Var("u", c) for c in range(self.dim_control))
+        return self._compiled(("rk4_run", law), exprs.compile_rk4_run, self.dynamics, law)
 
 
 def rate_along(grad, f_vals) -> np.ndarray:

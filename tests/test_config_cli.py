@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+import math
 import os
 import re
 import subprocess
@@ -1306,19 +1307,29 @@ def test_array_items_split_only_at_commas_outside_parentheses():
     assert cfg.system_spec().dynamics_text == cfg.system.dynamics
 
 
-@pytest.mark.parametrize("text,parses", [
-    (ACCEPTANCE_CONFIG.read_text(), 8), (FROZEN_CONFIG.read_text(), 6),
-    (BOX_CUSTOM_SYSTEM.format(bounds=""), 6)])
-def test_one_parse_builds_at_most_two_system_specs(monkeypatch, text, parses):
-    # a probe with its undeclared bounds unchecked, and the spec with its bounds
-    specs, expressions = [], []
-    post_init, parse = SystemSpec.__post_init__, exprs.parse_expr
+@pytest.mark.parametrize("text,parses,compiles", [
+    (ACCEPTANCE_CONFIG.read_text(), 4, 3), (FROZEN_CONFIG.read_text(), 3, 2),
+    (BOX_CUSTOM_SYSTEM.format(bounds=""), 3, 2)])
+def test_one_parse_builds_one_system_spec_and_compiles_each_evaluator_once(
+        monkeypatch, text, parses, compiles):
+    # one spec, built with its undeclared bounds unchecked, then given its
+    # checked bounds without parsing or compiling anything again: each
+    # expression is parsed once, and the dynamics, the cost and each first
+    # integral's gradient are compiled once
+    specs, expressions, compiled = [], [], []
+    post_init, parse, compile_numpy = (SystemSpec.__post_init__, exprs.parse_expr,
+                                       exprs.compile_numpy)
     monkeypatch.setattr(SystemSpec, "__post_init__",
                         lambda spec: (specs.append(spec), post_init(spec))[1])
     monkeypatch.setattr(exprs, "parse_expr", lambda text, m, p: (
         expressions.append(text), parse(text, m, p))[1])
-    parse_config(text)
-    assert len(specs) == 2 and len(expressions) == parses
+    monkeypatch.setattr(exprs, "compile_numpy", lambda nodes: (
+        compiled.append(nodes), compile_numpy(nodes))[1])
+    spec = parse_config(text).system_spec()
+    ys, us = spec.region.sample(3), spec.control.grid(3)
+    spec.dynamics_at(ys[:, None], us[None]), spec.cost_at(ys[:, None], us[None])
+    assert len(specs) == 1 and len(expressions) == parses and len(compiled) == compiles
+    assert math.isfinite(spec.bound_f) and math.isfinite(spec.bound_k)
 
 
 def test_the_duality_gap_invariant_is_checked_at_the_solver_tolerance(monkeypatch):

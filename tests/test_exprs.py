@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from occlp import exprs
+from occlp.simulate import LawPolicy, SimulationError
 
 
 def scalar(text, y=(), u=(), m=None, p=None):
@@ -103,12 +104,15 @@ def test_an_expression_at_the_depth_limit_compiles_in_every_target():
     total = exprs.MAX_DEPTH + 1.0
     assert exprs.compile_scalar((node,))((1.0,), ()) == (total,)
     assert exprs.compile_numpy((node,))([[1.0]], np.empty((1, 0))).tolist() == [[total]]
-    assert exprs.compile_rk4_run((node,))((1.0,), (), 0.0, 1, []) == (1, (1.0,))
-    dynamics = (exprs.parse_expr("u1", 1, 1),)
+    # in the one run shape: as the dynamics at a held control, and as a law
+    held = exprs.compile_rk4_run((node,), (exprs.Var("u", 0),))
     controls = []
-    run = exprs.compile_rk4_run(dynamics, law=(node,))
-    assert run((1.0,), (0.0,), (1e3,), 0.0, 1, [], controls) == (1, (1.0,), None)
-    assert controls == [total]
+    assert held((1.0,), (0.5,), (0.0,), (1.0,), 0.0, 1, [], controls) == (1, (1.0,), None)
+    assert controls == [0.5]
+    dynamics = (exprs.parse_expr("u1", 1, 1),)
+    run = exprs.compile_rk4_run(dynamics, (node,))
+    assert run((1.0,), (), (0.0,), (1e3,), 0.0, 1, [], controls) == (1, (1.0,), None)
+    assert controls == [0.5, total]
 
 
 @pytest.mark.parametrize("text", [
@@ -233,9 +237,23 @@ def test_atan2_scalar_and_numpy_forms_agree():
 
 
 def test_feedback_law_reads_the_state_only():
+    # a feedback law (LawPolicy, rotation_delta) is parsed with no controls,
+    # so a u1 in its text is refused before any run is compiled
+    with pytest.raises(exprs.ExpressionError, match="'u1' out of range"):
+        exprs.parse_expr("u1 + y1", 1, 0)
+    # and one built from a tree that reads a control is refused as a policy
+    reads_u = exprs.parse_expr("u1 + y1", 1, 1)
+    assert exprs.variables(reads_u) == {exprs.Var("u", 0), exprs.Var("y", 0)}
+    with pytest.raises(SimulationError, match="state only"):
+        LawPolicy([exprs.parse_expr("y1", 1, 0), reads_u])
+    # in a run's law, u1 is the run's control argument; read with the state,
+    # the law is evaluated and checked at every step
     dynamics = (exprs.parse_expr("u1 * y1", 1, 1),)
-    with pytest.raises(exprs.ExpressionError, match="state only"):
-        exprs.compile_rk4_run(dynamics, law=(exprs.parse_expr("u1 + y1", 1, 1),))
+    run = exprs.compile_rk4_run(dynamics, (exprs.parse_expr("u1 + y1", 1, 1),))
+    rows, controls = [], []
+    assert run((0.25,), (0.5,), (0.0,), (1.0,), 0.0, 3, rows, controls) == (3, (0.25,), None)
+    assert rows == [0.25] * 3 and controls == [0.75] * 3
+    assert run((0.75,), (0.5,), (0.0,), (1.0,), 0.0, 3, rows, controls) == (0, (0.75,), (1.25,))
 
 
 @pytest.mark.parametrize("texts,p,degrees", [

@@ -197,6 +197,28 @@ def test_the_level_set_oracle_needs_an_annulus_about_the_origin():
             scan()
 
 
+def test_the_level_set_oracle_needs_a_control_box_that_parks():
+    # family (i) parks at u = 0, which the control box [0.5, 1] does not
+    # admit: the rotation's circles are invariant, but no parked measure is
+    cfg = parse_config(SPIRAL_ANNULUS.format(dynamics="u1*y2, -u1*y1").replace(
+        "cost = y1", "cost = y1\ncontrol_lower = [0.5]"))
+    spec = build_system(cfg.system)
+    assert spec.control.lower == (0.5,) and not rotates(spec) and not is_frozen(spec)
+    for scan in (lambda: rotation_level_value(spec, 1.0),
+                 lambda: level_set_ordering(spec, [0.25, 1.0])):
+        with pytest.raises(OracleError, match="u = 0 in the control box"):
+            scan()
+    assert not [key for key in _oracle_values(spec, cfg) if key.startswith("oracle.")]
+    # with 0 in the box, a parked measure costs k at exactly u = 0, whether
+    # or not the control scan holds it
+    uneven = built("custom", region="annulus", dynamics=("u1*y2", "-u1*y1"),
+                   cost="y1 + u1^2", control_lower=(-0.3,))
+    assert rotates(uneven) and 0.0 not in uneven.control.grid(41)
+    parked = rotation_level_value(uneven, 1.0, angle_resolution=4)
+    assert parked.value == parked.stationary_value == -1.0
+    assert parked.attained_by == "stationary (angle=3.141593, u=0)"
+
+
 def test_the_frozen_oracle_needs_zero_dynamics():
     frozen = built("frozen", cost="y1 + u1^2")
     assert is_frozen(frozen) and not rotates(frozen)

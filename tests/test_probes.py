@@ -20,8 +20,8 @@ import probes  # noqa: E402
 KNOWN_STALE = {
     "scipy.optimize.linprog": "the LPs run on programs._Model, HiGHS's own bindings; "
                               "no occlp module calls linprog, so highs.* read 0",
-    "occlp.system.ControlRegion.contains": "integrate admits a control run once, through "
-                                           "ControlRegion.admission; "
+    "occlp.system.ControlRegion.contains": "integrate's generated run checks its control "
+                                           "against ControlRegion.limits; "
                                            "system.control_contains_calls reads 0",
 }
 

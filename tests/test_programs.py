@@ -1296,6 +1296,38 @@ def test_infeasible_master_falls_back_to_the_full_lp(master_setups, monkeypatch)
     assert solution.xi_canonical
 
 
+@pytest.mark.parametrize("unknown", ["first", "every"])
+def test_a_master_neither_optimal_nor_infeasible_falls_back_to_the_full_lp(
+        master_setups, monkeypatch, unknown):
+    spec, g, b, y0 = master_setups["acceptance"]
+    instance = build_nonergodic_lp(LpBlocks(g, b, y0))
+    columns = instance.n_gamma + instance.n_xi
+    reference = solve(instance)
+    assert reference.master_columns < columns and not reference.fallback
+    statuses = []  # what HiGHS itself reported, read by read
+
+    class Unsure(programs._Highs):
+        # reports kUnknown for its first model status read, or for every read
+        def getModelStatus(self):
+            statuses.append(super().getModelStatus())
+            if unknown == "every" or len(statuses) == 1:
+                return programs.HighsModelStatus.kUnknown
+            return statuses[-1]
+    monkeypatch.setattr(programs, "_Highs", Unsure)
+    solution = solve(instance)
+    # the master solved, but its status is neither optimal nor infeasible, so
+    # the model takes every column and runs again
+    assert statuses[0] == programs.HighsModelStatus.kOptimal
+    assert solution.fallback and solution.master_columns == columns
+    assert solution.pricing_rounds == 2
+    if unknown == "first":
+        assert solution.status == "optimal" and solution.xi_canonical
+        assert solution.value == pytest.approx(reference.value, rel=1e-9)
+    else:
+        assert solution.status == "tolerance-failure" and solution.value is None
+        assert solution.message == "Unknown"
+
+
 def _recorded_refinement(monkeypatch, instance):
     """Solve the LP; its solution and, for its refinement, the arguments, the
     result and the row duals of the model it ended with."""

@@ -664,3 +664,26 @@ def test_feedback_table_policy(rotation):
     assert policy.control(0.0, (1.0, 0.0)) == (0.25,)
     with pytest.raises(SimulationError):
         feedback_table_policy(g, np.ones((3, 1)))
+
+
+def test_each_law_is_compiled_into_one_run_per_spec(monkeypatch):
+    spec = _custom("-y1 + u1", "-y2 + y1")  # built here, so none of its runs is compiled
+    compiled, compile_rk4_run = [], exprs.compile_rk4_run
+    monkeypatch.setattr(exprs, "compile_rk4_run", lambda nodes, law: (
+        compiled.append(law), compile_rk4_run(nodes, law))[1])
+    # a 100-piece periodic schedule: 100 held runs and its Abel run, all
+    # under the one held law (u1)
+    schedule = SchedulePolicy([k / 100 for k in range(100)],
+                              [0.5 * (-1) ** k for k in range(100)], period=1.0)
+    paths = []  # each integrate's INFO line names its runs
+    monkeypatch.setattr(simulate.log, "info", lambda *args: paths.append(args[2]))
+    integrate(spec, (0.5, -0.5), schedule, 1.0, 1e-3)
+    abel_value(spec, (0.5, -0.5), schedule, 1.0, 30.0, 1e-2)
+    assert paths[0] == "100 held-control runs" and paths[1].endswith(" held-control runs")
+    assert compiled == [(exprs.Var("u", 0),)]
+    # two integrations of one law: one run, compiled on the first
+    law = LawPolicy([exprs.parse_expr("-0.5 * y1", 2, 0)])
+    first = integrate(spec, (0.5, -0.5), law, 1.0, 1e-3)
+    second = integrate(spec, (0.5, -0.5), law, 1.0, 1e-3)
+    assert first.states.tobytes() == second.states.tobytes()
+    assert compiled[1:] == [law.law]

@@ -90,7 +90,7 @@ def test_a_spec_parses_once_and_compiles_each_evaluator_once(monkeypatch):
     # each compile yields the CPU, widening the window a second one would use
     monkeypatch.setattr(exprs, "compile_numpy", lambda nodes: (
         compiled.append(nodes), time.sleep(1e-3), compile_numpy(nodes))[2])
-    monkeypatch.setattr(exprs, "compile_rk4_run", lambda nodes, law=None: (
+    monkeypatch.setattr(exprs, "compile_rk4_run", lambda nodes, law: (
         compiled.append(nodes), time.sleep(1e-3), compile_rk4_run(nodes, law))[2])
     spec = SystemSpec(dynamics_text=("u1*y2", "-u1*y1"), cost_text="y1",
                       region=StateRegion(kind="annulus", inner=0.5, outer=1.5),
@@ -106,7 +106,7 @@ def test_a_spec_parses_once_and_compiles_each_evaluator_once(monkeypatch):
         start.wait(timeout=60)
         return (spec.dynamics_at(ys[:, None], us[None]).tobytes(),
                 spec.cost_at(ys[:, None], us[None]).tobytes(),
-                spec.rk4_run()((1.0, 0.0), (1.0,), 0.01, 3, [])[1])
+                spec.rk4_run()((1.0, 0.0), (1.0,), (-1.0,), (1.0,), 0.01, 3, [], [])[1])
     # more threads than cores, switching often, all asking at once
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -120,8 +120,10 @@ def test_a_spec_parses_once_and_compiles_each_evaluator_once(monkeypatch):
     assert parsed == []
     assert sorted(map(repr, compiled)) == sorted(map(repr, [
         spec.dynamics, (spec.cost,), spec.dynamics]))
-    # a law run compiles on each call
-    spec.rk4_run(law=(exprs.parse_expr("1", 2, 0),))
+    # each law's run compiles once too, the held law (u1) being one of them
+    law = (exprs.parse_expr("1", 2, 0),)
+    assert spec.rk4_run(law) is spec.rk4_run((exprs.parse_expr("1", 2, 0),))
+    assert spec.rk4_run((exprs.Var("u", 0),)) is spec.rk4_run()
     assert len(compiled) == 4
     # equality, hashing and repr cover the declared fields only
     twin = dataclasses.replace(spec)

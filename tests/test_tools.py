@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import re
 import textwrap
 from pathlib import Path
 
@@ -136,3 +137,19 @@ def test_statement_lines_skip_docstrings_and_pass_and_count_nested_bodies(tmp_pa
         '''), encoding="utf-8")
     # the import, both defs, the class and inner's body; no docstring, no pass
     assert traffic.statement_lines(path) == {2, 5, 7, 9, 10, 12, 15}
+
+
+def test_the_summary_line_gives_the_packages_physical_line_count(tmp_path, monkeypatch, capsys):
+    traffic = _load("traffic")
+    (tmp_path / "a.py").write_text("x = 1\n\n# two more\n", encoding="utf-8")
+    (tmp_path / "b.py").write_text("y = 2", encoding="utf-8")  # no newline: 0, as wc -l
+    (tmp_path / "notes.txt").write_text("not a module\n", encoding="utf-8")
+    assert traffic.physical_lines(tmp_path) == 3
+    # with no runs, the summary line ends the output
+    monkeypatch.setattr(traffic, "runs", lambda sections: ())
+    assert traffic.main() == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines())
+                for path in traffic.PACKAGE.glob("*.py"))
+    assert re.fullmatch(rf"\d+ of \d+ statements in src/occlp never ran; "
+                        rf"src/occlp has {lines} lines", summary)

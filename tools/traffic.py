@@ -7,7 +7,8 @@ Runs every study command (``cli._ALL_SECTIONS``) through ``cli.main`` on every
 with its commands, its ``jobs`` and each of its start points, all in this one
 process under ``sys.settrace`` and ``threading.settrace``.  Prints the exit
 code of each run, then each ``src/occlp`` statement that never ran, grouped
-by module, and a summary line.
+by module, and a summary line, which also gives the physical line count of
+``src/occlp``'s modules, as ``wc -l src/occlp/*.py`` totals them.
 
 A statement is a line on which an ``ast`` statement other than ``pass`` or a
 docstring starts and which holds bytecode; it ran when the tracer saw a line
@@ -50,6 +51,11 @@ def statement_lines(path: Path) -> set[int]:
         with_code.update(line for _, _, line in code.co_lines() if line is not None)
         todo.extend(const for const in code.co_consts if hasattr(const, "co_lines"))
     return starts & with_code
+
+
+def physical_lines(package: Path) -> int:
+    """The lines of the package's modules, as ``wc -l`` counts them: newlines."""
+    return sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
 
 
 class LineRecorder:
@@ -120,7 +126,9 @@ def main() -> int:
         source = path.read_text(encoding="utf-8").splitlines()
         for line in unrun:
             print(f"  {line:5d}  {source[line - 1].strip()}")
-    print(f"\n{unrun_total} of {total} statements in {PACKAGE.relative_to(ROOT)} never ran")
+    package = PACKAGE.relative_to(ROOT)
+    print(f"\n{unrun_total} of {total} statements in {package} never ran; "
+          f"{package} has {physical_lines(PACKAGE)} lines")
     return 0
 
 
