@@ -22,18 +22,18 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, tolerances
 from .basis import basis_for_region
 from .config import ConfigError, StudyConfig, default_config_text, parse_config
 from .grid import DiscreteMeasure, GridError, LpBlocks, build_grid
 from .metrics import MetricError, make_test_function_set, rho_hat
 from .oracle import (OracleError, frozen_value, is_frozen, level_set_ordering, rotates,
                      rotation_level_value)
-from .programs import (CERTIFICATE_TOL, DUALITY_GAP_TOL, SCIPY_VERSION, ProgramError,
-                       build_discounted_lp, build_ergodic_lp, build_nonergodic_lp,
-                       build_perturbed_lp, certificate_offgrid_report, certificate_slacks,
-                       extract_dual_certificate, log_solution, lp_name, membership_residual,
-                       needs_refinement, solve, solve_chain, verify_weak_duality)
+from .programs import (SCIPY_VERSION, ProgramError, build_discounted_lp, build_ergodic_lp,
+                       build_nonergodic_lp, build_perturbed_lp, certificate_offgrid_report,
+                       certificate_slacks, extract_dual_certificate, log_solution, lp_name,
+                       membership_residual, needs_refinement, solve, solve_chain,
+                       verify_weak_duality)
 from .simulate import (SimulationError, abel_value, cesaro_value,
                        horizon_study, periodic_value_search, rotation_delta_family)
 
@@ -86,18 +86,6 @@ def _measure_payload(measure: DiscreteMeasure) -> dict:
     return {"atom_index": [int(i) for i in idx],
             "weight": [float(measure.weights[i]) for i in idx],
             "total_mass": measure.total_mass}
-
-
-# the bounds of the study's invariants; programs.CERTIFICATE_TOL bounds the
-# certificate's slacks here too, and programs.DUALITY_GAP_TOL a solved LP's
-# relative duality gap
-MU_VALUE_TOL = 1e-6  # |value - mu|
-ORDERING_TOL = 1e-7  # ergodic <= nonergodic; perturbed values monotone in epsilon
-MEMBERSHIP_TOL = 1e-7  # w and omega residuals of the optimal gamma
-SMALL_EPS_TOL = 1e-2  # |value(eps=0.001) - value(0)|
-REFINEMENT_TOL = 0.02  # value change under angular doubling and a degree bump
-SIMULATION_TOL = 0.05  # LP value below Abel value; Cesaro value above mu
-ABEL_TAIL_TOL = 1e-2  # the Abel value's discounted tail beyond its horizon
 
 
 def _bound_text(bound: float) -> str:
@@ -231,7 +219,8 @@ def _solve_section(bundle, blocks, cfg: StudyConfig, variants, jobs: int):
         bundle.values[f"{name}.value"] = solution.value
         gap = abs(solution.value - solution.dual_objective)
         bundle.record(f"{name}.duality_gap",
-                      gap <= DUALITY_GAP_TOL * max(1.0, abs(solution.value)), f"gap {gap:.3e}")
+                      gap <= tolerances.DUALITY_GAP_TOL * max(1.0, abs(solution.value)),
+                      f"gap {gap:.3e}")
         for i, meta in enumerate(instance.row_meta):
             bundle.duals.append([name, meta.kind,
                                  -1 if meta.basis_index is None else meta.basis_index,
@@ -252,13 +241,13 @@ def _solve_section(bundle, blocks, cfg: StudyConfig, variants, jobs: int):
                           verify_weak_duality(solution.value, cert.mu),
                           f"value {solution.value:.9f} vs mu {cert.mu:.9f}")
             bundle.record(f"{name}.mu_matches_value",
-                          abs(solution.value - cert.mu) <= MU_VALUE_TOL,
+                          abs(solution.value - cert.mu) <= tolerances.MU_VALUE_TOL,
                           f"|value - mu| = {abs(solution.value - cert.mu):.3e}")
             f1, f2 = certificate_slacks(cert, blocks.grid, blocks.basis, blocks.grid.spec)
             bundle.values[f"{name}.certificate_min_slack_lower_bound"] = float(np.min(f1))
             bundle.values[f"{name}.certificate_min_slack_monotonicity"] = float(np.min(f2))
             bundle.record(f"{name}.certificate_feasible",
-                          min(np.min(f1), np.min(f2)) >= -CERTIFICATE_TOL,
+                          min(np.min(f1), np.min(f2)) >= -tolerances.CERTIFICATE_TOL,
                           f"min slacks {np.min(f1):.3e}, {np.min(f2):.3e}")
         if solution.gamma is not None:
             bundle.measures[f"{name}.gamma"] = _measure_payload(solution.gamma)
@@ -274,13 +263,14 @@ def _solve_section(bundle, blocks, cfg: StudyConfig, variants, jobs: int):
                     f"{name}: minimal-mass refinement rejected; xi is an arbitrary "
                     f"optimal transport")
 
+    ordering = tolerances.ORDERING_TOL
     if "ergodic" in variants and "nonergodic" in variants:
         erg = results["ergodic"][1]
         non = results["nonergodic"][1]
         if erg.status == "optimal" and non.status == "optimal":
             bundle.record("ergodic_below_nonergodic",
-                          erg.value <= non.value + ORDERING_TOL,
-                          f"{erg.value:.9f} <= {non.value:.9f} + {_bound_text(ORDERING_TOL)}")
+                          erg.value <= non.value + ordering,
+                          f"{erg.value:.9f} <= {non.value:.9f} + {_bound_text(ordering)}")
 
     if "perturbed" in variants and len(prog.epsilons) >= 2:
         # one row per optimal value, in increasing epsilon, each flagged
@@ -290,7 +280,7 @@ def _solve_section(bundle, blocks, cfg: StudyConfig, variants, jobs: int):
             sol = results[f"perturbed[eps={eps:g}]"][1]
             if sol.status == "optimal":
                 rows.append([eps, sol.value,
-                             not rows or sol.value >= rows[-1][1] - ORDERING_TOL])
+                             not rows or sol.value >= rows[-1][1] - ordering])
         bundle.tables["epsilon_sweep"] = {
             "columns": ["epsilon", "value", "monotone_nondecreasing_in_epsilon"],
             "rows": rows}
@@ -299,17 +289,17 @@ def _solve_section(bundle, blocks, cfg: StudyConfig, variants, jobs: int):
         if 0.0 in values_by_eps:
             base = values_by_eps[0.0]
             bundle.record("perturbed_dominates_unperturbed",
-                          all(v >= base - ORDERING_TOL for v in values_by_eps.values()))
+                          all(v >= base - ordering for v in values_by_eps.values()))
             if 0.001 in values_by_eps:
                 bundle.record("perturbed_small_eps_convergence",
-                              abs(values_by_eps[0.001] - base) <= SMALL_EPS_TOL,
+                              abs(values_by_eps[0.001] - base) <= tolerances.SMALL_EPS_TOL,
                               f"|value(0.001) - value(0)| = "
                               f"{abs(values_by_eps[0.001] - base):.3e}")
     return results
 
 
 def _simulate_section(bundle, blocks, cfg: StudyConfig, solve_results):
-    sim = cfg.simulate
+    sim, sim_tol = cfg.simulate, tolerances.SIMULATION_TOL
     if not sim.policy:
         return
     spec, y0 = blocks.grid.spec, blocks.y0_requested
@@ -328,23 +318,23 @@ def _simulate_section(bundle, blocks, cfg: StudyConfig, solve_results):
 
     for rate in sim.abel_rates:
         result = abel_value(spec, y0, policy, rate, horizon=sim.abel_horizon,
-                            dt=sim.abel_dt, tail_tolerance=ABEL_TAIL_TOL)
+                            dt=sim.abel_dt)
         bundle.values[f"abel[rate={rate:g}]"] = result.value
         bundle.values[f"abel_tail_bound[rate={rate:g}]"] = result.tail_bound
         name = f"discounted[rate={rate:g}]"
         if name in solve_results and solve_results[name][1].status == "optimal":
             lp_value = solve_results[name][1].value
             bundle.record(f"discounted_lp_below_abel[rate={rate:g}]",
-                          lp_value <= result.value + SIMULATION_TOL,
+                          lp_value <= result.value + sim_tol,
                           f"LP {lp_value:.4f} <= abel {result.value:.4f} + "
-                          f"{_bound_text(SIMULATION_TOL)}")
+                          f"{_bound_text(sim_tol)}")
 
     decay_rows = [[row.horizon, row.residual.w_residual, row.residual.omega_residual]
                   for row in study]
     bundle.tables["residual_decay"] = {
         "columns": ["horizon", "w_residual", "omega_residual"], "rows": decay_rows}
     floor = min(row[1] for row in decay_rows)
-    ok = all(b[1] <= a[1] + 2.0 * floor + 1e-12
+    ok = all(b[1] <= a[1] + tolerances.DECAY_FLOOR_FACTOR * floor + tolerances.DECAY_TOL
              for a, b in zip(decay_rows, decay_rows[1:]))
     bundle.record("w_residual_nonincreasing", ok,
                   "across horizon doublings, within twice the floor")
@@ -372,8 +362,8 @@ def _simulate_section(bundle, blocks, cfg: StudyConfig, solve_results):
     mu = bundle.values.get("nonergodic.mu")
     if mu is not None and horizon_rows:
         final = horizon_rows[-1][1]
-        bundle.record("cesaro_above_dual_bound", final >= mu - SIMULATION_TOL,
-                      f"cesaro {final:.4f} >= mu {mu:.4f} - {_bound_text(SIMULATION_TOL)}")
+        bundle.record("cesaro_above_dual_bound", final >= mu - sim_tol,
+                      f"cesaro {final:.4f} >= mu {mu:.4f} - {_bound_text(sim_tol)}")
 
 
 def _sweep_section(bundle, blocks, cfg: StudyConfig, solve_results):
@@ -415,7 +405,8 @@ def _convergence_section(bundle, blocks, cfg: StudyConfig):
         "columns": ["level", "degree", "state_resolution", "value"], "rows": rows}
     delta = abs(fine.value - base.value)
     bundle.values["refinement.delta"] = delta
-    bundle.record("refinement_stable", delta <= REFINEMENT_TOL, f"|delta| = {delta:.4f}")
+    bundle.record("refinement_stable", delta <= tolerances.REFINEMENT_TOL,
+                  f"|delta| = {delta:.4f}")
 
     degree_rows = []
     for degree in range(2, cfg.basis.degree + 1):
@@ -445,7 +436,7 @@ def _certify_section(bundle, blocks, cfg: StudyConfig, solve_results):
     bundle.values["certify.gamma_w_residual"] = res.w_residual
     bundle.values["certify.gamma_omega_residual"] = res.omega_residual
     bundle.record("certify.optimal_gamma_feasible",
-                  max(res.w_residual, res.omega_residual) <= MEMBERSHIP_TOL,
+                  max(res.w_residual, res.omega_residual) <= tolerances.MEMBERSHIP_TOL,
                   f"residuals {res.w_residual:.2e}, {res.omega_residual:.2e}")
 
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -72,7 +73,7 @@ class ConfigError(ValueError):
 Expr = str  # an expression, kept as written: a bare number is one too
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemConfig:
     name: str = "rotation"
     cost: Expr = "y1"
@@ -88,19 +89,23 @@ class SystemConfig:
     bound_f: float | None = None
     bound_k: float | None = None
 
+    @cached_property
+    def spec(self) -> SystemSpec:  # built once per object
+        return build_system(self)
 
-@dataclass
+
+@dataclass(frozen=True)
 class GridConfig:
     state_resolution: tuple[int, ...] = (5, 64)
     control_resolution: int = 9
 
 
-@dataclass
+@dataclass(frozen=True)
 class BasisConfig:
     degree: int = 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProgramConfig:
     variants: tuple[str, ...] = ("ergodic", "nonergodic")
     y0: tuple[float, ...] = (1.0, 0.0)
@@ -109,7 +114,7 @@ class ProgramConfig:
     xi_mass_cap: float = 1e6
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulateConfig:
     policy: str = ""
     horizons: tuple[float, ...] = (25.0, 50.0, 100.0, 200.0)
@@ -121,13 +126,13 @@ class SimulateConfig:
     periodic_dt: float = 1e-2
 
 
-@dataclass
+@dataclass(frozen=True)
 class OutputConfig:
     dir: str = "out"
     formats: tuple[str, ...] = ("json",)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StudyConfig:
     seed: int = 0
     system: SystemConfig = field(default_factory=SystemConfig)
@@ -141,27 +146,19 @@ class StudyConfig:
         return asdict(self)
 
     def system_spec(self) -> SystemSpec:
-        """The ``[system]`` section's spec (:func:`build_system`), built once
-        per value of that section: :func:`parse_config` builds it to validate
-        the config, and the study that runs the config reads the same spec.
-        A section changed after that is built anew."""
-        return self._once("_system_spec", replace(self.system),
-                          lambda: build_system(self.system))
+        """The ``[system]`` section's spec (:func:`build_system`), built once per
+        section object: the study runs the spec that :func:`parse_config` built."""
+        return self.system.spec
 
     def simulate_policy(self) -> Policy:
-        """The ``[simulate]`` policy (:func:`build_policy`) of the system at
-        y0, built once per value of the three, as :meth:`system_spec` is: the
-        simulate section runs the policy that :func:`parse_config` built."""
-        text, spec, y0 = self.simulate.policy, self.system_spec(), tuple(self.program.y0)
-        return self._once("_simulate_policy", (text, spec, y0),
-                          lambda: build_policy(text, spec, np.asarray(y0, dtype=float)))
+        """The ``[simulate]`` policy (:func:`build_policy`) of the system at y0,
+        built once per config object, as :meth:`system_spec` is."""
+        return self._policy
 
-    def _once(self, name: str, key, build):
-        """``build()``, kept under ``name`` and built anew when ``key`` changes."""
-        built = self.__dict__.get(name)
-        if built is None or built[0] != key:
-            built = self.__dict__[name] = (key, build())
-        return built[1]
+    @cached_property
+    def _policy(self) -> Policy:
+        return build_policy(self.simulate.policy, self.system_spec(),
+                            np.asarray(self.program.y0, dtype=float))
 
 
 _KNOWN_VARIANTS = ("ergodic", "nonergodic", "discounted", "perturbed")
@@ -353,31 +350,30 @@ def parse_config(text: str) -> StudyConfig:
         return cls(**{f.name: _COERCERS[f.type](*items[f.name], f.name)
                       for f in _SCHEMA[section] if f.name in items})
 
-    cfg = build("", StudyConfig)
-    cfg.system = build("system", SystemConfig)
-    cfg.grid = build("grid", GridConfig)
-    cfg.basis = build("basis", BasisConfig)
-    if cfg.basis.degree < 1:
+    top = build("", dict)
+    system, grid, basis = (build("system", SystemConfig), build("grid", GridConfig),
+                           build("basis", BasisConfig))
+    if basis.degree < 1:
         raise ConfigError("degree must be >= 1", line_of("basis", "degree"))
 
-    cfg.program = build("program", ProgramConfig)
-    for variant in cfg.program.variants:
+    program = build("program", ProgramConfig)
+    for variant in program.variants:
         if variant not in _KNOWN_VARIANTS:
             raise ConfigError(f"unknown program variant {variant!r}",
                               line_of("program", "variants"))
-    for rate in cfg.program.discount_rates:
+    for rate in program.discount_rates:
         if rate <= 0:
             raise ConfigError("discount_rates must be positive",
                               line_of("program", "discount_rates"))
-    for eps in cfg.program.epsilons:
+    for eps in program.epsilons:
         if eps < 0:
             raise ConfigError("epsilons must be nonnegative", line_of("program", "epsilons"))
-    if cfg.program.xi_mass_cap <= 0:
+    if program.xi_mass_cap <= 0:
         raise ConfigError("xi_mass_cap must be positive", line_of("program", "xi_mass_cap"))
     for key in ("discount_rates", "epsilons"):
-        _check_report_names(getattr(cfg.program, key), key, line_of("program", key))
+        _check_report_names(getattr(program, key), key, line_of("program", key))
 
-    sim = cfg.simulate = build("simulate", SimulateConfig)
+    sim = build("simulate", SimulateConfig)
     for key in ("dt", "abel_dt", "periodic_dt", "abel_horizon", "horizons", "abel_rates"):
         if np.any(np.asarray(getattr(sim, key)) <= 0):
             raise ConfigError(f"{key} must be positive", line_of("simulate", key))
@@ -389,14 +385,16 @@ def parse_config(text: str) -> StudyConfig:
     for key in ("horizons", "abel_rates"):
         _check_report_names(getattr(sim, key), key, line_of("simulate", key))
 
-    cfg.output = build("output", OutputConfig)
-    for fmt in cfg.output.formats:
+    output = build("output", OutputConfig)
+    for fmt in output.formats:
         if fmt not in ("json", "csv-dir"):
             raise ConfigError(f"unknown output format {fmt!r}", line_of("output", "formats"))
+    cfg = StudyConfig(**top, system=system, grid=grid, basis=basis, program=program,
+                      simulate=sim, output=output)
 
     # cross-block validation: the system must read every key set in its
-    # section and build, its grid must build, y0 must be inside it and the
-    # policy must build for it
+    # section and build, its grid must build, y0 must be inside it, and the
+    # policy and the periodic candidates must build for it
     unread = _unread_keys(cfg.system)
     for key, (_value, line) in sections.get("system", {}).items():
         if key in unread:
@@ -426,6 +424,12 @@ def parse_config(text: str) -> StudyConfig:
             cfg.simulate_policy()
         except ConfigError as err:
             raise ConfigError(str(err), line_of("simulate", "policy")) from err
+    for delta in sim.periodic_deltas:  # each candidate runs as a rotation_delta policy
+        try:
+            build_policy(f"rotation_delta:{delta!r}", spec, y0)
+        except ConfigError as err:
+            raise ConfigError(f"periodic_deltas: {err}",
+                              line_of("simulate", "periodic_deltas")) from err
     return cfg
 
 
@@ -561,7 +565,7 @@ def default_config_text() -> str:
     ``region``, ``lower``, ``upper``, ``dynamics``, ``first_integrals``,
     ``control_lower``, ``control_upper``, ``bound_f`` and ``bound_k``
     (:class:`SystemConfig` lists every key)."""
-    return """\
+    return f"""\
 seed = 0
 
 [system]
@@ -582,7 +586,7 @@ variants = [ergodic, nonergodic]
 y0 = [1.0, 0.0]
 discount_rates = [0.005]
 epsilons = [0.1, 0.01, 0.001, 0.0]
-xi_mass_cap = 1000000.0
+xi_mass_cap = {ProgramConfig.xi_mass_cap!r}
 
 [simulate]
 policy =                   # constant:<u> | steer_hold:<u>:<t>:<u> | schedule:... | rotation_delta:<d>

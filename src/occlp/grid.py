@@ -36,11 +36,13 @@ from functools import cached_property
 
 import numpy as np
 
+from . import tolerances
 from .basis import BasisSpec, grad_matrix, phi_matrix
 from .system import RegionError, StateRegion, SystemSpec, rate_along
 
 
 log = logging.getLogger(__name__)
+NEAREST_CHUNK = 16384  # query rows per block of nearest_index and nearest_state_index
 
 
 class GridError(ValueError):
@@ -72,7 +74,7 @@ class DiscreteMeasure:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.shape != (self.grid.atom_count,):
             raise GridError(f"weights shape {self.weights.shape} != ({self.grid.atom_count},)")
-        if np.min(self.weights) < -1e-12:
+        if np.min(self.weights) < -tolerances.NEGATIVE_WEIGHT_TOL:
             raise GridError(f"negative weight {np.min(self.weights)}")
         self.weights = np.maximum(self.weights, 0.0)
 
@@ -80,8 +82,8 @@ class DiscreteMeasure:
     def total_mass(self) -> float:
         return float(np.sum(self.weights))
 
-    def is_probability(self, tol: float = 1e-9) -> bool:
-        return abs(self.total_mass - 1.0) <= tol
+    def is_probability(self) -> bool:
+        return abs(self.total_mass - 1.0) <= tolerances.PROBABILITY_MASS_TOL
 
 
 def check_state_resolution(region: StateRegion, state_resolution) -> tuple[int, ...]:
@@ -252,17 +254,17 @@ def _nearest_rows(points: np.ndarray, queries: np.ndarray, candidates=None) -> n
     return np.argmin(total, axis=1)
 
 
-def nearest_index(points: np.ndarray, queries, chunk: int = 16384) -> np.ndarray:
+def nearest_index(points: np.ndarray, queries) -> np.ndarray:
     """Row of ``points`` Euclidean-nearest to each query row; ties go to the
     lowest row.  The distances are the brute-force ones (:func:`_nearest_rows`)."""
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    out = np.empty(queries.shape[0], dtype=np.int64)
+    out, chunk = np.empty(queries.shape[0], dtype=np.int64), NEAREST_CHUNK
     for start in range(0, queries.shape[0], chunk):
         out[start:start + chunk] = _nearest_rows(points, queries[start:start + chunk])
     return out
 
 
-def nearest_state_index(grid: Grid, ys, chunk: int = 16384) -> np.ndarray:
+def nearest_state_index(grid: Grid, ys) -> np.ndarray:
     """``nearest_index(grid.state_points, ys)`` for queries inside the region.
 
     Only the candidates of the region's stencil are compared, with the same
@@ -270,7 +272,7 @@ def nearest_state_index(grid: Grid, ys, chunk: int = 16384) -> np.ndarray:
     the region (within ``REGION_TOL``) the answer is the brute-force one.
     """
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    out = np.empty(ys.shape[0], dtype=np.int64)
+    out, chunk = np.empty(ys.shape[0], dtype=np.int64), NEAREST_CHUNK
     for start in range(0, ys.shape[0], chunk):
         block = ys[start:start + chunk]
         candidates = np.sort(grid.spec.region.stencil(grid.resolution, block), axis=1)

@@ -19,6 +19,9 @@ from .grid import DiscreteMeasure, Grid
 from .system import StateRegion
 
 
+NORM_SAMPLE = 48  # the region sample (StateRegion.sample) of each sup-norm
+
+
 class MetricError(ValueError):
     pass
 
@@ -40,9 +43,8 @@ class TestFunctionSet:
         return np.repeat(np.vstack([values, const]), grid.control_points.shape[0], axis=1)
 
 
-def make_test_function_set(basis: BasisSpec, region: StateRegion,
-                           sample_resolution: int = 48) -> TestFunctionSet:
-    norms = sup_norms(basis, region.sample(sample_resolution))
+def make_test_function_set(basis: BasisSpec, region: StateRegion) -> TestFunctionSet:
+    norms = sup_norms(basis, region.sample(NORM_SAMPLE))
     if np.any(norms <= 0):
         raise MetricError("degenerate test function (zero sup-norm on the region)")
     return TestFunctionSet(basis=basis, norms=norms)

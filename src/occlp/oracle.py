@@ -30,8 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tolerances
 from .config import PRESETS, SystemConfig
 from .system import SystemSpec, parses_to
+
+
+LEVEL_ANGLES, LEVEL_CONTROLS, FROZEN_CONTROLS = 4096, 41, 201  # angles; controls per axis
 
 
 class OracleError(ValueError):
@@ -66,28 +70,25 @@ def is_frozen(spec: SystemSpec) -> bool:
     return parses_to(spec, PRESETS["frozen"](box)["dynamics"])
 
 
-def _circle_scan(spec: SystemSpec, angle_resolution: int,
-                 control_resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _circle_scan(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The scan's angles (A,), the unit circle's points at them (A, 2) and the
     controls (U, p): what every level of one scan shares."""
     if not rotates(spec):
         raise OracleError("the level-set oracle applies to an annulus about the origin, with "
                           "the rotation's dynamics (u1*y2, -u1*y1) and u = 0 in the control box")
-    angles = 2.0 * np.pi * np.arange(angle_resolution) / angle_resolution
+    angles = 2.0 * np.pi * np.arange(LEVEL_ANGLES) / LEVEL_ANGLES
     ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    return angles, ring, spec.control.grid(control_resolution)
+    return angles, ring, spec.control.grid(LEVEL_CONTROLS)
 
 
-def rotation_level_value(spec: SystemSpec, z: float,
-                         angle_resolution: int = 4096,
-                         control_resolution: int = 41) -> OracleResult:
+def rotation_level_value(spec: SystemSpec, z: float) -> OracleResult:
     """Brute-force minimum over the two tractable measure families on one circle.
 
     ``z`` is the conserved quantity (squared radius); the circle scanned has
     radius sqrt(z).  The error bound is the cost's sampled modulus over one
     angular cell.
     """
-    angles, ring, controls = _circle_scan(spec, angle_resolution, control_resolution)
+    angles, ring, controls = _circle_scan(spec)
     costs, parked, circulating_per_u = _level_scan(spec, z, ring, controls)
     stationary = float(np.min(parked))
     circulating = float(np.min(circulating_per_u))
@@ -111,15 +112,16 @@ def _level_scan(spec: SystemSpec, z: float, ring: np.ndarray,
     mean over angles per control, family (ii): uniform in angle at one fixed
     control."""
     a2, b2 = spec.region.inner ** 2, spec.region.outer ** 2
-    if not a2 - 1e-12 <= z <= b2 + 1e-12:
+    if not a2 - tolerances.LEVEL_TOL <= z <= b2 + tolerances.LEVEL_TOL:
         raise OracleError(f"level {z} outside [{a2}, {b2}]")
     ys = math.sqrt(z) * ring
     costs = spec.cost_at(ys[:, None, :], controls[None, :, :])
     return costs, spec.cost_at(ys, np.zeros(spec.dim_control)), costs.mean(axis=0)
 
 
-def frozen_value(spec: SystemSpec, y0, control_resolution: int = 201) -> OracleResult:
-    """Exhaustive control scan of k(y0, .) for systems with zero dynamics.
+def frozen_value(spec: SystemSpec, y0) -> OracleResult:
+    """Exhaustive scan of k(y0, .) over FROZEN_CONTROLS controls per axis, for
+    systems with zero dynamics.
 
     The error bound is the cost's sampled modulus over one control cell: the
     largest |k(y0, u) - k(y0, u')| over controls adjacent on the control
@@ -128,10 +130,10 @@ def frozen_value(spec: SystemSpec, y0, control_resolution: int = 201) -> OracleR
     if not is_frozen(spec):
         raise OracleError("the frozen oracle applies to zero dynamics only")
     y0 = np.asarray(y0, dtype=float)
-    controls = spec.control.grid(control_resolution)
+    controls = spec.control.grid(FROZEN_CONTROLS)
     values = spec.cost_at(y0, controls)
     best = int(np.argmin(values))
-    on_lattice = values.reshape((control_resolution,) * spec.dim_control)
+    on_lattice = values.reshape((FROZEN_CONTROLS,) * spec.dim_control)
     cell_modulus = max(float(np.max(np.abs(np.diff(on_lattice, axis=j))))
                        for j in range(spec.dim_control))
     return OracleResult(instance=f"frozen y0={y0.tolist()} cost={spec.cost_text}",
@@ -147,13 +149,11 @@ class LevelTable:
     argmin_level: float
 
 
-def level_set_ordering(spec: SystemSpec, levels,
-                       angle_resolution: int = 4096,
-                       control_resolution: int = 41) -> LevelTable:
+def level_set_ordering(spec: SystemSpec, levels) -> LevelTable:
     """Per-level values across a grid of invariant circles, without
     :func:`rotation_level_value`'s error bounds; the minimum over levels is the
     reference for the start-point-free (ergodic) program."""
-    _angles, ring, controls = _circle_scan(spec, angle_resolution, control_resolution)
+    _angles, ring, controls = _circle_scan(spec)
     rows = []
     for z in levels:
         _costs, parked, circulating_per_u = _level_scan(spec, float(z), ring, controls)

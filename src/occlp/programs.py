@@ -74,6 +74,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tolerances
 from .basis import BasisSpec, polynomials_at
 from .grid import DiscreteMeasure, Grid, LpBlocks, snap_to_state_grid, stack_rows
 from .system import SystemSpec, lattice, rate_along
@@ -119,16 +120,6 @@ class ProgramError(ValueError):
 
 ROW_KINDS = ("flow", "initial", "discounted", "normalization")
 
-DEFAULT_XI_MASS_CAP = 1e6
-PRIMAL_RESIDUAL_TOL = 1e-7
-COMPLEMENTARITY_TOL = 1e-6
-DUALITY_GAP_TOL = 1e-8
-CERTIFICATE_TOL = 1e-6
-# reduced cost on the optimal face and the pricing bound of a restricted
-# master, relative to 1 + |c|; also every HiGHS model's primal and dual
-# feasibility tolerance (HIGHS_OPTIONS), so every column prices out to it and
-# no entry of a point that HiGHS calls optimal is below -FACE_TOL
-FACE_TOL = 1e-9
 # An LP with at least this many columns per constraint (an equality row; in
 # the membership LP, a basis row) is solved on a restricted master seeded
 # with the columns of every MASTER_STATE_STRIDE-th state; a smaller one holds
@@ -152,6 +143,7 @@ FACE_TOL = 1e-9
 # column, the annulus ones (192 and more) start from a master.
 MASTER_MIN_COLUMNS_PER_ROW = 128
 MASTER_STATE_STRIDE = 4
+OFFGRID_DENSITY, OFFGRID_CHUNK = 10, 8192  # certificate_offgrid_report's sample and block
 
 
 @dataclass(frozen=True)
@@ -285,8 +277,7 @@ def build_ergodic_lp(blocks: LpBlocks) -> LpInstance:
                      blocks.cost, {"variant": "ergodic"})
 
 
-def build_nonergodic_lp(blocks: LpBlocks,
-                        xi_mass_cap: float = DEFAULT_XI_MASS_CAP) -> LpInstance:
+def build_nonergodic_lp(blocks: LpBlocks, xi_mass_cap: float) -> LpInstance:
     """Start-point-dependent program: flow rows plus initial-coupling rows.
 
     Infeasibility (possible when no admissible motion connects the feasible
@@ -307,8 +298,7 @@ def build_discounted_lp(blocks: LpBlocks, discount_rate: float) -> LpInstance:
                                    **blocks.start})
 
 
-def build_perturbed_lp(blocks: LpBlocks, epsilon: float,
-                       xi_mass_cap: float = DEFAULT_XI_MASS_CAP) -> LpInstance:
+def build_perturbed_lp(blocks: LpBlocks, epsilon: float, xi_mass_cap: float) -> LpInstance:
     """Regularised coupled program; epsilon = 0 reduces exactly to the unperturbed one."""
     if epsilon < 0:
         raise ProgramError("epsilon must be nonnegative")
@@ -327,8 +317,8 @@ def build_perturbed_lp(blocks: LpBlocks, epsilon: float,
 HIGHS_OPTIONS = {"output_flag": False, "presolve": "off",
                  "simplex_strategy": 1,  # dual simplex
                  "simplex_scale_strategy": 4,  # max value
-                 "primal_feasibility_tolerance": FACE_TOL,
-                 "dual_feasibility_tolerance": FACE_TOL}
+                 "primal_feasibility_tolerance": tolerances.FACE_TOL,
+                 "dual_feasibility_tolerance": tolerances.FACE_TOL}
 
 
 # HiGHS model status -> solution status; any other is a tolerance-failure.  A
@@ -387,7 +377,8 @@ class _Model:
                 return
             if self.status == "optimal":
                 duals = np.asarray(self.highs.getSolution().row_dual)
-                priced = self.cost - self.a.T @ duals < -FACE_TOL * (1.0 + np.abs(self.cost))
+                priced = (self.cost - self.a.T @ duals
+                          < -tolerances.FACE_TOL * (1.0 + np.abs(self.cost)))
                 add = np.flatnonzero(priced & ~self.held)
                 if not len(add):
                     return
@@ -435,9 +426,10 @@ def _residual_contract(instance: LpInstance, x: np.ndarray, raw_minimum: float,
     primal_residual = float(np.max(np.abs(instance.a_eq @ x - instance.eq_rhs)))
     complementarity = float(np.max(np.abs(x * reduced)))
     breach = None
-    if raw_minimum < -FACE_TOL:
-        breach = f"negative entry {raw_minimum:.3e} below -FACE_TOL ({-FACE_TOL:g})"
-    elif primal_residual > PRIMAL_RESIDUAL_TOL or complementarity > COMPLEMENTARITY_TOL:
+    if raw_minimum < -tolerances.FACE_TOL:
+        breach = f"negative entry {raw_minimum:.3e} below -FACE_TOL ({-tolerances.FACE_TOL:g})"
+    elif (primal_residual > tolerances.PRIMAL_RESIDUAL_TOL
+          or complementarity > tolerances.COMPLEMENTARITY_TOL):
         breach = (f"residuals out of tolerance: primal {primal_residual:.3e}, "
                   f"complementarity {complementarity:.3e}")
     return primal_residual, complementarity, breach
@@ -462,9 +454,9 @@ def _minimal_mass_refinement(instance: LpInstance, objective: np.ndarray, reduce
     meets the main point's :func:`_residual_contract` and whose objective is
     ``value`` to within DUALITY_GAP_TOL."""
     n_g = instance.n_gamma
-    face = np.flatnonzero(reduced <= FACE_TOL * (1.0 + np.abs(objective)))
+    face = np.flatnonzero(reduced <= tolerances.FACE_TOL * (1.0 + np.abs(objective)))
     rhs = instance.eq_rhs
-    if cap_dual < -FACE_TOL:
+    if cap_dual < -tolerances.FACE_TOL:
         rhs = np.append(rhs, instance.xi_mass_cap)
     model = _Model((face >= n_g).astype(float), instance.matrix[:len(rhs), face], rhs, rhs,
                    np.flatnonzero(np.isin(face, columns)))
@@ -476,7 +468,8 @@ def _minimal_mass_refinement(instance: LpInstance, objective: np.ndarray, reduce
     x = np.zeros(len(objective))
     x[face] = on_face
     if (_residual_contract(instance, x, raw_minimum, reduced)[2] is not None
-            or abs(objective @ x - value) > DUALITY_GAP_TOL * max(1.0, abs(value))):
+            or abs(objective @ x - value)
+            > tolerances.DUALITY_GAP_TOL * max(1.0, abs(value))):
         return stats, None  # the caller keeps the unrefined vertex
     return stats, (DiscreteMeasure(instance.grid, x[:n_g]),
                    DiscreteMeasure(instance.grid, x[n_g:]), raw_minimum)
@@ -671,11 +664,12 @@ def solve(instance: LpInstance, chain: _Chain | None = None,
     # binding = the cap influences the value (nonzero shadow price) or even the
     # minimal-mass xi needs the whole budget
     cap_binding = bool(has_xi
-                       and (cap_dual < -FACE_TOL
-                            or (xi_mass_canonical
-                                and xi.total_mass >= instance.xi_mass_cap * (1.0 - FACE_TOL))))
+                       and (cap_dual < -tolerances.FACE_TOL
+                            or (xi_mass_canonical and xi.total_mass
+                                >= instance.xi_mass_cap * (1.0 - tolerances.FACE_TOL))))
 
-    if breach is None and abs(value - dual_objective) > DUALITY_GAP_TOL * max(1.0, abs(value)):
+    if breach is None and (abs(value - dual_objective)
+                           > tolerances.DUALITY_GAP_TOL * max(1.0, abs(value))):
         breach = f"duality gap {value - dual_objective:.3e} exceeds tolerance"
     status, message = ("optimal", message) if breach is None else ("tolerance-failure", breach)
     return LpSolution(status, value, gamma, xi, row_duals, cap_dual, cap_binding,
@@ -776,39 +770,38 @@ def certificate_slacks(cert: DualCertificate, grid: Grid, basis: BasisSpec,
 
 
 def certificate_offgrid_report(cert: DualCertificate, grid: Grid, basis: BasisSpec,
-                               spec: SystemSpec, density_factor: int = 10,
-                               chunk: int = 8192):
-    """Diagnostic only: worst slacks on a sample ~density_factor times denser
-    than the grid.  The finite certificate is not expected to be feasible off
-    the grid; the report quantifies how far off it is.
+                               spec: SystemSpec):
+    """Diagnostic only: worst slacks on a sample OFFGRID_DENSITY times denser
+    than the grid per axis.  The finite certificate is not expected to be
+    feasible off the grid; the report quantifies how far off it is.
 
-    The slacks are taken ``chunk`` sample states at a time, one call of
+    The slacks are taken OFFGRID_CHUNK sample states at a time, one call of
     :func:`certificate_slacks` per chunk, at the control grid's corners where
     a family is multilinear in u, and only their running minima are kept, so
-    memory is bounded by one block of ``chunk`` × controls pairs, not by the
-    sample.  ``sample_count`` is still every state × control pair, since the
+    memory is bounded by one block of OFFGRID_CHUNK × controls pairs, not by
+    the sample.  ``sample_count`` is still every state × control pair, since the
     minima cover them all.
     """
     if spec.region.kind == "annulus":
         n_r, n_theta = grid.resolution
-        ys = spec.region.lattice((max(2, n_r * density_factor), n_theta * density_factor))
+        ys = spec.region.lattice((max(2, n_r * OFFGRID_DENSITY), n_theta * OFFGRID_DENSITY))
     else:
         lo, hi = spec.region.bounding_box()
-        ys = lattice([np.linspace(lo[j], hi[j], r * density_factor)
+        ys = lattice([np.linspace(lo[j], hi[j], r * OFFGRID_DENSITY)
                       for j, r in enumerate(grid.resolution)])
     low = mono = np.inf
-    for start in range(0, ys.shape[0], chunk):
-        f1, f2 = certificate_slacks(cert, grid, basis, spec, ys[start:start + chunk])
+    for start in range(0, ys.shape[0], OFFGRID_CHUNK):
+        f1, f2 = certificate_slacks(cert, grid, basis, spec, ys[start:start + OFFGRID_CHUNK])
         low, mono = min(low, float(np.min(f1))), min(mono, float(np.min(f2)))
     return {"min_lower_bound_slack": low,
             "min_monotonicity_slack": mono,
             "sample_count": ys.shape[0] * grid.control_points.shape[0]}
 
 
-def verify_weak_duality(primal_value: float, dual_mu: float,
-                        tol: float = CERTIFICATE_TOL) -> bool:
-    """The certified lower bound must not exceed the primal value."""
-    return primal_value >= dual_mu - tol
+def verify_weak_duality(primal_value: float, dual_mu: float) -> bool:
+    """The certified lower bound must not exceed the primal value by more than
+    ``tolerances.CERTIFICATE_TOL``."""
+    return primal_value >= dual_mu - tolerances.CERTIFICATE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -840,13 +833,14 @@ def membership_residual(measures, blocks: LpBlocks) -> list[MembershipResidual]:
     corner columns at its state.  Any master is feasible, as t absorbs every
     row.  Each run adds the xi columns that price negative, so each omega is
     the optimum over every column.  Every measure is checked to be a
-    probability measure before any model is built.  Each run logs one INFO
+    probability measure (:meth:`~occlp.grid.DiscreteMeasure.is_probability`)
+    before any model is built.  Each run logs one INFO
     line, which names the xi seed.  B and C, at the blocks' start point, are
     read from ``blocks``.
     """
     measures = list(measures)
     for k, measure in enumerate(measures):
-        if not measure.is_probability(tol=1e-7):
+        if not measure.is_probability():
             raise ProgramError(f"measure {k} mass {measure.total_mass} is not 1")
     grid, basis = blocks.grid, blocks.basis
     flow, initial = blocks.flow, blocks.initial

@@ -41,7 +41,7 @@ from itertools import chain, pairwise
 
 import numpy as np
 
-from . import exprs
+from . import exprs, tolerances
 from .grid import DiscreteMeasure, Grid, LpBlocks, nearest_atom_index, nearest_state_index
 from .programs import MembershipResidual, membership_residual
 from .system import SystemSpec
@@ -421,8 +421,7 @@ class AbelValue:
 
 
 def abel_value(spec: SystemSpec, y0, policy: Policy, rate: float,
-               horizon: float, dt: float = 1e-3,
-               tail_tolerance: float = 1e-3) -> AbelValue:
+               horizon: float, dt: float = 1e-3) -> AbelValue:
     """Discounted value rate * integral of exp(-rate t) k, truncated at the horizon.
 
     The truncation error is |tail| <= exp(-rate*horizon) * bound_k whenever
@@ -431,14 +430,14 @@ def abel_value(spec: SystemSpec, y0, policy: Policy, rate: float,
     (times 1.1 for a custom system, see ``config.build_system``), which a
     cost can exceed between samples.  The value itself is a trapezoid sum on
     an RK4 trajectory, whose error is not bounded here.  Raises when the
-    requested horizon cannot meet the tail tolerance.
+    requested horizon leaves a tail bound above ``tolerances.ABEL_TAIL_TOL``.
     """
     if rate <= 0:
         raise SimulationError("discount rate must be positive")
     tail = math.exp(-rate * horizon) * spec.bound_k
-    if tail > tail_tolerance:
-        raise InsufficientHorizonError(
-            f"horizon {horizon} leaves tail bound {tail:.3e} > {tail_tolerance:.3e}")
+    if tail > tolerances.ABEL_TAIL_TOL:
+        raise InsufficientHorizonError(f"horizon {horizon} leaves tail bound {tail:.3e} > "
+                                       f"{tolerances.ABEL_TAIL_TOL:.3e}")
     traj = integrate(spec, y0, policy, horizon, dt)
     _require_in_region(traj)
     left, right = _endpoint_costs(traj)
@@ -504,12 +503,11 @@ class PeriodicSearchResult:
 
 
 def periodic_value_search(spec: SystemSpec, y0, candidates,
-                          dt: float = 1e-2,
-                          closure_tolerance: float = 1e-3) -> PeriodicSearchResult:
+                          dt: float = 1e-2) -> PeriodicSearchResult:
     """Average cost over one verified period for each candidate loop.
 
-    A candidate counts only if its trajectory returns to y0 within the closure
-    tolerance.  The minimum over closed candidates estimates an upper bound
+    A candidate counts only if its trajectory returns to y0 within
+    ``tolerances.CLOSURE_TOL``.  The minimum over closed candidates estimates an upper bound
     on the best periodic value: each value is the average cost of an RK4
     trajectory over one period, and a loop closes only to within the
     tolerance, so neither the integration error nor the closure gap is
@@ -522,7 +520,7 @@ def periodic_value_search(spec: SystemSpec, y0, candidates,
     for cand in candidates:
         traj = integrate(spec, y0, cand.policy, cand.period, dt)
         closure = float(np.linalg.norm(traj.final_state() - y0))
-        closed = closure <= closure_tolerance
+        closed = closure <= tolerances.CLOSURE_TOL
         value = cesaro_value(traj)
         rows.append(PeriodicSearchRow(cand.label, cand.period, closure, value, closed))
         if closed and value < best_value:

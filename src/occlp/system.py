@@ -9,7 +9,7 @@ expressions in the grammar of :mod:`occlp.exprs`, one per state component,
 and the cost is one such expression, so systems are declared as data rather
 than loaded as code (:func:`occlp.config.build_system` builds them, the
 built-in ones from presets).  Both regions also admit the points within
-``REGION_TOL`` of them.
+``tolerances.REGION_TOL`` of them.
 
 Specs are immutable values.  Each parses its expressions once, when it is
 built, and compiles each evaluator from those trees on first use, once; every
@@ -27,7 +27,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import exprs
+from . import exprs, tolerances
 
 
 class SystemSpecError(ValueError):
@@ -50,10 +50,6 @@ class DimensionMismatchError(SystemSpecError):
 
 class RegionError(SystemSpecError):
     pass
-
-
-# slack of every membership test: in boundary distance, or per control axis
-REGION_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +108,7 @@ class StateRegion:
         return np.maximum(self.inner - r, r - self.outer)
 
     def contains(self, y):
-        return self.signed_boundary_distance(y) <= REGION_TOL
+        return self.signed_boundary_distance(y) <= tolerances.REGION_TOL
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         if self.kind == "box":
@@ -172,7 +168,7 @@ class StateRegion:
             # radii reach further in
             below = 1
             if len(radii) > 1:
-                sag = (self.outer + REGION_TOL) * (1.0 - np.cos(np.pi / len(angles)))
+                sag = (self.outer + tolerances.REGION_TOL) * (1.0 - np.cos(np.pi / len(angles)))
                 below += min(len(radii), int(np.floor(sag / np.min(np.diff(radii)) + 0.5)))
             sector = np.floor(np.arctan2(dy, dx) * (len(angles) / (2.0 * np.pi))).astype(np.int64)
             per_axis = [np.clip(ring[:, None] + np.arange(-below, 3), 0, len(radii) - 1),
@@ -208,8 +204,8 @@ class ControlRegion:
 
     def limits(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """The admission limits ``(lo - REGION_TOL per axis, hi + REGION_TOL per axis)``."""
-        return (tuple(lo - REGION_TOL for lo in self.lower),
-                tuple(hi + REGION_TOL for hi in self.upper))
+        return (tuple(lo - tolerances.REGION_TOL for lo in self.lower),
+                tuple(hi + tolerances.REGION_TOL for hi in self.upper))
 
     def grid(self, resolution: int) -> np.ndarray:
         """Deterministic control grid of shape (K, dim): endpoint-inclusive
@@ -361,10 +357,7 @@ def rate_along(grad, f_vals) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the build-time check
 
-# slack of a declared bound over its sampled maximum, relative past |bound| = 1
-BOUND_TOL = 1e-12
-# drift a declared first integral F may have: |grad F . f| <= DRIFT_TOL |grad F| |f|
-DRIFT_TOL = 1e-9
+BOUND_SAMPLE_STATES, BOUND_SAMPLE_CONTROLS = 25, 9  # validate_bounds' sample and grid
 
 
 @dataclass(frozen=True)
@@ -374,16 +367,15 @@ class BoundReport:
     bound_f_ok: bool
     bound_k_ok: bool
     max_drifts: tuple[float, ...]  # per first integral, max |grad F . f|
-    conserved: tuple[bool, ...]  # per first integral, drift within DRIFT_TOL
+    conserved: tuple[bool, ...]  # per first integral, drift within tolerances.DRIFT_TOL
 
 
-def validate_bounds(spec: SystemSpec, state_resolution: int = 25,
-                    control_resolution: int = 9) -> BoundReport:
+def validate_bounds(spec: SystemSpec) -> BoundReport:
     """Dense-sampling check that bound_f and bound_k dominate f and k, and that
-    each first integral's drift grad F . f vanishes, on one evaluation of f
-    over the region sample × control grid."""
-    ys = spec.region.sample(state_resolution)[:, None, :]
-    us = spec.control.grid(control_resolution)[None, :, :]
+    each first integral's drift grad F . f vanishes, on one evaluation of f over
+    the region sample × control grid of BOUND_SAMPLE_STATES × BOUND_SAMPLE_CONTROLS."""
+    ys = spec.region.sample(BOUND_SAMPLE_STATES)[:, None, :]
+    us = spec.control.grid(BOUND_SAMPLE_CONTROLS)[None, :, :]
     f_vals = spec.dynamics_at(ys, us)
     f_norms = np.linalg.norm(f_vals, axis=0)
     max_drifts, conserved = [], []
@@ -391,11 +383,11 @@ def validate_bounds(spec: SystemSpec, state_resolution: int = 25,
         grad = exprs.compile_numpy(gradient)(ys, np.empty(0))
         drift = np.abs(rate_along(grad, f_vals))
         max_drifts.append(float(np.max(drift)))
-        conserved.append(bool(np.all(drift <= DRIFT_TOL * np.linalg.norm(grad, axis=0)
-                                     * f_norms)))
+        conserved.append(bool(np.all(drift <= tolerances.DRIFT_TOL
+                                     * np.linalg.norm(grad, axis=0) * f_norms)))
     f_norm = float(np.max(f_norms))
     k_abs = float(np.max(np.abs(spec.cost_at(ys, us))))
     return BoundReport(f_norm, k_abs,
-                       f_norm <= spec.bound_f + BOUND_TOL * max(1.0, abs(spec.bound_f)),
-                       k_abs <= spec.bound_k + BOUND_TOL * max(1.0, abs(spec.bound_k)),
+                       f_norm <= spec.bound_f + tolerances.BOUND_TOL * max(1.0, abs(spec.bound_f)),
+                       k_abs <= spec.bound_k + tolerances.BOUND_TOL * max(1.0, abs(spec.bound_k)),
                        tuple(max_drifts), tuple(conserved))

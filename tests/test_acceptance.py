@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from occlp import oracle
+from occlp import oracle, tolerances
 from occlp.basis import basis_for_region
 from occlp.grid import LpBlocks, build_grid
 from occlp.programs import (build_discounted_lp, build_ergodic_lp,
@@ -25,7 +25,7 @@ from occlp.simulate import (ConstantPolicy, SchedulePolicy, abel_value,
                             rotation_delta_family)
 
 from reference import atom_states
-from systems import built
+from systems import CAP, built
 
 EPSILONS = (0.1, 0.01, 0.001, 0.0)
 
@@ -51,7 +51,7 @@ def setup(rotation):
 def solve_unit_circle(rotation, setup):
     grid, basis = setup
     start = time.perf_counter()
-    instance = build_nonergodic_lp(LpBlocks(grid, basis, (1.0, 0.0)))
+    instance = build_nonergodic_lp(LpBlocks(grid, basis, (1.0, 0.0)), CAP)
     solution = solve(instance)
     elapsed = time.perf_counter() - start
     return instance, solution, elapsed
@@ -60,7 +60,7 @@ def solve_unit_circle(rotation, setup):
 @pytest.fixture(scope="module")
 def solve_inner_circle(rotation, setup):
     grid, basis = setup
-    instance = build_nonergodic_lp(LpBlocks(grid, basis, (0.5, 0.0)))
+    instance = build_nonergodic_lp(LpBlocks(grid, basis, (0.5, 0.0)), CAP)
     return instance, solve(instance)
 
 
@@ -76,7 +76,7 @@ def perturbed_solutions(rotation, setup):
     grid, basis = setup
     out = {}
     for eps in EPSILONS:
-        instance = build_perturbed_lp(LpBlocks(grid, basis, (1.0, 0.0)), eps)
+        instance = build_perturbed_lp(LpBlocks(grid, basis, (1.0, 0.0)), eps, CAP)
         out[eps] = (instance, solve(instance))
     return out
 
@@ -170,12 +170,13 @@ def test_criterion_4_support_concentration(setup, solve_unit_circle):
 
 def test_criterion_5_simulation_consistency(rotation, steer_hold_policy,
                                             steer_hold_trajectories,
-                                            solve_unit_circle, setup):
+                                            solve_unit_circle, setup, monkeypatch):
     _grid, basis = setup
     instance, solution, _t = solve_unit_circle
     cesaro = cesaro_value(steer_hold_trajectories[200.0])
+    monkeypatch.setattr(tolerances, "ABEL_TAIL_TOL", 1e-2)
     abel = abel_value(rotation, (1.0, 0.0), steer_hold_policy, rate=0.005,
-                      horizon=1200.0, dt=1e-2, tail_tolerance=1e-2)
+                      horizon=1200.0, dt=1e-2)
     cert = extract_dual_certificate(solution, instance)
     ok = (abs(cesaro - (-1.0)) <= 0.05
           and abs(abel.value - cesaro) <= 0.1
@@ -206,11 +207,11 @@ def test_criterion_6_residual_decay(rotation, setup, steer_hold_trajectories):
     assert final_omega <= 0.02
 
 
-def test_criterion_7_periodic_trend(rotation):
+def test_criterion_7_periodic_trend(rotation, monkeypatch):
     deltas = (0.5, 0.1, 0.02)
     candidates = rotation_delta_family(rotation, (1.0, 0.0), deltas)
-    result = periodic_value_search(rotation, (1.0, 0.0), candidates,
-                                   dt=1e-2, closure_tolerance=1e-3)
+    monkeypatch.setattr(tolerances, "CLOSURE_TOL", 1e-3)
+    result = periodic_value_search(rotation, (1.0, 0.0), candidates, dt=1e-2)
     values = [row.value for row in result.rows]
     closures = [row.closure_error for row in result.rows]
     ok = (values[0] > values[1] > values[2]
@@ -239,7 +240,7 @@ def test_criterion_8_perturbed_sweep(perturbed_solutions):
     assert convergent
 
 
-def test_criterion_9_frozen_exactness():
+def test_criterion_9_frozen_exactness(monkeypatch):
     spec = built("frozen", lower=(0.0, 0.0), upper=(1.0, 1.0), cost="y1 + u1^2")
     grid = build_grid(spec, 2, 9)
     basis = basis_for_region(spec.region, 4)
@@ -249,14 +250,15 @@ def test_criterion_9_frozen_exactness():
     blocks = LpBlocks(grid, basis, y0)
     values = {
         "ergodic": solve(build_ergodic_lp(blocks)).value,
-        "coupled": solve(build_nonergodic_lp(blocks)).value,
+        "coupled": solve(build_nonergodic_lp(blocks, CAP)).value,
         "discounted": solve(build_discounted_lp(blocks, 1.0)).value,
-        "perturbed0": solve(build_perturbed_lp(blocks, 0.0)).value,
+        "perturbed0": solve(build_perturbed_lp(blocks, 0.0, CAP)).value,
     }
     traj = integrate(spec, y0, ConstantPolicy(0.0), 5.0, 1e-3)
     values["cesaro"] = cesaro_value(traj)
+    monkeypatch.setattr(tolerances, "ABEL_TAIL_TOL", 1e-6)
     values["abel"] = abel_value(spec, y0, ConstantPolicy(0.0), rate=1.0,
-                                horizon=25.0, dt=1e-3, tail_tolerance=1e-6).value
+                                horizon=25.0, dt=1e-3).value
     worst = max(abs(v - reference) for v in values.values())
     ok = worst <= 1e-6
     _report(9, ok, f"reference {reference:.6f}, max deviation {worst:.2e} over "
@@ -268,7 +270,7 @@ def test_criterion_10_refinement_stability(rotation, solve_unit_circle):
     _instance, base, _t = solve_unit_circle
     fine_grid = build_grid(rotation, (5, 128), 9)
     fine_basis = basis_for_region(rotation.region, 6)
-    fine = solve(build_nonergodic_lp(LpBlocks(fine_grid, fine_basis, (1.0, 0.0))))
+    fine = solve(build_nonergodic_lp(LpBlocks(fine_grid, fine_basis, (1.0, 0.0)), CAP))
     delta = abs(fine.value - base.value)
     ok = fine.status == "optimal" and delta <= 0.02
     _report(10, ok, f"value {base.value:.6f} -> {fine.value:.6f} "

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occlp import cli, config, exprs, oracle, programs, simulate, system
+from occlp import cli, config, exprs, oracle, programs, simulate, system, tolerances
 from occlp import grid as grid_mod
 from occlp.basis import basis_for_region
 from occlp.cli import ReportBundle, emit_report, main, run_study
@@ -271,6 +271,40 @@ def test_a_policy_error_names_the_policy_line(tmp_path, capsys, policy, message)
         parse_config(text)
     assert str(err.value) == f"line {line}: {message}"
     assert _config_error_of(tmp_path, capsys, text) == f"error: line {line}: {message}"
+
+
+SCALAR_DRIFT = """\
+[system]
+name = scalar-drift
+
+[grid]
+state_resolution = [4]
+
+[program]
+y0 = [0.0]
+
+[simulate]
+policy = constant:0.5
+horizons = [1.0]
+"""
+
+
+@pytest.mark.parametrize("text,cause", [
+    (SCALAR_DRIFT, "malformed policy 'rotation_delta:0.5': variable 'y2' out of range "
+                   "(dimension 1) (at position 38)"),
+    (TWO_CONTROLS, "policy 'rotation_delta:0.5' gives a control of length 1, the system has "
+                   "2 controls"),
+], ids=["one-state", "two-controls"])
+def test_periodic_deltas_the_system_cannot_run_are_a_config_error(tmp_path, capsys, text,
+                                                                   cause):
+    # the rotation's angle law reads y1 and y2 and gives one control: on these
+    # systems simulate crashed with a traceback, or failed simulate.completed
+    text += "periodic_deltas = [0.5]\n"
+    message = f"line {text.count(chr(10))}: periodic_deltas: {cause}"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == message
+    assert _config_error_of(tmp_path, capsys, text) == f"error: {message}"
 
 
 def _array(values) -> str:
@@ -704,18 +738,24 @@ def test_one_study_builds_its_simulate_policy_once(monkeypatch):
     cfg = parse_config(text)
     bundle = run_study(cfg, sections=("simulate",))
     assert laws == [[0.5]] and "cesaro[T=2]" in bundle.values
-    cfg.simulate.policy = "rotation_delta:0.25"
     run_study(cfg, sections=("simulate",))
+    assert laws == [[0.5]]
+    policy = dataclasses.replace(cfg.simulate, policy="rotation_delta:0.25")
+    run_study(dataclasses.replace(cfg, simulate=policy), sections=("simulate",))
     assert laws == [[0.5], [0.25]]
 
 
 def test_a_changed_system_section_is_built_anew():
+    # a parsed config is frozen: a changed section is a new object, whose
+    # spec is built anew, and an unchanged one keeps its spec
     cfg = parse_config(FROZEN_STUDY)
     spec = cfg.system_spec()
     assert cfg.system_spec() is spec and spec == build_system(cfg.system)
-    cfg.system.cost = "y2"
-    assert cfg.system_spec().cost_text == "y2"
-    assert dataclasses.replace(cfg).system_spec() == cfg.system_spec()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.system.cost = "y2"
+    changed = dataclasses.replace(cfg, system=dataclasses.replace(cfg.system, cost="y2"))
+    assert changed.system_spec().cost_text == "y2" and cfg.system_spec() is spec
+    assert dataclasses.replace(cfg).system_spec() is spec
 
 
 def test_info_log_has_one_line_per_lp(caplog):
@@ -902,7 +942,7 @@ def test_m_size_certify_prices_its_refinement_and_membership(caplog, monkeypatch
     assert certificates
     for certificate in certificates:
         slacks = programs.certificate_slacks(certificate, grid, basis, spec)
-        assert min(map(np.min, slacks)) >= -programs.CERTIFICATE_TOL
+        assert min(map(np.min, slacks)) >= -tolerances.CERTIFICATE_TOL
 
 
 def test_info_log_names_how_each_lp_started(caplog):
@@ -1308,14 +1348,15 @@ def test_array_items_split_only_at_commas_outside_parentheses():
 
 
 @pytest.mark.parametrize("text,parses,compiles", [
-    (ACCEPTANCE_CONFIG.read_text(), 4, 3), (FROZEN_CONFIG.read_text(), 3, 2),
+    (ACCEPTANCE_CONFIG.read_text(), 4 + 3, 3), (FROZEN_CONFIG.read_text(), 3, 2),
     (BOX_CUSTOM_SYSTEM.format(bounds=""), 3, 2)])
 def test_one_parse_builds_one_system_spec_and_compiles_each_evaluator_once(
         monkeypatch, text, parses, compiles):
     # one spec, built with its undeclared bounds unchecked, then given its
     # checked bounds without parsing or compiling anything again: each
     # expression is parsed once, and the dynamics, the cost and each first
-    # integral's gradient are compiled once
+    # integral's gradient are compiled once.  The acceptance config's three
+    # periodic_deltas laws are parsed too, to check them against the system
     specs, expressions, compiled = [], [], []
     post_init, parse, compile_numpy = (SystemSpec.__post_init__, exprs.parse_expr,
                                        exprs.compile_numpy)
@@ -1344,8 +1385,8 @@ def test_the_duality_gap_invariant_is_checked_at_the_solver_tolerance(monkeypatc
     bundle = run_study(parse_config(FROZEN_CONFIG.read_text()), sections=("solve",))
     gaps = [entry for entry in bundle.invariants if entry["name"].endswith(".duality_gap")]
     assert gaps and not any(entry["passed"] for entry in gaps)
-    assert cli.DUALITY_GAP_TOL == programs.DUALITY_GAP_TOL == 1e-8
-    assert not hasattr(cli, "REPORT_GAP_TOL")
+    assert tolerances.DUALITY_GAP_TOL == 1e-8
+    assert not hasattr(cli, "REPORT_GAP_TOL") and not hasattr(cli, "DUALITY_GAP_TOL")
 
 
 def test_every_reported_measure_is_a_basic_point(tmp_path):

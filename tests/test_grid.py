@@ -6,14 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from occlp import grid as grid_mod
-from occlp import system
+from occlp import system, tolerances
 from occlp.basis import basis_for_region, enumerate_basis, grad_matrix, phi_matrix
 from occlp.config import build_system, parse_config
 from occlp.grid import (DiscreteMeasure, GridError, LpBlocks, assemble_cost_vector,
                         assemble_flow_matrix, assemble_initial_matrix, build_grid,
                         nearest_atom_index, nearest_index,
                         nearest_state_index)
-from occlp.system import REGION_TOL, ControlRegion, RegionError, StateRegion
+from occlp.system import ControlRegion, RegionError, StateRegion
 
 from reference import atom, atom_controls, atom_states, boundary_sample
 from systems import built
@@ -292,7 +292,7 @@ def _brute_force(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_nearest_index_is_brute_force_with_exact_ties(dim):
+def test_nearest_index_is_brute_force_with_exact_ties(dim, monkeypatch):
     # a control lattice with exactly representable midpoints, so every
     # midpoint query ties between two points and the lowest row must win
     axes = [np.linspace(-1.0, 1.0, 5)] * dim
@@ -305,7 +305,8 @@ def test_nearest_index_is_brute_force_with_exact_ties(dim):
         points[:-1] + 0.25 * (points[1:] - points[:-1]),
         rng.uniform(-1.5, 1.5, size=(400, dim)),
     ])
-    got = nearest_index(points, queries, chunk=97)
+    monkeypatch.setattr(grid_mod, "NEAREST_CHUNK", 97)
+    got = nearest_index(points, queries)
     assert np.array_equal(got, _brute_force(points, queries))
     # scrambled rows: the tie rule follows row order, not lattice order
     order = rng.permutation(points.shape[0])
@@ -349,7 +350,7 @@ def test_nearest_state_index_is_brute_force(setup, seed):
         # ties between neighbours along the last axis, the first axis and a diagonal
         _neighbour_midpoints(points, (1, resolution[-1], resolution[-1] + 1)),
         boundary,
-        boundary + 0.5 * REGION_TOL * normals,  # just outside, within tolerance
+        boundary + 0.5 * tolerances.REGION_TOL * normals,  # just outside, within tolerance
         np.random.default_rng(seed).uniform(lo, hi, size=(500, region.dim)),
     ])
     queries = queries[region.contains(queries)]

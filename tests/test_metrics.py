@@ -8,7 +8,7 @@ from occlp.grid import DiscreteMeasure, LpBlocks, build_grid
 from occlp.metrics import MetricError, make_test_function_set, rho_hat
 
 from reference import atom, atom_states
-from systems import built
+from systems import CAP, built
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +111,7 @@ def test_hausdorff_empirical_sweep_shrinks_towards_optimum():
     g = build_grid(spec, (5, 32), 5)
     b = basis_for_region(spec.region, 4)
     tf = make_test_function_set(b, spec.region)
-    solution = solve(build_nonergodic_lp(LpBlocks(g, b, (1.0, 0.0))))
+    solution = solve(build_nonergodic_lp(LpBlocks(g, b, (1.0, 0.0)), CAP))
     assert solution.status == "optimal"
     policy = SchedulePolicy([0.0, math.pi], [1.0, 0.0])
     distances = []

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from occlp import cli
+from occlp import cli, oracle
 from occlp.basis import basis_for_region
 from occlp.config import build_system, parse_config
 from occlp.grid import LpBlocks, build_grid
@@ -64,7 +64,7 @@ def test_frozen_value_scans():
     assert frozen_value(const, (0.3, 0.3)).value == 3.0
 
 
-def test_frozen_error_bound_is_the_cost_modulus_over_one_control_cell():
+def test_frozen_error_bound_is_the_cost_modulus_over_one_control_cell(monkeypatch):
     config = parse_config((Path(__file__).parents[1] / "configs" / "frozen.conf").read_text())
     spec = build_system(config.system)
     result = frozen_value(spec, config.program.y0)
@@ -79,7 +79,8 @@ def test_frozen_error_bound_is_the_cost_modulus_over_one_control_cell():
                         region=spec.region,
                         control=ControlRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0)),
                         bound_f=0.0, bound_k=3.0)
-    assert frozen_value(tilted, (0.5, 0.5), control_resolution=5).error_bound == 1.0
+    monkeypatch.setattr(oracle, "FROZEN_CONTROLS", 5)
+    assert frozen_value(tilted, (0.5, 0.5)).error_bound == 1.0
 
 
 def test_level_table_square_root_law(rotation):
@@ -133,9 +134,11 @@ def test_cost_shift_invariance(rotation):
     assert moved.value == base.value + 2.0
 
 
-def test_angle_refinement_stability(rotation):
-    coarse = rotation_level_value(rotation, 1.0, angle_resolution=7)
-    fine = rotation_level_value(rotation, 1.0, angle_resolution=14)
+def test_angle_refinement_stability(rotation, monkeypatch):
+    monkeypatch.setattr(oracle, "LEVEL_ANGLES", 7)
+    coarse = rotation_level_value(rotation, 1.0)
+    monkeypatch.setattr(oracle, "LEVEL_ANGLES", 14)
+    fine = rotation_level_value(rotation, 1.0)
     # Lipschitz constant of the first-coordinate cost is 1 on the unit circle
     assert abs(fine.value - coarse.value) <= np.pi * 1.0 / 7
 
@@ -197,7 +200,7 @@ def test_the_level_set_oracle_needs_an_annulus_about_the_origin():
             scan()
 
 
-def test_the_level_set_oracle_needs_a_control_box_that_parks():
+def test_the_level_set_oracle_needs_a_control_box_that_parks(monkeypatch):
     # family (i) parks at u = 0, which the control box [0.5, 1] does not
     # admit: the rotation's circles are invariant, but no parked measure is
     cfg = parse_config(SPIRAL_ANNULUS.format(dynamics="u1*y2, -u1*y1").replace(
@@ -214,7 +217,8 @@ def test_the_level_set_oracle_needs_a_control_box_that_parks():
     uneven = built("custom", region="annulus", dynamics=("u1*y2", "-u1*y1"),
                    cost="y1 + u1^2", control_lower=(-0.3,))
     assert rotates(uneven) and 0.0 not in uneven.control.grid(41)
-    parked = rotation_level_value(uneven, 1.0, angle_resolution=4)
+    monkeypatch.setattr(oracle, "LEVEL_ANGLES", 4)
+    parked = rotation_level_value(uneven, 1.0)
     assert parked.value == parked.stationary_value == -1.0
     assert parked.attained_by == "stationary (angle=3.141593, u=0)"
 

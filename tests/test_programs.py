@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
-from occlp import cli, exprs, oracle, programs
+from occlp import cli, exprs, oracle, programs, tolerances
 from occlp.cli import run_study
 from occlp.basis import basis_for_region, grad_matrix, phi_matrix
 from occlp.config import build_system, parse_config
 from occlp.grid import DiscreteMeasure, Grid, LpBlocks, build_grid
-from occlp.programs import (CERTIFICATE_TOL, PRIMAL_RESIDUAL_TOL, LpInstance, ProgramError,
+from occlp.programs import (LpInstance, ProgramError,
                             RowMeta, build_discounted_lp, build_ergodic_lp,
                             build_nonergodic_lp, build_perturbed_lp, certificate_offgrid_report,
                             certificate_slacks, extract_dual_certificate, lp_name,
@@ -28,7 +28,7 @@ from occlp.programs import (CERTIFICATE_TOL, PRIMAL_RESIDUAL_TOL, LpInstance, Pr
 from occlp.system import ControlRegion, StateRegion, SystemSpec, lattice, rate_along
 
 from reference import atom, atom_controls, atom_states
-from systems import built
+from systems import CAP, built
 
 
 def product_rows(ys, us):
@@ -79,7 +79,7 @@ def rotation_setup():
 @pytest.fixture(scope="module")
 def rotation_solved(rotation_setup):
     spec, g, b = rotation_setup
-    instance = build_nonergodic_lp(LpBlocks(g, b, (1.0, 0.0)))
+    instance = build_nonergodic_lp(LpBlocks(g, b, (1.0, 0.0)), CAP)
     return instance, solve(instance)
 
 
@@ -89,7 +89,8 @@ def brute_force_atom_minimum(grid, spec):
 
 def certificate_holds(cert, grid, basis, spec):
     """Both slack families at every grid atom are at least -CERTIFICATE_TOL."""
-    return min(map(np.min, certificate_slacks(cert, grid, basis, spec))) >= -CERTIFICATE_TOL
+    slacks = certificate_slacks(cert, grid, basis, spec)
+    return min(map(np.min, slacks)) >= -tolerances.CERTIFICATE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +180,10 @@ def test_every_highs_run_reads_back_the_option_table(monkeypatch):
             return self.highs.run()
     monkeypatch.setattr(programs, "_Highs", Recording)
     blocks = LpBlocks(g, b, y0)
-    solution = solve(build_nonergodic_lp(blocks))
+    solution = solve(build_nonergodic_lp(blocks, CAP))
     assert solution.refine_rounds > 1
     assert len(runs) == solution.pricing_rounds + solution.refine_rounds
-    chained = solve_chain([build_perturbed_lp(blocks, eps) for eps in (0.1, 0.01)])
+    chained = solve_chain([build_perturbed_lp(blocks, eps, CAP) for eps in (0.1, 0.01)])
     assert chained[0].pricing_rounds > 1 and chained[1].start == "warm from perturbed[eps=0.1]"
     assert len(runs) == (solution.pricing_rounds + solution.refine_rounds
                          + sum(s.pricing_rounds for s in chained))
@@ -191,8 +192,8 @@ def test_every_highs_run_reads_back_the_option_table(monkeypatch):
     assert len(runs) > before
     assert all(options == programs.HIGHS_OPTIONS for options in runs)
     assert programs.HIGHS_OPTIONS["simplex_scale_strategy"] == 4  # max value
-    assert programs.HIGHS_OPTIONS["primal_feasibility_tolerance"] == programs.FACE_TOL
-    assert programs.HIGHS_OPTIONS["dual_feasibility_tolerance"] == programs.FACE_TOL
+    assert programs.HIGHS_OPTIONS["primal_feasibility_tolerance"] == tolerances.FACE_TOL
+    assert programs.HIGHS_OPTIONS["dual_feasibility_tolerance"] == tolerances.FACE_TOL
 
 
 @pytest.mark.parametrize("option,setting", [("simplex_scale_strategy", 5),
@@ -346,12 +347,12 @@ def test_returned_point_meets_residual_contract():
     spec = built("rotation")
     g = build_grid(spec, (5, 128), 9)
     b = basis_for_region(spec.region, 6)
-    instance = build_nonergodic_lp(LpBlocks(g, b, (1.0, 0.0)))
+    instance = build_nonergodic_lp(LpBlocks(g, b, (1.0, 0.0)), CAP)
     solution = solve(instance)
     assert solution.status == "optimal"
     x = np.concatenate([solution.gamma.weights, solution.xi.weights])
     a_eq = instance.a_eq
-    assert np.max(np.abs(a_eq @ x - instance.eq_rhs)) <= PRIMAL_RESIDUAL_TOL
+    assert np.max(np.abs(a_eq @ x - instance.eq_rhs)) <= tolerances.PRIMAL_RESIDUAL_TOL
     membership_residual([solution.gamma], LpBlocks(g, b, (1.0, 0.0)))
     assert solution.xi_canonical
 
@@ -388,12 +389,12 @@ DEGREE_SIX_CASES = {"5x128-east": ("5x128", (1.0, 0.0)), "5x128-north": ("5x128"
 @pytest.mark.parametrize("setup,y0", DEGREE_SIX_CASES.values(), ids=DEGREE_SIX_CASES.keys())
 def test_degree_six_start_points_solve_with_canonical_xi(degree_six_setups, setup, y0):
     spec, g, b = degree_six_setups[setup]
-    instance = build_nonergodic_lp(LpBlocks(g, b, y0))
+    instance = build_nonergodic_lp(LpBlocks(g, b, y0), CAP)
     solution = solve(instance)
     assert solution.status == "optimal" and solution.xi_canonical
     x = np.concatenate([solution.gamma.weights, solution.xi.weights])
     a_eq = instance.a_eq
-    assert np.max(np.abs(a_eq @ x - instance.eq_rhs)) <= PRIMAL_RESIDUAL_TOL
+    assert np.max(np.abs(a_eq @ x - instance.eq_rhs)) <= tolerances.PRIMAL_RESIDUAL_TOL
     if oracle.rotates(spec):
         reference = oracle.rotation_level_value(spec, float(np.dot(y0, y0)))
         assert solution.value == pytest.approx(reference.value, abs=1e-6)
@@ -418,13 +419,13 @@ def test_box_start_point_reports_a_feasible_discounted_vertex(degree_six_setups,
     instance = build_discounted_lp(LpBlocks(g, b, (0.25, 0.75)), 0.05)
     solution = solve(instance)
     assert solution.status == "optimal"
-    assert -programs.FACE_TOL <= solution.raw_minimum <= 0.0
+    assert -tolerances.FACE_TOL <= solution.raw_minimum <= 0.0
     assert solution.gamma.total_mass == pytest.approx(1.0, abs=1e-9)
     assert solution.value == pytest.approx(0.02460236071067628, rel=1e-7)
     defaults = {"output_flag": False, "presolve": "off", "simplex_strategy": 1}
     monkeypatch.setattr(programs, "HIGHS_OPTIONS", defaults)
     loose = solve(instance)
-    assert loose.raw_minimum < -programs.FACE_TOL and loose.status == "tolerance-failure"
+    assert loose.raw_minimum < -tolerances.FACE_TOL and loose.status == "tolerance-failure"
     assert "below -FACE_TOL" in loose.message
     # the residual is the reported (clipped) point's
     for reported in (solution, loose):
@@ -439,7 +440,7 @@ def test_box_start_point_reports_a_feasible_discounted_vertex(degree_six_setups,
 def test_nonergodic_frozen_matches_frozen_oracle(frozen_setup):
     spec, g, b = frozen_setup
     y0 = (0.25, 0.25)  # a grid state
-    solution = solve(build_nonergodic_lp(LpBlocks(g, b, y0)))
+    solution = solve(build_nonergodic_lp(LpBlocks(g, b, y0), CAP))
     assert solution.status == "optimal"
     reference = oracle.frozen_value(spec, y0)
     assert solution.value == pytest.approx(reference.value, abs=1e-8)
@@ -457,13 +458,13 @@ def test_nonergodic_snaps_off_grid_start(frozen_setup):
     blocks = LpBlocks(g, b, (0.26, 0.27))
     # every LP built on the blocks is read-only; the coupled rows and the
     # provenance of each LP with a start point take the snapped y0
-    for instance in (build_ergodic_lp(blocks), build_nonergodic_lp(blocks),
-                     build_discounted_lp(blocks, 0.05), build_perturbed_lp(blocks, 0.1)):
+    for instance in (build_ergodic_lp(blocks), build_nonergodic_lp(blocks, CAP),
+                     build_discounted_lp(blocks, 0.05), build_perturbed_lp(blocks, 0.1, CAP)):
         assert not instance.matrix.flags.writeable
         if instance.provenance["variant"] != "ergodic":
             assert instance.provenance["y0"] == tuple(snapped.tolist())
             assert instance.provenance["y0_requested"] == (0.26, 0.27)
-    solution = solve(build_nonergodic_lp(blocks))
+    solution = solve(build_nonergodic_lp(blocks, CAP))
     assert solution.status == "optimal"
     assert solution.value == pytest.approx(oracle.frozen_value(spec, snapped).value, abs=1e-8)
 
@@ -484,7 +485,8 @@ def test_nonergodic_rotation_start_circle_pins_value(rotation_setup, rotation_so
 def test_nonergodic_constant_cost(rotation_setup):
     _spec, _g, b = rotation_setup
     const = built("rotation", cost="3")
-    solution = solve(build_nonergodic_lp(LpBlocks(build_grid(const, (5, 64), 9), b, (1.0, 0.0))))
+    blocks = LpBlocks(build_grid(const, (5, 64), 9), b, (1.0, 0.0))
+    solution = solve(build_nonergodic_lp(blocks, CAP))
     assert solution.value == pytest.approx(3.0, abs=1e-8)
 
 
@@ -507,7 +509,7 @@ def test_ergodic_system_value_is_start_independent():
     assert ergodic == pytest.approx(0.0, abs=1e-8)
     masses = []
     for y0 in (g.state_points[4, 0], g.state_points[7, 0]):
-        solution = solve(build_nonergodic_lp(LpBlocks(g, b, (y0,))))
+        solution = solve(build_nonergodic_lp(LpBlocks(g, b, (y0,)), CAP))
         assert solution.status == "optimal"
         assert solution.value == pytest.approx(ergodic, abs=1e-7)
         masses.append(solution.xi.total_mass)
@@ -522,7 +524,7 @@ def test_ergodic_system_value_is_start_independent():
 def test_discounted_frozen_equals_nonergodic(frozen_setup):
     spec, g, b = frozen_setup
     y0 = (0.25, 0.25)
-    base = solve(build_nonergodic_lp(LpBlocks(g, b, y0))).value
+    base = solve(build_nonergodic_lp(LpBlocks(g, b, y0), CAP)).value
     for rate in (0.01, 0.5, 10.0):
         solution = solve(build_discounted_lp(LpBlocks(g, b, y0), rate))
         assert solution.status == "optimal"
@@ -564,8 +566,8 @@ def test_discounted_rejects_nonpositive_rate(rotation_setup):
 
 def test_perturbed_zero_epsilon_is_identical(rotation_setup):
     spec, g, b = rotation_setup
-    base = build_nonergodic_lp(LpBlocks(g, b, (1.0, 0.0)))
-    pert = build_perturbed_lp(LpBlocks(g, b, (1.0, 0.0)), 0.0)
+    base = build_nonergodic_lp(LpBlocks(g, b, (1.0, 0.0)), CAP)
+    pert = build_perturbed_lp(LpBlocks(g, b, (1.0, 0.0)), 0.0, CAP)
     assert np.array_equal(base.objective_gamma, pert.objective_gamma)
     assert np.array_equal(base.objective_xi, pert.objective_xi)
     assert np.array_equal(base.matrix, pert.matrix)
@@ -577,7 +579,7 @@ def test_perturbed_sweep_monotone_and_convergent(rotation_setup):
     spec, g, b = rotation_setup
     values = {}
     for eps in (0.1, 0.01, 0.001, 0.0):
-        solution = solve(build_perturbed_lp(LpBlocks(g, b, (1.0, 0.0)), eps))
+        solution = solve(build_perturbed_lp(LpBlocks(g, b, (1.0, 0.0)), eps, CAP))
         assert solution.status == "optimal"
         values[eps] = solution.value
     assert values[0.0] <= values[0.001] + 1e-7
@@ -596,7 +598,7 @@ SWEEP_EPSILONS = (0.1, 0.03, 0.01, 0.001, 0.0)
 @pytest.fixture(scope="module")
 def cold_perturbed(rotation_setup):
     spec, g, b = rotation_setup
-    return {eps: solve(build_perturbed_lp(LpBlocks(g, b, (1.0, 0.0)), eps))
+    return {eps: solve(build_perturbed_lp(LpBlocks(g, b, (1.0, 0.0)), eps, CAP))
             for eps in SWEEP_EPSILONS}
 
 
@@ -616,7 +618,7 @@ def _assert_member_matches(instance, solution, cold, setup):
     assert certificate_holds(extract_dual_certificate(solution, instance), g, b, spec)
     x = np.concatenate([solution.gamma.weights, solution.xi.weights])
     a_eq = instance.a_eq
-    assert np.max(np.abs(a_eq @ x - instance.eq_rhs)) <= PRIMAL_RESIDUAL_TOL
+    assert np.max(np.abs(a_eq @ x - instance.eq_rhs)) <= tolerances.PRIMAL_RESIDUAL_TOL
 
 
 @settings(max_examples=12, deadline=None)
@@ -627,7 +629,7 @@ def test_warm_sweep_matches_cold_solves(rotation_setup, cold_perturbed, epsilons
     # the model of the one before it; eps = 0 is refined, so it runs cold and
     # hands nothing on
     blocks = LpBlocks(g, b, (1.0, 0.0))
-    instances = [build_perturbed_lp(blocks, eps) for eps in epsilons]
+    instances = [build_perturbed_lp(blocks, eps, CAP) for eps in epsilons]
     previous = None
     for instance, eps, solution in zip(instances, epsilons, solve_chain(instances)):
         _assert_member_matches(instance, solution, cold_perturbed[eps], rotation_setup)
@@ -656,7 +658,7 @@ def test_weightless_xi_members_are_solved_cold(frozen_setup):
     assert spec.bound_f == 0.0
     epsilons = (0.1, 0.01, 0.001)
     blocks = LpBlocks(g, b, (0.25, 0.25))
-    instances = [build_perturbed_lp(blocks, eps) for eps in epsilons]
+    instances = [build_perturbed_lp(blocks, eps, CAP) for eps in epsilons]
     text = ("[system]\nname = frozen\ncost = y1 + u1^2\nlower = [0.0, 0.0]\n"
             "upper = [1.0, 1.0]\n[grid]\nstate_resolution = [2, 2]\n[program]\n"
             "variants = [perturbed]\ny0 = [0.25, 0.25]\nepsilons = [0.1, 0.01, 0.001]\n")
@@ -676,8 +678,8 @@ def test_chain_with_other_rows_starts_cold(rotation_setup):
     # LpBlocks never share a model, even with the same grid, basis and y0
     spec, g, b = rotation_setup
     for second_y0 in ((0.0, 1.0), (1.0, 0.0)):
-        instances = [build_perturbed_lp(LpBlocks(g, b, (1.0, 0.0)), 0.1),
-                     build_perturbed_lp(LpBlocks(g, b, second_y0), 0.01)]
+        instances = [build_perturbed_lp(LpBlocks(g, b, (1.0, 0.0)), 0.1, CAP),
+                     build_perturbed_lp(LpBlocks(g, b, second_y0), 0.01, CAP)]
         chained = solve_chain(instances)
         assert [solution.start for solution in chained] == ["cold", "cold"]
         assert chained[1].value == solve(instances[1]).value
@@ -687,7 +689,7 @@ def test_perturbed_constant_cost_shift(frozen_setup):
     _spec, _g, b = frozen_setup
     const = built("frozen", lower=(0.0, 0.0), upper=(1.0, 1.0), cost="3")
     solution = solve(build_perturbed_lp(LpBlocks(build_grid(const, 2, 9), b, (0.25, 0.25)),
-                                        0.01))
+                                        0.01, CAP))
     assert solution.xi.total_mass <= 1e-9  # no transport needed from a grid start
     assert solution.value == pytest.approx(3.0 + 2 * 0.01, abs=1e-8)
 
@@ -695,7 +697,7 @@ def test_perturbed_constant_cost_shift(frozen_setup):
 def test_perturbed_rejects_negative_epsilon(rotation_setup):
     spec, g, b = rotation_setup
     with pytest.raises(ProgramError):
-        build_perturbed_lp(LpBlocks(g, b, (1.0, 0.0)), -0.1)
+        build_perturbed_lp(LpBlocks(g, b, (1.0, 0.0)), -0.1, CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -706,14 +708,14 @@ def test_certificate_constant_cost(frozen_setup):
     _spec, _g, b = frozen_setup
     const = built("frozen", lower=(0.0, 0.0), upper=(1.0, 1.0), cost="3")
     g = build_grid(const, 2, 9)
-    instance = build_nonergodic_lp(LpBlocks(g, b, (0.25, 0.25)))
+    instance = build_nonergodic_lp(LpBlocks(g, b, (0.25, 0.25)), CAP)
     solution = solve(instance)
     cert = extract_dual_certificate(solution, instance)
     assert cert.mu == pytest.approx(3.0, abs=1e-8)
     assert certificate_holds(cert, g, b, const)
 
 
-def test_certificate_rotation(rotation_setup, rotation_solved):
+def test_certificate_rotation(rotation_setup, rotation_solved, monkeypatch):
     spec, g, b = rotation_setup
     instance, solution = rotation_solved
     cert = extract_dual_certificate(solution, instance)
@@ -722,14 +724,15 @@ def test_certificate_rotation(rotation_setup, rotation_solved):
     assert np.min(f1) >= -1e-6
     assert np.min(f2) >= -1e-6
     assert verify_weak_duality(solution.value, cert.mu)
-    report = certificate_offgrid_report(cert, g, b, spec, density_factor=4)
+    monkeypatch.setattr(programs, "OFFGRID_DENSITY", 4)
+    report = certificate_offgrid_report(cert, g, b, spec)
     assert report["sample_count"] > g.atom_count
     assert report["min_lower_bound_slack"] <= 1e-6  # tight somewhere near the optimum
 
 
 def test_certificate_frozen_equals_scan(frozen_setup):
     spec, g, b = frozen_setup
-    instance = build_nonergodic_lp(LpBlocks(g, b, (0.25, 0.25)))
+    instance = build_nonergodic_lp(LpBlocks(g, b, (0.25, 0.25)), CAP)
     solution = solve(instance)
     cert = extract_dual_certificate(solution, instance)
     assert cert.mu == pytest.approx(oracle.frozen_value(spec, (0.25, 0.25)).value, abs=1e-7)
@@ -737,7 +740,7 @@ def test_certificate_frozen_equals_scan(frozen_setup):
 
 def test_certificate_perturbed_families_use_epsilon_slack(rotation_setup):
     spec, g, b = rotation_setup
-    instance = build_perturbed_lp(LpBlocks(g, b, (1.0, 0.0)), 0.01)
+    instance = build_perturbed_lp(LpBlocks(g, b, (1.0, 0.0)), 0.01, CAP)
     solution = solve(instance)
     cert = extract_dual_certificate(solution, instance)
     assert cert.epsilon == 0.01
@@ -817,8 +820,8 @@ def box_drift_setup():
 def test_certificate_slacks_evaluate_the_basis_once_per_state(request, monkeypatch, setup, y0,
                                                               epsilon):
     spec, g, b = request.getfixturevalue(setup)
-    instance = (build_nonergodic_lp(LpBlocks(g, b, y0)) if epsilon is None
-                else build_perturbed_lp(LpBlocks(g, b, y0), epsilon))
+    instance = (build_nonergodic_lp(LpBlocks(g, b, y0), CAP) if epsilon is None
+                else build_perturbed_lp(LpBlocks(g, b, y0), epsilon, CAP))
     solution = solve(instance)
     cert = extract_dual_certificate(solution, instance)
     assert cert.y0 is not None and cert.epsilon == (epsilon or 0.0)
@@ -844,7 +847,8 @@ def test_certificate_slacks_evaluate_the_basis_once_per_state(request, monkeypat
         assert_within_rounding(np.array(report["min_monotonicity_slack"]), np.min(r2),
                                np.max(m2))
 
-    assert_is_reference(certificate_offgrid_report(cert, g, b, spec, density_factor=4))
+    monkeypatch.setattr(programs, "OFFGRID_DENSITY", 4)
+    assert_is_reference(certificate_offgrid_report(cert, g, b, spec))
     # 7 states a block: many blocks, and a ragged last one, which together
     # are the sample in order
     assert ys.shape[0] % 7
@@ -855,7 +859,8 @@ def test_certificate_slacks_evaluate_the_basis_once_per_state(request, monkeypat
         return certificate_slacks(cert, grid, basis, spec, block)
 
     monkeypatch.setattr(programs, "certificate_slacks", recording)
-    assert_is_reference(certificate_offgrid_report(cert, g, b, spec, density_factor=4, chunk=7))
+    monkeypatch.setattr(programs, "OFFGRID_CHUNK", 7)
+    assert_is_reference(certificate_offgrid_report(cert, g, b, spec))
     assert {len(block) for block in blocks[:-1]} == {7}
     assert np.array_equal(np.vstack(blocks), ys)
 
@@ -1181,7 +1186,7 @@ def test_binding_cap_keeps_the_refined_point_optimal(rotation_setup, cap):
     assert solution.xi.total_mass == pytest.approx(cap, abs=1e-8)
     objective = np.concatenate([instance.objective_gamma, instance.objective_xi])
     x = np.concatenate([solution.gamma.weights, solution.xi.weights])
-    assert objective @ x == pytest.approx(solution.value, abs=programs.DUALITY_GAP_TOL)
+    assert objective @ x == pytest.approx(solution.value, abs=tolerances.DUALITY_GAP_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -1211,7 +1216,7 @@ def _priced_out(instance, solution) -> bool:
     reduced = objective - instance.a_eq.T @ solution.row_duals
     if instance.has_xi:
         reduced[instance.n_gamma:] -= solution.cap_dual
-    return bool(np.all(reduced >= -programs.FACE_TOL * (1.0 + np.abs(objective))))
+    return bool(np.all(reduced >= -tolerances.FACE_TOL * (1.0 + np.abs(objective))))
 
 
 @pytest.fixture(scope="module")
@@ -1229,8 +1234,8 @@ def master_setups():
 
 def _variants(spec, g, b, y0):
     blocks = LpBlocks(g, b, y0)
-    return [build_ergodic_lp(blocks), build_nonergodic_lp(blocks),
-            build_discounted_lp(blocks, 0.05), build_perturbed_lp(blocks, 0.1)]
+    return [build_ergodic_lp(blocks), build_nonergodic_lp(blocks, CAP),
+            build_discounted_lp(blocks, 0.05), build_perturbed_lp(blocks, 0.1, CAP)]
 
 
 @pytest.mark.parametrize("setup", ["acceptance", "m-size", "box"])
@@ -1262,7 +1267,7 @@ def test_master_matches_the_full_model(master_setups, monkeypatch, setup):
 def test_master_seed_is_a_sub_lattice_with_the_start_state(master_setups, monkeypatch):
     spec, g, b, _ = master_setups["acceptance"]
     start = 2 * 64 + 5  # the 6th angle of the 3rd ring: not on the sub-lattice
-    instance = build_nonergodic_lp(LpBlocks(g, b, g.state_points[start]))
+    instance = build_nonergodic_lp(LpBlocks(g, b, g.state_points[start]), CAP)
     n_controls = g.control_points.shape[0]
     for multilinear in (True, False):
         if not multilinear:
@@ -1283,7 +1288,7 @@ def test_master_seed_is_a_sub_lattice_with_the_start_state(master_setups, monkey
 
 def test_infeasible_master_falls_back_to_the_full_lp(master_setups, monkeypatch):
     spec, g, b, y0 = master_setups["acceptance"]
-    instance = build_nonergodic_lp(LpBlocks(g, b, y0))
+    instance = build_nonergodic_lp(LpBlocks(g, b, y0), CAP)
     reference = solve(instance)
     # xi columns alone cannot meet the normalization row 1.g = 1
     monkeypatch.setattr(programs, "_seed_columns",
@@ -1300,7 +1305,7 @@ def test_infeasible_master_falls_back_to_the_full_lp(master_setups, monkeypatch)
 def test_a_master_neither_optimal_nor_infeasible_falls_back_to_the_full_lp(
         master_setups, monkeypatch, unknown):
     spec, g, b, y0 = master_setups["acceptance"]
-    instance = build_nonergodic_lp(LpBlocks(g, b, y0))
+    instance = build_nonergodic_lp(LpBlocks(g, b, y0), CAP)
     columns = instance.n_gamma + instance.n_xi
     reference = solve(instance)
     assert reference.master_columns < columns and not reference.fallback
@@ -1358,14 +1363,13 @@ REFINEMENT_CASES = {**{f"{setup}-{name}": (setup, y0, None) for setup in ("accep
 @pytest.mark.parametrize("setup,y0,cap", REFINEMENT_CASES.values(), ids=REFINEMENT_CASES.keys())
 def test_priced_refinement_matches_a_full_face_solve(master_setups, monkeypatch, setup, y0, cap):
     spec, g, b, _ = master_setups[setup]
-    instance = build_nonergodic_lp(LpBlocks(g, b, y0),
-                                   **({} if cap is None else {"xi_mass_cap": cap}))
+    instance = build_nonergodic_lp(LpBlocks(g, b, y0), CAP if cap is None else cap)
     refine = programs._minimal_mass_refinement
     solution, record = _recorded_refinement(monkeypatch, instance)
     assert solution.status == "optimal" and solution.xi_canonical
     _, objective, reduced, _, cap_dual, _ = record["args"]
     stats, refined = record["result"]
-    face = np.flatnonzero(reduced <= programs.FACE_TOL * (1.0 + np.abs(objective)))
+    face = np.flatnonzero(reduced <= tolerances.FACE_TOL * (1.0 + np.abs(objective)))
     assert stats["refine_face_columns"] == len(face)
     # a binding cap leaves a face of a few dozen columns, which the master may reach
     assert stats["refine_master_columns"] < len(face) or (
@@ -1374,9 +1378,9 @@ def test_priced_refinement_matches_a_full_face_solve(master_setups, monkeypatch,
     # the cap row's included when it is in
     mass = (face >= instance.n_gamma).astype(float)
     a = instance.a_eq[:, face]
-    if cap_dual < -programs.FACE_TOL:
+    if cap_dual < -tolerances.FACE_TOL:
         a = np.vstack([a, mass])
-    assert np.all(mass - a.T @ record["duals"] >= -programs.FACE_TOL * (1.0 + mass))
+    assert np.all(mass - a.T @ record["duals"] >= -tolerances.FACE_TOL * (1.0 + mass))
     # the same refinement on a model that holds the whole face from the start
     full_stats, full = refine(*record["args"][:-1], np.arange(len(objective)))
     assert full_stats["refine_master_columns"] == len(face)
@@ -1388,7 +1392,7 @@ def test_priced_refinement_matches_a_full_face_solve(master_setups, monkeypatch,
 
 def test_infeasible_face_master_falls_back_to_the_whole_face(master_setups, monkeypatch):
     spec, g, b, y0 = master_setups["acceptance"]
-    instance = build_nonergodic_lp(LpBlocks(g, b, y0))
+    instance = build_nonergodic_lp(LpBlocks(g, b, y0), CAP)
     reference = solve(instance)
     refine, results = programs._minimal_mass_refinement, []
 
@@ -1409,7 +1413,7 @@ def test_warm_chain_grows_one_master(master_setups):
     spec, g, b, y0 = master_setups["m-size"]
     epsilons = (0.1, 0.01, 0.001)
     blocks = LpBlocks(g, b, y0)
-    instances = [build_perturbed_lp(blocks, eps) for eps in epsilons]
+    instances = [build_perturbed_lp(blocks, eps, CAP) for eps in epsilons]
     chained = solve_chain(instances)
     assert [s.start for s in chained] == ["cold", "warm from perturbed[eps=0.1]",
                                           "warm from perturbed[eps=0.01]"]
@@ -1473,8 +1477,8 @@ def test_corner_seeded_xi_holds_the_optimum(degree_six_setups, monkeypatch, capl
     spec, g, b = degree_six_setups[setup]
     assert spec.dynamics_multilinear
     blocks = LpBlocks(g, b, y0)
-    instances = [build_nonergodic_lp(blocks),
-                 *(build_perturbed_lp(blocks, eps) for eps in (0.1, 0.01))]
+    instances = [build_nonergodic_lp(blocks, CAP),
+                 *(build_perturbed_lp(blocks, eps, CAP) for eps in (0.1, 0.01))]
     seeded = [solve(instances[0]), *solve_chain(instances[1:])]
     uniform = DiscreteMeasure(g, np.full(g.atom_count, 1.0 / g.atom_count))
     measures = [seeded[0].gamma, uniform]
@@ -1530,7 +1534,7 @@ def test_dynamics_not_multilinear_keep_the_parent_seed(monkeypatch, caplog):
     blocks = LpBlocks(g, basis_for_region(spec.region, 4), (0.5, -0.5))
     for crossover in (programs.MASTER_MIN_COLUMNS_PER_ROW, 0):
         monkeypatch.setattr(programs, "MASTER_MIN_COLUMNS_PER_ROW", crossover)
-        for instance in (build_nonergodic_lp(blocks), build_perturbed_lp(blocks, 0.1)):
+        for instance in (build_nonergodic_lp(blocks, CAP), build_perturbed_lp(blocks, 0.1, CAP)):
             columns, xi_seed = programs._seed_columns(instance)
             assert columns.tolist() == _parent_seed_columns(instance)[0].tolist()
             assert xi_seed == ("xi on the sub-lattice" if crossover == 0 else "xi at every atom")
@@ -1552,7 +1556,7 @@ def test_a_one_control_grid_is_its_own_corner(frozen_setup):
     spec, g, b = frozen_setup
     one = Grid(spec=spec, state_points=g.state_points, control_points=np.zeros((1, 1)),
                resolution=g.resolution)
-    instance = build_nonergodic_lp(LpBlocks(one, b, (0.25, 0.25)))
+    instance = build_nonergodic_lp(LpBlocks(one, b, (0.25, 0.25)), CAP)
     columns, xi_seed = programs._seed_columns(instance)
     assert xi_seed == "xi at 1 of 1 controls"
     assert columns.tolist() == list(range(2 * one.atom_count))

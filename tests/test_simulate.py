@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as integrate_quad
 
-from occlp import exprs, simulate, system
+from occlp import exprs, simulate, system, tolerances
 from occlp.basis import basis_for_region, phi_matrix
 from occlp.grid import LpBlocks, build_grid, nearest_atom_index
 from occlp.simulate import (ConstantPolicy, FeedbackPolicy, InsufficientHorizonError,
@@ -352,7 +352,8 @@ def test_parked_tail_is_tested_and_costed_once(monkeypatch, name):
     discounted = (every_left * np.exp(-rate * traj.times[:-1])
                   + every_right * np.exp(-rate * traj.times[1:]))
     reference = rate * float(np.sum(0.5 * discounted * traj.dt))
-    assert abel_value(spec, y0, policy, rate, horizon, dt, tail_tolerance=10.0).value == reference
+    monkeypatch.setattr(tolerances, "ABEL_TAIL_TOL", 10.0)
+    assert abel_value(spec, y0, policy, rate, horizon, dt).value == reference
 
 
 @pytest.mark.parametrize("chunk", [simulate.PARK_CHUNK, 3])
@@ -428,20 +429,22 @@ def test_abel_constant_cost(rotation):
     assert result.value == pytest.approx(3.0, abs=3 * result.tail_bound + 1e-6)
 
 
-def test_abel_frozen(frozen):
+def test_abel_frozen(frozen, monkeypatch):
+    monkeypatch.setattr(tolerances, "ABEL_TAIL_TOL", 1e-6)
     result = abel_value(frozen, (0.25, 0.25), ConstantPolicy(0.5), rate=1.0,
-                        horizon=25.0, dt=1e-3, tail_tolerance=1e-6)
+                        horizon=25.0, dt=1e-3)
     assert result.value == pytest.approx(0.5, abs=1e-6)
 
 
-def test_abel_cesaro_consistency_at_matched_scales(rotation):
+def test_abel_cesaro_consistency_at_matched_scales(rotation, monkeypatch):
     # matched scales: discount rate ~ 1 / averaging horizon
     horizon = 60.0
     policy = SchedulePolicy([0.0, math.pi], [1.0, 0.0])
     traj = integrate(rotation, (1.0, 0.0), policy, horizon, 1e-2)
     cesaro = cesaro_value(traj)
+    monkeypatch.setattr(tolerances, "ABEL_TAIL_TOL", 1e-3)
     abel = abel_value(rotation, (1.0, 0.0), policy, rate=1.0 / horizon, horizon=450.0,
-                      dt=1e-2, tail_tolerance=1e-3)
+                      dt=1e-2)
     assert abs(abel.value - cesaro) <= 0.1
 
 
